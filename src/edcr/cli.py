@@ -75,8 +75,7 @@ def cmd_gen(args) -> int:
         holdout_classes=args.holdout.split(",") if args.holdout else None,
         condition_noise=args.condition_noise,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     trajectories = out / "trajectories.csv"
     predictions = out / "predictions.csv"
     conditions = out / "conditions.csv"
@@ -99,21 +98,27 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _require_gt(table, path) -> None:
+def _out_dir(args) -> Path:
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _labeled_table(args):
+    table = io.read_predictions(args.predictions)
     if not table.has_ground_truth:
-        raise ContractError(f"{path}: predictions file has no gt column")
+        raise ContractError(f"{args.predictions}: predictions file has no gt column")
+    return table
 
 
 def cmd_learn(args) -> int:
-    table = io.read_predictions(args.predictions)
-    _require_gt(table, args.predictions)
+    table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
     config = LearnConfig(epsilon=_parse_epsilon(args, table.classes))
     rule_set = det_corr_rule_learn(config, table, conds)
     stats = compute_class_stats(table)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     ruleset_path = out / "ruleset.yaml"
     io.save_ruleset(ruleset_path, rule_set)
     io.write_manifest(
@@ -160,8 +165,7 @@ def cmd_apply(args) -> int:
         raise ContractError(f"conditions file lacks columns {sorted(missing)}")
     revised, trace = apply_ruleset(rule_set, table, conds, correction_scope=args.correction_scope)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     revised_path = out / "revised.csv"
     trace_path = out / "trace.csv"
     io.write_predictions(revised_path, revised)
@@ -173,33 +177,25 @@ def cmd_apply(args) -> int:
         input_paths=[args.ruleset, args.predictions, args.conditions],
         output_paths=[revised_path, trace_path],
     )
-    n_unknown = sum(1 for label in revised.predicted if label.is_unknown)
-    n_changed = sum(1 for a, b in zip(table.predicted, revised.predicted) if a != b)
+    n_unknown = int(np.count_nonzero(revised.pred_ids == -1))
+    n_changed = int(np.count_nonzero(revised.pred_ids != table.pred_ids))
     print(f"revised {n_changed} of {table.n} predictions ({n_unknown} now unknown); wrote {out}")
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    table = io.read_predictions(args.predictions)
-    _require_gt(table, args.predictions)
+    table = _labeled_table(args)
     mode = ScoringMode.from_string(args.mode)
     report = metrics_report(table, mode=mode)
     if args.trace:
-        trace = io.read_trace(args.trace)
-        by_id = {entry.sample_id: entry for entry in trace}
-        missing = [s for s in table.sample_ids if s not in by_id]
-        if missing:
-            raise ContractError(f"trace file lacks sample id {missing[0]!r}")
+        trace = io.read_trace(args.trace, table.classes)
+        rows = trace.rows_for(table.sample_ids)
         # detection verdicts are scored against the original predictions
-        original = table.with_predictions(
-            tuple(table.classes.resolve(by_id[s].original) for s in table.sample_ids)
-        )
-        flags = [by_id[s].flagged for s in table.sample_ids]
-        detection = error_detection_metrics(flags, original)
+        original = table.with_predictions(trace.original[rows])
+        detection = error_detection_metrics(trace.flagged[rows], original)
         report = dataclasses.replace(report, error_detection=detection)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     metrics_path = out / "metrics.csv"
     io.write_metrics(metrics_path, report)
     inputs = [args.predictions] + ([args.trace] if args.trace else [])
@@ -223,15 +219,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    table = io.read_predictions(args.predictions)
-    _require_gt(table, args.predictions)
+    table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
     epsilons = _parse_floats(args.epsilons)
     split = sequential_split(table, conds, args.learn_fraction)
     result = epsilon_sweep(epsilons, split)
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     sweep_path = out / "sweep.csv"
     io.write_sweep(sweep_path, result)
     io.write_manifest(
@@ -246,8 +240,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_unseen(args) -> int:
-    table = io.read_predictions(args.predictions)
-    _require_gt(table, args.predictions)
+    table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
     fractions = _parse_floats(args.fractions)
     result = unseen_class_experiment(
@@ -259,8 +252,7 @@ def cmd_unseen(args) -> int:
         learn_fraction=args.learn_fraction,
     )
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     unseen_path = out / "unseen.csv"
     io.write_unseen(unseen_path, result)
     io.write_manifest(
@@ -285,8 +277,7 @@ def cmd_unseen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    table = io.read_predictions(args.predictions)
-    _require_gt(table, args.predictions)
+    table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
 
     reports = theorem_report(table, conds, epsilon=args.epsilon)
@@ -340,8 +331,7 @@ def cmd_verify(args) -> int:
     print(f"correction theorems: {'FAIL' if correction_fail else 'ok'} "
           f"({args.correction_scenarios} constructed scenarios)")
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(args)
     report_path = out / "theorem_report.csv"
     io.write_theorem_reports(report_path, reports)
     io.write_manifest(
@@ -446,7 +436,7 @@ def main(argv: list[str] | None = None) -> int:
     except EdcrError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_INVARIANT
-    except FileNotFoundError as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA
 

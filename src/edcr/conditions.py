@@ -1,6 +1,7 @@
-"""Condition generation: velocity-outlier signals from raw GPS trajectories,
-ingestion of externally computed binary-classifier verdicts, and a synthetic
-corpus generator for desk-scale end-to-end experiments.
+"""Condition generation: velocity-outlier signals from raw GPS trajectories
+and a synthetic corpus generator for desk-scale end-to-end experiments.
+Externally computed binary-classifier verdicts are read with
+:func:`edcr.io.read_conditions`.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
@@ -70,11 +70,10 @@ class TrajectoryRecord:
 
 @dataclass(frozen=True)
 class SpeedProfile:
-    """Per-segment speeds in m/s plus their max and mean."""
+    """Per-segment speeds in m/s plus their max."""
 
     segment_speeds: tuple[float, ...]
     max_speed: float
-    mean_speed: float
 
 
 def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
@@ -82,7 +81,7 @@ def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
     speeds = []
     for (t0, lat0, lon0), (t1, lat1, lon1) in zip(record.points, record.points[1:]):
         speeds.append(haversine_m(lat0, lon0, lat1, lon1) / (t1 - t0))
-    return SpeedProfile(tuple(speeds), max(speeds), sum(speeds) / len(speeds))
+    return SpeedProfile(tuple(speeds), max(speeds))
 
 
 @dataclass(frozen=True)
@@ -131,13 +130,12 @@ def fit_velocity_thresholds(
 
 
 def velocity_condition(
-    thresholds: VelocityThresholds, record: TrajectoryRecord, predicted: ClassLabel | str
+    thresholds: VelocityThresholds, record: TrajectoryRecord, predicted: str
 ) -> bool:
     """True iff the record moves strictly faster than the fastest training
     sample of its PREDICTED class -- a prediction whose speed exceeds anything
     seen for that class is suspect."""
-    name = predicted.name if isinstance(predicted, ClassLabel) else predicted
-    return trajectory_speed(record).max_speed > thresholds.for_class(name)
+    return trajectory_speed(record).max_speed > thresholds.for_class(predicted)
 
 
 def velocity_condition_name(class_name: str) -> str:
@@ -148,13 +146,13 @@ def build_velocity_conditions(
     thresholds: VelocityThresholds,
     records: Sequence[TrajectoryRecord],
     mode: str = "per_class",
-    predictions: Sequence[ClassLabel] | None = None,
+    predictions: Sequence[str] | None = None,
 ) -> ConditionMatrix:
     """Velocity-outlier condition columns for a record sequence.
 
     ``per_class`` emits one column per fitted class comparing every record
     against that class's ceiling; ``predicted`` emits a single column where
-    each row uses its own predicted class (requires ``predictions``).
+    each row uses its own predicted class name (requires ``predictions``).
     """
     if mode not in VELOCITY_MODES:
         raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
@@ -169,7 +167,7 @@ def build_velocity_conditions(
     if predictions is None or len(predictions) != len(records):
         raise ContractError("predicted mode requires one prediction per record")
     column = np.array(
-        [maxima[k] > thresholds.for_class(predictions[k].name) for k in range(len(records))],
+        [maxima[k] > thresholds.for_class(predictions[k]) for k in range(len(records))],
         dtype=bool,
     )
     return ConditionMatrix(("vel_over_predicted",), column.reshape(-1, 1))
@@ -181,17 +179,6 @@ def binary_condition_name(class_name: str) -> str:
 
 def negated_condition_name(class_name: str) -> str:
     return f"not_g_{class_name}"
-
-
-def ingest_binary_conditions(path, table: PredictionTable) -> ConditionMatrix:
-    """Read a conditions file and align its rows to ``table``'s sample order.
-
-    Columns keep their file names (binary-classifier columns are conventionally
-    ``g_<class>``; any extra condition columns are carried through).
-    """
-    from .io import read_conditions  # file formats live with the CLI layer
-
-    return read_conditions(path, table)
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +323,7 @@ def generate_synthetic(
         [r for r in records if r.label not in holdout], classes=visible
     )
     velocity = build_velocity_conditions(
-        thresholds, records, mode=velocity_mode, predictions=table.predicted
+        thresholds, records, mode=velocity_mode, predictions=predicted
     )
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))

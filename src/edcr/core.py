@@ -48,28 +48,26 @@ class VerificationError(EdcrError):
     """An invariant or theorem check failed (CLI exit 4)."""
 
 
+def check_unit_interval(name: str, value) -> float:
+    """``value`` as a float, or :class:`ContractError` naming ``name`` unless
+    it is finite and within [0, 1]."""
+    number = float(value)
+    if not 0.0 <= number <= 1.0:  # also false for NaN
+        raise ContractError(f"{name} must be a finite number in [0, 1], got {value!r}")
+    return number
+
+
 @dataclass(frozen=True)
 class ClassLabel:
-    """A class name plus its dense index within the owning class set.
-
-    Labels outside the predictable set carry ``id == -1``: the reserved
-    UNKNOWN output and any novel ground-truth classes seen only at
-    evaluation time.
-    """
+    """A class name plus its dense index within the owning class set; rules
+    name their classes with labels."""
 
     id: int
     name: str
 
     @property
-    def is_unknown(self) -> bool:
-        return self.name == UNKNOWN_NAME
-
-    @property
     def in_set(self) -> bool:
         return self.id >= 0
-
-
-UNKNOWN = ClassLabel(-1, UNKNOWN_NAME)
 
 
 @dataclass(frozen=True)
@@ -115,64 +113,63 @@ class ClassSet:
                 f"unknown class {name!r}; known classes: {', '.join(self.names)}"
             ) from None
 
-    def resolve(self, name: str) -> ClassLabel:
-        """Label for ``name``: in-set if declared, UNKNOWN for the reserved name,
-        else an outside label (id -1) for novel ground-truth classes."""
-        if name == UNKNOWN_NAME:
-            return UNKNOWN
-        found = self._by_name.get(name)
-        return found if found is not None else ClassLabel(-1, name)
+
+def name_column(names: Sequence[str], ids: np.ndarray) -> list[str]:
+    """Names for an id column: id ``k`` is ``names[k]`` and -1 is UNKNOWN."""
+    return np.array((*names, UNKNOWN_NAME), dtype=object)[ids].tolist()
 
 
-def _check_member(label: ClassLabel, classes: ClassSet, role: str) -> None:
-    if label.in_set or label.name in classes:
-        if classes._by_name.get(label.name) != label:
-            raise ContractError(
-                f"{role} label {label} is inconsistent with the class set {classes.names}"
-            )
+def id_column(lookup: dict[str, int], names: Iterable[str], role: str) -> np.ndarray:
+    """Ids for a column of names; a name missing from ``lookup`` is a
+    :class:`ContractError`."""
+    try:
+        return np.fromiter(map(lookup.__getitem__, names), dtype=np.int32)
+    except KeyError as err:
+        raise ContractError(f"{role} class {err.args[0]!r} is not one of {tuple(lookup)}") from None
 
 
-@dataclass(frozen=True)
+def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
+    arr = np.array(values, dtype=np.int32)
+    if arr.shape != (n,):
+        raise ContractError(f"{role} has {arr.size} entries for {n} sample ids")
+    if n and (arr.min() < low or arr.max() >= high):
+        raise ContractError(f"{role} ids must lie in [{low}, {high})")
+    arr.setflags(write=False)
+    return arr
+
+
+@dataclass(frozen=True, eq=False)
 class PredictionTable:
     """Per-sample predicted class, and optionally ground truth, over a sample set.
 
-    Predicted labels are drawn from the class set plus UNKNOWN (UNKNOWN only
-    appears in post-rule tables).  Ground-truth labels are never UNKNOWN but
-    may lie outside the class set, which models evaluation corpora containing
-    classes the base model cannot predict.
+    Both are int32 id columns.  A predicted id indexes the class set, or is
+    -1 for UNKNOWN (which only appears in post-rule tables).  Ground truth is
+    never UNKNOWN but may lie outside the class set, which models evaluation
+    corpora containing classes the base model cannot predict: id
+    ``len(classes) + j`` stands for ``novel_names[j]``.
     """
 
     classes: ClassSet
     sample_ids: tuple[str, ...]
-    predicted: tuple[ClassLabel, ...]
-    ground_truth: tuple[ClassLabel, ...] | None = None
+    pred_ids: np.ndarray
+    gt_ids: np.ndarray | None = None
+    novel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
-        object.__setattr__(self, "predicted", tuple(self.predicted))
-        if self.ground_truth is not None:
-            object.__setattr__(self, "ground_truth", tuple(self.ground_truth))
+        object.__setattr__(self, "novel_names", tuple(self.novel_names))
         n = len(self.sample_ids)
-        if len(self.predicted) != n:
-            raise ContractError(
-                f"predicted has {len(self.predicted)} entries for {n} sample ids"
-            )
-        if self.ground_truth is not None and len(self.ground_truth) != n:
-            raise ContractError(
-                f"ground_truth has {len(self.ground_truth)} entries for {n} sample ids"
-            )
+        k = len(self.classes)
+        object.__setattr__(self, "pred_ids", _checked_ids(self.pred_ids, n, "predicted", -1, k))
+        if self.gt_ids is not None:
+            gt = _checked_ids(self.gt_ids, n, "ground_truth", 0, k + len(self.novel_names))
+            object.__setattr__(self, "gt_ids", gt)
         if len(set(self.sample_ids)) != n:
             raise ContractError("sample ids must be unique")
-        for label in self.predicted:
-            if not label.is_unknown and label not in self.classes:
-                raise ContractError(
-                    f"predicted label {label} is neither UNKNOWN nor in {self.classes.names}"
-                )
-        if self.ground_truth is not None:
-            for label in self.ground_truth:
-                if label.is_unknown:
-                    raise ContractError("ground truth may never be UNKNOWN")
-                _check_member(label, self.classes, "ground-truth")
+        if UNKNOWN_NAME in self.novel_names:
+            raise ContractError("ground truth may never be UNKNOWN")
+        if len(set(self.novel_names) | set(self.classes.names)) != k + len(self.novel_names):
+            raise ContractError(f"novel class names {self.novel_names} repeat or overlap the class set")
 
     @property
     def n(self) -> int:
@@ -180,67 +177,64 @@ class PredictionTable:
 
     @property
     def has_ground_truth(self) -> bool:
-        return self.ground_truth is not None
+        return self.gt_ids is not None
 
     def require_ground_truth(self) -> None:
-        if self.ground_truth is None:
+        if self.gt_ids is None:
             raise ContractError("operation requires a table with ground truth")
 
-    @cached_property
-    def pred_ids(self) -> np.ndarray:
-        """Predicted class ids (int64), -1 for UNKNOWN."""
-        arr = np.array([label.id for label in self.predicted], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def gt_ids(self) -> np.ndarray:
-        """Ground-truth class ids (int64), -1 for classes outside the class set."""
-        self.require_ground_truth()
-        arr = np.array([label.id for label in self.ground_truth], dtype=np.int64)
-        arr.setflags(write=False)
-        return arr
+    def names(self, ids: np.ndarray) -> list[str]:
+        """Class names for an id column of this table."""
+        return name_column(self.classes.names + self.novel_names, ids)
 
     @classmethod
     def from_names(
         cls,
         classes: ClassSet,
         sample_ids: Sequence[str],
-        predicted: Sequence[str],
-        ground_truth: Sequence[str] | None = None,
+        predicted: Iterable[str],
+        ground_truth: Iterable[str] | None = None,
     ) -> "PredictionTable":
-        pred = tuple(classes.resolve(name) for name in predicted)
-        gt = None
+        lookup = {name: i for i, name in enumerate(classes.names)}
+        pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted, "predicted")
+        gt, novel = None, ()
         if ground_truth is not None:
-            gt = tuple(classes.resolve(name) for name in ground_truth)
-        return cls(classes, tuple(sample_ids), pred, gt)
+            ground_truth = list(ground_truth)
+            novel = tuple(sorted(set(ground_truth).difference(lookup)))
+            if UNKNOWN_NAME in novel:
+                raise ContractError("ground truth may never be UNKNOWN")
+            lookup.update((name, len(classes) + j) for j, name in enumerate(novel))
+            gt = id_column(lookup, ground_truth, "ground-truth")
+        return cls(classes, tuple(sample_ids), pred, gt, novel)
 
-    def with_predictions(self, predicted: Sequence[ClassLabel]) -> "PredictionTable":
-        return PredictionTable(self.classes, self.sample_ids, tuple(predicted), self.ground_truth)
+    def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":
+        return PredictionTable(self.classes, self.sample_ids, pred_ids, self.gt_ids, self.novel_names)
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
-        idx = list(indices)
-        gt = None
-        if self.ground_truth is not None:
-            gt = tuple(self.ground_truth[i] for i in idx)
+        idx = np.asarray(indices, dtype=np.intp)
         return PredictionTable(
             self.classes,
-            tuple(self.sample_ids[i] for i in idx),
-            tuple(self.predicted[i] for i in idx),
-            gt,
+            tuple(map(self.sample_ids.__getitem__, idx.tolist())),
+            self.pred_ids[idx],
+            None if self.gt_ids is None else self.gt_ids[idx],
+            self.novel_names,
         )
 
 
 @dataclass(frozen=True, eq=False)
 class ConditionMatrix:
-    """Named boolean condition columns, row-aligned to a prediction table."""
+    """Named boolean condition columns, row-aligned to a prediction table.
+
+    ``values`` has shape (rows, conditions) and is stored column-contiguous,
+    so selecting the columns of a rule body reads contiguous memory.
+    """
 
     condition_names: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "condition_names", tuple(self.condition_names))
-        vals = np.array(self.values, dtype=bool)
+        vals = np.array(self.values, dtype=bool, order="F")
         if vals.ndim != 2:
             raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
         if vals.shape[1] != len(self.condition_names):
@@ -275,15 +269,26 @@ class ConditionMatrix:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.column_index(name)]
 
-    def any_of(self, names: Iterable[str]) -> np.ndarray:
-        """Row-wise disjunction of the named columns (all-False for no names)."""
-        cols = [self.column_index(name) for name in names]
-        if not cols:
-            return np.zeros(self.n_rows, dtype=bool)
-        return self.values[:, cols].any(axis=1)
-
     def rows(self, indices: Sequence[int]) -> "ConditionMatrix":
-        return ConditionMatrix(self.condition_names, self.values[list(indices), :])
+        return ConditionMatrix(self.condition_names, self.values[np.asarray(indices, dtype=np.intp)])
+
+
+def rule_body(
+    conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Iterable[tuple[str, int]]
+) -> np.ndarray:
+    """Rows satisfying ``OR over (condition, class id) of condition AND
+    pred == class``: the body of every detection and correction rule.
+
+    Pairs are grouped by class, so a detection body (one class, several
+    conditions) costs one ``any`` over its columns.  No pairs match no rows.
+    """
+    by_class: dict[int, list[int]] = {}
+    for name, class_id in pairs:
+        by_class.setdefault(class_id, []).append(conds.column_index(name))
+    body = np.zeros(len(pred_ids), dtype=bool)
+    for class_id, cols in by_class.items():
+        body |= conds.values[:, cols].any(axis=1) & (pred_ids == class_id)
+    return body
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,19 +398,13 @@ def compute_class_stats(table: PredictionTable) -> ClassStats:
     table.require_ground_truth()
     pred = table.pred_ids
     gt = table.gt_ids
-    n = table.n
-    n_classes = len(table.classes)
-    tp = np.zeros(n_classes, dtype=np.int64)
-    fp = np.zeros(n_classes, dtype=np.int64)
-    fn = np.zeros(n_classes, dtype=np.int64)
-    for i in range(n_classes):
-        pred_i = pred == i
-        gt_i = gt == i
-        tp[i] = np.count_nonzero(pred_i & gt_i)
-        fp[i] = np.count_nonzero(pred_i & ~gt_i)
-        fn[i] = np.count_nonzero(~pred_i & gt_i)
-    tn = n - tp - fp - fn
-    return ClassStats(table.classes, n, tp, fp, tn, fn)
+    k = len(table.classes)
+    tp = np.bincount(pred[pred == gt], minlength=k)
+    n_predicted = np.bincount(pred[pred >= 0], minlength=k)
+    n_actual = np.bincount(gt[gt < k], minlength=k)
+    fp = n_predicted - tp
+    fn = n_actual - tp
+    return ClassStats(table.classes, table.n, tp, fp, table.n - tp - fp - fn, fn)
 
 
 def detection_counts(
@@ -414,7 +413,7 @@ def detection_counts(
     class_i,
     dc: Iterable[str],
 ) -> DetectionCounts:
-    """Evaluate a detection body ``pred_i AND any(dc)`` row by row.
+    """Evaluate a detection body ``pred_i AND any(dc)``.
 
     Support and confidence are both defined as zero for an empty condition
     set, and the disjunction is a set union over rows: a row satisfying
@@ -424,11 +423,10 @@ def detection_counts(
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)
     names = sorted(set(dc))
-    pred_i = table.pred_ids == target.id
-    n_i = int(np.count_nonzero(pred_i))
+    n_i = int(np.count_nonzero(table.pred_ids == target.id))
     if not names:
         return DetectionCounts(0, 0, 0, 0.0, 0.0)
-    body = pred_i & conds.any_of(names)
+    body = rule_body(conds, table.pred_ids, [(name, target.id) for name in names])
     bod = int(np.count_nonzero(body))
     pos = int(np.count_nonzero(body & (table.gt_ids != target.id)))
     neg = bod - pos
@@ -452,13 +450,10 @@ def correction_counts(
     table.require_ground_truth()
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)
-    pairs = list(cc)
+    pairs = [(cond, _resolve_target(table.classes, cls).id) for cond, cls in cc]
     if not pairs:
         return CorrectionCounts(0, 0, 0.0, 0.0)
-    body = np.zeros(table.n, dtype=bool)
-    for cond_name, pair_class in pairs:
-        pair_label = _resolve_target(table.classes, pair_class)
-        body |= conds.column(cond_name) & (table.pred_ids == pair_label.id)
+    body = rule_body(conds, table.pred_ids, pairs)
     bod = int(np.count_nonzero(body))
     pos = int(np.count_nonzero(body & (table.gt_ids == target.id)))
     support = bod / table.n if table.n > 0 else 0.0

@@ -58,9 +58,7 @@ def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> Er
     flag_arr = np.asarray(flags, dtype=bool)
     if flag_arr.shape != (table.n,):
         raise ContractError(f"{flag_arr.shape[0] if flag_arr.ndim else 0} flags for {table.n} samples")
-    actual = np.array(
-        [pred != gt for pred, gt in zip(table.predicted, table.ground_truth)], dtype=bool
-    )
+    actual = table.pred_ids != table.gt_ids
     raised = int(np.count_nonzero(flag_arr))
     errors = int(np.count_nonzero(actual))
     true_flags = int(np.count_nonzero(flag_arr & actual))
@@ -72,13 +70,10 @@ def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> Er
 def accuracy(table: PredictionTable, mode: ScoringMode = ScoringMode.STRICT) -> float:
     """Fraction of correct predictions under the given scoring mode."""
     table.require_ground_truth()
-    correct = 0
-    for pred, gt in zip(table.predicted, table.ground_truth):
-        if pred == gt:
-            correct += 1
-        elif mode is ScoringMode.NOVEL_AWARE and pred.is_unknown and not gt.in_set:
-            correct += 1
-    return correct / table.n if table.n else 0.0
+    correct = np.count_nonzero(table.pred_ids == table.gt_ids)
+    if mode is ScoringMode.NOVEL_AWARE:
+        correct += np.count_nonzero((table.pred_ids == -1) & (table.gt_ids >= len(table.classes)))
+    return int(correct) / table.n if table.n else 0.0
 
 
 @dataclass(frozen=True)
@@ -287,7 +282,7 @@ def unseen_class_experiment(
     for fraction in fractions:
         if not 0.0 <= fraction <= 1.0:
             raise ContractError(f"few-shot fraction must lie in [0, 1], got {fraction}")
-    gt_names = {label.name for label in table.ground_truth}
+    gt_names = set(table.names(np.unique(table.gt_ids)))
     for name in holdout:
         if name in table.classes:
             raise ContractError(
@@ -297,16 +292,16 @@ def unseen_class_experiment(
             raise ContractError(f"holdout class {name!r} never occurs in ground truth")
 
     split = sequential_split(table, conds, learn_fraction)
-    learn_gt = split.learn_table.ground_truth
-    seen_idx = [k for k, label in enumerate(learn_gt) if label.name not in holdout]
-    held_idx = [k for k, label in enumerate(learn_gt) if label.name in holdout]
+    held_ids = [len(table.classes) + table.novel_names.index(name) for name in holdout]
+    is_held = np.isin(split.learn_table.gt_ids, held_ids)
+    seen_idx, held_idx = np.flatnonzero(~is_held), np.flatnonzero(is_held)
 
     settings = sorted({0.0, *(float(f) for f in fractions)})
     baseline = accuracy(split.test_table, ScoringMode.NOVEL_AWARE)
     rows: list[UnseenRow] = []
     for fraction in settings:
         n_shot = int(round(fraction * len(held_idx)))
-        idx = sorted(seen_idx + held_idx[:n_shot])
+        idx = np.sort(np.concatenate([seen_idx, held_idx[:n_shot]]))
         learn_table = split.learn_table.subset(idx)
         learn_conds = split.learn_conds.rows(idx)
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=epsilon), learn_table, learn_conds)

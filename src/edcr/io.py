@@ -12,8 +12,11 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass
+from collections import Counter
+from contextlib import contextmanager
+from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
+from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -27,13 +30,19 @@ from .core import (
     ContractError,
     DataError,
     PredictionTable,
+    check_unit_interval,
+    id_column,
+    name_column,
 )
 from .conditions import TrajectoryRecord
-from .evaluate import MetricsReport, SweepResult, UnseenResult
-from .rules import CorrectionRule, DetectionRule, RuleSet, SampleTrace
+from .evaluate import MetricsReport, SweepResult, SweepRow, UnseenResult, UnseenRow
+from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
 from .theory import TheoremReport
 
 RULESET_FORMAT_VERSION = 1
+TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
+_BITS = frozenset(("0", "1"))
+_BIT_TEXT = np.array(["0", "1"], dtype=object)
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -62,6 +71,45 @@ def _parse_error(path, line_no: int, message: str) -> DataError:
     return DataError(f"{path}:{line_no}: {message}")
 
 
+def write_csv_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a CSV file atomically with ``\\n`` line endings.  A field holding a
+    comma, quote or line break is quoted; floats are written with ``repr``."""
+    rows = list(rows)
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if "\r" in text:  # csv.writer only quotes the characters of its line terminator
+        buffer = StringIO()
+        plain = csv.writer(buffer, lineterminator="\n")
+        quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *rows]:
+            (quoted if any("\r" in str(value) for value in row) else plain).writerow(row)
+        text = buffer.getvalue()
+    atomic_write_text(path, text)
+
+
+@contextmanager
+def _csv_file(path: Path):
+    """The header and a reader over the remaining rows of a CSV file; bytes
+    that are not UTF-8 and malformed CSV are data errors."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as handle:
+            reader = csv.reader(handle)
+            header = next(reader, None)
+            if header is None:
+                raise _parse_error(path, 1, "empty file")
+            yield header, reader
+    except (csv.Error, UnicodeDecodeError) as err:
+        raise DataError(f"{path}: {err}") from None
+
+
+def _check_width(path: Path, line_no: int, row: list[str], width: int) -> None:
+    if len(row) != width:
+        raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
+
+
 # ---------------------------------------------------------------------------
 # Predictions: sample_id,pred[,gt]
 # ---------------------------------------------------------------------------
@@ -75,12 +123,7 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     ids: list[str] = []
     preds: list[str] = []
     gts: list[str] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise _parse_error(path, 1, "empty file") from None
+    with _csv_file(path) as (header, reader):
         if header[:2] != ["sample_id", "pred"] or len(header) > 3 or (
             len(header) == 3 and header[2] != "gt"
         ):
@@ -89,8 +132,7 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise _parse_error(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            _check_width(path, line_no, row, len(header))
             if not row[0]:
                 raise _parse_error(path, line_no, "empty sample id")
             ids.append(row[0])
@@ -100,30 +142,29 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
                     raise _parse_error(path, line_no, "empty ground-truth value")
                 gts.append(row[2])
     if len(set(ids)) != len(ids):
-        dupes = sorted({s for s in ids if ids.count(s) > 1})
+        dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
         raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
+    predicted = set(preds)
+    predicted.discard(UNKNOWN_NAME)
     if classes is None:
-        names = sorted({p for p in preds if p != UNKNOWN_NAME})
-        if not names:
+        if not predicted:
             raise DataError(f"{path}: no predictable classes found in pred column")
-        classes = ClassSet(tuple(names))
+        classes = ClassSet(tuple(sorted(predicted)))
     else:
-        bad = sorted({p for p in preds if p != UNKNOWN_NAME and p not in classes})
+        bad = sorted(predicted.difference(classes.names))
         if bad:
             raise ContractError(
                 f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
             )
-    return PredictionTable.from_names(classes, ids, preds, gts if gts else None)
+    return PredictionTable.from_names(classes, ids, preds, gts if has_gt else None)
 
 
 def write_predictions(path, table: PredictionTable) -> None:
-    lines = ["sample_id,pred,gt" if table.has_ground_truth else "sample_id,pred"]
-    for k in range(table.n):
-        row = [table.sample_ids[k], table.predicted[k].name]
-        if table.has_ground_truth:
-            row.append(table.ground_truth[k].name)
-        lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    columns = [table.sample_ids, table.names(table.pred_ids)]
+    if table.has_ground_truth:
+        columns.append(table.names(table.gt_ids))
+    header = ["sample_id", "pred", "gt"][: len(columns)]
+    write_csv_rows(path, header, zip(*columns))
 
 
 # ---------------------------------------------------------------------------
@@ -137,49 +178,43 @@ def read_conditions(path, table: PredictionTable) -> ConditionMatrix:
     Every table sample must appear exactly once; unknown or duplicated ids and
     non-0/1 values are data errors naming the offending line."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise _parse_error(path, 1, "empty file") from None
+    position: dict[str, int] = {}
+    bits: list[str] = []
+    with _csv_file(path) as (header, reader):
         if not header or header[0] != "sample_id" or len(header) < 2:
             raise _parse_error(path, 1, "expected header sample_id,<condition>,...")
         names = tuple(header[1:])
-        by_id: dict[str, list[bool]] = {}
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(header):
-                raise _parse_error(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            _check_width(path, line_no, row, len(header))
             sample_id = row[0]
-            if sample_id in by_id:
+            if sample_id in position:
                 raise _parse_error(path, line_no, f"duplicate sample id {sample_id!r}")
-            values = []
-            for name, text in zip(names, row[1:]):
-                if text not in ("0", "1"):
-                    raise _parse_error(path, line_no, f"condition {name!r} must be 0 or 1, got {text!r}")
-                values.append(text == "1")
-            by_id[sample_id] = values
-    known = set(table.sample_ids)
-    extra = sorted(set(by_id) - known)
+            values = row[1:]
+            if not _BITS.issuperset(values):
+                name, text = next((n, t) for n, t in zip(names, values) if t not in _BITS)
+                raise _parse_error(path, line_no, f"condition {name!r} must be 0 or 1, got {text!r}")
+            position[sample_id] = len(bits)
+            bits.append("".join(values))
+    extra = sorted(set(position).difference(table.sample_ids))
     if extra:
         raise DataError(f"{path}: sample id {extra[0]!r} is absent from the prediction table")
-    missing = [s for s in table.sample_ids if s not in by_id]
-    if missing:
-        raise DataError(f"{path}: no condition row for sample id {missing[0]!r}")
-    matrix = np.array([by_id[s] for s in table.sample_ids], dtype=bool)
-    return ConditionMatrix(names, matrix)
+    if len(position) != table.n:
+        missing = next(s for s in table.sample_ids if s not in position)
+        raise DataError(f"{path}: no condition row for sample id {missing!r}")
+    text = "".join(bits).encode("ascii")
+    matrix = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bits), len(names))
+    return ConditionMatrix(names, matrix[[position[s] for s in table.sample_ids]])
 
 
 def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> None:
     if conds.n_rows != table.n:
         raise ContractError("condition matrix and table row counts differ")
-    lines = ["sample_id," + ",".join(conds.condition_names)]
-    for k in range(table.n):
-        bits = ",".join("1" if v else "0" for v in conds.values[k])
-        lines.append(f"{table.sample_ids[k]},{bits}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    cells = np.empty((table.n, conds.n_conditions + 1), dtype=object)
+    cells[:, 0] = table.sample_ids
+    cells[:, 1:] = _BIT_TEXT[conds.values.view(np.uint8)]
+    write_csv_rows(path, ("sample_id", *conds.condition_names), cells.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -206,19 +241,13 @@ def read_trajectories(path) -> tuple[TrajectoryRecord, ...]:
             raise _parse_error(path, line_no, str(err)) from None
         points = []
 
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise _parse_error(path, 1, "empty file") from None
+    with _csv_file(path) as (header, reader):
         if header != ["sample_id", "idx", "t", "lat", "lon"]:
             raise _parse_error(path, 1, f"expected header sample_id,idx,t,lat,lon; got {','.join(header)}")
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 5:
-                raise _parse_error(path, line_no, f"expected 5 fields, got {len(row)}")
+            _check_width(path, line_no, row, 5)
             sample_id = row[0]
             try:
                 idx = int(row[1])
@@ -241,11 +270,12 @@ def read_trajectories(path) -> tuple[TrajectoryRecord, ...]:
 
 
 def write_trajectories(path, records: Sequence[TrajectoryRecord]) -> None:
-    lines = ["sample_id,idx,t,lat,lon"]
-    for record in records:
-        for idx, (t, lat, lon) in enumerate(record.points):
-            lines.append(f"{record.sample_id},{idx},{t!r},{lat!r},{lon!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    rows = (
+        (record.sample_id, idx, t, lat, lon)
+        for record in records
+        for idx, (t, lat, lon) in enumerate(record.points)
+    )
+    write_csv_rows(path, ("sample_id", "idx", "t", "lat", "lon"), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,13 +316,12 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
         if version != RULESET_FORMAT_VERSION:
             raise DataError(f"unsupported ruleset format version {version}")
         classes = ClassSet(tuple(data["classes"]))
-        epsilon = data["epsilon"]
         detection = tuple(
             DetectionRule(
                 target=classes.label(entry["class"]),
                 conditions=tuple(entry["conditions"]),
-                class_support=float(entry["class_support"]),
-                confidence=float(entry["confidence"]),
+                class_support=entry["class_support"],
+                confidence=entry["confidence"],
             )
             for entry in data.get("detection_rules", [])
         )
@@ -300,19 +329,20 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
             CorrectionRule(
                 target=classes.label(entry["class"]),
                 pairs=tuple((cond, classes.label(cls)) for cond, cls in entry["pairs"]),
-                support=float(entry["support"]),
-                confidence=float(entry["confidence"]),
+                support=entry["support"],
+                confidence=entry["confidence"],
             )
             for entry in data.get("correction_rules", [])
         )
         return RuleSet(
             classes=classes,
             condition_names=tuple(data["conditions"]),
-            epsilon=float(epsilon) if isinstance(epsilon, (int, float)) else dict(epsilon),
+            epsilon=data["epsilon"],
             detection_rules=detection,
             correction_rules=correction,
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (AttributeError, KeyError, TypeError, ValueError, ContractError) as err:
+        # the document is outside input, so an inconsistent one is a data error
         raise DataError(f"malformed ruleset document: {err}") from None
 
 
@@ -338,45 +368,54 @@ def load_ruleset(path) -> RuleSet:
 # ---------------------------------------------------------------------------
 
 
-def write_trace(path, trace: Sequence[SampleTrace]) -> None:
-    lines = ["sample_id,original,flagged,fired,final"]
-    for entry in trace:
-        fired = ";".join(entry.fired)
-        lines.append(
-            f"{entry.sample_id},{entry.original},{1 if entry.flagged else 0},{fired},{entry.final}"
-        )
-    atomic_write_text(path, "\n".join(lines) + "\n")
+def write_trace(path, trace: ApplyTrace) -> None:
+    flagged = _BIT_TEXT[trace.flagged.view(np.uint8)].tolist()
+    columns = (
+        trace.sample_ids,
+        name_column(trace.classes.names, trace.original),
+        flagged,
+        trace.fired_column(),
+        name_column(trace.classes.names, trace.final),
+    )
+    write_csv_rows(path, TRACE_HEADER, zip(*columns))
 
 
-def read_trace(path) -> tuple[SampleTrace, ...]:
+def read_trace(path, classes: ClassSet) -> ApplyTrace:
+    """Read a trace CSV written by :func:`write_trace`.
+
+    Original classes must lie in ``classes`` (or be UNKNOWN).  A final class
+    outside it, the target of a correction that this batch never predicts,
+    extends the trace's class set after ``classes``."""
     path = Path(path)
-    out: list[SampleTrace] = []
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["sample_id", "original", "flagged", "fired", "final"]:
-            raise _parse_error(path, 1, "expected header sample_id,original,flagged,fired,final")
+    lookup = {name: i for i, name in enumerate(classes.names)}
+    lookup[UNKNOWN_NAME] = -1
+    rows: list[list[str]] = []
+    with _csv_file(path) as (header, reader):
+        if header != TRACE_HEADER:
+            raise _parse_error(path, 1, "expected header " + ",".join(TRACE_HEADER))
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != 5 or row[2] not in ("0", "1"):
+            if len(row) != len(TRACE_HEADER) or row[2] not in _BITS:
                 raise _parse_error(path, line_no, "malformed trace row")
-            fired = tuple(part for part in row[3].split(";") if part)
-            out.append(SampleTrace(row[0], row[1], row[2] == "1", fired, row[4]))
-    return tuple(out)
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def write_csv_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+            if row[1] not in lookup:
+                raise _parse_error(path, line_no, f"original class {row[1]!r} is not one of {classes.names}")
+            rows.append(row)
+    sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5
+    if len(set(sample_ids)) != len(sample_ids):
+        raise DataError(f"{path}: duplicate sample ids")
+    extra = tuple(sorted(set(final).difference(lookup)))
+    lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
+    fired_names = tuple(dict.fromkeys(fired))
+    return ApplyTrace(
+        ClassSet(classes.names + extra),
+        sample_ids,
+        id_column(lookup, original, "original"),
+        np.array(flagged, dtype="U1") == "1",
+        id_column(dict(zip(fired_names, range(len(fired_names)))), fired, "fired"),
+        fired_names,
+        id_column(lookup, final, "final"),
+    )
 
 
 def write_metrics(path, report: MetricsReport) -> None:
@@ -400,84 +439,25 @@ def write_metrics(path, report: MetricsReport) -> None:
     write_csv_rows(path, ("metric", "class", "value"), rows)
 
 
+def _header(record_type) -> list[str]:
+    """CSV header of a result record: its field names, ``class_name`` as ``class``."""
+    return ["class" if f.name == "class_name" else f.name for f in fields(record_type)]
+
+
 def write_sweep(path, result: SweepResult) -> None:
-    write_csv_rows(
-        path,
-        (
-            "epsilon",
-            "class",
-            "split",
-            "precision_before",
-            "recall_before",
-            "f1_before",
-            "precision_after",
-            "recall_after",
-            "f1_after",
-            "theoretical_recall_reduction",
-        ),
-        (
-            (
-                row.epsilon,
-                row.class_name,
-                row.split,
-                row.precision_before,
-                row.recall_before,
-                row.f1_before,
-                row.precision_after,
-                row.recall_after,
-                row.f1_after,
-                row.theoretical_recall_reduction,
-            )
-            for row in result.rows
-        ),
-    )
+    write_csv_rows(path, _header(SweepRow), map(astuple, result.rows))
 
 
 def write_unseen(path, result: UnseenResult) -> None:
-    write_csv_rows(
-        path,
-        ("fraction", "baseline_accuracy", "edcr_accuracy", "delta"),
-        ((row.fraction, row.baseline_accuracy, row.edcr_accuracy, row.delta) for row in result.rows),
-    )
+    write_csv_rows(path, _header(UnseenRow), map(astuple, result.rows))
 
 
 def write_theorem_reports(path, reports: Sequence[TheoremReport]) -> None:
-    write_csv_rows(
-        path,
-        (
-            "class",
-            "class_support",
-            "confidence",
-            "precision_initial",
-            "recall_initial",
-            "predicted_delta_precision",
-            "bound_c_times_support",
-            "predicted_delta_recall",
-            "empirical_delta_precision",
-            "empirical_delta_recall",
-            "tolerance",
-            "passed",
-            "note",
-        ),
-        (
-            (
-                r.class_name,
-                r.class_support,
-                r.confidence,
-                r.precision_initial,
-                r.recall_initial,
-                r.predicted_delta_precision,
-                r.bound_c_times_support,
-                r.predicted_delta_recall,
-                r.empirical_delta_precision,
-                r.empirical_delta_recall,
-                r.tolerance,
-                int(r.passed),
-                r.note,
-            )
-            for r in reports
-        ),
-    )
+    """One row per report, with the verdict as 0/1 in a ``passed`` column
+    before the note."""
+    header = _header(TheoremReport)
+    rows = ((*astuple(r)[:-1], int(r.passed), r.note) for r in reports)
+    write_csv_rows(path, [*header[:-1], "passed", "note"], rows)
 
 
 # ---------------------------------------------------------------------------

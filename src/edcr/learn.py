@@ -23,6 +23,7 @@ from .core import (
     PredictionTable,
     _require_aligned,
     _resolve_target,
+    check_unit_interval,
     compute_class_stats,
     correction_counts,
     detection_counts,
@@ -46,12 +47,9 @@ class LearnConfig:
     conditions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        values = (
-            [self.epsilon] if isinstance(self.epsilon, (int, float)) else list(self.epsilon.values())
-        )
+        values = [self.epsilon] if isinstance(self.epsilon, (int, float)) else self.epsilon.values()
         for value in values:
-            if not 0.0 <= float(value) <= 1.0:
-                raise ContractError(f"epsilon must lie in [0, 1], got {value}")
+            check_unit_interval("epsilon", value)
         if self.conditions is not None:
             object.__setattr__(self, "conditions", tuple(self.conditions))
 
@@ -87,8 +85,7 @@ def det_rule_learn(
     predicted or with zero recall are skipped: their budget is undefined.
     Argmax ties go to the lexicographically smallest condition name.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ContractError(f"epsilon must lie in [0, 1], got {epsilon}")
+    check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)

@@ -11,17 +11,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
 from .core import (
-    UNKNOWN,
     ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
     PredictionTable,
     _require_aligned,
+    check_unit_interval,
+    rule_body,
 )
 
 #: Correction applies wherever its body matches (default), or only to samples
@@ -42,6 +44,8 @@ class DetectionRule:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "conditions", tuple(sorted(set(self.conditions))))
+        object.__setattr__(self, "class_support", check_unit_interval("class_support", self.class_support))
+        object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.conditions:
             raise ContractError("a detection rule needs at least one condition")
         if not self.target.in_set:
@@ -62,6 +66,8 @@ class CorrectionRule:
     def __post_init__(self) -> None:
         canon = tuple(sorted(set(self.pairs), key=lambda p: (p[0], p[1].id)))
         object.__setattr__(self, "pairs", canon)
+        object.__setattr__(self, "support", check_unit_interval("support", self.support))
+        object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.pairs:
             raise ContractError("a correction rule needs at least one (condition, class) pair")
         if not self.target.in_set:
@@ -91,6 +97,11 @@ class RuleSet:
         object.__setattr__(self, "condition_names", tuple(self.condition_names))
         object.__setattr__(self, "detection_rules", tuple(self.detection_rules))
         object.__setattr__(self, "correction_rules", tuple(self.correction_rules))
+        if isinstance(self.epsilon, dict):
+            epsilon = {name: check_unit_interval(f"epsilon of {name}", v) for name, v in self.epsilon.items()}
+        else:
+            epsilon = check_unit_interval("epsilon", self.epsilon)
+        object.__setattr__(self, "epsilon", epsilon)
         universe = set(self.condition_names)
         for kind, rules in (("detection", self.detection_rules), ("correction", self.correction_rules)):
             targets = [rule.target.name for rule in rules]
@@ -133,16 +144,38 @@ class RuleSet:
         return tuple(sorted(names))
 
 
-@dataclass(frozen=True)
-class SampleTrace:
-    """Per-sample application record: detection verdict, the correction rules
-    whose body matched (in priority order, winner first), and the final label."""
+@dataclass(frozen=True, eq=False)
+class ApplyTrace:
+    """Columnar record of one application, one entry per sample.
 
-    sample_id: str
-    original: str
-    flagged: bool
-    fired: tuple[str, ...]
-    final: str
+    ``original`` and ``final`` are class-id columns (-1 for UNKNOWN),
+    ``flagged`` is the detection verdict, and ``fired`` codes into
+    ``fired_names``: the ``;``-joined targets of the correction rules whose
+    body matched, in priority order with the winner first ("" for none).
+    """
+
+    classes: ClassSet
+    sample_ids: tuple[str, ...]
+    original: np.ndarray
+    flagged: np.ndarray
+    fired: np.ndarray
+    fired_names: tuple[str, ...]
+    final: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("original", "flagged", "fired", "final"):
+            getattr(self, name).setflags(write=False)
+
+    def fired_column(self) -> list[str]:
+        return np.array(self.fired_names, dtype=object)[self.fired].tolist()
+
+    def rows_for(self, sample_ids: tuple[str, ...]) -> np.ndarray:
+        """Index array placing this trace's rows in ``sample_ids`` order."""
+        position = dict(zip(self.sample_ids, range(len(self.sample_ids))))
+        rows = np.fromiter(map(position.get, sample_ids, repeat(-1)), dtype=np.intp, count=len(sample_ids))
+        if (rows < 0).any():
+            raise ContractError(f"trace lacks sample id {sample_ids[int(np.argmax(rows < 0))]!r}")
+        return rows
 
 
 def _validate_application(rules: RuleSet, table: PredictionTable, conds: ConditionMatrix) -> None:
@@ -156,19 +189,15 @@ def _validate_application(rules: RuleSet, table: PredictionTable, conds: Conditi
         raise ContractError(f"condition matrix is missing rule conditions {sorted(missing)}")
 
 
-def _detection_flags(rules: RuleSet, table: PredictionTable, conds: ConditionMatrix) -> np.ndarray:
-    flags = np.zeros(table.n, dtype=bool)
-    for rule in rules.detection_rules:
-        flags |= (table.pred_ids == rule.target.id) & conds.any_of(rule.conditions)
-    return flags
-
-
-def error_predictions(
-    rules: RuleSet, table: PredictionTable, conds: ConditionMatrix
-) -> np.ndarray:
-    """Phase-1 detection verdicts only, independent of any correction rules."""
-    _validate_application(rules, table, conds)
-    return _detection_flags(rules, table, conds)
+def _fired_codes(fired: np.ndarray, targets: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """One code per row of the (rows, rules) match matrix, into the distinct
+    ``;``-joined target lists."""
+    if not targets:
+        return np.zeros(len(fired), dtype=np.int32), ("",)
+    patterns, codes = np.unique(np.packbits(fired, axis=1), axis=0, return_inverse=True)
+    matched = np.unpackbits(patterns, axis=1, count=len(targets)).astype(bool)
+    names = tuple(";".join(t for t, hit in zip(targets, row) if hit) for row in matched)
+    return codes.reshape(-1), names
 
 
 def apply_ruleset(
@@ -176,8 +205,8 @@ def apply_ruleset(
     table: PredictionTable,
     conds: ConditionMatrix,
     correction_scope: str = "body",
-) -> tuple[PredictionTable, tuple[SampleTrace, ...]]:
-    """Apply a rule set and return the revised table plus a per-sample trace.
+) -> tuple[PredictionTable, ApplyTrace]:
+    """Apply a rule set and return the revised table plus its columnar trace.
 
     Ground truth is not required: application is pure inference.  When several
     correction rules fire on one sample the rule with the highest recorded
@@ -190,47 +219,24 @@ def apply_ruleset(
             f"correction_scope must be one of {CORRECTION_SCOPES}, got {correction_scope!r}"
         )
     _validate_application(rules, table, conds)
-
-    flags = _detection_flags(rules, table, conds)
+    pred = table.pred_ids
+    flags = rule_body(
+        conds, pred, [(cond, rule.target.id) for rule in rules.detection_rules for cond in rule.conditions]
+    )
 
     ordered = sorted(rules.correction_rules, key=lambda r: (-r.confidence, r.target.id))
-    bodies: list[tuple[CorrectionRule, np.ndarray]] = []
-    for rule in ordered:
-        body = np.zeros(table.n, dtype=bool)
-        for cond, pair_class in rule.pairs:
-            body |= conds.column(cond) & (table.pred_ids == pair_class.id)
-        if correction_scope == "flagged":
-            body &= flags
-        bodies.append((rule, body))
+    fired = np.zeros((table.n, len(ordered)), dtype=bool)
+    for j, rule in enumerate(ordered):
+        fired[:, j] = rule_body(conds, pred, [(cond, cls.id) for cond, cls in rule.pairs])
+    if correction_scope == "flagged":
+        fired &= flags[:, None]
 
-    corrected_to = np.full(table.n, -1, dtype=np.int64)
-    has_correction = np.zeros(table.n, dtype=bool)
-    fired: list[list[str]] = [[] for _ in range(table.n)]
-    for rule, body in bodies:
-        for idx in np.nonzero(body)[0]:
-            fired[idx].append(rule.target.name)
-        newly = body & ~has_correction
-        corrected_to[newly] = rule.target.id
-        has_correction |= newly
-
-    labels_by_id = {label.id: label for label in table.classes}
-    revised: list[ClassLabel] = []
-    for idx in range(table.n):
-        if has_correction[idx]:
-            revised.append(labels_by_id[int(corrected_to[idx])])
-        elif flags[idx]:
-            revised.append(UNKNOWN)
-        else:
-            revised.append(table.predicted[idx])
-
-    trace = tuple(
-        SampleTrace(
-            sample_id=table.sample_ids[idx],
-            original=table.predicted[idx].name,
-            flagged=bool(flags[idx]),
-            fired=tuple(fired[idx]),
-            final=revised[idx].name,
-        )
-        for idx in range(table.n)
-    )
-    return table.with_predictions(revised), trace
+    final = np.where(flags, -1, pred)
+    corrected = fired.any(axis=1)
+    targets = np.array([rule.target.id for rule in ordered], dtype=np.int32)
+    if ordered:
+        final[corrected] = targets[fired[corrected].argmax(axis=1)]
+    revised = table.with_predictions(final)
+    codes, fired_names = _fired_codes(fired, [rule.target.name for rule in ordered])
+    trace = ApplyTrace(table.classes, table.sample_ids, pred, flags, codes, fired_names, revised.pred_ids)
+    return revised, trace

@@ -26,6 +26,7 @@ from .core import (
     compute_class_stats,
     correction_counts,
     detection_counts,
+    rule_body,
 )
 from .learn import Pair, det_rule_learn, recall_budget
 from .rules import CorrectionRule, DetectionRule, RuleSet, apply_ruleset
@@ -87,20 +88,30 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _row_bitmasks(conds: ConditionMatrix, names: Sequence[str]) -> np.ndarray:
-    """Per-row integer whose bit j is set when condition names[j] holds."""
-    if not names:
-        return np.zeros(conds.n_rows, dtype=np.int64)
-    cols = np.stack([conds.column(name) for name in names], axis=1).astype(np.int64)
-    weights = np.int64(1) << np.arange(len(names), dtype=np.int64)
-    return cols @ weights
+def _pack_rows(cols: np.ndarray) -> np.ndarray:
+    """(rows, m) booleans as (rows, ceil(m/64)) uint64 words: column j is
+    bit j % 64 of word j // 64.  Condition subsets use the same layout."""
+    n_words = max(1, -(-cols.shape[1] // 64))
+    padded = np.zeros((cols.shape[0], 64 * n_words), dtype=bool)
+    padded[:, : cols.shape[1]] = cols
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
-def _subset_counts(row_masks: np.ndarray, n_subsets: int) -> np.ndarray:
+def _mask_words(mask: int) -> np.ndarray:
+    """Subset bitmask ``mask`` (at most 64 members) as one word."""
+    return np.array([mask], dtype=np.uint64)
+
+
+def _covered(rows: np.ndarray, subset: np.ndarray) -> int:
+    """Number of rows meeting at least one condition of ``subset``."""
+    return int(np.count_nonzero((rows & subset).any(axis=1)))
+
+
+def _subset_counts(rows: np.ndarray, n_subsets: int) -> np.ndarray:
     """count of rows covered by each condition subset, indexed by bitmask."""
     out = np.zeros(n_subsets, dtype=np.int64)
     for subset in range(1, n_subsets):
-        out[subset] = np.count_nonzero(row_masks & subset)
+        out[subset] = _covered(rows, _mask_words(subset))
     return out
 
 
@@ -120,8 +131,18 @@ class SubmodularityReport:
         return self.counterexample is None
 
 
-def _subset_names(mask: int, names: Sequence[str]) -> tuple[str, ...]:
-    return tuple(names[j] for j in range(len(names)) if mask >> j & 1)
+def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int, block: int = 1024):
+    """``trials`` pairs of uniformly random subsets of m conditions, as words."""
+    for start in range(0, trials, block):
+        words = _pack_rows(rng.integers(0, 2, size=(2 * min(block, trials - start), m), dtype=bool))
+        yield from zip(words[::2], words[1::2])
+
+
+def _subset_names(subset: np.ndarray | int, names: Sequence[str]) -> tuple[str, ...]:
+    """Names of the conditions in ``subset``, given as words or as a bitmask."""
+    words = _mask_words(subset) if isinstance(subset, int) else subset
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=len(names))
+    return tuple(names[j] for j in np.flatnonzero(bits))
 
 
 def check_submodular(
@@ -150,7 +171,7 @@ def check_submodular(
 
     pred_i = table.pred_ids == target.id
     head = table.gt_ids != target.id
-    masks = _row_bitmasks(conds, names)
+    masks = _pack_rows(conds.values)
     row_filter = {
         "pos": pred_i & head,
         "neg": pred_i & ~head,
@@ -198,32 +219,23 @@ def check_submodular(
             pairs_checked += n_subsets
         return SubmodularityReport(quantity, m, True, pairs_checked, None)
 
-    rng = np.random.default_rng(seed)
-
-    def f_of(mask: int) -> int:
-        if mask == 0:
-            return 0
-        return int(np.count_nonzero(rows & mask))
-
-    for _ in range(trials):
-        a = int(rng.integers(0, 1 << m))
-        b = int(rng.integers(0, 1 << m))
-        fa, fb = f_of(a), f_of(b)
-        if fa + fb < f_of(a | b) + f_of(a & b):
+    for a, b in _random_subset_pairs(np.random.default_rng(seed), m, trials):
+        fa, fb, f_or, f_and = (_covered(rows, s) for s in (a, b, a | b, a & b))
+        if fa + fb < f_or + f_and:
             return SubmodularityReport(
                 quantity,
                 m,
                 False,
                 pairs_checked,
-                ("lattice", _subset_names(a, names), _subset_names(b, names), fa, fb, f_of(a | b), f_of(a & b)),
+                ("lattice", _subset_names(a, names), _subset_names(b, names), fa, fb, f_or, f_and),
             )
-        if fa > f_of(a | b):
+        if fa > f_or:
             return SubmodularityReport(
                 quantity,
                 m,
                 False,
                 pairs_checked,
-                ("monotone", _subset_names(a, names), _subset_names(a | b, names), fa, f_of(a | b)),
+                ("monotone", _subset_names(a, names), _subset_names(a | b, names), fa, f_or),
             )
         pairs_checked += 1
     return SubmodularityReport(quantity, m, False, pairs_checked, None)
@@ -279,18 +291,18 @@ def brute_force_detection(
 
     pred_i = table.pred_ids == i
     head = table.gt_ids != i
-    masks = _row_bitmasks(conds, names)
+    masks = _pack_rows(conds.values[:, [conds.column_index(name) for name in names]])
     pos_rows = masks[pred_i & head]
     neg_rows = masks[pred_i & ~head]
 
     best_key = (1, 0, 0, ())  # strictly worse than any feasible subset
     best = DetectionSearchResult((), 0, 0, budget)
     for subset in range(1 << len(names)):
-        pos = int(np.count_nonzero(pos_rows & subset)) if subset else 0
-        neg = int(np.count_nonzero(neg_rows & subset)) if subset else 0
+        words = _mask_words(subset)
+        pos, neg = _covered(pos_rows, words), _covered(neg_rows, words)
         if neg > budget:
             continue
-        chosen = _subset_names(subset, names)
+        chosen = _subset_names(words, names)
         key = (-pos, neg, len(chosen), chosen)
         if key < best_key:
             best_key = key
@@ -327,18 +339,16 @@ def brute_force_correction(
     p_i = float(stats.precision[target.id])
 
     pair_cols = np.stack(
-        [conds.column(cond) & (table.pred_ids == cls.id) for cond, cls in pairs], axis=1
-    ).astype(np.int64)
-    weights = np.int64(1) << np.arange(len(pairs), dtype=np.int64)
-    masks = pair_cols @ weights
-    head = table.gt_ids == target.id
-    pos_rows = masks[head]
+        [rule_body(conds, table.pred_ids, [(cond, cls.id)]) for cond, cls in pairs], axis=1
+    )
+    masks = _pack_rows(pair_cols)
+    pos_rows = masks[table.gt_ids == target.id]
 
     best_key = None
     best = CorrectionSearchResult((), 0, 0, 0.0)
     for subset in range(1, 1 << len(pairs)):
-        bod = int(np.count_nonzero(masks & subset))
-        pos = int(np.count_nonzero(pos_rows & subset))
+        words = _mask_words(subset)
+        bod, pos = _covered(masks, words), _covered(pos_rows, words)
         conf = pos / bod if bod > 0 else 0.0
         chosen = tuple(pairs[j] for j in range(len(pairs)) if subset >> j & 1)
         key = (-conf, -pos, tuple((c, l.id) for c, l in chosen))
@@ -413,28 +423,16 @@ def build_detection_scenario(
         raise ContractError(f"recall {recall} implies negative FN; scenario not realizable")
 
     classes = ClassSet(("a", "b"))
-    a, b = classes.labels
-    pred: list[ClassLabel] = []
-    gt: list[ClassLabel] = []
-    flag: list[bool] = []
-    # predicted a, gt a: NEG rows carry the condition
-    for k in range(tp):
-        pred.append(a)
-        gt.append(a)
-        flag.append(k < neg)
-    # predicted a, gt b: POS rows carry the condition
-    for k in range(fp):
-        pred.append(a)
-        gt.append(b)
-        flag.append(k < pos)
+    a = classes.label("a")
+    # blocks of rows: predicted a with gt a (the first NEG carry the
+    # condition), predicted a with gt b (the first POS carry it), and the
     # false negatives of a
-    for _ in range(fn):
-        pred.append(b)
-        gt.append(a)
-        flag.append(False)
+    pred = np.repeat([0, 0, 1], [tp, fp, fn])
+    gt = np.repeat([0, 1, 0], [tp, fp, fn])
+    flag = np.concatenate([np.arange(tp) < neg, np.arange(fp) < pos, np.zeros(fn, dtype=bool)])
     ids = tuple(f"s{k:05d}" for k in range(len(pred)))
-    table = PredictionTable(classes, ids, tuple(pred), tuple(gt))
-    conds = ConditionMatrix(("flag",), np.array(flag, dtype=bool).reshape(-1, 1))
+    table = PredictionTable(classes, ids, pred, gt)
+    conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
     counts = detection_counts(table, conds, a, ("flag",))
     rule = DetectionRule(a, ("flag",), counts.class_support, counts.confidence)
     return DetectionScenario(table, conds, a, rule)
@@ -479,33 +477,23 @@ def build_correction_scenario(
     pos = _as_count(confidence * bod, "POS")
     if n_i + bod + extra_fn > n_total:
         raise ContractError("N_i + BOD + extra_fn exceeds the table size; not realizable")
-    if extra_fn < 0:
-        raise ContractError("extra_fn must be non-negative")
+    if min(extra_fn, n_i, bod) < 0:
+        raise ContractError("N_i, BOD and extra_fn must be non-negative")
 
     classes = ClassSet(("a", "b"))
     a, b = classes.labels
-    pred: list[ClassLabel] = []
-    gt: list[ClassLabel] = []
-    flag: list[bool] = []
-    for k in range(n_i):  # existing predictions of the target class
-        pred.append(a)
-        gt.append(a if k < tp else b)
-        flag.append(False)
-    for k in range(bod):  # body rows: predicted b, condition true
-        pred.append(b)
-        gt.append(a if k < pos else b)
-        flag.append(True)
-    for _ in range(extra_fn):  # target-class rows the rule never reaches
-        pred.append(b)
-        gt.append(a)
-        flag.append(False)
-    for _ in range(n_total - n_i - bod - extra_fn):  # padding
-        pred.append(b)
-        gt.append(b)
-        flag.append(False)
+    # blocks of rows: existing predictions of the target class, the body
+    # (predicted b, condition true), target-class rows the rule never
+    # reaches, and padding
+    sizes = [n_i, bod, extra_fn, n_total - n_i - bod - extra_fn]
+    pred = np.repeat([0, 1, 1, 1], sizes)
+    gt = np.concatenate(
+        [np.arange(n_i) >= tp, np.arange(bod) >= pos, np.zeros(extra_fn), np.ones(sizes[3])]
+    ).astype(np.int32)
+    flag = np.repeat([False, True, False, False], sizes)
     ids = tuple(f"s{k:05d}" for k in range(n_total))
-    table = PredictionTable(classes, ids, tuple(pred), tuple(gt))
-    conds = ConditionMatrix(("flag",), np.array(flag, dtype=bool).reshape(-1, 1))
+    table = PredictionTable(classes, ids, pred, gt)
+    conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
     counts = correction_counts(table, conds, a, (("flag", b),))
     rule = CorrectionRule(a, (("flag", b),), counts.support, counts.confidence)
     return CorrectionScenario(table, conds, a, rule)

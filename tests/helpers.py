@@ -49,13 +49,26 @@ def random_instance(rng, n_max=500, max_classes=4, max_conditions=8, noise_range
     return table, conds
 
 
+def same_table(a, b):
+    """Tables agree on classes, sample ids and every predicted and true class name."""
+    return (
+        a.classes == b.classes
+        and a.sample_ids == b.sample_ids
+        and a.names(a.pred_ids) == b.names(b.pred_ids)
+        and a.has_ground_truth == b.has_ground_truth
+        and (not a.has_ground_truth or a.names(a.gt_ids) == b.names(b.gt_ids))
+    )
+
+
 def oracle_detection_counts(table, conds, class_name, dc):
     """Row-by-row re-evaluation of the detection body and head."""
     dc = set(dc)
     pos = neg = bod = 0
     n_i = 0
+    predicted = table.names(table.pred_ids)
+    truth = table.names(table.gt_ids)
     for row in range(table.n):
-        pred = table.predicted[row].name
+        pred = predicted[row]
         if pred == class_name:
             n_i += 1
         body = pred == class_name and any(
@@ -63,7 +76,7 @@ def oracle_detection_counts(table, conds, class_name, dc):
         )
         if body:
             bod += 1
-            if table.ground_truth[row].name != class_name:
+            if truth[row] != class_name:
                 pos += 1
             else:
                 neg += 1
@@ -79,15 +92,17 @@ def oracle_correction_counts(table, conds, class_name, pairs):
     """Row-by-row re-evaluation of the correction body and head."""
     pairs = list(pairs)
     pos = bod = 0
+    predicted = table.names(table.pred_ids)
+    truth = table.names(table.gt_ids)
     for row in range(table.n):
         body = any(
             bool(conds.values[row][conds.condition_names.index(cond)])
-            and table.predicted[row].name == cls
+            and predicted[row] == cls
             for cond, cls in pairs
         )
         if body:
             bod += 1
-            if table.ground_truth[row].name == class_name:
+            if truth[row] == class_name:
                 pos += 1
     s = bod / table.n if pairs else 0.0
     c = pos / bod if bod else 0.0

@@ -15,11 +15,11 @@ from edcr import (
     fit_velocity_thresholds,
     generate_synthetic,
     haversine_m,
-    ingest_binary_conditions,
     trajectory_speed,
     velocity_condition,
 )
-from helpers import make_table
+from edcr.io import read_conditions
+from helpers import make_table, same_table
 
 # one milli-degree of latitude on the R=6,371,000 m sphere, by hand:
 # d = R * 0.001 * pi / 180
@@ -157,7 +157,7 @@ class TestVelocityThresholds:
 
         table = make_table(["walk", "bike"], ["bike", "walk"])
         predicted = build_velocity_conditions(
-            thresholds, records, mode="predicted", predictions=table.predicted
+            thresholds, records, mode="predicted", predictions=table.names(table.pred_ids)
         )
         assert predicted.condition_names == ("vel_over_predicted",)
         assert predicted.column("vel_over_predicted").tolist() == [False, True]
@@ -172,14 +172,14 @@ class TestGenerateSynthetic:
         a = generate_synthetic(seed=9, n_samples=120, noise=0.2)
         b = generate_synthetic(seed=9, n_samples=120, noise=0.2)
         assert a.records == b.records
-        assert a.table == b.table
+        assert same_table(a.table, b.table)
         assert a.conditions.condition_names == b.conditions.condition_names
         assert np.array_equal(a.conditions.values, b.conditions.values)
 
     def test_different_seed_differs(self):
         a = generate_synthetic(seed=1, n_samples=120, noise=0.2)
         b = generate_synthetic(seed=2, n_samples=120, noise=0.2)
-        assert a.table.predicted != b.table.predicted
+        assert a.table.pred_ids.tolist() != b.table.pred_ids.tolist()
 
     def test_zero_noise_perfect_base_and_no_useful_rules(self):
         corpus = generate_synthetic(seed=3, n_samples=150, noise=0.0)
@@ -195,7 +195,7 @@ class TestGenerateSynthetic:
 
     def test_noise_rate_converges(self):
         corpus = generate_synthetic(seed=5, n_samples=10_000, noise=0.25)
-        wrong = sum(1 for p, g in zip(corpus.table.predicted, corpus.table.ground_truth) if p != g)
+        wrong = int(np.count_nonzero(corpus.table.pred_ids != corpus.table.gt_ids))
         assert wrong / corpus.table.n == pytest.approx(0.25, abs=0.02)
 
     def test_holdout_never_predicted(self):
@@ -203,16 +203,12 @@ class TestGenerateSynthetic:
             seed=6, n_samples=500, noise=0.25, holdout_classes=["walk", "drive"]
         )
         assert set(corpus.table.classes.names) == {"bike", "bus", "train"}
-        holdout_rows = [
-            k for k, g in enumerate(corpus.table.ground_truth) if g.name in ("walk", "drive")
-        ]
+        predicted = corpus.table.names(corpus.table.pred_ids)
+        truth = corpus.table.names(corpus.table.gt_ids)
+        holdout_rows = [k for k, g in enumerate(truth) if g in ("walk", "drive")]
         assert holdout_rows  # the classes still occur in ground truth
-        assert all(
-            corpus.table.predicted[k].name not in ("walk", "drive") for k in range(corpus.table.n)
-        )
-        holdout_correct = sum(
-            1 for k in holdout_rows if corpus.table.predicted[k] == corpus.table.ground_truth[k]
-        )
+        assert all(p not in ("walk", "drive") for p in predicted)
+        holdout_correct = sum(1 for k in holdout_rows if predicted[k] == truth[k])
         assert holdout_correct == 0
 
     def test_condition_layout(self):
@@ -238,11 +234,13 @@ class TestGenerateSynthetic:
 
 
 class TestIngestBinaryConditions:
+    """Binary-classifier verdicts are ingested with ``io.read_conditions``."""
+
     def test_roundtrip_matrix(self, tmp_path):
         table = make_table(["a", "b"], ["a", "b", "a"], ids=["s1", "s2", "s3"])
         path = tmp_path / "conds.csv"
         path.write_text("sample_id,g_a,g_b\ns1,1,0\ns2,0,1\ns3,0,0\n")
-        conds = ingest_binary_conditions(path, table)
+        conds = read_conditions(path, table)
         assert conds.condition_names == ("g_a", "g_b")
         assert conds.values.tolist() == [[True, False], [False, True], [False, False]]
 
@@ -250,25 +248,25 @@ class TestIngestBinaryConditions:
         table = make_table(["a"], ["a", "a"], ids=["s1", "s2"])
         path = tmp_path / "conds.csv"
         path.write_text("sample_id,g_a\ns1,0\ns2,0\n")
-        assert not ingest_binary_conditions(path, table).values.any()
+        assert not read_conditions(path, table).values.any()
 
     def test_unknown_sample_named(self, tmp_path):
         table = make_table(["a"], ["a"], ids=["s1"])
         path = tmp_path / "conds.csv"
         path.write_text("sample_id,g_a\ns1,0\nmystery,1\n")
         with pytest.raises(DataError, match="mystery"):
-            ingest_binary_conditions(path, table)
+            read_conditions(path, table)
 
     def test_missing_sample_named(self, tmp_path):
         table = make_table(["a"], ["a", "a"], ids=["s1", "s2"])
         path = tmp_path / "conds.csv"
         path.write_text("sample_id,g_a\ns1,0\n")
         with pytest.raises(DataError, match="s2"):
-            ingest_binary_conditions(path, table)
+            read_conditions(path, table)
 
     def test_bad_value_has_line_number(self, tmp_path):
         table = make_table(["a"], ["a"], ids=["s1"])
         path = tmp_path / "conds.csv"
         path.write_text("sample_id,g_a\ns1,yes\n")
         with pytest.raises(DataError, match=":2:"):
-            ingest_binary_conditions(path, table)
+            read_conditions(path, table)

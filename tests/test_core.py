@@ -3,18 +3,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edcr import (
-    UNKNOWN,
     UNKNOWN_NAME,
     ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
+    PredictionTable,
     UnknownClassError,
     UnknownConditionError,
     compute_class_stats,
     correction_counts,
     detection_counts,
 )
+from edcr.core import rule_body
 from helpers import make_conds, make_table, oracle_correction_counts, oracle_detection_counts
 
 
@@ -36,14 +37,16 @@ class TestClassSet:
         with pytest.raises(UnknownClassError):
             ClassSet(("a",)).label("b")
 
-    def test_resolve_outside_label(self):
-        classes = ClassSet(("a", "b"))
-        novel = classes.resolve("scooter")
-        assert novel.id == -1 and not novel.is_unknown
-        assert classes.resolve(UNKNOWN_NAME) is UNKNOWN
-
 
 class TestPredictionTable:
+    def test_from_names_outside_ids(self):
+        table = make_table(["a", "b"], [UNKNOWN_NAME, "b"], ["scooter", "a"])
+        assert table.novel_names == ("scooter",)
+        assert table.gt_ids.tolist() == [2, 0]  # novel ids follow the class ids
+        assert table.pred_ids.tolist() == [-1, 1]
+        assert table.names(table.gt_ids) == ["scooter", "a"]
+        assert table.names(table.pred_ids) == [UNKNOWN_NAME, "b"]
+
     def test_unknown_never_ground_truth(self):
         with pytest.raises(ContractError):
             make_table(["a"], ["a"], [UNKNOWN_NAME])
@@ -54,7 +57,8 @@ class TestPredictionTable:
 
     def test_novel_ground_truth_allowed(self):
         table = make_table(["a", "b"], ["a", "b"], ["a", "scooter"])
-        assert table.gt_ids.tolist() == [0, -1]
+        assert table.gt_ids.tolist() == [0, 2]
+        assert table.novel_names == ("scooter",)
 
     def test_unknown_prediction_allowed(self):
         table = make_table(["a"], [UNKNOWN_NAME, "a"])
@@ -63,6 +67,30 @@ class TestPredictionTable:
     def test_length_mismatch(self):
         with pytest.raises(ContractError):
             make_table(["a"], ["a", "a"], ["a"], ids=["x", "y"])
+
+    def test_undeclared_prediction_rejected(self):
+        with pytest.raises(ContractError, match="zebra"):
+            make_table(["a"], ["zebra"])
+
+    @pytest.mark.parametrize(
+        "pred_ids, gt_ids, novel",
+        [
+            ([2], None, ()),  # predicted id past the class set
+            ([-2], None, ()),  # below UNKNOWN
+            ([0], [2], ()),  # ground-truth id with no novel name
+            ([0], [-1], ()),  # ground truth UNKNOWN
+            ([0], [0], ("a",)),  # novel name repeats a class
+            ([0], [2], (UNKNOWN_NAME,)),  # novel name is the reserved label
+        ],
+    )
+    def test_id_columns_validated(self, pred_ids, gt_ids, novel):
+        with pytest.raises(ContractError):
+            PredictionTable(ClassSet(("a", "b")), ["x"], pred_ids, gt_ids, novel)
+
+    def test_id_columns_read_only(self):
+        table = make_table(["a"], ["a"], ["a"])
+        with pytest.raises(ValueError):
+            table.pred_ids[0] = -1
 
 
 class TestClassStats:
@@ -290,9 +318,22 @@ class TestConditionMatrix:
         with pytest.raises(ContractError):
             ConditionMatrix(("a", "a"), np.zeros((3, 2), dtype=bool))
 
-    def test_any_of_empty_is_false(self):
+    def test_rule_body_empty_is_false(self):
         conds = make_conds(["a"], [[1, 1]])
-        assert not conds.any_of([]).any()
+        assert not rule_body(conds, np.zeros(2, dtype=np.int32), []).any()
+
+    def test_rule_body_groups_pairs_by_class(self):
+        table, conds = eight_sample()
+        pairs = [("c1", 0), ("c2", 0), ("c2", 1)]
+        expected = [
+            any(EIGHT[c][row] and EIGHT["pred"][row] == "ab"[k] for c, k in pairs)
+            for row in range(table.n)
+        ]
+        assert rule_body(conds, table.pred_ids, pairs).tolist() == expected
+
+    def test_values_column_contiguous(self):
+        conds = make_conds(["a", "b"], [[1, 0, 1], [0, 0, 1]])
+        assert conds.values.flags.f_contiguous
 
     def test_values_read_only(self):
         conds = make_conds(["a"], [[1, 0]])

@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from edcr import (
     ClassSet,
+    ConditionMatrix,
     ContractError,
     CorrectionRule,
     DataError,
@@ -16,7 +18,7 @@ from edcr import (
 )
 from edcr import io
 from edcr.cli import main
-from helpers import make_conds, make_table
+from helpers import make_conds, make_table, same_table
 
 
 class TestPredictionsFormat:
@@ -25,14 +27,14 @@ class TestPredictionsFormat:
         path = tmp_path / "p.csv"
         io.write_predictions(path, table)
         back = io.read_predictions(path, classes=table.classes)
-        assert back == table
+        assert same_table(back, table)
 
     def test_roundtrip_without_gt(self, tmp_path):
         table = make_table(["a", "b"], ["a", "b"])
         path = tmp_path / "p.csv"
         io.write_predictions(path, table)
         back = io.read_predictions(path)
-        assert back == table
+        assert same_table(back, table)
 
     def test_classes_inferred_sorted(self, tmp_path):
         path = tmp_path / "p.csv"
@@ -161,7 +163,18 @@ class TestRulesetFormat:
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [0, 1, 0]])
         before, _ = apply_ruleset(rule_set, table, conds)
         after, _ = apply_ruleset(loaded, table, conds)
-        assert before.predicted == after.predicted
+        assert before.pred_ids.tolist() == after.pred_ids.tolist()
+
+
+def same_trace(a, b):
+    return (
+        a.classes == b.classes
+        and a.sample_ids == b.sample_ids
+        and a.original.tolist() == b.original.tolist()
+        and a.flagged.tolist() == b.flagged.tolist()
+        and a.fired_column() == b.fired_column()
+        and a.final.tolist() == b.final.tolist()
+    )
 
 
 class TestTraceFormat:
@@ -171,7 +184,90 @@ class TestTraceFormat:
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
         path = tmp_path / "trace.csv"
         io.write_trace(path, trace)
-        assert io.read_trace(path) == trace
+        assert same_trace(io.read_trace(path, trace.classes), trace)
+
+    def test_malformed_row_line_number(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\n\ny,a,2,,a\n")
+        with pytest.raises(DataError, match=":4:"):
+            io.read_trace(path, ClassSet(("a",)))
+
+    def test_unknown_original_names_line(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,zz,0,,a\n")
+        with pytest.raises(DataError, match=":3:.*'zz'"):
+            io.read_trace(path, ClassSet(("a",)))
+
+    def test_final_outside_classes_extends_trace_classes(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,1,c,c\ny,a,0,,a\n")
+        trace = io.read_trace(path, ClassSet(("a",)))
+        assert trace.classes.names == ("a", "c")
+        assert trace.original.tolist() == [0, 0]
+        assert trace.final.tolist() == [1, 0]
+
+    def test_eval_with_correction_to_unpredicted_class(self, tmp_path):
+        table = make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"])
+        io.write_predictions(tmp_path / "p.csv", table)
+        (tmp_path / "t.csv").write_text("sample_id,original,flagged,fired,final\nx,a,1,b,b\ny,a,0,,a\n")
+        assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
+                    "--out", tmp_path / "out"]) == 0
+
+    def test_rows_for_aligns_by_id(self):
+        table = make_table(["a", "b"], ["a", "a", "b"], ids=["x", "y", "z"])
+        conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
+        _, trace = apply_ruleset(sample_ruleset(), table, conds)
+        assert trace.rows_for(("z", "x", "y")).tolist() == [2, 0, 1]
+        with pytest.raises(ContractError, match="w"):
+            trace.rows_for(("x", "w"))
+
+
+# arbitrary non-empty unicode sample ids, including commas, quotes and line
+# breaks; NUL is excluded because Python 3.10's csv reader rejects it
+SAMPLE_IDS = st.lists(
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), min_size=1, max_size=6),
+    min_size=1,
+    max_size=6,
+    unique=True,
+)
+
+
+class TestCsvQuotingRoundTrip:
+    @given(ids=SAMPLE_IDS, data=st.data())
+    def test_predictions(self, tmp_path_factory, ids, data):
+        pred = data.draw(st.lists(st.sampled_from(["a", "b", UNKNOWN_NAME]), min_size=len(ids), max_size=len(ids)))
+        gt = data.draw(st.lists(st.sampled_from(["a", "b", "novel"]), min_size=len(ids), max_size=len(ids)))
+        table = make_table(["a", "b"], pred, gt, ids=ids)
+        path = tmp_path_factory.mktemp("p") / "p.csv"
+        io.write_predictions(path, table)
+        assert same_table(io.read_predictions(path, classes=table.classes), table)
+
+    @given(ids=SAMPLE_IDS, seed=st.integers(0, 2**32 - 1))
+    def test_conditions(self, tmp_path_factory, ids, seed):
+        rng = np.random.default_rng(seed)
+        table = make_table(["a"], ["a"] * len(ids), ids=ids)
+        conds = make_conds(["c1", "c,2"], rng.random((2, len(ids))) < 0.5)
+        path = tmp_path_factory.mktemp("c") / "c.csv"
+        io.write_conditions(path, table, conds)
+        back = io.read_conditions(path, table)
+        assert back.condition_names == conds.condition_names
+        assert np.array_equal(back.values, conds.values)
+
+    @given(ids=SAMPLE_IDS, seed=st.integers(0, 2**32 - 1))
+    def test_trace(self, tmp_path_factory, ids, seed):
+        rng = np.random.default_rng(seed)
+        table = make_table(["a", "b"], rng.choice(["a", "b"], size=len(ids)).tolist(), ids=ids)
+        conds = make_conds(["c1", "c2"], rng.random((2, len(ids))) < 0.5)
+        _, trace = apply_ruleset(sample_ruleset(), table, conds)
+        path = tmp_path_factory.mktemp("t") / "trace.csv"
+        io.write_trace(path, trace)
+        assert same_trace(io.read_trace(path, trace.classes), trace)
+
+    def test_plain_ids_unquoted(self, tmp_path):
+        table = make_table(["a"], ["a", "a"], ["a", "x"], ids=["s1", "s,2"])
+        path = tmp_path / "p.csv"
+        io.write_predictions(path, table)
+        assert path.read_text() == 'sample_id,pred,gt\ns1,a,a\n"s,2",a,x\n'
 
 
 def run(argv):
@@ -241,7 +337,7 @@ class TestCli:
                     corpus / "predictions.csv", "--conditions", corpus / "conditions.csv",
                     "--out", apply_dir]) == 0
         revised = io.read_predictions(apply_dir / "revised.csv", classes=table.classes)
-        assert revised.predicted == table.predicted
+        assert revised.pred_ids.tolist() == table.pred_ids.tolist()
 
     def test_epsilon_range_exit_code(self, tmp_path):
         corpus = gen_corpus(tmp_path, seed=7, samples=50)
@@ -345,3 +441,132 @@ class TestCli:
                     "--out", b_dir]) == 0
         for name in ("trajectories.csv", "predictions.csv", "conditions.csv"):
             assert (a / name).read_bytes() == (b_dir / name).read_bytes()
+
+
+TRICKY_IDS = ["a\rb", "c\r\nd", 'q"uote', "x,y", "\n", " pad ", "nul\x00", " sep"]
+
+
+def test_tricky_ids_roundtrip(tmp_path):
+    table = make_table(["a", "b"], ["a", "b"] * 4, ["b", "a"] * 4, ids=TRICKY_IDS)
+    conds = make_conds(["c1", "c2"], [[1, 0] * 4, [1, 1, 0, 0] * 2])
+    io.write_predictions(tmp_path / "p.csv", table)
+    io.write_conditions(tmp_path / "c.csv", table, conds)
+    _, trace = apply_ruleset(sample_ruleset(), table, conds)
+    io.write_trace(tmp_path / "t.csv", trace)
+    back = io.read_predictions(tmp_path / "p.csv", classes=table.classes)
+    assert same_table(back, table)
+    assert np.array_equal(io.read_conditions(tmp_path / "c.csv", back).values, conds.values)
+    assert same_trace(io.read_trace(tmp_path / "t.csv", table.classes), trace)
+
+
+def wide_corpus(tmp_path, extra=55):
+    """A generated corpus with ``extra`` random columns appended (15 + extra conditions)."""
+    corpus = gen_corpus(tmp_path, seed=21, samples=300)
+    table = io.read_predictions(corpus / "predictions.csv")
+    conds = io.read_conditions(corpus / "conditions.csv", table)
+    rng = np.random.default_rng(4)
+    names = conds.condition_names + tuple(f"rand_{j}" for j in range(extra))
+    values = np.hstack([conds.values, rng.random((table.n, extra)) < 0.05])
+    io.write_conditions(corpus / "wide.csv", table, ConditionMatrix(names, values))
+    return corpus
+
+
+def test_verify_beyond_64_conditions(tmp_path, capsys):
+    corpus = wide_corpus(tmp_path)
+    code = run(["verify", "--predictions", corpus / "predictions.csv", "--conditions",
+                corpus / "wide.csv", "--trials", 50, "--correction-scenarios", 5,
+                "--out", tmp_path / "verify"])
+    assert code in (0, 4)
+    assert "submodularity pos" in capsys.readouterr().out
+
+
+RULESET_TEXT = """format_version: 1
+classes: [a, b]
+conditions: [c1, c2]
+epsilon: {epsilon}
+detection_rules:
+- class: a
+  conditions: [c1]
+  class_support: {class_support}
+  confidence: 0.5
+correction_rules:
+- class: b
+  pairs:
+  - [c2, a]
+  support: 0.25
+  confidence: {confidence}
+"""
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epsilon", "-3"),
+        ("epsilon", "{a: 0.1, b: .nan}"),
+        ("class_support", "7.0"),
+        ("class_support", "-.inf"),
+        ("confidence", ".nan"),
+        ("confidence", "1.5"),
+    ],
+)
+def test_ruleset_values_validated_on_load(tmp_path, capsys, field, value):
+    values = {"epsilon": "0.1", "class_support": "0.5", "confidence": "0.9", field: value}
+    ruleset = tmp_path / "rules.yaml"
+    ruleset.write_text(RULESET_TEXT.format(**values))
+    with pytest.raises(DataError, match=field):
+        io.load_ruleset(ruleset)
+    table = make_table(["a", "b"], ["a", "b"])
+    io.write_predictions(tmp_path / "p.csv", table)
+    io.write_conditions(tmp_path / "c.csv", table, make_conds(["c1", "c2"], [[1, 0], [0, 1]]))
+    code = run(["apply", "--ruleset", ruleset, "--predictions", tmp_path / "p.csv",
+                "--conditions", tmp_path / "c.csv", "--out", tmp_path / "out"])
+    assert code == 3
+    assert field in capsys.readouterr().err
+
+
+def test_inconsistent_ruleset_is_data_error(tmp_path):
+    text = RULESET_TEXT.format(epsilon="0.1", class_support="0.5", confidence="0.9")
+    ruleset = tmp_path / "rules.yaml"
+    ruleset.write_text(text.replace("conditions: [c1, c2]", "conditions: [c2]"))
+    with pytest.raises(DataError, match="undeclared"):
+        io.load_ruleset(ruleset)
+
+
+def invalid_invocations(tmp_path):
+    """(argv, expected exit code) pairs over a small corpus."""
+    corpus = gen_corpus(tmp_path, seed=22, samples=60)
+    p, c = corpus / "predictions.csv", corpus / "conditions.csv"
+    regular = tmp_path / "regular.txt"
+    regular.write_text("not a directory\n")
+    latin1 = tmp_path / "latin1.csv"
+    latin1.write_bytes("sample_id,pred,gt\nx,caf\xe9,a\n".encode("latin-1"))
+    learn_dir = tmp_path / "learned"
+    assert run(["learn", "--predictions", p, "--conditions", c, "--out", learn_dir]) == 0
+    ruleset = learn_dir / "ruleset.yaml"
+    bad_trace = tmp_path / "bad_trace.csv"
+    bad_trace.write_text("sample_id,original,flagged,fired,final\nx,no_such_class,0,,walk\n")
+    return [
+        (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
+        (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
+        (["learn", "--predictions", tmp_path, "--conditions", c, "--out", tmp_path / "o2"], 3),
+        (["learn", "--predictions", latin1, "--conditions", c, "--out", tmp_path / "o3"], 3),
+        (["learn", "--predictions", p, "--conditions", c, "--epsilon", "nan", "--out", tmp_path / "o4"], 2),
+        (["learn", "--predictions", p, "--conditions", c, "--epsilon-per-class", "walk=x",
+          "--out", tmp_path / "o5"], 2),
+        (["apply", "--ruleset", ruleset, "--predictions", p, "--conditions", c, "--out", regular], 3),
+        (["apply", "--ruleset", c, "--predictions", p, "--conditions", c, "--out", tmp_path / "o6"], 3),
+        (["eval", "--predictions", p, "--mode", "fuzzy", "--out", tmp_path / "o7"], 2),
+        (["eval", "--predictions", p, "--trace", tmp_path / "absent.csv", "--out", tmp_path / "o8"], 3),
+        (["eval", "--predictions", p, "--trace", bad_trace, "--out", tmp_path / "o12"], 3),
+        (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "a,b", "--out", tmp_path / "o9"], 2),
+        (["verify", "--predictions", p, "--conditions", c, "--epsilon", "2", "--out", tmp_path / "o10"], 2),
+        (["unseen", "--predictions", p, "--conditions", c, "--holdout", "walk", "--out", tmp_path / "o11"], 2),
+    ]
+
+
+def test_invalid_invocations_exit_codes(tmp_path, capsys):
+    for argv, expected in invalid_invocations(tmp_path):
+        capsys.readouterr()
+        assert run(argv) == expected, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err, argv

@@ -7,11 +7,25 @@ from edcr import (
     ContractError,
     CorrectionRule,
     DetectionRule,
+    LearnConfig,
     RuleSet,
     apply_ruleset,
-    error_predictions,
+    det_rule_learn,
 )
 from helpers import make_conds, make_table
+
+
+def names(table):
+    return table.names(table.pred_ids)
+
+
+def fired(trace):
+    return trace.fired_column()
+
+
+def error_flags(rules, table, conds):
+    """Phase-1 detection verdicts, read from the application trace."""
+    return apply_ruleset(rules, table, conds)[1].flagged
 
 
 def two_class_rules(det_conditions=("c2",), corr_pairs=(("c1", "a"),)):
@@ -59,13 +73,45 @@ class TestRuleTypes:
             RuleSet(classes, ("c",), 0.1, detection_rules=(rule,))
 
 
+@pytest.mark.parametrize("bad", [-3, 7.0, float("nan"), float("inf"), -0.01, 1.01])
+class TestUnitIntervalValues:
+    def test_detection_rule_stats(self, bad):
+        a = ClassSet(("a",)).label("a")
+        with pytest.raises(ContractError, match="class_support"):
+            DetectionRule(a, ("c",), bad, 0.5)
+        with pytest.raises(ContractError, match="confidence"):
+            DetectionRule(a, ("c",), 0.5, bad)
+
+    def test_correction_rule_stats(self, bad):
+        a = ClassSet(("a",)).label("a")
+        with pytest.raises(ContractError, match="support"):
+            CorrectionRule(a, (("c", a),), bad, 0.5)
+        with pytest.raises(ContractError, match="confidence"):
+            CorrectionRule(a, (("c", a),), 0.5, bad)
+
+    def test_ruleset_epsilon(self, bad):
+        classes = ClassSet(("a",))
+        with pytest.raises(ContractError, match="epsilon"):
+            RuleSet(classes, ("c",), bad)
+        with pytest.raises(ContractError, match="epsilon"):
+            RuleSet(classes, ("c",), {"a": bad})
+
+    def test_learning_epsilon(self, bad):
+        with pytest.raises(ContractError, match="epsilon"):
+            LearnConfig(epsilon=bad)
+        table = make_table(["a", "b"], ["a", "b"], ["a", "a"])
+        conds = make_conds(["c"], [[1, 0]])
+        with pytest.raises(ContractError, match="epsilon"):
+            det_rule_learn("a", bad, table, conds)
+
+
 class TestApplyRuleset:
     def test_empty_ruleset_is_identity(self):
         table, conds = six_sample()
         empty = RuleSet(table.classes, conds.condition_names, 0.0)
         revised, trace = apply_ruleset(empty, table, conds)
-        assert revised.predicted == table.predicted
-        assert all(not t.flagged and not t.fired for t in trace)
+        assert names(revised) == names(table)
+        assert not trace.flagged.any() and fired(trace) == [""] * table.n
 
     def test_detect_only_routes_to_unknown(self):
         table, conds = six_sample()
@@ -77,7 +123,7 @@ class TestApplyRuleset:
             detection_rules=(DetectionRule(classes.label("a"), ("c2",), 0.5, 0.5),),
         )
         revised, _ = apply_ruleset(rules, table, conds)
-        assert [l.name for l in revised.predicted] == [
+        assert names(revised) == [
             UNKNOWN_NAME,
             UNKNOWN_NAME,
             "a",
@@ -91,17 +137,18 @@ class TestApplyRuleset:
         table, conds = six_sample()
         _, rules = two_class_rules()
         revised, trace = apply_ruleset(rules, table, conds)
-        assert [l.name for l in revised.predicted] == ["b", UNKNOWN_NAME, "b", "a", "b", "b"]
-        assert [t.flagged for t in trace] == [True, True, False, False, False, False]
-        assert trace[0].fired == ("b",) and trace[2].fired == ("b",)
-        assert trace[1].fired == ()
+        assert names(revised) == ["b", UNKNOWN_NAME, "b", "a", "b", "b"]
+        assert trace.flagged.tolist() == [True, True, False, False, False, False]
+        assert fired(trace) == ["b", "", "b", "", "", ""]
+        assert trace.original.tolist() == table.pred_ids.tolist()
+        assert trace.final.tolist() == revised.pred_ids.tolist()
 
     def test_flagged_scope_restricts_correction(self):
         table, conds = six_sample()
         _, rules = two_class_rules()
         revised, _ = apply_ruleset(rules, table, conds, correction_scope="flagged")
         # row 2 matches the correction body but was never flagged
-        assert [l.name for l in revised.predicted] == ["b", UNKNOWN_NAME, "a", "a", "b", "b"]
+        assert names(revised) == ["b", UNKNOWN_NAME, "a", "a", "b", "b"]
 
     def test_bad_scope_rejected(self):
         table, conds = six_sample()
@@ -127,17 +174,18 @@ class TestApplyRuleset:
         table, conds = six_sample()
         _, rules = two_class_rules()
         revised, trace = apply_ruleset(rules, table, conds)
-        for k, entry in enumerate(trace):
-            if not entry.flagged and not entry.fired:
-                assert revised.predicted[k] == table.predicted[k]
+        for k, entry in enumerate(fired(trace)):
+            if not trace.flagged[k] and not entry:
+                assert revised.pred_ids[k] == table.pred_ids[k]
 
     def test_deterministic(self):
         table, conds = six_sample()
         _, rules = two_class_rules()
         first = apply_ruleset(rules, table, conds)
         second = apply_ruleset(rules, table, conds)
-        assert first[0].predicted == second[0].predicted
-        assert first[1] == second[1]
+        assert names(first[0]) == names(second[0])
+        assert first[1].flagged.tolist() == second[1].flagged.tolist()
+        assert fired(first[1]) == fired(second[1])
 
     def test_confidence_then_class_id_tie_break(self):
         classes = ClassSet(("a", "b", "c"))
@@ -148,27 +196,27 @@ class TestApplyRuleset:
         high = CorrectionRule(b, (("c1", a),), 0.1, 0.9)
         rules = RuleSet(classes, ("c1",), 0.1, correction_rules=(low, high))
         revised, trace = apply_ruleset(rules, table, conds)
-        assert revised.predicted[0].name == "b"  # higher confidence wins
-        assert trace[0].fired == ("b", "c")
+        assert names(revised)[0] == "b"  # higher confidence wins
+        assert fired(trace) == ["b;c"]
 
         tied_b = CorrectionRule(b, (("c1", a),), 0.1, 0.4)
         rules = RuleSet(classes, ("c1",), 0.1, correction_rules=(low, tied_b))
         revised, _ = apply_ruleset(rules, table, conds)
-        assert revised.predicted[0].name == "b"  # equal confidence: lowest id
+        assert names(revised)[0] == "b"  # equal confidence: lowest id
 
     def test_unknown_predictions_pass_through(self):
         table = make_table(["a", "b"], [UNKNOWN_NAME, "a"])
         conds = make_conds(["c1", "c2"], [[1, 1], [1, 1]])
         _, rules = two_class_rules()
         revised, _ = apply_ruleset(rules, table, conds)
-        assert revised.predicted[0].name == UNKNOWN_NAME
+        assert names(revised)[0] == UNKNOWN_NAME
 
 
 class TestErrorPredictions:
     def test_no_rules_all_false(self):
         table, conds = six_sample()
         empty = RuleSet(table.classes, conds.condition_names, 0.0)
-        assert not error_predictions(empty, table, conds).any()
+        assert not error_flags(empty, table, conds).any()
 
     def test_body_reduces_to_pred_i(self):
         table, conds = six_sample()
@@ -179,8 +227,8 @@ class TestErrorPredictions:
             0.1,
             detection_rules=(DetectionRule(table.classes.label("a"), ("c1",), 1.0, 0.5),),
         )
-        flags = error_predictions(rules, table, always)
-        assert flags.tolist() == [p.name == "a" for p in table.predicted]
+        flags = error_flags(rules, table, always)
+        assert flags.tolist() == [p == "a" for p in names(table)]
 
     def test_mixed_two_rule_hand_scan(self):
         table = make_table(["a", "b"], ["a", "a", "b", "b", "a", "b", "a", "b"])
@@ -198,7 +246,7 @@ class TestErrorPredictions:
                 DetectionRule(classes.label("b"), ("c2",), 0.1, 0.5),
             ),
         )
-        flags = error_predictions(rules, table, conds)
+        flags = error_flags(rules, table, conds)
         assert flags.tolist() == [True, False, True, True, False, False, True, False]
 
     def test_flags_independent_of_corrections(self):
@@ -211,6 +259,6 @@ class TestErrorPredictions:
             detection_rules=with_corr.detection_rules,
         )
         assert np.array_equal(
-            error_predictions(with_corr, table, conds),
-            error_predictions(detect_only, table, conds),
+            error_flags(with_corr, table, conds),
+            error_flags(detect_only, table, conds),
         )

@@ -197,6 +197,28 @@ class TestSubmodularity:
         report = check_submodular("pos", "a", table, conds, trials=500)
         assert not report.exhaustive and report.passed
 
+    def test_sampled_mode_beyond_64_conditions(self):
+        rng = np.random.default_rng(21)
+        n, m = 80, 130  # three 64-bit words per row
+        cols = [rng.random(n) < 0.05 for _ in range(m)]
+        gt = ["a" if rng.random() < 0.7 else "b" for _ in range(n)]
+        table = make_table(["a", "b"], ["a"] * n, gt)
+        conds = make_conds([f"c{j}" for j in range(m)], cols)
+        for quantity in ("pos", "neg", "bod"):
+            report = check_submodular(quantity, "a", table, conds, trials=200)
+            assert not report.exhaustive and report.passed and report.pairs_checked == 200
+
+    @given(st.integers(0, 2**32 - 1))
+    def test_packed_words_count_like_any(self, seed):
+        from edcr.theory import _covered, _pack_rows
+
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 200))
+        rows = rng.random((n, m)) < 0.1
+        subset = rng.random(m) < 0.5
+        words = _pack_rows(subset.reshape(1, -1))[0]
+        assert _covered(_pack_rows(rows), words) == int((rows & subset).any(axis=1).sum())
+
 
 class TestBruteForce:
     def test_single_feasible_condition(self):
