@@ -42,9 +42,12 @@ EXIT_INVARIANT = 4
 
 def _parse_floats(text: str) -> list[float]:
     try:
-        return [float(part) for part in text.split(",") if part != ""]
+        values = [float(part) for part in text.split(",") if part != ""]
     except ValueError:
         raise ContractError(f"expected comma-separated numbers, got {text!r}") from None
+    if not values:
+        raise ContractError(f"expected at least one number, got {text!r}")
+    return values
 
 
 def _parse_epsilon(args, classes) -> float | dict[str, float]:
@@ -277,6 +280,10 @@ def cmd_unseen(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.correction_scenarios < 0:
+        raise ContractError(
+            f"--correction-scenarios must be non-negative, got {args.correction_scenarios}"
+        )
     table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
 

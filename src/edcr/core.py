@@ -273,6 +273,16 @@ class ConditionMatrix:
         return ConditionMatrix(self.condition_names, self.values[np.asarray(indices, dtype=np.intp)])
 
 
+def _pack_rows(cols: np.ndarray) -> np.ndarray:
+    """(rows, m) booleans as (rows, ceil(m/64)) uint64 words: column j is
+    bit j % 64 of word j // 64, and the padding bits are zero.  Packing the
+    transpose packs each condition column along the sample axis instead."""
+    n_words = max(1, -(-cols.shape[1] // 64))
+    padded = np.zeros((cols.shape[0], 64 * n_words), dtype=bool)
+    padded[:, : cols.shape[1]] = cols
+    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+
+
 def rule_body(
     conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Iterable[tuple[str, int]]
 ) -> np.ndarray:

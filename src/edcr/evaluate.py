@@ -195,6 +195,9 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
     """Learn a rule set per epsilon on the learn side, apply it to both sides,
     and tabulate per-class precision/recall/F1 before and after, with the
     theoretical recall reduction computed from the learned rule stats."""
+    epsilons = tuple(epsilons)
+    if not epsilons:
+        raise ContractError("epsilon sweep needs at least one epsilon")
     rows: list[SweepRow] = []
     for epsilon in epsilons:
         config = LearnConfig(epsilon=epsilon)

@@ -4,16 +4,31 @@ correction, and their composition into a full rule set.
 Detection learning for class i repeatedly adds the condition with the largest
 body&head count POS among candidates whose body&not-head count NEG stays
 within the budget eps * N_i * P_i / R_i; keeping NEG within that budget caps
-the empirical recall reduction at eps exactly.  Correction learning walks
-candidate (condition, class) pairs sorted by their singleton confidence,
-keeping a pair when adding it to the growing set raises confidence at least
-as much as dropping it from the shrinking set would, and returns nothing
-unless the final confidence strictly beats the class's baseline precision.
+the empirical recall reduction at eps exactly.  The greedy is incremental:
+the rows predicted as i are packed once into uint64 words, split into error
+rows (gt != i) and correct rows (gt == i), and every candidate column is
+packed along the same rows.  Each round keeps the rows the chosen conditions
+already cover and scores every open candidate in one vectorised pass, its
+marginal POS and NEG being the popcounts of its column over the uncovered
+error and correct rows.  A candidate whose NEG would exceed the budget is
+closed for good: NEG is monotone, so it only grows as conditions are added.
+The first maximum of marginal POS in sorted-name order wins, so ties go to
+the smallest name, and a feasible candidate is added even with zero gain.
+A round costs O(m * N_i / 64) word operations, so a class costs
+O(rounds * m * N_i / 64).
+
+Correction learning walks candidate (condition, class) pairs sorted by their
+singleton confidence, keeping a pair when adding it to the growing set raises
+confidence at least as much as dropping it from the shrinking set would, and
+returns nothing unless the final confidence strictly beats the class's
+baseline precision.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .core import (
     ClassLabel,
@@ -21,6 +36,7 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
+    _pack_rows,
     _require_aligned,
     _resolve_target,
     check_unit_interval,
@@ -83,7 +99,8 @@ def det_rule_learn(
 
     Returns the selected condition names (possibly empty).  Classes never
     predicted or with zero recall are skipped: their budget is undefined.
-    Argmax ties go to the lexicographically smallest condition name.
+    Argmax ties go to the lexicographically smallest condition name; see the
+    module docstring for the incremental scoring.
     """
     check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
@@ -96,23 +113,32 @@ def det_rule_learn(
         return ()
     budget = recall_budget(stats, i, epsilon)
     pool = sorted(set(candidates) if candidates is not None else conds.condition_names)
-    for name in pool:
-        conds.column_index(name)
+    cols = [conds.column_index(name) for name in pool]
 
+    rows = np.flatnonzero(table.pred_ids == i)
+    words = _pack_rows(conds.values.T[:, rows][cols])  # one row of words per candidate
+    is_error = table.gt_ids[rows] != i
+    err_left = _pack_rows(is_error[None, :])[0]  # uncovered error rows
+    ok_left = _pack_rows(~is_error[None, :])[0]  # uncovered correct rows
+    is_open = np.ones(len(pool), dtype=bool)
+    neg = 0
     chosen: list[str] = []
     while True:
-        best_name = None
-        best_pos = -1
-        for cand in pool:
-            if cand in chosen:
-                continue
-            counts = detection_counts(table, conds, target, chosen + [cand])
-            if counts.neg <= budget and counts.pos > best_pos:
-                best_pos = counts.pos
-                best_name = cand
-        if best_name is None:
+        cand = np.flatnonzero(is_open)
+        gain_neg = np.bitwise_count(words[cand] & ok_left).sum(axis=1, dtype=np.int64)
+        feasible = neg + gain_neg <= budget
+        is_open[cand[~feasible]] = False  # NEG only grows: closed for good
+        cand, gain_neg = cand[feasible], gain_neg[feasible]
+        if not cand.size:
             break
-        chosen.append(best_name)
+        gain_pos = np.bitwise_count(words[cand] & err_left).sum(axis=1, dtype=np.int64)
+        best = int(np.argmax(gain_pos))
+        j = int(cand[best])
+        is_open[j] = False
+        neg += int(gain_neg[best])
+        err_left &= ~words[j]
+        ok_left &= ~words[j]
+        chosen.append(pool[j])
     return tuple(sorted(chosen))
 
 

@@ -21,6 +21,7 @@ from .core import (
     ContractError,
     DegenerateStatsError,
     PredictionTable,
+    _pack_rows,
     _require_aligned,
     _resolve_target,
     compute_class_stats,
@@ -86,15 +87,6 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 # ---------------------------------------------------------------------------
 # Subset-indexed counting (shared by the property checks and the oracles)
 # ---------------------------------------------------------------------------
-
-
-def _pack_rows(cols: np.ndarray) -> np.ndarray:
-    """(rows, m) booleans as (rows, ceil(m/64)) uint64 words: column j is
-    bit j % 64 of word j // 64.  Condition subsets use the same layout."""
-    n_words = max(1, -(-cols.shape[1] // 64))
-    padded = np.zeros((cols.shape[0], 64 * n_words), dtype=bool)
-    padded[:, : cols.shape[1]] = cols
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
 def _mask_words(mask: int) -> np.ndarray:
@@ -163,6 +155,8 @@ def check_submodular(
     """
     if quantity not in ("pos", "neg", "bod"):
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
+    if trials < 0:
+        raise ContractError(f"trials must be non-negative, got {trials}")
     table.require_ground_truth()
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)

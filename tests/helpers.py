@@ -1,13 +1,17 @@
 """Shared fixtures for randomized instances and independent counting oracles.
 
 The oracle functions re-evaluate rule bodies row by row with plain Python so
-the vectorized production counting has something independent to agree with.
+the vectorized production counting has something independent to agree with,
+and ``reference_det_rule_learn`` keeps the plain greedy detection learner that
+rebuilds every candidate body, for the packed-bitset learner to agree with.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from edcr import ClassSet, ConditionMatrix, PredictionTable
+from edcr import ClassSet, ConditionMatrix, PredictionTable, compute_class_stats, detection_counts
+from edcr.core import _require_aligned, _resolve_target, check_unit_interval
+from edcr.learn import recall_budget
 
 
 def make_table(class_names, pred, gt=None, ids=None):
@@ -107,3 +111,37 @@ def oracle_correction_counts(table, conds, class_name, pairs):
     s = bod / table.n if pairs else 0.0
     c = pos / bod if bod else 0.0
     return pos, bod, s, c
+
+
+def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candidates=None):
+    """Greedy detection learner that re-counts ``chosen + [cand]`` from the
+    table for every candidate in every round."""
+    check_unit_interval("epsilon", epsilon)
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    target = _resolve_target(table.classes, class_i)
+    if stats is None:
+        stats = compute_class_stats(table)
+    i = target.id
+    if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
+        return ()
+    budget = recall_budget(stats, i, epsilon)
+    pool = sorted(set(candidates) if candidates is not None else conds.condition_names)
+    for name in pool:
+        conds.column_index(name)
+
+    chosen: list[str] = []
+    while True:
+        best_name = None
+        best_pos = -1
+        for cand in pool:
+            if cand in chosen:
+                continue
+            counts = detection_counts(table, conds, target, chosen + [cand])
+            if counts.neg <= budget and counts.pos > best_pos:
+                best_pos = counts.pos
+                best_name = cand
+        if best_name is None:
+            break
+        chosen.append(best_name)
+    return tuple(sorted(chosen))

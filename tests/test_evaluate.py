@@ -166,6 +166,10 @@ class TestEpsilonSweep:
         with pytest.raises(ContractError):
             epsilon_sweep([0.5, 1.2], split)
 
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ContractError, match="at least one epsilon"):
+            epsilon_sweep([], small_split())
+
     def test_singleton_grid_equals_composition(self):
         # one sweep point is exactly learn + apply + eval
         split = small_split(seed=13)

@@ -12,6 +12,7 @@ from edcr import (
     DataError,
     DetectionRule,
     RuleSet,
+    TrajectoryRecord,
     UNKNOWN_NAME,
     apply_ruleset,
     generate_synthetic,
@@ -268,6 +269,67 @@ class TestCsvQuotingRoundTrip:
         path = tmp_path / "p.csv"
         io.write_predictions(path, table)
         assert path.read_text() == 'sample_id,pred,gt\ns1,a,a\n"s,2",a,x\n'
+
+
+FINITE = {"allow_nan": False, "allow_infinity": False}
+
+
+@st.composite
+def trajectory_records(draw):
+    """Records with unique unicode ids, 2-5 points each, strictly increasing
+    finite timestamps and in-range coordinates."""
+    ids = draw(SAMPLE_IDS)
+    records = []
+    for sample_id in ids:
+        times = draw(st.lists(st.floats(**FINITE), min_size=2, max_size=5, unique=True))
+        points = [
+            (t, draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
+            for t in sorted(times)
+        ]
+        records.append(TrajectoryRecord(sample_id, tuple(points)))
+    return records
+
+
+# unicode names plus strings YAML would otherwise read as null, booleans,
+# numbers or comments
+NAMES = st.one_of(
+    st.text(st.characters(codec="utf-8", exclude_characters="\x00"), max_size=6),
+    st.sampled_from(["null", "~", "yes", "no", "true", "1.0", "0x1f", "#c", "- a", "a: b", "[x]", ""]),
+).filter(lambda name: name != UNKNOWN_NAME)
+UNIT = st.floats(0.0, 1.0)
+
+
+@st.composite
+def rulesets(draw):
+    """Rule sets over arbitrary class and condition names, with a scalar or
+    per-class epsilon and any mix of detection and correction rules."""
+    classes = ClassSet(tuple(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))))
+    conditions = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    some_conditions = st.lists(st.sampled_from(conditions), min_size=1, max_size=3)
+    epsilon = draw(st.one_of(UNIT, st.fixed_dictionaries({name: UNIT for name in classes.names})))
+    detection, correction = [], []
+    for label in classes:
+        if draw(st.booleans()):
+            detection.append(DetectionRule(label, tuple(draw(some_conditions)), draw(UNIT), draw(UNIT)))
+        if draw(st.booleans()):
+            pairs = [(cond, draw(st.sampled_from(classes.labels))) for cond in draw(some_conditions)]
+            correction.append(CorrectionRule(label, tuple(pairs), draw(UNIT), draw(UNIT)))
+    return RuleSet(classes, tuple(conditions), epsilon, tuple(detection), tuple(correction))
+
+
+class TestFileFormatRoundTrip:
+    @given(records=trajectory_records())
+    def test_trajectories(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("tr") / "trajectories.csv"
+        io.write_trajectories(path, records)
+        back = io.read_trajectories(path)
+        assert [(r.sample_id, r.points) for r in back] == [(r.sample_id, r.points) for r in records]
+
+    @given(rule_set=rulesets())
+    def test_ruleset(self, tmp_path_factory, rule_set):
+        path = tmp_path_factory.mktemp("rs") / "ruleset.yaml"
+        io.save_ruleset(path, rule_set)
+        assert io.load_ruleset(path) == rule_set
 
 
 def run(argv):
@@ -536,6 +598,7 @@ def invalid_invocations(tmp_path):
     """(argv, expected exit code) pairs over a small corpus."""
     corpus = gen_corpus(tmp_path, seed=22, samples=60)
     p, c = corpus / "predictions.csv", corpus / "conditions.csv"
+    held = gen_corpus(tmp_path, seed=23, samples=60, holdout="walk")
     regular = tmp_path / "regular.txt"
     regular.write_text("not a directory\n")
     latin1 = tmp_path / "latin1.csv"
@@ -561,6 +624,12 @@ def invalid_invocations(tmp_path):
         (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "a,b", "--out", tmp_path / "o9"], 2),
         (["verify", "--predictions", p, "--conditions", c, "--epsilon", "2", "--out", tmp_path / "o10"], 2),
         (["unseen", "--predictions", p, "--conditions", c, "--holdout", "walk", "--out", tmp_path / "o11"], 2),
+        (["verify", "--predictions", p, "--conditions", c, "--trials", "-5", "--out", tmp_path / "o13"], 2),
+        (["verify", "--predictions", p, "--conditions", c, "--correction-scenarios", "-3",
+          "--out", tmp_path / "o14"], 2),
+        (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "", "--out", tmp_path / "o15"], 2),
+        (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
+          "--holdout", "walk", "--fractions", "", "--out", tmp_path / "o16"], 2),
     ]
 
 

@@ -1,7 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+import edcr.learn
 
 from edcr import (
+    ConditionMatrix,
     ContractError,
     LearnConfig,
     apply_ruleset,
@@ -15,8 +21,9 @@ from edcr import (
     detection_counts,
     generate_synthetic,
 )
+from edcr.io import ruleset_to_dict
 from edcr.learn import recall_budget
-from helpers import make_conds, make_table, random_instance
+from helpers import make_conds, make_table, random_instance, reference_det_rule_learn
 
 
 class TestLearnConfig:
@@ -98,6 +105,21 @@ class TestDetRuleLearn:
         oracle = brute_force_detection("a", 0.2, table, conds)
         assert counts.pos <= oracle.pos
         assert oracle.pos == 3  # frozen from exhaustive enumeration of 2^4 subsets
+
+    def test_zero_gain_feasible_condition_selected(self):
+        # "never" flags no row: zero POS gain, zero NEG cost, still selected
+        table = make_table(["a", "b"], ["a", "a", "a", "b"], ["a", "b", "b", "b"])
+        conds = make_conds(["hit", "never"], [[0, 1, 1, 0], [0, 0, 0, 0]])
+        assert det_rule_learn("a", 0.0, table, conds) == ("hit", "never")
+        assert reference_det_rule_learn("a", 0.0, table, conds) == ("hit", "never")
+
+    def test_ties_go_to_smallest_name(self):
+        # "z" and "m" each catch the same error for one unit of NEG; the
+        # budget at eps=0.5 is 0.5 * 2 = 1, so only the first pick fits
+        table = make_table(["a", "b"], ["a", "a", "a", "a", "b"], ["a", "a", "b", "b", "b"])
+        conds = make_conds(["z", "m"], [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]])
+        assert det_rule_learn("a", 0.5, table, conds) == ("m",)
+        assert det_rule_learn("a", 0.5, table, conds, candidates=["z", "z"]) == ("z",)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_budget_safety_random(self, seed):
@@ -241,3 +263,60 @@ class TestDetCorrRuleLearn:
         conds = make_conds(["c"], [[1]])
         with pytest.raises(ContractError):
             det_corr_rule_learn(LearnConfig(), table, conds)
+
+
+@st.composite
+def learning_instances(draw):
+    """A labeled table, a condition matrix, a candidate pool and an epsilon
+    (scalar or per class) that reach the learner's edge cases: n off a
+    multiple of 64, m above 64, duplicate candidates, classes never predicted
+    or with zero recall, and all-false columns that are selected at no gain."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 200))
+    m = draw(st.integers(1, 140))
+    k = draw(st.integers(1, 4))
+    classes = [f"k{j}" for j in range(k)]
+    gt = rng.integers(0, k + 1, size=n)  # id k is a class outside the set
+    pred = np.where(rng.random(n) < draw(st.floats(0.0, 0.6)), rng.integers(0, k, size=n), gt % k)
+    if k > 1 and draw(st.booleans()):
+        pred[pred == k - 1] = 0  # class k-1 is never predicted
+    if k > 1 and draw(st.booleans()):
+        pred[(pred == 0) & (gt == 0)] = 1  # class 0 has zero recall
+    error = pred != gt
+    density = rng.choice([0.0, 0.02, 0.1, 0.4], size=m)
+    boost = rng.choice([0.0, 0.3], size=m)
+    values = rng.random((n, m)) < density + boost * error[:, None]
+    names = [f"c{j}" for j in rng.permutation(m)]  # sorted order differs from column order
+    table = make_table(classes, [classes[i] for i in pred], [(classes + ["novel"])[i] for i in gt])
+    conds = ConditionMatrix(tuple(names), values)
+    candidates = None
+    if draw(st.booleans()):
+        candidates = rng.choice(names, size=int(rng.integers(0, 2 * m + 1))).tolist()
+    kind = draw(st.sampled_from(["zero", "one", "random", "per_class"]))
+    epsilon = {"zero": 0.0, "one": 1.0, "random": float(rng.random())}.get(kind)
+    if epsilon is None:
+        epsilon = {name: float(rng.choice([0.0, 1.0, rng.random()])) for name in classes}
+    return table, conds, candidates, epsilon
+
+
+class TestIncrementalGreedyMatchesReference:
+    """The packed-bitset learner against the learner that re-counts every
+    candidate body from the table."""
+
+    @given(learning_instances())
+    def test_det_rule_learn(self, instance):
+        table, conds, candidates, epsilon = instance
+        config = LearnConfig(epsilon=epsilon)
+        stats = compute_class_stats(table)
+        for label in table.classes:
+            eps = config.epsilon_for(label.name)
+            expected = reference_det_rule_learn(label, eps, table, conds, stats=stats, candidates=candidates)
+            assert det_rule_learn(label, eps, table, conds, stats=stats, candidates=candidates) == expected
+
+    @given(learning_instances())
+    def test_det_corr_rule_learn(self, instance):
+        table, conds, candidates, epsilon = instance
+        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        with mock.patch.object(edcr.learn, "det_rule_learn", reference_det_rule_learn):
+            expected = det_corr_rule_learn(config, table, conds)
+        assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)

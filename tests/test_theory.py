@@ -210,7 +210,8 @@ class TestSubmodularity:
 
     @given(st.integers(0, 2**32 - 1))
     def test_packed_words_count_like_any(self, seed):
-        from edcr.theory import _covered, _pack_rows
+        from edcr.core import _pack_rows
+        from edcr.theory import _covered
 
         rng = np.random.default_rng(seed)
         n, m = int(rng.integers(1, 40)), int(rng.integers(1, 200))
