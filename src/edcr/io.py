@@ -4,6 +4,26 @@ YAML rule sets, result tables, and run manifests.
 All writers are atomic (temp file + rename in the target directory) so a
 failed run never leaves a partial artifact, and all output is deterministic
 given the same inputs.
+
+Conditions files are read by a byte scanner first.  It reads the file in
+blocks of 256 KiB and splits records at the ``\\n`` bytes outside quotes,
+taking each one's quote parity from ``np.searchsorted`` over the block's
+quote positions; the unfinished last record of a block is carried into the
+next.  A record must end in ``2*m`` bytes of ``,0``/``,1`` pairs, checked
+with one ``uint16`` compare per block, before an optional ``\\r``.
+Only the sample-id segment in front of them is decoded, and it must be one
+CSV field whose quotes are all structural: unquoted without ``,``, ``"``,
+``\\r`` or NUL, or quoted with inner quotes doubled.  That rule is what
+makes the quote-parity split agree with ``csv.reader``.  Each block's bits
+are scattered straight into one preallocated ``(n, m)`` matrix in table
+order, so the file is never held whole, only a block and the record it
+cuts.  The layout ``write_conditions`` writes, with ``\\n`` or ``\\r\\n``
+line ends, takes this path unless an id holds ``\\r``.  When any record is
+outside that layout or faulty (a quoted bit cell, a bare ``\\r`` line end,
+a bad width or bit, an unknown, repeated or missing id, an empty or
+repeated condition name), the scanner gives up and the row parser, built on
+``csv.reader``, reads the whole file again.  It accepts every other valid
+CSV layout and names the line of every fault.
 """
 from __future__ import annotations
 
@@ -11,6 +31,7 @@ import csv
 import hashlib
 import json
 import os
+import re
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
@@ -43,6 +64,12 @@ RULESET_FORMAT_VERSION = 1
 TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
+_SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
+# a sample-id segment the scanner decodes: unquoted without a comma, quote,
+# carriage return or NUL, or one quoted field whose quotes are all structural
+# (NUL is left to the row parser because Python 3.10's csv.reader rejects it)
+_ID_FIELD = re.compile(rb'[^",\r\n\x00]*|"(?:[^"\x00]|"")*"')
+_ONE_CELL = int(np.frombuffer(b",1", dtype="<u2")[0])  # ",0" | 0x0100 is ",1" too
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -135,6 +162,8 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
             _check_width(path, line_no, row, len(header))
             if not row[0]:
                 raise _parse_error(path, line_no, "empty sample id")
+            if not row[1]:
+                raise _parse_error(path, line_no, "empty predicted value")
             ids.append(row[0])
             preds.append(row[1])
             if has_gt:
@@ -175,15 +204,103 @@ def write_predictions(path, table: PredictionTable) -> None:
 def read_conditions(path, table: PredictionTable) -> ConditionMatrix:
     """Read a conditions CSV and align rows to the table's sample order.
 
-    Every table sample must appear exactly once; unknown or duplicated ids and
-    non-0/1 values are data errors naming the offending line."""
+    Every table sample must appear exactly once; unknown or duplicated ids,
+    non-0/1 values and empty or repeated condition names are data errors
+    naming the offending line."""
     path = Path(path)
+    conds = _scan_conditions(path, table)
+    return conds if conds is not None else _parse_conditions(path, table)
+
+
+def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
+    if not header or header[0] != "sample_id" or len(header) < 2:
+        raise _parse_error(path, 1, "expected header sample_id,<condition>,...")
+    names = tuple(header[1:])
+    if "" in names:
+        raise _parse_error(path, 1, f"empty condition name in column {names.index('') + 2}")
+    if len(set(names)) != len(names):
+        dupe = next(name for name, count in Counter(names).items() if count > 1)
+        raise _parse_error(path, 1, f"duplicate condition name {dupe!r}")
+    return names
+
+
+def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
+    """The byte scanner: the condition matrix of a file whose every record is
+    in the scanned layout (see the module docstring), or None as soon as one
+    record is outside it or faulty."""
+    unclaimed = {sample_id: row for row, sample_id in enumerate(table.sample_ids)}
+    names: tuple[str, ...] | None = None
+    tail = b""
+    at_end = False
+    with open(path, "rb") as handle:
+        while not at_end:
+            # a record longer than a block doubles the next read, so the scan stays linear
+            chunk = handle.read(max(_SCAN_BLOCK, len(tail)))
+            at_end = not chunk
+            buf = tail + (chunk or b"\n")  # end of file ends a last record without a line break
+            data = np.frombuffer(buf, dtype=np.uint8)
+            newlines = np.flatnonzero(data == 0x0A)
+            quotes = np.flatnonzero(data == 0x22)
+            ends = newlines[np.searchsorted(quotes, newlines) % 2 == 0]
+            if not len(ends):
+                tail = buf
+                continue
+            tail = buf[ends[-1] + 1 :]
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            if names is None:
+                try:
+                    names = _condition_names(path, next(csv.reader([buf[: ends[0]].decode()])))
+                except (csv.Error, UnicodeDecodeError, DataError):
+                    return None
+                values = np.zeros((table.n, len(names)), dtype=bool)
+                starts, ends = starts[1:], ends[1:]
+            block = _scan_block(buf, data, starts, ends, len(names), unclaimed)
+            if block is None:
+                return None
+            rows, bits = block
+            values[rows] = bits
+    if tail or names is None or unclaimed:
+        return None
+    return ConditionMatrix(names, values)
+
+
+def _scan_block(buf: bytes, data: np.ndarray, starts, ends, m: int, unclaimed: dict[str, int]):
+    """Table rows and bits of the records ``buf[starts[j]:ends[j]]`` (line
+    breaks excluded), claiming each id from ``unclaimed``; None when a record
+    is outside the scanned layout or names an unknown or repeated id."""
+    stops = ends - (data[ends - 1] == 0x0D)  # an empty record's stop may fall before its start
+    filled = stops > starts  # blank lines are skipped, as csv.reader yields them empty
+    starts, stops = starts[filled], stops[filled]
+    id_stops = stops - 2 * m
+    if (id_stops < starts).any() or (id_stops - starts > csv.field_size_limit()).any():
+        return None
+    fullmatch, claim = _ID_FIELD.fullmatch, unclaimed.pop
+    rows = []
+    try:
+        for start, stop in zip(starts.tolist(), id_stops.tolist()):
+            if not fullmatch(buf, start, stop):
+                return None
+            sample_id = buf[start:stop].decode()
+            if sample_id[:1] == '"':
+                sample_id = sample_id[1:-1].replace('""', '"')
+            rows.append(claim(sample_id, -1))  # -1: an unknown or repeated id
+    except UnicodeDecodeError:
+        return None
+    if -1 in rows:
+        return None
+    cells = b"".join([buf[start:stop] for start, stop in zip(id_stops.tolist(), stops.tolist())])
+    pairs = np.frombuffer(cells, dtype="<u2").reshape(len(rows), m)
+    if ((pairs | 0x0100) != _ONE_CELL).any():
+        return None
+    return rows, pairs == _ONE_CELL
+
+
+def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
+    """The row parser: reads any valid CSV layout and names the line of every fault."""
     position: dict[str, int] = {}
     bits: list[str] = []
     with _csv_file(path) as (header, reader):
-        if not header or header[0] != "sample_id" or len(header) < 2:
-            raise _parse_error(path, 1, "expected header sample_id,<condition>,...")
-        names = tuple(header[1:])
+        names = _condition_names(path, header)
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue

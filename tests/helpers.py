@@ -2,15 +2,20 @@
 
 The oracle functions re-evaluate rule bodies row by row with plain Python so
 the vectorized production counting has something independent to agree with,
-and ``reference_det_rule_learn`` keeps the plain greedy detection learner that
-rebuilds every candidate body, for the packed-bitset learner to agree with.
+``reference_det_rule_learn`` keeps the plain greedy detection learner that
+rebuilds every candidate body, for the packed-bitset learner to agree with,
+and ``reference_read_conditions`` keeps the ``csv.reader`` conditions reader
+that builds one string per cell, for the byte scanner to agree with.
 """
 from __future__ import annotations
+
+from pathlib import Path
 
 import numpy as np
 
 from edcr import ClassSet, ConditionMatrix, PredictionTable, compute_class_stats, detection_counts
-from edcr.core import _require_aligned, _resolve_target, check_unit_interval
+from edcr.core import DataError, _require_aligned, _resolve_target, check_unit_interval
+from edcr.io import _BITS, _check_width, _csv_file, _parse_error
 from edcr.learn import recall_budget
 
 
@@ -145,3 +150,39 @@ def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candida
             break
         chosen.append(best_name)
     return tuple(sorted(chosen))
+
+
+def reference_read_conditions(path, table: PredictionTable) -> ConditionMatrix:
+    """Read a conditions CSV and align rows to the table's sample order.
+
+    Every table sample must appear exactly once; unknown or duplicated ids and
+    non-0/1 values are data errors naming the offending line."""
+    path = Path(path)
+    position: dict[str, int] = {}
+    bits: list[str] = []
+    with _csv_file(path) as (header, reader):
+        if not header or header[0] != "sample_id" or len(header) < 2:
+            raise _parse_error(path, 1, "expected header sample_id,<condition>,...")
+        names = tuple(header[1:])
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            _check_width(path, line_no, row, len(header))
+            sample_id = row[0]
+            if sample_id in position:
+                raise _parse_error(path, line_no, f"duplicate sample id {sample_id!r}")
+            values = row[1:]
+            if not _BITS.issuperset(values):
+                name, text = next((n, t) for n, t in zip(names, values) if t not in _BITS)
+                raise _parse_error(path, line_no, f"condition {name!r} must be 0 or 1, got {text!r}")
+            position[sample_id] = len(bits)
+            bits.append("".join(values))
+    extra = sorted(set(position).difference(table.sample_ids))
+    if extra:
+        raise DataError(f"{path}: sample id {extra[0]!r} is absent from the prediction table")
+    if len(position) != table.n:
+        missing = next(s for s in table.sample_ids if s not in position)
+        raise DataError(f"{path}: no condition row for sample id {missing!r}")
+    text = "".join(bits).encode("ascii")
+    matrix = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bits), len(names))
+    return ConditionMatrix(names, matrix[[position[s] for s in table.sample_ids]])

@@ -1,8 +1,11 @@
+import csv
 import json
+from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edcr import (
     ClassSet,
@@ -19,7 +22,7 @@ from edcr import (
 )
 from edcr import io
 from edcr.cli import main
-from helpers import make_conds, make_table, same_table
+from helpers import make_conds, make_table, reference_read_conditions, same_table
 
 
 class TestPredictionsFormat:
@@ -61,6 +64,12 @@ class TestPredictionsFormat:
         with pytest.raises(DataError, match=":3:"):
             io.read_predictions(path)
 
+    def test_empty_pred_line_number(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text("sample_id,pred,gt\nx,a,a\ny,,a\n")
+        with pytest.raises(DataError, match=":3: empty predicted value"):
+            io.read_predictions(path)
+
     def test_declared_classes_enforced(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("sample_id,pred\nx,mystery\n")
@@ -84,6 +93,205 @@ class TestConditionsFormat:
         path.write_text("sample_id,c\ns2,1\ns1,0\n")
         back = io.read_conditions(path, table)
         assert back.column("c").tolist() == [False, True]
+
+    @pytest.mark.parametrize("cell", ["{}", '"{}"'])
+    @pytest.mark.parametrize(
+        "names, message",
+        [("c1,c1", "duplicate condition name 'c1'"), ("c1,,c2", "empty condition name in column 3")],
+    )
+    def test_bad_condition_names(self, tmp_path, cell, names, message):
+        # the plain layout and one with quoted bit cells, which the scanner declines
+        table = make_table(["a"], ["a"], ids=["s1"])
+        width = names.count(",") + 1
+        path = tmp_path / "c.csv"
+        path.write_text(f"sample_id,{names}\ns1" + f",{cell.format(0)}" * width + "\n")
+        with pytest.raises(DataError, match=f":1: {message}"):
+            io.read_conditions(path, table)
+
+
+def conditions_file(tmp_path, ids, bits, newline="\n"):
+    """A conditions file as ``csv.writer`` writes it with ``newline`` line
+    ends, which for ``\\n`` is the layout of ``write_conditions``, and the
+    table of its ids."""
+    table = make_table(["a"], ["a"] * len(ids), ids=ids)
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator=newline)
+    writer.writerow(["sample_id", *(f"c{j}" for j in range(len(bits[0])))])
+    writer.writerows([sample_id, *np.asarray(row, dtype=int)] for sample_id, row in zip(ids, bits))
+    path = tmp_path / "c.csv"
+    path.write_text(buffer.getvalue(), encoding="utf-8", newline="")
+    return path, table
+
+
+class TestConditionsScanner:
+    """The byte scanner of ``io.read_conditions`` against the ``csv.reader``
+    reader it replaced (``helpers.reference_read_conditions``)."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    @pytest.mark.parametrize("edit", ["none", "blank lines", "no final line break"])
+    def test_writer_layout_is_scanned(self, tmp_path, newline, edit):
+        ids = ["s1", "x,y", 'q"uote', "line\nbreak", " pad ", "é", ""]
+        bits = np.random.default_rng(0).random((len(ids), 3)) < 0.5
+        path, table = conditions_file(tmp_path, ids, bits, newline)
+        data, end = path.read_bytes(), newline.encode()
+        if edit == "blank lines":
+            header, rows = data.split(end, 1)
+            data = header + end * 2 + rows + end
+        elif edit == "no final line break":
+            data = data.removesuffix(end)
+        path.write_bytes(data)
+        scanned = io._scan_conditions(path, table)
+        assert scanned is not None
+        assert np.array_equal(scanned.values, bits)
+        assert scanned.condition_names == ("c0", "c1", "c2")
+
+    @pytest.mark.parametrize(
+        "text, sample_id",
+        [
+            ('sample_id,c\ns1,"1"\n', "s1"),  # quoted bit cell
+            ("sample_id,c\rs1,1\r", "s1"),  # bare CR line ends
+            ('sample_id,c\na"b,1\n', 'a"b'),  # literal quote inside an unquoted id
+            ('sample_id,c\n"a"b,1\n', "ab"),  # text after a closing quote
+            ('sample_id,c\n"a"b,1\n', 'a"'),  # the same, not to be read as a quoted 'a"'
+            ("sample_id,c\na\rb,1\n", "a\rb"),  # a bare CR inside an unquoted id
+            ("sample_id,c\ns1,2\n", "s1"),  # not a bit
+            ('sample_id,c\ns1,1\n"x', "s1"),  # a last line left inside quotes
+        ],
+    )
+    def test_other_layouts_go_to_the_row_parser(self, tmp_path, text, sample_id):
+        table = make_table(["a"], ["a"], ids=[sample_id])
+        path = tmp_path / "c.csv"
+        path.write_text(text, newline="")
+        assert io._scan_conditions(path, table) is None
+        assert same_outcome(path, table)
+
+    def test_overlong_id_goes_to_the_row_parser(self, tmp_path):
+        sample_id = "a" * (csv.field_size_limit() + 1)
+        table = make_table(["a"], ["a"], ids=[sample_id])
+        path = tmp_path / "c.csv"
+        path.write_text(f"sample_id,c\n{sample_id},1\n")
+        assert io._scan_conditions(path, table) is None
+        with pytest.raises(DataError, match="field limit"):
+            io.read_conditions(path, table)
+
+    def test_file_of_several_blocks(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(1)
+        ids = [f"s{i}" if i % 7 else f"s,{i}\n" for i in range(300)]
+        bits = rng.random((300, 9)) < 0.3
+        path, table = conditions_file(tmp_path, ids, bits, "\r\n")
+        monkeypatch.setattr(io, "_SCAN_BLOCK", 256)
+        assert path.stat().st_size > 20 * 256
+        scanned = io._scan_conditions(path, table)
+        assert scanned is not None and np.array_equal(scanned.values, bits)
+
+    def test_record_straddling_a_block_edge(self, tmp_path, monkeypatch):
+        ids = ["s0", 'a "quoted",\r\nid', "s2"]
+        bits = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
+        path, table = conditions_file(tmp_path, ids, bits, "\r\n")
+        data = path.read_bytes()
+        record = data.index(b'"a')
+        # every block edge inside the second record, its CR-LF included
+        for edge in range(record + 1, data.index(b"s2")):
+            monkeypatch.setattr(io, "_SCAN_BLOCK", edge)
+            scanned = io._scan_conditions(path, table)
+            assert scanned is not None and np.array_equal(scanned.values, bits), edge
+
+    @settings(max_examples=300)
+    @given(case=st.data(), block=st.sampled_from([1, 2, 3, 5, 16, 64, 1 << 20]))
+    def test_same_as_reference(self, tmp_path_factory, case, block):
+        data, ids = case.draw(conditions_bytes())
+        table = make_table(["a"], ["a"] * len(ids), ids=ids)
+        path = tmp_path_factory.mktemp("c") / "c.csv"
+        path.write_bytes(data)
+        with mock.patch.object(io, "_SCAN_BLOCK", block):
+            names = csv_header(path)[1:]
+            if "" in names or len(set(names)) != len(names):
+                with pytest.raises(DataError):
+                    io.read_conditions(path, table)
+            else:
+                assert same_outcome(path, table)
+
+
+def csv_header(path):
+    """The first record of a CSV file as csv.reader reads it; empty when unreadable."""
+    try:
+        with open(path, encoding="utf-8", newline="") as handle:
+            return next(csv.reader(handle), [])
+    except (csv.Error, UnicodeDecodeError):
+        return []
+
+
+def outcome(reader, path, table):
+    try:
+        conds = reader(path, table)
+    except Exception as err:  # the exception type and message are the outcome
+        return type(err), str(err)
+    return conds.condition_names, conds.values.tolist()
+
+
+def same_outcome(path, table):
+    return outcome(io.read_conditions, path, table) == outcome(reference_read_conditions, path, table)
+
+
+# characters that steer csv parsing, plus a digit-like and a non-ASCII letter
+ADVERSARIAL = st.text(st.sampled_from(['"', ",", "\r", "\n", "0", "1", "a", "é"]), min_size=1, max_size=4)
+
+
+@st.composite
+def conditions_bytes(draw):
+    """Bytes of a conditions file and the table ids it is read against.
+
+    Most draws are well-formed; the rest carry one or more faults: quoted
+    bit cells, CR-LF and bare CR line ends, blank lines, no final line break,
+    unquoted ids holding literal quotes or separators, bad widths, non-bits,
+    duplicate, unknown and missing ids, a stray last line, and bytes that
+    are not UTF-8."""
+    rare = st.integers(0, 7).map(lambda k: k == 0)
+    per_cell = st.integers(0, 39).map(lambda k: k == 0)
+    names = draw(st.lists(ADVERSARIAL, min_size=1, max_size=4, unique=True))
+    ids = draw(st.lists(ADVERSARIAL, min_size=1, max_size=6, unique=True))
+    rows = draw(st.permutations(ids))
+    if draw(rare):
+        rows = rows[1:]
+    if draw(rare):
+        rows.append(draw(st.sampled_from(ids)))
+    if draw(rare):
+        rows.insert(0, draw(ADVERSARIAL))
+
+    def field(text):
+        mode = draw(st.sampled_from(["minimal"] * 10 + ["quoted", "raw"]))
+        if mode == "raw" or (mode == "minimal" and not set(text) & set('",\r\n')):
+            return text
+        return '"' + text.replace('"', '""') + '"'
+
+    def cell(bit):
+        if draw(per_cell):
+            return draw(st.sampled_from([f'"{bit}"', "2", "", draw(ADVERSARIAL)]))
+        return bit
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def ending():
+        return draw(st.sampled_from(["\n", "\r\n", "\r"])) if draw(rare) else newline
+
+    lines = ["sample_id," + ",".join(field(name) for name in names)]
+    for sample_id in rows:
+        bits = draw(st.lists(st.sampled_from("01"), min_size=len(names), max_size=len(names)))
+        if draw(rare):
+            bits = bits[1:] if draw(st.booleans()) else bits + ["0"]
+        lines.append(",".join([field(sample_id), *map(cell, bits)]))
+        if draw(rare):
+            lines.append("")
+    if draw(rare):
+        lines.append(draw(ADVERSARIAL))
+    text = "".join(line + ending() for line in lines)
+    if draw(rare):
+        text = text.rstrip("\r\n")
+    data = bytearray(text.encode())
+    if draw(rare):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at : at + 1] = draw(st.sampled_from([b"\xff", b"\xc3", b"\xe9", b'"', b",", b"\r"]))
+    return bytes(data), ids
 
 
 class TestTrajectoriesFormat:
@@ -608,12 +816,22 @@ def invalid_invocations(tmp_path):
     ruleset = learn_dir / "ruleset.yaml"
     bad_trace = tmp_path / "bad_trace.csv"
     bad_trace.write_text("sample_id,original,flagged,fired,final\nx,no_such_class,0,,walk\n")
+    header, rows = c.read_text().split("\n", 1)
+    dup_names, empty_name = tmp_path / "dup_names.csv", tmp_path / "empty_name.csv"
+    dup_names.write_text(header.replace(",not_g_walk,", ",g_walk,") + "\n" + rows)
+    empty_name.write_text(header.replace(",g_bike,", ",,") + "\n" + rows)
+    header, first, rows = p.read_text().split("\n", 2)
+    empty_pred = tmp_path / "empty_pred.csv"
+    empty_pred.write_text("\n".join([header, first.split(",")[0] + ",,walk", rows]))
     return [
         (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
         (["learn", "--predictions", tmp_path, "--conditions", c, "--out", tmp_path / "o2"], 3),
         (["learn", "--predictions", latin1, "--conditions", c, "--out", tmp_path / "o3"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--epsilon", "nan", "--out", tmp_path / "o4"], 2),
+        (["learn", "--predictions", p, "--conditions", dup_names, "--out", tmp_path / "o17"], 3),
+        (["learn", "--predictions", p, "--conditions", empty_name, "--out", tmp_path / "o18"], 3),
+        (["learn", "--predictions", empty_pred, "--conditions", c, "--out", tmp_path / "o19"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--epsilon-per-class", "walk=x",
           "--out", tmp_path / "o5"], 2),
         (["apply", "--ruleset", ruleset, "--predictions", p, "--conditions", c, "--out", regular], 3),
