@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io
 from .conditions import generate_synthetic
-from .core import ContractError, DataError, EdcrError, VerificationError, compute_class_stats
+from .core import ContractError, DataError, EdcrError, VerificationError, check_seed, compute_class_stats
 from .evaluate import (
     ScoringMode,
     error_detection_metrics,
@@ -284,6 +284,7 @@ def cmd_verify(args) -> int:
         raise ContractError(
             f"--correction-scenarios must be non-negative, got {args.correction_scenarios}"
         )
+    check_seed(args.seed)
     table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
 

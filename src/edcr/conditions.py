@@ -2,11 +2,34 @@
 and a synthetic corpus generator for desk-scale end-to-end experiments.
 Externally computed binary-classifier verdicts are read with
 :func:`edcr.io.read_conditions`.
+
+The synthetic corpus is a fixed function of its arguments: for a given seed
+the records, predictions and conditions are the same floats, and so the same
+file bytes, on every run.  That holds because the generator makes its random
+draws from one ``numpy.random.Generator`` in a fixed order:
+
+1. ``integers(0, len(classes), size=n - len(classes))``: the true classes
+   after the first ``len(classes)`` samples, which cover each class once;
+2. per record: ``integers(6, 15)`` points, one normal for the base speed and
+   four uniforms (latitude, longitude, start time, heading), then per segment
+   one uniform (time step) and two normals (speed jitter, heading turn);
+3. per record: one ``random()`` unless the class is held out, and a second
+   one when the prediction is wrong and the class has two or more neighbours;
+4. per visible class: ``random(n)`` for the verdict flips.
+
+Step 2 draws through ``random()`` and ``standard_normal()`` directly.  numpy
+computes ``uniform(a, b)`` as ``a + (b - a) * random()`` and
+``normal(loc, s)`` as ``loc + s * standard_normal()``, consuming the same bits,
+so the generator writes out those two formulas and skips the slower calls.
+Each record's max speed is then computed once, in one pass over all records
+that calls the same ``math`` functions as :func:`haversine_m`.
 """
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -18,6 +41,7 @@ from .core import (
     DataError,
     PredictionTable,
     UnknownClassError,
+    check_seed,
 )
 
 #: Spherical Earth radius used by every distance computation, in meters.
@@ -52,12 +76,14 @@ class TrajectoryRecord:
     label: str | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(tuple(p) for p in self.points))
+        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
         if len(self.points) < 2:
             raise DataError(f"trajectory {self.sample_id!r} needs at least 2 points")
-        last_t = None
+        last_t = -math.inf
         for t, lat, lon in self.points:
-            if last_t is not None and t <= last_t:
+            if not last_t < t < math.inf:  # also false for NaN
+                if not math.isfinite(t):
+                    raise DataError(f"trajectory {self.sample_id!r}: timestamp {t} is not finite")
                 raise DataError(
                     f"trajectory {self.sample_id!r}: timestamps must be strictly increasing"
                 )
@@ -105,6 +131,49 @@ class VelocityThresholds:
         return tuple(sorted(self.max_speed))
 
 
+def _max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
+    """Each record's ``trajectory_speed(record).max_speed``, as one float64
+    array, bit for bit.
+
+    numpy does only the correctly rounded steps of :func:`haversine_m`
+    (subtraction, ``radians``, halving, products, sums, ``sqrt``, ``min`` and
+    the division by elapsed time), in the same order.  Every libm call --
+    ``sin``, ``cos``, ``asin`` and the ``** 2`` that squares a sine, which is
+    ``pow`` and not always equal to ``x * x`` -- goes through the same Python
+    function as there, because numpy's versions may round differently.
+    """
+    if not records:
+        return np.empty(0)
+    counts = np.fromiter(map(len, (r.points for r in records)), np.intp, len(records))
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(r.points for r in records)),
+        np.float64,
+        3 * int(counts.sum()),
+    )
+    t, lat, lon = flat[0::3], flat[1::3], flat[2::3]
+    # segment k joins points k and k + 1, except where k is a record's last point
+    segment = np.ones(len(t) - 1, dtype=bool)
+    segment[np.cumsum(counts)[:-1] - 1] = False
+    cos_phi = _mapped(math.cos, np.radians(lat))
+    sin2_dphi = _mapped_squares(np.radians(np.diff(lat)[segment]) / 2.0)
+    sin2_dlam = _mapped_squares(np.radians(np.diff(lon)[segment]) / 2.0)
+    a = sin2_dphi + cos_phi[:-1][segment] * cos_phi[1:][segment] * sin2_dlam
+    distance = 2.0 * EARTH_RADIUS_M * _mapped(math.asin, np.minimum(1.0, np.sqrt(a)))
+    speeds = distance / np.diff(t)[segment]
+    first_segment = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
+    return np.maximum.reduceat(speeds, first_segment)
+
+
+def _mapped(function, values: np.ndarray) -> np.ndarray:
+    return np.fromiter(map(function, values.tolist()), np.float64, len(values))
+
+
+def _mapped_squares(half_angles: np.ndarray) -> np.ndarray:
+    """``math.sin(x) ** 2`` for each x."""
+    sines = map(math.sin, half_angles.tolist())
+    return np.fromiter(map(operator.pow, sines, repeat(2.0)), np.float64, len(half_angles))
+
+
 def fit_velocity_thresholds(
     training: Iterable[TrajectoryRecord], classes: Sequence[str] | None = None
 ) -> VelocityThresholds:
@@ -113,13 +182,20 @@ def fit_velocity_thresholds(
     When ``classes`` is given, every listed class must have at least one
     record; otherwise the fitted classes are whatever appears in the data.
     """
-    maxima: dict[str, float] = {}
+    training = tuple(training)
     for record in training:
         if record.label is None:
             raise ContractError(f"training record {record.sample_id!r} has no class label")
-        speed = trajectory_speed(record).max_speed
-        if speed > maxima.get(record.label, -1.0):
-            maxima[record.label] = speed
+    return _fit_thresholds([r.label for r in training], _max_speeds(training), classes)
+
+
+def _fit_thresholds(
+    labels: Sequence[str], speeds: np.ndarray, classes: Sequence[str] | None
+) -> VelocityThresholds:
+    maxima: dict[str, float] = {}
+    for label, speed in zip(labels, speeds.tolist()):
+        if speed > maxima.get(label, -1.0):
+            maxima[label] = speed
     if classes is not None:
         missing = [name for name in classes if name not in maxima]
         if missing:
@@ -142,6 +218,11 @@ def velocity_condition_name(class_name: str) -> str:
     return f"vel_over_{class_name}"
 
 
+def _check_velocity_mode(mode: str) -> None:
+    if mode not in VELOCITY_MODES:
+        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
+
+
 def build_velocity_conditions(
     thresholds: VelocityThresholds,
     records: Sequence[TrajectoryRecord],
@@ -154,22 +235,23 @@ def build_velocity_conditions(
     against that class's ceiling; ``predicted`` emits a single column where
     each row uses its own predicted class name (requires ``predictions``).
     """
-    if mode not in VELOCITY_MODES:
-        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
-    maxima = [trajectory_speed(record).max_speed for record in records]
+    _check_velocity_mode(mode)
+    return _velocity_columns(thresholds, _max_speeds(records), mode, predictions)
+
+
+def _velocity_columns(
+    thresholds: VelocityThresholds,
+    speeds: np.ndarray,
+    mode: str,
+    predictions: Sequence[str] | None,
+) -> ConditionMatrix:
     if mode == "per_class":
-        names = [velocity_condition_name(c) for c in thresholds.class_names]
-        values = np.zeros((len(records), len(names)), dtype=bool)
-        for j, class_name in enumerate(thresholds.class_names):
-            ceiling = thresholds.for_class(class_name)
-            values[:, j] = np.asarray(maxima) > ceiling
-        return ConditionMatrix(tuple(names), values)
-    if predictions is None or len(predictions) != len(records):
+        ceilings = np.array([thresholds.for_class(c) for c in thresholds.class_names], dtype=float)
+        names = tuple(velocity_condition_name(c) for c in thresholds.class_names)
+        return ConditionMatrix(names, speeds[:, None] > ceilings)
+    if predictions is None or len(predictions) != len(speeds):
         raise ContractError("predicted mode requires one prediction per record")
-    column = np.array(
-        [maxima[k] > thresholds.for_class(predictions[k]) for k in range(len(records))],
-        dtype=bool,
-    )
+    column = speeds > np.array([thresholds.for_class(name) for name in predictions], dtype=float)
     return ConditionMatrix(("vel_over_predicted",), column.reshape(-1, 1))
 
 
@@ -217,27 +299,35 @@ def _confusion_order(true_class: str, visible: Sequence[str], regimes: Mapping[s
     return sorted(others, key=lambda c: abs(math.log(regimes[c]) - math.log(regimes[true_class])))
 
 
-def _make_trajectory(
-    rng: np.random.Generator, sample_id: str, label: str, mean_speed: float
-) -> TrajectoryRecord:
-    n_points = int(rng.integers(6, 15))
-    base = mean_speed * math.exp(rng.normal(0.0, _SPEED_SPREAD))
-    lat = float(rng.uniform(-0.2, 0.2))
-    lon = float(rng.uniform(-0.2, 0.2))
-    t = float(rng.uniform(0.0, 1e6))
-    heading = float(rng.uniform(0.0, 2.0 * math.pi))
+def _make_trajectories(
+    rng: np.random.Generator, truth: Sequence[str], regimes: Mapping[str, float]
+) -> tuple[TrajectoryRecord, ...]:
+    """One record per true class, with the draws of step 2 in the module
+    docstring; ``uniform`` and ``normal`` are written out as numpy computes
+    them."""
+    integers, random, normal = rng.integers, rng.random, rng.standard_normal
+    exp, cos, sin, radians = math.exp, math.cos, math.sin, math.radians
     meters_per_degree = EARTH_RADIUS_M * math.pi / 180.0
-    points = [(t, lat, lon)]
-    for _ in range(n_points - 1):
-        dt = float(rng.uniform(5.0, 15.0))
-        speed = base * math.exp(rng.normal(0.0, _SEGMENT_JITTER))
-        heading += float(rng.normal(0.0, 0.3))
-        step = speed * dt
-        lat += step * math.cos(heading) / meters_per_degree
-        lon += step * math.sin(heading) / (meters_per_degree * math.cos(math.radians(lat)))
-        t += dt
-        points.append((t, lat, lon))
-    return TrajectoryRecord(sample_id, tuple(points), label)
+    records = []
+    for k, label in enumerate(truth):
+        n_points = int(integers(6, 15))
+        base = regimes[label] * exp(0.0 + _SPEED_SPREAD * normal())
+        lat = -0.2 + (0.2 - -0.2) * random()
+        lon = -0.2 + (0.2 - -0.2) * random()
+        t = 0.0 + (1e6 - 0.0) * random()
+        heading = 0.0 + (2.0 * math.pi - 0.0) * random()
+        points = [(t, lat, lon)]
+        for _ in range(n_points - 1):
+            dt = 5.0 + (15.0 - 5.0) * random()
+            speed = base * exp(0.0 + _SEGMENT_JITTER * normal())
+            heading += 0.0 + 0.3 * normal()
+            step = speed * dt
+            lat += step * cos(heading) / meters_per_degree
+            lon += step * sin(heading) / (meters_per_degree * cos(radians(lat)))
+            t += dt
+            points.append((t, lat, lon))
+        records.append(TrajectoryRecord(f"s{k:05d}", tuple(points), label))
+    return tuple(records)
 
 
 def generate_synthetic(
@@ -260,6 +350,8 @@ def generate_synthetic(
     not_g_<class> are emitted alongside, and velocity thresholds are fitted on
     the non-holdout records.
     """
+    seed = check_seed(seed)
+    _check_velocity_mode(velocity_mode)
     regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
     names = tuple(class_names) if class_names is not None else tuple(regimes)
     for name in names:
@@ -286,19 +378,18 @@ def generate_synthetic(
     truth = list(names) + [
         names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
     ]
-    records = tuple(
-        _make_trajectory(rng, f"s{k:05d}", truth[k], regimes[truth[k]]) for k in range(n_samples)
-    )
+    records = _make_trajectories(rng, truth, regimes)
 
+    random = rng.random
+    confusion_order = {name: _confusion_order(name, visible, regimes) for name in names}
     predicted: list[str] = []
-    for k in range(n_samples):
-        gt = truth[k]
-        wrong = gt in holdout or rng.random() < noise
+    for gt in truth:
+        wrong = gt in holdout or random() < noise
         if not wrong:
             predicted.append(gt)
             continue
-        order = _confusion_order(gt, visible, regimes)
-        if len(order) > 1 and rng.random() < _SECOND_NEIGHBOR_PROB:
+        order = confusion_order[gt]
+        if len(order) > 1 and random() < _SECOND_NEIGHBOR_PROB:
             predicted.append(order[1])
         else:
             predicted.append(order[0])
@@ -319,12 +410,10 @@ def generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
-    thresholds = fit_velocity_thresholds(
-        [r for r in records if r.label not in holdout], classes=visible
-    )
-    velocity = build_velocity_conditions(
-        thresholds, records, mode=velocity_mode, predictions=predicted
-    )
+    speeds = _max_speeds(records)
+    fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
+    thresholds = _fit_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
+    velocity = _velocity_columns(thresholds, speeds, velocity_mode, predicted)
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 

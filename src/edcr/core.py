@@ -9,6 +9,7 @@ threads.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -55,6 +56,15 @@ def check_unit_interval(name: str, value) -> float:
     if not 0.0 <= number <= 1.0:  # also false for NaN
         raise ContractError(f"{name} must be a finite number in [0, 1], got {value!r}")
     return number
+
+
+def check_seed(seed) -> int:
+    """``seed`` as an int, or :class:`ContractError` unless it is a
+    non-negative integer: numpy raises ``ValueError`` for a negative seed and
+    ``TypeError`` for a float, and draws fresh entropy for ``None``."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 @dataclass(frozen=True)

@@ -341,21 +341,24 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
 
 def read_trajectories(path) -> tuple[TrajectoryRecord, ...]:
     """Read a trajectory CSV; points of one sample must be contiguous with
-    idx counting up from 0."""
+    idx counting up from 0.  A sample that :class:`TrajectoryRecord` rejects
+    (too few points, a non-finite or non-increasing timestamp, a coordinate
+    out of range) is a :class:`DataError` naming its first line."""
     path = Path(path)
     records: list[TrajectoryRecord] = []
     current_id: str | None = None
+    first_line = 0  # line of the current sample's first point
     points: list[tuple[float, float, float]] = []
     seen: set[str] = set()
 
-    def flush(line_no: int) -> None:
-        nonlocal points, current_id
+    def flush() -> None:
+        nonlocal points
         if current_id is None:
             return
         try:
             records.append(TrajectoryRecord(current_id, tuple(points)))
         except DataError as err:
-            raise _parse_error(path, line_no, str(err)) from None
+            raise _parse_error(path, first_line, str(err)) from None
         points = []
 
     with _csv_file(path) as (header, reader):
@@ -372,17 +375,17 @@ def read_trajectories(path) -> tuple[TrajectoryRecord, ...]:
             except ValueError as err:
                 raise _parse_error(path, line_no, str(err)) from None
             if sample_id != current_id:
-                flush(line_no)
+                flush()
                 if sample_id in seen:
                     raise _parse_error(path, line_no, f"sample {sample_id!r} rows are not contiguous")
                 seen.add(sample_id)
-                current_id = sample_id
+                current_id, first_line = sample_id, line_no
                 if idx != 0:
                     raise _parse_error(path, line_no, f"first point of {sample_id!r} must have idx 0")
             elif idx != len(points):
                 raise _parse_error(path, line_no, f"expected idx {len(points)} for {sample_id!r}, got {idx}")
             points.append((t, lat, lon))
-        flush(-1)
+        flush()
     return tuple(records)
 
 

@@ -24,6 +24,7 @@ from .core import (
     _pack_rows,
     _require_aligned,
     _resolve_target,
+    check_seed,
     compute_class_stats,
     correction_counts,
     detection_counts,
@@ -157,6 +158,7 @@ def check_submodular(
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
     if trials < 0:
         raise ContractError(f"trials must be non-negative, got {trials}")
+    seed = check_seed(seed)
     table.require_ground_truth()
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)

@@ -4,17 +4,44 @@ The oracle functions re-evaluate rule bodies row by row with plain Python so
 the vectorized production counting has something independent to agree with,
 ``reference_det_rule_learn`` keeps the plain greedy detection learner that
 rebuilds every candidate body, for the packed-bitset learner to agree with,
-and ``reference_read_conditions`` keeps the ``csv.reader`` conditions reader
-that builds one string per cell, for the byte scanner to agree with.
+``reference_read_conditions`` keeps the ``csv.reader`` conditions reader
+that builds one string per cell, for the byte scanner to agree with, and
+``reference_generate_synthetic`` keeps the synthetic generator that draws
+through ``uniform``/``normal`` and runs the scalar haversine twice per record,
+for the generator to agree with bit for bit.
 """
 from __future__ import annotations
 
+import math
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from edcr import ClassSet, ConditionMatrix, PredictionTable, compute_class_stats, detection_counts
-from edcr.core import DataError, _require_aligned, _resolve_target, check_unit_interval
+from edcr.conditions import (
+    _SECOND_NEIGHBOR_PROB,
+    _SEGMENT_JITTER,
+    _SPEED_SPREAD,
+    DEFAULT_SPEED_REGIMES,
+    EARTH_RADIUS_M,
+    VELOCITY_MODES,
+    SyntheticCorpus,
+    TrajectoryRecord,
+    VelocityThresholds,
+    binary_condition_name,
+    negated_condition_name,
+    trajectory_speed,
+    velocity_condition_name,
+)
+from edcr.core import (
+    ContractError,
+    DataError,
+    UnknownClassError,
+    _require_aligned,
+    _resolve_target,
+    check_unit_interval,
+)
 from edcr.io import _BITS, _check_width, _csv_file, _parse_error
 from edcr.learn import recall_budget
 
@@ -186,3 +213,152 @@ def reference_read_conditions(path, table: PredictionTable) -> ConditionMatrix:
     text = "".join(bits).encode("ascii")
     matrix = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bits), len(names))
     return ConditionMatrix(names, matrix[[position[s] for s in table.sample_ids]])
+
+
+def _reference_fit_velocity_thresholds(training, classes=None) -> VelocityThresholds:
+    maxima: dict[str, float] = {}
+    for record in training:
+        if record.label is None:
+            raise ContractError(f"training record {record.sample_id!r} has no class label")
+        speed = trajectory_speed(record).max_speed
+        if speed > maxima.get(record.label, -1.0):
+            maxima[record.label] = speed
+    if classes is not None:
+        missing = [name for name in classes if name not in maxima]
+        if missing:
+            raise UnknownClassError(f"no training records for classes {missing}")
+    if not maxima:
+        raise ContractError("no training records supplied")
+    return VelocityThresholds(maxima)
+
+
+def _reference_build_velocity_conditions(thresholds, records, mode="per_class", predictions=None):
+    if mode not in VELOCITY_MODES:
+        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
+    maxima = [trajectory_speed(record).max_speed for record in records]
+    if mode == "per_class":
+        names = [velocity_condition_name(c) for c in thresholds.class_names]
+        values = np.zeros((len(records), len(names)), dtype=bool)
+        for j, class_name in enumerate(thresholds.class_names):
+            ceiling = thresholds.for_class(class_name)
+            values[:, j] = np.asarray(maxima) > ceiling
+        return ConditionMatrix(tuple(names), values)
+    if predictions is None or len(predictions) != len(records):
+        raise ContractError("predicted mode requires one prediction per record")
+    column = np.array(
+        [maxima[k] > thresholds.for_class(predictions[k]) for k in range(len(records))],
+        dtype=bool,
+    )
+    return ConditionMatrix(("vel_over_predicted",), column.reshape(-1, 1))
+
+
+def _reference_confusion_order(true_class, visible, regimes):
+    others = [c for c in visible if c != true_class]
+    return sorted(others, key=lambda c: abs(math.log(regimes[c]) - math.log(regimes[true_class])))
+
+
+def _reference_make_trajectory(rng, sample_id, label, mean_speed) -> TrajectoryRecord:
+    n_points = int(rng.integers(6, 15))
+    base = mean_speed * math.exp(rng.normal(0.0, _SPEED_SPREAD))
+    lat = float(rng.uniform(-0.2, 0.2))
+    lon = float(rng.uniform(-0.2, 0.2))
+    t = float(rng.uniform(0.0, 1e6))
+    heading = float(rng.uniform(0.0, 2.0 * math.pi))
+    meters_per_degree = EARTH_RADIUS_M * math.pi / 180.0
+    points = [(t, lat, lon)]
+    for _ in range(n_points - 1):
+        dt = float(rng.uniform(5.0, 15.0))
+        speed = base * math.exp(rng.normal(0.0, _SEGMENT_JITTER))
+        heading += float(rng.normal(0.0, 0.3))
+        step = speed * dt
+        lat += step * math.cos(heading) / meters_per_degree
+        lon += step * math.sin(heading) / (meters_per_degree * math.cos(math.radians(lat)))
+        t += dt
+        points.append((t, lat, lon))
+    return TrajectoryRecord(sample_id, tuple(points), label)
+
+
+def reference_generate_synthetic(
+    seed: int,
+    n_samples: int,
+    class_names: Sequence[str] | None = None,
+    noise: float = 0.25,
+    holdout_classes: Sequence[str] | None = None,
+    condition_noise: float = 0.05,
+    speed_regimes: Mapping[str, float] | None = None,
+    velocity_mode: str = "per_class",
+) -> SyntheticCorpus:
+    """The synthetic generator with one numpy call per ``uniform``/``normal``
+    draw, a re-sort of the confusion order per wrong sample, and one scalar
+    haversine pass each for the threshold fit and the velocity columns."""
+    regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
+    names = tuple(class_names) if class_names is not None else tuple(regimes)
+    for name in names:
+        if name not in regimes:
+            raise ContractError(f"no speed regime for class {name!r}; pass speed_regimes")
+    if n_samples < len(names):
+        raise ContractError(
+            f"n_samples={n_samples} cannot cover all {len(names)} classes"
+        )
+    if not 0.0 <= noise <= 1.0:
+        raise ContractError(f"noise must lie in [0, 1], got {noise}")
+    if not 0.0 <= condition_noise <= 1.0:
+        raise ContractError(f"condition_noise must lie in [0, 1], got {condition_noise}")
+    holdout = tuple(holdout_classes or ())
+    for name in holdout:
+        if name not in names:
+            raise ContractError(f"holdout class {name!r} is not in the class set")
+    visible = tuple(name for name in names if name not in holdout)
+    if len(visible) < 2:
+        raise ContractError("need at least two non-holdout classes to confuse between")
+
+    rng = np.random.default_rng(seed)
+    # first |classes| samples cover every class so thresholds always fit
+    truth = list(names) + [
+        names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
+    ]
+    records = tuple(
+        _reference_make_trajectory(rng, f"s{k:05d}", truth[k], regimes[truth[k]])
+        for k in range(n_samples)
+    )
+
+    predicted: list[str] = []
+    for k in range(n_samples):
+        gt = truth[k]
+        wrong = gt in holdout or rng.random() < noise
+        if not wrong:
+            predicted.append(gt)
+            continue
+        order = _reference_confusion_order(gt, visible, regimes)
+        if len(order) > 1 and rng.random() < _SECOND_NEIGHBOR_PROB:
+            predicted.append(order[1])
+        else:
+            predicted.append(order[0])
+
+    classes = ClassSet(visible)
+    table = PredictionTable.from_names(
+        classes, [r.sample_id for r in records], predicted, truth
+    )
+
+    cond_names: list[str] = []
+    columns: list[np.ndarray] = []
+    for name in visible:
+        is_class = np.array([gt == name for gt in truth], dtype=bool)
+        flips = rng.random(n_samples) < condition_noise
+        verdict = is_class ^ flips
+        cond_names.append(binary_condition_name(name))
+        columns.append(verdict)
+        cond_names.append(negated_condition_name(name))
+        columns.append(~verdict)
+
+    thresholds = _reference_fit_velocity_thresholds(
+        [r for r in records if r.label not in holdout], classes=visible
+    )
+    velocity = _reference_build_velocity_conditions(
+        thresholds, records, mode=velocity_mode, predictions=predicted
+    )
+    cond_names.extend(velocity.condition_names)
+    columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
+
+    conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
+    return SyntheticCorpus(records, table, conditions, thresholds)

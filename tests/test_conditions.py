@@ -18,8 +18,10 @@ from edcr import (
     trajectory_speed,
     velocity_condition,
 )
+from edcr import conditions
+from edcr.conditions import DEFAULT_SPEED_REGIMES, VELOCITY_MODES, _max_speeds
 from edcr.io import read_conditions
-from helpers import make_table, same_table
+from helpers import make_table, reference_generate_synthetic, same_table
 
 # one milli-degree of latitude on the R=6,371,000 m sphere, by hand:
 # d = R * 0.001 * pi / 180
@@ -48,6 +50,20 @@ class TestTrajectoryRecord:
             track([(0.0, 91.0, 0.0), (1.0, 0.0, 0.0)])
         with pytest.raises(DataError):
             track([(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)])
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            (math.nan, 1.0),
+            (0.0, math.nan, 2.0),
+            (0.0, math.inf),
+            (-math.inf, 1.0),
+        ],
+    )
+    def test_non_finite_time_rejected(self, times):
+        # every comparison with NaN is false, so an order check alone passes it
+        with pytest.raises(DataError, match="not finite"):
+            track([(t, 0.0, 0.0) for t in times])
 
 
 class TestTrajectorySpeed:
@@ -90,6 +106,58 @@ class TestTrajectorySpeed:
         target = trajectory_speed(whole).segment_speeds[0]
         for speed in trajectory_speed(split).segment_speeds:
             assert speed == pytest.approx(target, rel=1e-9)
+
+
+@st.composite
+def trajectory_batches(draw):
+    """Records anywhere on the sphere: poles, the antimeridian, antipodal and
+    coincident points, and time steps from 1e-300 to 1e300 seconds."""
+    coordinate = st.floats(-90.0, 90.0) | st.sampled_from([-90.0, 0.0, 90.0])
+    longitude = st.floats(-180.0, 180.0) | st.sampled_from([-180.0, 0.0, 180.0])
+    step = st.floats(1e-300, 1e300) | st.floats(1.0, 20.0)
+    records = []
+    for k in range(draw(st.integers(0, 6))):
+        t = draw(st.floats(-1e9, 1e9))
+        lat, lon = draw(coordinate), draw(longitude)
+        points = [(t, lat, lon)]
+        for _ in range(draw(st.integers(1, 5))):
+            t += draw(step)
+            if not math.isfinite(t) or t <= points[-1][0]:
+                break
+            kind = draw(st.sampled_from(["any", "near", "antipode", "same"]))
+            if kind == "any":
+                lat, lon = draw(coordinate), draw(longitude)
+            elif kind == "near":
+                lat = min(90.0, max(-90.0, lat + draw(st.floats(-1e-6, 1e-6))))
+                lon = min(180.0, max(-180.0, lon + draw(st.floats(-1e-6, 1e-6))))
+            elif kind == "antipode":
+                lat, lon = -lat, lon - 180.0 if lon > 0.0 else lon + 180.0
+            points.append((t, lat, lon))  # "same" repeats the point: zero distance
+        if len(points) >= 2:
+            records.append(track(points, f"r{k}"))
+    return records
+
+
+class TestMaxSpeeds:
+    @given(trajectory_batches())
+    def test_same_floats_as_trajectory_speed(self, records):
+        expected = [trajectory_speed(record).max_speed for record in records]
+        assert [repr(v) for v in _max_speeds(records).tolist()] == [repr(v) for v in expected]
+
+    def test_same_floats_on_many_segments(self):
+        # one segment per record, so every segment's float is compared; about
+        # 0.1% of squares differ between pow(x, 2) and x * x, which this catches
+        rng = np.random.default_rng(0)
+        n = 20_000
+        lat, lon = rng.uniform(-90.0, 90.0, n), rng.uniform(-180.0, 180.0, n)
+        spread = np.where(rng.random(n) < 0.5, 1e-4, 90.0)  # near or far pairs
+        lat2 = np.clip(lat + rng.normal(0.0, 1.0, n) * spread, -90.0, 90.0)
+        lon2 = np.clip(lon + rng.normal(0.0, 2.0, n) * spread, -180.0, 180.0)
+        dt = rng.uniform(1.0, 20.0, n)
+        rows = zip(lat.tolist(), lon.tolist(), dt.tolist(), lat2.tolist(), lon2.tolist())
+        records = [track([(0.0, a, b), (t, c, d)], f"r{k}") for k, (a, b, t, c, d) in enumerate(rows)]
+        expected = [trajectory_speed(record).max_speed for record in records]
+        assert [repr(v) for v in _max_speeds(records).tolist()] == [repr(v) for v in expected]
 
 
 class TestVelocityThresholds:
@@ -231,6 +299,86 @@ class TestGenerateSynthetic:
             generate_synthetic(
                 seed=0, n_samples=10, holdout_classes=["walk", "bike", "bus", "drive"]
             )
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(ContractError, match="seed"):
+            generate_synthetic(seed=seed, n_samples=10)
+
+    def test_bad_velocity_mode_fails_before_drawing(self, monkeypatch):
+        def no_draws(*args):
+            raise AssertionError("trajectories were drawn before the mode was checked")
+
+        monkeypatch.setattr(conditions, "_make_trajectories", no_draws)
+        with pytest.raises(ContractError, match="mode"):
+            generate_synthetic(seed=0, n_samples=100_000, velocity_mode="nope")
+
+
+def same_corpus(a, b) -> bool:
+    """Field by field; floats by ``repr``, which is what the CSV writers emit,
+    so ``0.0`` and ``-0.0`` differ."""
+    def records(corpus):
+        return [(r.sample_id, repr(r.points), r.label) for r in corpus.records]
+
+    return (
+        records(a) == records(b)
+        and same_table(a.table, b.table)
+        and a.table.gt_ids.tolist() == b.table.gt_ids.tolist()
+        and a.table.novel_names == b.table.novel_names
+        and a.conditions.condition_names == b.conditions.condition_names
+        and a.conditions.values.dtype == b.conditions.values.dtype
+        and np.array_equal(a.conditions.values, b.conditions.values)
+        and repr(a.thresholds.max_speed) == repr(b.thresholds.max_speed)
+    )
+
+
+@st.composite
+def generator_args(draw):
+    regimes = draw(
+        st.none()
+        | st.dictionaries(st.sampled_from("abcdef"), st.floats(0.1, 60.0), min_size=2, max_size=6)
+    )
+    known = list(regimes or DEFAULT_SPEED_REGIMES)
+    names = draw(st.none() | st.lists(st.sampled_from(known), min_size=2, unique=True))
+    class_set = known if names is None else names
+    holdout = draw(st.lists(st.sampled_from(class_set), unique=True, max_size=len(class_set) - 2))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    return dict(
+        seed=draw(st.integers(0, 2**64)),
+        n_samples=len(class_set) + draw(st.integers(0, 40)),
+        class_names=names,
+        noise=draw(rate),
+        holdout_classes=holdout or None,
+        condition_noise=draw(rate),
+        speed_regimes=regimes,
+        velocity_mode=draw(st.sampled_from(VELOCITY_MODES)),
+    )
+
+
+class TestGeneratorMatchesReference:
+    """The generator draws through ``random``/``standard_normal`` and fits on
+    one vectorised speed pass; the reference keeps ``uniform``/``normal`` and
+    the scalar haversine.  Both must give the same corpus, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            dict(seed=7, n_samples=2000),
+            dict(seed=0, n_samples=5),
+            dict(seed=8, n_samples=300, noise=0.0, condition_noise=1.0),
+            dict(seed=9, n_samples=300, noise=1.0, condition_noise=0.0),
+            dict(seed=3, n_samples=400, holdout_classes=["walk", "train"], velocity_mode="predicted"),
+            dict(seed=4, n_samples=200, class_names=["bus", "walk"], velocity_mode="predicted"),
+            dict(seed=5, n_samples=200, speed_regimes={"x": 0.5, "y": 3.0, "z": 40.0},
+                 holdout_classes=["y"]),
+        ],
+    )
+    def test_listed_configurations(self, args):
+        assert same_corpus(generate_synthetic(**args), reference_generate_synthetic(**args))
+
+    @given(generator_args())
+    def test_any_configuration(self, args):
+        assert same_corpus(generate_synthetic(**args), reference_generate_synthetic(**args))
 
 
 class TestIngestBinaryConditions:

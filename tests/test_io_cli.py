@@ -322,6 +322,20 @@ class TestTrajectoriesFormat:
         with pytest.raises(DataError, match="contiguous"):
             io.read_trajectories(path)
 
+    @pytest.mark.parametrize(
+        "rows, line",
+        [
+            ("a,0,0,0,0\na,1,1,0,0\nb,0,5,0,0\nb,1,nan,0,0\nb,2,7,0,0\n", 4),
+            ("a,0,0,0,0\na,1,inf,0,0\n", 2),
+            ("a,0,0,0,0\na,1,1,0,0\nb,0,-inf,0,0\nb,1,1,0,0\nc,0,0,0,0\nc,1,1,0,0\n", 4),
+        ],
+    )
+    def test_non_finite_time_names_the_sample_line(self, tmp_path, rows, line):
+        path = tmp_path / "t.csv"
+        path.write_text("sample_id,idx,t,lat,lon\n" + rows)
+        with pytest.raises(DataError, match=f":{line}: .*not finite"):
+            io.read_trajectories(path)
+
 
 def sample_ruleset():
     classes = ClassSet(("a", "b"))
@@ -712,6 +726,19 @@ class TestCli:
         for name in ("trajectories.csv", "predictions.csv", "conditions.csv"):
             assert (a / name).read_bytes() == (b_dir / name).read_bytes()
 
+    def test_gen_bytes_pinned(self, tmp_path):
+        # the seed-7 corpus bytes are fixed across versions, not only across runs
+        out = gen_corpus(tmp_path, seed=7, samples=2000)
+        assert {name: io.sha256_file(out / name) for name in GEN_SEED7_SHA256} == GEN_SEED7_SHA256
+
+
+#: SHA-256 of ``edcr gen --seed 7 --samples 2000`` with the default noise.
+GEN_SEED7_SHA256 = {
+    "trajectories.csv": "5e4f45e88456d7229933bb4bf12e9acaf8a1a806c0fdcc2298760936c450ba49",
+    "predictions.csv": "ca868347f1050bafcf297165d52806f53502468b5b8ba2841286d4b07934d85c",
+    "conditions.csv": "c231402e78989c4b235328ec80fc74e6adea1eff923ce876361926e0835dcd90",
+}
+
 
 TRICKY_IDS = ["a\rb", "c\r\nd", 'q"uote', "x,y", "\n", " pad ", "nul\x00", " sep"]
 
@@ -848,6 +875,8 @@ def invalid_invocations(tmp_path):
         (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "", "--out", tmp_path / "o15"], 2),
         (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
           "--holdout", "walk", "--fractions", "", "--out", tmp_path / "o16"], 2),
+        (["gen", "--seed", "-1", "--samples", "60", "--out", tmp_path / "o20"], 2),
+        (["verify", "--predictions", p, "--conditions", c, "--seed", "-3", "--out", tmp_path / "o21"], 2),
     ]
 
 

@@ -208,6 +208,12 @@ class TestSubmodularity:
             report = check_submodular(quantity, "a", table, conds, trials=200)
             assert not report.exhaustive and report.passed and report.pairs_checked == 200
 
+    def test_negative_seed_rejected(self):
+        table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
+        conds = make_conds(["c"], [[1, 0]])
+        with pytest.raises(ContractError, match="seed"):
+            check_submodular("pos", "a", table, conds, seed=-1)
+
     @given(st.integers(0, 2**32 - 1))
     def test_packed_words_count_like_any(self, seed):
         from edcr.core import _pack_rows
