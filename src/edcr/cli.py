@@ -192,7 +192,7 @@ def cmd_eval(args) -> int:
     report = metrics_report(table, mode=mode)
     if args.trace:
         trace = io.read_trace(args.trace, table.classes)
-        rows = trace.rows_for(table.sample_ids)
+        rows = trace.rows_for(table.sample_ids, source=str(args.trace))
         # detection verdicts are scored against the original predictions
         original = table.with_predictions(trace.original[rows])
         detection = error_detection_metrics(trace.flagged[rows], original)

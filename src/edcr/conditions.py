@@ -27,6 +27,7 @@ that calls the same ``math`` functions as :func:`haversine_m`.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -357,6 +358,9 @@ def generate_synthetic(
     for name in names:
         if name not in regimes:
             raise ContractError(f"no speed regime for class {name!r}; pass speed_regimes")
+        regime = regimes[name]
+        if not (isinstance(regime, numbers.Real) and 0.0 < regime < math.inf):  # false for NaN
+            raise ContractError(f"speed regime of class {name!r} must be finite and > 0, got {regime!r}")
     if n_samples < len(names):
         raise ContractError(
             f"n_samples={n_samples} cannot cover all {len(names)} classes"

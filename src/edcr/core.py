@@ -9,6 +9,7 @@ threads.
 """
 from __future__ import annotations
 
+import copy
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -218,7 +219,13 @@ class PredictionTable:
         return cls(classes, tuple(sample_ids), pred, gt, novel)
 
     def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":
-        return PredictionTable(self.classes, self.sample_ids, pred_ids, self.gt_ids, self.novel_names)
+        """This table with ``pred_ids`` as its predictions.  Only the new
+        column is checked; the sample ids, ground truth and novel names were
+        checked when this table was built and are shared, not re-hashed."""
+        table = copy.copy(self)
+        pred = _checked_ids(pred_ids, self.n, "predicted", -1, len(self.classes))
+        object.__setattr__(table, "pred_ids", pred)
+        return table
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
         idx = np.asarray(indices, dtype=np.intp)

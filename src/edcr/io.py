@@ -476,7 +476,7 @@ def load_ruleset(path) -> RuleSet:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = yaml.safe_load(handle)
-    except yaml.YAMLError as err:
+    except (yaml.YAMLError, UnicodeDecodeError) as err:
         raise DataError(f"{path}: invalid YAML: {err}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: ruleset document must be a mapping")

@@ -21,7 +21,12 @@ Correction learning walks candidate (condition, class) pairs sorted by their
 singleton confidence, keeping a pair when adding it to the growing set raises
 confidence at least as much as dropping it from the shrinking set would, and
 returns nothing unless the final confidence strictly beats the class's
-baseline precision.
+baseline precision.  It is packed too: each pair's body (condition AND
+predicted as the pair's class) is packed once along the sample axis, a set
+of pairs is scored by OR-ing their words, and BOD and POS are the popcounts
+of that union and of its AND with the rows whose ground truth is the class.
+Each confidence is the ``pos / bod`` of Python ints that
+``correction_counts`` gives, so every comparison of the walk is the same.
 """
 from __future__ import annotations
 
@@ -165,40 +170,46 @@ def corr_rule_learn(
         stats = compute_class_stats(table)
     p_i = float(stats.precision[target.id])
 
-    pairs: list[Pair] = []
-    seen: set[Pair] = set()
+    columns: dict[Pair, int] = {}  # each distinct pair, with its condition's column
     for cond_name, pair_class in cc_all:
         pair = (cond_name, _resolve_target(table.classes, pair_class))
-        conds.column_index(cond_name)
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    if not pairs:
+        columns.setdefault(pair, conds.column_index(cond_name))
+    if not columns:
         return ()
+    pairs = list(columns)
+    pair_ids = np.array([label.id for _, label in pairs])
+    words = _pack_rows(conds.values.T[list(columns.values())] & (table.pred_ids == pair_ids[:, None]))
+    head = _pack_rows((table.gt_ids == target.id)[None, :])[0]
 
-    def confidence(subset: Sequence[Pair]) -> float:
-        if not subset:
-            return 0.0
-        return correction_counts(table, conds, target, subset).confidence
+    def confidence(body: np.ndarray) -> float:
+        bod = int(np.bitwise_count(body).sum())
+        return int(np.bitwise_count(body & head).sum()) / bod if bod else 0.0
 
-    singleton = {pair: confidence([pair]) for pair in pairs}
-    filtered = [pair for pair in pairs if singleton[pair] > p_i]
-    order = sorted(filtered, key=lambda pair: (-singleton[pair], pair[0], pair[1].id))
+    def union(members: Sequence[int]) -> np.ndarray:
+        return np.bitwise_or.reduce(words[members], axis=0)
 
-    kept: list[Pair] = []
-    remaining: list[Pair] = list(order)
-    for pair in order:
-        gain_add = confidence(kept + [pair]) - confidence(kept)
-        without = [p for p in remaining if p != pair]
-        gain_drop = confidence(without) - confidence(remaining)
+    singleton = [confidence(body) for body in words]
+    order = sorted(
+        (j for j in range(len(pairs)) if singleton[j] > p_i),
+        key=lambda j: (-singleton[j], pairs[j][0], pairs[j][1].id),
+    )
+
+    kept: list[int] = []
+    kept_body = np.zeros_like(head)  # union of the kept pairs' bodies
+    remaining = list(order)
+    for j in order:
+        gain_add = confidence(kept_body | words[j]) - confidence(kept_body)
+        without = [r for r in remaining if r != j]
+        gain_drop = confidence(union(without)) - confidence(union(remaining))
         if gain_add >= gain_drop:
-            kept.append(pair)
+            kept.append(j)
+            kept_body |= words[j]
         else:
             remaining = without
 
-    if confidence(kept) <= p_i:
+    if confidence(kept_body) <= p_i:
         return ()
-    return tuple(sorted(kept, key=lambda pair: (pair[0], pair[1].id)))
+    return tuple(sorted((pairs[j] for j in kept), key=lambda pair: (pair[0], pair[1].id)))
 
 
 def det_corr_rule_learn(

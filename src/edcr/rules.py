@@ -20,6 +20,7 @@ from .core import (
     ClassSet,
     ConditionMatrix,
     ContractError,
+    DataError,
     PredictionTable,
     _require_aligned,
     check_unit_interval,
@@ -169,12 +170,13 @@ class ApplyTrace:
     def fired_column(self) -> list[str]:
         return np.array(self.fired_names, dtype=object)[self.fired].tolist()
 
-    def rows_for(self, sample_ids: tuple[str, ...]) -> np.ndarray:
-        """Index array placing this trace's rows in ``sample_ids`` order."""
+    def rows_for(self, sample_ids: tuple[str, ...], source: str = "trace") -> np.ndarray:
+        """Index array placing this trace's rows in ``sample_ids`` order; a
+        missing id is a :class:`DataError` naming ``source``."""
         position = dict(zip(self.sample_ids, range(len(self.sample_ids))))
         rows = np.fromiter(map(position.get, sample_ids, repeat(-1)), dtype=np.intp, count=len(sample_ids))
         if (rows < 0).any():
-            raise ContractError(f"trace lacks sample id {sample_ids[int(np.argmax(rows < 0))]!r}")
+            raise DataError(f"{source} lacks sample id {sample_ids[int(np.argmax(rows < 0))]!r}")
         return rows
 
 

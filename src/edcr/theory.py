@@ -6,6 +6,16 @@ deltas can be replayed empirically.
 
 All counts stay integers until the final division, so predicted and measured
 quantities agree to rational-arithmetic accuracy (default tolerance 1e-9).
+
+The checks and the oracles count through one kernel, ``_cover_counts``.  A
+POS, NEG or BOD count of a condition subset S is the number of rows whose
+packed condition words meet S.  Equal rows meet the same subsets, so the rows
+are compressed once to their distinct patterns and multiplicities, and a
+block of subsets is counted as ``counts @ ((patterns & S) != 0).any(-1)``:
+the same integer sum regrouped, hence exact.  Words are taken one at a time
+and subsets in blocks, so each temporary stays under 512 KB, in cache; at
+m=271, where almost every row is its own pattern, one 32 MB (block,
+patterns, words) temporary was seven times slower.
 """
 from __future__ import annotations
 
@@ -25,6 +35,7 @@ from .core import (
     _require_aligned,
     _resolve_target,
     check_seed,
+    check_unit_interval,
     compute_class_stats,
     correction_counts,
     detection_counts,
@@ -89,23 +100,35 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 # Subset-indexed counting (shared by the property checks and the oracles)
 # ---------------------------------------------------------------------------
 
-
-def _mask_words(mask: int) -> np.ndarray:
-    """Subset bitmask ``mask`` (at most 64 members) as one word."""
-    return np.array([mask], dtype=np.uint64)
+_BLOCK_ELEMENTS = 1 << 16  # (subset, pattern) cells per block: 512 KB of words
 
 
-def _covered(rows: np.ndarray, subset: np.ndarray) -> int:
-    """Number of rows meeting at least one condition of ``subset``."""
-    return int(np.count_nonzero((rows & subset).any(axis=1)))
-
-
-def _subset_counts(rows: np.ndarray, n_subsets: int) -> np.ndarray:
-    """count of rows covered by each condition subset, indexed by bitmask."""
-    out = np.zeros(n_subsets, dtype=np.int64)
-    for subset in range(1, n_subsets):
-        out[subset] = _covered(rows, _mask_words(subset))
+def _cover_counts(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
+    """Number of ``rows`` meeting each of ``subsets`` (packed words of equal
+    width) as int64, counted over distinct row patterns; see the module
+    docstring."""
+    patterns, counts = np.unique(rows, axis=0, return_counts=True)
+    by_word = np.ascontiguousarray(patterns.T)
+    block = max(1, _BLOCK_ELEMENTS // max(1, len(patterns)))
+    out = np.empty(len(subsets), dtype=np.int64)
+    for start in range(0, len(subsets), block):
+        chunk = subsets[start : start + block]
+        hit = np.zeros((len(chunk), len(patterns)), dtype=bool)
+        for w, column in enumerate(by_word):
+            hit |= (chunk[:, w, None] & column) != 0
+        out[start : start + block] = hit @ counts
     return out
+
+
+def _all_subsets(k: int) -> np.ndarray:
+    """Every subset of k <= 64 members as one word each, indexed by bitmask."""
+    return np.arange(1 << k, dtype=np.uint64).reshape(-1, 1)
+
+
+def _subset_names(words: np.ndarray, names: Sequence) -> tuple:
+    """Members of ``names`` (conditions or pairs) in the subset ``words``."""
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=len(names))
+    return tuple(names[j] for j in np.flatnonzero(bits))
 
 
 @dataclass(frozen=True)
@@ -125,17 +148,11 @@ class SubmodularityReport:
 
 
 def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int, block: int = 1024):
-    """``trials`` pairs of uniformly random subsets of m conditions, as words."""
+    """``trials`` pairs of uniformly random subsets of m conditions, as one
+    ``(a, b)`` pair of word arrays per block of at most ``block`` pairs."""
     for start in range(0, trials, block):
         words = _pack_rows(rng.integers(0, 2, size=(2 * min(block, trials - start), m), dtype=bool))
-        yield from zip(words[::2], words[1::2])
-
-
-def _subset_names(subset: np.ndarray | int, names: Sequence[str]) -> tuple[str, ...]:
-    """Names of the conditions in ``subset``, given as words or as a bitmask."""
-    words = _mask_words(subset) if isinstance(subset, int) else subset
-    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=len(names))
-    return tuple(names[j] for j in np.flatnonzero(bits))
+        yield words[::2], words[1::2]
 
 
 def check_submodular(
@@ -152,7 +169,9 @@ def check_submodular(
 
     Instances with at most ``exhaustive_limit`` conditions are checked over
     every subset pair; larger ones are sampled ``trials`` times.  Returns a
-    counterexample if any check fails (there must be none).
+    counterexample if any check fails (there must be none): the first pair in
+    scan order, where pair (a, b) is checked for the lattice inequality
+    before monotonicity.
     """
     if quantity not in ("pos", "neg", "bod"):
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
@@ -167,74 +186,54 @@ def check_submodular(
 
     pred_i = table.pred_ids == target.id
     head = table.gt_ids != target.id
-    masks = _pack_rows(conds.values)
     row_filter = {
         "pos": pred_i & head,
         "neg": pred_i & ~head,
         "bod": pred_i,
     }[quantity]
-    rows = masks[row_filter]
+    rows = _pack_rows(conds.values[row_filter])
 
     exhaustive = m <= exhaustive_limit
-    pairs_checked = 0
+
+    def report(checked: int, kind: str | None = None, a=None, b=None, *counts) -> SubmodularityReport:
+        example = None if kind is None else (
+            kind, _subset_names(a, names), _subset_names(b, names), *map(int, counts))
+        return SubmodularityReport(quantity, m, exhaustive, checked, example)
+
     if exhaustive:
-        n_subsets = 1 << m
-        f = _subset_counts(rows, n_subsets)
+        subsets = _all_subsets(m)
+        f = _cover_counts(rows, subsets)
         if f[0] != 0:
             return SubmodularityReport(quantity, m, True, 0, ("normalization", (), (), int(f[0])))
-        all_b = np.arange(n_subsets, dtype=np.int64)
-        for a in range(n_subsets):
-            lattice_ok = f[a] + f[all_b] >= f[a | all_b] + f[a & all_b]
-            if not lattice_ok.all():
-                b = int(all_b[~lattice_ok][0])
-                return SubmodularityReport(
-                    quantity,
-                    m,
-                    True,
-                    pairs_checked,
-                    (
-                        "lattice",
-                        _subset_names(a, names),
-                        _subset_names(b, names),
-                        int(f[a]),
-                        int(f[b]),
-                        int(f[a | b]),
-                        int(f[a & b]),
-                    ),
-                )
-            supersets = (all_b & a) == a
-            if not (f[a] <= f[all_b[supersets]]).all():
-                b = int(all_b[supersets][(f[all_b[supersets]] < f[a])][0])
-                return SubmodularityReport(
-                    quantity,
-                    m,
-                    True,
-                    pairs_checked,
-                    ("monotone", _subset_names(a, names), _subset_names(b, names), int(f[a]), int(f[b])),
-                )
-            pairs_checked += n_subsets
-        return SubmodularityReport(quantity, m, True, pairs_checked, None)
+        all_b = np.arange(len(f))
+        step = max(1, (1 << 14) // len(f))  # values of a per block; keeps temporaries in cache
+        for start in range(0, len(f), step):
+            a = all_b[start : start + step, None]
+            lattice = f[a] + f[all_b] >= f[a | all_b] + f[a & all_b]
+            monotone = ((all_b & a) != a) | (f[a] <= f[all_b])
+            failed = ~(lattice.all(axis=1) & monotone.all(axis=1))
+            if failed.any():
+                k = int(np.argmax(failed))
+                a, checked = start + k, (start + k) * len(f)
+                if not lattice[k].all():
+                    b = int(np.argmin(lattice[k]))
+                    return report(checked, "lattice", subsets[a], subsets[b], f[a], f[b], f[a | b], f[a & b])
+                b = int(np.argmin(monotone[k]))
+                return report(checked, "monotone", subsets[a], subsets[b], f[a], f[b])
+        return report(len(f) * len(f))
 
+    checked = 0
     for a, b in _random_subset_pairs(np.random.default_rng(seed), m, trials):
-        fa, fb, f_or, f_and = (_covered(rows, s) for s in (a, b, a | b, a & b))
-        if fa + fb < f_or + f_and:
-            return SubmodularityReport(
-                quantity,
-                m,
-                False,
-                pairs_checked,
-                ("lattice", _subset_names(a, names), _subset_names(b, names), fa, fb, f_or, f_and),
-            )
-        if fa > f_or:
-            return SubmodularityReport(
-                quantity,
-                m,
-                False,
-                pairs_checked,
-                ("monotone", _subset_names(a, names), _subset_names(a | b, names), fa, f_or),
-            )
-        pairs_checked += 1
-    return SubmodularityReport(quantity, m, False, pairs_checked, None)
+        fa, fb, f_or, f_and = _cover_counts(rows, np.concatenate([a, b, a | b, a & b])).reshape(4, -1)
+        lattice = fa + fb >= f_or + f_and
+        failed = ~lattice | (fa > f_or)
+        if failed.any():
+            k = int(np.argmax(failed))
+            if not lattice[k]:
+                return report(checked + k, "lattice", a[k], b[k], fa[k], fb[k], f_or[k], f_and[k])
+            return report(checked + k, "monotone", a[k], a[k] | b[k], fa[k], f_or[k])
+        checked += len(a)
+    return report(checked)
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +270,7 @@ def brute_force_detection(
 
     Ties prefer lower NEG, then fewer conditions, then lexicographic names.
     """
+    check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
     target = _resolve_target(table.classes, class_i)
@@ -288,22 +288,19 @@ def brute_force_detection(
     pred_i = table.pred_ids == i
     head = table.gt_ids != i
     masks = _pack_rows(conds.values[:, [conds.column_index(name) for name in names]])
-    pos_rows = masks[pred_i & head]
-    neg_rows = masks[pred_i & ~head]
+    subsets = _all_subsets(len(names))
+    pos = _cover_counts(masks[pred_i & head], subsets)
+    neg = _cover_counts(masks[pred_i & ~head], subsets)
+    size = np.bitwise_count(subsets[:, 0])
 
-    best_key = (1, 0, 0, ())  # strictly worse than any feasible subset
-    best = DetectionSearchResult((), 0, 0, budget)
-    for subset in range(1 << len(names)):
-        words = _mask_words(subset)
-        pos, neg = _covered(pos_rows, words), _covered(neg_rows, words)
-        if neg > budget:
-            continue
-        chosen = _subset_names(words, names)
-        key = (-pos, neg, len(chosen), chosen)
-        if key < best_key:
-            best_key = key
-            best = DetectionSearchResult(chosen, pos, neg, budget)
-    return best
+    # the empty subset has NEG 0, so some subset is always within budget
+    feasible = np.flatnonzero(neg <= budget)
+    best = feasible[np.lexsort((size[feasible], neg[feasible], -pos[feasible]))[0]]
+    ties = feasible[
+        (pos[feasible] == pos[best]) & (neg[feasible] == neg[best]) & (size[feasible] == size[best])
+    ]
+    chosen = min(_subset_names(subsets[s], names) for s in ties)
+    return DetectionSearchResult(chosen, int(pos[best]), int(neg[best]), budget)
 
 
 def brute_force_correction(
@@ -338,22 +335,20 @@ def brute_force_correction(
         [rule_body(conds, table.pred_ids, [(cond, cls.id)]) for cond, cls in pairs], axis=1
     )
     masks = _pack_rows(pair_cols)
-    pos_rows = masks[table.gt_ids == target.id]
+    subsets = _all_subsets(len(pairs))[1:]
+    bod = _cover_counts(masks, subsets)
+    pos = _cover_counts(masks[table.gt_ids == target.id], subsets)
+    # float64 division of int64 counts below 2**53 is Python's int division
+    conf = np.divide(pos, bod, out=np.zeros(len(subsets)), where=bod > 0)
 
-    best_key = None
-    best = CorrectionSearchResult((), 0, 0, 0.0)
-    for subset in range(1, 1 << len(pairs)):
-        words = _mask_words(subset)
-        bod, pos = _covered(masks, words), _covered(pos_rows, words)
-        conf = pos / bod if bod > 0 else 0.0
-        chosen = tuple(pairs[j] for j in range(len(pairs)) if subset >> j & 1)
-        key = (-conf, -pos, tuple((c, l.id) for c, l in chosen))
-        if best_key is None or key < best_key:
-            best_key = key
-            best = CorrectionSearchResult(chosen, pos, bod, conf)
-    if best.confidence <= p_i:
+    top = conf == conf.max()
+    ties = np.flatnonzero(top & (pos == pos[top].max()))
+    best = min(ties, key=lambda s: tuple((c, l.id) for c, l in _subset_names(subsets[s], pairs)))
+    if conf[best] <= p_i:
         return CorrectionSearchResult((), 0, 0, 0.0)
-    return best
+    return CorrectionSearchResult(
+        _subset_names(subsets[best], pairs), int(pos[best]), int(bod[best]), float(conf[best])
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -369,22 +364,19 @@ def _as_count(value: float, what: str) -> int:
 
 
 @dataclass(frozen=True)
-class DetectionScenario:
-    """A table and single-condition matrix realizing exact detection stats for
-    class ``target``; ``rule`` applies the condition as a detection rule."""
+class Scenario:
+    """A table and single-condition matrix realizing exact stats for class
+    ``target``; ``rule`` applies the condition as a detection or a
+    correction rule."""
 
     table: PredictionTable
     conds: ConditionMatrix
     target: ClassLabel
-    rule: DetectionRule
+    rule: DetectionRule | CorrectionRule
 
     def ruleset(self) -> RuleSet:
-        return RuleSet(
-            classes=self.table.classes,
-            condition_names=self.conds.condition_names,
-            epsilon=0.0,
-            detection_rules=(self.rule,),
-        )
+        kind = "detection_rules" if isinstance(self.rule, DetectionRule) else "correction_rules"
+        return RuleSet(self.table.classes, self.conds.condition_names, 0.0, **{kind: (self.rule,)})
 
 
 def build_detection_scenario(
@@ -393,7 +385,7 @@ def build_detection_scenario(
     confidence: float,
     precision: float,
     recall: float = 1.0,
-) -> DetectionScenario:
+) -> Scenario:
     """Construct a two-class table where the target class has exactly the given
     N_i, s_i, c, P_i, and R_i, and one condition realizes the rule body.
 
@@ -431,27 +423,7 @@ def build_detection_scenario(
     conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
     counts = detection_counts(table, conds, a, ("flag",))
     rule = DetectionRule(a, ("flag",), counts.class_support, counts.confidence)
-    return DetectionScenario(table, conds, a, rule)
-
-
-@dataclass(frozen=True)
-class CorrectionScenario:
-    """A table and single-condition matrix realizing exact correction stats for
-    class ``target``: the rule body covers rows predicted as the filler class,
-    disjoint from existing target predictions, as the closed forms assume."""
-
-    table: PredictionTable
-    conds: ConditionMatrix
-    target: ClassLabel
-    rule: CorrectionRule
-
-    def ruleset(self) -> RuleSet:
-        return RuleSet(
-            classes=self.table.classes,
-            condition_names=self.conds.condition_names,
-            epsilon=0.0,
-            correction_rules=(self.rule,),
-        )
+    return Scenario(table, conds, a, rule)
 
 
 def build_correction_scenario(
@@ -461,10 +433,12 @@ def build_correction_scenario(
     support: float,
     confidence: float,
     extra_fn: int = 0,
-) -> CorrectionScenario:
+) -> Scenario:
     """Construct a two-class table where a single correction rule for the
     target class has exactly the given support and confidence, against a
-    baseline with the given prior and precision."""
+    baseline with the given prior and precision.  The rule body covers rows
+    predicted as the other class, disjoint from the target's predictions, as
+    the closed forms assume."""
     if n_total <= 0:
         raise ContractError("n_total must be positive")
     n_i = _as_count(prior * n_total, "N_i")
@@ -492,7 +466,7 @@ def build_correction_scenario(
     conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
     counts = correction_counts(table, conds, a, (("flag", b),))
     rule = CorrectionRule(a, (("flag", b),), counts.support, counts.confidence)
-    return CorrectionScenario(table, conds, a, rule)
+    return Scenario(table, conds, a, rule)
 
 
 # ---------------------------------------------------------------------------

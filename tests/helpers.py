@@ -8,7 +8,11 @@ rebuilds every candidate body, for the packed-bitset learner to agree with,
 that builds one string per cell, for the byte scanner to agree with, and
 ``reference_generate_synthetic`` keeps the synthetic generator that draws
 through ``uniform``/``normal`` and runs the scalar haversine twice per record,
-for the generator to agree with bit for bit.
+for the generator to agree with bit for bit.  ``reference_check_submodular``,
+the two ``reference_brute_force_*`` oracles and ``reference_corr_rule_learn``
+keep the versions that count one subset at a time (``_covered``) and call
+``correction_counts`` four times per pair, for the distinct-pattern kernel and
+the packed correction walk to agree with.
 """
 from __future__ import annotations
 
@@ -18,7 +22,14 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from edcr import ClassSet, ConditionMatrix, PredictionTable, compute_class_stats, detection_counts
+from edcr import (
+    ClassSet,
+    ConditionMatrix,
+    PredictionTable,
+    compute_class_stats,
+    correction_counts,
+    detection_counts,
+)
 from edcr.conditions import (
     _SECOND_NEIGHBOR_PROB,
     _SEGMENT_JITTER,
@@ -38,12 +49,16 @@ from edcr.core import (
     ContractError,
     DataError,
     UnknownClassError,
+    _pack_rows,
     _require_aligned,
     _resolve_target,
+    check_seed,
     check_unit_interval,
+    rule_body,
 )
 from edcr.io import _BITS, _check_width, _csv_file, _parse_error
-from edcr.learn import recall_budget
+from edcr.learn import Pair, recall_budget
+from edcr.theory import CorrectionSearchResult, DetectionSearchResult, SubmodularityReport
 
 
 def make_table(class_names, pred, gt=None, ids=None):
@@ -362,3 +377,291 @@ def reference_generate_synthetic(
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
     return SyntheticCorpus(records, table, conditions, thresholds)
+
+
+def _mask_words(mask: int) -> np.ndarray:
+    """Subset bitmask ``mask`` (at most 64 members) as one word."""
+    return np.array([mask], dtype=np.uint64)
+
+
+def _covered(rows: np.ndarray, subset: np.ndarray) -> int:
+    """Number of rows meeting at least one condition of ``subset``."""
+    return int(np.count_nonzero((rows & subset).any(axis=1)))
+
+
+def _subset_counts(rows: np.ndarray, n_subsets: int) -> np.ndarray:
+    """count of rows covered by each condition subset, indexed by bitmask."""
+    out = np.zeros(n_subsets, dtype=np.int64)
+    for subset in range(1, n_subsets):
+        out[subset] = _covered(rows, _mask_words(subset))
+    return out
+
+
+def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int, block: int = 1024):
+    """``trials`` pairs of uniformly random subsets of m conditions, as words."""
+    for start in range(0, trials, block):
+        words = _pack_rows(rng.integers(0, 2, size=(2 * min(block, trials - start), m), dtype=bool))
+        yield from zip(words[::2], words[1::2])
+
+
+def _subset_names(subset: np.ndarray | int, names: Sequence[str]) -> tuple[str, ...]:
+    """Names of the conditions in ``subset``, given as words or as a bitmask."""
+    words = _mask_words(subset) if isinstance(subset, int) else subset
+    bits = np.unpackbits(words.view(np.uint8), bitorder="little", count=len(names))
+    return tuple(names[j] for j in np.flatnonzero(bits))
+
+
+def reference_check_submodular(
+    quantity: str,
+    class_i,
+    table: PredictionTable,
+    conds: ConditionMatrix,
+    trials: int = 2000,
+    seed: int = 0,
+    exhaustive_limit: int = 12,
+) -> SubmodularityReport:
+    """Check that a detection counting function (``"pos"``, ``"neg"`` or
+    ``"bod"``) is submodular, monotone, and normalized over condition subsets.
+
+    Instances with at most ``exhaustive_limit`` conditions are checked over
+    every subset pair; larger ones are sampled ``trials`` times.  Returns a
+    counterexample if any check fails (there must be none).
+    """
+    if quantity not in ("pos", "neg", "bod"):
+        raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
+    if trials < 0:
+        raise ContractError(f"trials must be non-negative, got {trials}")
+    seed = check_seed(seed)
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    target = _resolve_target(table.classes, class_i)
+    names = list(conds.condition_names)
+    m = len(names)
+
+    pred_i = table.pred_ids == target.id
+    head = table.gt_ids != target.id
+    masks = _pack_rows(conds.values)
+    row_filter = {
+        "pos": pred_i & head,
+        "neg": pred_i & ~head,
+        "bod": pred_i,
+    }[quantity]
+    rows = masks[row_filter]
+
+    exhaustive = m <= exhaustive_limit
+    pairs_checked = 0
+    if exhaustive:
+        n_subsets = 1 << m
+        f = _subset_counts(rows, n_subsets)
+        if f[0] != 0:
+            return SubmodularityReport(quantity, m, True, 0, ("normalization", (), (), int(f[0])))
+        all_b = np.arange(n_subsets, dtype=np.int64)
+        for a in range(n_subsets):
+            lattice_ok = f[a] + f[all_b] >= f[a | all_b] + f[a & all_b]
+            if not lattice_ok.all():
+                b = int(all_b[~lattice_ok][0])
+                return SubmodularityReport(
+                    quantity,
+                    m,
+                    True,
+                    pairs_checked,
+                    (
+                        "lattice",
+                        _subset_names(a, names),
+                        _subset_names(b, names),
+                        int(f[a]),
+                        int(f[b]),
+                        int(f[a | b]),
+                        int(f[a & b]),
+                    ),
+                )
+            supersets = (all_b & a) == a
+            if not (f[a] <= f[all_b[supersets]]).all():
+                b = int(all_b[supersets][(f[all_b[supersets]] < f[a])][0])
+                return SubmodularityReport(
+                    quantity,
+                    m,
+                    True,
+                    pairs_checked,
+                    ("monotone", _subset_names(a, names), _subset_names(b, names), int(f[a]), int(f[b])),
+                )
+            pairs_checked += n_subsets
+        return SubmodularityReport(quantity, m, True, pairs_checked, None)
+
+    for a, b in _random_subset_pairs(np.random.default_rng(seed), m, trials):
+        fa, fb, f_or, f_and = (_covered(rows, s) for s in (a, b, a | b, a & b))
+        if fa + fb < f_or + f_and:
+            return SubmodularityReport(
+                quantity,
+                m,
+                False,
+                pairs_checked,
+                ("lattice", _subset_names(a, names), _subset_names(b, names), fa, fb, f_or, f_and),
+            )
+        if fa > f_or:
+            return SubmodularityReport(
+                quantity,
+                m,
+                False,
+                pairs_checked,
+                ("monotone", _subset_names(a, names), _subset_names(a | b, names), fa, f_or),
+            )
+        pairs_checked += 1
+    return SubmodularityReport(quantity, m, False, pairs_checked, None)
+
+
+def reference_brute_force_detection(
+    class_i,
+    epsilon: float,
+    table: PredictionTable,
+    conds: ConditionMatrix,
+    candidates: Sequence[str] | None = None,
+    max_conditions: int = 16,
+) -> DetectionSearchResult:
+    """Exact optimum of POS over all condition subsets whose NEG stays within
+    the recall budget; the oracle the greedy learner is measured against.
+
+    Ties prefer lower NEG, then fewer conditions, then lexicographic names.
+    """
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    target = _resolve_target(table.classes, class_i)
+    names = sorted(set(candidates) if candidates is not None else conds.condition_names)
+    if len(names) > max_conditions:
+        raise ContractError(
+            f"brute force over {len(names)} conditions exceeds the limit of {max_conditions}"
+        )
+    stats = compute_class_stats(table)
+    i = target.id
+    if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
+        return DetectionSearchResult((), 0, 0, 0.0)
+    budget = recall_budget(stats, i, epsilon)
+
+    pred_i = table.pred_ids == i
+    head = table.gt_ids != i
+    masks = _pack_rows(conds.values[:, [conds.column_index(name) for name in names]])
+    pos_rows = masks[pred_i & head]
+    neg_rows = masks[pred_i & ~head]
+
+    best_key = (1, 0, 0, ())  # strictly worse than any feasible subset
+    best = DetectionSearchResult((), 0, 0, budget)
+    for subset in range(1 << len(names)):
+        words = _mask_words(subset)
+        pos, neg = _covered(pos_rows, words), _covered(neg_rows, words)
+        if neg > budget:
+            continue
+        chosen = _subset_names(words, names)
+        key = (-pos, neg, len(chosen), chosen)
+        if key < best_key:
+            best_key = key
+            best = DetectionSearchResult(chosen, pos, neg, budget)
+    return best
+
+
+def reference_brute_force_correction(
+    class_i,
+    cc_all: Sequence[Pair],
+    table: PredictionTable,
+    conds: ConditionMatrix,
+    max_pairs: int = 16,
+) -> CorrectionSearchResult:
+    """Exact maximum-confidence subset of candidate pairs, empty unless that
+    confidence strictly beats the class's baseline precision.
+
+    Ties prefer larger POS, then lexicographic pairs.
+    """
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    target = _resolve_target(table.classes, class_i)
+    pairs: list[Pair] = []
+    for cond_name, pair_class in cc_all:
+        pair = (cond_name, _resolve_target(table.classes, pair_class))
+        if pair not in pairs:
+            pairs.append(pair)
+    pairs.sort(key=lambda p: (p[0], p[1].id))
+    if len(pairs) > max_pairs:
+        raise ContractError(f"brute force over {len(pairs)} pairs exceeds the limit of {max_pairs}")
+    if not pairs:
+        return CorrectionSearchResult((), 0, 0, 0.0)
+    stats = compute_class_stats(table)
+    p_i = float(stats.precision[target.id])
+
+    pair_cols = np.stack(
+        [rule_body(conds, table.pred_ids, [(cond, cls.id)]) for cond, cls in pairs], axis=1
+    )
+    masks = _pack_rows(pair_cols)
+    pos_rows = masks[table.gt_ids == target.id]
+
+    best_key = None
+    best = CorrectionSearchResult((), 0, 0, 0.0)
+    for subset in range(1, 1 << len(pairs)):
+        words = _mask_words(subset)
+        bod, pos = _covered(masks, words), _covered(pos_rows, words)
+        conf = pos / bod if bod > 0 else 0.0
+        chosen = tuple(pairs[j] for j in range(len(pairs)) if subset >> j & 1)
+        key = (-conf, -pos, tuple((c, l.id) for c, l in chosen))
+        if best_key is None or key < best_key:
+            best_key = key
+            best = CorrectionSearchResult(chosen, pos, bod, conf)
+    if best.confidence <= p_i:
+        return CorrectionSearchResult((), 0, 0, 0.0)
+    return best
+
+
+def reference_corr_rule_learn(
+    class_i,
+    cc_all: Iterable[Pair],
+    table: PredictionTable,
+    conds: ConditionMatrix,
+    stats: ClassStats | None = None,
+) -> tuple[Pair, ...]:
+    """Double-greedy correction-pair selection for one class.
+
+    Candidate pairs whose singleton confidence does not beat the class's
+    baseline precision are dropped up front; the survivors are walked from
+    highest to lowest singleton confidence (ties by condition name then class
+    id), comparing the marginal confidence gain of adding against that of
+    removing.  The result is discarded entirely unless its confidence strictly
+    exceeds the baseline precision.
+    """
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    target = _resolve_target(table.classes, class_i)
+    if stats is None:
+        stats = compute_class_stats(table)
+    p_i = float(stats.precision[target.id])
+
+    pairs: list[Pair] = []
+    seen: set[Pair] = set()
+    for cond_name, pair_class in cc_all:
+        pair = (cond_name, _resolve_target(table.classes, pair_class))
+        conds.column_index(cond_name)
+        if pair not in seen:
+            seen.add(pair)
+            pairs.append(pair)
+    if not pairs:
+        return ()
+
+    def confidence(subset: Sequence[Pair]) -> float:
+        if not subset:
+            return 0.0
+        return correction_counts(table, conds, target, subset).confidence
+
+    singleton = {pair: confidence([pair]) for pair in pairs}
+    filtered = [pair for pair in pairs if singleton[pair] > p_i]
+    order = sorted(filtered, key=lambda pair: (-singleton[pair], pair[0], pair[1].id))
+
+    kept: list[Pair] = []
+    remaining: list[Pair] = list(order)
+    for pair in order:
+        gain_add = confidence(kept + [pair]) - confidence(kept)
+        without = [p for p in remaining if p != pair]
+        gain_drop = confidence(without) - confidence(remaining)
+        if gain_add >= gain_drop:
+            kept.append(pair)
+        else:
+            remaining = without
+
+    if confidence(kept) <= p_i:
+        return ()
+    return tuple(sorted(kept, key=lambda pair: (pair[0], pair[1].id)))

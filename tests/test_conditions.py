@@ -313,6 +313,17 @@ class TestGenerateSynthetic:
         with pytest.raises(ContractError, match="mode"):
             generate_synthetic(seed=0, n_samples=100_000, velocity_mode="nope")
 
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), "fast", None])
+    def test_bad_speed_regime_fails_before_drawing(self, monkeypatch, bad):
+        # zero and negative regimes used to raise "math domain error" and a
+        # NaN one a DataError about a NaN latitude
+        def no_draws(*args):
+            raise AssertionError("trajectories were drawn before the regimes were checked")
+
+        monkeypatch.setattr(conditions, "_make_trajectories", no_draws)
+        with pytest.raises(ContractError, match="speed regime of class 'b'"):
+            generate_synthetic(seed=0, n_samples=100, speed_regimes={"a": 1.0, "b": bad, "c": 3.0})
+
 
 def same_corpus(a, b) -> bool:
     """Field by field; floats by ``repr``, which is what the CSV writers emit,

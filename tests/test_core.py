@@ -92,6 +92,20 @@ class TestPredictionTable:
         with pytest.raises(ValueError):
             table.pred_ids[0] = -1
 
+    @pytest.mark.parametrize("pred_ids", [[0], [0, 1, 0], [0, 2], [-2, 0], [[0, 1]]])
+    def test_with_predictions_checks_the_new_column(self, pred_ids):
+        table = make_table(["a", "b"], ["a", "b"], ["a", "scooter"])
+        with pytest.raises(ContractError, match="predicted"):
+            table.with_predictions(pred_ids)
+
+    def test_with_predictions_shares_the_checked_columns(self):
+        table = make_table(["a", "b"], ["a", "b"], ["a", "scooter"])
+        revised = table.with_predictions([-1, 0])
+        assert revised.pred_ids.tolist() == [-1, 0] and not revised.pred_ids.flags.writeable
+        assert table.pred_ids.tolist() == [0, 1]
+        assert revised.sample_ids is table.sample_ids and revised.gt_ids is table.gt_ids
+        assert revised.classes == table.classes and revised.novel_names == ("scooter",)
+
 
 class TestClassStats:
     def test_perfect_prediction(self):

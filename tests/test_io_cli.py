@@ -377,6 +377,12 @@ class TestRulesetFormat:
         with pytest.raises(DataError):
             io.load_ruleset(path)
 
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "rules.yaml"
+        path.write_bytes(b"classes: [caf\xe9]\n")
+        with pytest.raises(DataError, match="rules.yaml.*utf-8"):
+            io.load_ruleset(path)
+
     def test_apply_identical_after_roundtrip(self, tmp_path):
         rule_set = sample_ruleset()
         path = tmp_path / "rules.yaml"
@@ -436,13 +442,23 @@ class TestTraceFormat:
         assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
                     "--out", tmp_path / "out"]) == 0
 
+    def test_eval_trace_missing_sample_id_names_file(self, tmp_path, capsys):
+        table = make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"])
+        io.write_predictions(tmp_path / "p.csv", table)
+        (tmp_path / "t.csv").write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\n")
+        assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
+                    "--out", tmp_path / "out"]) == 3
+        assert "t.csv lacks sample id 'y'" in capsys.readouterr().err
+
     def test_rows_for_aligns_by_id(self):
         table = make_table(["a", "b"], ["a", "a", "b"], ids=["x", "y", "z"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
         assert trace.rows_for(("z", "x", "y")).tolist() == [2, 0, 1]
-        with pytest.raises(ContractError, match="w"):
+        with pytest.raises(DataError, match="trace lacks sample id 'w'"):
             trace.rows_for(("x", "w"))
+        with pytest.raises(DataError, match="t.csv lacks"):
+            trace.rows_for(("x", "w"), source="t.csv")
 
 
 # arbitrary non-empty unicode sample ids, including commas, quotes and line
@@ -565,6 +581,34 @@ def gen_corpus(tmp_path, seed=3, samples=300, noise=0.25, holdout=""):
         argv += ["--holdout", holdout]
     assert run(argv) == 0
     return out
+
+
+class TestRowOrder:
+    @settings(max_examples=12)
+    @given(st.integers(0, 2**16), st.integers(0, 2**32 - 1))
+    def test_shuffled_rows(self, tmp_path_factory, corpus_seed, seed):
+        """Shuffled predictions and conditions rows learn the same ruleset
+        bytes and permute revised.csv and trace.csv like the predictions."""
+        corpus = generate_synthetic(seed=corpus_seed, n_samples=120, noise=0.3)
+        table, conds = corpus.table, corpus.conditions
+        rng = np.random.default_rng(seed)
+        order, cond_order = rng.permutation(table.n), rng.permutation(table.n)
+        outputs = []
+        for pred_rows, cond_rows in ((np.arange(table.n), np.arange(table.n)), (order, cond_order)):
+            work = tmp_path_factory.mktemp("rows")
+            p, c = work / "predictions.csv", work / "conditions.csv"
+            io.write_predictions(p, table.subset(pred_rows))
+            io.write_conditions(c, table.subset(cond_rows), conds.rows(cond_rows))
+            assert run(["learn", "--predictions", p, "--conditions", c, "--out", work / "learn"]) == 0
+            ruleset = work / "learn" / "ruleset.yaml"
+            assert run(["apply", "--ruleset", ruleset, "--predictions", p, "--conditions", c,
+                        "--out", work / "apply"]) == 0
+            revised, trace = ((work / "apply" / name).read_text().splitlines() for name in ("revised.csv", "trace.csv"))
+            outputs.append((ruleset.read_bytes(), revised, trace))
+        (rules, revised, trace), (shuffled_rules, shuffled_revised, shuffled_trace) = outputs
+        assert shuffled_rules == rules
+        for before, after in ((revised, shuffled_revised), (trace, shuffled_trace)):
+            assert after == before[:1] + [before[1 + k] for k in order]
 
 
 class TestCli:
@@ -850,6 +894,11 @@ def invalid_invocations(tmp_path):
     header, first, rows = p.read_text().split("\n", 2)
     empty_pred = tmp_path / "empty_pred.csv"
     empty_pred.write_text("\n".join([header, first.split(",")[0] + ",,walk", rows]))
+    first_id, first_pred = first.split(",")[:2]
+    short_trace = tmp_path / "short_trace.csv"
+    short_trace.write_text(f"sample_id,original,flagged,fired,final\n{first_id},{first_pred},0,,{first_pred}\n")
+    binary_ruleset = tmp_path / "binary_ruleset.yaml"
+    binary_ruleset.write_bytes(ruleset.read_bytes() + b"# \xff\n")
     return [
         (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
@@ -877,6 +926,9 @@ def invalid_invocations(tmp_path):
           "--holdout", "walk", "--fractions", "", "--out", tmp_path / "o16"], 2),
         (["gen", "--seed", "-1", "--samples", "60", "--out", tmp_path / "o20"], 2),
         (["verify", "--predictions", p, "--conditions", c, "--seed", "-3", "--out", tmp_path / "o21"], 2),
+        (["apply", "--ruleset", binary_ruleset, "--predictions", p, "--conditions", c,
+          "--out", tmp_path / "o22"], 3),
+        (["eval", "--predictions", p, "--trace", short_trace, "--out", tmp_path / "o23"], 3),
     ]
 
 

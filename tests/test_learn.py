@@ -23,7 +23,13 @@ from edcr import (
 )
 from edcr.io import ruleset_to_dict
 from edcr.learn import recall_budget
-from helpers import make_conds, make_table, random_instance, reference_det_rule_learn
+from helpers import (
+    make_conds,
+    make_table,
+    random_instance,
+    reference_corr_rule_learn,
+    reference_det_rule_learn,
+)
 
 
 class TestLearnConfig:
@@ -320,3 +326,57 @@ class TestIncrementalGreedyMatchesReference:
         with mock.patch.object(edcr.learn, "det_rule_learn", reference_det_rule_learn):
             expected = det_corr_rule_learn(config, table, conds)
         assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
+
+
+class TestPackedCorrectionMatchesReference:
+    """The packed correction walk against the walk that calls
+    ``correction_counts`` four times per pair."""
+
+    @given(learning_instances(), st.integers(0, 2**32 - 1))
+    def test_corr_rule_learn(self, instance, seed):
+        table, conds, _, _ = instance
+        rng = np.random.default_rng(seed)
+        names = list(conds.condition_names)
+        cc_all = [
+            (names[int(rng.integers(len(names)))], table.classes.labels[int(rng.integers(len(table.classes)))])
+            for _ in range(int(rng.integers(0, 25)))
+        ]
+        cc_all += cc_all[: int(rng.integers(0, 3))]  # repeated pairs collapse
+        stats = compute_class_stats(table)
+        for label in table.classes:
+            expected = reference_corr_rule_learn(label, cc_all, table, conds, stats=stats)
+            assert corr_rule_learn(label, cc_all, table, conds, stats=stats) == expected
+
+    @given(learning_instances())
+    def test_det_corr_rule_learn(self, instance):
+        table, conds, candidates, epsilon = instance
+        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        with mock.patch.object(edcr.learn, "corr_rule_learn", reference_corr_rule_learn):
+            expected = det_corr_rule_learn(config, table, conds)
+        assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
+
+
+class TestMetamorphic:
+    @given(learning_instances(), st.integers(0, 2**32 - 1))
+    def test_column_order_leaves_rules_unchanged(self, instance, seed):
+        table, conds, _, epsilon = instance
+        order = np.random.default_rng(seed).permutation(conds.n_conditions)
+        shuffled = ConditionMatrix(
+            tuple(conds.condition_names[j] for j in order), conds.values[:, order]
+        )
+        config = LearnConfig(epsilon=epsilon)
+        before = det_corr_rule_learn(config, table, conds)
+        after = det_corr_rule_learn(config, table, shuffled)
+        assert after.detection_rules == before.detection_rules
+        assert after.correction_rules == before.correction_rules
+        assert ruleset_to_dict(after)["conditions"] == list(shuffled.condition_names)
+
+    @given(learning_instances())
+    def test_detection_neg_within_integer_budget(self, instance):
+        table, conds, candidates, epsilon = instance
+        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        stats = compute_class_stats(table)
+        for rule in det_corr_rule_learn(config, table, conds).detection_rules:
+            i = rule.target.id
+            neg = detection_counts(table, conds, rule.target, rule.conditions).neg
+            assert neg <= config.epsilon_for(rule.target.name) * (int(stats.tp[i]) + int(stats.fn[i]))

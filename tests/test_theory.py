@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -20,7 +22,16 @@ from edcr import (
     recall_delta_exact,
     theorem_report,
 )
-from helpers import make_conds, make_table, random_instance
+from edcr import ConditionMatrix, theory
+import helpers
+from helpers import (
+    make_conds,
+    make_table,
+    random_instance,
+    reference_brute_force_correction,
+    reference_brute_force_detection,
+    reference_check_submodular,
+)
 
 
 class TestClosedForms:
@@ -217,14 +228,112 @@ class TestSubmodularity:
     @given(st.integers(0, 2**32 - 1))
     def test_packed_words_count_like_any(self, seed):
         from edcr.core import _pack_rows
-        from edcr.theory import _covered
+        from edcr.theory import _cover_counts
 
         rng = np.random.default_rng(seed)
-        n, m = int(rng.integers(1, 40)), int(rng.integers(1, 200))
-        rows = rng.random((n, m)) < 0.1
-        subset = rng.random(m) < 0.5
-        words = _pack_rows(subset.reshape(1, -1))[0]
-        assert _covered(_pack_rows(rows), words) == int((rows & subset).any(axis=1).sum())
+        n, m = int(rng.integers(0, 40)), int(rng.integers(1, 200))
+        rows = rng.random((n, m)) < rng.choice([0.01, 0.1])
+        subsets = rng.random((int(rng.integers(1, 20)), m)) < 0.5
+        expected = [int((rows & subset).any(axis=1).sum()) for subset in subsets]
+        assert _cover_counts(_pack_rows(rows), _pack_rows(subsets)).tolist() == expected
+
+
+@st.composite
+def counting_instances(draw, max_conditions=140):
+    """A labeled table and conditions with empty, full and repeated columns,
+    so that many rows share a pattern and many subsets tie."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(1, 120))
+    m = draw(st.integers(1, min(max_conditions, draw(st.sampled_from([8, 140])))))
+    k = draw(st.integers(1, 3))
+    classes = [f"k{j}" for j in range(k)]
+    gt = rng.integers(0, k + 1, size=n)  # id k is a class outside the set
+    pred = np.where(rng.random(n) < 0.4, rng.integers(0, k, size=n), gt % k)
+    values = rng.random((n, m)) < rng.choice([0.0, 0.05, 0.3, 1.0], size=m)
+    values[:, rng.random(m) < 0.2] = values[:, [0]]
+    table = make_table(classes, [classes[i] for i in pred], [(classes + ["novel"])[i] for i in gt])
+    return table, ConditionMatrix(tuple(f"c{j}" for j in range(m)), values)
+
+
+class TestKernelMatchesReference:
+    """The distinct-pattern kernel against the checks and oracles that count
+    one subset at a time."""
+
+    @given(counting_instances(), st.integers(0, 10), st.integers(0, 2**32 - 1), st.sampled_from([1, 500, None]))
+    def test_check_submodular(self, instance, exhaustive_limit, seed, block_elements):
+        table, conds = instance
+        label = table.classes.labels[0]
+        with mock.patch.object(theory, "_BLOCK_ELEMENTS", block_elements or theory._BLOCK_ELEMENTS):
+            for quantity in ("pos", "neg", "bod"):
+                args = (quantity, label, table, conds, 300, seed, exhaustive_limit)
+                assert check_submodular(*args) == reference_check_submodular(*args)
+
+    @pytest.mark.parametrize(
+        "m, weights, terms, seed, kind",
+        [
+            (5, [1] * 5, [(0, 4, 5)], 0, "lattice"),
+            (70, [1] * 70, [(0, 69, 5)], 0, "lattice"),
+            (5, [-1] * 5, [], 0, "monotone"),
+            (70, [-1] * 70, [], 0, "monotone"),
+            # both checks fail on the first failing row or pair
+            (5, [10, 0, 0, 0, 0], [(0, 4, 3), (0, 1, -5)], 0, "lattice"),
+            (70, np.random.default_rng(31).integers(-3, 4, size=70), [(0, 69, 4)], 31, "lattice"),
+        ],
+    )
+    def test_counterexample_reached(self, m, weights, terms, seed, kind):
+        # real coverage counts always pass, so counts that fail are fed to
+        # both scans: a positive pair term breaks the lattice inequality,
+        # negative weights break monotonicity
+        report = self.fed(m, np.asarray(weights), terms, exhaustive_limit=12, seed=seed, quantity="pos")
+        assert report.counterexample[0] == kind
+
+    @given(
+        st.integers(1, 70), st.integers(0, 2**32 - 1), st.integers(0, 8), st.integers(-40, 3),
+        st.integers(-5, 5), st.sampled_from(["pos", "neg", "bod"]),
+    )
+    def test_counterexample_scan_order(self, m, seed, exhaustive_limit, first_last, first_second, quantity):
+        weights = np.random.default_rng(seed).choice([-1, 1, 2, 3, 4, 5, 6, 7], size=m, p=[0.02] + [0.14] * 7)
+        terms = [(0, m - 1, first_last), (0, 1 % m, first_second)]
+        self.fed(m, weights, terms, exhaustive_limit, seed, quantity)
+
+    @staticmethod
+    def fed(m, weights, terms, exhaustive_limit, seed, quantity):
+        """Both scans fed f(S) = the sum of ``weights`` over S, plus ``coef``
+        for each term (i, j, coef) with conditions i and j in S; asserts they
+        report the same pair and returns the report."""
+        def fake(subsets):
+            words = np.ascontiguousarray(subsets)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little", count=m).astype(np.int64)
+            return bits @ weights + sum(coef * bits[:, i] * bits[:, j] for i, j, coef in terms)
+
+        table = make_table(["a"], ["a"] * 3, ["a", "x", "a"])
+        conds = ConditionMatrix(tuple(f"c{j}" for j in range(m)), np.zeros((3, m), dtype=bool))
+        args = (quantity, "a", table, conds, 300, seed, exhaustive_limit)
+        with mock.patch.object(theory, "_cover_counts", lambda rows, subsets: fake(subsets)), \
+                mock.patch.object(helpers, "_covered", lambda rows, subset: int(fake(subset[None])[0])):
+            report = check_submodular(*args)
+            assert report == reference_check_submodular(*args)
+        return report
+
+    @given(
+        counting_instances(max_conditions=8),
+        st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_brute_force(self, instance, epsilon, seed):
+        table, conds = instance
+        rng = np.random.default_rng(seed)
+        names = list(conds.condition_names)
+        candidates = None if rng.random() < 0.5 else rng.choice(names, size=int(rng.integers(0, 10))).tolist()
+        cc_all = [
+            (names[int(rng.integers(len(names)))], table.classes.names[int(rng.integers(len(table.classes)))])
+            for _ in range(int(rng.integers(0, 9)))
+        ]
+        for label in table.classes:
+            args = (label, epsilon, table, conds, candidates)
+            assert brute_force_detection(*args) == reference_brute_force_detection(*args)
+            args = (label, cc_all, table, conds)
+            assert brute_force_correction(*args) == reference_brute_force_correction(*args)
 
 
 class TestBruteForce:
@@ -233,6 +342,14 @@ class TestBruteForce:
         conds = make_conds(["good", "costly"], [[0, 1, 1], [1, 1, 0]])
         result = brute_force_detection("a", 0.0, table, conds)
         assert result.conditions == ("good",) and result.pos == 2 and result.neg == 0
+
+    def test_fewer_conditions_win_ties(self):
+        # {c0, c1} and {c2} both catch every error at NEG 0; the smaller set
+        # wins although its bitmask is larger
+        table = make_table(["a", "b"], ["a", "a", "a"], ["a", "b", "b"])
+        conds = make_conds(["c0", "c1", "c2"], [[0, 1, 0], [0, 0, 1], [0, 1, 1]])
+        assert brute_force_detection("a", 0.0, table, conds).conditions == ("c2",)
+        assert reference_brute_force_detection("a", 0.0, table, conds).conditions == ("c2",)
 
     def test_budget_excludes_everything(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
