@@ -139,6 +139,14 @@ def id_column(lookup: dict[str, int], names: Iterable[str], role: str) -> np.nda
         raise ContractError(f"{role} class {err.args[0]!r} is not one of {tuple(lookup)}") from None
 
 
+def _coded(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    """A column of names as int32 codes into its distinct names, which are
+    listed in order of first appearance."""
+    names = tuple(dict.fromkeys(values))
+    codes = dict(zip(names, range(len(names))))
+    return np.fromiter(map(codes.__getitem__, values), dtype=np.int32, count=len(values)), names
+
+
 def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
     arr = np.array(values, dtype=np.int32)
     if arr.shape != (n,):
@@ -206,16 +214,22 @@ class PredictionTable:
         predicted: Iterable[str],
         ground_truth: Iterable[str] | None = None,
     ) -> "PredictionTable":
+        gt = None if ground_truth is None else _coded(list(ground_truth))
+        return cls._from_coded(classes, sample_ids, _coded(list(predicted)), gt)
+
+    @classmethod
+    def _from_coded(cls, classes, sample_ids, predicted, ground_truth=None) -> "PredictionTable":
+        """:meth:`from_names` for columns given as :func:`_coded` pairs; names
+        are looked up once each, not once per sample."""
         lookup = {name: i for i, name in enumerate(classes.names)}
-        pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted, "predicted")
+        pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted[1], "predicted")[predicted[0]]
         gt, novel = None, ()
         if ground_truth is not None:
-            ground_truth = list(ground_truth)
-            novel = tuple(sorted(set(ground_truth).difference(lookup)))
+            novel = tuple(sorted(set(ground_truth[1]).difference(lookup)))
             if UNKNOWN_NAME in novel:
                 raise ContractError("ground truth may never be UNKNOWN")
             lookup.update((name, len(classes) + j) for j, name in enumerate(novel))
-            gt = id_column(lookup, ground_truth, "ground-truth")
+            gt = id_column(lookup, ground_truth[1], "ground-truth")[ground_truth[0]]
         return cls(classes, tuple(sample_ids), pred, gt, novel)
 
     def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":

@@ -5,25 +5,31 @@ All writers are atomic (temp file + rename in the target directory) so a
 failed run never leaves a partial artifact, and all output is deterministic
 given the same inputs.
 
-Conditions files are read by a byte scanner first.  It reads the file in
-blocks of 256 KiB and splits records at the ``\\n`` bytes outside quotes,
-taking each one's quote parity from ``np.searchsorted`` over the block's
-quote positions; the unfinished last record of a block is carried into the
-next.  A record must end in ``2*m`` bytes of ``,0``/``,1`` pairs, checked
-with one ``uint16`` compare per block, before an optional ``\\r``.
-Only the sample-id segment in front of them is decoded, and it must be one
-CSV field whose quotes are all structural: unquoted without ``,``, ``"``,
-``\\r`` or NUL, or quoted with inner quotes doubled.  That rule is what
-makes the quote-parity split agree with ``csv.reader``.  Each block's bits
-are scattered straight into one preallocated ``(n, m)`` matrix in table
-order, so the file is never held whole, only a block and the record it
-cuts.  The layout ``write_conditions`` writes, with ``\\n`` or ``\\r\\n``
-line ends, takes this path unless an id holds ``\\r``.  When any record is
-outside that layout or faulty (a quoted bit cell, a bare ``\\r`` line end,
-a bad width or bit, an unknown, repeated or missing id, an empty or
-repeated condition name), the scanner gives up and the row parser, built on
-``csv.reader``, reads the whole file again.  It accepts every other valid
-CSV layout and names the line of every fault.
+Predictions, conditions and trace files are read by one byte scanner first.
+It reads blocks of 256 KiB and splits records at the ``\\n`` bytes outside
+quotes, from the parity of the block's quote positions, carrying the
+unfinished last record into the next block.  A record starts with one
+sample-id field whose quotes are all structural (unquoted without ``,``,
+``"`` or ``\\r``, or quoted with inner quotes doubled), which is what makes
+the split agree with ``csv.reader``; a block's ids are checked by one regex
+and decoded at once.  In conditions, ``,0``/``,1`` cells follow, checked
+with one byte compare per block; in predictions and traces, cells without
+quotes or ``\\r`` follow, and the text after each id is coded as one string,
+so it is split and decoded once per distinct value.  The files the writers
+write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
+``\\r``.  Anything else (NUL, a quoted cell, a bare ``\\r`` line end, a bad
+width, bit, flag or original class, an empty predictions cell, an unknown or
+repeated conditions id) sends the whole file to the row parser, built on
+``csv.reader``: the single fallback, which reads every other valid CSV
+layout and names the line of every fault.
+
+The predictions and trace writers join their text columns as they are, which
+is what ``csv.writer`` writes when counts on the text prove that no field
+holds a separator, quote, ``\\r`` or NUL; otherwise they run ``csv.writer``,
+quoting a row that holds ``\\r`` whole, as every other writer does.
+``write_conditions`` builds its bit cells as one byte array and quotes only
+the id column, so every file is byte-identical to what ``csv.writer`` writes
+(or fails as it does: Python 3.10's rejects NUL).
 """
 from __future__ import annotations
 
@@ -38,11 +44,13 @@ from contextlib import contextmanager
 from dataclasses import astuple, dataclass, fields
 from datetime import datetime, timezone
 from io import StringIO
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 import yaml
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     UNKNOWN_NAME,
@@ -51,6 +59,7 @@ from .core import (
     ContractError,
     DataError,
     PredictionTable,
+    _coded,
     check_unit_interval,
     id_column,
     name_column,
@@ -65,11 +74,11 @@ TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
 _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
-# a sample-id segment the scanner decodes: unquoted without a comma, quote,
-# carriage return or NUL, or one quoted field whose quotes are all structural
-# (NUL is left to the row parser because Python 3.10's csv.reader rejects it)
-_ID_FIELD = re.compile(rb'[^",\r\n\x00]*|"(?:[^"\x00]|"")*"')
-_ONE_CELL = int(np.frombuffer(b",1", dtype="<u2")[0])  # ",0" | 0x0100 is ",1" too
+# the NUL-terminated sample ids of a block: each unquoted without a comma,
+# quote or carriage return, or one quoted field whose quotes are all structural
+_ID_FIELDS = re.compile(rb'(?:(?:[^",\r\n\x00]*|"(?:[^"\x00]|"")*")\x00)*')
+_NEEDS_QUOTES = re.compile('[,"\n]')
+_PREDICTIONS_HEADERS = (["sample_id", "pred"], ["sample_id", "pred", "gt"])
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -101,20 +110,37 @@ def _parse_error(path, line_no: int, message: str) -> DataError:
 def write_csv_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a CSV file atomically with ``\\n`` line endings.  A field holding a
     comma, quote or line break is quoted; floats are written with ``repr``."""
-    rows = list(rows)
+    atomic_write_text(path, _csv_text([header, *rows]))
+
+
+def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
+    """:func:`write_csv_rows` for ``str`` columns of one length.  The fields are
+    joined as they are, which is what csv.writer writes when counts on the
+    text prove that none holds a separator, a quote, a carriage return or NUL
+    (which Python 3.10's csv.writer rejects)."""
+    text = "\n".join(map(",".join, chain([header], zip(*columns)))) + "\n"
+    width, lines = len(header), 1 + (len(columns[0]) if columns else 0)
+    counts = (text.count(","), text.count("\n"))
+    if width < 2 or counts != (lines * (width - 1), lines) or any(c in text for c in '"\r\0'):
+        text = _csv_text([header, *zip(*columns)])
+    atomic_write_text(path, text)
+
+
+def _csv_text(lines: list[Sequence]) -> str:
+    """The rows as ``csv.writer`` writes them, with a row that holds a ``\\r``
+    quoted whole (csv.writer only quotes the characters of its line
+    terminator)."""
     buffer = StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(lines)
     text = buffer.getvalue()
-    if "\r" in text:  # csv.writer only quotes the characters of its line terminator
+    if "\r" in text:
         buffer = StringIO()
         plain = csv.writer(buffer, lineterminator="\n")
         quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in [header, *rows]:
+        for row in lines:
             (quoted if any("\r" in str(value) for value in row) else plain).writerow(row)
         text = buffer.getvalue()
-    atomic_write_text(path, text)
+    return text
 
 
 @contextmanager
@@ -138,6 +164,101 @@ def _check_width(path: Path, line_no: int, row: list[str], width: int) -> None:
 
 
 # ---------------------------------------------------------------------------
+# The byte scanner shared by the predictions, conditions and trace readers
+# ---------------------------------------------------------------------------
+
+
+class _Unscannable(Exception):
+    """A record outside the scanned layout; the reader falls back to its row parser."""
+
+
+def _scan_records(path: Path):
+    """Split a file into records at the ``\\n`` bytes outside quotes, one block
+    at a time.  Yields the header's fields, then per block ``(data, starts,
+    stops)``: its bytes and the bounds of its non-blank records, less the line
+    break and a ``\\r`` before it.  NUL, and a file that ends inside quotes,
+    raise :class:`_Unscannable`."""
+    tail, at_end, header = b"", False, True
+    with open(path, "rb") as handle:
+        while not at_end:
+            # a record longer than a block doubles the next read, so the scan stays linear
+            chunk = handle.read(max(_SCAN_BLOCK, len(tail)))
+            at_end = not chunk
+            buf = tail + (chunk or b"\n")  # end of file ends a last record without a line break
+            if b"\0" in buf:  # left to the row parser, because Python 3.10's csv.reader rejects it
+                raise _Unscannable
+            data = np.frombuffer(buf, dtype=np.uint8)
+            newlines = np.flatnonzero(data == 0x0A)
+            quotes = np.flatnonzero(data == 0x22)
+            ends = newlines[np.searchsorted(quotes, newlines) % 2 == 0]
+            if not len(ends):
+                tail = buf
+                continue
+            tail = buf[ends[-1] + 1 :]
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            stops = np.maximum(ends - (data[ends - 1] == 0x0D), starts)
+            if header:
+                yield next(csv.reader([buf[: stops[0]].decode()]), [])
+                header, starts, stops = False, starts[1:], stops[1:]
+            filled = stops > starts  # blank lines are skipped, as csv.reader yields them empty
+            yield data, starts[filled], stops[filled]
+    if tail or header:
+        raise _Unscannable
+
+
+def _joined(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
+    """The ranges ``data[starts[j]:stops[j]]``, each ended by a NUL, joined."""
+    lengths = stops + 1 - starts  # each range and the byte after it, which becomes the NUL
+    ends = np.cumsum(lengths)
+    joined = data[np.repeat(starts - ends + lengths, lengths) + np.arange(lengths.sum())]
+    joined[ends - 1] = 0
+    return joined.tobytes()
+
+
+def _scan_ids(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
+    """The sample ids ``data[starts[j]:stops[j]]`` of a block, checked with one
+    regex and decoded at once: the byte after each id becomes NUL and the
+    ranges are joined."""
+    joined = _joined(data, starts, stops)
+    if (stops - starts > csv.field_size_limit()).any() or not _ID_FIELDS.fullmatch(joined):
+        raise _Unscannable
+    ids = joined.decode().split("\0")[:-1]
+    if b'"' in joined:
+        ids = [s[1:-1].replace('""', '"') if s[:1] == '"' else s for s in ids]
+    return ids
+
+
+def _scan_columns(path: Path, headers: Sequence[list[str]]):
+    """The sample ids and :func:`_coded` cell columns of a file whose
+    header is one of ``headers`` and whose every record is a scanned id (see
+    the module docstring) and cells without quotes or ``\\r``; None as soon
+    as one is not.  The text after each id is coded as one string, so cells
+    are split and decoded once per distinct string, not once per row."""
+    try:
+        records = _scan_records(path)
+        header = next(records)
+        if header not in headers:
+            return None
+        ids: list[str] = []
+        tails: list[bytes] = []
+        for data, starts, stops in records:
+            commas = np.flatnonzero(data == 0x2C)
+            first = np.searchsorted(commas, stops) - (len(header) - 1)  # the comma after each id
+            if (first < 0).any() or (commas[first] < starts).any():
+                raise _Unscannable
+            ids += _scan_ids(data, starts, commas[first])
+            tails += _joined(data, commas[first] + 1, stops).split(b"\0")[:-1]
+        tail_codes, distinct = _coded(tails)
+        rows = [tail.decode().split(",") for tail in distinct]
+        if any('"' in cell or "\r" in cell or len(cell) > csv.field_size_limit() for cell in chain(*rows)):
+            raise _Unscannable
+    except (_Unscannable, UnicodeDecodeError, csv.Error):
+        return None
+    columns = [_coded(values) for values in zip(*rows)] or [_coded(())] * (len(header) - 1)
+    return ids, [(by_tail[tail_codes], names) for by_tail, names in columns]
+
+
+# ---------------------------------------------------------------------------
 # Predictions: sample_id,pred[,gt]
 # ---------------------------------------------------------------------------
 
@@ -147,33 +268,14 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     ``sample_id,pred,gt``).  Without an explicit class set, the classes are
     the sorted distinct predicted names (UNKNOWN excluded)."""
     path = Path(path)
-    ids: list[str] = []
-    preds: list[str] = []
-    gts: list[str] = []
-    with _csv_file(path) as (header, reader):
-        if header[:2] != ["sample_id", "pred"] or len(header) > 3 or (
-            len(header) == 3 and header[2] != "gt"
-        ):
-            raise _parse_error(path, 1, f"expected header sample_id,pred[,gt]; got {','.join(header)}")
-        has_gt = len(header) == 3
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            _check_width(path, line_no, row, len(header))
-            if not row[0]:
-                raise _parse_error(path, line_no, "empty sample id")
-            if not row[1]:
-                raise _parse_error(path, line_no, "empty predicted value")
-            ids.append(row[0])
-            preds.append(row[1])
-            if has_gt:
-                if not row[2]:
-                    raise _parse_error(path, line_no, "empty ground-truth value")
-                gts.append(row[2])
+    scanned = _scan_columns(path, _PREDICTIONS_HEADERS)
+    if scanned is None or "" in scanned[0] or any("" in names for _, names in scanned[1]):
+        scanned = _parse_predictions(path)  # which names the line of an empty cell
+    ids, (pred, *gt) = scanned
     if len(set(ids)) != len(ids):
         dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
         raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
-    predicted = set(preds)
+    predicted = set(pred[1])
     predicted.discard(UNKNOWN_NAME)
     if classes is None:
         if not predicted:
@@ -185,15 +287,37 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
             raise ContractError(
                 f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
             )
-    return PredictionTable.from_names(classes, ids, preds, gts if has_gt else None)
+    return PredictionTable._from_coded(classes, ids, pred, gt[0] if gt else None)
+
+
+def _parse_predictions(path: Path):
+    """The row parser: reads any valid CSV layout and names the line of every fault."""
+    rows: list[list[str]] = []
+    with _csv_file(path) as (header, reader):
+        if header not in _PREDICTIONS_HEADERS:
+            raise _parse_error(path, 1, f"expected header sample_id,pred[,gt]; got {','.join(header)}")
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            _check_width(path, line_no, row, len(header))
+            if "" in row:
+                empty = ("sample id", "predicted value", "ground-truth value")[row.index("")]
+                raise _parse_error(path, line_no, f"empty {empty}")
+            rows.append(row)
+    return _coded_rows(rows, len(header))
+
+
+def _coded_rows(rows: list[list[str]], width: int):
+    """The sample ids and :func:`_coded` columns of parsed rows."""
+    ids, *columns = zip(*rows) if rows else [()] * width
+    return ids, [_coded(column) for column in columns]
 
 
 def write_predictions(path, table: PredictionTable) -> None:
     columns = [table.sample_ids, table.names(table.pred_ids)]
     if table.has_ground_truth:
         columns.append(table.names(table.gt_ids))
-    header = ["sample_id", "pred", "gt"][: len(columns)]
-    write_csv_rows(path, header, zip(*columns))
+    _write_columns(path, ["sample_id", "pred", "gt"][: len(columns)], columns)
 
 
 # ---------------------------------------------------------------------------
@@ -229,70 +353,26 @@ def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | No
     in the scanned layout (see the module docstring), or None as soon as one
     record is outside it or faulty."""
     unclaimed = {sample_id: row for row, sample_id in enumerate(table.sample_ids)}
-    names: tuple[str, ...] | None = None
-    tail = b""
-    at_end = False
-    with open(path, "rb") as handle:
-        while not at_end:
-            # a record longer than a block doubles the next read, so the scan stays linear
-            chunk = handle.read(max(_SCAN_BLOCK, len(tail)))
-            at_end = not chunk
-            buf = tail + (chunk or b"\n")  # end of file ends a last record without a line break
-            data = np.frombuffer(buf, dtype=np.uint8)
-            newlines = np.flatnonzero(data == 0x0A)
-            quotes = np.flatnonzero(data == 0x22)
-            ends = newlines[np.searchsorted(quotes, newlines) % 2 == 0]
-            if not len(ends):
-                tail = buf
-                continue
-            tail = buf[ends[-1] + 1 :]
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            if names is None:
-                try:
-                    names = _condition_names(path, next(csv.reader([buf[: ends[0]].decode()])))
-                except (csv.Error, UnicodeDecodeError, DataError):
-                    return None
-                values = np.zeros((table.n, len(names)), dtype=bool)
-                starts, ends = starts[1:], ends[1:]
-            block = _scan_block(buf, data, starts, ends, len(names), unclaimed)
-            if block is None:
-                return None
-            rows, bits = block
-            values[rows] = bits
-    if tail or names is None or unclaimed:
-        return None
-    return ConditionMatrix(names, values)
-
-
-def _scan_block(buf: bytes, data: np.ndarray, starts, ends, m: int, unclaimed: dict[str, int]):
-    """Table rows and bits of the records ``buf[starts[j]:ends[j]]`` (line
-    breaks excluded), claiming each id from ``unclaimed``; None when a record
-    is outside the scanned layout or names an unknown or repeated id."""
-    stops = ends - (data[ends - 1] == 0x0D)  # an empty record's stop may fall before its start
-    filled = stops > starts  # blank lines are skipped, as csv.reader yields them empty
-    starts, stops = starts[filled], stops[filled]
-    id_stops = stops - 2 * m
-    if (id_stops < starts).any() or (id_stops - starts > csv.field_size_limit()).any():
-        return None
-    fullmatch, claim = _ID_FIELD.fullmatch, unclaimed.pop
-    rows = []
     try:
-        for start, stop in zip(starts.tolist(), id_stops.tolist()):
-            if not fullmatch(buf, start, stop):
-                return None
-            sample_id = buf[start:stop].decode()
-            if sample_id[:1] == '"':
-                sample_id = sample_id[1:-1].replace('""', '"')
-            rows.append(claim(sample_id, -1))  # -1: an unknown or repeated id
-    except UnicodeDecodeError:
+        records = _scan_records(path)
+        names = _condition_names(path, next(records))
+        values = np.zeros((table.n, len(names)), dtype=bool)
+        width = 2 * len(names)  # the ,0 and ,1 cells after an id
+        for data, starts, stops in records:
+            if not len(starts):
+                continue  # a block of blank lines, maybe shorter than a window
+            if (stops - width < starts).any():
+                raise _Unscannable
+            ids = _scan_ids(data, starts, stops - width)
+            rows = np.fromiter(map(unclaimed.pop, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+            cells = sliding_window_view(data, width)[stops - width]
+            bits = cells[:, 1::2]
+            if (rows < 0).any() or (cells[:, ::2] != 0x2C).any() or ((bits | 1) != 0x31).any():
+                raise _Unscannable  # an unknown or repeated id, or a cell that is not ,0 or ,1
+            values[rows] = bits == 0x31
+    except (_Unscannable, UnicodeDecodeError, csv.Error, DataError):
         return None
-    if -1 in rows:
-        return None
-    cells = b"".join([buf[start:stop] for start, stop in zip(id_stops.tolist(), stops.tolist())])
-    pairs = np.frombuffer(cells, dtype="<u2").reshape(len(rows), m)
-    if ((pairs | 0x0100) != _ONE_CELL).any():
-        return None
-    return rows, pairs == _ONE_CELL
+    return None if unclaimed else ConditionMatrix(names, values)
 
 
 def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
@@ -326,12 +406,24 @@ def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
 
 
 def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> None:
+    """The bit cells are built as one ``(n, 2m+1)`` byte array of ``,0``/``,1``
+    pairs and a line break; only the id column goes through the quoting rule."""
     if conds.n_rows != table.n:
         raise ContractError("condition matrix and table row counts differ")
-    cells = np.empty((table.n, conds.n_conditions + 1), dtype=object)
-    cells[:, 0] = table.sample_ids
-    cells[:, 1:] = _BIT_TEXT[conds.values.view(np.uint8)]
-    write_csv_rows(path, ("sample_id", *conds.condition_names), cells.tolist())
+    header = ("sample_id", *conds.condition_names)
+    ids, m, joined = table.sample_ids, conds.n_conditions, "".join(table.sample_ids)
+    if not m or "\r" in joined or "\0" in joined:  # csv.writer's rules for a lone field, \r and NUL
+        return write_csv_rows(path, header, zip(ids, *conds.values.view(np.uint8).T.tolist()))
+    if _NEEDS_QUOTES.search(joined):
+        ids = ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s for s in ids]
+    encoded = list(map(str.encode, ids))
+    cells = np.empty((table.n, 2 * m + 1), dtype=np.uint8)
+    cells[:, :-1:2] = ord(",")
+    cells[:, 1::2] = conds.values.view(np.uint8) + ord("0")
+    cells[:, -1] = ord("\n")
+    at = np.repeat(np.arange(table.n) * (2 * m + 1), list(map(len, encoded)))  # each id before its row
+    body = np.insert(cells.ravel(), at, np.frombuffer(b"".join(encoded), dtype=np.uint8))
+    atomic_write_text(path, _csv_text([header]) + body.tobytes().decode())
 
 
 # ---------------------------------------------------------------------------
@@ -497,7 +589,7 @@ def write_trace(path, trace: ApplyTrace) -> None:
         trace.fired_column(),
         name_column(trace.classes.names, trace.final),
     )
-    write_csv_rows(path, TRACE_HEADER, zip(*columns))
+    _write_columns(path, TRACE_HEADER, columns)
 
 
 def read_trace(path, classes: ClassSet) -> ApplyTrace:
@@ -509,6 +601,27 @@ def read_trace(path, classes: ClassSet) -> ApplyTrace:
     path = Path(path)
     lookup = {name: i for i, name in enumerate(classes.names)}
     lookup[UNKNOWN_NAME] = -1
+    scanned = _scan_columns(path, [TRACE_HEADER])
+    if scanned is None or not (lookup.keys() >= set(scanned[1][0][1]) and _BITS >= set(scanned[1][1][1])):
+        scanned = _parse_trace(path, classes, lookup)  # which names the line of a bad class or flag
+    sample_ids, (original, flagged, fired, final) = scanned
+    if len(set(sample_ids)) != len(sample_ids):
+        raise DataError(f"{path}: duplicate sample ids")
+    extra = tuple(sorted(set(final[1]).difference(lookup)))
+    lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
+    return ApplyTrace(
+        ClassSet(classes.names + extra),
+        tuple(sample_ids),
+        id_column(lookup, original[1], "original")[original[0]],
+        np.array([name == "1" for name in flagged[1]], dtype=bool)[flagged[0]],
+        fired[0],
+        fired[1],
+        id_column(lookup, final[1], "final")[final[0]],
+    )
+
+
+def _parse_trace(path: Path, classes: ClassSet, lookup: dict[str, int]):
+    """The row parser: reads any valid CSV layout and names the line of every fault."""
     rows: list[list[str]] = []
     with _csv_file(path) as (header, reader):
         if header != TRACE_HEADER:
@@ -521,21 +634,7 @@ def read_trace(path, classes: ClassSet) -> ApplyTrace:
             if row[1] not in lookup:
                 raise _parse_error(path, line_no, f"original class {row[1]!r} is not one of {classes.names}")
             rows.append(row)
-    sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5
-    if len(set(sample_ids)) != len(sample_ids):
-        raise DataError(f"{path}: duplicate sample ids")
-    extra = tuple(sorted(set(final).difference(lookup)))
-    lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
-    fired_names = tuple(dict.fromkeys(fired))
-    return ApplyTrace(
-        ClassSet(classes.names + extra),
-        sample_ids,
-        id_column(lookup, original, "original"),
-        np.array(flagged, dtype="U1") == "1",
-        id_column(dict(zip(fired_names, range(len(fired_names)))), fired, "fired"),
-        fired_names,
-        id_column(lookup, final, "final"),
-    )
+    return _coded_rows(rows, len(TRACE_HEADER))
 
 
 def write_metrics(path, report: MetricsReport) -> None:

@@ -193,10 +193,13 @@ def _validate_application(rules: RuleSet, table: PredictionTable, conds: Conditi
 
 def _fired_codes(fired: np.ndarray, targets: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """One code per row of the (rows, rules) match matrix, into the distinct
-    ``;``-joined target lists."""
+    ``;``-joined target lists.  Each packed row is one void scalar, so a 1-D
+    ``unique`` sorts them by ``memcmp``: the order of a row-wise ``unique``."""
     if not targets:
         return np.zeros(len(fired), dtype=np.int32), ("",)
-    patterns, codes = np.unique(np.packbits(fired, axis=1), axis=0, return_inverse=True)
+    packed = np.packbits(fired, axis=1)
+    patterns, codes = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
+    patterns = patterns.view(np.uint8).reshape(len(patterns), packed.shape[1])
     matched = np.unpackbits(patterns, axis=1, count=len(targets)).astype(bool)
     names = tuple(";".join(t for t, hit in zip(targets, row) if hit) for row in matched)
     return codes.reshape(-1), names

@@ -12,23 +12,35 @@ for the generator to agree with bit for bit.  ``reference_check_submodular``,
 the two ``reference_brute_force_*`` oracles and ``reference_corr_rule_learn``
 keep the versions that count one subset at a time (``_covered``) and call
 ``correction_counts`` four times per pair, for the distinct-pattern kernel and
-the packed correction walk to agree with.
+the packed correction walk to agree with.  ``reference_read_predictions``,
+``reference_read_trace``, ``reference_scan_conditions`` and
+``reference_write_csv_rows`` keep the readers and the writer that ran one
+``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
+that sorted a structured view, for the byte-level readers, the columnar
+writers and the 1-D void ``unique`` to agree with.
 """
 from __future__ import annotations
 
+import csv
 import math
+import re
+from collections import Counter
+from io import StringIO
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from edcr import (
+    UNKNOWN_NAME,
+    ApplyTrace,
     ClassSet,
     ConditionMatrix,
     PredictionTable,
     compute_class_stats,
     correction_counts,
     detection_counts,
+    io,
 )
 from edcr.conditions import (
     _SECOND_NEIGHBOR_PROB,
@@ -54,9 +66,18 @@ from edcr.core import (
     _resolve_target,
     check_seed,
     check_unit_interval,
+    id_column,
     rule_body,
 )
-from edcr.io import _BITS, _check_width, _csv_file, _parse_error
+from edcr.io import (
+    _BITS,
+    TRACE_HEADER,
+    _check_width,
+    _condition_names,
+    _csv_file,
+    _parse_error,
+    atomic_write_text,
+)
 from edcr.learn import Pair, recall_budget
 from edcr.theory import CorrectionSearchResult, DetectionSearchResult, SubmodularityReport
 
@@ -665,3 +686,174 @@ def reference_corr_rule_learn(
     if confidence(kept) <= p_i:
         return ()
     return tuple(sorted(kept, key=lambda pair: (pair[0], pair[1].id)))
+
+
+_REFERENCE_ID_FIELD = re.compile(rb'[^",\r\n\x00]*|"(?:[^"\x00]|"")*"')
+_REFERENCE_ONE_CELL = int(np.frombuffer(b",1", dtype="<u2")[0])
+
+
+def reference_write_csv_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    rows = list(rows)
+    buffer = StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    text = buffer.getvalue()
+    if "\r" in text:  # csv.writer only quotes the characters of its line terminator
+        buffer = StringIO()
+        plain = csv.writer(buffer, lineterminator="\n")
+        quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in [header, *rows]:
+            (quoted if any("\r" in str(value) for value in row) else plain).writerow(row)
+        text = buffer.getvalue()
+    atomic_write_text(path, text)
+
+
+def reference_read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
+    path = Path(path)
+    ids: list[str] = []
+    preds: list[str] = []
+    gts: list[str] = []
+    with _csv_file(path) as (header, reader):
+        if header[:2] != ["sample_id", "pred"] or len(header) > 3 or (
+            len(header) == 3 and header[2] != "gt"
+        ):
+            raise _parse_error(path, 1, f"expected header sample_id,pred[,gt]; got {','.join(header)}")
+        has_gt = len(header) == 3
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            _check_width(path, line_no, row, len(header))
+            if not row[0]:
+                raise _parse_error(path, line_no, "empty sample id")
+            if not row[1]:
+                raise _parse_error(path, line_no, "empty predicted value")
+            ids.append(row[0])
+            preds.append(row[1])
+            if has_gt:
+                if not row[2]:
+                    raise _parse_error(path, line_no, "empty ground-truth value")
+                gts.append(row[2])
+    if len(set(ids)) != len(ids):
+        dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
+        raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
+    predicted = set(preds)
+    predicted.discard(UNKNOWN_NAME)
+    if classes is None:
+        if not predicted:
+            raise DataError(f"{path}: no predictable classes found in pred column")
+        classes = ClassSet(tuple(sorted(predicted)))
+    else:
+        bad = sorted(predicted.difference(classes.names))
+        if bad:
+            raise ContractError(
+                f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
+            )
+    return PredictionTable.from_names(classes, ids, preds, gts if has_gt else None)
+
+
+def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
+    path = Path(path)
+    lookup = {name: i for i, name in enumerate(classes.names)}
+    lookup[UNKNOWN_NAME] = -1
+    rows: list[list[str]] = []
+    with _csv_file(path) as (header, reader):
+        if header != TRACE_HEADER:
+            raise _parse_error(path, 1, "expected header " + ",".join(TRACE_HEADER))
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(TRACE_HEADER) or row[2] not in _BITS:
+                raise _parse_error(path, line_no, "malformed trace row")
+            if row[1] not in lookup:
+                raise _parse_error(path, line_no, f"original class {row[1]!r} is not one of {classes.names}")
+            rows.append(row)
+    sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5
+    if len(set(sample_ids)) != len(sample_ids):
+        raise DataError(f"{path}: duplicate sample ids")
+    extra = tuple(sorted(set(final).difference(lookup)))
+    lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
+    fired_names = tuple(dict.fromkeys(fired))
+    return ApplyTrace(
+        ClassSet(classes.names + extra),
+        sample_ids,
+        id_column(lookup, original, "original"),
+        np.array(flagged, dtype="U1") == "1",
+        id_column(dict(zip(fired_names, range(len(fired_names)))), fired, "fired"),
+        fired_names,
+        id_column(lookup, final, "final"),
+    )
+
+
+def reference_scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
+    unclaimed = {sample_id: row for row, sample_id in enumerate(table.sample_ids)}
+    names: tuple[str, ...] | None = None
+    tail = b""
+    at_end = False
+    with open(path, "rb") as handle:
+        while not at_end:
+            # a record longer than a block doubles the next read, so the scan stays linear
+            chunk = handle.read(max(io._SCAN_BLOCK, len(tail)))
+            at_end = not chunk
+            buf = tail + (chunk or b"\n")  # end of file ends a last record without a line break
+            data = np.frombuffer(buf, dtype=np.uint8)
+            newlines = np.flatnonzero(data == 0x0A)
+            quotes = np.flatnonzero(data == 0x22)
+            ends = newlines[np.searchsorted(quotes, newlines) % 2 == 0]
+            if not len(ends):
+                tail = buf
+                continue
+            tail = buf[ends[-1] + 1 :]
+            starts = np.concatenate(([0], ends[:-1] + 1))
+            if names is None:
+                try:
+                    names = _condition_names(path, next(csv.reader([buf[: ends[0]].decode()])))
+                except (csv.Error, UnicodeDecodeError, DataError):
+                    return None
+                values = np.zeros((table.n, len(names)), dtype=bool)
+                starts, ends = starts[1:], ends[1:]
+            block = _reference_scan_block(buf, data, starts, ends, len(names), unclaimed)
+            if block is None:
+                return None
+            rows, bits = block
+            values[rows] = bits
+    if tail or names is None or unclaimed:
+        return None
+    return ConditionMatrix(names, values)
+
+
+def _reference_scan_block(buf: bytes, data: np.ndarray, starts, ends, m: int, unclaimed: dict[str, int]):
+    stops = ends - (data[ends - 1] == 0x0D)  # an empty record's stop may fall before its start
+    filled = stops > starts  # blank lines are skipped, as csv.reader yields them empty
+    starts, stops = starts[filled], stops[filled]
+    id_stops = stops - 2 * m
+    if (id_stops < starts).any() or (id_stops - starts > csv.field_size_limit()).any():
+        return None
+    fullmatch, claim = _REFERENCE_ID_FIELD.fullmatch, unclaimed.pop
+    rows = []
+    try:
+        for start, stop in zip(starts.tolist(), id_stops.tolist()):
+            if not fullmatch(buf, start, stop):
+                return None
+            sample_id = buf[start:stop].decode()
+            if sample_id[:1] == '"':
+                sample_id = sample_id[1:-1].replace('""', '"')
+            rows.append(claim(sample_id, -1))  # -1: an unknown or repeated id
+    except UnicodeDecodeError:
+        return None
+    if -1 in rows:
+        return None
+    cells = b"".join([buf[start:stop] for start, stop in zip(id_stops.tolist(), stops.tolist())])
+    pairs = np.frombuffer(cells, dtype="<u2").reshape(len(rows), m)
+    if ((pairs | 0x0100) != _REFERENCE_ONE_CELL).any():
+        return None
+    return rows, pairs == _REFERENCE_ONE_CELL
+
+
+def reference_fired_codes(fired: np.ndarray, targets: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
+    if not targets:
+        return np.zeros(len(fired), dtype=np.int32), ("",)
+    patterns, codes = np.unique(np.packbits(fired, axis=1), axis=0, return_inverse=True)
+    matched = np.unpackbits(patterns, axis=1, count=len(targets)).astype(bool)
+    names = tuple(";".join(t for t, hit in zip(targets, row) if hit) for row in matched)
+    return codes.reshape(-1), names

@@ -22,7 +22,16 @@ from edcr import (
 )
 from edcr import io
 from edcr.cli import main
-from helpers import make_conds, make_table, reference_read_conditions, same_table
+from helpers import (
+    make_conds,
+    make_table,
+    reference_read_conditions,
+    reference_read_predictions,
+    reference_read_trace,
+    reference_scan_conditions,
+    reference_write_csv_rows,
+    same_table,
+)
 
 
 class TestPredictionsFormat:
@@ -294,6 +303,201 @@ def conditions_bytes(draw):
     return bytes(data), ids
 
 
+def once_in(n):
+    """True in one draw of ``n``; integer strategies lean towards their bounds."""
+    return st.sampled_from([False] * (n - 1) + [True])
+
+
+# sample ids: mostly plain, else adversarial, empty, a BOM, padding or NUL
+ID_TEXT = st.one_of(
+    *[st.text(st.sampled_from("sab1é"), min_size=1, max_size=3)] * 4,
+    ADVERSARIAL,
+    st.sampled_from(["", "\ufeff", " x ", "\x00"]),
+)
+
+
+@st.composite
+def table_bytes(draw, header, cells):
+    """Bytes of a CSV file with ``header`` and rows of an id then one cell
+    drawn from each of ``cells``.
+
+    Half the draws are minimally quoted, as the writers write them, with
+    ``\\n`` or CR-LF line ends; the rest may carry faults: quoted or raw
+    fields, bare CR line ends, blank lines, no final line break, a leading
+    BOM, duplicate ids, rows one cell short or long, and one byte swapped for
+    NUL, a quote, a separator, a line break or a byte that is not UTF-8.
+    Empty, unknown and malformed values come from ``cells`` in any draw."""
+    faulty = draw(st.booleans())
+    rare = once_in(8).map(lambda k: faulty and k)
+    ids = draw(st.lists(ID_TEXT, max_size=6))
+    if ids and draw(rare):
+        ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+
+    def field(text):
+        mode = draw(st.sampled_from(["minimal"] * 10 + ["quoted", "raw"])) if faulty else "minimal"
+        if mode == "raw" or (mode == "minimal" and not set(text) & set('",\r\n')):
+            return text
+        return '"' + text.replace('"', '""') + '"'
+
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+
+    def ending():
+        return draw(st.sampled_from(["\n", "\r\n", "\r"])) if draw(rare) else newline
+
+    lines = [",".join(map(field, header))]
+    for sample_id in ids:
+        row = [draw(cell) for cell in cells]
+        if draw(rare):
+            row = row[1:] if draw(st.booleans()) else row + ["a"]
+        lines.append(",".join([field(sample_id), *map(field, row)]))
+        if draw(rare):
+            lines.append("")
+    text = "".join(line + ending() for line in lines)
+    if draw(rare):
+        text = text.rstrip("\r\n")
+    data = bytearray(text.encode())
+    if draw(rare):
+        data[:0] = "\ufeff".encode()
+    if draw(rare):
+        at = draw(st.integers(0, len(data) - 1))
+        data[at : at + 1] = draw(st.sampled_from([b"\xff", b"\xc3", b"\x00", b'"', b",", b"\r", b"\n"]))
+    return bytes(data)
+
+
+def cell_values(good, bad):
+    """One of ``good``, or one of ``bad`` once in 32 draws."""
+    return once_in(32).flatmap(lambda is_bad: st.sampled_from(bad if is_bad else good))
+
+
+BAD_CELLS = ["zz", "", "a,b", 'q"', "é", " a", "a\rb"]
+CLASS_CELLS = cell_values(["a", "b", UNKNOWN_NAME], BAD_CELLS)
+FLAG_CELLS = cell_values(["0", "1"], ["2", "", " 1", '"1"'])
+FIRED_CELLS = cell_values(["", "a", "b;a", "a;b", "b"], BAD_CELLS)
+
+
+def table_outcome(reader, path, *args):
+    """The table or trace a reader returns, field by field, or the type and
+    message of what it raises."""
+    try:
+        result = reader(path, *args)
+    except Exception as err:  # the exception type and message are the outcome
+        return type(err), str(err)
+    arrays = {k: (v.dtype.str, v.tolist()) for k, v in vars(result).items() if isinstance(v, np.ndarray)}
+    return type(result), {**vars(result), **arrays}
+
+
+class TestReadersMatchReference:
+    """The byte scanner of ``read_predictions`` and ``read_trace`` against the
+    ``csv.reader`` readers it replaced (``helpers.reference_read_*``): the
+    same table or trace, or the same exception type and message."""
+
+    @settings(max_examples=300)
+    @given(case=st.data(), block=st.sampled_from([1, 7, 64, 1 << 20]), gt=st.booleans())
+    def test_predictions(self, tmp_path_factory, case, block, gt):
+        header = ["sample_id", "pred", "gt"][: 2 + gt]
+        if case.draw(once_in(16)):
+            header[1] = case.draw(st.sampled_from(["Pred", "pred,gt", ""]))
+        path = tmp_path_factory.mktemp("p") / "p.csv"
+        path.write_bytes(case.draw(table_bytes(header, [CLASS_CELLS] * (1 + gt))))
+        with mock.patch.object(io, "_SCAN_BLOCK", block):
+            for classes in (None, ClassSet(("a", "b"))):
+                got = table_outcome(io.read_predictions, path, classes)
+                assert got == table_outcome(reference_read_predictions, path, classes)
+
+    @settings(max_examples=300)
+    @given(case=st.data(), block=st.sampled_from([1, 7, 64, 1 << 20]))
+    def test_trace(self, tmp_path_factory, case, block):
+        header = list(io.TRACE_HEADER)
+        if case.draw(once_in(16)):
+            header[3] = case.draw(st.sampled_from(["Fired", "fired,x", ""]))
+        cells = [CLASS_CELLS, FLAG_CELLS, FIRED_CELLS, CLASS_CELLS]
+        path = tmp_path_factory.mktemp("t") / "trace.csv"
+        path.write_bytes(case.draw(table_bytes(header, cells)))
+        with mock.patch.object(io, "_SCAN_BLOCK", block):
+            got = table_outcome(io.read_trace, path, ClassSet(("a", "b")))
+        assert got == table_outcome(reference_read_trace, path, ClassSet(("a", "b")))
+
+    @settings(max_examples=200)
+    @given(case=st.data(), block=st.sampled_from([1, 3, 64, 1 << 20]))
+    def test_conditions_scanner_takes_what_it_took(self, tmp_path_factory, case, block):
+        """Every file the old scanner read, the shared one reads to the same
+        matrix; NUL is now left to the row parser anywhere in the file."""
+        data, ids = case.draw(conditions_bytes())
+        table = make_table(["a"], ["a"] * len(ids), ids=ids)
+        path = tmp_path_factory.mktemp("c") / "c.csv"
+        path.write_bytes(data)
+        with mock.patch.object(io, "_SCAN_BLOCK", block):
+            old, new = reference_scan_conditions(path, table), io._scan_conditions(path, table)
+        if old is not None and b"\x00" not in data:
+            assert new is not None and np.array_equal(new.values, old.values)
+        if new is not None:
+            assert same_outcome(path, table)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sample_id,pred,gt\n",  # header only
+            "sample_id,pred,gt\r\ns1,a,b\r\n\r\ns2,b,a",  # CR-LF, a blank line, no final break
+            '\ufeffsample_id,pred,gt\ns1,a,b\n',  # a BOM spoils the header
+            'sample_id,pred,gt\n"s""1",a,b\n"s,2",b,a\n',  # quoted ids
+            "sample_id,pred,gt\ns1,a,\n",  # an empty cell
+            "sample_id,pred,gt\ns1,a,b\ns1,b,b\n",  # a repeated id
+            "sample_id,pred,gt\ns\x001,a,b\n",  # NUL
+            "sample_id,pred,gt\ns1,a\rb,b\n",  # a bare CR inside a cell
+            'sample_id,pred,gt\ns1,"a",b\n',  # a quoted cell
+        ],
+    )
+    def test_listed_predictions(self, tmp_path, text):
+        path = tmp_path / "p.csv"
+        path.write_bytes(text.encode())
+        assert table_outcome(io.read_predictions, path) == table_outcome(reference_read_predictions, path)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sample_id,original,flagged,fired,final\n",
+            "sample_id,original,flagged,fired,final\ns1,a,1,,__unknown__\ns2,b,0,a;b,a\ns3,a,0,,c",
+            "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns2,zz,0,,a\n",  # unknown original
+            "sample_id,original,flagged,fired,final\ns1,a,2,,a\n",  # a bad flag
+            "sample_id,original,flagged,fired,final\ns1,a,1,,\n",  # an empty final class
+            "sample_id,original,flagged,fired,final\n,a,1,,a\n",  # an empty id
+            "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns1,a,1,,a\n",  # a repeated id
+            "sample_id,original,flagged,fired,final\ns1,a,1,\xff,a\n",  # not UTF-8
+        ],
+    )
+    def test_listed_traces(self, tmp_path, text):
+        path = tmp_path / "t.csv"
+        path.write_bytes(text.encode("latin-1"))
+        classes = ClassSet(("a", "b"))
+        got = table_outcome(io.read_trace, path, classes)
+        assert got == table_outcome(reference_read_trace, path, classes)
+
+    @pytest.mark.parametrize(
+        "data, sample_id",
+        [
+            (b"sample_id,c\ns1;1\n", "s1"),  # a bit after a byte that is not a comma
+            (b"sample_id,c\ns1\xff1\n", "s1"),  # the same byte not UTF-8
+        ],
+    )
+    def test_listed_conditions(self, tmp_path, data, sample_id):
+        table = make_table(["a"], ["a"], ids=[sample_id])
+        path = tmp_path / "c.csv"
+        path.write_bytes(data)
+        assert io._scan_conditions(path, table) is None
+        assert same_outcome(path, table)
+
+    def test_fired_names_keep_first_appearance_across_blocks(self, tmp_path, monkeypatch):
+        rows = [f"s{i},a,0,{fired},a" for i, fired in enumerate(["", "b;a", "", "a", "b;a", "b"] * 20)]
+        path = tmp_path / "t.csv"
+        path.write_text("\n".join(["sample_id,original,flagged,fired,final", *rows]) + "\n")
+        monkeypatch.setattr(io, "_SCAN_BLOCK", 64)
+        trace = io.read_trace(path, ClassSet(("a", "b")))
+        assert trace.fired_names == ("", "b;a", "a", "b")
+        assert table_outcome(io.read_trace, path, trace.classes) == table_outcome(
+            reference_read_trace, path, trace.classes
+        )
+
+
 class TestTrajectoriesFormat:
     def test_roundtrip(self, tmp_path):
         corpus = generate_synthetic(seed=1, n_samples=5, noise=0.2)
@@ -507,6 +711,91 @@ class TestCsvQuotingRoundTrip:
         path = tmp_path / "p.csv"
         io.write_predictions(path, table)
         assert path.read_text() == 'sample_id,pred,gt\ns1,a,a\n"s,2",a,x\n'
+
+
+# fields csv.writer writes as they are (text, ints, bools and floats with
+# nan, infinities and -0.0) and, once in 16 draws, one it quotes or writes
+# empty: separators, quotes, line breaks, NUL or None
+PLAIN_FIELDS = st.one_of(
+    st.text(st.sampled_from(["a", "é", " ", "1", ";"]), max_size=4),
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.floats(),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), -0.0, 0.1, 1e300]),
+)
+SPECIAL_FIELDS = st.one_of(
+    st.text(st.sampled_from([",", '"', "\n", "\r", "a", "\x00"]), min_size=1, max_size=4), st.none()
+)
+FIELDS = once_in(16).flatmap(lambda special: SPECIAL_FIELDS if special else PLAIN_FIELDS)
+TEXT_FIELDS = FIELDS.filter(lambda field: isinstance(field, str))
+WRITER_IDS = st.lists(
+    st.text(st.sampled_from([",", '"', "\n", "\r", "s", "1", "é", " ", "\x00"]), max_size=4),
+    max_size=6,
+    unique=True,
+)
+
+
+def write_outcome(writer, path, *args):
+    """The bytes a writer writes, or the type and message of what it raises
+    (Python 3.10's csv.writer rejects NUL, 3.11's writes it)."""
+    try:
+        writer(path, *args)
+    except Exception as err:  # the exception type and message are the outcome
+        return type(err), str(err)
+    return path.read_bytes()
+
+
+class TestWritersMatchReference:
+    """The writers against ``csv.writer`` one row at a time
+    (``helpers.reference_write_csv_rows``): the same bytes, or the same error."""
+
+    @settings(max_examples=300)
+    @given(width=st.integers(1, 4), data=st.data())
+    def test_text_columns(self, tmp_path_factory, width, data):
+        """The joined columns of the predictions and trace writers; a lone
+        field always goes to csv.writer, which quotes it when empty."""
+        header = data.draw(st.lists(TEXT_FIELDS, min_size=width, max_size=width))
+        rows = data.draw(st.lists(st.lists(TEXT_FIELDS, min_size=width, max_size=width), max_size=5))
+        work = tmp_path_factory.mktemp("w")
+        got = write_outcome(io._write_columns, work / "new.csv", header, list(zip(*rows)) or [()] * width)
+        assert got == write_outcome(reference_write_csv_rows, work / "old.csv", header, rows)
+
+    @settings(max_examples=100)
+    @given(width=st.integers(0, 4), data=st.data())
+    def test_write_csv_rows(self, tmp_path_factory, width, data):
+        header = data.draw(st.lists(TEXT_FIELDS, min_size=width, max_size=width))
+        same_width = st.lists(FIELDS, min_size=width, max_size=width)
+        any_width = st.lists(FIELDS, max_size=width + 1)
+        row = once_in(16).flatmap(lambda ragged: any_width if ragged else same_width)
+        rows = data.draw(st.lists(row.map(tuple) | row, max_size=5))
+        work = tmp_path_factory.mktemp("w")
+        got = write_outcome(io.write_csv_rows, work / "new.csv", header, iter(rows))
+        assert got == write_outcome(reference_write_csv_rows, work / "old.csv", header, iter(rows))
+
+    @pytest.mark.parametrize(
+        "header, columns",
+        [
+            (["a", "b"], [("", "é"), ("", "1")]),  # empty and non-ASCII fields stay bare
+            (["a", "b"], [("x\x00",), ("y",)]),  # NUL goes to csv.writer
+            (["a"], [("", "x")]),  # a lone empty field is quoted
+        ],
+    )
+    def test_listed_columns(self, tmp_path, header, columns):
+        got = write_outcome(io._write_columns, tmp_path / "new.csv", header, columns)
+        assert got == write_outcome(reference_write_csv_rows, tmp_path / "old.csv", header, list(zip(*columns)))
+
+    @settings(max_examples=100)
+    @given(ids=WRITER_IDS, m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_write_conditions(self, tmp_path_factory, ids, m, seed, data):
+        names = st.sampled_from(["c1", "c,2", 'c"3', "c\r4", "é"])
+        names = data.draw(st.lists(names, min_size=m, max_size=m, unique=True))
+        table = make_table(["a"], ["a"] * len(ids), ids=ids)
+        bits = np.random.default_rng(seed).random((len(ids), m)) < 0.5
+        conds = ConditionMatrix(tuple(names), bits)
+        work = tmp_path_factory.mktemp("w")
+        rows = [[sample_id, *("1" if bit else "0" for bit in row)] for sample_id, row in zip(ids, bits)]
+        got = write_outcome(io.write_conditions, work / "new.csv", table, conds)
+        assert got == write_outcome(reference_write_csv_rows, work / "old.csv", ("sample_id", *names), rows)
 
 
 FINITE = {"allow_nan": False, "allow_infinity": False}
@@ -871,6 +1160,59 @@ def test_inconsistent_ruleset_is_data_error(tmp_path):
     ruleset.write_text(text.replace("conditions: [c1, c2]", "conditions: [c2]"))
     with pytest.raises(DataError, match="undeclared"):
         io.load_ruleset(ruleset)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """The CLI inputs of a small corpus: predictions, conditions, the learned
+    ruleset and the trace of applying it."""
+    root = tmp_path_factory.mktemp("fuzz")
+    corpus = gen_corpus(root, seed=31, samples=40)
+    p, c = corpus / "predictions.csv", corpus / "conditions.csv"
+    assert run(["learn", "--predictions", p, "--conditions", c, "--out", root / "learn"]) == 0
+    ruleset = root / "learn" / "ruleset.yaml"
+    assert run(["apply", "--ruleset", ruleset, "--predictions", p, "--conditions", c, "--out", root / "apply"]) == 0
+    return {"predictions": p, "conditions": c, "ruleset": ruleset, "trace": root / "apply" / "trace.csv"}
+
+
+# a byte position, as a fraction of the file, and a byte: often one that
+# steers CSV or YAML parsing, NUL, or one that is not UTF-8
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["flip", "insert", "delete"]),
+        st.floats(0.0, 1.0),
+        st.one_of(st.sampled_from(list(b'",\r\n\x00\xff01;:-[ ')), st.integers(0, 255)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestByteMutationFuzz:
+    """Flipped, inserted and deleted bytes in any input of ``apply`` and
+    ``eval --trace`` end in exit 0, 2 or 3, never in an uncaught exception."""
+
+    @pytest.mark.parametrize("target", ["predictions", "conditions", "ruleset", "trace"])
+    @settings(max_examples=50)
+    @given(edits=EDITS)
+    def test_cli_exits_cleanly(self, fuzz_inputs, tmp_path_factory, target, edits):
+        data = bytearray(fuzz_inputs[target].read_bytes())
+        for op, where, byte in edits:
+            at = min(int(where * len(data)), max(len(data) - 1, 0))
+            if op == "insert":
+                data.insert(at, byte)
+            elif data and op == "delete":
+                del data[at]
+            elif data:
+                data[at] ^= 1 << (byte % 8)
+        work = tmp_path_factory.mktemp("mutated")
+        inputs = {**fuzz_inputs, target: work / fuzz_inputs[target].name}
+        inputs[target].write_bytes(bytes(data))
+        p = inputs["predictions"]
+        applied = run(["apply", "--ruleset", inputs["ruleset"], "--predictions", p,
+                       "--conditions", inputs["conditions"], "--out", work / "apply"])
+        evaluated = run(["eval", "--predictions", p, "--trace", inputs["trace"], "--out", work / "eval"])
+        assert {applied, evaluated} <= {0, 2, 3}
 
 
 def invalid_invocations(tmp_path):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from edcr import (
     UNKNOWN_NAME,
@@ -12,7 +13,8 @@ from edcr import (
     apply_ruleset,
     det_rule_learn,
 )
-from helpers import make_conds, make_table
+from edcr.rules import _fired_codes
+from helpers import make_conds, make_table, reference_fired_codes
 
 
 def names(table):
@@ -262,3 +264,26 @@ class TestErrorPredictions:
             error_flags(with_corr, table, conds),
             error_flags(detect_only, table, conds),
         )
+
+
+class TestFiredCodes:
+    """``_fired_codes`` against the row-wise ``unique`` it replaced
+    (``helpers.reference_fired_codes``); past 8 and 16 rules a packed row
+    spans two and three bytes."""
+
+    @settings(max_examples=200)
+    @given(n=st.integers(0, 60), k=st.integers(0, 20), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+    def test_same_as_reference(self, n, k, density, seed):
+        matches = np.random.default_rng(seed).random((n, k)) < density
+        targets = [f"t{j}" for j in range(k)]
+        codes, names = _fired_codes(matches, targets)
+        expected_codes, expected_names = reference_fired_codes(matches, targets)
+        assert codes.tolist() == expected_codes.tolist()
+        assert names == expected_names
+
+    def test_later_bytes_order_the_codes(self):
+        matches = np.zeros((3, 12), dtype=bool)
+        matches[0, 11], matches[1, 0], matches[2, [0, 11]] = True, True, True
+        codes, names = _fired_codes(matches, [f"t{j}" for j in range(12)])
+        assert codes.tolist() == [0, 1, 2]
+        assert names == ("t11", "t0", "t0;t11")
