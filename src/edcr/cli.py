@@ -14,7 +14,7 @@ import numpy as np
 
 from . import io
 from .conditions import generate_synthetic
-from .core import ContractError, DataError, EdcrError, VerificationError, check_seed, compute_class_stats
+from .core import ContractError, DataError, EdcrError, VerificationError, compute_class_stats
 from .evaluate import (
     ScoringMode,
     error_detection_metrics,
@@ -26,9 +26,8 @@ from .evaluate import (
 from .learn import LearnConfig, det_corr_rule_learn
 from .rules import apply_ruleset
 from .theory import (
-    build_correction_scenario,
+    check_correction_scenarios,
     check_submodular,
-    correction_precision_delta,
     precision_delta_exact,
     recall_delta_exact,
     theorem_report,
@@ -132,11 +131,12 @@ def cmd_learn(args) -> int:
         output_paths=[ruleset_path],
     )
 
-    for label in table.classes:
-        det = rule_set.detection_by_class.get(label.name)
-        corr = rule_set.correction_by_class.get(label.name)
-        p_i = float(stats.precision[label.id])
-        r_i = float(stats.recall[label.id])
+    names = table.classes.names
+    for i, name in enumerate(names):
+        det = rule_set.detection_by_class.get(i)
+        corr = rule_set.correction_by_class.get(i)
+        p_i = float(stats.precision[i])
+        r_i = float(stats.recall[i])
         if det is not None:
             if det.class_support < 1.0 and p_i > 0.0:
                 d_prec = precision_delta_exact(det.class_support, det.confidence, p_i)
@@ -145,16 +145,14 @@ def cmd_learn(args) -> int:
             else:
                 effect = " (degenerate stats)"
             print(
-                f"{label.name}: detect via {list(det.conditions)} "
+                f"{name}: detect via {list(det.conditions)} "
                 f"s_i={det.class_support:.4f} c={det.confidence:.4f}{effect}"
             )
         else:
-            print(f"{label.name}: no detection rule")
+            print(f"{name}: no detection rule")
         if corr is not None:
-            pairs = [(cond, cls.name) for cond, cls in corr.pairs]
-            print(
-                f"{label.name}: correct via {pairs} s={corr.support:.4f} c={corr.confidence:.4f}"
-            )
+            pairs = [(cond, names[cls]) for cond, cls in corr.pairs]
+            print(f"{name}: correct via {pairs} s={corr.support:.4f} c={corr.confidence:.4f}")
     print(f"wrote {ruleset_path}")
     return EXIT_OK
 
@@ -280,11 +278,9 @@ def cmd_unseen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.correction_scenarios < 0:
-        raise ContractError(
-            f"--correction-scenarios must be non-negative, got {args.correction_scenarios}"
-        )
-    check_seed(args.seed)
+    # the correction theorems replay constructed scenarios seeded from this
+    # run; they read no input, so a bad count or seed fails before any read
+    correction_fail = not check_correction_scenarios(args.correction_scenarios, args.seed)
     table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
 
@@ -300,11 +296,8 @@ def cmd_verify(args) -> int:
         )
 
     submodular_fail = False
-    check_class = table.classes.labels[0]
     for quantity in ("pos", "neg", "bod"):
-        result = check_submodular(
-            quantity, check_class, table, conds, trials=args.trials, seed=args.seed
-        )
+        result = check_submodular(quantity, 0, table, conds, trials=args.trials, seed=args.seed)
         status = "ok" if result.passed else "FAIL"
         scope = "exhaustive" if result.exhaustive else f"{result.pairs_checked} sampled pairs"
         print(f"submodularity {quantity}: {status} ({scope})")
@@ -312,30 +305,6 @@ def cmd_verify(args) -> int:
             submodular_fail = True
             print(f"  counterexample: {result.counterexample}")
 
-    # correction theorems on constructed scenarios seeded from this run
-    rng = np.random.default_rng(args.seed)
-    correction_fail = False
-    for _ in range(args.correction_scenarios):
-        n_i = int(rng.integers(10, 60))
-        tp = int(rng.integers(1, n_i + 1))
-        bod = int(rng.integers(1, 40))
-        pos = int(rng.integers(0, bod + 1))
-        extra_fn = int(rng.integers(0, 10))
-        n_total = n_i + bod + extra_fn + int(rng.integers(0, 40))
-        scenario = build_correction_scenario(
-            n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn=extra_fn
-        )
-        before = compute_class_stats(scenario.table)
-        revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
-        after = compute_class_stats(revised)
-        i = scenario.target.id
-        predicted = correction_precision_delta(
-            scenario.rule.support, scenario.rule.confidence, float(before.precision[i]),
-            float(before.prior[i]),
-        )
-        measured = float(after.precision[i]) - float(before.precision[i])
-        if abs(predicted - measured) > 1e-9:
-            correction_fail = True
     print(f"correction theorems: {'FAIL' if correction_fail else 'ok'} "
           f"({args.correction_scenarios} constructed scenarios)")
 

@@ -3,6 +3,12 @@ and a synthetic corpus generator for desk-scale end-to-end experiments.
 Externally computed binary-classifier verdicts are read with
 :func:`edcr.io.read_conditions`.
 
+The velocity signal has one path, which the generator calls too:
+:func:`max_speeds` gives each record's fastest segment speed in one pass,
+:func:`fit_velocity_thresholds` takes per-class maxima of those speeds, and
+:func:`build_velocity_conditions` compares speeds with the ceilings, either
+against every class or against each row's predicted class.
+
 The synthetic corpus is a fixed function of its arguments: for a given seed
 the records, predictions and conditions are the same floats, and so the same
 file bytes, on every run.  That holds because the generator makes its random
@@ -31,7 +37,7 @@ import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -96,22 +102,6 @@ class TrajectoryRecord:
 
 
 @dataclass(frozen=True)
-class SpeedProfile:
-    """Per-segment speeds in m/s plus their max."""
-
-    segment_speeds: tuple[float, ...]
-    max_speed: float
-
-
-def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
-    """Haversine distance over elapsed time for each consecutive point pair."""
-    speeds = []
-    for (t0, lat0, lon0), (t1, lat1, lon1) in zip(record.points, record.points[1:]):
-        speeds.append(haversine_m(lat0, lon0, lat1, lon1) / (t1 - t0))
-    return SpeedProfile(tuple(speeds), max(speeds))
-
-
-@dataclass(frozen=True)
 class VelocityThresholds:
     """Per-class speed ceiling: the fastest segment observed for that class in
     the training records."""
@@ -132,9 +122,10 @@ class VelocityThresholds:
         return tuple(sorted(self.max_speed))
 
 
-def _max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
-    """Each record's ``trajectory_speed(record).max_speed``, as one float64
-    array, bit for bit.
+def max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
+    """Each record's fastest segment speed in m/s, as one float64 array: the
+    haversine distance of each consecutive point pair over its elapsed time,
+    the same floats as :func:`haversine_m` divided in Python, bit for bit.
 
     numpy does only the correctly rounded steps of :func:`haversine_m`
     (subtraction, ``radians``, halving, products, sums, ``sqrt``, ``min`` and
@@ -176,25 +167,20 @@ def _mapped_squares(half_angles: np.ndarray) -> np.ndarray:
 
 
 def fit_velocity_thresholds(
-    training: Iterable[TrajectoryRecord], classes: Sequence[str] | None = None
+    labels: Sequence[str], speeds: np.ndarray, classes: Sequence[str] | None = None
 ) -> VelocityThresholds:
-    """Fit per-class maxima of segment speed from labeled training records.
+    """Fit per-class maxima of the training records' :func:`max_speeds`, given
+    one class label per record.
 
     When ``classes`` is given, every listed class must have at least one
     record; otherwise the fitted classes are whatever appears in the data.
     """
-    training = tuple(training)
-    for record in training:
-        if record.label is None:
-            raise ContractError(f"training record {record.sample_id!r} has no class label")
-    return _fit_thresholds([r.label for r in training], _max_speeds(training), classes)
-
-
-def _fit_thresholds(
-    labels: Sequence[str], speeds: np.ndarray, classes: Sequence[str] | None
-) -> VelocityThresholds:
+    if len(labels) != len(speeds):
+        raise ContractError(f"{len(labels)} labels for {len(speeds)} speeds")
     maxima: dict[str, float] = {}
-    for label, speed in zip(labels, speeds.tolist()):
+    for label, speed in zip(labels, np.asarray(speeds, dtype=float).tolist()):
+        if label is None:
+            raise ContractError("every training record needs a class label")
         if speed > maxima.get(label, -1.0):
             maxima[label] = speed
     if classes is not None:
@@ -206,50 +192,31 @@ def _fit_thresholds(
     return VelocityThresholds(maxima)
 
 
-def velocity_condition(
-    thresholds: VelocityThresholds, record: TrajectoryRecord, predicted: str
-) -> bool:
-    """True iff the record moves strictly faster than the fastest training
-    sample of its PREDICTED class -- a prediction whose speed exceeds anything
-    seen for that class is suspect."""
-    return trajectory_speed(record).max_speed > thresholds.for_class(predicted)
-
-
 def velocity_condition_name(class_name: str) -> str:
     return f"vel_over_{class_name}"
 
 
-def _check_velocity_mode(mode: str) -> None:
-    if mode not in VELOCITY_MODES:
-        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
-
-
 def build_velocity_conditions(
     thresholds: VelocityThresholds,
-    records: Sequence[TrajectoryRecord],
+    speeds: np.ndarray,
     mode: str = "per_class",
     predictions: Sequence[str] | None = None,
 ) -> ConditionMatrix:
-    """Velocity-outlier condition columns for a record sequence.
+    """Velocity-outlier condition columns over the records' :func:`max_speeds`.
 
-    ``per_class`` emits one column per fitted class comparing every record
-    against that class's ceiling; ``predicted`` emits a single column where
-    each row uses its own predicted class name (requires ``predictions``).
+    A record is an outlier for a class when it moves strictly faster than the
+    fastest training record of that class.  ``per_class`` emits one column per
+    fitted class comparing every record against that class's ceiling;
+    ``predicted`` emits a single column where each row uses its own predicted
+    class name (requires ``predictions``).
     """
-    _check_velocity_mode(mode)
-    return _velocity_columns(thresholds, _max_speeds(records), mode, predictions)
-
-
-def _velocity_columns(
-    thresholds: VelocityThresholds,
-    speeds: np.ndarray,
-    mode: str,
-    predictions: Sequence[str] | None,
-) -> ConditionMatrix:
+    speeds = np.asarray(speeds, dtype=float)
     if mode == "per_class":
         ceilings = np.array([thresholds.for_class(c) for c in thresholds.class_names], dtype=float)
         names = tuple(velocity_condition_name(c) for c in thresholds.class_names)
         return ConditionMatrix(names, speeds[:, None] > ceilings)
+    if mode != "predicted":
+        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
     if predictions is None or len(predictions) != len(speeds):
         raise ContractError("predicted mode requires one prediction per record")
     column = speeds > np.array([thresholds.for_class(name) for name in predictions], dtype=float)
@@ -352,7 +319,8 @@ def generate_synthetic(
     the non-holdout records.
     """
     seed = check_seed(seed)
-    _check_velocity_mode(velocity_mode)
+    if velocity_mode not in VELOCITY_MODES:
+        raise ContractError(f"velocity_mode must be one of {VELOCITY_MODES}, got {velocity_mode!r}")
     regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
     names = tuple(class_names) if class_names is not None else tuple(regimes)
     for name in names:
@@ -414,10 +382,10 @@ def generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
-    speeds = _max_speeds(records)
+    speeds = max_speeds(records)
     fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
-    thresholds = _fit_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
-    velocity = _velocity_columns(thresholds, speeds, velocity_mode, predicted)
+    thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
+    velocity = build_velocity_conditions(thresholds, speeds, velocity_mode, predicted)
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 

@@ -69,21 +69,10 @@ def check_seed(seed) -> int:
 
 
 @dataclass(frozen=True)
-class ClassLabel:
-    """A class name plus its dense index within the owning class set; rules
-    name their classes with labels."""
-
-    id: int
-    name: str
-
-    @property
-    def in_set(self) -> bool:
-        return self.id >= 0
-
-
-@dataclass(frozen=True)
 class ClassSet:
-    """Ordered universe of predictable classes; ids are dense 0..n-1 by position."""
+    """Ordered universe of predictable classes; ids are dense 0..n-1 by
+    position.  Rules, learners and tables carry the int ids; this is the only
+    map between names and ids."""
 
     names: tuple[str, ...]
 
@@ -97,32 +86,29 @@ class ClassSet:
             raise ContractError(f"{UNKNOWN_NAME!r} is reserved and cannot be a class name")
 
     @cached_property
-    def labels(self) -> tuple[ClassLabel, ...]:
-        return tuple(ClassLabel(i, name) for i, name in enumerate(self.names))
-
-    @cached_property
-    def _by_name(self) -> dict[str, ClassLabel]:
-        return {label.name: label for label in self.labels}
+    def _ids(self) -> dict[str, int]:
+        return dict(zip(self.names, range(len(self.names))))
 
     def __len__(self) -> int:
         return len(self.names)
 
-    def __iter__(self):
-        return iter(self.labels)
-
-    def __contains__(self, item) -> bool:
-        if isinstance(item, ClassLabel):
-            return self._by_name.get(item.name) == item
-        return item in self._by_name
-
-    def label(self, name: str) -> ClassLabel:
-        """In-set label for ``name``; raises :class:`UnknownClassError` otherwise."""
+    def index(self, name: str) -> int:
+        """Id of the class ``name``; raises :class:`UnknownClassError` otherwise."""
         try:
-            return self._by_name[name]
+            return self._ids[name]
         except KeyError:
             raise UnknownClassError(
                 f"unknown class {name!r}; known classes: {', '.join(self.names)}"
             ) from None
+
+    def check_id(self, class_id) -> int:
+        """``class_id`` as an int; raises :class:`UnknownClassError` unless it
+        is an integer in ``[0, len(self))``."""
+        if isinstance(class_id, numbers.Integral) and 0 <= class_id < len(self.names):
+            return int(class_id)
+        raise UnknownClassError(
+            f"class id {class_id!r} is not in [0, {len(self.names)}) for classes {self.names}"
+        )
 
 
 def name_column(names: Sequence[str], ids: np.ndarray) -> list[str]:
@@ -413,14 +399,6 @@ class CorrectionCounts:
     confidence: float
 
 
-def _resolve_target(classes: ClassSet, class_i) -> ClassLabel:
-    if isinstance(class_i, ClassLabel):
-        if class_i not in classes:
-            raise UnknownClassError(f"label {class_i} is not in the class set {classes.names}")
-        return class_i
-    return classes.label(class_i)
-
-
 def _require_aligned(table: PredictionTable, conds: ConditionMatrix) -> None:
     if conds.n_rows != table.n:
         raise ContractError(
@@ -451,10 +429,11 @@ def compute_class_stats(table: PredictionTable) -> ClassStats:
 def detection_counts(
     table: PredictionTable,
     conds: ConditionMatrix,
-    class_i,
+    class_i: int,
     dc: Iterable[str],
 ) -> DetectionCounts:
-    """Evaluate a detection body ``pred_i AND any(dc)``.
+    """Evaluate a detection body ``pred_i AND any(dc)`` for the class id
+    ``class_i``.
 
     Support and confidence are both defined as zero for an empty condition
     set, and the disjunction is a set union over rows: a row satisfying
@@ -462,14 +441,14 @@ def detection_counts(
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     names = sorted(set(dc))
-    n_i = int(np.count_nonzero(table.pred_ids == target.id))
+    n_i = int(np.count_nonzero(table.pred_ids == i))
     if not names:
         return DetectionCounts(0, 0, 0, 0.0, 0.0)
-    body = rule_body(conds, table.pred_ids, [(name, target.id) for name in names])
+    body = rule_body(conds, table.pred_ids, [(name, i) for name in names])
     bod = int(np.count_nonzero(body))
-    pos = int(np.count_nonzero(body & (table.gt_ids != target.id)))
+    pos = int(np.count_nonzero(body & (table.gt_ids != i)))
     neg = bod - pos
     class_support = bod / n_i if n_i > 0 else 0.0
     confidence = pos / bod if bod > 0 else 0.0
@@ -479,24 +458,25 @@ def detection_counts(
 def correction_counts(
     table: PredictionTable,
     conds: ConditionMatrix,
-    class_i,
-    cc: Iterable[tuple[str, object]],
+    class_i: int,
+    cc: Iterable[tuple[str, int]],
 ) -> CorrectionCounts:
     """Evaluate a correction body ``OR over (q, r) of cond_q AND pred_r``.
 
-    The head holds on a row when its ground truth equals the target class.
+    The head holds on a row when its ground truth equals the target class id
+    ``class_i``; ``r`` is a class id too.
     Support is measured over the whole table; empty pair sets yield all
     zeros, matching the empty-body convention.
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
-    pairs = [(cond, _resolve_target(table.classes, cls).id) for cond, cls in cc]
+    i = table.classes.check_id(class_i)
+    pairs = [(cond, table.classes.check_id(cls)) for cond, cls in cc]
     if not pairs:
         return CorrectionCounts(0, 0, 0.0, 0.0)
     body = rule_body(conds, table.pred_ids, pairs)
     bod = int(np.count_nonzero(body))
-    pos = int(np.count_nonzero(body & (table.gt_ids == target.id)))
+    pos = int(np.count_nonzero(body & (table.gt_ids == i)))
     support = bod / table.n if table.n > 0 else 0.0
     confidence = pos / bod if bod > 0 else 0.0
     return CorrectionCounts(pos, bod, support, confidence)

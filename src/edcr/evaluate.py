@@ -109,14 +109,14 @@ def metrics_report(
     stats = compute_class_stats(table)
     per_class = tuple(
         ClassMetrics(
-            class_name=label.name,
-            precision=float(stats.precision[label.id]),
-            recall=float(stats.recall[label.id]),
-            f1=f1_score(float(stats.precision[label.id]), float(stats.recall[label.id])),
-            n_predicted=int(stats.n_predicted[label.id]),
-            n_actual=int(stats.n_actual[label.id]),
+            class_name=name,
+            precision=float(stats.precision[i]),
+            recall=float(stats.recall[i]),
+            f1=f1_score(float(stats.precision[i]), float(stats.recall[i])),
+            n_predicted=int(stats.n_predicted[i]),
+            n_actual=int(stats.n_actual[i]),
         )
-        for label in table.classes
+        for i, name in enumerate(table.classes.names)
     )
     strict = accuracy(table, ScoringMode.STRICT)
     novel = accuracy(table, ScoringMode.NOVEL_AWARE)
@@ -187,9 +187,6 @@ class SweepRow:
 class SweepResult:
     rows: tuple[SweepRow, ...]
 
-    def for_split(self, split: str) -> tuple[SweepRow, ...]:
-        return tuple(row for row in self.rows if row.split == split)
-
 
 def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
     """Learn a rule set per epsilon on the learn side, apply it to both sides,
@@ -203,17 +200,17 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
         config = LearnConfig(epsilon=epsilon)
         rule_set = det_corr_rule_learn(config, split.learn_table, split.learn_conds)
         learn_stats = compute_class_stats(split.learn_table)
-        tr: dict[str, float] = {}
-        for label in split.learn_table.classes:
-            rule = rule_set.detection_by_class.get(label.name)
-            if rule is None or learn_stats.precision[label.id] == 0.0:
-                tr[label.name] = 0.0
+        tr: dict[int, float] = {}
+        for i in range(len(split.learn_table.classes)):
+            rule = rule_set.detection_by_class.get(i)
+            if rule is None or learn_stats.precision[i] == 0.0:
+                tr[i] = 0.0
             else:
-                tr[label.name] = recall_delta_exact(
+                tr[i] = recall_delta_exact(
                     rule.class_support,
                     rule.confidence,
-                    float(learn_stats.recall[label.id]),
-                    float(learn_stats.precision[label.id]),
+                    float(learn_stats.recall[i]),
+                    float(learn_stats.precision[i]),
                 )
         for split_name, tbl, cnd in (
             ("learn", split.learn_table, split.learn_conds),
@@ -222,12 +219,11 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
             before = compute_class_stats(tbl)
             revised, _ = apply_ruleset(rule_set, tbl, cnd)
             after = compute_class_stats(revised)
-            for label in tbl.classes:
-                i = label.id
+            for i, name in enumerate(tbl.classes.names):
                 rows.append(
                     SweepRow(
                         epsilon=float(epsilon),
-                        class_name=label.name,
+                        class_name=name,
                         split=split_name,
                         precision_before=float(before.precision[i]),
                         recall_before=float(before.recall[i]),
@@ -235,7 +231,7 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
                         precision_after=float(after.precision[i]),
                         recall_after=float(after.recall[i]),
                         f1_after=f1_score(float(after.precision[i]), float(after.recall[i])),
-                        theoretical_recall_reduction=tr[label.name],
+                        theoretical_recall_reduction=tr[i],
                     )
                 )
     return SweepResult(tuple(rows))
@@ -256,9 +252,6 @@ class UnseenRow:
 class UnseenResult:
     rows: tuple[UnseenRow, ...]
 
-    def zero_shot(self) -> UnseenRow:
-        return self.rows[0]
-
 
 def unseen_class_experiment(
     table: PredictionTable,
@@ -267,7 +260,6 @@ def unseen_class_experiment(
     fractions: Sequence[float] = (),
     epsilon: float = 0.1,
     learn_fraction: float = 0.5,
-    correction_scope: str = "body",
 ) -> UnseenResult:
     """Zero/few-shot protocol for classes the base model cannot predict.
 
@@ -287,7 +279,7 @@ def unseen_class_experiment(
             raise ContractError(f"few-shot fraction must lie in [0, 1], got {fraction}")
     gt_names = set(table.names(np.unique(table.gt_ids)))
     for name in holdout:
-        if name in table.classes:
+        if name in table.classes.names:
             raise ContractError(
                 f"holdout class {name!r} is predictable; it must be outside the class set"
             )
@@ -308,9 +300,7 @@ def unseen_class_experiment(
         learn_table = split.learn_table.subset(idx)
         learn_conds = split.learn_conds.rows(idx)
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=epsilon), learn_table, learn_conds)
-        revised, _ = apply_ruleset(
-            rule_set, split.test_table, split.test_conds, correction_scope=correction_scope
-        )
+        revised, _ = apply_ruleset(rule_set, split.test_table, split.test_conds)
         edcr = accuracy(revised, ScoringMode.NOVEL_AWARE)
         rows.append(UnseenRow(fraction, baseline, edcr, edcr - baseline))
     return UnseenResult(tuple(rows))

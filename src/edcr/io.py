@@ -41,7 +41,7 @@ import re
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain, repeat
@@ -60,7 +60,6 @@ from .core import (
     DataError,
     PredictionTable,
     _coded,
-    check_unit_interval,
     id_column,
     name_column,
 )
@@ -496,6 +495,8 @@ def write_trajectories(path, records: Sequence[TrajectoryRecord]) -> None:
 
 
 def ruleset_to_dict(rule_set: RuleSet) -> dict:
+    """The YAML document of a rule set; classes appear by name."""
+    names = rule_set.classes.names
     return {
         "format_version": RULESET_FORMAT_VERSION,
         "classes": list(rule_set.classes.names),
@@ -503,7 +504,7 @@ def ruleset_to_dict(rule_set: RuleSet) -> dict:
         "epsilon": rule_set.epsilon,
         "detection_rules": [
             {
-                "class": rule.target.name,
+                "class": names[rule.target],
                 "conditions": list(rule.conditions),
                 "class_support": rule.class_support,
                 "confidence": rule.confidence,
@@ -512,8 +513,8 @@ def ruleset_to_dict(rule_set: RuleSet) -> dict:
         ],
         "correction_rules": [
             {
-                "class": rule.target.name,
-                "pairs": [[cond, cls.name] for cond, cls in rule.pairs],
+                "class": names[rule.target],
+                "pairs": [[cond, names[cls]] for cond, cls in rule.pairs],
                 "support": rule.support,
                 "confidence": rule.confidence,
             }
@@ -530,7 +531,7 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
         classes = ClassSet(tuple(data["classes"]))
         detection = tuple(
             DetectionRule(
-                target=classes.label(entry["class"]),
+                target=classes.index(entry["class"]),
                 conditions=tuple(entry["conditions"]),
                 class_support=entry["class_support"],
                 confidence=entry["confidence"],
@@ -539,8 +540,8 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
         )
         correction = tuple(
             CorrectionRule(
-                target=classes.label(entry["class"]),
-                pairs=tuple((cond, classes.label(cls)) for cond, cls in entry["pairs"]),
+                target=classes.index(entry["class"]),
+                pairs=tuple((cond, classes.index(cls)) for cond, cls in entry["pairs"]),
                 support=entry["support"],
                 confidence=entry["confidence"],
             )
@@ -684,19 +685,6 @@ def write_theorem_reports(path, reports: Sequence[TheoremReport]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Reproducibility record written once per output directory."""
-
-    command: str
-    version: str
-    timestamp: str
-    seed: int | None
-    config: dict
-    inputs: dict[str, str]
-    outputs: dict[str, str]
-
-
 def write_manifest(
     out_dir,
     command: str,
@@ -707,16 +695,15 @@ def write_manifest(
 ) -> Path:
     from . import __version__
 
-    out_dir = Path(out_dir)
-    manifest = RunManifest(
-        command=command,
-        version=__version__,
-        timestamp=datetime.now(timezone.utc).isoformat(),
-        seed=seed,
-        config=dict(config),
-        inputs={Path(p).name: sha256_file(p) for p in input_paths},
-        outputs={Path(p).name: sha256_file(p) for p in output_paths},
-    )
-    path = out_dir / "manifest.json"
-    atomic_write_text(path, json.dumps(manifest.__dict__, indent=2, sort_keys=True) + "\n")
+    manifest = {
+        "command": command,
+        "version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
+        "seed": seed,
+        "config": dict(config),
+        "inputs": {Path(p).name: sha256_file(p) for p in input_paths},
+        "outputs": {Path(p).name: sha256_file(p) for p in output_paths},
+    }
+    path = Path(out_dir) / "manifest.json"
+    atomic_write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return path

@@ -1,5 +1,7 @@
 """Rule learning: greedy detection under a recall budget, double-greedy
-correction, and their composition into a full rule set.
+correction, and their composition into a full rule set.  Classes are int ids
+into the table's :class:`ClassSet`, and a candidate correction pair is a
+(condition name, class id) tuple.
 
 Detection learning for class i repeatedly adds the condition with the largest
 body&head count POS among candidates whose body&not-head count NEG stays
@@ -36,14 +38,12 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .core import (
-    ClassLabel,
     ClassStats,
     ConditionMatrix,
     ContractError,
     PredictionTable,
     _pack_rows,
     _require_aligned,
-    _resolve_target,
     check_unit_interval,
     compute_class_stats,
     correction_counts,
@@ -51,7 +51,7 @@ from .core import (
 )
 from .rules import CorrectionRule, DetectionRule, RuleSet
 
-Pair = tuple[str, ClassLabel]
+Pair = tuple[str, int]
 
 
 @dataclass(frozen=True)
@@ -59,20 +59,17 @@ class LearnConfig:
     """Learning-time settings.
 
     ``epsilon`` is the per-class cap on recall reduction, either one scalar
-    broadcast to every class or a mapping keyed by class name.  ``conditions``
-    optionally restricts the candidate universe to a subset of the condition
-    matrix columns; the class universe always comes from the table.
+    broadcast to every class or a mapping keyed by class name.  The candidate
+    conditions are every column of the condition matrix, and the classes are
+    those of the table.
     """
 
     epsilon: float | Mapping[str, float] = 0.1
-    conditions: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
         values = [self.epsilon] if isinstance(self.epsilon, (int, float)) else self.epsilon.values()
         for value in values:
             check_unit_interval("epsilon", value)
-        if self.conditions is not None:
-            object.__setattr__(self, "conditions", tuple(self.conditions))
 
     def epsilon_for(self, class_name: str) -> float:
         if isinstance(self.epsilon, (int, float)):
@@ -93,14 +90,14 @@ def recall_budget(stats: ClassStats, class_id: int, epsilon: float) -> float:
 
 
 def det_rule_learn(
-    class_i,
+    class_i: int,
     epsilon: float,
     table: PredictionTable,
     conds: ConditionMatrix,
     stats: ClassStats | None = None,
-    candidates: Sequence[str] | None = None,
 ) -> tuple[str, ...]:
-    """Greedy detection-condition selection for one class.
+    """Greedy detection-condition selection for the class id ``class_i``,
+    over every condition of ``conds``.
 
     Returns the selected condition names (possibly empty).  Classes never
     predicted or with zero recall are skipped: their budget is undefined.
@@ -110,14 +107,13 @@ def det_rule_learn(
     check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     if stats is None:
         stats = compute_class_stats(table)
-    i = target.id
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return ()
     budget = recall_budget(stats, i, epsilon)
-    pool = sorted(set(candidates) if candidates is not None else conds.condition_names)
+    pool = sorted(conds.condition_names)
     cols = [conds.column_index(name) for name in pool]
 
     rows = np.flatnonzero(table.pred_ids == i)
@@ -148,13 +144,13 @@ def det_rule_learn(
 
 
 def corr_rule_learn(
-    class_i,
+    class_i: int,
     cc_all: Iterable[Pair],
     table: PredictionTable,
     conds: ConditionMatrix,
     stats: ClassStats | None = None,
 ) -> tuple[Pair, ...]:
-    """Double-greedy correction-pair selection for one class.
+    """Double-greedy correction-pair selection for the class id ``class_i``.
 
     Candidate pairs whose singleton confidence does not beat the class's
     baseline precision are dropped up front; the survivors are walked from
@@ -165,21 +161,21 @@ def corr_rule_learn(
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     if stats is None:
         stats = compute_class_stats(table)
-    p_i = float(stats.precision[target.id])
+    p_i = float(stats.precision[i])
 
     columns: dict[Pair, int] = {}  # each distinct pair, with its condition's column
     for cond_name, pair_class in cc_all:
-        pair = (cond_name, _resolve_target(table.classes, pair_class))
+        pair = (cond_name, table.classes.check_id(pair_class))
         columns.setdefault(pair, conds.column_index(cond_name))
     if not columns:
         return ()
     pairs = list(columns)
-    pair_ids = np.array([label.id for _, label in pairs])
+    pair_ids = np.array([class_id for _, class_id in pairs])
     words = _pack_rows(conds.values.T[list(columns.values())] & (table.pred_ids == pair_ids[:, None]))
-    head = _pack_rows((table.gt_ids == target.id)[None, :])[0]
+    head = _pack_rows((table.gt_ids == i)[None, :])[0]
 
     def confidence(body: np.ndarray) -> float:
         bod = int(np.bitwise_count(body).sum())
@@ -191,7 +187,7 @@ def corr_rule_learn(
     singleton = [confidence(body) for body in words]
     order = sorted(
         (j for j in range(len(pairs)) if singleton[j] > p_i),
-        key=lambda j: (-singleton[j], pairs[j][0], pairs[j][1].id),
+        key=lambda j: (-singleton[j], pairs[j]),
     )
 
     kept: list[int] = []
@@ -209,7 +205,7 @@ def corr_rule_learn(
 
     if confidence(kept_body) <= p_i:
         return ()
-    return tuple(sorted((pairs[j] for j in kept), key=lambda pair: (pair[0], pair[1].id)))
+    return tuple(sorted(pairs[j] for j in kept))
 
 
 def det_corr_rule_learn(
@@ -226,39 +222,28 @@ def det_corr_rule_learn(
     table.require_ground_truth()
     _require_aligned(table, conds)
     stats = compute_class_stats(table)
-    universe = (
-        tuple(config.conditions) if config.conditions is not None else tuple(conds.condition_names)
-    )
-    for name in universe:
-        conds.column_index(name)
+    class_ids = range(len(table.classes))
 
     detection: list[DetectionRule] = []
     cc_all: list[Pair] = []
-    for label in table.classes:
-        dc = det_rule_learn(
-            label, config.epsilon_for(label.name), table, conds, stats=stats, candidates=universe
-        )
+    for i in class_ids:
+        dc = det_rule_learn(i, config.epsilon_for(table.classes.names[i]), table, conds, stats=stats)
         if dc:
-            counts = detection_counts(table, conds, label, dc)
-            detection.append(DetectionRule(label, dc, counts.class_support, counts.confidence))
-            cc_all.extend((cond, label) for cond in dc)
+            counts = detection_counts(table, conds, i, dc)
+            detection.append(DetectionRule(i, dc, counts.class_support, counts.confidence))
+            cc_all.extend((cond, i) for cond in dc)
 
     correction: list[CorrectionRule] = []
-    for label in table.classes:
-        cc = corr_rule_learn(label, cc_all, table, conds, stats=stats)
+    for i in class_ids:
+        cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
         if cc:
-            counts = correction_counts(table, conds, label, cc)
-            correction.append(CorrectionRule(label, cc, counts.support, counts.confidence))
+            counts = correction_counts(table, conds, i, cc)
+            correction.append(CorrectionRule(i, cc, counts.support, counts.confidence))
 
-    epsilon: float | dict[str, float]
-    if isinstance(config.epsilon, (int, float)):
-        epsilon = float(config.epsilon)
-    else:
-        epsilon = {name: float(value) for name, value in config.epsilon.items()}
     return RuleSet(
         classes=table.classes,
-        condition_names=universe,
-        epsilon=epsilon,
+        condition_names=conds.condition_names,
+        epsilon=config.epsilon if isinstance(config.epsilon, (int, float)) else dict(config.epsilon),
         detection_rules=tuple(detection),
         correction_rules=tuple(correction),
     )

@@ -1,7 +1,9 @@
 """Detection and correction rules, and their two-phase application to a table.
 
-Phase 1 (detection) flags every sample whose current prediction is the rule's
-target class and that satisfies at least one of its conditions.  Phase 2
+Rules name their classes by int id into the rule set's :class:`ClassSet`, as
+tables do; class names appear only where a rule set or trace is written or
+read.  Phase 1 (detection) flags every sample whose current prediction is the
+rule's target class and that satisfies at least one of its conditions.  Phase 2
 (correction) re-labels every sample matching a correction body, where bodies
 are evaluated against the ORIGINAL predictions so that application order
 cannot matter.  A sample that is flagged and never corrected is routed to the
@@ -16,7 +18,6 @@ from itertools import repeat
 import numpy as np
 
 from .core import (
-    ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
@@ -35,10 +36,10 @@ CORRECTION_SCOPES = ("body", "flagged")
 @dataclass(frozen=True)
 class DetectionRule:
     """``error <- pred_target AND any(conditions)``: routes matches to UNKNOWN
-    unless a correction re-claims them.  Stats are the class support s_i and
-    confidence c recorded on the learning table."""
+    unless a correction re-claims them.  ``target`` is a class id.  Stats are
+    the class support s_i and confidence c recorded on the learning table."""
 
-    target: ClassLabel
+    target: int
     conditions: tuple[str, ...]
     class_support: float
     confidence: float
@@ -49,33 +50,25 @@ class DetectionRule:
         object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.conditions:
             raise ContractError("a detection rule needs at least one condition")
-        if not self.target.in_set:
-            raise ContractError(f"detection target must be a declared class, got {self.target}")
 
 
 @dataclass(frozen=True)
 class CorrectionRule:
     """``corr_target <- OR over (cond, cls) of cond AND pred_cls``: re-labels
-    matches to the target class.  Stats are support s and confidence c on the
-    learning table."""
+    matches to the target class.  ``target`` and each ``cls`` are class ids.
+    Stats are support s and confidence c on the learning table."""
 
-    target: ClassLabel
-    pairs: tuple[tuple[str, ClassLabel], ...]
+    target: int
+    pairs: tuple[tuple[str, int], ...]
     support: float
     confidence: float
 
     def __post_init__(self) -> None:
-        canon = tuple(sorted(set(self.pairs), key=lambda p: (p[0], p[1].id)))
-        object.__setattr__(self, "pairs", canon)
+        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
         object.__setattr__(self, "support", check_unit_interval("support", self.support))
         object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.pairs:
             raise ContractError("a correction rule needs at least one (condition, class) pair")
-        if not self.target.in_set:
-            raise ContractError(f"correction target must be a declared class, got {self.target}")
-        for _, pair_class in self.pairs:
-            if not pair_class.in_set:
-                raise ContractError(f"correction pair references non-class label {pair_class}")
 
     @property
     def condition_names(self) -> tuple[str, ...]:
@@ -86,7 +79,7 @@ class CorrectionRule:
 class RuleSet:
     """All learned rules for one class universe: at most one detection and one
     correction rule per class, plus the recall budget and condition universe
-    they were learned under."""
+    they were learned under.  Every class id must index ``classes``."""
 
     classes: ClassSet
     condition_names: tuple[str, ...]
@@ -105,36 +98,26 @@ class RuleSet:
         object.__setattr__(self, "epsilon", epsilon)
         universe = set(self.condition_names)
         for kind, rules in (("detection", self.detection_rules), ("correction", self.correction_rules)):
-            targets = [rule.target.name for rule in rules]
+            targets = [self.classes.check_id(rule.target) for rule in rules]
             if len(set(targets)) != len(targets):
                 raise ContractError(f"more than one {kind} rule for a class: {targets}")
         for rule in self.detection_rules:
-            self._check_target(rule.target)
             missing = set(rule.conditions) - universe
             if missing:
                 raise ContractError(f"detection rule uses undeclared conditions {sorted(missing)}")
         for rule in self.correction_rules:
-            self._check_target(rule.target)
             for cond, pair_class in rule.pairs:
                 if cond not in universe:
                     raise ContractError(f"correction rule uses undeclared condition {cond!r}")
-                self._check_target(pair_class)
-
-    def _check_target(self, label: ClassLabel) -> None:
-        if label not in self.classes:
-            raise ContractError(f"rule references {label}, not in class set {self.classes.names}")
+                self.classes.check_id(pair_class)
 
     @cached_property
-    def detection_by_class(self) -> dict[str, DetectionRule]:
-        return {rule.target.name: rule for rule in self.detection_rules}
+    def detection_by_class(self) -> dict[int, DetectionRule]:
+        return {rule.target: rule for rule in self.detection_rules}
 
     @cached_property
-    def correction_by_class(self) -> dict[str, CorrectionRule]:
-        return {rule.target.name: rule for rule in self.correction_rules}
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.detection_rules and not self.correction_rules
+    def correction_by_class(self) -> dict[int, CorrectionRule]:
+        return {rule.target: rule for rule in self.correction_rules}
 
     def referenced_conditions(self) -> tuple[str, ...]:
         names: set[str] = set()
@@ -172,7 +155,11 @@ class ApplyTrace:
 
     def rows_for(self, sample_ids: tuple[str, ...], source: str = "trace") -> np.ndarray:
         """Index array placing this trace's rows in ``sample_ids`` order; a
-        missing id is a :class:`DataError` naming ``source``."""
+        missing id is a :class:`DataError` naming ``source``.  A trace that
+        lists exactly ``sample_ids`` in order, as ``edcr apply`` writes it,
+        maps row to row without hashing any id."""
+        if self.sample_ids == sample_ids:
+            return np.arange(len(sample_ids))
         position = dict(zip(self.sample_ids, range(len(self.sample_ids))))
         rows = np.fromiter(map(position.get, sample_ids, repeat(-1)), dtype=np.intp, count=len(sample_ids))
         if (rows < 0).any():
@@ -226,22 +213,22 @@ def apply_ruleset(
     _validate_application(rules, table, conds)
     pred = table.pred_ids
     flags = rule_body(
-        conds, pred, [(cond, rule.target.id) for rule in rules.detection_rules for cond in rule.conditions]
+        conds, pred, [(cond, rule.target) for rule in rules.detection_rules for cond in rule.conditions]
     )
 
-    ordered = sorted(rules.correction_rules, key=lambda r: (-r.confidence, r.target.id))
+    ordered = sorted(rules.correction_rules, key=lambda r: (-r.confidence, r.target))
     fired = np.zeros((table.n, len(ordered)), dtype=bool)
     for j, rule in enumerate(ordered):
-        fired[:, j] = rule_body(conds, pred, [(cond, cls.id) for cond, cls in rule.pairs])
+        fired[:, j] = rule_body(conds, pred, rule.pairs)
     if correction_scope == "flagged":
         fired &= flags[:, None]
 
     final = np.where(flags, -1, pred)
     corrected = fired.any(axis=1)
-    targets = np.array([rule.target.id for rule in ordered], dtype=np.int32)
+    targets = np.array([rule.target for rule in ordered], dtype=np.int32)
     if ordered:
         final[corrected] = targets[fired[corrected].argmax(axis=1)]
     revised = table.with_predictions(final)
-    codes, fired_names = _fired_codes(fired, [rule.target.name for rule in ordered])
+    codes, fired_names = _fired_codes(fired, [table.classes.names[rule.target] for rule in ordered])
     trace = ApplyTrace(table.classes, table.sample_ids, pred, flags, codes, fired_names, revised.pred_ids)
     return revised, trace

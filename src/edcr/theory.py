@@ -25,7 +25,6 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
-    ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
@@ -33,7 +32,6 @@ from .core import (
     PredictionTable,
     _pack_rows,
     _require_aligned,
-    _resolve_target,
     check_seed,
     check_unit_interval,
     compute_class_stats,
@@ -157,7 +155,7 @@ def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int, block: i
 
 def check_submodular(
     quantity: str,
-    class_i,
+    class_i: int,
     table: PredictionTable,
     conds: ConditionMatrix,
     trials: int = 2000,
@@ -165,7 +163,8 @@ def check_submodular(
     exhaustive_limit: int = 12,
 ) -> SubmodularityReport:
     """Check that a detection counting function (``"pos"``, ``"neg"`` or
-    ``"bod"``) is submodular, monotone, and normalized over condition subsets.
+    ``"bod"``) of the class id ``class_i`` is submodular, monotone, and
+    normalized over condition subsets.
 
     Instances with at most ``exhaustive_limit`` conditions are checked over
     every subset pair; larger ones are sampled ``trials`` times.  Returns a
@@ -180,12 +179,12 @@ def check_submodular(
     seed = check_seed(seed)
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     names = list(conds.condition_names)
     m = len(names)
 
-    pred_i = table.pred_ids == target.id
-    head = table.gt_ids != target.id
+    pred_i = table.pred_ids == i
+    head = table.gt_ids != i
     row_filter = {
         "pos": pred_i & head,
         "neg": pred_i & ~head,
@@ -251,36 +250,35 @@ class DetectionSearchResult:
 
 @dataclass(frozen=True)
 class CorrectionSearchResult:
-    pairs: tuple[tuple[str, ClassLabel], ...]
+    pairs: tuple[Pair, ...]
     pos: int
     bod: int
     confidence: float
 
 
 def brute_force_detection(
-    class_i,
+    class_i: int,
     epsilon: float,
     table: PredictionTable,
     conds: ConditionMatrix,
-    candidates: Sequence[str] | None = None,
     max_conditions: int = 16,
 ) -> DetectionSearchResult:
-    """Exact optimum of POS over all condition subsets whose NEG stays within
-    the recall budget; the oracle the greedy learner is measured against.
+    """Exact optimum of POS over all subsets of the conditions of ``conds``
+    whose NEG stays within the recall budget of the class id ``class_i``; the
+    oracle the greedy learner is measured against.
 
     Ties prefer lower NEG, then fewer conditions, then lexicographic names.
     """
     check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
-    names = sorted(set(candidates) if candidates is not None else conds.condition_names)
+    i = table.classes.check_id(class_i)
+    names = sorted(conds.condition_names)
     if len(names) > max_conditions:
         raise ContractError(
             f"brute force over {len(names)} conditions exceeds the limit of {max_conditions}"
         )
     stats = compute_class_stats(table)
-    i = target.id
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return DetectionSearchResult((), 0, 0, 0.0)
     budget = recall_budget(stats, i, epsilon)
@@ -304,46 +302,40 @@ def brute_force_detection(
 
 
 def brute_force_correction(
-    class_i,
+    class_i: int,
     cc_all: Sequence[Pair],
     table: PredictionTable,
     conds: ConditionMatrix,
     max_pairs: int = 16,
 ) -> CorrectionSearchResult:
-    """Exact maximum-confidence subset of candidate pairs, empty unless that
-    confidence strictly beats the class's baseline precision.
+    """Exact maximum-confidence subset of candidate pairs for the class id
+    ``class_i``, empty unless that confidence strictly beats the class's
+    baseline precision.
 
     Ties prefer larger POS, then lexicographic pairs.
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
-    pairs: list[Pair] = []
-    for cond_name, pair_class in cc_all:
-        pair = (cond_name, _resolve_target(table.classes, pair_class))
-        if pair not in pairs:
-            pairs.append(pair)
-    pairs.sort(key=lambda p: (p[0], p[1].id))
+    i = table.classes.check_id(class_i)
+    pairs = sorted({(cond, table.classes.check_id(cls)) for cond, cls in cc_all})
     if len(pairs) > max_pairs:
         raise ContractError(f"brute force over {len(pairs)} pairs exceeds the limit of {max_pairs}")
     if not pairs:
         return CorrectionSearchResult((), 0, 0, 0.0)
     stats = compute_class_stats(table)
-    p_i = float(stats.precision[target.id])
+    p_i = float(stats.precision[i])
 
-    pair_cols = np.stack(
-        [rule_body(conds, table.pred_ids, [(cond, cls.id)]) for cond, cls in pairs], axis=1
-    )
+    pair_cols = np.stack([rule_body(conds, table.pred_ids, [pair]) for pair in pairs], axis=1)
     masks = _pack_rows(pair_cols)
     subsets = _all_subsets(len(pairs))[1:]
     bod = _cover_counts(masks, subsets)
-    pos = _cover_counts(masks[table.gt_ids == target.id], subsets)
+    pos = _cover_counts(masks[table.gt_ids == i], subsets)
     # float64 division of int64 counts below 2**53 is Python's int division
     conf = np.divide(pos, bod, out=np.zeros(len(subsets)), where=bod > 0)
 
     top = conf == conf.max()
     ties = np.flatnonzero(top & (pos == pos[top].max()))
-    best = min(ties, key=lambda s: tuple((c, l.id) for c, l in _subset_names(subsets[s], pairs)))
+    best = min(ties, key=lambda s: _subset_names(subsets[s], pairs))
     if conf[best] <= p_i:
         return CorrectionSearchResult((), 0, 0, 0.0)
     return CorrectionSearchResult(
@@ -365,13 +357,12 @@ def _as_count(value: float, what: str) -> int:
 
 @dataclass(frozen=True)
 class Scenario:
-    """A table and single-condition matrix realizing exact stats for class
-    ``target``; ``rule`` applies the condition as a detection or a
+    """A table and single-condition matrix realizing exact stats for the
+    class ``rule.target``; ``rule`` applies the condition as a detection or a
     correction rule."""
 
     table: PredictionTable
     conds: ConditionMatrix
-    target: ClassLabel
     rule: DetectionRule | CorrectionRule
 
     def ruleset(self) -> RuleSet:
@@ -411,7 +402,6 @@ def build_detection_scenario(
         raise ContractError(f"recall {recall} implies negative FN; scenario not realizable")
 
     classes = ClassSet(("a", "b"))
-    a = classes.label("a")
     # blocks of rows: predicted a with gt a (the first NEG carry the
     # condition), predicted a with gt b (the first POS carry it), and the
     # false negatives of a
@@ -421,9 +411,9 @@ def build_detection_scenario(
     ids = tuple(f"s{k:05d}" for k in range(len(pred)))
     table = PredictionTable(classes, ids, pred, gt)
     conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
-    counts = detection_counts(table, conds, a, ("flag",))
-    rule = DetectionRule(a, ("flag",), counts.class_support, counts.confidence)
-    return Scenario(table, conds, a, rule)
+    counts = detection_counts(table, conds, 0, ("flag",))
+    rule = DetectionRule(0, ("flag",), counts.class_support, counts.confidence)
+    return Scenario(table, conds, rule)
 
 
 def build_correction_scenario(
@@ -451,7 +441,6 @@ def build_correction_scenario(
         raise ContractError("N_i, BOD and extra_fn must be non-negative")
 
     classes = ClassSet(("a", "b"))
-    a, b = classes.labels
     # blocks of rows: existing predictions of the target class, the body
     # (predicted b, condition true), target-class rows the rule never
     # reaches, and padding
@@ -464,9 +453,9 @@ def build_correction_scenario(
     ids = tuple(f"s{k:05d}" for k in range(n_total))
     table = PredictionTable(classes, ids, pred, gt)
     conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
-    counts = correction_counts(table, conds, a, (("flag", b),))
-    rule = CorrectionRule(a, (("flag", b),), counts.support, counts.confidence)
-    return Scenario(table, conds, a, rule)
+    counts = correction_counts(table, conds, 0, (("flag", 1),))
+    rule = CorrectionRule(0, (("flag", 1),), counts.support, counts.confidence)
+    return Scenario(table, conds, rule)
 
 
 # ---------------------------------------------------------------------------
@@ -518,28 +507,27 @@ def theorem_report(
     table.require_ground_truth()
     stats = compute_class_stats(table)
     reports: list[TheoremReport] = []
-    for label in table.classes:
-        i = label.id
+    for i, name in enumerate(table.classes.names):
         p_i = float(stats.precision[i])
         r_i = float(stats.recall[i])
-        dc = det_rule_learn(label, epsilon, table, conds, stats=stats)
+        dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
         if not dc:
             reports.append(
-                TheoremReport(label.name, 0.0, 0.0, p_i, r_i, 0.0, 0.0, 0.0, 0.0, 0.0, tolerance, "no rule learned")
+                TheoremReport(name, 0.0, 0.0, p_i, r_i, 0.0, 0.0, 0.0, 0.0, 0.0, tolerance, "no rule learned")
             )
             continue
-        counts = detection_counts(table, conds, label, dc)
+        counts = detection_counts(table, conds, i, dc)
         if counts.class_support == 1.0:
             reports.append(
                 TheoremReport(
-                    label.name, 1.0, counts.confidence, p_i, r_i,
+                    name, 1.0, counts.confidence, p_i, r_i,
                     0.0, precision_delta_bound(counts.class_support, counts.confidence),
                     recall_delta_exact(counts.class_support, counts.confidence, r_i, p_i) if p_i > 0 else 0.0,
                     0.0, 0.0, tolerance, "degenerate: rule covers every prediction of the class",
                 )
             )
             continue
-        rule = DetectionRule(label, dc, counts.class_support, counts.confidence)
+        rule = DetectionRule(i, dc, counts.class_support, counts.confidence)
         rule_set = RuleSet(
             classes=table.classes,
             condition_names=conds.condition_names,
@@ -550,7 +538,7 @@ def theorem_report(
         after = compute_class_stats(revised)
         reports.append(
             TheoremReport(
-                class_name=label.name,
+                class_name=name,
                 class_support=counts.class_support,
                 confidence=counts.confidence,
                 precision_initial=p_i,
@@ -568,3 +556,34 @@ def theorem_report(
             )
         )
     return tuple(reports)
+
+
+def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
+    """Replay ``n_scenarios`` constructed correction scenarios, their counts
+    drawn from ``default_rng(seed)``, and return whether every measured
+    precision change matches :func:`correction_precision_delta`."""
+    if n_scenarios < 0:
+        raise ContractError(f"correction scenario count must be non-negative, got {n_scenarios}")
+    rng = np.random.default_rng(check_seed(seed))
+    for _ in range(n_scenarios):
+        n_i = int(rng.integers(10, 60))
+        tp = int(rng.integers(1, n_i + 1))
+        bod = int(rng.integers(1, 40))
+        pos = int(rng.integers(0, bod + 1))
+        extra_fn = int(rng.integers(0, 10))
+        n_total = n_i + bod + extra_fn + int(rng.integers(0, 40))
+        scenario = build_correction_scenario(
+            n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn=extra_fn
+        )
+        before = compute_class_stats(scenario.table)
+        revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
+        after = compute_class_stats(revised)
+        i = scenario.rule.target
+        predicted = correction_precision_delta(
+            scenario.rule.support, scenario.rule.confidence, float(before.precision[i]),
+            float(before.prior[i]),
+        )
+        measured = float(after.precision[i]) - float(before.precision[i])
+        if abs(predicted - measured) > RATIONAL_TOLERANCE:
+            return False
+    return True

@@ -17,7 +17,8 @@ the packed correction walk to agree with.  ``reference_read_predictions``,
 ``reference_write_csv_rows`` keep the readers and the writer that ran one
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
 that sorted a structured view, for the byte-level readers, the columnar
-writers and the 1-D void ``unique`` to agree with.
+writers and the 1-D void ``unique`` to agree with.  ``trajectory_speed``
+keeps the scalar per-record speed profile, for ``max_speeds`` to agree with.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ import csv
 import math
 import re
 from collections import Counter
+from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -53,8 +55,8 @@ from edcr.conditions import (
     TrajectoryRecord,
     VelocityThresholds,
     binary_condition_name,
+    haversine_m,
     negated_condition_name,
-    trajectory_speed,
     velocity_condition_name,
 )
 from edcr.core import (
@@ -63,7 +65,6 @@ from edcr.core import (
     UnknownClassError,
     _pack_rows,
     _require_aligned,
-    _resolve_target,
     check_seed,
     check_unit_interval,
     id_column,
@@ -132,8 +133,9 @@ def same_table(a, b):
     )
 
 
-def oracle_detection_counts(table, conds, class_name, dc):
+def oracle_detection_counts(table, conds, class_id, dc):
     """Row-by-row re-evaluation of the detection body and head."""
+    class_name = table.classes.names[class_id]
     dc = set(dc)
     pos = neg = bod = 0
     n_i = 0
@@ -160,9 +162,10 @@ def oracle_detection_counts(table, conds, class_name, dc):
     return pos, neg, bod, s_i, c
 
 
-def oracle_correction_counts(table, conds, class_name, pairs):
+def oracle_correction_counts(table, conds, class_id, pairs):
     """Row-by-row re-evaluation of the correction body and head."""
-    pairs = list(pairs)
+    class_name = table.classes.names[class_id]
+    pairs = [(cond, table.classes.names[cls]) for cond, cls in pairs]
     pos = bod = 0
     predicted = table.names(table.pred_ids)
     truth = table.names(table.gt_ids)
@@ -187,10 +190,9 @@ def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candida
     check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     if stats is None:
         stats = compute_class_stats(table)
-    i = target.id
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return ()
     budget = recall_budget(stats, i, epsilon)
@@ -205,7 +207,7 @@ def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candida
         for cand in pool:
             if cand in chosen:
                 continue
-            counts = detection_counts(table, conds, target, chosen + [cand])
+            counts = detection_counts(table, conds, i, chosen + [cand])
             if counts.neg <= budget and counts.pos > best_pos:
                 best_pos = counts.pos
                 best_name = cand
@@ -249,6 +251,22 @@ def reference_read_conditions(path, table: PredictionTable) -> ConditionMatrix:
     text = "".join(bits).encode("ascii")
     matrix = (np.frombuffer(text, dtype=np.uint8) == ord("1")).reshape(len(bits), len(names))
     return ConditionMatrix(names, matrix[[position[s] for s in table.sample_ids]])
+
+
+@dataclass(frozen=True)
+class SpeedProfile:
+    """Per-segment speeds in m/s plus their max."""
+
+    segment_speeds: tuple[float, ...]
+    max_speed: float
+
+
+def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
+    """Haversine distance over elapsed time for each consecutive point pair."""
+    speeds = []
+    for (t0, lat0, lon0), (t1, lat1, lon1) in zip(record.points, record.points[1:]):
+        speeds.append(haversine_m(lat0, lon0, lat1, lon1) / (t1 - t0))
+    return SpeedProfile(tuple(speeds), max(speeds))
 
 
 def _reference_fit_velocity_thresholds(training, classes=None) -> VelocityThresholds:
@@ -455,12 +473,12 @@ def reference_check_submodular(
     seed = check_seed(seed)
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     names = list(conds.condition_names)
     m = len(names)
 
-    pred_i = table.pred_ids == target.id
-    head = table.gt_ids != target.id
+    pred_i = table.pred_ids == i
+    head = table.gt_ids != i
     masks = _pack_rows(conds.values)
     row_filter = {
         "pos": pred_i & head,
@@ -546,14 +564,13 @@ def reference_brute_force_detection(
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     names = sorted(set(candidates) if candidates is not None else conds.condition_names)
     if len(names) > max_conditions:
         raise ContractError(
             f"brute force over {len(names)} conditions exceeds the limit of {max_conditions}"
         )
     stats = compute_class_stats(table)
-    i = target.id
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return DetectionSearchResult((), 0, 0, 0.0)
     budget = recall_budget(stats, i, epsilon)
@@ -593,25 +610,25 @@ def reference_brute_force_correction(
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     pairs: list[Pair] = []
     for cond_name, pair_class in cc_all:
-        pair = (cond_name, _resolve_target(table.classes, pair_class))
+        pair = (cond_name, table.classes.check_id(pair_class))
         if pair not in pairs:
             pairs.append(pair)
-    pairs.sort(key=lambda p: (p[0], p[1].id))
+    pairs.sort()
     if len(pairs) > max_pairs:
         raise ContractError(f"brute force over {len(pairs)} pairs exceeds the limit of {max_pairs}")
     if not pairs:
         return CorrectionSearchResult((), 0, 0, 0.0)
     stats = compute_class_stats(table)
-    p_i = float(stats.precision[target.id])
+    p_i = float(stats.precision[i])
 
     pair_cols = np.stack(
-        [rule_body(conds, table.pred_ids, [(cond, cls.id)]) for cond, cls in pairs], axis=1
+        [rule_body(conds, table.pred_ids, [(cond, cls)]) for cond, cls in pairs], axis=1
     )
     masks = _pack_rows(pair_cols)
-    pos_rows = masks[table.gt_ids == target.id]
+    pos_rows = masks[table.gt_ids == i]
 
     best_key = None
     best = CorrectionSearchResult((), 0, 0, 0.0)
@@ -620,7 +637,7 @@ def reference_brute_force_correction(
         bod, pos = _covered(masks, words), _covered(pos_rows, words)
         conf = pos / bod if bod > 0 else 0.0
         chosen = tuple(pairs[j] for j in range(len(pairs)) if subset >> j & 1)
-        key = (-conf, -pos, tuple((c, l.id) for c, l in chosen))
+        key = (-conf, -pos, chosen)
         if best_key is None or key < best_key:
             best_key = key
             best = CorrectionSearchResult(chosen, pos, bod, conf)
@@ -647,15 +664,15 @@ def reference_corr_rule_learn(
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
-    target = _resolve_target(table.classes, class_i)
+    i = table.classes.check_id(class_i)
     if stats is None:
         stats = compute_class_stats(table)
-    p_i = float(stats.precision[target.id])
+    p_i = float(stats.precision[i])
 
     pairs: list[Pair] = []
     seen: set[Pair] = set()
     for cond_name, pair_class in cc_all:
-        pair = (cond_name, _resolve_target(table.classes, pair_class))
+        pair = (cond_name, table.classes.check_id(pair_class))
         conds.column_index(cond_name)
         if pair not in seen:
             seen.add(pair)
@@ -666,11 +683,11 @@ def reference_corr_rule_learn(
     def confidence(subset: Sequence[Pair]) -> float:
         if not subset:
             return 0.0
-        return correction_counts(table, conds, target, subset).confidence
+        return correction_counts(table, conds, i, subset).confidence
 
     singleton = {pair: confidence([pair]) for pair in pairs}
     filtered = [pair for pair in pairs if singleton[pair] > p_i]
-    order = sorted(filtered, key=lambda pair: (-singleton[pair], pair[0], pair[1].id))
+    order = sorted(filtered, key=lambda pair: (-singleton[pair], pair))
 
     kept: list[Pair] = []
     remaining: list[Pair] = list(order)
@@ -685,7 +702,7 @@ def reference_corr_rule_learn(
 
     if confidence(kept) <= p_i:
         return ()
-    return tuple(sorted(kept, key=lambda pair: (pair[0], pair[1].id)))
+    return tuple(sorted(kept))
 
 
 _REFERENCE_ID_FIELD = re.compile(rb'[^",\r\n\x00]*|"(?:[^"\x00]|"")*"')

@@ -26,11 +26,11 @@ from edcr import (
     epsilon_sweep,
     f1_score,
     generate_synthetic,
+    max_speeds,
     precision_delta_bound,
     precision_delta_exact,
     recall_delta_exact,
     sequential_split,
-    trajectory_speed,
     unseen_class_experiment,
 )
 from edcr import io
@@ -62,17 +62,16 @@ def test_criterion_2_detection_theorem_exactness():
         table, conds = random_instance(rng, n_max=500, max_conditions=8)
         stats = compute_class_stats(table)
         epsilon = float(rng.uniform(0.02, 0.4))
-        for label in table.classes:
-            i = label.id
+        for i in range(len(table.classes)):
             if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0 or stats.precision[i] == 0.0:
                 continue
-            dc = det_rule_learn(label, epsilon, table, conds, stats=stats)
+            dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
             if not dc:
                 continue
-            counts = detection_counts(table, conds, label, dc)
+            counts = detection_counts(table, conds, i, dc)
             if counts.class_support == 1.0:
                 continue
-            rule = DetectionRule(label, dc, counts.class_support, counts.confidence)
+            rule = DetectionRule(i, dc, counts.class_support, counts.confidence)
             rules = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=(rule,))
             revised, _ = apply_ruleset(rules, table, conds)
             after = compute_class_stats(revised)
@@ -101,7 +100,7 @@ def test_criterion_3_budget_safety_sweep():
     epsilons = [0.0, 0.05, 0.1, 0.2, 0.3]
     result = epsilon_sweep(epsilons, split)
     learn_stats = compute_class_stats(split.learn_table)
-    rows = result.for_split("learn")
+    rows = [row for row in result.rows if row.split == "learn"]
     assert {row.epsilon for row in rows} == set(epsilons)
     for row in rows:
         reduction = row.recall_before - row.recall_after
@@ -115,16 +114,16 @@ def test_criterion_3_budget_safety_sweep():
         for row in rows:
             if row.epsilon != epsilon:
                 continue
-            rule = rule_set.detection_by_class.get(row.class_name)
-            label = split.learn_table.classes.label(row.class_name)
+            i = split.learn_table.classes.index(row.class_name)
+            rule = rule_set.detection_by_class.get(i)
             if rule is None:
                 assert row.theoretical_recall_reduction == 0.0
             else:
                 expected = recall_delta_exact(
                     rule.class_support,
                     rule.confidence,
-                    float(learn_stats.recall[label.id]),
-                    float(learn_stats.precision[label.id]),
+                    float(learn_stats.recall[i]),
+                    float(learn_stats.precision[i]),
                 )
                 assert row.theoretical_recall_reduction == expected
     print(f"ACCEPTANCE 3 budget safety over eps={epsilons}: PASS")
@@ -141,11 +140,11 @@ def test_criterion_4_greedy_vs_oracle():
         table, conds = random_instance(rng, n_max=200, max_conditions=10)
         stats = compute_class_stats(table)
         epsilon = float(rng.uniform(0.05, 0.4))
-        label = table.classes.labels[int(rng.integers(0, len(table.classes)))]
-        dc = det_rule_learn(label, epsilon, table, conds, stats=stats)
-        oracle = brute_force_detection(label, epsilon, table, conds)
+        i = int(rng.integers(0, len(table.classes)))
+        dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+        oracle = brute_force_detection(i, epsilon, table, conds)
         if dc:
-            counts = detection_counts(table, conds, label, dc)
+            counts = detection_counts(table, conds, i, dc)
             assert counts.neg <= oracle.budget
             assert counts.pos <= oracle.pos
             if oracle.pos > 0:
@@ -154,14 +153,14 @@ def test_criterion_4_greedy_vs_oracle():
         cc_all = [
             (c, k)
             for c in conds.condition_names
-            for k in table.classes.names
+            for k in range(len(table.classes))
             if rng.random() < 0.25
         ][:10]
-        cc = corr_rule_learn(label, cc_all, table, conds, stats=stats)
-        corr_oracle = brute_force_correction(label, cc_all, table, conds)
+        cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+        corr_oracle = brute_force_correction(i, cc_all, table, conds)
         if cc:
-            counts = correction_counts(table, conds, label, cc)
-            assert counts.confidence > float(stats.precision[label.id])
+            counts = correction_counts(table, conds, i, cc)
+            assert counts.confidence > float(stats.precision[i])
             assert counts.confidence <= corr_oracle.confidence + EXACT
             conf_ratios.append(counts.confidence / corr_oracle.confidence)
     assert pos_ratios and conf_ratios
@@ -202,8 +201,8 @@ def test_criterion_5_submodularity_exhaustive():
     pairs_total = 0
     for table, conds in instances:
         for quantity in ("pos", "neg", "bod"):
-            for label in table.classes:
-                report = check_submodular(quantity, label, table, conds)
+            for i in range(len(table.classes)):
+                report = check_submodular(quantity, i, table, conds)
                 assert report.exhaustive
                 assert report.passed, report.counterexample
                 pairs_total += report.pairs_checked
@@ -249,7 +248,7 @@ def test_criterion_7_correction_theorem_properties():
         before = compute_class_stats(scenario.table)
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
         after = compute_class_stats(revised)
-        i = scenario.target.id
+        i = scenario.rule.target
         p_i = float(before.precision[i])
         c = scenario.rule.confidence
         predicted = correction_precision_delta(scenario.rule.support, c, p_i, float(before.prior[i]))
@@ -321,7 +320,7 @@ def test_criterion_8_pipeline_determinism_and_roundtrip(tmp_path):
 def test_criterion_9_haversine_pin():
     """One millidegree of latitude over 10 s is 11.12 m/s within 0.01."""
     record = TrajectoryRecord("pin", ((0.0, 0.0, 0.0), (10.0, 0.001, 0.0)))
-    speed = trajectory_speed(record).max_speed
+    speed = float(max_speeds([record])[0])
     assert speed == pytest.approx(11.12, abs=0.01)
     # frozen independent hand computation: R * radians(0.001) / 10
     assert speed == pytest.approx(11.119492664455874, rel=1e-12)

@@ -15,13 +15,12 @@ from edcr import (
     fit_velocity_thresholds,
     generate_synthetic,
     haversine_m,
-    trajectory_speed,
-    velocity_condition,
+    max_speeds,
 )
 from edcr import conditions
-from edcr.conditions import DEFAULT_SPEED_REGIMES, VELOCITY_MODES, _max_speeds
+from edcr.conditions import DEFAULT_SPEED_REGIMES, VELOCITY_MODES
 from edcr.io import read_conditions
-from helpers import make_table, reference_generate_synthetic, same_table
+from helpers import make_table, reference_generate_synthetic, same_table, trajectory_speed
 
 # one milli-degree of latitude on the R=6,371,000 m sphere, by hand:
 # d = R * 0.001 * pi / 180
@@ -66,25 +65,27 @@ class TestTrajectoryRecord:
             track([(t, 0.0, 0.0) for t in times])
 
 
-class TestTrajectorySpeed:
+def segment_speeds(points):
+    """Each segment's speed, as the max speed of a record of that segment alone."""
+    return max_speeds([track(pair) for pair in zip(points, points[1:])]).tolist()
+
+
+class TestSegmentSpeeds:
     def test_stationary(self):
-        profile = trajectory_speed(track([(0.0, 1.0, 2.0), (10.0, 1.0, 2.0)]))
-        assert profile.segment_speeds == (0.0,)
-        assert profile.max_speed == 0.0
+        assert max_speeds([track([(0.0, 1.0, 2.0), (10.0, 1.0, 2.0)])]).tolist() == [0.0]
 
     def test_millidegree_pin(self):
-        profile = trajectory_speed(track([(0.0, 0.0, 0.0), (10.0, 0.001, 0.0)]))
-        assert profile.max_speed == pytest.approx(MILLIDEGREE_M / 10.0, rel=1e-9)
-        assert profile.max_speed == pytest.approx(11.12, abs=0.01)
+        [speed] = max_speeds([track([(0.0, 0.0, 0.0), (10.0, 0.001, 0.0)])]).tolist()
+        assert speed == pytest.approx(MILLIDEGREE_M / 10.0, rel=1e-9)
+        assert speed == pytest.approx(11.12, abs=0.01)
         assert haversine_m(0.0, 0.0, 0.001, 0.0) == pytest.approx(111.19, abs=0.01)
 
     def test_three_points_two_segments(self):
-        profile = trajectory_speed(
-            track([(0.0, 0.0, 0.0), (10.0, 0.001, 0.0), (15.0, 0.002, 0.0)])
-        )
-        assert len(profile.segment_speeds) == 2
-        assert profile.max_speed == max(profile.segment_speeds)
-        assert profile.segment_speeds[1] == pytest.approx(2 * profile.segment_speeds[0], rel=1e-9)
+        points = [(0.0, 0.0, 0.0), (10.0, 0.001, 0.0), (15.0, 0.002, 0.0)]
+        speeds = segment_speeds(points)
+        assert len(speeds) == 2
+        assert max_speeds([track(points)]).tolist() == [max(speeds)]
+        assert speeds[1] == pytest.approx(2 * speeds[0], rel=1e-9)
 
     @given(
         st.floats(-80.0, 80.0),
@@ -95,16 +96,9 @@ class TestTrajectorySpeed:
     def test_meridian_midpoint_split_preserves_speed(self, lat0, dlat, dt, frac):
         # along a meridian, splitting a segment at proportional time keeps speeds
         lon = 12.0
-        whole = track([(0.0, lat0, lon), (dt, lat0 + dlat, lon)])
-        split = track(
-            [
-                (0.0, lat0, lon),
-                (dt * frac, lat0 + dlat * frac, lon),
-                (dt, lat0 + dlat, lon),
-            ]
-        )
-        target = trajectory_speed(whole).segment_speeds[0]
-        for speed in trajectory_speed(split).segment_speeds:
+        [target] = segment_speeds([(0.0, lat0, lon), (dt, lat0 + dlat, lon)])
+        split = [(0.0, lat0, lon), (dt * frac, lat0 + dlat * frac, lon), (dt, lat0 + dlat, lon)]
+        for speed in segment_speeds(split):
             assert speed == pytest.approx(target, rel=1e-9)
 
 
@@ -142,7 +136,7 @@ class TestMaxSpeeds:
     @given(trajectory_batches())
     def test_same_floats_as_trajectory_speed(self, records):
         expected = [trajectory_speed(record).max_speed for record in records]
-        assert [repr(v) for v in _max_speeds(records).tolist()] == [repr(v) for v in expected]
+        assert [repr(v) for v in max_speeds(records).tolist()] == [repr(v) for v in expected]
 
     def test_same_floats_on_many_segments(self):
         # one segment per record, so every segment's float is compared; about
@@ -157,7 +151,7 @@ class TestMaxSpeeds:
         rows = zip(lat.tolist(), lon.tolist(), dt.tolist(), lat2.tolist(), lon2.tolist())
         records = [track([(0.0, a, b), (t, c, d)], f"r{k}") for k, (a, b, t, c, d) in enumerate(rows)]
         expected = [trajectory_speed(record).max_speed for record in records]
-        assert [repr(v) for v in _max_speeds(records).tolist()] == [repr(v) for v in expected]
+        assert [repr(v) for v in max_speeds(records).tolist()] == [repr(v) for v in expected]
 
 
 class TestVelocityThresholds:
@@ -165,14 +159,15 @@ class TestVelocityThresholds:
         dlat = speed * 10.0 / (6_371_000.0 * math.pi / 180.0)
         return track([(0.0, 0.0, 0.0), (10.0, dlat, 0.0)], sample_id, label)
 
+    def fit(self, records, classes=None):
+        return fit_velocity_thresholds([r.label for r in records], max_speeds(records), classes)
+
     def test_single_record_per_class(self):
-        thresholds = fit_velocity_thresholds([self.walk_track(2.0, "w0")])
+        thresholds = self.fit([self.walk_track(2.0, "w0")])
         assert thresholds.for_class("walk") == pytest.approx(2.0, rel=1e-6)
 
     def test_max_of_two_records(self):
-        thresholds = fit_velocity_thresholds(
-            [self.walk_track(1.8, "w0"), self.walk_track(2.2, "w1")]
-        )
+        thresholds = self.fit([self.walk_track(1.8, "w0"), self.walk_track(2.2, "w1")])
         assert thresholds.for_class("walk") == pytest.approx(2.2, rel=1e-6)
 
     def test_mixed_corpus_per_class_maxima(self):
@@ -182,57 +177,64 @@ class TestVelocityThresholds:
             self.walk_track(5.0, "b0", label="bike"),
             self.walk_track(4.0, "b1", label="bike"),
         ]
-        thresholds = fit_velocity_thresholds(records)
+        thresholds = self.fit(records)
         assert thresholds.for_class("walk") == pytest.approx(2.0, rel=1e-6)
         assert thresholds.for_class("bike") == pytest.approx(5.0, rel=1e-6)
 
     def test_missing_class_error(self):
         with pytest.raises(UnknownClassError):
-            fit_velocity_thresholds([self.walk_track(2.0, "w0")], classes=["walk", "bike"])
+            self.fit([self.walk_track(2.0, "w0")], classes=["walk", "bike"])
 
     def test_unlabeled_record_rejected(self):
         with pytest.raises(ContractError):
-            fit_velocity_thresholds([self.walk_track(2.0, "w0", label=None)])
+            self.fit([self.walk_track(2.0, "w0", label=None)])
+
+    def test_one_label_per_speed(self):
+        with pytest.raises(ContractError, match="labels"):
+            fit_velocity_thresholds(["walk", "bike"], np.array([1.0]))
 
     def test_monotone_in_training_data(self):
         base = [self.walk_track(2.0, "w0")]
         more = base + [self.walk_track(3.0, "w1")]
-        assert fit_velocity_thresholds(more).for_class("walk") >= fit_velocity_thresholds(
-            base
-        ).for_class("walk")
+        assert self.fit(more).for_class("walk") >= self.fit(base).for_class("walk")
 
-    def test_velocity_condition_strict_boundary(self):
-        record = self.walk_track(2.0, "w0")
-        exact = trajectory_speed(record).max_speed
-        thresholds = VelocityThresholds({"walk": exact})
-        assert velocity_condition(thresholds, record, "walk") is False  # equality is not over
-        assert velocity_condition(VelocityThresholds({"walk": exact / 2}), record, "walk") is True
-        below = VelocityThresholds({"walk": exact * 2})
-        assert velocity_condition(below, record, "walk") is False
+    def test_predicted_mode_strict_boundary(self):
+        # a record is over only when strictly faster than its predicted class's ceiling
+        speeds = max_speeds([self.walk_track(2.0, "w0")])
+        exact = float(speeds[0])
 
-    def test_velocity_condition_missing_class(self):
-        record = self.walk_track(2.0, "w0")
+        def over(ceiling):
+            thresholds = VelocityThresholds({"walk": ceiling})
+            matrix = build_velocity_conditions(thresholds, speeds, mode="predicted", predictions=["walk"])
+            return bool(matrix.column("vel_over_predicted")[0])
+
+        assert over(exact) is False  # equality is not over
+        assert over(exact / 2) is True
+        assert over(exact * 2) is False
+
+    def test_predicted_mode_missing_class(self):
+        speeds = max_speeds([self.walk_track(2.0, "w0")])
         with pytest.raises(UnknownClassError):
-            velocity_condition(VelocityThresholds({"bike": 5.0}), record, "walk")
+            build_velocity_conditions(VelocityThresholds({"bike": 5.0}), speeds, "predicted", ["walk"])
 
     def test_build_matrix_modes(self):
-        records = [self.walk_track(1.0, "r0"), self.walk_track(9.0, "r1")]
+        speeds = max_speeds([self.walk_track(1.0, "r0"), self.walk_track(9.0, "r1")])
         thresholds = VelocityThresholds({"walk": 2.0, "bike": 6.0})
-        per_class = build_velocity_conditions(thresholds, records, mode="per_class")
+        per_class = build_velocity_conditions(thresholds, speeds, mode="per_class")
         assert per_class.condition_names == ("vel_over_bike", "vel_over_walk")
         assert per_class.column("vel_over_walk").tolist() == [False, True]
         assert per_class.column("vel_over_bike").tolist() == [False, True]
 
         table = make_table(["walk", "bike"], ["bike", "walk"])
         predicted = build_velocity_conditions(
-            thresholds, records, mode="predicted", predictions=table.names(table.pred_ids)
+            thresholds, speeds, mode="predicted", predictions=table.names(table.pred_ids)
         )
         assert predicted.condition_names == ("vel_over_predicted",)
         assert predicted.column("vel_over_predicted").tolist() == [False, True]
 
     def test_bad_mode(self):
         with pytest.raises(ContractError):
-            build_velocity_conditions(VelocityThresholds({"walk": 1.0}), [], mode="nope")
+            build_velocity_conditions(VelocityThresholds({"walk": 1.0}), max_speeds([]), mode="nope")
 
 
 class TestGenerateSynthetic:

@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from edcr import (
     UNKNOWN_NAME,
-    ClassLabel,
     ClassSet,
     ConditionMatrix,
     ContractError,
@@ -22,8 +21,8 @@ from helpers import make_conds, make_table, oracle_correction_counts, oracle_det
 class TestClassSet:
     def test_dense_ids(self):
         classes = ClassSet(("walk", "bike", "bus"))
-        assert [l.id for l in classes] == [0, 1, 2]
-        assert classes.label("bike") == ClassLabel(1, "bike")
+        assert [classes.index(name) for name in classes.names] == [0, 1, 2]
+        assert classes.check_id(1) == 1
 
     def test_duplicate_names_rejected(self):
         with pytest.raises(ContractError):
@@ -35,7 +34,7 @@ class TestClassSet:
 
     def test_unknown_lookup_raises(self):
         with pytest.raises(UnknownClassError):
-            ClassSet(("a",)).label("b")
+            ClassSet(("a",)).index("b")
 
 
 class TestPredictionTable:
@@ -191,7 +190,7 @@ def eight_sample():
 class TestDetectionCounts:
     def test_empty_condition_convention(self):
         table, conds = eight_sample()
-        counts = detection_counts(table, conds, "a", ())
+        counts = detection_counts(table, conds, 0, ())
         assert (counts.pos, counts.neg, counts.bod) == (0, 0, 0)
         assert counts.class_support == 0.0 and counts.confidence == 0.0
 
@@ -199,33 +198,33 @@ class TestDetectionCounts:
         # condition true exactly on the false positives of class a
         table = make_table(["a", "b"], ["a", "a", "a", "b"], ["a", "b", "b", "b"])
         conds = make_conds(["hit"], [[0, 1, 1, 0]])
-        counts = detection_counts(table, conds, "a", {"hit"})
+        counts = detection_counts(table, conds, 0, {"hit"})
         assert counts.pos == 2 and counts.neg == 0
         assert counts.confidence == 1.0
         assert counts.class_support == pytest.approx(2 / 3)
 
     def test_eight_sample_hand_scan(self):
         table, conds = eight_sample()
-        both = detection_counts(table, conds, "a", {"c1", "c2"})
+        both = detection_counts(table, conds, 0, {"c1", "c2"})
         assert (both.pos, both.neg, both.bod) == (2, 1, 3)
         assert both.class_support == pytest.approx(3 / 5)
         assert both.confidence == pytest.approx(2 / 3)
-        only1 = detection_counts(table, conds, "a", {"c1"})
+        only1 = detection_counts(table, conds, 0, {"c1"})
         assert (only1.pos, only1.neg, only1.bod) == (1, 1, 2)
-        only2 = detection_counts(table, conds, "a", {"c2"})
+        only2 = detection_counts(table, conds, 0, {"c2"})
         assert (only2.pos, only2.neg, only2.bod) == (2, 0, 2)
 
     def test_unknown_condition_name(self):
         table, conds = eight_sample()
         with pytest.raises(UnknownConditionError):
-            detection_counts(table, conds, "a", {"nope"})
+            detection_counts(table, conds, 0, {"nope"})
 
     def test_pos_identity_c_times_s(self):
         # c * s_i * N_i == POS exactly, for every subset of the fixed instance
         table, conds = eight_sample()
         n_a = sum(1 for p in EIGHT["pred"] if p == "a")
         for dc in [set(), {"c1"}, {"c2"}, {"c1", "c2"}]:
-            counts = detection_counts(table, conds, "a", dc)
+            counts = detection_counts(table, conds, 0, dc)
             assert counts.confidence * counts.class_support * n_a == pytest.approx(counts.pos)
 
     @given(st.integers(0, 2**32 - 1))
@@ -236,7 +235,7 @@ class TestDetectionCounts:
         table, conds = random_instance(rng, n_max=60, max_conditions=4)
         names = list(conds.condition_names)
         dc = [n for n in names if rng.random() < 0.5]
-        target = table.classes.names[int(rng.integers(0, len(table.classes)))]
+        target = int(rng.integers(0, len(table.classes)))
         counts = detection_counts(table, conds, target, dc)
         assert (counts.pos, counts.neg, counts.bod, counts.class_support, counts.confidence) == (
             oracle_detection_counts(table, conds, target, dc)
@@ -260,18 +259,18 @@ class TestCorrectionCounts:
 
     def test_empty_pairs_convention(self):
         table, conds = self.ten_sample()
-        counts = correction_counts(table, conds, "a", ())
+        counts = correction_counts(table, conds, 0, ())
         assert (counts.pos, counts.bod, counts.support, counts.confidence) == (0, 0, 0.0, 0.0)
 
     def test_perfect_corrector(self):
         table = make_table(["a", "b"], ["b", "b", "b"], ["a", "a", "b"])
         conds = make_conds(["hit"], [[1, 1, 0]])
-        counts = correction_counts(table, conds, "a", [("hit", "b")])
+        counts = correction_counts(table, conds, 0, [("hit", 1)])
         assert counts.confidence == 1.0 and counts.pos == 2
 
     def test_ten_sample_overlap_dedupes(self):
         table, conds = self.ten_sample()
-        counts = correction_counts(table, conds, "a", [("c1", "b"), ("c2", "b")])
+        counts = correction_counts(table, conds, 0, [("c1", 1), ("c2", 1)])
         # bodies {0,2,4} and {1,2} union to 4 rows; row 2 counted once
         assert (counts.pos, counts.bod) == (3, 4)
         assert counts.support == pytest.approx(0.4)
@@ -280,7 +279,7 @@ class TestCorrectionCounts:
     def test_unknown_class_in_pair(self):
         table, conds = self.ten_sample()
         with pytest.raises(UnknownClassError):
-            correction_counts(table, conds, "a", [("c1", "zeppelin")])
+            correction_counts(table, conds, 0, [("c1", 3)])
 
     @given(st.integers(0, 2**32 - 1))
     def test_matches_row_oracle(self, seed):
@@ -288,9 +287,9 @@ class TestCorrectionCounts:
         from helpers import random_instance
 
         table, conds = random_instance(rng, n_max=60, max_conditions=4)
-        all_pairs = [(c, k) for c in conds.condition_names for k in table.classes.names]
+        all_pairs = [(c, k) for c in conds.condition_names for k in range(len(table.classes))]
         pairs = [p for p in all_pairs if rng.random() < 0.4]
-        target = table.classes.names[int(rng.integers(0, len(table.classes)))]
+        target = int(rng.integers(0, len(table.classes)))
         counts = correction_counts(table, conds, target, pairs)
         assert (counts.pos, counts.bod, counts.support, counts.confidence) == (
             oracle_correction_counts(table, conds, target, pairs)
@@ -309,7 +308,7 @@ class TestCountingLattice:
 
         table, conds = random_instance(rng, n_max=50, max_conditions=5)
         names = list(conds.condition_names)
-        target = table.classes.names[0]
+        target = 0
         a = {n for n in names if rng.random() < 0.5}
         b = {n for n in names if rng.random() < 0.5}
 

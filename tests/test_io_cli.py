@@ -542,14 +542,12 @@ class TestTrajectoriesFormat:
 
 
 def sample_ruleset():
-    classes = ClassSet(("a", "b"))
-    a, b = classes.labels
     return RuleSet(
-        classes=classes,
+        classes=ClassSet(("a", "b")),
         condition_names=("c1", "c2"),
         epsilon=0.1,
-        detection_rules=(DetectionRule(a, ("c1", "c2"), 0.25, 0.75),),
-        correction_rules=(CorrectionRule(b, (("c1", a),), 0.125, 0.9),),
+        detection_rules=(DetectionRule(0, ("c1", "c2"), 0.25, 0.75),),
+        correction_rules=(CorrectionRule(1, (("c1", 0),), 0.125, 0.9),),
     )
 
 
@@ -658,7 +656,10 @@ class TestTraceFormat:
         table = make_table(["a", "b"], ["a", "a", "b"], ids=["x", "y", "z"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
+        assert trace.rows_for(table.sample_ids).tolist() == [0, 1, 2]  # as apply writes it
+        assert trace.rows_for(("x", "y", "z")).tolist() == [0, 1, 2]  # equal, not the same tuple
         assert trace.rows_for(("z", "x", "y")).tolist() == [2, 0, 1]
+        assert trace.rows_for(("x", "z")).tolist() == [0, 2]  # the trace holds an extra id
         with pytest.raises(DataError, match="trace lacks sample id 'w'"):
             trace.rows_for(("x", "w"))
         with pytest.raises(DataError, match="t.csv lacks"):
@@ -835,12 +836,13 @@ def rulesets(draw):
     some_conditions = st.lists(st.sampled_from(conditions), min_size=1, max_size=3)
     epsilon = draw(st.one_of(UNIT, st.fixed_dictionaries({name: UNIT for name in classes.names})))
     detection, correction = [], []
-    for label in classes:
+    class_ids = range(len(classes))
+    for i in class_ids:
         if draw(st.booleans()):
-            detection.append(DetectionRule(label, tuple(draw(some_conditions)), draw(UNIT), draw(UNIT)))
+            detection.append(DetectionRule(i, tuple(draw(some_conditions)), draw(UNIT), draw(UNIT)))
         if draw(st.booleans()):
-            pairs = [(cond, draw(st.sampled_from(classes.labels))) for cond in draw(some_conditions)]
-            correction.append(CorrectionRule(label, tuple(pairs), draw(UNIT), draw(UNIT)))
+            pairs = [(cond, draw(st.sampled_from(class_ids))) for cond in draw(some_conditions)]
+            correction.append(CorrectionRule(i, tuple(pairs), draw(UNIT), draw(UNIT)))
     return RuleSet(classes, tuple(conditions), epsilon, tuple(detection), tuple(correction))
 
 
@@ -1073,12 +1075,15 @@ GEN_SEED7_SHA256 = {
 }
 
 
-TRICKY_IDS = ["a\rb", "c\r\nd", 'q"uote', "x,y", "\n", " pad ", "nul\x00", " sep"]
+# NUL is left out, as from SAMPLE_IDS: round-trips are promised only for ids
+# without it, and Python 3.10's csv writer and reader reject it
+TRICKY_IDS = ["a\rb", "c\r\nd", 'q"uote', "x,y", "\n", " pad ", " sep"]
 
 
 def test_tricky_ids_roundtrip(tmp_path):
-    table = make_table(["a", "b"], ["a", "b"] * 4, ["b", "a"] * 4, ids=TRICKY_IDS)
-    conds = make_conds(["c1", "c2"], [[1, 0] * 4, [1, 1, 0, 0] * 2])
+    n = len(TRICKY_IDS)
+    table = make_table(["a", "b"], (["a", "b"] * 4)[:n], (["b", "a"] * 4)[:n], ids=TRICKY_IDS)
+    conds = make_conds(["c1", "c2"], [([1, 0] * 4)[:n], ([1, 1, 0, 0] * 2)[:n]])
     io.write_predictions(tmp_path / "p.csv", table)
     io.write_conditions(tmp_path / "c.csv", table, conds)
     _, trace = apply_ruleset(sample_ruleset(), table, conds)
@@ -1087,6 +1092,19 @@ def test_tricky_ids_roundtrip(tmp_path):
     assert same_table(back, table)
     assert np.array_equal(io.read_conditions(tmp_path / "c.csv", back).values, conds.values)
     assert same_trace(io.read_trace(tmp_path / "t.csv", table.classes), trace)
+
+
+def test_nul_id_apply_exits_cleanly(tmp_path, capsys):
+    # an id with NUL is outside the documented round-trip contract, but
+    # apply must still exit 0 (Python 3.11 and later accept it) or 3
+    # (Python 3.10's csv rejects it), never raise
+    io.save_ruleset(tmp_path / "rules.yaml", sample_ruleset())
+    (tmp_path / "p.csv").write_bytes(b"sample_id,pred,gt\nx,a,a\nnul\x00id,b,a\n")
+    (tmp_path / "c.csv").write_bytes(b"sample_id,c1,c2\nx,1,0\nnul\x00id,1,1\n")
+    argv = ["apply", "--ruleset", tmp_path / "rules.yaml", "--predictions", tmp_path / "p.csv",
+            "--conditions", tmp_path / "c.csv", "--out", tmp_path / "out"]
+    assert run(argv) in (0, 3)
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def wide_corpus(tmp_path, extra=55):

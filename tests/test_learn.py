@@ -57,35 +57,35 @@ class TestDetRuleLearn:
         # every condition flags at least one correct prediction
         table = make_table(["a", "b"], ["a", "a", "a", "b"], ["a", "a", "b", "b"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1, 0], [0, 1, 1, 0]])
-        assert det_rule_learn("a", 0.0, table, conds) == ()
+        assert det_rule_learn(0, 0.0, table, conds) == ()
 
     def test_perfect_detector_selected_alone(self):
         # one condition true exactly on the errors of class a; the other costs NEG
         table = make_table(["a", "b"], ["a", "a", "a", "a", "b"], ["a", "a", "b", "b", "b"])
         conds = make_conds(["bad", "hit"], [[1, 0, 0, 0, 0], [0, 0, 1, 1, 0]])
-        assert det_rule_learn("a", 0.0, table, conds) == ("hit",)
-        counts = detection_counts(table, conds, "a", ("hit",))
+        assert det_rule_learn(0, 0.0, table, conds) == ("hit",)
+        counts = detection_counts(table, conds, 0, ("hit",))
         stats = compute_class_stats(table)
         assert counts.pos == stats.fp[0] and counts.neg == 0
         # the zero-cost max-gain condition survives any budget
         for epsilon in (0.0, 0.3, 1.0):
-            assert "hit" in det_rule_learn("a", epsilon, table, conds)
+            assert "hit" in det_rule_learn(0, epsilon, table, conds)
 
     def test_skips_class_without_predictions(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
         conds = make_conds(["c"], [[1, 1]])
-        assert det_rule_learn("b", 0.5, table, conds) == ()
+        assert det_rule_learn(1, 0.5, table, conds) == ()
 
     def test_skips_class_with_zero_recall(self):
         table = make_table(["a", "b"], ["b", "b"], ["a", "b"])
         conds = make_conds(["c"], [[1, 0]])
-        assert det_rule_learn("a", 0.5, table, conds) == ()
+        assert det_rule_learn(0, 0.5, table, conds) == ()
 
     def test_epsilon_out_of_range(self):
         table = make_table(["a"], ["a"], ["a"])
         conds = make_conds(["c"], [[0]])
         with pytest.raises(ContractError):
-            det_rule_learn("a", 1.2, table, conds)
+            det_rule_learn(0, 1.2, table, conds)
 
     def test_twelve_sample_instance_against_oracle(self):
         # 8 a-predictions (5 TP, 3 FP), 4 b-predictions (1 FN_a);
@@ -102,13 +102,13 @@ class TestDetRuleLearn:
                 [1, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0],  # POS 2, NEG 1
             ],
         )
-        chosen = det_rule_learn("a", 0.2, table, conds)
+        chosen = det_rule_learn(0, 0.2, table, conds)
         assert chosen == ("c0", "c1", "c3")
-        counts = detection_counts(table, conds, "a", chosen)
+        counts = detection_counts(table, conds, 0, chosen)
         stats = compute_class_stats(table)
         budget = recall_budget(stats, 0, 0.2)
         assert counts.neg <= budget
-        oracle = brute_force_detection("a", 0.2, table, conds)
+        oracle = brute_force_detection(0, 0.2, table, conds)
         assert counts.pos <= oracle.pos
         assert oracle.pos == 3  # frozen from exhaustive enumeration of 2^4 subsets
 
@@ -116,16 +116,17 @@ class TestDetRuleLearn:
         # "never" flags no row: zero POS gain, zero NEG cost, still selected
         table = make_table(["a", "b"], ["a", "a", "a", "b"], ["a", "b", "b", "b"])
         conds = make_conds(["hit", "never"], [[0, 1, 1, 0], [0, 0, 0, 0]])
-        assert det_rule_learn("a", 0.0, table, conds) == ("hit", "never")
-        assert reference_det_rule_learn("a", 0.0, table, conds) == ("hit", "never")
+        assert det_rule_learn(0, 0.0, table, conds) == ("hit", "never")
+        assert reference_det_rule_learn(0, 0.0, table, conds) == ("hit", "never")
 
     def test_ties_go_to_smallest_name(self):
         # "z" and "m" each catch the same error for one unit of NEG; the
         # budget at eps=0.5 is 0.5 * 2 = 1, so only the first pick fits
         table = make_table(["a", "b"], ["a", "a", "a", "a", "b"], ["a", "a", "b", "b", "b"])
         conds = make_conds(["z", "m"], [[1, 0, 1, 0, 0], [0, 1, 1, 0, 0]])
-        assert det_rule_learn("a", 0.5, table, conds) == ("m",)
-        assert det_rule_learn("a", 0.5, table, conds, candidates=["z", "z"]) == ("z",)
+        assert det_rule_learn(0, 0.5, table, conds) == ("m",)
+        only_z = make_conds(["z"], [[1, 0, 1, 0, 0]])
+        assert det_rule_learn(0, 0.5, table, only_z) == ("z",)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_budget_safety_random(self, seed):
@@ -133,25 +134,25 @@ class TestDetRuleLearn:
         table, conds = random_instance(rng, n_max=150, max_conditions=6)
         stats = compute_class_stats(table)
         epsilon = float(rng.uniform(0.0, 0.4))
-        for label in table.classes:
-            chosen = det_rule_learn(label, epsilon, table, conds, stats=stats)
+        for i in range(len(table.classes)):
+            chosen = det_rule_learn(i, epsilon, table, conds, stats=stats)
             if not chosen:
                 continue
-            counts = detection_counts(table, conds, label, chosen)
-            assert counts.neg <= recall_budget(stats, label.id, epsilon) + 1e-12
+            counts = detection_counts(table, conds, i, chosen)
+            assert counts.neg <= recall_budget(stats, i, epsilon) + 1e-12
 
 
 class TestCorrRuleLearn:
     def test_empty_candidates(self):
         table = make_table(["a", "b"], ["a", "b"], ["a", "b"])
         conds = make_conds(["c"], [[1, 1]])
-        assert corr_rule_learn("a", [], table, conds) == ()
+        assert corr_rule_learn(0, [], table, conds) == ()
 
     def test_all_ratios_below_baseline(self):
         # baseline precision of a is 1.0; nothing can beat it
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "a", "a", "b"])
         conds = make_conds(["c"], [[0, 0, 1, 1]])
-        assert corr_rule_learn("a", [("c", "b")], table, conds) == ()
+        assert corr_rule_learn(0, [("c", 1)], table, conds) == ()
 
     def test_keeps_pure_pair_drops_diluting_pair(self):
         # (x, b) has confidence 1.0; (y, b) only 0.6 and would dilute the set
@@ -162,9 +163,9 @@ class TestCorrRuleLearn:
             ["x", "y"],
             [[0, 0, 1, 1, 0, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 1, 1, 1, 0]],
         )
-        result = corr_rule_learn("a", [("x", "b"), ("y", "b")], table, conds)
-        assert [(c, l.name) for c, l in result] == [("x", "b")]
-        assert correction_counts(table, conds, "a", result).confidence == 1.0
+        result = corr_rule_learn(0, [("x", 1), ("y", 1)], table, conds)
+        assert result == (("x", 1),)
+        assert correction_counts(table, conds, 0, result).confidence == 1.0
 
     def test_keeps_two_pure_pairs(self):
         pred = ["a", "a"] + ["b"] * 6
@@ -174,8 +175,19 @@ class TestCorrRuleLearn:
             ["x", "z"],
             [[0, 0, 1, 1, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1, 0, 0]],
         )
-        result = corr_rule_learn("a", [("x", "b"), ("z", "b")], table, conds)
-        assert [(c, l.name) for c, l in result] == [("x", "b"), ("z", "b")]
+        result = corr_rule_learn(0, [("x", 1), ("z", 1)], table, conds)
+        assert result == (("x", 1), ("z", 1))
+
+    def test_singleton_ties_walk_in_pair_order(self):
+        # (x, c), (y, b) and (y, c) each have singleton confidence 1/2 for a;
+        # walked in (condition, class id) order they give another result
+        # than walked in (class id, condition) order
+        pred, gt = ["c", "b", "c", "b", "c", "a"], ["a", "b", "b", "a", "c", "c"]
+        table = make_table(["a", "b", "c"], pred, gt)
+        conds = make_conds(["x", "y"], [[1, 1, 0, 0, 1, 0], [1, 1, 1, 1, 0, 1]])
+        cc_all = [("x", 1), ("y", 2), ("x", 2), ("y", 1)]
+        assert corr_rule_learn(0, cc_all, table, conds) == (("x", 2), ("y", 1))
+        assert reference_corr_rule_learn(0, cc_all, table, conds) == (("x", 2), ("y", 1))
 
     @pytest.mark.parametrize("seed", range(8))
     def test_confidence_beats_baseline_random(self, seed):
@@ -185,15 +197,15 @@ class TestCorrRuleLearn:
         cc_all = [
             (c, k)
             for c in conds.condition_names
-            for k in table.classes.names
+            for k in range(len(table.classes))
             if rng.random() < 0.6
         ]
-        for label in table.classes:
-            result = corr_rule_learn(label, cc_all, table, conds, stats=stats)
+        for i in range(len(table.classes)):
+            result = corr_rule_learn(i, cc_all, table, conds, stats=stats)
             if result:
-                counts = correction_counts(table, conds, label, result)
-                assert counts.confidence > stats.precision[label.id]
-                oracle = brute_force_correction(label, cc_all, table, conds)
+                counts = correction_counts(table, conds, i, result)
+                assert counts.confidence > stats.precision[i]
+                oracle = brute_force_correction(i, cc_all, table, conds)
                 assert counts.confidence <= oracle.confidence + 1e-12
 
 
@@ -202,7 +214,7 @@ class TestDetCorrRuleLearn:
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b", "a"])
         conds = make_conds(["c"], [[1, 1, 1, 1]])  # NEG >= 1 for both classes
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.0), table, conds)
-        assert rule_set.is_empty
+        assert rule_set.detection_rules == () and rule_set.correction_rules == ()
 
     def test_perfect_detector_feeds_correction_candidates(self):
         # single class; gt outside the class set marks the errors
@@ -211,7 +223,7 @@ class TestDetCorrRuleLearn:
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.0), table, conds)
         assert len(rule_set.detection_rules) == 1
         rule = rule_set.detection_rules[0]
-        assert rule.target.name == "a" and rule.conditions == ("hit",)
+        assert rule.target == 0 and rule.conditions == ("hit",)
         # the only candidate pair (hit, a) has zero confidence: no correction
         assert rule_set.correction_rules == ()
 
@@ -219,13 +231,13 @@ class TestDetCorrRuleLearn:
         corpus = generate_synthetic(seed=3, n_samples=400, noise=0.3)
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.15), corpus.table, corpus.conditions)
         selected = {
-            (cond, rule.target.name)
+            (cond, rule.target)
             for rule in rule_set.detection_rules
             for cond in rule.conditions
         }
         for rule in rule_set.correction_rules:
-            for cond, cls in rule.pairs:
-                assert (cond, cls.name) in selected
+            for pair in rule.pairs:
+                assert pair in selected
 
     def test_recorded_stats_match_counts(self):
         corpus = generate_synthetic(seed=4, n_samples=300, noise=0.25)
@@ -247,8 +259,8 @@ class TestDetCorrRuleLearn:
         before = compute_class_stats(corpus.table)
         revised, _ = apply_ruleset(rule_set, corpus.table, corpus.conditions)
         after = compute_class_stats(revised)
-        for label in corpus.table.classes:
-            drop = float(before.recall[label.id]) - float(after.recall[label.id])
+        for i in range(len(corpus.table.classes)):
+            drop = float(before.recall[i]) - float(after.recall[i])
             assert drop <= epsilon + 1e-9
 
     def test_per_class_epsilon(self):
@@ -257,7 +269,7 @@ class TestDetCorrRuleLearn:
         mapping["walk"] = 0.0
         rule_set = det_corr_rule_learn(LearnConfig(epsilon=mapping), corpus.table, corpus.conditions)
         assert rule_set.epsilon == mapping
-        walk_rule = rule_set.detection_by_class.get("walk")
+        walk_rule = rule_set.detection_by_class.get(corpus.table.classes.index("walk"))
         if walk_rule is not None:
             counts = detection_counts(
                 corpus.table, corpus.conditions, walk_rule.target, walk_rule.conditions
@@ -273,10 +285,11 @@ class TestDetCorrRuleLearn:
 
 @st.composite
 def learning_instances(draw):
-    """A labeled table, a condition matrix, a candidate pool and an epsilon
-    (scalar or per class) that reach the learner's edge cases: n off a
-    multiple of 64, m above 64, duplicate candidates, classes never predicted
-    or with zero recall, and all-false columns that are selected at no gain."""
+    """A labeled table, a condition matrix, the candidate matrix and an
+    epsilon (scalar or per class) that reach the learner's edge cases: n off
+    a multiple of 64, m above 64, candidates cut down to the columns of a
+    drawn pool (possibly empty, once each), classes never predicted or with
+    zero recall, and all-false columns that are selected at no gain."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(1, 200))
     m = draw(st.integers(1, 140))
@@ -294,10 +307,10 @@ def learning_instances(draw):
     values = rng.random((n, m)) < density + boost * error[:, None]
     names = [f"c{j}" for j in rng.permutation(m)]  # sorted order differs from column order
     table = make_table(classes, [classes[i] for i in pred], [(classes + ["novel"])[i] for i in gt])
-    conds = ConditionMatrix(tuple(names), values)
-    candidates = None
+    conds = candidates = ConditionMatrix(tuple(names), values)
     if draw(st.booleans()):
-        candidates = rng.choice(names, size=int(rng.integers(0, 2 * m + 1))).tolist()
+        pool = list(dict.fromkeys(rng.choice(names, size=int(rng.integers(0, 2 * m + 1))).tolist()))
+        candidates = ConditionMatrix(tuple(pool), values[:, [names.index(name) for name in pool]])
     kind = draw(st.sampled_from(["zero", "one", "random", "per_class"]))
     epsilon = {"zero": 0.0, "one": 1.0, "random": float(rng.random())}.get(kind)
     if epsilon is None:
@@ -311,18 +324,18 @@ class TestIncrementalGreedyMatchesReference:
 
     @given(learning_instances())
     def test_det_rule_learn(self, instance):
-        table, conds, candidates, epsilon = instance
+        table, _, conds, epsilon = instance
         config = LearnConfig(epsilon=epsilon)
         stats = compute_class_stats(table)
-        for label in table.classes:
-            eps = config.epsilon_for(label.name)
-            expected = reference_det_rule_learn(label, eps, table, conds, stats=stats, candidates=candidates)
-            assert det_rule_learn(label, eps, table, conds, stats=stats, candidates=candidates) == expected
+        for i, name in enumerate(table.classes.names):
+            eps = config.epsilon_for(name)
+            expected = reference_det_rule_learn(i, eps, table, conds, stats=stats)
+            assert det_rule_learn(i, eps, table, conds, stats=stats) == expected
 
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):
-        table, conds, candidates, epsilon = instance
-        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        table, _, conds, epsilon = instance
+        config = LearnConfig(epsilon=epsilon)
         with mock.patch.object(edcr.learn, "det_rule_learn", reference_det_rule_learn):
             expected = det_corr_rule_learn(config, table, conds)
         assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
@@ -338,19 +351,19 @@ class TestPackedCorrectionMatchesReference:
         rng = np.random.default_rng(seed)
         names = list(conds.condition_names)
         cc_all = [
-            (names[int(rng.integers(len(names)))], table.classes.labels[int(rng.integers(len(table.classes)))])
+            (names[int(rng.integers(len(names)))], int(rng.integers(len(table.classes))))
             for _ in range(int(rng.integers(0, 25)))
         ]
         cc_all += cc_all[: int(rng.integers(0, 3))]  # repeated pairs collapse
         stats = compute_class_stats(table)
-        for label in table.classes:
-            expected = reference_corr_rule_learn(label, cc_all, table, conds, stats=stats)
-            assert corr_rule_learn(label, cc_all, table, conds, stats=stats) == expected
+        for i in range(len(table.classes)):
+            expected = reference_corr_rule_learn(i, cc_all, table, conds, stats=stats)
+            assert corr_rule_learn(i, cc_all, table, conds, stats=stats) == expected
 
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):
-        table, conds, candidates, epsilon = instance
-        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        table, _, conds, epsilon = instance
+        config = LearnConfig(epsilon=epsilon)
         with mock.patch.object(edcr.learn, "corr_rule_learn", reference_corr_rule_learn):
             expected = det_corr_rule_learn(config, table, conds)
         assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
@@ -373,10 +386,10 @@ class TestMetamorphic:
 
     @given(learning_instances())
     def test_detection_neg_within_integer_budget(self, instance):
-        table, conds, candidates, epsilon = instance
-        config = LearnConfig(epsilon=epsilon, conditions=candidates)
+        table, _, conds, epsilon = instance
+        config = LearnConfig(epsilon=epsilon)
         stats = compute_class_stats(table)
         for rule in det_corr_rule_learn(config, table, conds).detection_rules:
-            i = rule.target.id
-            neg = detection_counts(table, conds, rule.target, rule.conditions).neg
-            assert neg <= config.epsilon_for(rule.target.name) * (int(stats.tp[i]) + int(stats.fn[i]))
+            i = rule.target
+            neg = detection_counts(table, conds, i, rule.conditions).neg
+            assert neg <= config.epsilon_for(table.classes.names[i]) * (int(stats.tp[i]) + int(stats.fn[i]))

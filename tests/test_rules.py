@@ -32,9 +32,8 @@ def error_flags(rules, table, conds):
 
 def two_class_rules(det_conditions=("c2",), corr_pairs=(("c1", "a"),)):
     classes = ClassSet(("a", "b"))
-    a, b = classes.labels
-    detection = (DetectionRule(a, tuple(det_conditions), 0.5, 0.5),)
-    correction = (CorrectionRule(b, tuple((c, classes.label(k)) for c, k in corr_pairs), 0.3, 0.9),)
+    detection = (DetectionRule(0, tuple(det_conditions), 0.5, 0.5),)
+    correction = (CorrectionRule(1, tuple((c, classes.index(k)) for c, k in corr_pairs), 0.3, 0.9),)
     return classes, RuleSet(
         classes=classes,
         condition_names=("c1", "c2"),
@@ -52,25 +51,22 @@ def six_sample():
 
 class TestRuleTypes:
     def test_detection_rule_needs_conditions(self):
-        classes = ClassSet(("a",))
         with pytest.raises(ContractError):
-            DetectionRule(classes.label("a"), (), 0.0, 0.0)
+            DetectionRule(0, (), 0.0, 0.0)
 
     def test_correction_rule_needs_pairs(self):
-        classes = ClassSet(("a",))
         with pytest.raises(ContractError):
-            CorrectionRule(classes.label("a"), (), 0.0, 0.0)
+            CorrectionRule(0, (), 0.0, 0.0)
 
     def test_at_most_one_rule_per_class(self):
         classes = ClassSet(("a",))
-        a = classes.label("a")
-        rule = DetectionRule(a, ("c",), 0.1, 0.5)
+        rule = DetectionRule(0, ("c",), 0.1, 0.5)
         with pytest.raises(ContractError):
             RuleSet(classes, ("c",), 0.1, detection_rules=(rule, rule))
 
     def test_rules_must_use_declared_conditions(self):
         classes = ClassSet(("a",))
-        rule = DetectionRule(classes.label("a"), ("other",), 0.1, 0.5)
+        rule = DetectionRule(0, ("other",), 0.1, 0.5)
         with pytest.raises(ContractError):
             RuleSet(classes, ("c",), 0.1, detection_rules=(rule,))
 
@@ -78,14 +74,14 @@ class TestRuleTypes:
 @pytest.mark.parametrize("bad", [-3, 7.0, float("nan"), float("inf"), -0.01, 1.01])
 class TestUnitIntervalValues:
     def test_detection_rule_stats(self, bad):
-        a = ClassSet(("a",)).label("a")
+        a = 0
         with pytest.raises(ContractError, match="class_support"):
             DetectionRule(a, ("c",), bad, 0.5)
         with pytest.raises(ContractError, match="confidence"):
             DetectionRule(a, ("c",), 0.5, bad)
 
     def test_correction_rule_stats(self, bad):
-        a = ClassSet(("a",)).label("a")
+        a = 0
         with pytest.raises(ContractError, match="support"):
             CorrectionRule(a, (("c", a),), bad, 0.5)
         with pytest.raises(ContractError, match="confidence"):
@@ -104,7 +100,7 @@ class TestUnitIntervalValues:
         table = make_table(["a", "b"], ["a", "b"], ["a", "a"])
         conds = make_conds(["c"], [[1, 0]])
         with pytest.raises(ContractError, match="epsilon"):
-            det_rule_learn("a", bad, table, conds)
+            det_rule_learn(0, bad, table, conds)
 
 
 class TestApplyRuleset:
@@ -122,7 +118,7 @@ class TestApplyRuleset:
             classes,
             conds.condition_names,
             0.1,
-            detection_rules=(DetectionRule(classes.label("a"), ("c2",), 0.5, 0.5),),
+            detection_rules=(DetectionRule(0, ("c2",), 0.5, 0.5),),
         )
         revised, _ = apply_ruleset(rules, table, conds)
         assert names(revised) == [
@@ -191,7 +187,7 @@ class TestApplyRuleset:
 
     def test_confidence_then_class_id_tie_break(self):
         classes = ClassSet(("a", "b", "c"))
-        a, b, c = classes.labels
+        a, b, c = range(3)
         table = make_table(["a", "b", "c"], ["a"])
         conds = make_conds(["c1"], [[1]])
         low = CorrectionRule(c, (("c1", a),), 0.1, 0.4)
@@ -227,7 +223,7 @@ class TestErrorPredictions:
             table.classes,
             ("c1",),
             0.1,
-            detection_rules=(DetectionRule(table.classes.label("a"), ("c1",), 1.0, 0.5),),
+            detection_rules=(DetectionRule(0, ("c1",), 1.0, 0.5),),
         )
         flags = error_flags(rules, table, always)
         assert flags.tolist() == [p == "a" for p in names(table)]
@@ -244,8 +240,8 @@ class TestErrorPredictions:
             conds.condition_names,
             0.1,
             detection_rules=(
-                DetectionRule(classes.label("a"), ("c1",), 0.1, 0.5),
-                DetectionRule(classes.label("b"), ("c2",), 0.1, 0.5),
+                DetectionRule(0, ("c1",), 0.1, 0.5),
+                DetectionRule(1, ("c2",), 0.1, 0.5),
             ),
         )
         flags = error_flags(rules, table, conds)

@@ -98,7 +98,7 @@ class TestDetectionReplay:
         before = compute_class_stats(scenario.table)
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
         after = compute_class_stats(revised)
-        i = scenario.target.id
+        i = scenario.rule.target
         measured = float(after.precision[i]) - float(before.precision[i])
         assert measured == pytest.approx(0.175, abs=1e-9)
         assert measured == pytest.approx(precision_delta_exact(0.2, 0.9, 0.8), abs=1e-9)
@@ -111,7 +111,7 @@ class TestDetectionReplay:
         before = compute_class_stats(scenario.table)
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
         after = compute_class_stats(revised)
-        i = scenario.target.id
+        i = scenario.rule.target
         measured = float(after.recall[i]) - float(before.recall[i])
         assert measured == pytest.approx(-0.1, abs=1e-9)
         assert measured == pytest.approx(-recall_delta_exact(0.25, 0.6, 0.8, 0.8), abs=1e-9)
@@ -132,7 +132,7 @@ class TestCorrectionReplay:
         before = compute_class_stats(scenario.table)
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
         after = compute_class_stats(revised)
-        i = scenario.target.id
+        i = scenario.rule.target
         measured = float(after.precision[i]) - float(before.precision[i])
         assert measured == pytest.approx(0.05, abs=1e-9)
         assert measured == pytest.approx(
@@ -146,7 +146,7 @@ class TestCorrectionReplay:
         before = compute_class_stats(scenario.table)
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
         after = compute_class_stats(revised)
-        i = scenario.target.id
+        i = scenario.rule.target
         tp, fn = int(before.tp[i]), int(before.fn[i])
         pos = 9  # confidence 0.9 of a 10-row body
         assert float(after.recall[i]) == pytest.approx(correction_recall_post(tp, fn, pos), abs=1e-9)
@@ -162,18 +162,35 @@ class TestCorrectionReplay:
                 assert delta == 0
 
 
+class TestCorrectionScenarios:
+    def test_replay_matches_closed_form(self):
+        assert theory.check_correction_scenarios(20, seed=0)
+
+    def test_wrong_closed_form_fails(self):
+        def off(*args):
+            return correction_precision_delta(*args) + 1e-6
+
+        with mock.patch.object(theory, "correction_precision_delta", off):
+            assert not theory.check_correction_scenarios(3, seed=0)
+
+    @pytest.mark.parametrize("n_scenarios, seed", [(-1, 0), (1, -1)])
+    def test_bad_count_or_seed(self, n_scenarios, seed):
+        with pytest.raises(ContractError):
+            theory.check_correction_scenarios(n_scenarios, seed)
+
+
 class TestSubmodularity:
     def test_single_condition_vacuous(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
         conds = make_conds(["c"], [[1, 0]])
         for quantity in ("pos", "neg", "bod"):
-            assert check_submodular(quantity, "a", table, conds).passed
+            assert check_submodular(quantity, 0, table, conds).passed
 
     def test_random_instance_exhaustive(self):
         rng = np.random.default_rng(17)
         table, conds = random_instance(rng, n_max=50, max_conditions=8)
         for quantity in ("pos", "neg", "bod"):
-            report = check_submodular(quantity, table.classes.names[0], table, conds)
+            report = check_submodular(quantity, 0, table, conds)
             assert report.exhaustive and report.passed
 
     def test_adversarial_overlap_exhaustive(self):
@@ -194,7 +211,7 @@ class TestSubmodularity:
         table = make_table(["a", "b"], pred, gt)
         conds = make_conds([f"c{j}" for j in range(len(cols))], cols)
         for quantity in ("pos", "neg", "bod"):
-            report = check_submodular(quantity, "a", table, conds)
+            report = check_submodular(quantity, 0, table, conds)
             assert report.exhaustive and report.passed
 
     def test_sampled_mode_for_large_universe(self):
@@ -205,7 +222,7 @@ class TestSubmodularity:
         gt = ["a" if rng.random() < 0.7 else "x" for _ in range(n)]
         table = make_table(["a"], pred, gt)
         conds = make_conds([f"c{j}" for j in range(m)], cols)
-        report = check_submodular("pos", "a", table, conds, trials=500)
+        report = check_submodular("pos", 0, table, conds, trials=500)
         assert not report.exhaustive and report.passed
 
     def test_sampled_mode_beyond_64_conditions(self):
@@ -216,14 +233,14 @@ class TestSubmodularity:
         table = make_table(["a", "b"], ["a"] * n, gt)
         conds = make_conds([f"c{j}" for j in range(m)], cols)
         for quantity in ("pos", "neg", "bod"):
-            report = check_submodular(quantity, "a", table, conds, trials=200)
+            report = check_submodular(quantity, 0, table, conds, trials=200)
             assert not report.exhaustive and report.passed and report.pairs_checked == 200
 
     def test_negative_seed_rejected(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
         conds = make_conds(["c"], [[1, 0]])
         with pytest.raises(ContractError, match="seed"):
-            check_submodular("pos", "a", table, conds, seed=-1)
+            check_submodular("pos", 0, table, conds, seed=-1)
 
     @given(st.integers(0, 2**32 - 1))
     def test_packed_words_count_like_any(self, seed):
@@ -262,10 +279,9 @@ class TestKernelMatchesReference:
     @given(counting_instances(), st.integers(0, 10), st.integers(0, 2**32 - 1), st.sampled_from([1, 500, None]))
     def test_check_submodular(self, instance, exhaustive_limit, seed, block_elements):
         table, conds = instance
-        label = table.classes.labels[0]
         with mock.patch.object(theory, "_BLOCK_ELEMENTS", block_elements or theory._BLOCK_ELEMENTS):
             for quantity in ("pos", "neg", "bod"):
-                args = (quantity, label, table, conds, 300, seed, exhaustive_limit)
+                args = (quantity, 0, table, conds, 300, seed, exhaustive_limit)
                 assert check_submodular(*args) == reference_check_submodular(*args)
 
     @pytest.mark.parametrize(
@@ -308,7 +324,7 @@ class TestKernelMatchesReference:
 
         table = make_table(["a"], ["a"] * 3, ["a", "x", "a"])
         conds = ConditionMatrix(tuple(f"c{j}" for j in range(m)), np.zeros((3, m), dtype=bool))
-        args = (quantity, "a", table, conds, 300, seed, exhaustive_limit)
+        args = (quantity, 0, table, conds, 300, seed, exhaustive_limit)
         with mock.patch.object(theory, "_cover_counts", lambda rows, subsets: fake(subsets)), \
                 mock.patch.object(helpers, "_covered", lambda rows, subset: int(fake(subset[None])[0])):
             report = check_submodular(*args)
@@ -324,15 +340,18 @@ class TestKernelMatchesReference:
         table, conds = instance
         rng = np.random.default_rng(seed)
         names = list(conds.condition_names)
-        candidates = None if rng.random() < 0.5 else rng.choice(names, size=int(rng.integers(0, 10))).tolist()
+        det_conds = conds
+        if rng.random() >= 0.5:  # a candidate pool: the matrix of just those columns
+            pool = list(dict.fromkeys(rng.choice(names, size=int(rng.integers(0, 10))).tolist()))
+            det_conds = ConditionMatrix(tuple(pool), conds.values[:, [names.index(c) for c in pool]])
         cc_all = [
-            (names[int(rng.integers(len(names)))], table.classes.names[int(rng.integers(len(table.classes)))])
+            (names[int(rng.integers(len(names)))], int(rng.integers(len(table.classes))))
             for _ in range(int(rng.integers(0, 9)))
         ]
-        for label in table.classes:
-            args = (label, epsilon, table, conds, candidates)
+        for i in range(len(table.classes)):
+            args = (i, epsilon, table, det_conds)
             assert brute_force_detection(*args) == reference_brute_force_detection(*args)
-            args = (label, cc_all, table, conds)
+            args = (i, cc_all, table, conds)
             assert brute_force_correction(*args) == reference_brute_force_correction(*args)
 
 
@@ -340,7 +359,7 @@ class TestBruteForce:
     def test_single_feasible_condition(self):
         table = make_table(["a", "b"], ["a", "a", "a"], ["a", "b", "b"])
         conds = make_conds(["good", "costly"], [[0, 1, 1], [1, 1, 0]])
-        result = brute_force_detection("a", 0.0, table, conds)
+        result = brute_force_detection(0, 0.0, table, conds)
         assert result.conditions == ("good",) and result.pos == 2 and result.neg == 0
 
     def test_fewer_conditions_win_ties(self):
@@ -348,13 +367,13 @@ class TestBruteForce:
         # wins although its bitmask is larger
         table = make_table(["a", "b"], ["a", "a", "a"], ["a", "b", "b"])
         conds = make_conds(["c0", "c1", "c2"], [[0, 1, 0], [0, 0, 1], [0, 1, 1]])
-        assert brute_force_detection("a", 0.0, table, conds).conditions == ("c2",)
-        assert reference_brute_force_detection("a", 0.0, table, conds).conditions == ("c2",)
+        assert brute_force_detection(0, 0.0, table, conds).conditions == ("c2",)
+        assert reference_brute_force_detection(0, 0.0, table, conds).conditions == ("c2",)
 
     def test_budget_excludes_everything(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
         conds = make_conds(["c"], [[1, 0]])  # NEG 1 at zero budget
-        result = brute_force_detection("a", 0.0, table, conds)
+        result = brute_force_detection(0, 0.0, table, conds)
         assert result.conditions == () and result.pos == 0
 
     def test_size_limit(self):
@@ -362,32 +381,32 @@ class TestBruteForce:
         table = make_table(["a"], ["a"] * n, ["a"] * n)
         conds = make_conds([f"c{j}" for j in range(17)], [[0] * n for _ in range(17)])
         with pytest.raises(ContractError):
-            brute_force_detection("a", 0.1, table, conds)
+            brute_force_detection(0, 0.1, table, conds)
 
     def test_correction_single_pair_threshold(self):
         # pair ratio 1.0 beats P_a = 0.5: selected
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "a", "a"])
         conds = make_conds(["c"], [[0, 0, 1, 1]])
-        result = brute_force_correction("a", [("c", "b")], table, conds)
-        assert [(c, l.name) for c, l in result.pairs] == [("c", "b")]
+        result = brute_force_correction(0, [("c", 1)], table, conds)
+        assert result.pairs == (("c", 1),)
         # a perfect baseline cannot be strictly beaten even by a pure pair
         perfect = make_table(["a", "b"], ["a", "b", "b"], ["a", "a", "a"])
         pconds = make_conds(["c"], [[0, 1, 1]])
-        assert brute_force_correction("a", [("c", "b")], perfect, pconds).pairs == ()
+        assert brute_force_correction(0, [("c", 1)], perfect, pconds).pairs == ()
 
     def test_correction_zero_pos_pairs(self):
         table = make_table(["a", "b"], ["a", "b", "b"], ["a", "b", "b"])
         conds = make_conds(["c"], [[0, 1, 1]])
-        result = brute_force_correction("a", [("c", "b")], table, conds)
+        result = brute_force_correction(0, [("c", 1)], table, conds)
         assert result.pairs == () and result.pos == 0
 
     def test_correction_size_limit(self):
         table = make_table(["a", "b"], ["a", "b"], ["a", "b"])
         conds = make_conds(["c"], [[1, 1]])
-        pairs = [(f"c", "b")] * 1  # duplicates collapse; build distinct conds instead
+        pairs = [(f"c", 1)] * 1  # duplicates collapse; build distinct conds instead
         big = make_conds([f"c{j}" for j in range(17)], [[1, 1] for _ in range(17)])
         with pytest.raises(ContractError):
-            brute_force_correction("a", [(f"c{j}", "b") for j in range(17)], table, big)
+            brute_force_correction(0, [(f"c{j}", 1) for j in range(17)], table, big)
 
 
 class TestTheoremReport:
