@@ -14,7 +14,15 @@ import numpy as np
 
 from . import io
 from .conditions import generate_synthetic
-from .core import ContractError, DataError, EdcrError, VerificationError, compute_class_stats
+from .core import (
+    ContractError,
+    DataError,
+    EdcrError,
+    PredictionTable,
+    VerificationError,
+    compute_class_stats,
+    name_column,
+)
 from .evaluate import (
     ScoringMode,
     error_detection_metrics,
@@ -23,7 +31,7 @@ from .evaluate import (
     epsilon_sweep,
     unseen_class_experiment,
 )
-from .learn import LearnConfig, det_corr_rule_learn
+from .learn import det_corr_rule_learn
 from .rules import apply_ruleset
 from .theory import (
     check_correction_scenarios,
@@ -116,8 +124,7 @@ def _labeled_table(args):
 def cmd_learn(args) -> int:
     table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
-    config = LearnConfig(epsilon=_parse_epsilon(args, table.classes))
-    rule_set = det_corr_rule_learn(config, table, conds)
+    rule_set = det_corr_rule_learn(_parse_epsilon(args, table.classes), table, conds)
     stats = compute_class_stats(table)
 
     out = _out_dir(args)
@@ -164,7 +171,7 @@ def cmd_apply(args) -> int:
     missing = set(rule_set.condition_names) - set(conds.condition_names)
     if missing:
         raise ContractError(f"conditions file lacks columns {sorted(missing)}")
-    revised, trace = apply_ruleset(rule_set, table, conds, correction_scope=args.correction_scope)
+    revised, trace = apply_ruleset(rule_set, table, conds)
 
     out = _out_dir(args)
     revised_path = out / "revised.csv"
@@ -174,7 +181,7 @@ def cmd_apply(args) -> int:
     io.write_manifest(
         out,
         command="apply",
-        config={"correction_scope": args.correction_scope},
+        config={},
         input_paths=[args.ruleset, args.predictions, args.conditions],
         output_paths=[revised_path, trace_path],
     )
@@ -192,8 +199,15 @@ def cmd_eval(args) -> int:
         trace = io.read_trace(args.trace, table.classes)
         rows = trace.rows_for(table.sample_ids, source=str(args.trace))
         # detection verdicts are scored against the original predictions
-        original = table.with_predictions(trace.original[rows])
-        detection = error_detection_metrics(trace.flagged[rows], original)
+        original = trace.original[rows]
+        if trace.classes == table.classes:
+            original_table = table.with_predictions(original)
+        else:  # the trace names a class revised.csv no longer predicts: compare names
+            gt = table.names(table.gt_ids)
+            original_table = PredictionTable.from_names(
+                trace.classes, table.sample_ids, name_column(trace.classes.names, original), gt
+            )
+        detection = error_detection_metrics(trace.flagged[rows], original_table)
         report = dataclasses.replace(report, error_detection=detection)
 
     out = _out_dir(args)
@@ -224,11 +238,11 @@ def cmd_sweep(args) -> int:
     conds = io.read_conditions(args.conditions, table)
     epsilons = _parse_floats(args.epsilons)
     split = sequential_split(table, conds, args.learn_fraction)
-    result = epsilon_sweep(epsilons, split)
+    rows = epsilon_sweep(epsilons, split)
 
     out = _out_dir(args)
     sweep_path = out / "sweep.csv"
-    io.write_sweep(sweep_path, result)
+    io.write_sweep(sweep_path, rows)
     io.write_manifest(
         out,
         command="sweep",
@@ -236,7 +250,7 @@ def cmd_sweep(args) -> int:
         input_paths=[args.predictions, args.conditions],
         output_paths=[sweep_path],
     )
-    print(f"wrote {len(result.rows)} sweep rows to {sweep_path}")
+    print(f"wrote {len(rows)} sweep rows to {sweep_path}")
     return EXIT_OK
 
 
@@ -244,7 +258,7 @@ def cmd_unseen(args) -> int:
     table = _labeled_table(args)
     conds = io.read_conditions(args.conditions, table)
     fractions = _parse_floats(args.fractions)
-    result = unseen_class_experiment(
+    rows = unseen_class_experiment(
         table,
         conds,
         holdout=args.holdout.split(","),
@@ -255,7 +269,7 @@ def cmd_unseen(args) -> int:
 
     out = _out_dir(args)
     unseen_path = out / "unseen.csv"
-    io.write_unseen(unseen_path, result)
+    io.write_unseen(unseen_path, rows)
     io.write_manifest(
         out,
         command="unseen",
@@ -268,7 +282,7 @@ def cmd_unseen(args) -> int:
         input_paths=[args.predictions, args.conditions],
         output_paths=[unseen_path],
     )
-    for row in result.rows:
+    for row in rows:
         print(
             f"fraction={row.fraction:.2f}: baseline={row.baseline_accuracy:.4f} "
             f"edcr={row.edcr_accuracy:.4f} delta={row.delta:+.4f}"
@@ -354,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ruleset", required=True)
     p.add_argument("--predictions", required=True)
     p.add_argument("--conditions", required=True)
-    p.add_argument("--correction-scope", choices=("body", "flagged"), default="body")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_apply)
 

@@ -6,8 +6,10 @@ Externally computed binary-classifier verdicts are read with
 The velocity signal has one path, which the generator calls too:
 :func:`max_speeds` gives each record's fastest segment speed in one pass,
 :func:`fit_velocity_thresholds` takes per-class maxima of those speeds, and
-:func:`build_velocity_conditions` compares speeds with the ceilings, either
-against every class or against each row's predicted class.
+:func:`build_velocity_conditions` compares speeds with the ceilings, one
+``vel_over_<c>`` column per fitted class.  A rule body pairs a column with a
+predicted class, so ``vel_over_c AND pred == c`` checks each row against its
+own predicted class's ceiling.
 
 The synthetic corpus is a fixed function of its arguments: for a given seed
 the records, predictions and conditions are the same floats, and so the same
@@ -54,11 +56,6 @@ from .core import (
 #: Spherical Earth radius used by every distance computation, in meters.
 EARTH_RADIUS_M = 6_371_000.0
 
-#: How the velocity signal is emitted: one column per class (each row compared
-#: against that class's threshold) or a single column using each row's
-#: predicted class.
-VELOCITY_MODES = ("per_class", "predicted")
-
 
 def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     """Great-circle distance in meters on a sphere of radius 6,371,000 m.
@@ -99,27 +96,6 @@ class TrajectoryRecord:
                 raise DataError(f"trajectory {self.sample_id!r}: latitude {lat} out of range")
             if not -180.0 <= lon <= 180.0:
                 raise DataError(f"trajectory {self.sample_id!r}: longitude {lon} out of range")
-
-
-@dataclass(frozen=True)
-class VelocityThresholds:
-    """Per-class speed ceiling: the fastest segment observed for that class in
-    the training records."""
-
-    max_speed: dict[str, float]
-
-    def for_class(self, class_name: str) -> float:
-        try:
-            return self.max_speed[class_name]
-        except KeyError:
-            raise UnknownClassError(
-                f"no velocity threshold for class {class_name!r}; "
-                f"fitted classes: {sorted(self.max_speed)}"
-            ) from None
-
-    @property
-    def class_names(self) -> tuple[str, ...]:
-        return tuple(sorted(self.max_speed))
 
 
 def max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
@@ -168,9 +144,9 @@ def _mapped_squares(half_angles: np.ndarray) -> np.ndarray:
 
 def fit_velocity_thresholds(
     labels: Sequence[str], speeds: np.ndarray, classes: Sequence[str] | None = None
-) -> VelocityThresholds:
-    """Fit per-class maxima of the training records' :func:`max_speeds`, given
-    one class label per record.
+) -> dict[str, float]:
+    """Per-class speed ceilings: the maxima of the training records'
+    :func:`max_speeds`, keyed by class name, given one class label per record.
 
     When ``classes`` is given, every listed class must have at least one
     record; otherwise the fitted classes are whatever appears in the data.
@@ -189,38 +165,24 @@ def fit_velocity_thresholds(
             raise UnknownClassError(f"no training records for classes {missing}")
     if not maxima:
         raise ContractError("no training records supplied")
-    return VelocityThresholds(maxima)
+    return maxima
 
 
 def velocity_condition_name(class_name: str) -> str:
     return f"vel_over_{class_name}"
 
 
-def build_velocity_conditions(
-    thresholds: VelocityThresholds,
-    speeds: np.ndarray,
-    mode: str = "per_class",
-    predictions: Sequence[str] | None = None,
-) -> ConditionMatrix:
-    """Velocity-outlier condition columns over the records' :func:`max_speeds`.
+def build_velocity_conditions(thresholds: Mapping[str, float], speeds: np.ndarray) -> ConditionMatrix:
+    """Velocity-outlier condition columns over the records' :func:`max_speeds`,
+    one ``vel_over_<c>`` column per fitted class in sorted name order.
 
     A record is an outlier for a class when it moves strictly faster than the
-    fastest training record of that class.  ``per_class`` emits one column per
-    fitted class comparing every record against that class's ceiling;
-    ``predicted`` emits a single column where each row uses its own predicted
-    class name (requires ``predictions``).
+    fastest training record of that class.
     """
-    speeds = np.asarray(speeds, dtype=float)
-    if mode == "per_class":
-        ceilings = np.array([thresholds.for_class(c) for c in thresholds.class_names], dtype=float)
-        names = tuple(velocity_condition_name(c) for c in thresholds.class_names)
-        return ConditionMatrix(names, speeds[:, None] > ceilings)
-    if mode != "predicted":
-        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
-    if predictions is None or len(predictions) != len(speeds):
-        raise ContractError("predicted mode requires one prediction per record")
-    column = speeds > np.array([thresholds.for_class(name) for name in predictions], dtype=float)
-    return ConditionMatrix(("vel_over_predicted",), column.reshape(-1, 1))
+    names = sorted(thresholds)
+    ceilings = np.array([thresholds[c] for c in names], dtype=float)
+    over = np.asarray(speeds, dtype=float)[:, None] > ceilings
+    return ConditionMatrix(tuple(map(velocity_condition_name, names)), over)
 
 
 def binary_condition_name(class_name: str) -> str:
@@ -259,7 +221,7 @@ class SyntheticCorpus:
     records: tuple[TrajectoryRecord, ...]
     table: PredictionTable
     conditions: ConditionMatrix
-    thresholds: VelocityThresholds
+    thresholds: dict[str, float]
 
 
 def _confusion_order(true_class: str, visible: Sequence[str], regimes: Mapping[str, float]) -> list[str]:
@@ -306,7 +268,6 @@ def generate_synthetic(
     holdout_classes: Sequence[str] | None = None,
     condition_noise: float = 0.05,
     speed_regimes: Mapping[str, float] | None = None,
-    velocity_mode: str = "per_class",
 ) -> SyntheticCorpus:
     """Deterministic-by-seed corpus with class-dependent speed regimes.
 
@@ -319,8 +280,6 @@ def generate_synthetic(
     the non-holdout records.
     """
     seed = check_seed(seed)
-    if velocity_mode not in VELOCITY_MODES:
-        raise ContractError(f"velocity_mode must be one of {VELOCITY_MODES}, got {velocity_mode!r}")
     regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
     names = tuple(class_names) if class_names is not None else tuple(regimes)
     for name in names:
@@ -385,7 +344,7 @@ def generate_synthetic(
     speeds = max_speeds(records)
     fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
     thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
-    velocity = build_velocity_conditions(thresholds, speeds, velocity_mode, predicted)
+    velocity = build_velocity_conditions(thresholds, speeds)
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 

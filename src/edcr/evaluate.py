@@ -16,7 +16,7 @@ from .core import (
     PredictionTable,
     compute_class_stats,
 )
-from .learn import LearnConfig, det_corr_rule_learn
+from .learn import det_corr_rule_learn
 from .rules import apply_ruleset
 from .theory import recall_delta_exact
 
@@ -90,7 +90,8 @@ class ClassMetrics:
 class MetricsReport:
     """Full evaluation of one table: per-class scores, accuracy under the
     chosen mode (plus both modes for reference), and optionally the
-    error-detection scores for a set of flags."""
+    error-detection scores of an application's flags, which are scored
+    against the original predictions (:func:`error_detection_metrics`)."""
 
     n_samples: int
     mode: ScoringMode
@@ -101,11 +102,7 @@ class MetricsReport:
     error_detection: ErrorMetrics | None = None
 
 
-def metrics_report(
-    table: PredictionTable,
-    mode: ScoringMode = ScoringMode.STRICT,
-    flags: Sequence[bool] | None = None,
-) -> MetricsReport:
+def metrics_report(table: PredictionTable, mode: ScoringMode = ScoringMode.STRICT) -> MetricsReport:
     stats = compute_class_stats(table)
     per_class = tuple(
         ClassMetrics(
@@ -120,7 +117,6 @@ def metrics_report(
     )
     strict = accuracy(table, ScoringMode.STRICT)
     novel = accuracy(table, ScoringMode.NOVEL_AWARE)
-    detection = error_detection_metrics(flags, table) if flags is not None else None
     return MetricsReport(
         n_samples=table.n,
         mode=mode,
@@ -128,7 +124,6 @@ def metrics_report(
         accuracy_strict=strict,
         accuracy_novel_aware=novel,
         per_class=per_class,
-        error_detection=detection,
     )
 
 
@@ -183,12 +178,7 @@ class SweepRow:
     theoretical_recall_reduction: float
 
 
-@dataclass(frozen=True)
-class SweepResult:
-    rows: tuple[SweepRow, ...]
-
-
-def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
+def epsilon_sweep(epsilons: Sequence[float], split: Split) -> tuple[SweepRow, ...]:
     """Learn a rule set per epsilon on the learn side, apply it to both sides,
     and tabulate per-class precision/recall/F1 before and after, with the
     theoretical recall reduction computed from the learned rule stats."""
@@ -197,8 +187,7 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
         raise ContractError("epsilon sweep needs at least one epsilon")
     rows: list[SweepRow] = []
     for epsilon in epsilons:
-        config = LearnConfig(epsilon=epsilon)
-        rule_set = det_corr_rule_learn(config, split.learn_table, split.learn_conds)
+        rule_set = det_corr_rule_learn(epsilon, split.learn_table, split.learn_conds)
         learn_stats = compute_class_stats(split.learn_table)
         tr: dict[int, float] = {}
         for i in range(len(split.learn_table.classes)):
@@ -234,7 +223,7 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> SweepResult:
                         theoretical_recall_reduction=tr[i],
                     )
                 )
-    return SweepResult(tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -248,11 +237,6 @@ class UnseenRow:
     delta: float
 
 
-@dataclass(frozen=True)
-class UnseenResult:
-    rows: tuple[UnseenRow, ...]
-
-
 def unseen_class_experiment(
     table: PredictionTable,
     conds: ConditionMatrix,
@@ -260,7 +244,7 @@ def unseen_class_experiment(
     fractions: Sequence[float] = (),
     epsilon: float = 0.1,
     learn_fraction: float = 0.5,
-) -> UnseenResult:
+) -> tuple[UnseenRow, ...]:
     """Zero/few-shot protocol for classes the base model cannot predict.
 
     Rules are first learned on the holdout-free part of the learn split
@@ -299,8 +283,8 @@ def unseen_class_experiment(
         idx = np.sort(np.concatenate([seen_idx, held_idx[:n_shot]]))
         learn_table = split.learn_table.subset(idx)
         learn_conds = split.learn_conds.rows(idx)
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=epsilon), learn_table, learn_conds)
+        rule_set = det_corr_rule_learn(epsilon, learn_table, learn_conds)
         revised, _ = apply_ruleset(rule_set, split.test_table, split.test_conds)
         edcr = accuracy(revised, ScoringMode.NOVEL_AWARE)
         rows.append(UnseenRow(fraction, baseline, edcr, edcr - baseline))
-    return UnseenResult(tuple(rows))
+    return tuple(rows)

@@ -18,10 +18,10 @@ quotes or ``\\r`` follow, and the text after each id is coded as one string,
 so it is split and decoded once per distinct value.  The files the writers
 write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
 ``\\r``.  Anything else (NUL, a quoted cell, a bare ``\\r`` line end, a bad
-width, bit, flag or original class, an empty predictions cell, an unknown or
-repeated conditions id) sends the whole file to the row parser, built on
-``csv.reader``: the single fallback, which reads every other valid CSV
-layout and names the line of every fault.
+width, bit or flag, an empty predictions cell or trace original, an UNKNOWN
+ground truth, an unknown or repeated conditions id) sends the whole file to
+the row parser, built on ``csv.reader``: the single fallback, which reads
+every other valid CSV layout and names the line of every fault.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
@@ -64,7 +64,7 @@ from .core import (
     name_column,
 )
 from .conditions import TrajectoryRecord
-from .evaluate import MetricsReport, SweepResult, SweepRow, UnseenResult, UnseenRow
+from .evaluate import MetricsReport, SweepRow, UnseenRow
 from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
 from .theory import TheoremReport
 
@@ -268,8 +268,10 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     the sorted distinct predicted names (UNKNOWN excluded)."""
     path = Path(path)
     scanned = _scan_columns(path, _PREDICTIONS_HEADERS)
-    if scanned is None or "" in scanned[0] or any("" in names for _, names in scanned[1]):
-        scanned = _parse_predictions(path)  # which names the line of an empty cell
+    if scanned is None or "" in scanned[0] or any("" in names for _, names in scanned[1]) or any(
+        UNKNOWN_NAME in names for _, names in scanned[1][1:]  # the gt column
+    ):
+        scanned = _parse_predictions(path)  # which names the line of an empty cell or UNKNOWN truth
     ids, (pred, *gt) = scanned
     if len(set(ids)) != len(ids):
         dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
@@ -302,6 +304,8 @@ def _parse_predictions(path: Path):
             if "" in row:
                 empty = ("sample id", "predicted value", "ground-truth value")[row.index("")]
                 raise _parse_error(path, line_no, f"empty {empty}")
+            if row[2:] == [UNKNOWN_NAME]:
+                raise _parse_error(path, line_no, f"ground truth may never be {UNKNOWN_NAME}")
             rows.append(row)
     return _coded_rows(rows, len(header))
 
@@ -596,19 +600,20 @@ def write_trace(path, trace: ApplyTrace) -> None:
 def read_trace(path, classes: ClassSet) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace`.
 
-    Original classes must lie in ``classes`` (or be UNKNOWN).  A final class
-    outside it, the target of a correction that this batch never predicts,
-    extends the trace's class set after ``classes``."""
+    An original or final class outside ``classes`` extends the trace's class
+    set after ``classes``, in sorted order: a class the batch predicted but
+    the revised file no longer does, or the target of a correction that the
+    batch never predicts."""
     path = Path(path)
     lookup = {name: i for i, name in enumerate(classes.names)}
     lookup[UNKNOWN_NAME] = -1
     scanned = _scan_columns(path, [TRACE_HEADER])
-    if scanned is None or not (lookup.keys() >= set(scanned[1][0][1]) and _BITS >= set(scanned[1][1][1])):
-        scanned = _parse_trace(path, classes, lookup)  # which names the line of a bad class or flag
+    if scanned is None or "" in scanned[1][0][1] or not _BITS >= set(scanned[1][1][1]):
+        scanned = _parse_trace(path)  # which names the line of an empty original class or a bad flag
     sample_ids, (original, flagged, fired, final) = scanned
     if len(set(sample_ids)) != len(sample_ids):
         raise DataError(f"{path}: duplicate sample ids")
-    extra = tuple(sorted(set(final[1]).difference(lookup)))
+    extra = tuple(sorted(set(original[1]).union(final[1]).difference(lookup)))
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
     return ApplyTrace(
         ClassSet(classes.names + extra),
@@ -621,7 +626,7 @@ def read_trace(path, classes: ClassSet) -> ApplyTrace:
     )
 
 
-def _parse_trace(path: Path, classes: ClassSet, lookup: dict[str, int]):
+def _parse_trace(path: Path):
     """The row parser: reads any valid CSV layout and names the line of every fault."""
     rows: list[list[str]] = []
     with _csv_file(path) as (header, reader):
@@ -630,10 +635,8 @@ def _parse_trace(path: Path, classes: ClassSet, lookup: dict[str, int]):
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(TRACE_HEADER) or row[2] not in _BITS:
+            if len(row) != len(TRACE_HEADER) or not row[1] or row[2] not in _BITS:
                 raise _parse_error(path, line_no, "malformed trace row")
-            if row[1] not in lookup:
-                raise _parse_error(path, line_no, f"original class {row[1]!r} is not one of {classes.names}")
             rows.append(row)
     return _coded_rows(rows, len(TRACE_HEADER))
 
@@ -664,12 +667,12 @@ def _header(record_type) -> list[str]:
     return ["class" if f.name == "class_name" else f.name for f in fields(record_type)]
 
 
-def write_sweep(path, result: SweepResult) -> None:
-    write_csv_rows(path, _header(SweepRow), map(astuple, result.rows))
+def write_sweep(path, rows: Sequence[SweepRow]) -> None:
+    write_csv_rows(path, _header(SweepRow), map(astuple, rows))
 
 
-def write_unseen(path, result: UnseenResult) -> None:
-    write_csv_rows(path, _header(UnseenRow), map(astuple, result.rows))
+def write_unseen(path, rows: Sequence[UnseenRow]) -> None:
+    write_csv_rows(path, _header(UnseenRow), map(astuple, rows))
 
 
 def write_theorem_reports(path, reports: Sequence[TheoremReport]) -> None:

@@ -32,7 +32,6 @@ Each confidence is the ``pos / bod`` of Python ints that
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -52,32 +51,6 @@ from .core import (
 from .rules import CorrectionRule, DetectionRule, RuleSet
 
 Pair = tuple[str, int]
-
-
-@dataclass(frozen=True)
-class LearnConfig:
-    """Learning-time settings.
-
-    ``epsilon`` is the per-class cap on recall reduction, either one scalar
-    broadcast to every class or a mapping keyed by class name.  The candidate
-    conditions are every column of the condition matrix, and the classes are
-    those of the table.
-    """
-
-    epsilon: float | Mapping[str, float] = 0.1
-
-    def __post_init__(self) -> None:
-        values = [self.epsilon] if isinstance(self.epsilon, (int, float)) else self.epsilon.values()
-        for value in values:
-            check_unit_interval("epsilon", value)
-
-    def epsilon_for(self, class_name: str) -> float:
-        if isinstance(self.epsilon, (int, float)):
-            return float(self.epsilon)
-        try:
-            return float(self.epsilon[class_name])
-        except KeyError:
-            raise ContractError(f"no epsilon configured for class {class_name!r}") from None
 
 
 def recall_budget(stats: ClassStats, class_id: int, epsilon: float) -> float:
@@ -209,32 +182,37 @@ def corr_rule_learn(
 
 
 def det_corr_rule_learn(
-    config: LearnConfig,
+    epsilon: float | Mapping[str, float],
     table: PredictionTable,
     conds: ConditionMatrix,
 ) -> RuleSet:
     """Learn detection rules for every class, then correction rules over the
     pairs (condition, class) contributed by the selected detection conditions.
 
-    Emits at most one rule of each kind per class; recorded stats are measured
-    on the learning table so downstream application needs no ground truth.
+    ``epsilon`` is the per-class cap on recall reduction: one value for every
+    class, or a mapping from class name to value that names every class of
+    the table.  Emits at most one rule of each kind per class; recorded stats
+    are measured on the learning table so downstream application needs no
+    ground truth.
     """
     table.require_ground_truth()
     _require_aligned(table, conds)
     stats = compute_class_stats(table)
-    class_ids = range(len(table.classes))
+    per_class = epsilon if isinstance(epsilon, Mapping) else dict.fromkeys(table.classes.names, epsilon)
 
     detection: list[DetectionRule] = []
     cc_all: list[Pair] = []
-    for i in class_ids:
-        dc = det_rule_learn(i, config.epsilon_for(table.classes.names[i]), table, conds, stats=stats)
+    for i, name in enumerate(table.classes.names):
+        if name not in per_class:
+            raise ContractError(f"no epsilon configured for class {name!r}")
+        dc = det_rule_learn(i, per_class[name], table, conds, stats=stats)
         if dc:
             counts = detection_counts(table, conds, i, dc)
             detection.append(DetectionRule(i, dc, counts.class_support, counts.confidence))
             cc_all.extend((cond, i) for cond in dc)
 
     correction: list[CorrectionRule] = []
-    for i in class_ids:
+    for i in range(len(table.classes)):
         cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
         if cc:
             counts = correction_counts(table, conds, i, cc)
@@ -243,7 +221,7 @@ def det_corr_rule_learn(
     return RuleSet(
         classes=table.classes,
         condition_names=conds.condition_names,
-        epsilon=config.epsilon if isinstance(config.epsilon, (int, float)) else dict(config.epsilon),
+        epsilon=dict(epsilon) if isinstance(epsilon, Mapping) else epsilon,
         detection_rules=tuple(detection),
         correction_rules=tuple(correction),
     )

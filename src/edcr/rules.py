@@ -28,11 +28,6 @@ from .core import (
     rule_body,
 )
 
-#: Correction applies wherever its body matches (default), or only to samples
-#: already flagged by a detection rule.
-CORRECTION_SCOPES = ("body", "flagged")
-
-
 @dataclass(frozen=True)
 class DetectionRule:
     """``error <- pred_target AND any(conditions)``: routes matches to UNKNOWN
@@ -196,20 +191,13 @@ def apply_ruleset(
     rules: RuleSet,
     table: PredictionTable,
     conds: ConditionMatrix,
-    correction_scope: str = "body",
 ) -> tuple[PredictionTable, ApplyTrace]:
     """Apply a rule set and return the revised table plus its columnar trace.
 
     Ground truth is not required: application is pure inference.  When several
     correction rules fire on one sample the rule with the highest recorded
-    confidence wins, ties broken by lowest target class id.  With
-    ``correction_scope="flagged"`` corrections only apply to samples flagged
-    in phase 1; the default ``"body"`` scope corrects any body match.
+    confidence wins, ties broken by lowest target class id.
     """
-    if correction_scope not in CORRECTION_SCOPES:
-        raise ContractError(
-            f"correction_scope must be one of {CORRECTION_SCOPES}, got {correction_scope!r}"
-        )
     _validate_application(rules, table, conds)
     pred = table.pred_ids
     flags = rule_body(
@@ -220,8 +208,6 @@ def apply_ruleset(
     fired = np.zeros((table.n, len(ordered)), dtype=bool)
     for j, rule in enumerate(ordered):
         fired[:, j] = rule_body(conds, pred, rule.pairs)
-    if correction_scope == "flagged":
-        fired &= flags[:, None]
 
     final = np.where(flags, -1, pred)
     corrected = fired.any(axis=1)

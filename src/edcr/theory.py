@@ -5,7 +5,7 @@ constructors for tables that realize target statistics exactly so predicted
 deltas can be replayed empirically.
 
 All counts stay integers until the final division, so predicted and measured
-quantities agree to rational-arithmetic accuracy (default tolerance 1e-9).
+quantities agree to rational-arithmetic accuracy (tolerance 1e-9).
 
 The checks and the oracles count through one kernel, ``_cover_counts``.  A
 POS, NEG or BOD count of a condition subset S is the number of rows whose
@@ -478,7 +478,7 @@ class TheoremReport:
     predicted_delta_recall: float
     empirical_delta_precision: float
     empirical_delta_recall: float
-    tolerance: float
+    tolerance: float = RATIONAL_TOLERANCE
     note: str = ""
 
     @property
@@ -497,10 +497,7 @@ class TheoremReport:
 
 
 def theorem_report(
-    table: PredictionTable,
-    conds: ConditionMatrix,
-    epsilon: float,
-    tolerance: float = RATIONAL_TOLERANCE,
+    table: PredictionTable, conds: ConditionMatrix, epsilon: float
 ) -> tuple[TheoremReport, ...]:
     """Learn one detection rule per class and compare its closed-form effect
     against an empirical replay of that rule alone on the same table."""
@@ -512,9 +509,7 @@ def theorem_report(
         r_i = float(stats.recall[i])
         dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
         if not dc:
-            reports.append(
-                TheoremReport(name, 0.0, 0.0, p_i, r_i, 0.0, 0.0, 0.0, 0.0, 0.0, tolerance, "no rule learned")
-            )
+            reports.append(TheoremReport(name, 0.0, 0.0, p_i, r_i, *[0.0] * 5, note="no rule learned"))
             continue
         counts = detection_counts(table, conds, i, dc)
         if counts.class_support == 1.0:
@@ -523,7 +518,7 @@ def theorem_report(
                     name, 1.0, counts.confidence, p_i, r_i,
                     0.0, precision_delta_bound(counts.class_support, counts.confidence),
                     recall_delta_exact(counts.class_support, counts.confidence, r_i, p_i) if p_i > 0 else 0.0,
-                    0.0, 0.0, tolerance, "degenerate: rule covers every prediction of the class",
+                    0.0, 0.0, note="degenerate: rule covers every prediction of the class",
                 )
             )
             continue
@@ -552,7 +547,6 @@ def theorem_report(
                 ),
                 empirical_delta_precision=float(after.precision[i]) - p_i,
                 empirical_delta_recall=float(after.recall[i]) - r_i,
-                tolerance=tolerance,
             )
         )
     return tuple(reports)

@@ -50,10 +50,8 @@ from edcr.conditions import (
     _SPEED_SPREAD,
     DEFAULT_SPEED_REGIMES,
     EARTH_RADIUS_M,
-    VELOCITY_MODES,
     SyntheticCorpus,
     TrajectoryRecord,
-    VelocityThresholds,
     binary_condition_name,
     haversine_m,
     negated_condition_name,
@@ -269,7 +267,7 @@ def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
     return SpeedProfile(tuple(speeds), max(speeds))
 
 
-def _reference_fit_velocity_thresholds(training, classes=None) -> VelocityThresholds:
+def _reference_fit_velocity_thresholds(training, classes=None) -> dict[str, float]:
     maxima: dict[str, float] = {}
     for record in training:
         if record.label is None:
@@ -283,27 +281,17 @@ def _reference_fit_velocity_thresholds(training, classes=None) -> VelocityThresh
             raise UnknownClassError(f"no training records for classes {missing}")
     if not maxima:
         raise ContractError("no training records supplied")
-    return VelocityThresholds(maxima)
+    return maxima
 
 
-def _reference_build_velocity_conditions(thresholds, records, mode="per_class", predictions=None):
-    if mode not in VELOCITY_MODES:
-        raise ContractError(f"mode must be one of {VELOCITY_MODES}, got {mode!r}")
+def _reference_build_velocity_conditions(thresholds, records):
     maxima = [trajectory_speed(record).max_speed for record in records]
-    if mode == "per_class":
-        names = [velocity_condition_name(c) for c in thresholds.class_names]
-        values = np.zeros((len(records), len(names)), dtype=bool)
-        for j, class_name in enumerate(thresholds.class_names):
-            ceiling = thresholds.for_class(class_name)
-            values[:, j] = np.asarray(maxima) > ceiling
-        return ConditionMatrix(tuple(names), values)
-    if predictions is None or len(predictions) != len(records):
-        raise ContractError("predicted mode requires one prediction per record")
-    column = np.array(
-        [maxima[k] > thresholds.for_class(predictions[k]) for k in range(len(records))],
-        dtype=bool,
-    )
-    return ConditionMatrix(("vel_over_predicted",), column.reshape(-1, 1))
+    class_names = sorted(thresholds)
+    names = [velocity_condition_name(c) for c in class_names]
+    values = np.zeros((len(records), len(names)), dtype=bool)
+    for j, class_name in enumerate(class_names):
+        values[:, j] = np.asarray(maxima) > thresholds[class_name]
+    return ConditionMatrix(tuple(names), values)
 
 
 def _reference_confusion_order(true_class, visible, regimes):
@@ -340,7 +328,6 @@ def reference_generate_synthetic(
     holdout_classes: Sequence[str] | None = None,
     condition_noise: float = 0.05,
     speed_regimes: Mapping[str, float] | None = None,
-    velocity_mode: str = "per_class",
 ) -> SyntheticCorpus:
     """The synthetic generator with one numpy call per ``uniform``/``normal``
     draw, a re-sort of the confusion order per wrong sample, and one scalar
@@ -408,9 +395,7 @@ def reference_generate_synthetic(
     thresholds = _reference_fit_velocity_thresholds(
         [r for r in records if r.label not in holdout], classes=visible
     )
-    velocity = _reference_build_velocity_conditions(
-        thresholds, records, mode=velocity_mode, predictions=predicted
-    )
+    velocity = _reference_build_velocity_conditions(thresholds, records)
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 
@@ -750,6 +735,8 @@ def reference_read_predictions(path, classes: ClassSet | None = None) -> Predict
             if has_gt:
                 if not row[2]:
                     raise _parse_error(path, line_no, "empty ground-truth value")
+                if row[2] == UNKNOWN_NAME:
+                    raise _parse_error(path, line_no, f"ground truth may never be {UNKNOWN_NAME}")
                 gts.append(row[2])
     if len(set(ids)) != len(ids):
         dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
@@ -780,15 +767,13 @@ def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(TRACE_HEADER) or row[2] not in _BITS:
+            if len(row) != len(TRACE_HEADER) or not row[1] or row[2] not in _BITS:
                 raise _parse_error(path, line_no, "malformed trace row")
-            if row[1] not in lookup:
-                raise _parse_error(path, line_no, f"original class {row[1]!r} is not one of {classes.names}")
             rows.append(row)
     sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5
     if len(set(sample_ids)) != len(sample_ids):
         raise DataError(f"{path}: duplicate sample ids")
-    extra = tuple(sorted(set(final).difference(lookup)))
+    extra = tuple(sorted(set(original).union(final).difference(lookup)))
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
     fired_names = tuple(dict.fromkeys(fired))
     return ApplyTrace(

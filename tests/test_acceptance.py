@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from edcr import (
-    LearnConfig,
     RuleSet,
     apply_ruleset,
     brute_force_correction,
@@ -98,9 +97,8 @@ def test_criterion_3_budget_safety_sweep():
     corpus = generate_synthetic(seed=7, n_samples=2000, noise=0.25)
     split = sequential_split(corpus.table, corpus.conditions, 0.5)
     epsilons = [0.0, 0.05, 0.1, 0.2, 0.3]
-    result = epsilon_sweep(epsilons, split)
     learn_stats = compute_class_stats(split.learn_table)
-    rows = [row for row in result.rows if row.split == "learn"]
+    rows = [row for row in epsilon_sweep(epsilons, split) if row.split == "learn"]
     assert {row.epsilon for row in rows} == set(epsilons)
     for row in rows:
         reduction = row.recall_before - row.recall_after
@@ -109,7 +107,7 @@ def test_criterion_3_budget_safety_sweep():
     # the emitted TR column is exactly the closed form of the learned rule
     for epsilon in epsilons:
         rule_set = det_corr_rule_learn(
-            LearnConfig(epsilon=epsilon), split.learn_table, split.learn_conds
+            epsilon, split.learn_table, split.learn_conds
         )
         for row in rows:
             if row.epsilon != epsilon:
@@ -215,10 +213,9 @@ def test_criterion_6_unseen_class_direction():
     corpus = generate_synthetic(
         seed=7, n_samples=2000, noise=0.25, holdout_classes=["walk", "drive"]
     )
-    result = unseen_class_experiment(
+    zero, few = unseen_class_experiment(
         corpus.table, corpus.conditions, holdout=["walk", "drive"], fractions=[0.2], epsilon=0.1
     )
-    zero, few = result.rows
     assert zero.fraction == 0.0 and few.fraction == 0.2
     assert zero.edcr_accuracy > zero.baseline_accuracy
     assert few.edcr_accuracy > zero.edcr_accuracy

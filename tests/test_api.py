@@ -35,7 +35,6 @@ PUBLIC_API = [
     "DetectionRule",
     "EdcrError",
     "ErrorMetrics",
-    "LearnConfig",
     "MetricsReport",
     "PredictionTable",
     "RuleSet",
@@ -46,7 +45,6 @@ PUBLIC_API = [
     "UNKNOWN_NAME",
     "UnknownClassError",
     "UnknownConditionError",
-    "VelocityThresholds",
     "VerificationError",
     "accuracy",
     "apply_ruleset",

@@ -9,7 +9,7 @@ from edcr import (
     DataError,
     TrajectoryRecord,
     UnknownClassError,
-    VelocityThresholds,
+    UnknownConditionError,
     accuracy,
     build_velocity_conditions,
     fit_velocity_thresholds,
@@ -18,7 +18,7 @@ from edcr import (
     max_speeds,
 )
 from edcr import conditions
-from edcr.conditions import DEFAULT_SPEED_REGIMES, VELOCITY_MODES
+from edcr.conditions import DEFAULT_SPEED_REGIMES
 from edcr.io import read_conditions
 from helpers import make_table, reference_generate_synthetic, same_table, trajectory_speed
 
@@ -164,11 +164,11 @@ class TestVelocityThresholds:
 
     def test_single_record_per_class(self):
         thresholds = self.fit([self.walk_track(2.0, "w0")])
-        assert thresholds.for_class("walk") == pytest.approx(2.0, rel=1e-6)
+        assert thresholds["walk"] == pytest.approx(2.0, rel=1e-6)
 
     def test_max_of_two_records(self):
         thresholds = self.fit([self.walk_track(1.8, "w0"), self.walk_track(2.2, "w1")])
-        assert thresholds.for_class("walk") == pytest.approx(2.2, rel=1e-6)
+        assert thresholds["walk"] == pytest.approx(2.2, rel=1e-6)
 
     def test_mixed_corpus_per_class_maxima(self):
         records = [
@@ -178,8 +178,8 @@ class TestVelocityThresholds:
             self.walk_track(4.0, "b1", label="bike"),
         ]
         thresholds = self.fit(records)
-        assert thresholds.for_class("walk") == pytest.approx(2.0, rel=1e-6)
-        assert thresholds.for_class("bike") == pytest.approx(5.0, rel=1e-6)
+        assert thresholds["walk"] == pytest.approx(2.0, rel=1e-6)
+        assert thresholds["bike"] == pytest.approx(5.0, rel=1e-6)
 
     def test_missing_class_error(self):
         with pytest.raises(UnknownClassError):
@@ -196,45 +196,48 @@ class TestVelocityThresholds:
     def test_monotone_in_training_data(self):
         base = [self.walk_track(2.0, "w0")]
         more = base + [self.walk_track(3.0, "w1")]
-        assert self.fit(more).for_class("walk") >= self.fit(base).for_class("walk")
+        assert self.fit(more)["walk"] >= self.fit(base)["walk"]
 
-    def test_predicted_mode_strict_boundary(self):
-        # a record is over only when strictly faster than its predicted class's ceiling
+    def test_own_class_strict_boundary(self):
+        # a record is over its predicted class c when vel_over_c holds on its
+        # row with pred == c, which needs it strictly faster than c's ceiling
         speeds = max_speeds([self.walk_track(2.0, "w0")])
         exact = float(speeds[0])
+        table = make_table(["walk", "bike"], ["walk"])
 
         def over(ceiling):
-            thresholds = VelocityThresholds({"walk": ceiling})
-            matrix = build_velocity_conditions(thresholds, speeds, mode="predicted", predictions=["walk"])
-            return bool(matrix.column("vel_over_predicted")[0])
+            matrix = build_velocity_conditions({"walk": ceiling, "bike": 0.0}, speeds)
+            return bool((matrix.column("vel_over_walk") & (table.pred_ids == 0))[0])
 
         assert over(exact) is False  # equality is not over
         assert over(exact / 2) is True
         assert over(exact * 2) is False
 
-    def test_predicted_mode_missing_class(self):
+    def test_unfitted_class_has_no_column(self):
         speeds = max_speeds([self.walk_track(2.0, "w0")])
-        with pytest.raises(UnknownClassError):
-            build_velocity_conditions(VelocityThresholds({"bike": 5.0}), speeds, "predicted", ["walk"])
+        matrix = build_velocity_conditions({"bike": 5.0}, speeds)
+        assert matrix.condition_names == ("vel_over_bike",)
+        with pytest.raises(UnknownConditionError):
+            matrix.column("vel_over_walk")
 
-    def test_build_matrix_modes(self):
+    def test_build_matrix_per_class_and_own_class(self):
         speeds = max_speeds([self.walk_track(1.0, "r0"), self.walk_track(9.0, "r1")])
-        thresholds = VelocityThresholds({"walk": 2.0, "bike": 6.0})
-        per_class = build_velocity_conditions(thresholds, speeds, mode="per_class")
+        thresholds = {"walk": 2.0, "bike": 6.0}
+        per_class = build_velocity_conditions(thresholds, speeds)
         assert per_class.condition_names == ("vel_over_bike", "vel_over_walk")
         assert per_class.column("vel_over_walk").tolist() == [False, True]
         assert per_class.column("vel_over_bike").tolist() == [False, True]
 
+        # each row against its own predicted class: vel_over_c AND pred == c
         table = make_table(["walk", "bike"], ["bike", "walk"])
-        predicted = build_velocity_conditions(
-            thresholds, speeds, mode="predicted", predictions=table.names(table.pred_ids)
-        )
-        assert predicted.condition_names == ("vel_over_predicted",)
-        assert predicted.column("vel_over_predicted").tolist() == [False, True]
+        own = np.zeros(table.n, dtype=bool)
+        for i, name in enumerate(table.classes.names):
+            own |= per_class.column(f"vel_over_{name}") & (table.pred_ids == i)
+        assert own.tolist() == [False, True]
 
-    def test_bad_mode(self):
-        with pytest.raises(ContractError):
-            build_velocity_conditions(VelocityThresholds({"walk": 1.0}), max_speeds([]), mode="nope")
+    def test_no_records(self):
+        matrix = build_velocity_conditions({"walk": 1.0}, max_speeds([]))
+        assert matrix.condition_names == ("vel_over_walk",) and matrix.values.shape == (0, 1)
 
 
 class TestGenerateSynthetic:
@@ -257,9 +260,9 @@ class TestGenerateSynthetic:
         # without errors there is nothing for rules to catch: any detection
         # rule that fits the budget has zero confidence, and no correction
         # can strictly beat a perfect baseline precision
-        from edcr import LearnConfig, det_corr_rule_learn
+        from edcr import det_corr_rule_learn
 
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.1), corpus.table, corpus.conditions)
+        rule_set = det_corr_rule_learn(0.1, corpus.table, corpus.conditions)
         assert all(rule.confidence == 0.0 for rule in rule_set.detection_rules)
         assert rule_set.correction_rules == ()
 
@@ -307,14 +310,6 @@ class TestGenerateSynthetic:
         with pytest.raises(ContractError, match="seed"):
             generate_synthetic(seed=seed, n_samples=10)
 
-    def test_bad_velocity_mode_fails_before_drawing(self, monkeypatch):
-        def no_draws(*args):
-            raise AssertionError("trajectories were drawn before the mode was checked")
-
-        monkeypatch.setattr(conditions, "_make_trajectories", no_draws)
-        with pytest.raises(ContractError, match="mode"):
-            generate_synthetic(seed=0, n_samples=100_000, velocity_mode="nope")
-
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), "fast", None])
     def test_bad_speed_regime_fails_before_drawing(self, monkeypatch, bad):
         # zero and negative regimes used to raise "math domain error" and a
@@ -341,7 +336,7 @@ def same_corpus(a, b) -> bool:
         and a.conditions.condition_names == b.conditions.condition_names
         and a.conditions.values.dtype == b.conditions.values.dtype
         and np.array_equal(a.conditions.values, b.conditions.values)
-        and repr(a.thresholds.max_speed) == repr(b.thresholds.max_speed)
+        and repr(a.thresholds) == repr(b.thresholds)
     )
 
 
@@ -364,7 +359,6 @@ def generator_args(draw):
         holdout_classes=holdout or None,
         condition_noise=draw(rate),
         speed_regimes=regimes,
-        velocity_mode=draw(st.sampled_from(VELOCITY_MODES)),
     )
 
 
@@ -380,8 +374,8 @@ class TestGeneratorMatchesReference:
             dict(seed=0, n_samples=5),
             dict(seed=8, n_samples=300, noise=0.0, condition_noise=1.0),
             dict(seed=9, n_samples=300, noise=1.0, condition_noise=0.0),
-            dict(seed=3, n_samples=400, holdout_classes=["walk", "train"], velocity_mode="predicted"),
-            dict(seed=4, n_samples=200, class_names=["bus", "walk"], velocity_mode="predicted"),
+            dict(seed=3, n_samples=400, holdout_classes=["walk", "train"]),
+            dict(seed=4, n_samples=200, class_names=["bus", "walk"]),
             dict(seed=5, n_samples=200, speed_regimes={"x": 0.5, "y": 3.0, "z": 40.0},
                  holdout_classes=["y"]),
         ],

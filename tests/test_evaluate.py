@@ -4,7 +4,6 @@ from hypothesis import given, strategies as st
 
 from edcr import (
     ContractError,
-    LearnConfig,
     ScoringMode,
     UNKNOWN_NAME,
     accuracy,
@@ -141,21 +140,21 @@ def small_split(seed=8, n=400, noise=0.25):
 class TestEpsilonSweep:
     def test_grid_is_complete(self):
         split = small_split()
-        result = epsilon_sweep([0.0, 0.1], split)
+        rows = epsilon_sweep([0.0, 0.1], split)
         n_classes = len(split.learn_table.classes)
-        assert len(result.rows) == 2 * 2 * n_classes  # eps x split x class
+        assert len(rows) == 2 * 2 * n_classes  # eps x split x class
 
     def test_zero_epsilon_keeps_learn_recall(self):
         split = small_split()
-        result = epsilon_sweep([0.0], split)
-        for row in (row for row in result.rows if row.split == "learn"):
+        rows = epsilon_sweep([0.0], split)
+        for row in (row for row in rows if row.split == "learn"):
             assert row.theoretical_recall_reduction == pytest.approx(0.0, abs=1e-12)
             assert row.recall_after >= row.recall_before - 1e-9
 
     def test_learn_recall_within_epsilon(self):
         split = small_split()
-        result = epsilon_sweep([0.0, 0.05, 0.1, 0.2], split)
-        for row in (row for row in result.rows if row.split == "learn"):
+        rows = epsilon_sweep([0.0, 0.05, 0.1, 0.2], split)
+        for row in (row for row in rows if row.split == "learn"):
             reduction = row.recall_before - row.recall_after
             assert reduction <= row.theoretical_recall_reduction + 1e-9
             assert row.theoretical_recall_reduction <= row.epsilon + 1e-9
@@ -174,11 +173,11 @@ class TestEpsilonSweep:
         # one sweep point is exactly learn + apply + eval
         split = small_split(seed=13)
         epsilon = 0.1
-        result = epsilon_sweep([epsilon], split)
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=epsilon), split.learn_table, split.learn_conds)
+        rows = epsilon_sweep([epsilon], split)
+        rule_set = det_corr_rule_learn(epsilon, split.learn_table, split.learn_conds)
         revised, _ = apply_ruleset(rule_set, split.test_table, split.test_conds)
         after = compute_class_stats(revised)
-        for row in (row for row in result.rows if row.split == "test"):
+        for row in (row for row in rows if row.split == "test"):
             i = split.test_table.classes.index(row.class_name)
             assert row.precision_after == pytest.approx(float(after.precision[i]), abs=1e-12)
             assert row.recall_after == pytest.approx(float(after.recall[i]), abs=1e-12)
@@ -192,18 +191,18 @@ class TestUnseenClassExperiment:
 
     def test_fraction_zero_is_zero_shot(self):
         corpus = self.corpus()
-        result = unseen_class_experiment(
+        rows = unseen_class_experiment(
             corpus.table, corpus.conditions, holdout=["walk", "drive"], fractions=[0.0, 0.2]
         )
-        assert result.rows[0].fraction == 0.0  # the zero-shot row comes first
-        assert len(result.rows) == 2  # 0.0 deduped with the implicit zero-shot row
+        assert rows[0].fraction == 0.0  # the zero-shot row comes first
+        assert len(rows) == 2  # 0.0 deduped with the implicit zero-shot row
 
     def test_baseline_constant_across_fractions(self):
         corpus = self.corpus()
-        result = unseen_class_experiment(
+        rows = unseen_class_experiment(
             corpus.table, corpus.conditions, holdout=["walk", "drive"], fractions=[0.1, 0.2]
         )
-        baselines = {row.baseline_accuracy for row in result.rows}
+        baselines = {row.baseline_accuracy for row in rows}
         assert len(baselines) == 1
 
     def test_bad_fraction(self):
@@ -227,9 +226,10 @@ class TestUnseenClassExperiment:
 class TestMetricsReport:
     def test_report_shape(self):
         table = make_table(["a", "b"], ["a", "b", "a"], ["a", "b", "b"])
-        report = metrics_report(table, ScoringMode.STRICT, flags=[False, False, True])
+        report = metrics_report(table, ScoringMode.STRICT)
         assert report.n_samples == 3
         assert {entry.class_name for entry in report.per_class} == {"a", "b"}
         assert report.accuracy == report.accuracy_strict
-        assert report.error_detection.precision == 1.0
+        assert report.error_detection is None
+        assert error_detection_metrics([False, False, True], table).precision == 1.0
         assert report.accuracy_strict <= report.accuracy_novel_aware

@@ -445,6 +445,8 @@ class TestReadersMatchReference:
             "sample_id,pred,gt\ns\x001,a,b\n",  # NUL
             "sample_id,pred,gt\ns1,a\rb,b\n",  # a bare CR inside a cell
             'sample_id,pred,gt\ns1,"a",b\n',  # a quoted cell
+            "sample_id,pred,gt\ns1,a,b\ns2,b,__unknown__\n",  # UNKNOWN ground truth
+            "sample_id,pred\ns1,__unknown__\ns2,b\n",  # UNKNOWN prediction
         ],
     )
     def test_listed_predictions(self, tmp_path, text):
@@ -460,6 +462,7 @@ class TestReadersMatchReference:
             "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns2,zz,0,,a\n",  # unknown original
             "sample_id,original,flagged,fired,final\ns1,a,2,,a\n",  # a bad flag
             "sample_id,original,flagged,fired,final\ns1,a,1,,\n",  # an empty final class
+            "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns2,,0,,a\n",  # an empty original class
             "sample_id,original,flagged,fired,final\n,a,1,,a\n",  # an empty id
             "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns1,a,1,,a\n",  # a repeated id
             "sample_id,original,flagged,fired,final\ns1,a,1,\xff,a\n",  # not UTF-8
@@ -622,12 +625,19 @@ class TestTraceFormat:
         path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\n\ny,a,2,,a\n")
         with pytest.raises(DataError, match=":4:"):
             io.read_trace(path, ClassSet(("a",)))
-
-    def test_unknown_original_names_line(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,zz,0,,a\n")
-        with pytest.raises(DataError, match=":3:.*'zz'"):
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,,0,,a\n")
+        with pytest.raises(DataError, match=":3: malformed trace row"):
             io.read_trace(path, ClassSet(("a",)))
+
+    def test_original_outside_classes_extends_trace_classes(self, tmp_path):
+        # a class every prediction of which apply routed elsewhere is absent
+        # from revised.csv, so eval reads the trace with a class set lacking it
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,zz,1,c,c\n")
+        trace = io.read_trace(path, ClassSet(("a",)))
+        assert trace.classes.names == ("a", "c", "zz")
+        assert trace.original.tolist() == [0, 2]
+        assert trace.final.tolist() == [0, 1]
 
     def test_final_outside_classes_extends_trace_classes(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -1015,20 +1025,68 @@ class TestCli:
                     "--correction-scenarios", 20, "--out", verify_dir]) == 0
         assert (verify_dir / "theorem_report.csv").exists()
 
-    def test_correction_scope_flag(self, tmp_path):
+    def test_correction_scope_flag(self, tmp_path, capsys):
+        # a correction applies wherever its body matches; there is no scope to pick
         corpus = gen_corpus(tmp_path, seed=14, samples=200)
         learn_dir = tmp_path / "learned"
         run(["learn", "--predictions", corpus / "predictions.csv", "--conditions",
              corpus / "conditions.csv", "--out", learn_dir])
-        body_dir, flagged_dir = tmp_path / "body", tmp_path / "flagged"
-        for scope, out in (("body", body_dir), ("flagged", flagged_dir)):
-            assert run(["apply", "--ruleset", learn_dir / "ruleset.yaml",
-                        "--predictions", corpus / "predictions.csv",
-                        "--conditions", corpus / "conditions.csv",
-                        "--correction-scope", scope, "--out", out]) == 0
-        # learner-produced correction bodies sit inside detection bodies,
-        # so the two scopes agree on learner output
-        assert (body_dir / "revised.csv").read_bytes() == (flagged_dir / "revised.csv").read_bytes()
+        with pytest.raises(SystemExit) as exit_info:
+            run(["apply", "--ruleset", learn_dir / "ruleset.yaml",
+                 "--predictions", corpus / "predictions.csv", "--conditions", corpus / "conditions.csv",
+                 "--correction-scope", "body", "--out", tmp_path / "body"])
+        assert exit_info.value.code == 2
+        assert "--correction-scope" in capsys.readouterr().err
+        assert not (tmp_path / "body").exists()
+
+    @pytest.mark.parametrize("walk_in_gt", [True, False])
+    def test_eval_trace_after_a_class_vanishes(self, tmp_path, walk_in_gt):
+        """A detection rule that flags every walk prediction leaves no walk in
+        revised.csv; eval --trace scores each flag on original name != gt name."""
+        corpus = gen_corpus(tmp_path, seed=7, samples=300)
+        predictions = corpus / "predictions.csv"
+        if not walk_in_gt:
+            predictions = tmp_path / "no_walk_gt.csv"
+            rows = [line.split(",") for line in (corpus / "predictions.csv").read_text().splitlines()]
+            lines = [",".join(row[:2] + ["bike" if row[2] == "walk" else row[2]]) for row in rows]
+            predictions.write_text("\n".join(lines) + "\n")
+        ruleset = tmp_path / "ruleset.yaml"
+        ruleset.write_text(
+            "format_version: 1\n"
+            "classes: [bike, bus, drive, train, walk]\n"
+            "conditions: [g_walk, not_g_walk]\n"
+            "epsilon: 0.1\n"
+            "detection_rules:\n"
+            "- {class: walk, conditions: [g_walk, not_g_walk], class_support: 1.0, confidence: 0.5}\n"
+            "correction_rules: []\n"
+        )
+        apply_dir, eval_dir = tmp_path / "apply", tmp_path / "eval"
+        assert run(["apply", "--ruleset", ruleset, "--predictions", predictions,
+                    "--conditions", corpus / "conditions.csv", "--out", apply_dir]) == 0
+        assert ",walk," not in (apply_dir / "revised.csv").read_text()
+        assert run(["eval", "--predictions", apply_dir / "revised.csv", "--trace", apply_dir / "trace.csv",
+                    "--out", eval_dir]) == 0
+
+        with open(predictions, newline="") as handle:
+            original = {row["sample_id"]: row for row in csv.DictReader(handle)}
+        with open(apply_dir / "trace.csv", newline="") as handle:
+            flagged = {row["sample_id"]: row["flagged"] == "1" for row in csv.DictReader(handle)}
+        assert ("walk" in {row["gt"] for row in original.values()}) == walk_in_gt
+        errors = {sample_id for sample_id, row in original.items() if row["pred"] != row["gt"]}
+        raised = {sample_id for sample_id, flag in flagged.items() if flag}
+        precision = len(raised & errors) / len(raised)
+        recall = len(raised & errors) / len(errors)
+        with open(eval_dir / "metrics.csv", newline="") as handle:
+            metrics = {row["metric"]: row["value"] for row in csv.DictReader(handle)}
+        assert float(metrics["error_precision"]) == precision
+        assert float(metrics["error_recall"]) == recall
+        assert float(metrics["error_f1"]) == 2 * precision * recall / (precision + recall)
+
+    def test_unknown_ground_truth_is_data_error_naming_line(self, tmp_path, capsys):
+        path = tmp_path / "p.csv"
+        path.write_text("sample_id,pred,gt\na,walk,__unknown__\nb,bike,walk\n")
+        assert run(["eval", "--predictions", path, "--out", tmp_path / "o"]) == 3
+        assert "p.csv:2: ground truth may never be __unknown__" in capsys.readouterr().err
 
     def test_eval_novel_aware_mode(self, tmp_path):
         corpus = gen_corpus(tmp_path, seed=15, samples=200, holdout="walk,drive")
@@ -1257,6 +1315,8 @@ def invalid_invocations(tmp_path):
     first_id, first_pred = first.split(",")[:2]
     short_trace = tmp_path / "short_trace.csv"
     short_trace.write_text(f"sample_id,original,flagged,fired,final\n{first_id},{first_pred},0,,{first_pred}\n")
+    unknown_gt = tmp_path / "unknown_gt.csv"
+    unknown_gt.write_text("sample_id,pred,gt\na,walk,__unknown__\nb,bike,walk\n")
     binary_ruleset = tmp_path / "binary_ruleset.yaml"
     binary_ruleset.write_bytes(ruleset.read_bytes() + b"# \xff\n")
     return [
@@ -1289,6 +1349,7 @@ def invalid_invocations(tmp_path):
         (["apply", "--ruleset", binary_ruleset, "--predictions", p, "--conditions", c,
           "--out", tmp_path / "o22"], 3),
         (["eval", "--predictions", p, "--trace", short_trace, "--out", tmp_path / "o23"], 3),
+        (["eval", "--predictions", unknown_gt, "--out", tmp_path / "o24"], 3),
     ]
 
 

@@ -9,7 +9,6 @@ import edcr.learn
 from edcr import (
     ConditionMatrix,
     ContractError,
-    LearnConfig,
     apply_ruleset,
     brute_force_correction,
     brute_force_detection,
@@ -32,24 +31,34 @@ from helpers import (
 )
 
 
-class TestLearnConfig:
+class TestLearningEpsilon:
+    """``det_corr_rule_learn`` takes one epsilon for every class, or a mapping
+    from class name to epsilon that names every class of the table."""
+
+    def instance(self):
+        table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b", "a"])
+        return table, make_conds(["c"], [[0, 1, 0, 1]])
+
     def test_scalar_out_of_range(self):
-        with pytest.raises(ContractError):
-            LearnConfig(epsilon=1.5)
+        with pytest.raises(ContractError, match="epsilon"):
+            det_corr_rule_learn(1.5, *self.instance())
 
     def test_mapping_out_of_range(self):
-        with pytest.raises(ContractError):
-            LearnConfig(epsilon={"a": -0.1})
+        with pytest.raises(ContractError, match="epsilon"):
+            det_corr_rule_learn({"a": -0.1, "b": 0.1}, *self.instance())
+        with pytest.raises(ContractError, match="epsilon"):
+            det_corr_rule_learn({"a": 0.1, "b": 0.1, "x": 2.0}, *self.instance())
 
     def test_mapping_missing_class(self):
-        config = LearnConfig(epsilon={"a": 0.1})
-        assert config.epsilon_for("a") == 0.1
-        with pytest.raises(ContractError):
-            config.epsilon_for("b")
+        with pytest.raises(ContractError, match="no epsilon configured for class 'b'"):
+            det_corr_rule_learn({"a": 0.1}, *self.instance())
 
     def test_scalar_broadcast(self):
-        config = LearnConfig(epsilon=0.2)
-        assert config.epsilon_for("anything") == 0.2
+        scalar = det_corr_rule_learn(0.2, *self.instance())
+        mapping = det_corr_rule_learn({"a": 0.2, "b": 0.2}, *self.instance())
+        assert scalar.epsilon == 0.2 and mapping.epsilon == {"a": 0.2, "b": 0.2}
+        assert scalar.detection_rules == mapping.detection_rules
+        assert scalar.correction_rules == mapping.correction_rules
 
 
 class TestDetRuleLearn:
@@ -213,14 +222,14 @@ class TestDetCorrRuleLearn:
     def test_zero_epsilon_and_costly_conditions_yield_nothing(self):
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b", "a"])
         conds = make_conds(["c"], [[1, 1, 1, 1]])  # NEG >= 1 for both classes
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.0), table, conds)
+        rule_set = det_corr_rule_learn(0.0, table, conds)
         assert rule_set.detection_rules == () and rule_set.correction_rules == ()
 
     def test_perfect_detector_feeds_correction_candidates(self):
         # single class; gt outside the class set marks the errors
         table = make_table(["a"], ["a"] * 6, ["a", "a", "a", "a", "x", "x"])
         conds = make_conds(["bad", "hit"], [[1, 0, 0, 0, 0, 0], [0, 0, 0, 0, 1, 1]])
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.0), table, conds)
+        rule_set = det_corr_rule_learn(0.0, table, conds)
         assert len(rule_set.detection_rules) == 1
         rule = rule_set.detection_rules[0]
         assert rule.target == 0 and rule.conditions == ("hit",)
@@ -229,7 +238,7 @@ class TestDetCorrRuleLearn:
 
     def test_correction_pairs_come_from_detection_conditions(self):
         corpus = generate_synthetic(seed=3, n_samples=400, noise=0.3)
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.15), corpus.table, corpus.conditions)
+        rule_set = det_corr_rule_learn(0.15, corpus.table, corpus.conditions)
         selected = {
             (cond, rule.target)
             for rule in rule_set.detection_rules
@@ -241,7 +250,7 @@ class TestDetCorrRuleLearn:
 
     def test_recorded_stats_match_counts(self):
         corpus = generate_synthetic(seed=4, n_samples=300, noise=0.25)
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=0.1), corpus.table, corpus.conditions)
+        rule_set = det_corr_rule_learn(0.1, corpus.table, corpus.conditions)
         for rule in rule_set.detection_rules:
             counts = detection_counts(corpus.table, corpus.conditions, rule.target, rule.conditions)
             assert rule.class_support == counts.class_support
@@ -255,7 +264,7 @@ class TestDetCorrRuleLearn:
         # 200-sample synthetic replay: per-class recall drop stays within eps
         epsilon = 0.1
         corpus = generate_synthetic(seed=11, n_samples=200, noise=0.25)
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=epsilon), corpus.table, corpus.conditions)
+        rule_set = det_corr_rule_learn(epsilon, corpus.table, corpus.conditions)
         before = compute_class_stats(corpus.table)
         revised, _ = apply_ruleset(rule_set, corpus.table, corpus.conditions)
         after = compute_class_stats(revised)
@@ -267,7 +276,7 @@ class TestDetCorrRuleLearn:
         corpus = generate_synthetic(seed=5, n_samples=300, noise=0.25)
         mapping = {name: 0.1 for name in corpus.table.classes.names}
         mapping["walk"] = 0.0
-        rule_set = det_corr_rule_learn(LearnConfig(epsilon=mapping), corpus.table, corpus.conditions)
+        rule_set = det_corr_rule_learn(mapping, corpus.table, corpus.conditions)
         assert rule_set.epsilon == mapping
         walk_rule = rule_set.detection_by_class.get(corpus.table.classes.index("walk"))
         if walk_rule is not None:
@@ -280,7 +289,7 @@ class TestDetCorrRuleLearn:
         table = make_table(["a"], ["a"])
         conds = make_conds(["c"], [[1]])
         with pytest.raises(ContractError):
-            det_corr_rule_learn(LearnConfig(), table, conds)
+            det_corr_rule_learn(0.1, table, conds)
 
 
 @st.composite
@@ -325,20 +334,18 @@ class TestIncrementalGreedyMatchesReference:
     @given(learning_instances())
     def test_det_rule_learn(self, instance):
         table, _, conds, epsilon = instance
-        config = LearnConfig(epsilon=epsilon)
         stats = compute_class_stats(table)
         for i, name in enumerate(table.classes.names):
-            eps = config.epsilon_for(name)
+            eps = epsilon[name] if isinstance(epsilon, dict) else epsilon
             expected = reference_det_rule_learn(i, eps, table, conds, stats=stats)
             assert det_rule_learn(i, eps, table, conds, stats=stats) == expected
 
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):
         table, _, conds, epsilon = instance
-        config = LearnConfig(epsilon=epsilon)
         with mock.patch.object(edcr.learn, "det_rule_learn", reference_det_rule_learn):
-            expected = det_corr_rule_learn(config, table, conds)
-        assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
+            expected = det_corr_rule_learn(epsilon, table, conds)
+        assert ruleset_to_dict(det_corr_rule_learn(epsilon, table, conds)) == ruleset_to_dict(expected)
 
 
 class TestPackedCorrectionMatchesReference:
@@ -363,10 +370,9 @@ class TestPackedCorrectionMatchesReference:
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):
         table, _, conds, epsilon = instance
-        config = LearnConfig(epsilon=epsilon)
         with mock.patch.object(edcr.learn, "corr_rule_learn", reference_corr_rule_learn):
-            expected = det_corr_rule_learn(config, table, conds)
-        assert ruleset_to_dict(det_corr_rule_learn(config, table, conds)) == ruleset_to_dict(expected)
+            expected = det_corr_rule_learn(epsilon, table, conds)
+        assert ruleset_to_dict(det_corr_rule_learn(epsilon, table, conds)) == ruleset_to_dict(expected)
 
 
 class TestMetamorphic:
@@ -377,9 +383,8 @@ class TestMetamorphic:
         shuffled = ConditionMatrix(
             tuple(conds.condition_names[j] for j in order), conds.values[:, order]
         )
-        config = LearnConfig(epsilon=epsilon)
-        before = det_corr_rule_learn(config, table, conds)
-        after = det_corr_rule_learn(config, table, shuffled)
+        before = det_corr_rule_learn(epsilon, table, conds)
+        after = det_corr_rule_learn(epsilon, table, shuffled)
         assert after.detection_rules == before.detection_rules
         assert after.correction_rules == before.correction_rules
         assert ruleset_to_dict(after)["conditions"] == list(shuffled.condition_names)
@@ -387,9 +392,24 @@ class TestMetamorphic:
     @given(learning_instances())
     def test_detection_neg_within_integer_budget(self, instance):
         table, _, conds, epsilon = instance
-        config = LearnConfig(epsilon=epsilon)
         stats = compute_class_stats(table)
-        for rule in det_corr_rule_learn(config, table, conds).detection_rules:
+        for rule in det_corr_rule_learn(epsilon, table, conds).detection_rules:
             i = rule.target
             neg = detection_counts(table, conds, i, rule.conditions).neg
-            assert neg <= config.epsilon_for(table.classes.names[i]) * (int(stats.tp[i]) + int(stats.fn[i]))
+            eps = epsilon[table.classes.names[i]] if isinstance(epsilon, dict) else epsilon
+            assert neg <= eps * (int(stats.tp[i]) + int(stats.fn[i]))
+
+    @given(learning_instances())
+    def test_correction_bodies_lie_inside_detection_flags(self, instance):
+        """Each pair (c, r) of a learned correction has c among the conditions
+        of class r's detection rule, so every row a correction body matches is
+        one that detection flags: correcting only flagged rows would change
+        nothing on a learned rule set."""
+        table, _, conds, epsilon = instance
+        rule_set = det_corr_rule_learn(epsilon, table, conds)
+        for rule in rule_set.correction_rules:
+            for cond, pair_class in rule.pairs:
+                assert cond in rule_set.detection_by_class[pair_class].conditions
+        _, trace = apply_ruleset(rule_set, table, conds)
+        fired = np.array([names != "" for names in trace.fired_names])[trace.fired]
+        assert not (fired & ~trace.flagged).any()

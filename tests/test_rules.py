@@ -8,8 +8,8 @@ from edcr import (
     ContractError,
     CorrectionRule,
     DetectionRule,
-    LearnConfig,
     RuleSet,
+    det_corr_rule_learn,
     apply_ruleset,
     det_rule_learn,
 )
@@ -95,10 +95,12 @@ class TestUnitIntervalValues:
             RuleSet(classes, ("c",), {"a": bad})
 
     def test_learning_epsilon(self, bad):
-        with pytest.raises(ContractError, match="epsilon"):
-            LearnConfig(epsilon=bad)
         table = make_table(["a", "b"], ["a", "b"], ["a", "a"])
         conds = make_conds(["c"], [[1, 0]])
+        with pytest.raises(ContractError, match="epsilon"):
+            det_corr_rule_learn(bad, table, conds)
+        with pytest.raises(ContractError, match="epsilon"):
+            det_corr_rule_learn({"a": bad, "b": 0.1}, table, conds)
         with pytest.raises(ContractError, match="epsilon"):
             det_rule_learn(0, bad, table, conds)
 
@@ -137,22 +139,11 @@ class TestApplyRuleset:
         revised, trace = apply_ruleset(rules, table, conds)
         assert names(revised) == ["b", UNKNOWN_NAME, "b", "a", "b", "b"]
         assert trace.flagged.tolist() == [True, True, False, False, False, False]
+        # row 2 matches the correction body without being flagged: a correction
+        # applies wherever its body matches
         assert fired(trace) == ["b", "", "b", "", "", ""]
         assert trace.original.tolist() == table.pred_ids.tolist()
         assert trace.final.tolist() == revised.pred_ids.tolist()
-
-    def test_flagged_scope_restricts_correction(self):
-        table, conds = six_sample()
-        _, rules = two_class_rules()
-        revised, _ = apply_ruleset(rules, table, conds, correction_scope="flagged")
-        # row 2 matches the correction body but was never flagged
-        assert names(revised) == ["b", UNKNOWN_NAME, "a", "a", "b", "b"]
-
-    def test_bad_scope_rejected(self):
-        table, conds = six_sample()
-        _, rules = two_class_rules()
-        with pytest.raises(ContractError):
-            apply_ruleset(rules, table, conds, correction_scope="sometimes")
 
     def test_missing_condition_is_config_error(self):
         table, _ = six_sample()
