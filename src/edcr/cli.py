@@ -1,7 +1,8 @@
 """Command-line surface tying the library into reproducible pipelines.
 
-Exit codes: 0 success, 2 configuration/contract error, 3 data/parse error,
-4 internal invariant failure.
+Exit codes come from the error classes: 0 is success, an ``EdcrError`` exits
+with its ``exit_code`` (2 for a ``ContractError``, 3 for a ``DataError``, 4 for
+a ``VerificationError``), and an ``OSError`` exits 3, as a ``DataError`` does.
 """
 from __future__ import annotations
 
@@ -33,18 +34,9 @@ from .evaluate import (
 )
 from .learn import det_corr_rule_learn
 from .rules import apply_ruleset
-from .theory import (
-    check_correction_scenarios,
-    check_submodular,
-    precision_delta_exact,
-    recall_delta_exact,
-    theorem_report,
-)
+from .theory import check_correction_scenarios, check_submodular, detection_effect, theorem_report
 
 EXIT_OK = 0
-EXIT_CONTRACT = 2
-EXIT_DATA = 3
-EXIT_INVARIANT = 4
 
 
 def _parse_floats(text: str) -> list[float]:
@@ -142,15 +134,9 @@ def cmd_learn(args) -> int:
     for i, name in enumerate(names):
         det = rule_set.detection_by_class.get(i)
         corr = rule_set.correction_by_class.get(i)
-        p_i = float(stats.precision[i])
-        r_i = float(stats.recall[i])
         if det is not None:
-            if det.class_support < 1.0 and p_i > 0.0:
-                d_prec = precision_delta_exact(det.class_support, det.confidence, p_i)
-                d_rec = recall_delta_exact(det.class_support, det.confidence, r_i, p_i)
-                effect = f" predicted dP={d_prec:+.4f} dR={-d_rec:+.4f}"
-            else:
-                effect = " (degenerate stats)"
+            dp, dr = detection_effect(det, stats)
+            effect = " (degenerate stats)" if dp is None else f" predicted dP={dp:+.4f} dR={-dr:+.4f}"
             print(
                 f"{name}: detect via {list(det.conditions)} "
                 f"s_i={det.class_support:.4f} c={det.confidence:.4f}{effect}"
@@ -168,9 +154,6 @@ def cmd_apply(args) -> int:
     rule_set = io.load_ruleset(args.ruleset)
     table = io.read_predictions(args.predictions, classes=rule_set.classes)
     conds = io.read_conditions(args.conditions, table)
-    missing = set(rule_set.condition_names) - set(conds.condition_names)
-    if missing:
-        raise ContractError(f"conditions file lacks columns {sorted(missing)}")
     revised, trace = apply_ruleset(rule_set, table, conds)
 
     out = _out_dir(args)
@@ -414,21 +397,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ContractError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONTRACT
-    except DataError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except VerificationError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
     except EdcrError as err:
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except OSError as err:
+        return err.exit_code
+    except OSError as err:  # a file that cannot be read or written
         print(f"error: {err}", file=sys.stderr)
-        return EXIT_DATA
+        return DataError.exit_code
 
 
 if __name__ == "__main__":

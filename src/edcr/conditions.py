@@ -35,7 +35,6 @@ that calls the same ``math`` functions as :func:`haversine_m`.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass
 from itertools import chain, repeat
@@ -224,14 +223,13 @@ class SyntheticCorpus:
     thresholds: dict[str, float]
 
 
-def _confusion_order(true_class: str, visible: Sequence[str], regimes: Mapping[str, float]) -> list[str]:
+def _confusion_order(true_class: str, visible: Sequence[str]) -> list[str]:
     others = [c for c in visible if c != true_class]
-    return sorted(others, key=lambda c: abs(math.log(regimes[c]) - math.log(regimes[true_class])))
+    log_speed = {c: math.log(DEFAULT_SPEED_REGIMES[c]) for c in (true_class, *others)}
+    return sorted(others, key=lambda c: abs(log_speed[c] - log_speed[true_class]))
 
 
-def _make_trajectories(
-    rng: np.random.Generator, truth: Sequence[str], regimes: Mapping[str, float]
-) -> tuple[TrajectoryRecord, ...]:
+def _make_trajectories(rng: np.random.Generator, truth: Sequence[str]) -> tuple[TrajectoryRecord, ...]:
     """One record per true class, with the draws of step 2 in the module
     docstring; ``uniform`` and ``normal`` are written out as numpy computes
     them."""
@@ -241,7 +239,7 @@ def _make_trajectories(
     records = []
     for k, label in enumerate(truth):
         n_points = int(integers(6, 15))
-        base = regimes[label] * exp(0.0 + _SPEED_SPREAD * normal())
+        base = DEFAULT_SPEED_REGIMES[label] * exp(0.0 + _SPEED_SPREAD * normal())
         lat = -0.2 + (0.2 - -0.2) * random()
         lon = -0.2 + (0.2 - -0.2) * random()
         t = 0.0 + (1e6 - 0.0) * random()
@@ -263,13 +261,12 @@ def _make_trajectories(
 def generate_synthetic(
     seed: int,
     n_samples: int,
-    class_names: Sequence[str] | None = None,
     noise: float = 0.25,
     holdout_classes: Sequence[str] | None = None,
     condition_noise: float = 0.05,
-    speed_regimes: Mapping[str, float] | None = None,
 ) -> SyntheticCorpus:
-    """Deterministic-by-seed corpus with class-dependent speed regimes.
+    """Deterministic-by-seed corpus over the classes of
+    :data:`DEFAULT_SPEED_REGIMES`, each with its own speed regime.
 
     The mock classifier predicts the true class with probability 1 - noise and
     a confusable (speed-adjacent) class otherwise; classes in ``holdout_classes``
@@ -280,18 +277,9 @@ def generate_synthetic(
     the non-holdout records.
     """
     seed = check_seed(seed)
-    regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
-    names = tuple(class_names) if class_names is not None else tuple(regimes)
-    for name in names:
-        if name not in regimes:
-            raise ContractError(f"no speed regime for class {name!r}; pass speed_regimes")
-        regime = regimes[name]
-        if not (isinstance(regime, numbers.Real) and 0.0 < regime < math.inf):  # false for NaN
-            raise ContractError(f"speed regime of class {name!r} must be finite and > 0, got {regime!r}")
+    names = tuple(DEFAULT_SPEED_REGIMES)
     if n_samples < len(names):
-        raise ContractError(
-            f"n_samples={n_samples} cannot cover all {len(names)} classes"
-        )
+        raise ContractError(f"n_samples={n_samples} cannot cover all {len(names)} classes")
     if not 0.0 <= noise <= 1.0:
         raise ContractError(f"noise must lie in [0, 1], got {noise}")
     if not 0.0 <= condition_noise <= 1.0:
@@ -309,10 +297,10 @@ def generate_synthetic(
     truth = list(names) + [
         names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
     ]
-    records = _make_trajectories(rng, truth, regimes)
+    records = _make_trajectories(rng, truth)
 
     random = rng.random
-    confusion_order = {name: _confusion_order(name, visible, regimes) for name in names}
+    confusion_order = {name: _confusion_order(name, visible) for name in names}
     predicted: list[str] = []
     for gt in truth:
         wrong = gt in holdout or random() < noise

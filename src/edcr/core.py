@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import copy
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -23,11 +23,16 @@ UNKNOWN_NAME = "__unknown__"
 
 
 class EdcrError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package.  ``exit_code`` is
+    the CLI's exit status for it; ``edcr`` reads no other mapping."""
+
+    exit_code = 4
 
 
 class ContractError(EdcrError):
     """A precondition, configuration, or contract violation (CLI exit 2)."""
+
+    exit_code = 2
 
 
 class UnknownConditionError(ContractError):
@@ -44,6 +49,8 @@ class DegenerateStatsError(ContractError):
 
 class DataError(EdcrError):
     """Malformed input data or files (CLI exit 3)."""
+
+    exit_code = 3
 
 
 class VerificationError(EdcrError):
@@ -70,9 +77,9 @@ def check_seed(seed) -> int:
 
 @dataclass(frozen=True)
 class ClassSet:
-    """Ordered universe of predictable classes; ids are dense 0..n-1 by
-    position.  Rules, learners and tables carry the int ids; this is the only
-    map between names and ids."""
+    """Ordered universe of predictable classes, each a non-empty name other
+    than UNKNOWN; ids are dense 0..n-1 by position.  Rules, learners and
+    tables carry the int ids; this is the only map between names and ids."""
 
     names: tuple[str, ...]
 
@@ -84,6 +91,8 @@ class ClassSet:
             raise ContractError(f"duplicate class names in {self.names}")
         if UNKNOWN_NAME in self.names:
             raise ContractError(f"{UNKNOWN_NAME!r} is reserved and cannot be a class name")
+        if "" in self.names:
+            raise ContractError("a class name must not be empty")
 
     @cached_property
     def _ids(self) -> dict[str, int]:
@@ -212,8 +221,6 @@ class PredictionTable:
         gt, novel = None, ()
         if ground_truth is not None:
             novel = tuple(sorted(set(ground_truth[1]).difference(lookup)))
-            if UNKNOWN_NAME in novel:
-                raise ContractError("ground truth may never be UNKNOWN")
             lookup.update((name, len(classes) + j) for j, name in enumerate(novel))
             gt = id_column(lookup, ground_truth[1], "ground-truth")[ground_truth[0]]
         return cls(classes, tuple(sample_ids), pred, gt, novel)
@@ -318,13 +325,20 @@ def rule_body(
     return body
 
 
+def _ratio(numerator, denominator) -> np.ndarray:
+    """``numerator / denominator`` as floats, 0 where the denominator is 0."""
+    out = np.zeros(np.shape(numerator), dtype=float)
+    return np.divide(numerator, denominator, out=out, where=denominator > 0)
+
+
 @dataclass(frozen=True, eq=False)
 class ClassStats:
     """Per-class confusion counts over a table, with derived ratios.
 
     ``precision[i]`` is defined as 0 when the class was never predicted and
     ``recall[i]`` as 0 when the class never occurs in ground truth; learners
-    skip such classes rather than divide by zero.
+    skip such classes rather than divide by zero.  ``prior[i]`` is the
+    fraction of all samples predicted as class i.  Every array is read-only.
     """
 
     classes: ClassSet
@@ -333,47 +347,21 @@ class ClassStats:
     fp: np.ndarray
     tn: np.ndarray
     fn: np.ndarray
+    n_predicted: np.ndarray = field(init=False)
+    n_actual: np.ndarray = field(init=False)
+    precision: np.ndarray = field(init=False)
+    recall: np.ndarray = field(init=False)
+    prior: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        for field_name in ("tp", "fp", "tn", "fn"):
-            arr = np.array(getattr(self, field_name), dtype=np.int64)
+        tp, fp, tn, fn = (np.array(getattr(self, name), dtype=np.int64) for name in ("tp", "fp", "tn", "fn"))
+        n_predicted, n_actual = tp + fp, tp + fn
+        arrays = dict(tp=tp, fp=fp, tn=tn, fn=fn, n_predicted=n_predicted, n_actual=n_actual,
+                      precision=_ratio(tp, n_predicted), recall=_ratio(tp, n_actual),
+                      prior=_ratio(n_predicted, self.total))
+        for name, arr in arrays.items():
             arr.setflags(write=False)
-            object.__setattr__(self, field_name, arr)
-
-    @cached_property
-    def n_predicted(self) -> np.ndarray:
-        arr = self.tp + self.fp
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def n_actual(self) -> np.ndarray:
-        arr = self.tp + self.fn
-        arr.setflags(write=False)
-        return arr
-
-    @cached_property
-    def precision(self) -> np.ndarray:
-        out = np.zeros(len(self.classes), dtype=float)
-        np.divide(self.tp, self.n_predicted, out=out, where=self.n_predicted > 0)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def recall(self) -> np.ndarray:
-        out = np.zeros(len(self.classes), dtype=float)
-        np.divide(self.tp, self.n_actual, out=out, where=self.n_actual > 0)
-        out.setflags(write=False)
-        return out
-
-    @cached_property
-    def prior(self) -> np.ndarray:
-        """Fraction of all samples predicted as each class."""
-        out = np.zeros(len(self.classes), dtype=float)
-        if self.total > 0:
-            out = self.n_predicted / self.total
-        out.setflags(write=False)
-        return out
+            object.__setattr__(self, name, arr)
 
 
 @dataclass(frozen=True)
@@ -404,6 +392,15 @@ def _require_aligned(table: PredictionTable, conds: ConditionMatrix) -> None:
         raise ContractError(
             f"condition matrix has {conds.n_rows} rows for a table of {table.n} samples"
         )
+
+
+def _class_of(table: PredictionTable, conds: ConditionMatrix, class_i) -> int:
+    """The precondition of every function that counts one class over a table
+    and its conditions: the table has ground truth, ``conds`` is row-aligned
+    to it, and ``class_i`` is a class id of it (returned as an int)."""
+    table.require_ground_truth()
+    _require_aligned(table, conds)
+    return table.classes.check_id(class_i)
 
 
 def compute_class_stats(table: PredictionTable) -> ClassStats:
@@ -439,9 +436,7 @@ def detection_counts(
     set, and the disjunction is a set union over rows: a row satisfying
     several conditions counts once.
     """
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     names = sorted(set(dc))
     n_i = int(np.count_nonzero(table.pred_ids == i))
     if not names:
@@ -468,9 +463,7 @@ def correction_counts(
     Support is measured over the whole table; empty pair sets yield all
     zeros, matching the empty-body convention.
     """
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     pairs = [(cond, table.classes.check_id(cls)) for cond, cls in cc]
     if not pairs:
         return CorrectionCounts(0, 0, 0.0, 0.0)

@@ -18,7 +18,7 @@ from .core import (
 )
 from .learn import det_corr_rule_learn
 from .rules import apply_ruleset
-from .theory import recall_delta_exact
+from .theory import detection_effect
 
 
 class ScoringMode(enum.Enum):
@@ -189,18 +189,7 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> tuple[SweepRow, ..
     for epsilon in epsilons:
         rule_set = det_corr_rule_learn(epsilon, split.learn_table, split.learn_conds)
         learn_stats = compute_class_stats(split.learn_table)
-        tr: dict[int, float] = {}
-        for i in range(len(split.learn_table.classes)):
-            rule = rule_set.detection_by_class.get(i)
-            if rule is None or learn_stats.precision[i] == 0.0:
-                tr[i] = 0.0
-            else:
-                tr[i] = recall_delta_exact(
-                    rule.class_support,
-                    rule.confidence,
-                    float(learn_stats.recall[i]),
-                    float(learn_stats.precision[i]),
-                )
+        tr = {rule.target: detection_effect(rule, learn_stats)[1] for rule in rule_set.detection_rules}
         for split_name, tbl, cnd in (
             ("learn", split.learn_table, split.learn_conds),
             ("test", split.test_table, split.test_conds),
@@ -220,7 +209,7 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> tuple[SweepRow, ..
                         precision_after=float(after.precision[i]),
                         recall_after=float(after.recall[i]),
                         f1_after=f1_score(float(after.precision[i]), float(after.recall[i])),
-                        theoretical_recall_reduction=tr[i],
+                        theoretical_recall_reduction=tr.get(i, 0.0),
                     )
                 )
     return tuple(rows)

@@ -17,11 +17,13 @@ with one byte compare per block; in predictions and traces, cells without
 quotes or ``\\r`` follow, and the text after each id is coded as one string,
 so it is split and decoded once per distinct value.  The files the writers
 write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
-``\\r``.  Anything else (NUL, a quoted cell, a bare ``\\r`` line end, a bad
-width, bit or flag, an empty predictions cell or trace original, an UNKNOWN
-ground truth, an unknown or repeated conditions id) sends the whole file to
-the row parser, built on ``csv.reader``: the single fallback, which reads
-every other valid CSV layout and names the line of every fault.
+``\\r``.  Predictions and traces state their cell rules once, each in a
+``_CellRules``: the scanner applies them to the distinct values of each
+column, and the row parser to each row.  Anything else (NUL, a quoted cell, a
+bare ``\\r`` line end, a bad width or bit, an empty id, a cell that breaks
+its format's rules, an unknown or repeated conditions id) sends the whole
+file to the row parser, built on ``csv.reader``: the single fallback, which
+reads every other valid CSV layout and names the line of every fault.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
@@ -46,7 +48,7 @@ from datetime import datetime, timezone
 from io import StringIO
 from itertools import chain, repeat
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 import yaml
@@ -77,7 +79,6 @@ _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column fil
 # quote or carriage return, or one quoted field whose quotes are all structural
 _ID_FIELDS = re.compile(rb'(?:(?:[^",\r\n\x00]*|"(?:[^"\x00]|"")*")\x00)*')
 _NEEDS_QUOTES = re.compile('[,"\n]')
-_PREDICTIONS_HEADERS = (["sample_id", "pred"], ["sample_id", "pred", "gt"])
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -245,6 +246,8 @@ def _scan_columns(path: Path, headers: Sequence[list[str]]):
             first = np.searchsorted(commas, stops) - (len(header) - 1)  # the comma after each id
             if (first < 0).any() or (commas[first] < starts).any():
                 raise _Unscannable
+            if (commas[first] - starts == 2 * (data[starts] == 0x22)).any():  # an empty id, bare or quoted
+                raise _Unscannable  # which no format takes; the row parser names its line
             ids += _scan_ids(data, starts, commas[first])
             tails += _joined(data, commas[first] + 1, stops).split(b"\0")[:-1]
         tail_codes, distinct = _coded(tails)
@@ -257,9 +260,62 @@ def _scan_columns(path: Path, headers: Sequence[list[str]]):
     return ids, [(by_tail[tail_codes], names) for by_tail, names in columns]
 
 
+class _CellRules(NamedTuple):
+    """A format's rules: the headers it takes, the fault of any other header
+    (formatted with the header found), of a row of the wrong width (with the
+    widths expected and found) and of a cell given its column ("" if valid)."""
+
+    headers: tuple[list[str], ...]
+    bad_header: str
+    bad_width: str
+    cell_fault: Callable[[int, str], str]
+
+
+def _read_columns(path: Path, rules: _CellRules):
+    """The sample ids and :func:`_coded` cell columns of a file in the format
+    of ``rules``.  The scanner's columns are taken when every distinct value
+    in them passes the cell rules; otherwise the row parser reads the file
+    with ``csv.reader``, applies the rules per row and names the line of the
+    first fault."""
+    scanned = _scan_columns(path, rules.headers)
+    if scanned is not None and not any(
+        rules.cell_fault(j, cell) for j, (_, cells) in enumerate(scanned[1], 1) for cell in cells
+    ):
+        return scanned
+    rows: list[list[str]] = []
+    with _csv_file(path) as (header, reader):
+        if header not in rules.headers:
+            raise _parse_error(path, 1, rules.bad_header.format(",".join(header)))
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise _parse_error(path, line_no, rules.bad_width.format(len(header), len(row)))
+            fault = next(filter(None, map(rules.cell_fault, range(len(row)), row)), "")
+            if fault:
+                raise _parse_error(path, line_no, fault)
+            rows.append(row)
+    ids, *columns = zip(*rows) if rows else [()] * len(header)
+    return ids, [_coded(column) for column in columns]
+
+
 # ---------------------------------------------------------------------------
 # Predictions: sample_id,pred[,gt]
 # ---------------------------------------------------------------------------
+
+
+def _prediction_fault(column: int, cell: str) -> str:
+    if not cell:
+        return "empty " + ("sample id", "predicted value", "ground-truth value")[column]
+    return f"ground truth may never be {UNKNOWN_NAME}" if column == 2 and cell == UNKNOWN_NAME else ""
+
+
+_PREDICTIONS = _CellRules(
+    (["sample_id", "pred"], ["sample_id", "pred", "gt"]),
+    "expected header sample_id,pred[,gt]; got {}",
+    "expected {} fields, got {}",
+    _prediction_fault,
+)
 
 
 def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
@@ -267,12 +323,7 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     ``sample_id,pred,gt``).  Without an explicit class set, the classes are
     the sorted distinct predicted names (UNKNOWN excluded)."""
     path = Path(path)
-    scanned = _scan_columns(path, _PREDICTIONS_HEADERS)
-    if scanned is None or "" in scanned[0] or any("" in names for _, names in scanned[1]) or any(
-        UNKNOWN_NAME in names for _, names in scanned[1][1:]  # the gt column
-    ):
-        scanned = _parse_predictions(path)  # which names the line of an empty cell or UNKNOWN truth
-    ids, (pred, *gt) = scanned
+    ids, (pred, *gt) = _read_columns(path, _PREDICTIONS)
     if len(set(ids)) != len(ids):
         dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
         raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
@@ -289,31 +340,6 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
                 f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
             )
     return PredictionTable._from_coded(classes, ids, pred, gt[0] if gt else None)
-
-
-def _parse_predictions(path: Path):
-    """The row parser: reads any valid CSV layout and names the line of every fault."""
-    rows: list[list[str]] = []
-    with _csv_file(path) as (header, reader):
-        if header not in _PREDICTIONS_HEADERS:
-            raise _parse_error(path, 1, f"expected header sample_id,pred[,gt]; got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            _check_width(path, line_no, row, len(header))
-            if "" in row:
-                empty = ("sample id", "predicted value", "ground-truth value")[row.index("")]
-                raise _parse_error(path, line_no, f"empty {empty}")
-            if row[2:] == [UNKNOWN_NAME]:
-                raise _parse_error(path, line_no, f"ground truth may never be {UNKNOWN_NAME}")
-            rows.append(row)
-    return _coded_rows(rows, len(header))
-
-
-def _coded_rows(rows: list[list[str]], width: int):
-    """The sample ids and :func:`_coded` columns of parsed rows."""
-    ids, *columns = zip(*rows) if rows else [()] * width
-    return ids, [_coded(column) for column in columns]
 
 
 def write_predictions(path, table: PredictionTable) -> None:
@@ -597,6 +623,16 @@ def write_trace(path, trace: ApplyTrace) -> None:
     _write_columns(path, TRACE_HEADER, columns)
 
 
+def _trace_fault(column: int, cell: str) -> str:
+    valid = cell in _BITS if column == 2 else bool(cell) or column == 3  # only fired may be empty
+    return "" if valid else "malformed trace row"
+
+
+_TRACE = _CellRules(
+    (TRACE_HEADER,), "expected header " + ",".join(TRACE_HEADER), "malformed trace row", _trace_fault
+)
+
+
 def read_trace(path, classes: ClassSet) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace`.
 
@@ -607,10 +643,7 @@ def read_trace(path, classes: ClassSet) -> ApplyTrace:
     path = Path(path)
     lookup = {name: i for i, name in enumerate(classes.names)}
     lookup[UNKNOWN_NAME] = -1
-    scanned = _scan_columns(path, [TRACE_HEADER])
-    if scanned is None or "" in scanned[1][0][1] or not _BITS >= set(scanned[1][1][1]):
-        scanned = _parse_trace(path)  # which names the line of an empty original class or a bad flag
-    sample_ids, (original, flagged, fired, final) = scanned
+    sample_ids, (original, flagged, fired, final) = _read_columns(path, _TRACE)
     if len(set(sample_ids)) != len(sample_ids):
         raise DataError(f"{path}: duplicate sample ids")
     extra = tuple(sorted(set(original[1]).union(final[1]).difference(lookup)))
@@ -624,21 +657,6 @@ def read_trace(path, classes: ClassSet) -> ApplyTrace:
         fired[1],
         id_column(lookup, final[1], "final")[final[0]],
     )
-
-
-def _parse_trace(path: Path):
-    """The row parser: reads any valid CSV layout and names the line of every fault."""
-    rows: list[list[str]] = []
-    with _csv_file(path) as (header, reader):
-        if header != TRACE_HEADER:
-            raise _parse_error(path, 1, "expected header " + ",".join(TRACE_HEADER))
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(TRACE_HEADER) or not row[1] or row[2] not in _BITS:
-                raise _parse_error(path, line_no, "malformed trace row")
-            rows.append(row)
-    return _coded_rows(rows, len(TRACE_HEADER))
 
 
 def write_metrics(path, report: MetricsReport) -> None:

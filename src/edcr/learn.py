@@ -41,6 +41,7 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
+    _class_of,
     _pack_rows,
     _require_aligned,
     check_unit_interval,
@@ -78,9 +79,7 @@ def det_rule_learn(
     module docstring for the incremental scoring.
     """
     check_unit_interval("epsilon", epsilon)
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     if stats is None:
         stats = compute_class_stats(table)
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
@@ -132,9 +131,7 @@ def corr_rule_learn(
     removing.  The result is discarded entirely unless its confidence strictly
     exceeds the baseline precision.
     """
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     if stats is None:
         stats = compute_class_stats(table)
     p_i = float(stats.precision[i])
@@ -195,9 +192,8 @@ def det_corr_rule_learn(
     are measured on the learning table so downstream application needs no
     ground truth.
     """
-    table.require_ground_truth()
+    stats = compute_class_stats(table)  # which requires ground truth
     _require_aligned(table, conds)
-    stats = compute_class_stats(table)
     per_class = epsilon if isinstance(epsilon, Mapping) else dict.fromkeys(table.classes.names, epsilon)
 
     detection: list[DetectionRule] = []

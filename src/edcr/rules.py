@@ -65,16 +65,14 @@ class CorrectionRule:
         if not self.pairs:
             raise ContractError("a correction rule needs at least one (condition, class) pair")
 
-    @property
-    def condition_names(self) -> tuple[str, ...]:
-        return tuple(sorted({cond for cond, _ in self.pairs}))
-
 
 @dataclass(frozen=True)
 class RuleSet:
     """All learned rules for one class universe: at most one detection and one
     correction rule per class, plus the recall budget and condition universe
-    they were learned under.  Every class id must index ``classes``."""
+    they were learned under.  Every class id must index ``classes`` and every
+    rule condition lie in ``condition_names``; applying the set needs only
+    the conditions some rule uses."""
 
     classes: ClassSet
     condition_names: tuple[str, ...]
@@ -113,14 +111,6 @@ class RuleSet:
     @cached_property
     def correction_by_class(self) -> dict[int, CorrectionRule]:
         return {rule.target: rule for rule in self.correction_rules}
-
-    def referenced_conditions(self) -> tuple[str, ...]:
-        names: set[str] = set()
-        for rule in self.detection_rules:
-            names.update(rule.conditions)
-        for rule in self.correction_rules:
-            names.update(rule.condition_names)
-        return tuple(sorted(names))
 
 
 @dataclass(frozen=True, eq=False)
@@ -163,12 +153,17 @@ class ApplyTrace:
 
 
 def _validate_application(rules: RuleSet, table: PredictionTable, conds: ConditionMatrix) -> None:
+    """The one check of what an application needs: ``conds`` is row-aligned
+    to ``table``, the classes match, and ``conds`` has every condition that
+    some rule uses.  Other declared conditions of the rule set may be absent."""
     _require_aligned(table, conds)
     if rules.classes != table.classes:
         raise ContractError(
             f"ruleset classes {rules.classes.names} do not match table classes {table.classes.names}"
         )
-    missing = set(rules.referenced_conditions()) - set(conds.condition_names)
+    used = {c for rule in rules.detection_rules for c in rule.conditions}
+    used.update(c for rule in rules.correction_rules for c, _ in rule.pairs)
+    missing = used - set(conds.condition_names)
     if missing:
         raise ContractError(f"condition matrix is missing rule conditions {sorted(missing)}")
 
@@ -194,7 +189,8 @@ def apply_ruleset(
 ) -> tuple[PredictionTable, ApplyTrace]:
     """Apply a rule set and return the revised table plus its columnar trace.
 
-    Ground truth is not required: application is pure inference.  When several
+    Ground truth is not required: application is pure inference, and
+    ``conds`` needs only the conditions some rule uses.  When several
     correction rules fire on one sample the rule with the highest recorded
     confidence wins, ties broken by lowest target class id.
     """

@@ -26,12 +26,13 @@ import numpy as np
 
 from .core import (
     ClassSet,
+    ClassStats,
     ConditionMatrix,
     ContractError,
     DegenerateStatsError,
     PredictionTable,
+    _class_of,
     _pack_rows,
-    _require_aligned,
     check_seed,
     check_unit_interval,
     compute_class_stats,
@@ -72,6 +73,19 @@ def recall_delta_exact(
     if precision <= 0.0:
         raise DegenerateStatsError("recall delta is undefined for a class with zero precision")
     return (1.0 - confidence) * class_support * recall / precision
+
+
+def detection_effect(rule: DetectionRule, stats: ClassStats) -> tuple[float | None, float]:
+    """A learned detection rule's exact precision change and recall decrease
+    on the table ``stats`` counts, from its recorded s_i and c.  The precision
+    change is None when s_i = 1, where it is undefined.  A learned rule's
+    class has recall > 0, so its precision is > 0 and the recall decrease is
+    always defined."""
+    p_i, r_i = float(stats.precision[rule.target]), float(stats.recall[rule.target])
+    d_recall = recall_delta_exact(rule.class_support, rule.confidence, r_i, p_i)
+    if rule.class_support == 1.0:
+        return None, d_recall
+    return precision_delta_exact(rule.class_support, rule.confidence, p_i), d_recall
 
 
 def correction_precision_delta(
@@ -177,9 +191,7 @@ def check_submodular(
     if trials < 0:
         raise ContractError(f"trials must be non-negative, got {trials}")
     seed = check_seed(seed)
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     names = list(conds.condition_names)
     m = len(names)
 
@@ -270,9 +282,7 @@ def brute_force_detection(
     Ties prefer lower NEG, then fewer conditions, then lexicographic names.
     """
     check_unit_interval("epsilon", epsilon)
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     names = sorted(conds.condition_names)
     if len(names) > max_conditions:
         raise ContractError(
@@ -314,9 +324,7 @@ def brute_force_correction(
 
     Ties prefer larger POS, then lexicographic pairs.
     """
-    table.require_ground_truth()
-    _require_aligned(table, conds)
-    i = table.classes.check_id(class_i)
+    i = _class_of(table, conds, class_i)
     pairs = sorted({(cond, table.classes.check_id(cls)) for cond, cls in cc_all})
     if len(pairs) > max_pairs:
         raise ContractError(f"brute force over {len(pairs)} pairs exceeds the limit of {max_pairs}")
@@ -501,8 +509,7 @@ def theorem_report(
 ) -> tuple[TheoremReport, ...]:
     """Learn one detection rule per class and compare its closed-form effect
     against an empirical replay of that rule alone on the same table."""
-    table.require_ground_truth()
-    stats = compute_class_stats(table)
+    stats = compute_class_stats(table)  # which requires ground truth
     reports: list[TheoremReport] = []
     for i, name in enumerate(table.classes.names):
         p_i = float(stats.precision[i])
@@ -512,42 +519,19 @@ def theorem_report(
             reports.append(TheoremReport(name, 0.0, 0.0, p_i, r_i, *[0.0] * 5, note="no rule learned"))
             continue
         counts = detection_counts(table, conds, i, dc)
-        if counts.class_support == 1.0:
-            reports.append(
-                TheoremReport(
-                    name, 1.0, counts.confidence, p_i, r_i,
-                    0.0, precision_delta_bound(counts.class_support, counts.confidence),
-                    recall_delta_exact(counts.class_support, counts.confidence, r_i, p_i) if p_i > 0 else 0.0,
-                    0.0, 0.0, note="degenerate: rule covers every prediction of the class",
-                )
-            )
-            continue
         rule = DetectionRule(i, dc, counts.class_support, counts.confidence)
-        rule_set = RuleSet(
-            classes=table.classes,
-            condition_names=conds.condition_names,
-            epsilon=epsilon,
-            detection_rules=(rule,),
-        )
-        revised, _ = apply_ruleset(rule_set, table, conds)
-        after = compute_class_stats(revised)
+        d_precision, d_recall = detection_effect(rule, stats)
+        if d_precision is None:  # nothing to replay: precision after the rule is undefined
+            note = "degenerate: rule covers every prediction of the class"
+            d_precision, measured = 0.0, (0.0, 0.0)
+        else:
+            rule_set = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=(rule,))
+            after = compute_class_stats(apply_ruleset(rule_set, table, conds)[0])
+            measured, note = (float(after.precision[i]) - p_i, float(after.recall[i]) - r_i), ""
+        bound = precision_delta_bound(rule.class_support, rule.confidence)
         reports.append(
-            TheoremReport(
-                class_name=name,
-                class_support=counts.class_support,
-                confidence=counts.confidence,
-                precision_initial=p_i,
-                recall_initial=r_i,
-                predicted_delta_precision=precision_delta_exact(
-                    counts.class_support, counts.confidence, p_i
-                ),
-                bound_c_times_support=precision_delta_bound(counts.class_support, counts.confidence),
-                predicted_delta_recall=recall_delta_exact(
-                    counts.class_support, counts.confidence, r_i, p_i
-                ),
-                empirical_delta_precision=float(after.precision[i]) - p_i,
-                empirical_delta_recall=float(after.recall[i]) - r_i,
-            )
+            TheoremReport(name, rule.class_support, rule.confidence, p_i, r_i, d_precision, bound, d_recall,
+                          *measured, note=note)
         )
     return tuple(reports)
 

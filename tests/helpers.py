@@ -29,7 +29,7 @@ from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -323,20 +323,15 @@ def _reference_make_trajectory(rng, sample_id, label, mean_speed) -> TrajectoryR
 def reference_generate_synthetic(
     seed: int,
     n_samples: int,
-    class_names: Sequence[str] | None = None,
     noise: float = 0.25,
     holdout_classes: Sequence[str] | None = None,
     condition_noise: float = 0.05,
-    speed_regimes: Mapping[str, float] | None = None,
 ) -> SyntheticCorpus:
     """The synthetic generator with one numpy call per ``uniform``/``normal``
     draw, a re-sort of the confusion order per wrong sample, and one scalar
     haversine pass each for the threshold fit and the velocity columns."""
-    regimes = dict(speed_regimes or DEFAULT_SPEED_REGIMES)
-    names = tuple(class_names) if class_names is not None else tuple(regimes)
-    for name in names:
-        if name not in regimes:
-            raise ContractError(f"no speed regime for class {name!r}; pass speed_regimes")
+    regimes = DEFAULT_SPEED_REGIMES
+    names = tuple(regimes)
     if n_samples < len(names):
         raise ContractError(
             f"n_samples={n_samples} cannot cover all {len(names)} classes"
@@ -767,7 +762,7 @@ def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            if len(row) != len(TRACE_HEADER) or not row[1] or row[2] not in _BITS:
+            if len(row) != len(TRACE_HEADER) or "" in row[:2] or row[2] not in _BITS or not row[4]:
                 raise _parse_error(path, line_no, "malformed trace row")
             rows.append(row)
     sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5

@@ -17,7 +17,6 @@ from edcr import (
     haversine_m,
     max_speeds,
 )
-from edcr import conditions
 from edcr.conditions import DEFAULT_SPEED_REGIMES
 from edcr.io import read_conditions
 from helpers import make_table, reference_generate_synthetic, same_table, trajectory_speed
@@ -310,17 +309,6 @@ class TestGenerateSynthetic:
         with pytest.raises(ContractError, match="seed"):
             generate_synthetic(seed=seed, n_samples=10)
 
-    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf"), -float("inf"), "fast", None])
-    def test_bad_speed_regime_fails_before_drawing(self, monkeypatch, bad):
-        # zero and negative regimes used to raise "math domain error" and a
-        # NaN one a DataError about a NaN latitude
-        def no_draws(*args):
-            raise AssertionError("trajectories were drawn before the regimes were checked")
-
-        monkeypatch.setattr(conditions, "_make_trajectories", no_draws)
-        with pytest.raises(ContractError, match="speed regime of class 'b'"):
-            generate_synthetic(seed=0, n_samples=100, speed_regimes={"a": 1.0, "b": bad, "c": 3.0})
-
 
 def same_corpus(a, b) -> bool:
     """Field by field; floats by ``repr``, which is what the CSV writers emit,
@@ -342,23 +330,15 @@ def same_corpus(a, b) -> bool:
 
 @st.composite
 def generator_args(draw):
-    regimes = draw(
-        st.none()
-        | st.dictionaries(st.sampled_from("abcdef"), st.floats(0.1, 60.0), min_size=2, max_size=6)
-    )
-    known = list(regimes or DEFAULT_SPEED_REGIMES)
-    names = draw(st.none() | st.lists(st.sampled_from(known), min_size=2, unique=True))
-    class_set = known if names is None else names
-    holdout = draw(st.lists(st.sampled_from(class_set), unique=True, max_size=len(class_set) - 2))
+    known = list(DEFAULT_SPEED_REGIMES)
+    holdout = draw(st.lists(st.sampled_from(known), unique=True, max_size=len(known) - 2))
     rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     return dict(
         seed=draw(st.integers(0, 2**64)),
-        n_samples=len(class_set) + draw(st.integers(0, 40)),
-        class_names=names,
+        n_samples=len(known) + draw(st.integers(0, 40)),
         noise=draw(rate),
         holdout_classes=holdout or None,
         condition_noise=draw(rate),
-        speed_regimes=regimes,
     )
 
 
@@ -375,9 +355,8 @@ class TestGeneratorMatchesReference:
             dict(seed=8, n_samples=300, noise=0.0, condition_noise=1.0),
             dict(seed=9, n_samples=300, noise=1.0, condition_noise=0.0),
             dict(seed=3, n_samples=400, holdout_classes=["walk", "train"]),
-            dict(seed=4, n_samples=200, class_names=["bus", "walk"]),
-            dict(seed=5, n_samples=200, speed_regimes={"x": 0.5, "y": 3.0, "z": 40.0},
-                 holdout_classes=["y"]),
+            dict(seed=4, n_samples=200, holdout_classes=["walk", "bike", "bus"]),
+            dict(seed=5, n_samples=200, noise=0.5, holdout_classes=["bus"], condition_noise=0.3),
         ],
     )
     def test_listed_configurations(self, args):

@@ -13,14 +13,19 @@ from edcr import (
     ContractError,
     CorrectionRule,
     DataError,
+    DegenerateStatsError,
     DetectionRule,
+    EdcrError,
     RuleSet,
     TrajectoryRecord,
     UNKNOWN_NAME,
+    UnknownClassError,
+    UnknownConditionError,
+    VerificationError,
     apply_ruleset,
     generate_synthetic,
 )
-from edcr import io
+from edcr import cli, io
 from edcr.cli import main
 from helpers import (
     make_conds,
@@ -461,9 +466,9 @@ class TestReadersMatchReference:
             "sample_id,original,flagged,fired,final\ns1,a,1,,__unknown__\ns2,b,0,a;b,a\ns3,a,0,,c",
             "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns2,zz,0,,a\n",  # unknown original
             "sample_id,original,flagged,fired,final\ns1,a,2,,a\n",  # a bad flag
-            "sample_id,original,flagged,fired,final\ns1,a,1,,\n",  # an empty final class
+            "sample_id,original,flagged,fired,final\ns1,a,1,,\n",  # an empty final class: rejected
             "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns2,,0,,a\n",  # an empty original class
-            "sample_id,original,flagged,fired,final\n,a,1,,a\n",  # an empty id
+            "sample_id,original,flagged,fired,final\n,a,1,,a\n",  # an empty id: rejected
             "sample_id,original,flagged,fired,final\ns1,a,1,,a\ns1,a,1,,a\n",  # a repeated id
             "sample_id,original,flagged,fired,final\ns1,a,1,\xff,a\n",  # not UTF-8
         ],
@@ -625,9 +630,10 @@ class TestTraceFormat:
         path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\n\ny,a,2,,a\n")
         with pytest.raises(DataError, match=":4:"):
             io.read_trace(path, ClassSet(("a",)))
-        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,,0,,a\n")
-        with pytest.raises(DataError, match=":3: malformed trace row"):
-            io.read_trace(path, ClassSet(("a",)))
+        for row in ("y,,0,,a", "y,a,0,,", ",a,0,,a"):  # an empty original, final or id
+            path.write_text(f"sample_id,original,flagged,fired,final\nx,a,0,,a\n{row}\n")
+            with pytest.raises(DataError, match=":3: malformed trace row"):
+                io.read_trace(path, ClassSet(("a",)))
 
     def test_original_outside_classes_extends_trace_classes(self, tmp_path):
         # a class every prediction of which apply routed elsewhere is absent
@@ -841,7 +847,8 @@ UNIT = st.floats(0.0, 1.0)
 def rulesets(draw):
     """Rule sets over arbitrary class and condition names, with a scalar or
     per-class epsilon and any mix of detection and correction rules."""
-    classes = ClassSet(tuple(draw(st.lists(NAMES, min_size=1, max_size=4, unique=True))))
+    # a class name is never empty; a condition name may be
+    classes = ClassSet(tuple(draw(st.lists(NAMES.filter(bool), min_size=1, max_size=4, unique=True))))
     conditions = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
     some_conditions = st.lists(st.sampled_from(conditions), min_size=1, max_size=3)
     epsilon = draw(st.one_of(UNIT, st.fixed_dictionaries({name: UNIT for name in classes.names})))
@@ -1005,6 +1012,36 @@ class TestCli:
                     corpus / "predictions.csv", "--conditions", narrow,
                     "--out", tmp_path / "x"])
         assert code == 2
+
+    def test_apply_needs_only_the_conditions_rules_use(self, tmp_path, capsys):
+        corpus = gen_corpus(tmp_path, seed=8, samples=200)
+        learn_dir = tmp_path / "learned"
+        assert run(["learn", "--predictions", corpus / "predictions.csv", "--conditions",
+                    corpus / "conditions.csv", "--out", learn_dir]) == 0
+        rule_set = io.load_ruleset(learn_dir / "ruleset.yaml")
+        used = {c for rule in rule_set.detection_rules for c in rule.conditions}
+        used.update(c for rule in rule_set.correction_rules for c, _ in rule.pairs)
+        unused = sorted(set(rule_set.condition_names) - used)
+        assert used and unused
+        table = io.read_predictions(corpus / "predictions.csv")
+        conds = io.read_conditions(corpus / "conditions.csv", table)
+
+        def apply_without(name):
+            keep = [n for n in conds.condition_names if n != name]
+            path = tmp_path / f"without_{name}.csv"
+            columns = conds.values[:, [conds.column_index(n) for n in keep]]
+            io.write_conditions(path, table, ConditionMatrix(keep, columns))
+            return run(["apply", "--ruleset", learn_dir / "ruleset.yaml", "--predictions",
+                        corpus / "predictions.csv", "--conditions", path, "--out", tmp_path / f"out_{name}"])
+
+        assert apply_without(None) == 0  # every column present
+        assert apply_without(unused[0]) == 0
+        for name in ("revised.csv", "trace.csv"):
+            narrow, full = (tmp_path / f"out_{cut}" / name for cut in (unused[0], None))
+            assert narrow.read_bytes() == full.read_bytes()
+        capsys.readouterr()
+        assert apply_without(sorted(used)[0]) == 2
+        assert f"missing rule conditions ['{sorted(used)[0]}']" in capsys.readouterr().err
 
     def test_sweep_and_unseen_and_verify(self, tmp_path):
         corpus = gen_corpus(tmp_path, seed=9, samples=400, holdout="walk,drive")
@@ -1291,6 +1328,36 @@ class TestByteMutationFuzz:
         assert {applied, evaluated} <= {0, 2, 3}
 
 
+def error_classes(base=EdcrError):
+    return [base] + [cls for sub in base.__subclasses__() for cls in error_classes(sub)]
+
+
+# the exit codes the README documents; a new error class must be added here
+DOCUMENTED_EXIT_CODES = {
+    EdcrError: 4,
+    ContractError: 2,
+    UnknownConditionError: 2,
+    UnknownClassError: 2,
+    DegenerateStatsError: 2,
+    DataError: 3,
+    VerificationError: 4,
+    OSError: 3,
+    FileNotFoundError: 3,
+    PermissionError: 3,
+}
+
+
+@pytest.mark.parametrize("error", [*error_classes(), OSError, FileNotFoundError, PermissionError],
+                         ids=lambda cls: cls.__name__)
+def test_each_error_class_exits_with_its_documented_code(monkeypatch, capsys, error):
+    def command(args):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, "cmd_eval", command)
+    assert main(["eval", "--predictions", "p.csv", "--out", "o"]) == DOCUMENTED_EXIT_CODES[error]
+    assert capsys.readouterr().err == "error: boom\n"
+
+
 def invalid_invocations(tmp_path):
     """(argv, expected exit code) pairs over a small corpus."""
     corpus = gen_corpus(tmp_path, seed=22, samples=60)
@@ -1319,6 +1386,15 @@ def invalid_invocations(tmp_path):
     unknown_gt.write_text("sample_id,pred,gt\na,walk,__unknown__\nb,bike,walk\n")
     binary_ruleset = tmp_path / "binary_ruleset.yaml"
     binary_ruleset.write_bytes(ruleset.read_bytes() + b"# \xff\n")
+    # a valid trace of p with one final cell emptied, and with an extra row of an empty id
+    assert run(["apply", "--ruleset", ruleset, "--predictions", p, "--conditions", c,
+                "--out", tmp_path / "applied"]) == 0
+    header, first, rows = (tmp_path / "applied" / "trace.csv").read_text().split("\n", 2)
+    empty_final, empty_trace_id = tmp_path / "empty_final.csv", tmp_path / "empty_trace_id.csv"
+    empty_final.write_text("\n".join([header, first.rsplit(",", 1)[0] + ",", rows]))
+    empty_trace_id.write_text("\n".join([header, first, "," + first.split(",", 1)[1], rows]))
+    empty_class = tmp_path / "empty_class.yaml"
+    empty_class.write_text(ruleset.read_text().replace("classes:\n", "classes:\n- ''\n", 1))
     return [
         (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
@@ -1350,6 +1426,10 @@ def invalid_invocations(tmp_path):
           "--out", tmp_path / "o22"], 3),
         (["eval", "--predictions", p, "--trace", short_trace, "--out", tmp_path / "o23"], 3),
         (["eval", "--predictions", unknown_gt, "--out", tmp_path / "o24"], 3),
+        (["eval", "--predictions", p, "--trace", empty_final, "--out", tmp_path / "o25"], 3),
+        (["eval", "--predictions", p, "--trace", empty_trace_id, "--out", tmp_path / "o26"], 3),
+        (["apply", "--ruleset", empty_class, "--predictions", p, "--conditions", c,
+          "--out", tmp_path / "o27"], 3),
     ]
 
 

@@ -16,13 +16,17 @@ from edcr import (
     compute_class_stats,
     correction_precision_delta,
     correction_recall_post,
+    det_corr_rule_learn,
+    epsilon_sweep,
     generate_synthetic,
     precision_delta_bound,
     precision_delta_exact,
     recall_delta_exact,
     theorem_report,
 )
-from edcr import ConditionMatrix, theory
+from edcr import ConditionMatrix, io, theory
+from edcr.cli import main
+from edcr.evaluate import Split
 import helpers
 from helpers import (
     make_conds,
@@ -416,3 +420,46 @@ class TestTheoremReport:
         assert len(reports) == len(corpus.table.classes)
         assert all(report.passed for report in reports)
         assert any(not report.note for report in reports)  # at least one real rule
+
+
+def degenerate_instance(prefix="s"):
+    """Class a is predicted 4 times with 1 right (P = 1/4) and missed once
+    (R = 1/2).  Condition all_a holds on every prediction of a, so at epsilon
+    0.5 (a NEG budget of 1) the learner takes it: s_a = 1 and c = 3/4."""
+    pred = ["a"] * 4 + ["b"] * 5
+    gt = ["a", "b", "b", "b", "a", "b", "b", "b", "b"]
+    table = make_table(["a", "b"], pred, gt, ids=[f"{prefix}{k}" for k in range(len(pred))])
+    return table, make_conds(["all_a"], [[1, 1, 1, 1, 0, 0, 0, 0, 0]])
+
+
+class TestDegenerateDetectionRule:
+    """A learned rule with s_i = 1 has no defined precision change but a
+    recall decrease of (1 - c) * R / P; ``theory.detection_effect`` gives both
+    to ``edcr learn``, ``theorem_report`` and the sweep's recall overlay."""
+
+    def test_detection_effect(self):
+        table, conds = degenerate_instance()
+        rule = det_corr_rule_learn(0.5, table, conds).detection_by_class[0]
+        assert (rule.conditions, rule.class_support, rule.confidence) == (("all_a",), 1.0, 0.75)
+        assert theory.detection_effect(rule, compute_class_stats(table)) == (None, 0.5)
+
+    def test_theorem_report(self):
+        report = theorem_report(*degenerate_instance(), epsilon=0.5)[0]
+        assert report.note == "degenerate: rule covers every prediction of the class" and report.passed
+        assert (report.class_support, report.confidence, report.bound_c_times_support) == (1.0, 0.75, 0.75)
+        assert (report.predicted_delta_precision, report.predicted_delta_recall) == (0.0, 0.5)
+        assert (report.empirical_delta_precision, report.empirical_delta_recall) == (0.0, 0.0)
+
+    def test_learn_console_line(self, tmp_path, capsys):
+        table, conds = degenerate_instance()
+        io.write_predictions(tmp_path / "p.csv", table)
+        io.write_conditions(tmp_path / "c.csv", table, conds)
+        argv = ["learn", "--predictions", tmp_path / "p.csv", "--conditions", tmp_path / "c.csv",
+                "--epsilon", "0.5", "--out", tmp_path / "out"]
+        assert main([str(part) for part in argv]) == 0
+        assert "a: detect via ['all_a'] s_i=1.0000 c=0.7500 (degenerate stats)\n" in capsys.readouterr().out
+
+    def test_sweep_recall_overlay(self):
+        rows = epsilon_sweep([0.5], Split(*degenerate_instance("l"), *degenerate_instance("t")))
+        overlay = {(row.class_name, row.split): row.theoretical_recall_reduction for row in rows}
+        assert overlay == {("a", "learn"): 0.5, ("a", "test"): 0.5, ("b", "learn"): 0.0, ("b", "test"): 0.0}
