@@ -40,21 +40,22 @@ EXIT_OK = 0
 
 
 def _parse_floats(text: str) -> list[float]:
+    parts = text.split(",")
+    if "" in parts:
+        raise ContractError(f"expected comma-separated numbers with no empty part, got {text!r}")
     try:
-        values = [float(part) for part in text.split(",") if part != ""]
+        return [float(part) for part in parts]
     except ValueError:
         raise ContractError(f"expected comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ContractError(f"expected at least one number, got {text!r}")
-    return values
 
 
 def _parse_epsilon(args, classes) -> float | dict[str, float]:
     """Scalar epsilon, or a full per-class mapping with --epsilon-per-class
-    entries overriding the scalar default."""
+    entries, at most one per class, overriding the scalar default."""
     if not args.epsilon_per_class:
         return args.epsilon
     mapping = {name: args.epsilon for name in classes.names}
+    given: set[str] = set()
     for chunk in args.epsilon_per_class.split(","):
         if "=" not in chunk:
             raise ContractError(f"expected class=value, got {chunk!r}")
@@ -62,6 +63,9 @@ def _parse_epsilon(args, classes) -> float | dict[str, float]:
         name = name.strip()
         if name not in mapping:
             raise ContractError(f"--epsilon-per-class names unknown class {name!r}")
+        if name in given:
+            raise ContractError(f"--epsilon-per-class names class {name!r} more than once")
+        given.add(name)
         try:
             mapping[name] = float(value)
         except ValueError:

@@ -4,12 +4,13 @@ Externally computed binary-classifier verdicts are read with
 :func:`edcr.io.read_conditions`.
 
 The velocity signal has one path, which the generator calls too:
-:func:`max_speeds` gives each record's fastest segment speed in one pass,
-:func:`fit_velocity_thresholds` takes per-class maxima of those speeds, and
-:func:`build_velocity_conditions` compares speeds with the ceilings, one
-``vel_over_<c>`` column per fitted class.  A rule body pairs a column with a
-predicted class, so ``vel_over_c AND pred == c`` checks each row against its
-own predicted class's ceiling.
+:func:`column_max_speeds` gives each record's fastest segment speed in one
+pass over flat point columns (:func:`max_speeds` flattens records into
+them), :func:`fit_velocity_thresholds` takes per-class maxima of those
+speeds, and :func:`build_velocity_conditions` compares speeds with the
+ceilings, one ``vel_over_<c>`` column per fitted class.  A rule body pairs a
+column with a predicted class, so ``vel_over_c AND pred == c`` checks each
+row against its own predicted class's ceiling.
 
 The synthetic corpus is a fixed function of its arguments: for a given seed
 the records, predictions and conditions are the same floats, and so the same
@@ -18,26 +19,34 @@ draws from one ``numpy.random.Generator`` in a fixed order:
 
 1. ``integers(0, len(classes), size=n - len(classes))``: the true classes
    after the first ``len(classes)`` samples, which cover each class once;
-2. per record: ``integers(6, 15)`` points, one normal for the base speed and
-   four uniforms (latitude, longitude, start time, heading), then per segment
-   one uniform (time step) and two normals (speed jitter, heading turn);
+2. per record: ``integers(6, 15)`` points, one ``standard_normal()`` for the
+   base speed and ``random(4)`` for latitude, longitude, start time and
+   heading, then per segment one ``random()`` (time step) and two
+   ``standard_normal()`` (speed jitter, heading turn);
 3. per record: one ``random()`` unless the class is held out, and a second
    one when the prediction is wrong and the class has two or more neighbours;
 4. per visible class: ``random(n)`` for the verdict flips.
 
-Step 2 draws through ``random()`` and ``standard_normal()`` directly.  numpy
-computes ``uniform(a, b)`` as ``a + (b - a) * random()`` and
-``normal(loc, s)`` as ``loc + s * standard_normal()``, consuming the same bits,
-so the generator writes out those two formulas and skips the slower calls.
-Each record's max speed is then computed once, in one pass over all records
-that calls the same ``math`` functions as :func:`haversine_m`.
+A sized draw calls the same scalar routine once per element, in order, so
+``random(4)`` consumes the same bits as four ``random()`` calls; the two
+normals stay scalar calls, which measured faster than ``standard_normal(2)``
+plus joining its small arrays.  numpy computes ``uniform(a, b)`` as
+``a + (b - a) * random()`` and ``normal(loc, s)`` as
+``loc + s * standard_normal()``; the generator writes out those formulas.
+The loop of step 2 only draws.  The trajectory arithmetic then runs once
+over all records with the IEEE operations of the per-point recurrence in
+the same order: products and sums in numpy, every ``exp``, ``sin`` and
+``cos`` through :mod:`math` (numpy's versions may round differently), and
+each running value as ``np.add.accumulate`` along a record's row of points,
+which adds left to right as the recurrence does.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from itertools import chain, repeat
+from functools import cached_property
+from itertools import chain, islice, repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -70,7 +79,39 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-@dataclass(frozen=True)
+def _check_tracks(sample_ids: Sequence[str], counts: np.ndarray, t, lat, lon) -> None:
+    """The record rules over flat point columns, ``counts[k]`` points for
+    record k in record order: at least 2 points, finite and strictly
+    increasing timestamps, latitude in [-90, 90] and longitude in
+    [-180, 180].  The first fault, by record, then point, then rule in that
+    order, is a :class:`DataError` naming its record."""
+    counts = np.asarray(counts, dtype=np.intp)
+    t, lat, lon = (np.asarray(column, dtype=np.float64) for column in (t, lat, lon))
+    if not (len(sample_ids) == len(counts) and int(counts.sum()) == len(t) == len(lat) == len(lon)):
+        raise ContractError("point columns do not match the per-record counts")
+    ends = np.cumsum(counts)
+    previous = np.concatenate(([-np.inf], t[:-1]))
+    previous[(ends - counts)[counts > 0]] = -np.inf
+    bad_t = ~((previous < t) & (t < np.inf))  # also true for NaN
+    bad = bad_t | ~((-90.0 <= lat) & (lat <= 90.0)) | ~((-180.0 <= lon) & (lon <= 180.0))
+    point = int(np.argmax(bad)) if bad.any() else len(t)
+    record = int(np.searchsorted(ends, point, side="right"))  # len(counts) when no point is bad
+    short = np.flatnonzero(counts[:record + 1] < 2)
+    if len(short):
+        raise DataError(f"trajectory {sample_ids[short[0]]!r} needs at least 2 points")
+    if point == len(t):
+        return
+    name = sample_ids[record]
+    if bad_t[point]:
+        if not math.isfinite(t[point]):
+            raise DataError(f"trajectory {name!r}: timestamp {float(t[point])} is not finite")
+        raise DataError(f"trajectory {name!r}: timestamps must be strictly increasing")
+    if not -90.0 <= lat[point] <= 90.0:
+        raise DataError(f"trajectory {name!r}: latitude {float(lat[point])} out of range")
+    raise DataError(f"trajectory {name!r}: longitude {float(lon[point])} out of range")
+
+
+@dataclass(frozen=True, slots=True)
 class TrajectoryRecord:
     """A timestamped GPS point sequence: (t seconds since epoch, lat, lon)."""
 
@@ -80,25 +121,35 @@ class TrajectoryRecord:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "points", tuple(map(tuple, self.points)))
-        if len(self.points) < 2:
-            raise DataError(f"trajectory {self.sample_id!r} needs at least 2 points")
-        last_t = -math.inf
-        for t, lat, lon in self.points:
-            if not last_t < t < math.inf:  # also false for NaN
-                if not math.isfinite(t):
-                    raise DataError(f"trajectory {self.sample_id!r}: timestamp {t} is not finite")
-                raise DataError(
-                    f"trajectory {self.sample_id!r}: timestamps must be strictly increasing"
-                )
-            last_t = t
-            if not -90.0 <= lat <= 90.0:
-                raise DataError(f"trajectory {self.sample_id!r}: latitude {lat} out of range")
-            if not -180.0 <= lon <= 180.0:
-                raise DataError(f"trajectory {self.sample_id!r}: longitude {lon} out of range")
+        columns = np.array(self.points, dtype=np.float64).reshape(-1, 3).T
+        _check_tracks((self.sample_id,), [len(self.points)], *columns)
+
+    @classmethod
+    def _from_checked(cls, sample_id: str, points: tuple, label: str | None) -> "TrajectoryRecord":
+        """A record whose points already passed :func:`_check_tracks` as
+        columns, built without checking them again one record at a time."""
+        record = object.__new__(cls)
+        object.__setattr__(record, "sample_id", sample_id)
+        object.__setattr__(record, "points", points)
+        object.__setattr__(record, "label", label)
+        return record
 
 
 def max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
-    """Each record's fastest segment speed in m/s, as one float64 array: the
+    """Each record's fastest segment speed in m/s, as one float64 array:
+    :func:`column_max_speeds` over the records' points as flat columns."""
+    counts = np.fromiter(map(len, (r.points for r in records)), np.intp, len(records))
+    flat = np.fromiter(
+        chain.from_iterable(chain.from_iterable(r.points for r in records)),
+        np.float64,
+        3 * int(counts.sum()),
+    )
+    return column_max_speeds(counts, flat[0::3], flat[1::3], flat[2::3])
+
+
+def column_max_speeds(counts: np.ndarray, t: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+    """Each record's fastest segment speed in m/s, given flat point columns
+    with ``counts[k]`` (at least 2) points for record k in record order: the
     haversine distance of each consecutive point pair over its elapsed time,
     the same floats as :func:`haversine_m` divided in Python, bit for bit.
 
@@ -109,15 +160,8 @@ def max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
     ``pow`` and not always equal to ``x * x`` -- goes through the same Python
     function as there, because numpy's versions may round differently.
     """
-    if not records:
+    if not len(counts):
         return np.empty(0)
-    counts = np.fromiter(map(len, (r.points for r in records)), np.intp, len(records))
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(r.points for r in records)),
-        np.float64,
-        3 * int(counts.sum()),
-    )
-    t, lat, lon = flat[0::3], flat[1::3], flat[2::3]
     # segment k joins points k and k + 1, except where k is a record's last point
     segment = np.ones(len(t) - 1, dtype=bool)
     segment[np.cumsum(counts)[:-1] - 1] = False
@@ -213,14 +257,34 @@ _SECOND_NEIGHBOR_PROB = 0.25  # confusions go to the nearest regime, else the se
 
 @dataclass(frozen=True)
 class SyntheticCorpus:
-    """A generated corpus: raw trajectories, the mock model's predictions with
-    ground truth, and the full condition matrix (binary-classifier verdicts,
-    their complements, and velocity outliers)."""
+    """A generated corpus: the mock model's predictions with ground truth,
+    the full condition matrix (binary-classifier verdicts, their complements,
+    and velocity outliers), the fitted velocity ceilings, and the raw
+    trajectories as flat point columns ``t``, ``lat`` and ``lon`` with
+    ``counts[k]`` points for the table's k-th sample.  The columns are checked
+    against the record rules once, on construction; :attr:`records` builds
+    the :class:`TrajectoryRecord` tuples from them on first access."""
 
-    records: tuple[TrajectoryRecord, ...]
     table: PredictionTable
     conditions: ConditionMatrix
     thresholds: dict[str, float]
+    counts: np.ndarray
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __post_init__(self) -> None:
+        _check_tracks(self.table.sample_ids, self.counts, self.t, self.lat, self.lon)
+
+    @cached_property
+    def records(self) -> tuple[TrajectoryRecord, ...]:
+        """One record per sample, labelled with its ground-truth class."""
+        points = zip(self.t.tolist(), self.lat.tolist(), self.lon.tolist())
+        labels = self.table.names(self.table.gt_ids)
+        return tuple(
+            TrajectoryRecord._from_checked(sample_id, tuple(islice(points, count)), label)
+            for sample_id, count, label in zip(self.table.sample_ids, self.counts.tolist(), labels)
+        )
 
 
 def _confusion_order(true_class: str, visible: Sequence[str]) -> list[str]:
@@ -229,33 +293,52 @@ def _confusion_order(true_class: str, visible: Sequence[str]) -> list[str]:
     return sorted(others, key=lambda c: abs(log_speed[c] - log_speed[true_class]))
 
 
-def _make_trajectories(rng: np.random.Generator, truth: Sequence[str]) -> tuple[TrajectoryRecord, ...]:
-    """One record per true class, with the draws of step 2 in the module
-    docstring; ``uniform`` and ``normal`` are written out as numpy computes
-    them."""
+def _make_trajectories(rng: np.random.Generator, mean_speeds: np.ndarray):
+    """``(counts, t, lat, lon)`` point columns of one record per mean speed:
+    the draws of step 2 in the module docstring, then the recurrence
+
+        heading += 0.3 * z;  step = speed * dt
+        lat += step * cos(heading) / meters_per_degree
+        lon += step * sin(heading) / (meters_per_degree * cos(radians(lat)))
+        t += dt
+
+    over a grid of records x points, each running value one accumulate."""
     integers, random, normal = rng.integers, rng.random, rng.standard_normal
-    exp, cos, sin, radians = math.exp, math.cos, math.sin, math.radians
-    meters_per_degree = EARTH_RADIUS_M * math.pi / 180.0
-    records = []
-    for k, label in enumerate(truth):
+    counts, base_z, starts, steps, normals = [], [], [], [], []
+    for _ in range(len(mean_speeds)):
         n_points = int(integers(6, 15))
-        base = DEFAULT_SPEED_REGIMES[label] * exp(0.0 + _SPEED_SPREAD * normal())
-        lat = -0.2 + (0.2 - -0.2) * random()
-        lon = -0.2 + (0.2 - -0.2) * random()
-        t = 0.0 + (1e6 - 0.0) * random()
-        heading = 0.0 + (2.0 * math.pi - 0.0) * random()
-        points = [(t, lat, lon)]
+        counts.append(n_points)
+        base_z.append(normal())
+        starts.append(random(4))
         for _ in range(n_points - 1):
-            dt = 5.0 + (15.0 - 5.0) * random()
-            speed = base * exp(0.0 + _SEGMENT_JITTER * normal())
-            heading += 0.0 + 0.3 * normal()
-            step = speed * dt
-            lat += step * cos(heading) / meters_per_degree
-            lon += step * sin(heading) / (meters_per_degree * cos(radians(lat)))
-            t += dt
-            points.append((t, lat, lon))
-        records.append(TrajectoryRecord(f"s{k:05d}", tuple(points), label))
-    return tuple(records)
+            steps.append(random())
+            normals.append(normal())
+            normals.append(normal())
+    counts = np.array(counts, dtype=np.intp)
+    lat0, lon0, t0, heading0 = np.concatenate(starts).reshape(-1, 4).T
+    jitter, turn = np.array(normals).reshape(-1, 2).T
+    inside = np.arange(counts.max()) < counts[:, None]
+    segment = inside[:, 1:]
+
+    def running(start: np.ndarray, increments: np.ndarray) -> np.ndarray:
+        grid = np.zeros(inside.shape)
+        grid[:, 0] = start
+        grid[:, 1:][segment] = increments
+        return np.add.accumulate(grid, axis=1)
+
+    meters_per_degree = EARTH_RADIUS_M * math.pi / 180.0
+    base = mean_speeds * _mapped(math.exp, 0.0 + _SPEED_SPREAD * np.array(base_z))
+    dt = 5.0 + (15.0 - 5.0) * np.array(steps)
+    speed = np.repeat(base, counts - 1) * _mapped(math.exp, 0.0 + _SEGMENT_JITTER * jitter)
+    heading = running(0.0 + (2.0 * math.pi - 0.0) * heading0, 0.0 + 0.3 * turn)[:, 1:][segment]
+    step = speed * dt
+    lat = running(-0.2 + (0.2 - -0.2) * lat0, step * _mapped(math.cos, heading) / meters_per_degree)
+    cos_lat = _mapped(math.cos, np.radians(lat[:, 1:][segment]))
+    lon = running(
+        -0.2 + (0.2 - -0.2) * lon0, step * _mapped(math.sin, heading) / (meters_per_degree * cos_lat)
+    )
+    t = running(0.0 + (1e6 - 0.0) * t0, dt)
+    return counts, t[inside], lat[inside], lon[inside]
 
 
 def generate_synthetic(
@@ -297,7 +380,9 @@ def generate_synthetic(
     truth = list(names) + [
         names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
     ]
-    records = _make_trajectories(rng, truth)
+    counts, t, lat, lon = _make_trajectories(
+        rng, np.array([DEFAULT_SPEED_REGIMES[gt] for gt in truth])
+    )
 
     random = rng.random
     confusion_order = {name: _confusion_order(name, visible) for name in names}
@@ -314,9 +399,8 @@ def generate_synthetic(
             predicted.append(order[0])
 
     classes = ClassSet(visible)
-    table = PredictionTable.from_names(
-        classes, [r.sample_id for r in records], predicted, truth
-    )
+    sample_ids = [f"s{k:05d}" for k in range(n_samples)]
+    table = PredictionTable.from_names(classes, sample_ids, predicted, truth)
 
     cond_names: list[str] = []
     columns: list[np.ndarray] = []
@@ -329,7 +413,7 @@ def generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
-    speeds = max_speeds(records)
+    speeds = column_max_speeds(counts, t, lat, lon)
     fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
     thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
     velocity = build_velocity_conditions(thresholds, speeds)
@@ -337,4 +421,4 @@ def generate_synthetic(
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
-    return SyntheticCorpus(records, table, conditions, thresholds)
+    return SyntheticCorpus(table, conditions, thresholds, counts, t, lat, lon)

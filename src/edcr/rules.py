@@ -70,9 +70,10 @@ class CorrectionRule:
 class RuleSet:
     """All learned rules for one class universe: at most one detection and one
     correction rule per class, plus the recall budget and condition universe
-    they were learned under.  Every class id must index ``classes`` and every
-    rule condition lie in ``condition_names``; applying the set needs only
-    the conditions some rule uses."""
+    they were learned under.  Every class id must index ``classes``, every
+    condition name be non-empty, and every rule condition lie in
+    ``condition_names``; applying the set needs only the conditions some rule
+    uses."""
 
     classes: ClassSet
     condition_names: tuple[str, ...]
@@ -89,6 +90,8 @@ class RuleSet:
         else:
             epsilon = check_unit_interval("epsilon", self.epsilon)
         object.__setattr__(self, "epsilon", epsilon)
+        if "" in self.condition_names:
+            raise ContractError("empty condition name in the rule set's conditions")
         universe = set(self.condition_names)
         for kind, rules in (("detection", self.detection_rules), ("correction", self.correction_rules)):
             targets = [self.classes.check_id(rule.target) for rule in rules]

@@ -539,7 +539,9 @@ def theorem_report(
 def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
     """Replay ``n_scenarios`` constructed correction scenarios, their counts
     drawn from ``default_rng(seed)``, and return whether every measured
-    precision change matches :func:`correction_precision_delta`."""
+    precision change matches :func:`correction_precision_delta` and every
+    measured recall of the target class after the rule matches
+    :func:`correction_recall_post`."""
     if n_scenarios < 0:
         raise ContractError(f"correction scenario count must be non-negative, got {n_scenarios}")
     rng = np.random.default_rng(check_seed(seed))
@@ -562,6 +564,7 @@ def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
             float(before.prior[i]),
         )
         measured = float(after.precision[i]) - float(before.precision[i])
-        if abs(predicted - measured) > RATIONAL_TOLERANCE:
+        recall = correction_recall_post(int(before.tp[i]), int(before.fn[i]), pos)
+        if max(abs(predicted - measured), abs(recall - float(after.recall[i]))) > RATIONAL_TOLERANCE:
             return False
     return True

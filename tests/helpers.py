@@ -18,7 +18,9 @@ the packed correction walk to agree with.  ``reference_read_predictions``,
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
 that sorted a structured view, for the byte-level readers, the columnar
 writers and the 1-D void ``unique`` to agree with.  ``trajectory_speed``
-keeps the scalar per-record speed profile, for ``max_speeds`` to agree with.
+keeps the scalar per-record speed profile, for ``max_speeds`` to agree with,
+and ``reference_track_fault`` the point-by-point record rules, for the
+vectorised column check to agree with.
 """
 from __future__ import annotations
 
@@ -50,7 +52,6 @@ from edcr.conditions import (
     _SPEED_SPREAD,
     DEFAULT_SPEED_REGIMES,
     EARTH_RADIUS_M,
-    SyntheticCorpus,
     TrajectoryRecord,
     binary_condition_name,
     haversine_m,
@@ -259,6 +260,25 @@ class SpeedProfile:
     max_speed: float
 
 
+def reference_track_fault(sample_id: str, points) -> str | None:
+    """The message of the first record rule ``points`` break, checked point
+    by point, or None."""
+    if len(points) < 2:
+        return f"trajectory {sample_id!r} needs at least 2 points"
+    last_t = -math.inf
+    for t, lat, lon in points:
+        if not last_t < t < math.inf:  # also false for NaN
+            if not math.isfinite(t):
+                return f"trajectory {sample_id!r}: timestamp {t} is not finite"
+            return f"trajectory {sample_id!r}: timestamps must be strictly increasing"
+        last_t = t
+        if not -90.0 <= lat <= 90.0:
+            return f"trajectory {sample_id!r}: latitude {lat} out of range"
+        if not -180.0 <= lon <= 180.0:
+            return f"trajectory {sample_id!r}: longitude {lon} out of range"
+    return None
+
+
 def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
     """Haversine distance over elapsed time for each consecutive point pair."""
     speeds = []
@@ -320,16 +340,29 @@ def _reference_make_trajectory(rng, sample_id, label, mean_speed) -> TrajectoryR
     return TrajectoryRecord(sample_id, tuple(points), label)
 
 
+@dataclass(frozen=True)
+class ReferenceCorpus:
+    """What :func:`reference_generate_synthetic` builds: the fields of
+    ``SyntheticCorpus`` that ``same_corpus`` compares, records included."""
+
+    records: tuple[TrajectoryRecord, ...]
+    table: PredictionTable
+    conditions: ConditionMatrix
+    thresholds: dict[str, float]
+
+
 def reference_generate_synthetic(
     seed: int,
     n_samples: int,
     noise: float = 0.25,
     holdout_classes: Sequence[str] | None = None,
     condition_noise: float = 0.05,
-) -> SyntheticCorpus:
+) -> ReferenceCorpus:
     """The synthetic generator with one numpy call per ``uniform``/``normal``
-    draw, a re-sort of the confusion order per wrong sample, and one scalar
-    haversine pass each for the threshold fit and the velocity columns."""
+    draw, the recurrence point by point in Python, one checked
+    ``TrajectoryRecord`` per sample, a re-sort of the confusion order per
+    wrong sample, and one scalar haversine pass each for the threshold fit and
+    the velocity columns."""
     regimes = DEFAULT_SPEED_REGIMES
     names = tuple(regimes)
     if n_samples < len(names):
@@ -395,7 +428,7 @@ def reference_generate_synthetic(
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
-    return SyntheticCorpus(records, table, conditions, thresholds)
+    return ReferenceCorpus(records, table, conditions, thresholds)
 
 
 def _mask_words(mask: int) -> np.ndarray:

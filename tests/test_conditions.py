@@ -1,8 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from edcr import (
     ContractError,
@@ -17,9 +18,15 @@ from edcr import (
     haversine_m,
     max_speeds,
 )
-from edcr.conditions import DEFAULT_SPEED_REGIMES
+from edcr.conditions import DEFAULT_SPEED_REGIMES, _check_tracks, column_max_speeds
 from edcr.io import read_conditions
-from helpers import make_table, reference_generate_synthetic, same_table, trajectory_speed
+from helpers import (
+    make_table,
+    reference_generate_synthetic,
+    reference_track_fault,
+    same_table,
+    trajectory_speed,
+)
 
 # one milli-degree of latitude on the R=6,371,000 m sphere, by hand:
 # d = R * 0.001 * pi / 180
@@ -335,7 +342,7 @@ def generator_args(draw):
     rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
     return dict(
         seed=draw(st.integers(0, 2**64)),
-        n_samples=len(known) + draw(st.integers(0, 40)),
+        n_samples=draw(st.integers(len(known), 400)),
         noise=draw(rate),
         holdout_classes=holdout or None,
         condition_noise=draw(rate),
@@ -343,9 +350,11 @@ def generator_args(draw):
 
 
 class TestGeneratorMatchesReference:
-    """The generator draws through ``random``/``standard_normal`` and fits on
-    one vectorised speed pass; the reference keeps ``uniform``/``normal`` and
-    the scalar haversine.  Both must give the same corpus, bit for bit."""
+    """The generator only draws in its loop, then runs the trajectory
+    recurrence over all records at once and fits on one vectorised speed
+    pass; the reference keeps one ``uniform``/``normal`` call per draw, the
+    recurrence point by point and the scalar haversine.  Both must give the
+    same corpus, bit for bit."""
 
     @pytest.mark.parametrize(
         "args",
@@ -362,9 +371,77 @@ class TestGeneratorMatchesReference:
     def test_listed_configurations(self, args):
         assert same_corpus(generate_synthetic(**args), reference_generate_synthetic(**args))
 
+    @settings(max_examples=40)
     @given(generator_args())
     def test_any_configuration(self, args):
-        assert same_corpus(generate_synthetic(**args), reference_generate_synthetic(**args))
+        corpus = generate_synthetic(**args)
+        assert same_corpus(corpus, reference_generate_synthetic(**args))
+        # the speeds the generator fitted on are those of its records
+        used = column_max_speeds(corpus.counts, corpus.t, corpus.lat, corpus.lon)
+        assert list(map(repr, max_speeds(corpus.records).tolist())) == list(map(repr, used.tolist()))
+
+
+def broken_columns(corpus, fault):
+    """The corpus's point columns with one fault in record 2, at its point 3
+    (or, for ``one point``, with only its first point left)."""
+    counts, t, lat, lon = (column.copy() for column in (corpus.counts, corpus.t, corpus.lat, corpus.lon))
+    start = int(counts[:2].sum())
+    point = start + 3
+    if fault == "one point":
+        keep = np.ones(len(t), dtype=bool)
+        keep[start + 1:start + counts[2]] = False
+        counts[2] = 1
+        t, lat, lon = t[keep], lat[keep], lon[keep]
+    elif fault == "repeated t":
+        t[point] = t[point - 1]
+    elif fault in ("nan t", "inf t"):
+        t[point] = math.nan if fault == "nan t" else math.inf
+    elif fault == "lat 90.5":
+        lat[point] = 90.5
+    else:
+        lon[point] = -181.0
+    return dict(counts=counts, t=t, lat=lat, lon=lon)
+
+
+edge_points = st.tuples(
+    st.sampled_from([0.0, 1.0, 2.0, -math.inf, math.inf, math.nan]),
+    st.sampled_from([0.0, 90.0, -90.0, 90.5, -91.0, math.nan]),
+    st.sampled_from([0.0, 180.0, -180.0, -181.0, 180.5, math.nan]),
+)
+
+
+@settings(max_examples=300)
+@given(st.lists(st.lists(edge_points, max_size=4), max_size=5))
+def test_column_check_reports_the_first_faulty_record(tracks):
+    """Over several records, the column check raises the point-by-point
+    rules' message for the first record that breaks one, or nothing."""
+    ids = tuple(f"r{k}" for k in range(len(tracks)))
+    faults = (reference_track_fault(sample_id, points) for sample_id, points in zip(ids, tracks))
+    expected = next((fault for fault in faults if fault is not None), None)
+    columns = np.array([p for points in tracks for p in points], dtype=float).reshape(-1, 3).T
+    try:
+        _check_tracks(ids, [len(points) for points in tracks], *columns)
+        got = None
+    except DataError as err:
+        got = str(err)
+    assert got == expected
+
+
+@pytest.mark.parametrize("fault", ["one point", "nan t", "inf t", "repeated t", "lat 90.5", "lon -181"])
+def test_column_fault_has_the_record_message(fault):
+    """A corpus whose columns break a record rule is rejected with the message
+    that ``TrajectoryRecord`` gives the same points."""
+    corpus = generate_synthetic(seed=1, n_samples=8)
+    columns = broken_columns(corpus, fault)
+    start = int(columns["counts"][:2].sum())
+    end = start + int(columns["counts"][2])
+    points = zip(*(columns[name][start:end].tolist() for name in ("t", "lat", "lon")))
+    with pytest.raises(DataError) as record_error:
+        TrajectoryRecord(corpus.table.sample_ids[2], tuple(points))
+    assert "'s00002'" in str(record_error.value)
+    with pytest.raises(DataError) as column_error:
+        dataclasses.replace(corpus, **columns)
+    assert str(column_error.value) == str(record_error.value)
 
 
 class TestIngestBinaryConditions:

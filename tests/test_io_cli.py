@@ -847,9 +847,9 @@ UNIT = st.floats(0.0, 1.0)
 def rulesets(draw):
     """Rule sets over arbitrary class and condition names, with a scalar or
     per-class epsilon and any mix of detection and correction rules."""
-    # a class name is never empty; a condition name may be
+    # class and condition names are never empty
     classes = ClassSet(tuple(draw(st.lists(NAMES.filter(bool), min_size=1, max_size=4, unique=True))))
-    conditions = draw(st.lists(NAMES, min_size=1, max_size=5, unique=True))
+    conditions = draw(st.lists(NAMES.filter(bool), min_size=1, max_size=5, unique=True))
     some_conditions = st.lists(st.sampled_from(conditions), min_size=1, max_size=3)
     epsilon = draw(st.one_of(UNIT, st.fixed_dictionaries({name: UNIT for name in classes.names})))
     detection, correction = [], []
@@ -1395,6 +1395,10 @@ def invalid_invocations(tmp_path):
     empty_trace_id.write_text("\n".join([header, first, "," + first.split(",", 1)[1], rows]))
     empty_class = tmp_path / "empty_class.yaml"
     empty_class.write_text(ruleset.read_text().replace("classes:\n", "classes:\n- ''\n", 1))
+    # an empty condition name, declared and used by the first detection rule
+    empty_condition = tmp_path / "empty_condition.yaml"
+    text = ruleset.read_text().replace("\nconditions:\n", "\nconditions:\n- ''\n", 1)
+    empty_condition.write_text(text.replace("  conditions:\n", "  conditions:\n  - ''\n", 1))
     return [
         (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
@@ -1430,6 +1434,13 @@ def invalid_invocations(tmp_path):
         (["eval", "--predictions", p, "--trace", empty_trace_id, "--out", tmp_path / "o26"], 3),
         (["apply", "--ruleset", empty_class, "--predictions", p, "--conditions", c,
           "--out", tmp_path / "o27"], 3),
+        (["apply", "--ruleset", empty_condition, "--predictions", p, "--conditions", c,
+          "--out", tmp_path / "o28"], 3),
+        (["learn", "--predictions", p, "--conditions", c, "--epsilon-per-class", "walk=0.1,walk=0.2",
+          "--out", tmp_path / "o29"], 2),
+        (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "0.1,,0.2", "--out", tmp_path / "o30"], 2),
+        (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
+          "--holdout", "walk", "--fractions", "0.1,", "--out", tmp_path / "o31"], 2),
     ]
 
 

@@ -70,6 +70,13 @@ class TestRuleTypes:
         with pytest.raises(ContractError):
             RuleSet(classes, ("c",), 0.1, detection_rules=(rule,))
 
+    def test_condition_names_are_non_empty(self):
+        classes = ClassSet(("a",))
+        with pytest.raises(ContractError, match="empty condition name"):
+            RuleSet(classes, ("", "c"), 0.1)
+        with pytest.raises(ContractError, match="empty condition name"):
+            RuleSet(classes, ("", "c"), 0.1, detection_rules=(DetectionRule(0, ("",), 0.1, 0.5),))
+
 
 @pytest.mark.parametrize("bad", [-3, 7.0, float("nan"), float("inf"), -0.01, 1.01])
 class TestUnitIntervalValues:

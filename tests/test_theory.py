@@ -177,6 +177,13 @@ class TestCorrectionScenarios:
         with mock.patch.object(theory, "correction_precision_delta", off):
             assert not theory.check_correction_scenarios(3, seed=0)
 
+    def test_wrong_recall_closed_form_fails(self):
+        def off(*args):
+            return correction_recall_post(*args) + 1e-6
+
+        with mock.patch.object(theory, "correction_recall_post", off):
+            assert not theory.check_correction_scenarios(3, seed=0)
+
     @pytest.mark.parametrize("n_scenarios, seed", [(-1, 0), (1, -1)])
     def test_bad_count_or_seed(self, n_scenarios, seed):
         with pytest.raises(ContractError):
