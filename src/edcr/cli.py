@@ -49,28 +49,35 @@ def _parse_floats(text: str) -> list[float]:
         raise ContractError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _parse_classes(flag: str, text: str) -> list[str]:
+    """Comma-separated class names, each named once."""
+    names = text.split(",")
+    for k, name in enumerate(names):
+        if name in names[:k]:
+            raise ContractError(f"{flag} names class {name!r} more than once")
+    return names
+
+
 def _parse_epsilon(args, classes) -> float | dict[str, float]:
     """Scalar epsilon, or a full per-class mapping with --epsilon-per-class
     entries, at most one per class, overriding the scalar default."""
     if not args.epsilon_per_class:
         return args.epsilon
-    mapping = {name: args.epsilon for name in classes.names}
-    given: set[str] = set()
+    overrides: dict[str, float] = {}
     for chunk in args.epsilon_per_class.split(","):
         if "=" not in chunk:
             raise ContractError(f"expected class=value, got {chunk!r}")
         name, value = chunk.split("=", 1)
         name = name.strip()
-        if name not in mapping:
+        if name not in classes.names:
             raise ContractError(f"--epsilon-per-class names unknown class {name!r}")
-        if name in given:
+        if name in overrides:
             raise ContractError(f"--epsilon-per-class names class {name!r} more than once")
-        given.add(name)
         try:
-            mapping[name] = float(value)
+            overrides[name] = float(value)
         except ValueError:
             raise ContractError(f"bad epsilon value in {chunk!r}") from None
-    return mapping
+    return {name: overrides.get(name, args.epsilon) for name in classes.names}
 
 
 def cmd_gen(args) -> int:
@@ -78,14 +85,15 @@ def cmd_gen(args) -> int:
         seed=args.seed,
         n_samples=args.samples,
         noise=args.noise,
-        holdout_classes=args.holdout.split(",") if args.holdout else None,
+        holdout_classes=_parse_classes("--holdout", args.holdout) if args.holdout else None,
         condition_noise=args.condition_noise,
     )
     out = _out_dir(args)
     trajectories = out / "trajectories.csv"
     predictions = out / "predictions.csv"
     conditions = out / "conditions.csv"
-    io.write_trajectories(trajectories, corpus.records)
+    columns = (corpus.counts, corpus.t, corpus.lat, corpus.lon)
+    io.write_trajectories(trajectories, corpus.table.sample_ids, *columns)
     io.write_predictions(predictions, corpus.table)
     io.write_conditions(conditions, corpus.table, corpus.conditions)
     io.write_manifest(
@@ -248,7 +256,7 @@ def cmd_unseen(args) -> int:
     rows = unseen_class_experiment(
         table,
         conds,
-        holdout=args.holdout.split(","),
+        holdout=_parse_classes("--holdout", args.holdout),
         fractions=fractions,
         epsilon=args.epsilon,
         learn_fraction=args.learn_fraction,

@@ -4,17 +4,17 @@ Externally computed binary-classifier verdicts are read with
 :func:`edcr.io.read_conditions`.
 
 The velocity signal has one path, which the generator calls too:
-:func:`column_max_speeds` gives each record's fastest segment speed in one
-pass over flat point columns (:func:`max_speeds` flattens records into
-them), :func:`fit_velocity_thresholds` takes per-class maxima of those
-speeds, and :func:`build_velocity_conditions` compares speeds with the
-ceilings, one ``vel_over_<c>`` column per fitted class.  A rule body pairs a
-column with a predicted class, so ``vel_over_c AND pred == c`` checks each
-row against its own predicted class's ceiling.
+:func:`max_speeds` checks flat point columns against the record rules and
+gives each record's fastest segment speed in one pass over them,
+:func:`fit_velocity_thresholds` takes per-class maxima of those speeds, and
+:func:`build_velocity_conditions` compares speeds with the ceilings, one
+``vel_over_<c>`` column per fitted class.  A rule body pairs a column with a
+predicted class, so ``vel_over_c AND pred == c`` checks each row against its
+own predicted class's ceiling.
 
 The synthetic corpus is a fixed function of its arguments: for a given seed
-the records, predictions and conditions are the same floats, and so the same
-file bytes, on every run.  That holds because the generator makes its random
+the trajectories, predictions and conditions are the same floats, and so the
+same file bytes, on every run.  That holds because the generator makes its random
 draws from one ``numpy.random.Generator`` in a fixed order:
 
 1. ``integers(0, len(classes), size=n - len(classes))``: the true classes
@@ -45,8 +45,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import chain, islice, repeat
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -79,16 +78,19 @@ def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
     return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
-def _check_tracks(sample_ids: Sequence[str], counts: np.ndarray, t, lat, lon) -> None:
+def _check_tracks(sample_ids: Sequence[str], counts, t, lat, lon):
     """The record rules over flat point columns, ``counts[k]`` points for
     record k in record order: at least 2 points, finite and strictly
     increasing timestamps, latitude in [-90, 90] and longitude in
     [-180, 180].  The first fault, by record, then point, then rule in that
-    order, is a :class:`DataError` naming its record."""
+    order, is a :class:`DataError` naming its record.  Returns the counts as
+    ``intp`` and the point columns as ``float64`` arrays."""
     counts = np.asarray(counts, dtype=np.intp)
     t, lat, lon = (np.asarray(column, dtype=np.float64) for column in (t, lat, lon))
     if not (len(sample_ids) == len(counts) and int(counts.sum()) == len(t) == len(lat) == len(lon)):
         raise ContractError("point columns do not match the per-record counts")
+    if (counts < 0).any():
+        raise ContractError(f"point counts must be non-negative, got {int(counts.min())}")
     ends = np.cumsum(counts)
     previous = np.concatenate(([-np.inf], t[:-1]))
     previous[(ends - counts)[counts > 0]] = -np.inf
@@ -100,7 +102,7 @@ def _check_tracks(sample_ids: Sequence[str], counts: np.ndarray, t, lat, lon) ->
     if len(short):
         raise DataError(f"trajectory {sample_ids[short[0]]!r} needs at least 2 points")
     if point == len(t):
-        return
+        return counts, t, lat, lon
     name = sample_ids[record]
     if bad_t[point]:
         if not math.isfinite(t[point]):
@@ -111,47 +113,12 @@ def _check_tracks(sample_ids: Sequence[str], counts: np.ndarray, t, lat, lon) ->
     raise DataError(f"trajectory {name!r}: longitude {float(lon[point])} out of range")
 
 
-@dataclass(frozen=True, slots=True)
-class TrajectoryRecord:
-    """A timestamped GPS point sequence: (t seconds since epoch, lat, lon)."""
-
-    sample_id: str
-    points: tuple[tuple[float, float, float], ...]
-    label: str | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "points", tuple(map(tuple, self.points)))
-        columns = np.array(self.points, dtype=np.float64).reshape(-1, 3).T
-        _check_tracks((self.sample_id,), [len(self.points)], *columns)
-
-    @classmethod
-    def _from_checked(cls, sample_id: str, points: tuple, label: str | None) -> "TrajectoryRecord":
-        """A record whose points already passed :func:`_check_tracks` as
-        columns, built without checking them again one record at a time."""
-        record = object.__new__(cls)
-        object.__setattr__(record, "sample_id", sample_id)
-        object.__setattr__(record, "points", points)
-        object.__setattr__(record, "label", label)
-        return record
-
-
-def max_speeds(records: Sequence[TrajectoryRecord]) -> np.ndarray:
-    """Each record's fastest segment speed in m/s, as one float64 array:
-    :func:`column_max_speeds` over the records' points as flat columns."""
-    counts = np.fromiter(map(len, (r.points for r in records)), np.intp, len(records))
-    flat = np.fromiter(
-        chain.from_iterable(chain.from_iterable(r.points for r in records)),
-        np.float64,
-        3 * int(counts.sum()),
-    )
-    return column_max_speeds(counts, flat[0::3], flat[1::3], flat[2::3])
-
-
-def column_max_speeds(counts: np.ndarray, t: np.ndarray, lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+def max_speeds(sample_ids: Sequence[str], counts, t, lat, lon) -> np.ndarray:
     """Each record's fastest segment speed in m/s, given flat point columns
-    with ``counts[k]`` (at least 2) points for record k in record order: the
-    haversine distance of each consecutive point pair over its elapsed time,
-    the same floats as :func:`haversine_m` divided in Python, bit for bit.
+    with ``counts[k]`` points for ``sample_ids[k]`` in record order, checked
+    first by :func:`_check_tracks`: the haversine distance of each consecutive
+    point pair over its elapsed time, the same floats as :func:`haversine_m`
+    divided in Python, bit for bit.
 
     numpy does only the correctly rounded steps of :func:`haversine_m`
     (subtraction, ``radians``, halving, products, sums, ``sqrt``, ``min`` and
@@ -160,6 +127,7 @@ def column_max_speeds(counts: np.ndarray, t: np.ndarray, lat: np.ndarray, lon: n
     ``pow`` and not always equal to ``x * x`` -- goes through the same Python
     function as there, because numpy's versions may round differently.
     """
+    counts, t, lat, lon = _check_tracks(sample_ids, counts, t, lat, lon)
     if not len(counts):
         return np.empty(0)
     # segment k joins points k and k + 1, except where k is a record's last point
@@ -196,11 +164,12 @@ def fit_velocity_thresholds(
     """
     if len(labels) != len(speeds):
         raise ContractError(f"{len(labels)} labels for {len(speeds)} speeds")
+    speeds = _require_speeds(speeds, lambda k: f"speed at index {k}")
     maxima: dict[str, float] = {}
-    for label, speed in zip(labels, np.asarray(speeds, dtype=float).tolist()):
+    for label, speed in zip(labels, speeds.tolist()):
         if label is None:
             raise ContractError("every training record needs a class label")
-        if speed > maxima.get(label, -1.0):
+        if label not in maxima or speed > maxima[label]:
             maxima[label] = speed
     if classes is not None:
         missing = [name for name in classes if name not in maxima]
@@ -209,6 +178,16 @@ def fit_velocity_thresholds(
     if not maxima:
         raise ContractError("no training records supplied")
     return maxima
+
+
+def _require_speeds(values, describe) -> np.ndarray:
+    """``values`` as float64 when each is finite and >= 0; otherwise a
+    :class:`ContractError` naming the first other one, by ``describe(k)``."""
+    values = np.asarray(values, dtype=np.float64)
+    bad = np.flatnonzero(~((0.0 <= values) & (values < np.inf)))  # also true for NaN
+    if len(bad):
+        raise ContractError(f"{describe(int(bad[0]))} must be finite and >= 0, got {float(values[bad[0]])}")
+    return values
 
 
 def velocity_condition_name(class_name: str) -> str:
@@ -223,7 +202,7 @@ def build_velocity_conditions(thresholds: Mapping[str, float], speeds: np.ndarra
     fastest training record of that class.
     """
     names = sorted(thresholds)
-    ceilings = np.array([thresholds[c] for c in names], dtype=float)
+    ceilings = _require_speeds([thresholds[c] for c in names], lambda j: f"ceiling of class {names[j]!r}")
     over = np.asarray(speeds, dtype=float)[:, None] > ceilings
     return ConditionMatrix(tuple(map(velocity_condition_name, names)), over)
 
@@ -261,9 +240,8 @@ class SyntheticCorpus:
     the full condition matrix (binary-classifier verdicts, their complements,
     and velocity outliers), the fitted velocity ceilings, and the raw
     trajectories as flat point columns ``t``, ``lat`` and ``lon`` with
-    ``counts[k]`` points for the table's k-th sample.  The columns are checked
-    against the record rules once, on construction; :attr:`records` builds
-    the :class:`TrajectoryRecord` tuples from them on first access."""
+    ``counts[k]`` points for the table's k-th sample, checked against the
+    record rules once, by :func:`max_speeds` in the generator."""
 
     table: PredictionTable
     conditions: ConditionMatrix
@@ -272,19 +250,6 @@ class SyntheticCorpus:
     t: np.ndarray
     lat: np.ndarray
     lon: np.ndarray
-
-    def __post_init__(self) -> None:
-        _check_tracks(self.table.sample_ids, self.counts, self.t, self.lat, self.lon)
-
-    @cached_property
-    def records(self) -> tuple[TrajectoryRecord, ...]:
-        """One record per sample, labelled with its ground-truth class."""
-        points = zip(self.t.tolist(), self.lat.tolist(), self.lon.tolist())
-        labels = self.table.names(self.table.gt_ids)
-        return tuple(
-            TrajectoryRecord._from_checked(sample_id, tuple(islice(points, count)), label)
-            for sample_id, count, label in zip(self.table.sample_ids, self.counts.tolist(), labels)
-        )
 
 
 def _confusion_order(true_class: str, visible: Sequence[str]) -> list[str]:
@@ -413,7 +378,7 @@ def generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
-    speeds = column_max_speeds(counts, t, lat, lon)
+    speeds = max_speeds(sample_ids, counts, t, lat, lon)
     fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
     thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
     velocity = build_velocity_conditions(thresholds, speeds)

@@ -65,7 +65,7 @@ from .core import (
     id_column,
     name_column,
 )
-from .conditions import TrajectoryRecord
+from .conditions import _check_tracks
 from .evaluate import MetricsReport, SweepRow, UnseenRow
 from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
 from .theory import TheoremReport
@@ -460,63 +460,17 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
 # ---------------------------------------------------------------------------
 
 
-def read_trajectories(path) -> tuple[TrajectoryRecord, ...]:
-    """Read a trajectory CSV; points of one sample must be contiguous with
-    idx counting up from 0.  A sample that :class:`TrajectoryRecord` rejects
-    (too few points, a non-finite or non-increasing timestamp, a coordinate
-    out of range) is a :class:`DataError` naming its first line."""
-    path = Path(path)
-    records: list[TrajectoryRecord] = []
-    current_id: str | None = None
-    first_line = 0  # line of the current sample's first point
-    points: list[tuple[float, float, float]] = []
-    seen: set[str] = set()
-
-    def flush() -> None:
-        nonlocal points
-        if current_id is None:
-            return
-        try:
-            records.append(TrajectoryRecord(current_id, tuple(points)))
-        except DataError as err:
-            raise _parse_error(path, first_line, str(err)) from None
-        points = []
-
-    with _csv_file(path) as (header, reader):
-        if header != ["sample_id", "idx", "t", "lat", "lon"]:
-            raise _parse_error(path, 1, f"expected header sample_id,idx,t,lat,lon; got {','.join(header)}")
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            _check_width(path, line_no, row, 5)
-            sample_id = row[0]
-            try:
-                idx = int(row[1])
-                t, lat, lon = float(row[2]), float(row[3]), float(row[4])
-            except ValueError as err:
-                raise _parse_error(path, line_no, str(err)) from None
-            if sample_id != current_id:
-                flush()
-                if sample_id in seen:
-                    raise _parse_error(path, line_no, f"sample {sample_id!r} rows are not contiguous")
-                seen.add(sample_id)
-                current_id, first_line = sample_id, line_no
-                if idx != 0:
-                    raise _parse_error(path, line_no, f"first point of {sample_id!r} must have idx 0")
-            elif idx != len(points):
-                raise _parse_error(path, line_no, f"expected idx {len(points)} for {sample_id!r}, got {idx}")
-            points.append((t, lat, lon))
-        flush()
-    return tuple(records)
-
-
-def write_trajectories(path, records: Sequence[TrajectoryRecord]) -> None:
-    rows = (
-        (record.sample_id, idx, t, lat, lon)
-        for record in records
-        for idx, (t, lat, lon) in enumerate(record.points)
+def write_trajectories(path, sample_ids: Sequence[str], counts, t, lat, lon) -> None:
+    """One row per point of flat point columns with ``counts[k]`` points for
+    ``sample_ids[k]``: the id, ``idx`` from 0, and the floats by ``repr``.
+    Columns that break the record rules are a :class:`DataError`."""
+    counts, t, lat, lon = _check_tracks(sample_ids, counts, t, lat, lon)
+    columns = (
+        list(chain.from_iterable(map(repeat, sample_ids, counts.tolist()))),
+        list(map(str, chain.from_iterable(map(range, counts.tolist())))),
+        *(list(map(repr, column.tolist())) for column in (t, lat, lon)),
     )
-    write_csv_rows(path, ("sample_id", "idx", "t", "lat", "lon"), rows)
+    _write_columns(path, ("sample_id", "idx", "t", "lat", "lon"), columns)
 
 
 # ---------------------------------------------------------------------------

@@ -18,9 +18,10 @@ the packed correction walk to agree with.  ``reference_read_predictions``,
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
 that sorted a structured view, for the byte-level readers, the columnar
 writers and the 1-D void ``unique`` to agree with.  ``trajectory_speed``
-keeps the scalar per-record speed profile, for ``max_speeds`` to agree with,
-and ``reference_track_fault`` the point-by-point record rules, for the
-vectorised column check to agree with.
+keeps the scalar per-record speed profile over a tuple of ``(t, lat, lon)``
+points, for ``max_speeds`` to agree with, and ``reference_track_fault`` the
+point-by-point record rules, for the vectorised column check to agree with.
+``point_tuples`` splits flat point columns into those tuples.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -52,7 +54,6 @@ from edcr.conditions import (
     _SPEED_SPREAD,
     DEFAULT_SPEED_REGIMES,
     EARTH_RADIUS_M,
-    TrajectoryRecord,
     binary_condition_name,
     haversine_m,
     negated_condition_name,
@@ -279,22 +280,29 @@ def reference_track_fault(sample_id: str, points) -> str | None:
     return None
 
 
-def trajectory_speed(record: TrajectoryRecord) -> SpeedProfile:
+def trajectory_speed(points) -> SpeedProfile:
     """Haversine distance over elapsed time for each consecutive point pair."""
     speeds = []
-    for (t0, lat0, lon0), (t1, lat1, lon1) in zip(record.points, record.points[1:]):
+    for (t0, lat0, lon0), (t1, lat1, lon1) in zip(points, points[1:]):
         speeds.append(haversine_m(lat0, lon0, lat1, lon1) / (t1 - t0))
     return SpeedProfile(tuple(speeds), max(speeds))
 
 
-def _reference_fit_velocity_thresholds(training, classes=None) -> dict[str, float]:
+def point_tuples(counts, t, lat, lon) -> list[tuple[tuple[float, float, float], ...]]:
+    """Flat point columns split into one tuple of ``(t, lat, lon)`` points per
+    record, ``counts[k]`` for record k."""
+    points = zip(np.asarray(t).tolist(), np.asarray(lat).tolist(), np.asarray(lon).tolist())
+    return [tuple(islice(points, count)) for count in np.asarray(counts).tolist()]
+
+
+def _reference_fit_velocity_thresholds(labels, tracks, classes=None) -> dict[str, float]:
     maxima: dict[str, float] = {}
-    for record in training:
-        if record.label is None:
-            raise ContractError(f"training record {record.sample_id!r} has no class label")
-        speed = trajectory_speed(record).max_speed
-        if speed > maxima.get(record.label, -1.0):
-            maxima[record.label] = speed
+    for label, points in zip(labels, tracks):
+        if label is None:
+            raise ContractError("every training record needs a class label")
+        speed = trajectory_speed(points).max_speed
+        if label not in maxima or speed > maxima[label]:
+            maxima[label] = speed
     if classes is not None:
         missing = [name for name in classes if name not in maxima]
         if missing:
@@ -304,11 +312,11 @@ def _reference_fit_velocity_thresholds(training, classes=None) -> dict[str, floa
     return maxima
 
 
-def _reference_build_velocity_conditions(thresholds, records):
-    maxima = [trajectory_speed(record).max_speed for record in records]
+def _reference_build_velocity_conditions(thresholds, tracks):
+    maxima = [trajectory_speed(points).max_speed for points in tracks]
     class_names = sorted(thresholds)
     names = [velocity_condition_name(c) for c in class_names]
-    values = np.zeros((len(records), len(names)), dtype=bool)
+    values = np.zeros((len(tracks), len(names)), dtype=bool)
     for j, class_name in enumerate(class_names):
         values[:, j] = np.asarray(maxima) > thresholds[class_name]
     return ConditionMatrix(tuple(names), values)
@@ -319,7 +327,7 @@ def _reference_confusion_order(true_class, visible, regimes):
     return sorted(others, key=lambda c: abs(math.log(regimes[c]) - math.log(regimes[true_class])))
 
 
-def _reference_make_trajectory(rng, sample_id, label, mean_speed) -> TrajectoryRecord:
+def _reference_make_trajectory(rng, sample_id, mean_speed) -> tuple[tuple[float, float, float], ...]:
     n_points = int(rng.integers(6, 15))
     base = mean_speed * math.exp(rng.normal(0.0, _SPEED_SPREAD))
     lat = float(rng.uniform(-0.2, 0.2))
@@ -337,15 +345,19 @@ def _reference_make_trajectory(rng, sample_id, label, mean_speed) -> TrajectoryR
         lon += step * math.sin(heading) / (meters_per_degree * math.cos(math.radians(lat)))
         t += dt
         points.append((t, lat, lon))
-    return TrajectoryRecord(sample_id, tuple(points), label)
+    fault = reference_track_fault(sample_id, points)
+    if fault is not None:
+        raise DataError(fault)
+    return tuple(points)
 
 
 @dataclass(frozen=True)
 class ReferenceCorpus:
     """What :func:`reference_generate_synthetic` builds: the fields of
-    ``SyntheticCorpus`` that ``same_corpus`` compares, records included."""
+    ``SyntheticCorpus`` that ``same_corpus`` compares, with the trajectories
+    as one tuple of ``(t, lat, lon)`` points per sample."""
 
-    records: tuple[TrajectoryRecord, ...]
+    tracks: tuple[tuple[tuple[float, float, float], ...], ...]
     table: PredictionTable
     conditions: ConditionMatrix
     thresholds: dict[str, float]
@@ -359,10 +371,10 @@ def reference_generate_synthetic(
     condition_noise: float = 0.05,
 ) -> ReferenceCorpus:
     """The synthetic generator with one numpy call per ``uniform``/``normal``
-    draw, the recurrence point by point in Python, one checked
-    ``TrajectoryRecord`` per sample, a re-sort of the confusion order per
-    wrong sample, and one scalar haversine pass each for the threshold fit and
-    the velocity columns."""
+    draw, the recurrence point by point in Python, one tuple of points per
+    sample checked by the point-by-point record rules, a re-sort of the
+    confusion order per wrong sample, and one scalar haversine pass each for
+    the threshold fit and the velocity columns."""
     regimes = DEFAULT_SPEED_REGIMES
     names = tuple(regimes)
     if n_samples < len(names):
@@ -386,9 +398,9 @@ def reference_generate_synthetic(
     truth = list(names) + [
         names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
     ]
-    records = tuple(
-        _reference_make_trajectory(rng, f"s{k:05d}", truth[k], regimes[truth[k]])
-        for k in range(n_samples)
+    sample_ids = [f"s{k:05d}" for k in range(n_samples)]
+    tracks = tuple(
+        _reference_make_trajectory(rng, sample_ids[k], regimes[truth[k]]) for k in range(n_samples)
     )
 
     predicted: list[str] = []
@@ -405,9 +417,7 @@ def reference_generate_synthetic(
             predicted.append(order[0])
 
     classes = ClassSet(visible)
-    table = PredictionTable.from_names(
-        classes, [r.sample_id for r in records], predicted, truth
-    )
+    table = PredictionTable.from_names(classes, sample_ids, predicted, truth)
 
     cond_names: list[str] = []
     columns: list[np.ndarray] = []
@@ -420,15 +430,16 @@ def reference_generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
+    fitted = [k for k in range(n_samples) if truth[k] not in holdout]
     thresholds = _reference_fit_velocity_thresholds(
-        [r for r in records if r.label not in holdout], classes=visible
+        [truth[k] for k in fitted], [tracks[k] for k in fitted], classes=visible
     )
-    velocity = _reference_build_velocity_conditions(thresholds, records)
+    velocity = _reference_build_velocity_conditions(thresholds, tracks)
     cond_names.extend(velocity.condition_names)
     columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
-    return ReferenceCorpus(records, table, conditions, thresholds)
+    return ReferenceCorpus(tracks, table, conditions, thresholds)
 
 
 def _mask_words(mask: int) -> np.ndarray:

@@ -34,7 +34,6 @@ from edcr import (
 )
 from edcr import io
 from edcr.cli import main
-from edcr.conditions import TrajectoryRecord
 from edcr.rules import DetectionRule
 from helpers import make_conds, make_table, random_instance
 
@@ -316,8 +315,7 @@ def test_criterion_8_pipeline_determinism_and_roundtrip(tmp_path):
 
 def test_criterion_9_haversine_pin():
     """One millidegree of latitude over 10 s is 11.12 m/s within 0.01."""
-    record = TrajectoryRecord("pin", ((0.0, 0.0, 0.0), (10.0, 0.001, 0.0)))
-    speed = float(max_speeds([record])[0])
+    speed = float(max_speeds(["pin"], [2], [0.0, 10.0], [0.0, 0.001], [0.0, 0.0])[0])
     assert speed == pytest.approx(11.12, abs=0.01)
     # frozen independent hand computation: R * radians(0.001) / 10
     assert speed == pytest.approx(11.119492664455874, rel=1e-12)

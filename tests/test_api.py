@@ -41,7 +41,6 @@ PUBLIC_API = [
     "ScoringMode",
     "Split",
     "TheoremReport",
-    "TrajectoryRecord",
     "UNKNOWN_NAME",
     "UnknownClassError",
     "UnknownConditionError",

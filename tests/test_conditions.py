@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from edcr import (
     ContractError,
     DataError,
-    TrajectoryRecord,
+    EdcrError,
     UnknownClassError,
     UnknownConditionError,
     accuracy,
@@ -16,12 +15,14 @@ from edcr import (
     fit_velocity_thresholds,
     generate_synthetic,
     haversine_m,
+    io,
     max_speeds,
 )
-from edcr.conditions import DEFAULT_SPEED_REGIMES, _check_tracks, column_max_speeds
+from edcr.conditions import DEFAULT_SPEED_REGIMES
 from edcr.io import read_conditions
 from helpers import (
     make_table,
+    point_tuples,
     reference_generate_synthetic,
     reference_track_fault,
     same_table,
@@ -33,28 +34,55 @@ from helpers import (
 MILLIDEGREE_M = 6_371_000.0 * 0.001 * math.pi / 180.0  # 111.19492664455874
 
 
-def track(points, sample_id="t0", label=None):
-    return TrajectoryRecord(sample_id, tuple(points), label)
+def columns(tracks, ids=None):
+    """``(sample_ids, counts, t, lat, lon)`` of one list of ``(t, lat, lon)``
+    points per record."""
+    ids = [f"r{k}" for k in range(len(tracks))] if ids is None else ids
+    t, lat, lon = np.array([p for points in tracks for p in points], dtype=float).reshape(-1, 3).T
+    return ids, [len(points) for points in tracks], t, lat, lon
 
 
-class TestTrajectoryRecord:
-    def test_needs_two_points(self):
-        with pytest.raises(DataError):
-            track([(0.0, 0.0, 0.0)])
+def speeds(*tracks):
+    return max_speeds(*columns(tracks)).tolist()
 
-    def test_zero_time_delta_rejected(self):
-        with pytest.raises(DataError):
-            track([(0.0, 0.0, 0.0), (0.0, 0.001, 0.0)])
 
-    def test_decreasing_time_rejected(self):
-        with pytest.raises(DataError):
-            track([(10.0, 0.0, 0.0), (5.0, 0.001, 0.0)])
+@pytest.fixture(params=["max_speeds", "write_trajectories"])
+def entry(request, tmp_path):
+    """One of the two entries that take point columns from outside; the
+    writer must leave no file when it rejects them."""
+    def run(*column_args):
+        if request.param == "max_speeds":
+            return max_speeds(*column_args)
+        path = tmp_path / "trajectories.csv"
+        try:
+            return io.write_trajectories(path, *column_args)
+        except EdcrError:
+            assert not path.exists() and not list(tmp_path.iterdir())
+            raise
 
-    def test_coordinate_ranges(self):
-        with pytest.raises(DataError):
-            track([(0.0, 91.0, 0.0), (1.0, 0.0, 0.0)])
-        with pytest.raises(DataError):
-            track([(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)])
+    return run
+
+
+class TestRecordRules:
+    def test_needs_two_points(self, entry):
+        with pytest.raises(DataError, match="'r0' needs at least 2 points"):
+            entry(*columns([[(0.0, 0.0, 0.0)]]))
+        with pytest.raises(DataError, match="'r1' needs at least 2 points"):
+            entry(*columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], []]))
+
+    def test_zero_time_delta_rejected(self, entry):
+        with pytest.raises(DataError, match="strictly increasing"):
+            entry(*columns([[(0.0, 0.0, 0.0), (0.0, 0.001, 0.0)]]))
+
+    def test_decreasing_time_rejected(self, entry):
+        with pytest.raises(DataError, match="strictly increasing"):
+            entry(*columns([[(10.0, 0.0, 0.0), (5.0, 0.001, 0.0)]]))
+
+    def test_coordinate_ranges(self, entry):
+        with pytest.raises(DataError, match="latitude 91.0 out of range"):
+            entry(*columns([[(0.0, 91.0, 0.0), (1.0, 0.0, 0.0)]]))
+        with pytest.raises(DataError, match="longitude 181.0 out of range"):
+            entry(*columns([[(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)]]))
 
     @pytest.mark.parametrize(
         "times",
@@ -65,33 +93,49 @@ class TestTrajectoryRecord:
             (-math.inf, 1.0),
         ],
     )
-    def test_non_finite_time_rejected(self, times):
+    def test_non_finite_time_rejected(self, entry, times):
         # every comparison with NaN is false, so an order check alone passes it
         with pytest.raises(DataError, match="not finite"):
-            track([(t, 0.0, 0.0) for t in times])
+            entry(*columns([[(t, 0.0, 0.0) for t in times]]))
+
+    @pytest.mark.parametrize(
+        "counts, message",
+        [([3], "do not match"), ([3, 0], "do not match"), ([1, 1, 1], "do not match"),
+         ([3, -1], "non-negative"), ([-2, 4], "non-negative")],
+    )
+    def test_counts_that_do_not_describe_the_columns(self, entry, counts, message):
+        _, _, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
+        ids = [f"r{k}" for k in range(len(counts))]
+        with pytest.raises(ContractError, match=message):
+            entry(ids, counts, t, lat, lon)
+
+    def test_one_id_per_count(self, entry):
+        ids, counts, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
+        with pytest.raises(ContractError, match="do not match"):
+            entry(["r0", "r1"], counts, t, lat, lon)
 
 
 def segment_speeds(points):
     """Each segment's speed, as the max speed of a record of that segment alone."""
-    return max_speeds([track(pair) for pair in zip(points, points[1:])]).tolist()
+    return speeds(*zip(points, points[1:]))
 
 
 class TestSegmentSpeeds:
     def test_stationary(self):
-        assert max_speeds([track([(0.0, 1.0, 2.0), (10.0, 1.0, 2.0)])]).tolist() == [0.0]
+        assert speeds([(0.0, 1.0, 2.0), (10.0, 1.0, 2.0)]) == [0.0]
 
     def test_millidegree_pin(self):
-        [speed] = max_speeds([track([(0.0, 0.0, 0.0), (10.0, 0.001, 0.0)])]).tolist()
+        [speed] = speeds([(0.0, 0.0, 0.0), (10.0, 0.001, 0.0)])
         assert speed == pytest.approx(MILLIDEGREE_M / 10.0, rel=1e-9)
         assert speed == pytest.approx(11.12, abs=0.01)
         assert haversine_m(0.0, 0.0, 0.001, 0.0) == pytest.approx(111.19, abs=0.01)
 
     def test_three_points_two_segments(self):
         points = [(0.0, 0.0, 0.0), (10.0, 0.001, 0.0), (15.0, 0.002, 0.0)]
-        speeds = segment_speeds(points)
-        assert len(speeds) == 2
-        assert max_speeds([track(points)]).tolist() == [max(speeds)]
-        assert speeds[1] == pytest.approx(2 * speeds[0], rel=1e-9)
+        per_segment = segment_speeds(points)
+        assert len(per_segment) == 2
+        assert speeds(points) == [max(per_segment)]
+        assert per_segment[1] == pytest.approx(2 * per_segment[0], rel=1e-9)
 
     @given(
         st.floats(-80.0, 80.0),
@@ -115,8 +159,8 @@ def trajectory_batches(draw):
     coordinate = st.floats(-90.0, 90.0) | st.sampled_from([-90.0, 0.0, 90.0])
     longitude = st.floats(-180.0, 180.0) | st.sampled_from([-180.0, 0.0, 180.0])
     step = st.floats(1e-300, 1e300) | st.floats(1.0, 20.0)
-    records = []
-    for k in range(draw(st.integers(0, 6))):
+    tracks = []
+    for _ in range(draw(st.integers(0, 6))):
         t = draw(st.floats(-1e9, 1e9))
         lat, lon = draw(coordinate), draw(longitude)
         points = [(t, lat, lon)]
@@ -134,15 +178,19 @@ def trajectory_batches(draw):
                 lat, lon = -lat, lon - 180.0 if lon > 0.0 else lon + 180.0
             points.append((t, lat, lon))  # "same" repeats the point: zero distance
         if len(points) >= 2:
-            records.append(track(points, f"r{k}"))
-    return records
+            tracks.append(points)
+    return tracks
+
+
+def same_floats(got, expected) -> bool:
+    return [repr(v) for v in got] == [repr(v) for v in expected]
 
 
 class TestMaxSpeeds:
     @given(trajectory_batches())
-    def test_same_floats_as_trajectory_speed(self, records):
-        expected = [trajectory_speed(record).max_speed for record in records]
-        assert [repr(v) for v in max_speeds(records).tolist()] == [repr(v) for v in expected]
+    def test_same_floats_as_trajectory_speed(self, tracks):
+        expected = [trajectory_speed(points).max_speed for points in tracks]
+        assert same_floats(speeds(*tracks), expected)
 
     def test_same_floats_on_many_segments(self):
         # one segment per record, so every segment's float is compared; about
@@ -155,64 +203,87 @@ class TestMaxSpeeds:
         lon2 = np.clip(lon + rng.normal(0.0, 2.0, n) * spread, -180.0, 180.0)
         dt = rng.uniform(1.0, 20.0, n)
         rows = zip(lat.tolist(), lon.tolist(), dt.tolist(), lat2.tolist(), lon2.tolist())
-        records = [track([(0.0, a, b), (t, c, d)], f"r{k}") for k, (a, b, t, c, d) in enumerate(rows)]
-        expected = [trajectory_speed(record).max_speed for record in records]
-        assert [repr(v) for v in max_speeds(records).tolist()] == [repr(v) for v in expected]
+        tracks = [[(0.0, a, b), (t, c, d)] for a, b, t, c, d in rows]
+        expected = [trajectory_speed(points).max_speed for points in tracks]
+        assert same_floats(speeds(*tracks), expected)
 
 
 class TestVelocityThresholds:
-    def walk_track(self, speed, sample_id, label="walk"):
+    def walk_track(self, speed):
         dlat = speed * 10.0 / (6_371_000.0 * math.pi / 180.0)
-        return track([(0.0, 0.0, 0.0), (10.0, dlat, 0.0)], sample_id, label)
+        return [(0.0, 0.0, 0.0), (10.0, dlat, 0.0)]
 
-    def fit(self, records, classes=None):
-        return fit_velocity_thresholds([r.label for r in records], max_speeds(records), classes)
+    def fit(self, speeds_and_labels, classes=None):
+        tracks = [self.walk_track(speed) for speed, _ in speeds_and_labels]
+        return fit_velocity_thresholds([label for _, label in speeds_and_labels], speeds(*tracks), classes)
 
     def test_single_record_per_class(self):
-        thresholds = self.fit([self.walk_track(2.0, "w0")])
+        thresholds = self.fit([(2.0, "walk")])
         assert thresholds["walk"] == pytest.approx(2.0, rel=1e-6)
 
     def test_max_of_two_records(self):
-        thresholds = self.fit([self.walk_track(1.8, "w0"), self.walk_track(2.2, "w1")])
+        thresholds = self.fit([(1.8, "walk"), (2.2, "walk")])
         assert thresholds["walk"] == pytest.approx(2.2, rel=1e-6)
 
     def test_mixed_corpus_per_class_maxima(self):
-        records = [
-            self.walk_track(1.5, "w0"),
-            self.walk_track(2.0, "w1"),
-            self.walk_track(5.0, "b0", label="bike"),
-            self.walk_track(4.0, "b1", label="bike"),
-        ]
-        thresholds = self.fit(records)
+        thresholds = self.fit([(1.5, "walk"), (2.0, "walk"), (5.0, "bike"), (4.0, "bike")])
         assert thresholds["walk"] == pytest.approx(2.0, rel=1e-6)
         assert thresholds["bike"] == pytest.approx(5.0, rel=1e-6)
 
     def test_missing_class_error(self):
         with pytest.raises(UnknownClassError):
-            self.fit([self.walk_track(2.0, "w0")], classes=["walk", "bike"])
+            self.fit([(2.0, "walk")], classes=["walk", "bike"])
 
     def test_unlabeled_record_rejected(self):
         with pytest.raises(ContractError):
-            self.fit([self.walk_track(2.0, "w0", label=None)])
+            self.fit([(2.0, None)])
 
     def test_one_label_per_speed(self):
         with pytest.raises(ContractError, match="labels"):
             fit_velocity_thresholds(["walk", "bike"], np.array([1.0]))
 
+    def test_zero_speed_is_a_ceiling(self):
+        assert fit_velocity_thresholds(["a", "a"], [0.0, 0.0]) == {"a": 0.0}
+
+    @pytest.mark.parametrize(
+        "labels, values, index, text",
+        [
+            (["a", "b"], [math.nan, 1.0], 0, "nan"),
+            (["a"], [-5.0], 0, "-5.0"),
+            (["a"], [-0.5], 0, "-0.5"),
+            (["a", "a"], [1.0, math.inf], 1, "inf"),
+            (["a", "b"], [1.0, -math.inf], 1, "-inf"),
+        ],
+    )
+    def test_speed_must_be_finite_and_non_negative(self, labels, values, index, text):
+        message = f"speed at index {index} must be finite and >= 0, got {text}$"
+        with pytest.raises(ContractError, match=message):
+            fit_velocity_thresholds(labels, np.array(values))
+
+    @pytest.mark.parametrize("ceiling", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_ceiling_must_be_finite_and_non_negative(self, ceiling):
+        message = f"ceiling of class 'a' must be finite and >= 0, got {ceiling}$"
+        with pytest.raises(ContractError, match=message):
+            build_velocity_conditions({"b": 1.0, "a": ceiling}, np.array([1.0]))
+
+    def test_infinite_speed_is_over_every_ceiling(self):
+        # max_speeds gives inf when a distance over a tiny time step overflows
+        matrix = build_velocity_conditions({"a": 1.0}, np.array([0.5, math.inf]))
+        assert matrix.column("vel_over_a").tolist() == [False, True]
+
     def test_monotone_in_training_data(self):
-        base = [self.walk_track(2.0, "w0")]
-        more = base + [self.walk_track(3.0, "w1")]
-        assert self.fit(more)["walk"] >= self.fit(base)["walk"]
+        base = [(2.0, "walk")]
+        assert self.fit(base + [(3.0, "walk")])["walk"] >= self.fit(base)["walk"]
 
     def test_own_class_strict_boundary(self):
         # a record is over its predicted class c when vel_over_c holds on its
         # row with pred == c, which needs it strictly faster than c's ceiling
-        speeds = max_speeds([self.walk_track(2.0, "w0")])
-        exact = float(speeds[0])
+        walked = np.array(speeds(self.walk_track(2.0)))
+        exact = float(walked[0])
         table = make_table(["walk", "bike"], ["walk"])
 
         def over(ceiling):
-            matrix = build_velocity_conditions({"walk": ceiling, "bike": 0.0}, speeds)
+            matrix = build_velocity_conditions({"walk": ceiling, "bike": 0.0}, walked)
             return bool((matrix.column("vel_over_walk") & (table.pred_ids == 0))[0])
 
         assert over(exact) is False  # equality is not over
@@ -220,16 +291,15 @@ class TestVelocityThresholds:
         assert over(exact * 2) is False
 
     def test_unfitted_class_has_no_column(self):
-        speeds = max_speeds([self.walk_track(2.0, "w0")])
-        matrix = build_velocity_conditions({"bike": 5.0}, speeds)
+        matrix = build_velocity_conditions({"bike": 5.0}, np.array(speeds(self.walk_track(2.0))))
         assert matrix.condition_names == ("vel_over_bike",)
         with pytest.raises(UnknownConditionError):
             matrix.column("vel_over_walk")
 
     def test_build_matrix_per_class_and_own_class(self):
-        speeds = max_speeds([self.walk_track(1.0, "r0"), self.walk_track(9.0, "r1")])
+        record_speeds = np.array(speeds(self.walk_track(1.0), self.walk_track(9.0)))
         thresholds = {"walk": 2.0, "bike": 6.0}
-        per_class = build_velocity_conditions(thresholds, speeds)
+        per_class = build_velocity_conditions(thresholds, record_speeds)
         assert per_class.condition_names == ("vel_over_bike", "vel_over_walk")
         assert per_class.column("vel_over_walk").tolist() == [False, True]
         assert per_class.column("vel_over_bike").tolist() == [False, True]
@@ -242,7 +312,7 @@ class TestVelocityThresholds:
         assert own.tolist() == [False, True]
 
     def test_no_records(self):
-        matrix = build_velocity_conditions({"walk": 1.0}, max_speeds([]))
+        matrix = build_velocity_conditions({"walk": 1.0}, max_speeds([], [], [], [], []))
         assert matrix.condition_names == ("vel_over_walk",) and matrix.values.shape == (0, 1)
 
 
@@ -250,7 +320,8 @@ class TestGenerateSynthetic:
     def test_same_seed_identical(self):
         a = generate_synthetic(seed=9, n_samples=120, noise=0.2)
         b = generate_synthetic(seed=9, n_samples=120, noise=0.2)
-        assert a.records == b.records
+        for name in ("counts", "t", "lat", "lon"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
         assert same_table(a.table, b.table)
         assert a.conditions.condition_names == b.conditions.condition_names
         assert np.array_equal(a.conditions.values, b.conditions.values)
@@ -317,14 +388,17 @@ class TestGenerateSynthetic:
             generate_synthetic(seed=seed, n_samples=10)
 
 
-def same_corpus(a, b) -> bool:
-    """Field by field; floats by ``repr``, which is what the CSV writers emit,
-    so ``0.0`` and ``-0.0`` differ."""
-    def records(corpus):
-        return [(r.sample_id, repr(r.points), r.label) for r in corpus.records]
+def tracks_of(corpus):
+    """A generated corpus's point columns as one tuple of points per sample."""
+    return point_tuples(corpus.counts, corpus.t, corpus.lat, corpus.lon)
 
+
+def same_corpus(a, b) -> bool:
+    """A generated corpus ``a`` against the reference generator's ``b``, field
+    by field; floats by ``repr``, which is what the CSV writers emit, so
+    ``0.0`` and ``-0.0`` differ."""
     return (
-        records(a) == records(b)
+        repr(tracks_of(a)) == repr(list(b.tracks))
         and same_table(a.table, b.table)
         and a.table.gt_ids.tolist() == b.table.gt_ids.tolist()
         and a.table.novel_names == b.table.novel_names
@@ -376,9 +450,9 @@ class TestGeneratorMatchesReference:
     def test_any_configuration(self, args):
         corpus = generate_synthetic(**args)
         assert same_corpus(corpus, reference_generate_synthetic(**args))
-        # the speeds the generator fitted on are those of its records
-        used = column_max_speeds(corpus.counts, corpus.t, corpus.lat, corpus.lon)
-        assert list(map(repr, max_speeds(corpus.records).tolist())) == list(map(repr, used.tolist()))
+        # the speeds of the generated columns are those of its point tuples
+        used = max_speeds(corpus.table.sample_ids, corpus.counts, corpus.t, corpus.lat, corpus.lon)
+        assert same_floats(used.tolist(), [trajectory_speed(p).max_speed for p in tracks_of(corpus)])
 
 
 def broken_columns(corpus, fault):
@@ -400,7 +474,7 @@ def broken_columns(corpus, fault):
         lat[point] = 90.5
     else:
         lon[point] = -181.0
-    return dict(counts=counts, t=t, lat=lat, lon=lon)
+    return counts, t, lat, lon
 
 
 edge_points = st.tuples(
@@ -411,37 +485,57 @@ edge_points = st.tuples(
 
 
 @settings(max_examples=300)
-@given(st.lists(st.lists(edge_points, max_size=4), max_size=5))
-def test_column_check_reports_the_first_faulty_record(tracks):
-    """Over several records, the column check raises the point-by-point
-    rules' message for the first record that breaks one, or nothing."""
-    ids = tuple(f"r{k}" for k in range(len(tracks)))
-    faults = (reference_track_fault(sample_id, points) for sample_id, points in zip(ids, tracks))
+@given(
+    st.lists(st.lists(edge_points, max_size=4), max_size=5),
+    st.sampled_from(["as drawn", "zero", "negative", "plus one", "minus one", "moved"]),
+    st.data(),
+)
+def test_column_check_reports_the_first_faulty_record(tracks, edit, data):
+    """Over several records, with counts as drawn or edited: counts that do
+    not split the columns (a negative one, or a sum off by one) are a
+    ``ContractError``; counts that do split them give the point-by-point
+    rules' message for the first record of that split that breaks one, or,
+    when none does, the scalar reference speeds, float for float."""
+    ids, counts, t, lat, lon = columns(tracks)
+    if counts and edit != "as drawn":
+        k = data.draw(st.integers(0, len(counts) - 1))
+        if edit == "zero":
+            counts[k] = 0
+        elif edit == "negative":
+            counts[k] = -data.draw(st.integers(1, 3))
+        elif edit == "moved" and len(counts) > 1:  # the sum stays; the split moves
+            shift = data.draw(st.integers(1, 3))
+            counts[k] -= shift
+            counts[(k + 1) % len(counts)] += shift
+        else:
+            counts[k] += 1 if edit == "plus one" else -1
+    if min(counts, default=0) < 0 or sum(counts) != len(t):
+        with pytest.raises(ContractError):
+            max_speeds(ids, counts, t, lat, lon)
+        return
+    split = point_tuples(counts, t, lat, lon)
+    faults = (reference_track_fault(sample_id, points) for sample_id, points in zip(ids, split))
     expected = next((fault for fault in faults if fault is not None), None)
-    columns = np.array([p for points in tracks for p in points], dtype=float).reshape(-1, 3).T
     try:
-        _check_tracks(ids, [len(points) for points in tracks], *columns)
-        got = None
+        got = max_speeds(ids, counts, t, lat, lon).tolist()
     except DataError as err:
-        got = str(err)
-    assert got == expected
+        assert str(err) == expected
+        return
+    assert expected is None
+    assert same_floats(got, [trajectory_speed(points).max_speed for points in split])
 
 
 @pytest.mark.parametrize("fault", ["one point", "nan t", "inf t", "repeated t", "lat 90.5", "lon -181"])
-def test_column_fault_has_the_record_message(fault):
-    """A corpus whose columns break a record rule is rejected with the message
-    that ``TrajectoryRecord`` gives the same points."""
+def test_column_fault_has_the_record_message(entry, fault):
+    """A corpus whose columns break a record rule is rejected by both entries
+    with the message that the point-by-point rules give for the same points."""
     corpus = generate_synthetic(seed=1, n_samples=8)
-    columns = broken_columns(corpus, fault)
-    start = int(columns["counts"][:2].sum())
-    end = start + int(columns["counts"][2])
-    points = zip(*(columns[name][start:end].tolist() for name in ("t", "lat", "lon")))
-    with pytest.raises(DataError) as record_error:
-        TrajectoryRecord(corpus.table.sample_ids[2], tuple(points))
-    assert "'s00002'" in str(record_error.value)
-    with pytest.raises(DataError) as column_error:
-        dataclasses.replace(corpus, **columns)
-    assert str(column_error.value) == str(record_error.value)
+    counts, t, lat, lon = broken_columns(corpus, fault)
+    expected = reference_track_fault("s00002", point_tuples(counts, t, lat, lon)[2])
+    assert expected is not None and "'s00002'" in expected
+    with pytest.raises(DataError) as error:
+        entry(corpus.table.sample_ids, counts, t, lat, lon)
+    assert str(error.value) == expected
 
 
 class TestIngestBinaryConditions:

@@ -1,11 +1,12 @@
 import csv
 import json
 from io import StringIO
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from edcr import (
     ClassSet,
@@ -17,7 +18,6 @@ from edcr import (
     DetectionRule,
     EdcrError,
     RuleSet,
-    TrajectoryRecord,
     UNKNOWN_NAME,
     UnknownClassError,
     UnknownConditionError,
@@ -30,6 +30,7 @@ from edcr.cli import main
 from helpers import (
     make_conds,
     make_table,
+    point_tuples,
     reference_read_conditions,
     reference_read_predictions,
     reference_read_trace,
@@ -506,47 +507,33 @@ class TestReadersMatchReference:
         )
 
 
+TRAJECTORY_HEADER = ("sample_id", "idx", "t", "lat", "lon")
+
+
+def trajectory_rows(sample_ids, tracks):
+    """The rows of a trajectories file: one per point, with its idx from 0."""
+    return [
+        (sample_id, idx, t, lat, lon)
+        for sample_id, points in zip(sample_ids, tracks)
+        for idx, (t, lat, lon) in enumerate(points)
+    ]
+
+
 class TestTrajectoriesFormat:
-    def test_roundtrip(self, tmp_path):
+    def test_same_bytes_as_the_row_writer(self, tmp_path):
         corpus = generate_synthetic(seed=1, n_samples=5, noise=0.2)
-        path = tmp_path / "t.csv"
-        io.write_trajectories(path, corpus.records)
-        back = io.read_trajectories(path)
-        assert len(back) == 5
-        for orig, loaded in zip(corpus.records, back):
-            assert loaded.sample_id == orig.sample_id
-            assert loaded.points == orig.points  # repr round-trips floats exactly
+        columns = (corpus.counts, corpus.t, corpus.lat, corpus.lon)
+        io.write_trajectories(tmp_path / "new.csv", corpus.table.sample_ids, *columns)
+        rows = trajectory_rows(corpus.table.sample_ids, point_tuples(*columns))
+        reference_write_csv_rows(tmp_path / "old.csv", TRAJECTORY_HEADER, rows)
+        text = (tmp_path / "new.csv").read_text()
+        assert text == (tmp_path / "old.csv").read_text()
+        assert text.count("\n") == 1 + int(corpus.counts.sum())
+        assert text.split("\n")[1] == "s00000,0," + ",".join(repr(float(c[0])) for c in columns[1:])
 
-    def test_bad_idx_sequence(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("sample_id,idx,t,lat,lon\na,0,0,0,0\na,2,1,0,0\n")
-        with pytest.raises(DataError, match=":3:"):
-            io.read_trajectories(path)
-
-    def test_non_contiguous_sample(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text(
-            "sample_id,idx,t,lat,lon\n"
-            "a,0,0,0,0\na,1,1,0,0\n"
-            "b,0,0,0,0\nb,1,1,0,0\n"
-            "a,0,5,0,0\na,1,6,0,0\n"
-        )
-        with pytest.raises(DataError, match="contiguous"):
-            io.read_trajectories(path)
-
-    @pytest.mark.parametrize(
-        "rows, line",
-        [
-            ("a,0,0,0,0\na,1,1,0,0\nb,0,5,0,0\nb,1,nan,0,0\nb,2,7,0,0\n", 4),
-            ("a,0,0,0,0\na,1,inf,0,0\n", 2),
-            ("a,0,0,0,0\na,1,1,0,0\nb,0,-inf,0,0\nb,1,1,0,0\nc,0,0,0,0\nc,1,1,0,0\n", 4),
-        ],
-    )
-    def test_non_finite_time_names_the_sample_line(self, tmp_path, rows, line):
-        path = tmp_path / "t.csv"
-        path.write_text("sample_id,idx,t,lat,lon\n" + rows)
-        with pytest.raises(DataError, match=f":{line}: .*not finite"):
-            io.read_trajectories(path)
+    def test_no_records(self, tmp_path):
+        io.write_trajectories(tmp_path / "t.csv", [], [], [], [], [])
+        assert (tmp_path / "t.csv").read_text() == "sample_id,idx,t,lat,lon\n"
 
 
 def sample_ruleset():
@@ -819,19 +806,16 @@ FINITE = {"allow_nan": False, "allow_infinity": False}
 
 
 @st.composite
-def trajectory_records(draw):
-    """Records with unique unicode ids, 2-5 points each, strictly increasing
-    finite timestamps and in-range coordinates."""
+def trajectory_tracks(draw):
+    """Unique unicode ids with 2-5 points each, strictly increasing finite
+    timestamps and in-range coordinates."""
     ids = draw(SAMPLE_IDS)
-    records = []
-    for sample_id in ids:
+    tracks = []
+    for _ in ids:
         times = draw(st.lists(st.floats(**FINITE), min_size=2, max_size=5, unique=True))
-        points = [
-            (t, draw(st.floats(-90.0, 90.0)), draw(st.floats(-180.0, 180.0)))
-            for t in sorted(times)
-        ]
-        records.append(TrajectoryRecord(sample_id, tuple(points)))
-    return records
+        coordinates = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
+        tracks.append([(t, *draw(coordinates)) for t in sorted(times)])
+    return ids, tracks
 
 
 # unicode names plus strings YAML would otherwise read as null, booleans,
@@ -864,12 +848,16 @@ def rulesets(draw):
 
 
 class TestFileFormatRoundTrip:
-    @given(records=trajectory_records())
-    def test_trajectories(self, tmp_path_factory, records):
-        path = tmp_path_factory.mktemp("tr") / "trajectories.csv"
-        io.write_trajectories(path, records)
-        back = io.read_trajectories(path)
-        assert [(r.sample_id, r.points) for r in back] == [(r.sample_id, r.points) for r in records]
+    @given(drawn=trajectory_tracks())
+    def test_trajectories(self, tmp_path_factory, drawn):
+        """The column writer writes what the csv row writer writes for the
+        same points, quoting and all."""
+        ids, tracks = drawn
+        work = tmp_path_factory.mktemp("tr")
+        columns = np.array([p for points in tracks for p in points], dtype=float).reshape(-1, 3).T
+        io.write_trajectories(work / "new.csv", ids, [len(points) for points in tracks], *columns)
+        reference_write_csv_rows(work / "old.csv", TRAJECTORY_HEADER, trajectory_rows(ids, tracks))
+        assert (work / "new.csv").read_bytes() == (work / "old.csv").read_bytes()
 
     @given(rule_set=rulesets())
     def test_ruleset(self, tmp_path_factory, rule_set):
@@ -1328,6 +1316,98 @@ class TestByteMutationFuzz:
         assert {applied, evaluated} <= {0, 2, 3}
 
 
+@pytest.fixture(scope="module")
+def argv_inputs(fuzz_inputs, tmp_path_factory):
+    """The byte-fuzz inputs, a corpus with walk held out (which ``unseen``
+    needs to exit 0), a regular file and a path that does not exist."""
+    root = tmp_path_factory.mktemp("argv")
+    held = gen_corpus(root, seed=32, samples=40, holdout="walk")
+    regular = root / "regular.txt"
+    regular.write_text("not a directory\n")
+    return {**fuzz_inputs, "held_predictions": held / "predictions.csv",
+            "held_conditions": held / "conditions.csv", "regular": regular, "absent": root / "absent.csv"}
+
+
+# flag values: numbers at and beyond every range edge, empty and malformed
+# text, and lists with empty, repeated and unknown class names; a value that
+# is a key of ``argv_inputs`` stands for that file
+NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "0.5", "1", "2", "", "x"])
+CLASS_NAMES = st.sampled_from(["walk", "bike", "bus", "drive", "train", "zeppelin", "", " walk", UNKNOWN_NAME])
+SEEDS = st.sampled_from(["0", "7", str(2**64), "-1", "1.5", "", "x"])
+FILES = st.sampled_from(["predictions", "conditions", "ruleset", "trace", "held_predictions", "absent"])
+
+
+# class=value parts, some without "=" and some with a value that is "=..."
+EPSILON_PER_CLASS = st.tuples(CLASS_NAMES, st.sampled_from(["=", "", "=="]), NUMBERS).map("".join)
+
+
+def counts(*small):
+    """Small counts that start little work, and values no count may take."""
+    return st.sampled_from([*small, "-1", "0", "", "x", "nan", "1.5"])
+
+
+def listed(parts):
+    return st.lists(parts, max_size=4).map(",".join)
+
+
+def argv_flags(command):
+    """Each flag of ``command``: the value a valid run gives it (None leaves
+    an optional flag out) and the values the fuzz draws for it."""
+    held = "held_" if command == "unseen" else ""
+    read = {"--predictions": (held + "predictions", FILES), "--conditions": (held + "conditions", FILES)}
+    epsilon = {"--epsilon": (None, NUMBERS)}
+    flags = {
+        "gen": {"--seed": (None, SEEDS), "--samples": ("12", counts("5", "12", "30")),
+                "--noise": (None, NUMBERS), "--holdout": (None, listed(CLASS_NAMES)),
+                "--condition-noise": (None, NUMBERS)},
+        "learn": {**read, **epsilon, "--epsilon-per-class": (None, listed(EPSILON_PER_CLASS))},
+        "apply": {**read, "--ruleset": ("ruleset", FILES)},
+        "eval": {"--predictions": read["--predictions"], "--trace": ("trace", FILES | st.just("")),
+                 "--mode": (None, st.sampled_from(["strict", "novel-aware", "fuzzy", ""]))},
+        "sweep": {**read, "--epsilons": (None, listed(NUMBERS)), "--learn-fraction": (None, NUMBERS)},
+        "unseen": {**read, **epsilon, "--holdout": ("walk", listed(CLASS_NAMES)),
+                   "--fractions": (None, listed(NUMBERS)), "--learn-fraction": (None, NUMBERS)},
+        "verify": {**read, **epsilon, "--trials": ("20", counts("1", "50")),
+                   "--correction-scenarios": ("2", counts("1", "3")), "--seed": (None, SEEDS)},
+    }[command]
+    return {**flags, "--out": ("out", st.just("regular"))}
+
+
+def exit_code(argv) -> int:
+    try:
+        return run(argv)
+    except SystemExit as exit:  # argparse rejects a malformed value or a missing flag
+        assert exit.code == 2, argv
+        return exit.code
+
+
+ARGV_COMMANDS = ("gen", "learn", "apply", "eval", "sweep", "unseen", "verify")
+
+
+class TestArgvFuzz:
+    """Each flag of each command given a drawn value or left out, with up to
+    two more flags drawn too and the rest as in a valid run, ends in exit 0,
+    2, 3 or 4 and raises nothing; a run that exits 0 wrote its manifest."""
+
+    @pytest.mark.parametrize("command, flag", [(c, f) for c in ARGV_COMMANDS for f in argv_flags(c)])
+    @settings(max_examples=15)
+    @given(data=st.data())
+    def test_cli_exits_cleanly(self, argv_inputs, tmp_path_factory, command, flag, data):
+        flags = argv_flags(command)
+        others = st.lists(st.sampled_from(sorted(set(flags) - {flag})), max_size=2, unique=True)
+        fuzzed = {flag, *data.draw(others, label="also fuzzed")}
+        files = {**argv_inputs, "out": tmp_path_factory.mktemp("argv_out") / "out"}
+        argv = [command]
+        for name, (good, values) in flags.items():
+            value = data.draw(st.none() | values, label=name) if name in fuzzed else good
+            if value is not None:
+                argv += [name, files.get(value, value)]
+        code = exit_code(argv)
+        event(f"exit {code}")
+        assert code in {0, 2, 3, 4}, argv
+        assert code != 0 or (Path(argv[argv.index("--out") + 1]) / "manifest.json").is_file(), argv
+
+
 def error_classes(base=EdcrError):
     return [base] + [cls for sub in base.__subclasses__() for cls in error_classes(sub)]
 
@@ -1441,6 +1521,9 @@ def invalid_invocations(tmp_path):
         (["sweep", "--predictions", p, "--conditions", c, "--epsilons", "0.1,,0.2", "--out", tmp_path / "o30"], 2),
         (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
           "--holdout", "walk", "--fractions", "0.1,", "--out", tmp_path / "o31"], 2),
+        (["gen", "--samples", "60", "--holdout", "walk,walk", "--out", tmp_path / "o32"], 2),
+        (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
+          "--holdout", "walk,walk", "--out", tmp_path / "o33"], 2),
     ]
 
 
