@@ -28,10 +28,7 @@ from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet, apply_rul
 from .learn import corr_rule_learn, det_corr_rule_learn, det_rule_learn
 from .theory import (
     TheoremReport,
-    brute_force_correction,
-    brute_force_detection,
     build_correction_scenario,
-    build_detection_scenario,
     check_submodular,
     correction_precision_delta,
     correction_recall_post,
@@ -44,7 +41,6 @@ from .conditions import (
     build_velocity_conditions,
     fit_velocity_thresholds,
     generate_synthetic,
-    haversine_m,
     max_speeds,
 )
 from .evaluate import (
@@ -89,10 +85,7 @@ __all__ = [
     "VerificationError",
     "accuracy",
     "apply_ruleset",
-    "brute_force_correction",
-    "brute_force_detection",
     "build_correction_scenario",
-    "build_detection_scenario",
     "build_velocity_conditions",
     "check_submodular",
     "compute_class_stats",
@@ -108,7 +101,6 @@ __all__ = [
     "f1_score",
     "fit_velocity_thresholds",
     "generate_synthetic",
-    "haversine_m",
     "max_speeds",
     "metrics_report",
     "precision_delta_bound",

@@ -12,6 +12,11 @@ gives each record's fastest segment speed in one pass over them,
 predicted class, so ``vel_over_c AND pred == c`` checks each row against its
 own predicted class's ceiling.
 
+Distances use the haversine formula on a sphere of radius
+R = ``EARTH_RADIUS_M``: with latitudes phi and longitudes lam in radians,
+``d = 2*R*asin(min(1, sqrt(a)))`` where
+``a = sin^2((phi2-phi1)/2) + cos(phi1)*cos(phi2)*sin^2((lam2-lam1)/2)``.
+
 The synthetic corpus is a fixed function of its arguments: for a given seed
 the trajectories, predictions and conditions are the same floats, and so the
 same file bytes, on every run.  That holds because the generator makes its random
@@ -58,24 +63,11 @@ from .core import (
     PredictionTable,
     UnknownClassError,
     check_seed,
+    check_unit_interval,
 )
 
 #: Spherical Earth radius used by every distance computation, in meters.
 EARTH_RADIUS_M = 6_371_000.0
-
-
-def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
-    """Great-circle distance in meters on a sphere of radius 6,371,000 m.
-
-    With phi = latitude and lam = longitude in radians:
-        a = sin^2((phi2-phi1)/2) + cos(phi1)*cos(phi2)*sin^2((lam2-lam1)/2)
-        d = 2 * R * asin(min(1, sqrt(a)))
-    """
-    phi1, phi2 = math.radians(lat1), math.radians(lat2)
-    dphi = math.radians(lat2 - lat1)
-    dlam = math.radians(lon2 - lon1)
-    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
-    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 def _check_tracks(sample_ids: Sequence[str], counts, t, lat, lon):
@@ -84,8 +76,17 @@ def _check_tracks(sample_ids: Sequence[str], counts, t, lat, lon):
     increasing timestamps, latitude in [-90, 90] and longitude in
     [-180, 180].  The first fault, by record, then point, then rule in that
     order, is a :class:`DataError` naming its record.  Returns the counts as
-    ``intp`` and the point columns as ``float64`` arrays."""
-    counts = np.asarray(counts, dtype=np.intp)
+    ``intp`` and the point columns as ``float64`` arrays.  Counts whose
+    ``np.asarray`` is not 1-D of an integer dtype (bool, float, string or
+    nested values; an empty sequence is no records) are a ContractError."""
+    try:
+        counts = np.asarray(counts)
+        integral = counts.ndim == 1 and (counts.dtype.kind in "iu" or not len(counts))
+    except ValueError:  # a ragged nesting
+        integral = False
+    if not integral:
+        raise ContractError("point counts must be a 1-D sequence of integers")
+    counts = counts.astype(np.intp)
     t, lat, lon = (np.asarray(column, dtype=np.float64) for column in (t, lat, lon))
     if not (len(sample_ids) == len(counts) and int(counts.sum()) == len(t) == len(lat) == len(lon)):
         raise ContractError("point columns do not match the per-record counts")
@@ -117,15 +118,15 @@ def max_speeds(sample_ids: Sequence[str], counts, t, lat, lon) -> np.ndarray:
     """Each record's fastest segment speed in m/s, given flat point columns
     with ``counts[k]`` points for ``sample_ids[k]`` in record order, checked
     first by :func:`_check_tracks`: the haversine distance of each consecutive
-    point pair over its elapsed time, the same floats as :func:`haversine_m`
-    divided in Python, bit for bit.
+    point pair over its elapsed time, bit for bit the floats of the module's
+    formula in :mod:`math` divided in Python (``inf`` when that overflows).
 
-    numpy does only the correctly rounded steps of :func:`haversine_m`
-    (subtraction, ``radians``, halving, products, sums, ``sqrt``, ``min`` and
-    the division by elapsed time), in the same order.  Every libm call --
-    ``sin``, ``cos``, ``asin`` and the ``** 2`` that squares a sine, which is
-    ``pow`` and not always equal to ``x * x`` -- goes through the same Python
-    function as there, because numpy's versions may round differently.
+    numpy does only the correctly rounded steps of the formula (subtraction,
+    ``radians``, halving, products, sums, ``sqrt``, ``min`` and the division
+    by elapsed time), in the same order.  Every libm call -- ``sin``, ``cos``,
+    ``asin`` and the ``** 2`` that squares a sine, which is ``pow`` and not
+    always equal to ``x * x`` -- goes through the :mod:`math` function,
+    because numpy's versions may round differently.
     """
     counts, t, lat, lon = _check_tracks(sample_ids, counts, t, lat, lon)
     if not len(counts):
@@ -138,7 +139,8 @@ def max_speeds(sample_ids: Sequence[str], counts, t, lat, lon) -> np.ndarray:
     sin2_dlam = _mapped_squares(np.radians(np.diff(lon)[segment]) / 2.0)
     a = sin2_dphi + cos_phi[:-1][segment] * cos_phi[1:][segment] * sin2_dlam
     distance = 2.0 * EARTH_RADIUS_M * _mapped(math.asin, np.minimum(1.0, np.sqrt(a)))
-    speeds = distance / np.diff(t)[segment]
+    with np.errstate(over="ignore"):
+        speeds = distance / np.diff(t)[segment]
     first_segment = np.concatenate(([0], np.cumsum(counts - 1)[:-1]))
     return np.maximum.reduceat(speeds, first_segment)
 
@@ -328,10 +330,8 @@ def generate_synthetic(
     names = tuple(DEFAULT_SPEED_REGIMES)
     if n_samples < len(names):
         raise ContractError(f"n_samples={n_samples} cannot cover all {len(names)} classes")
-    if not 0.0 <= noise <= 1.0:
-        raise ContractError(f"noise must lie in [0, 1], got {noise}")
-    if not 0.0 <= condition_noise <= 1.0:
-        raise ContractError(f"condition_noise must lie in [0, 1], got {condition_noise}")
+    check_unit_interval("noise", noise)
+    check_unit_interval("condition_noise", condition_noise)
     holdout = tuple(holdout_classes or ())
     for name in holdout:
         if name not in names:

@@ -59,11 +59,26 @@ class VerificationError(EdcrError):
 
 def check_unit_interval(name: str, value) -> float:
     """``value`` as a float, or :class:`ContractError` naming ``name`` unless
-    it is finite and within [0, 1]."""
-    number = float(value)
-    if not 0.0 <= number <= 1.0:  # also false for NaN
+    it is a real number (a ``bool`` or a ``str`` is not one) within [0, 1]."""
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    if not (real and 0.0 <= float(value) <= 1.0):  # also false for NaN
         raise ContractError(f"{name} must be a finite number in [0, 1], got {value!r}")
-    return number
+    return float(value)
+
+
+def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
+    """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
+    name) unless it is a sequence of non-empty ``str``, each named once when
+    ``distinct``; a bare string, which would be read as its characters, is
+    not one."""
+    names = () if isinstance(values, str) else tuple(values)
+    if isinstance(values, str) or not all(isinstance(name, str) for name in names):
+        raise ContractError(f"{what}s must be a sequence of strings, got {values!r}")
+    if "" in names:
+        raise ContractError(f"empty {what} in {names}")
+    if distinct and len(set(names)) != len(names):
+        raise ContractError(f"duplicate {what}s in {names}")
+    return names
 
 
 def check_seed(seed) -> int:
@@ -84,15 +99,11 @@ class ClassSet:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "names", tuple(self.names))
+        object.__setattr__(self, "names", check_names("class name", self.names))
         if not self.names:
             raise ContractError("class set must not be empty")
-        if len(set(self.names)) != len(self.names):
-            raise ContractError(f"duplicate class names in {self.names}")
         if UNKNOWN_NAME in self.names:
             raise ContractError(f"{UNKNOWN_NAME!r} is reserved and cannot be a class name")
-        if "" in self.names:
-            raise ContractError("a class name must not be empty")
 
     @cached_property
     def _ids(self) -> dict[str, int]:
@@ -257,7 +268,7 @@ class ConditionMatrix:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "condition_names", tuple(self.condition_names))
+        object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
         vals = np.array(self.values, dtype=bool, order="F")
         if vals.ndim != 2:
             raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
@@ -265,8 +276,6 @@ class ConditionMatrix:
             raise ContractError(
                 f"{len(self.condition_names)} condition names for {vals.shape[1]} columns"
             )
-        if len(set(self.condition_names)) != len(self.condition_names):
-            raise ContractError(f"duplicate condition names in {self.condition_names}")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
@@ -289,9 +298,6 @@ class ConditionMatrix:
             raise UnknownConditionError(
                 f"unknown condition {name!r}; known conditions: {', '.join(self.condition_names)}"
             ) from None
-
-    def column(self, name: str) -> np.ndarray:
-        return self.values[:, self.column_index(name)]
 
     def rows(self, indices: Sequence[int]) -> "ConditionMatrix":
         return ConditionMatrix(self.condition_names, self.values[np.asarray(indices, dtype=np.intp)])

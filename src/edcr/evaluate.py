@@ -14,6 +14,7 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
+    check_unit_interval,
     compute_class_stats,
 )
 from .learn import det_corr_rule_learn
@@ -248,8 +249,7 @@ def unseen_class_experiment(
     if not holdout:
         raise ContractError("need at least one holdout class")
     for fraction in fractions:
-        if not 0.0 <= fraction <= 1.0:
-            raise ContractError(f"few-shot fraction must lie in [0, 1], got {fraction}")
+        check_unit_interval("few-shot fraction", fraction)
     gt_names = set(table.names(np.unique(table.gt_ids)))
     for name in holdout:
         if name in table.classes.names:

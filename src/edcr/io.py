@@ -158,11 +158,6 @@ def _csv_file(path: Path):
         raise DataError(f"{path}: {err}") from None
 
 
-def _check_width(path: Path, line_no: int, row: list[str], width: int) -> None:
-    if len(row) != width:
-        raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
-
-
 # ---------------------------------------------------------------------------
 # The byte scanner shared by the predictions, conditions and trace readers
 # ---------------------------------------------------------------------------
@@ -413,7 +408,8 @@ def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
-            _check_width(path, line_no, row, len(header))
+            if len(row) != len(header):
+                raise _parse_error(path, line_no, f"expected {len(header)} fields, got {len(row)}")
             sample_id = row[0]
             if sample_id in position:
                 raise _parse_error(path, line_no, f"duplicate sample id {sample_id!r}")
@@ -508,15 +504,21 @@ def ruleset_to_dict(rule_set: RuleSet) -> dict:
 
 
 def ruleset_from_dict(data: Mapping) -> RuleSet:
+    def pair(item) -> tuple[str, int]:
+        if not isinstance(item, list):  # a string would unpack by characters
+            raise ContractError(f"a correction pair must be a [condition, class] list, got {item!r}")
+        cond, cls = item
+        return cond, classes.index(cls)
+
     try:
         version = data["format_version"]
-        if version != RULESET_FORMAT_VERSION:
-            raise DataError(f"unsupported ruleset format version {version}")
-        classes = ClassSet(tuple(data["classes"]))
+        if type(version) is not int or version != RULESET_FORMAT_VERSION:
+            raise DataError(f"unsupported ruleset format version {version!r}")
+        classes = ClassSet(data["classes"])
         detection = tuple(
             DetectionRule(
                 target=classes.index(entry["class"]),
-                conditions=tuple(entry["conditions"]),
+                conditions=entry["conditions"],
                 class_support=entry["class_support"],
                 confidence=entry["confidence"],
             )
@@ -525,7 +527,7 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
         correction = tuple(
             CorrectionRule(
                 target=classes.index(entry["class"]),
-                pairs=tuple((cond, classes.index(cls)) for cond, cls in entry["pairs"]),
+                pairs=tuple(map(pair, entry["pairs"])),
                 support=entry["support"],
                 confidence=entry["confidence"],
             )
@@ -533,7 +535,7 @@ def ruleset_from_dict(data: Mapping) -> RuleSet:
         )
         return RuleSet(
             classes=classes,
-            condition_names=tuple(data["conditions"]),
+            condition_names=data["conditions"],
             epsilon=data["epsilon"],
             detection_rules=detection,
             correction_rules=correction,

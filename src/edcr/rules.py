@@ -24,6 +24,7 @@ from .core import (
     DataError,
     PredictionTable,
     _require_aligned,
+    check_names,
     check_unit_interval,
     rule_body,
 )
@@ -40,7 +41,8 @@ class DetectionRule:
     confidence: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "conditions", tuple(sorted(set(self.conditions))))
+        conditions = check_names("condition name", self.conditions, distinct=False)
+        object.__setattr__(self, "conditions", tuple(sorted(set(conditions))))
         object.__setattr__(self, "class_support", check_unit_interval("class_support", self.class_support))
         object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.conditions:
@@ -59,7 +61,10 @@ class CorrectionRule:
     confidence: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "pairs", tuple(sorted(set(self.pairs))))
+        pairs = () if isinstance(self.pairs, str) else tuple(self.pairs)
+        if isinstance(self.pairs, str) or not all(isinstance(cond, str) for cond, _ in pairs):
+            raise ContractError(f"correction pairs must be (condition, class id) tuples, got {self.pairs!r}")
+        object.__setattr__(self, "pairs", tuple(sorted(set(pairs))))
         object.__setattr__(self, "support", check_unit_interval("support", self.support))
         object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.pairs:
@@ -70,9 +75,10 @@ class CorrectionRule:
 class RuleSet:
     """All learned rules for one class universe: at most one detection and one
     correction rule per class, plus the recall budget and condition universe
-    they were learned under.  Every class id must index ``classes``, every
-    condition name be non-empty, and every rule condition lie in
-    ``condition_names``; applying the set needs only the conditions some rule
+    they were learned under.  Every class id must index ``classes``, the
+    declared condition names be non-empty strings with no repeat, every rule
+    condition lie in ``condition_names``, and a mapping ``epsilon`` name
+    exactly the classes; applying the set needs only the conditions some rule
     uses."""
 
     classes: ClassSet
@@ -82,16 +88,16 @@ class RuleSet:
     correction_rules: tuple[CorrectionRule, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "condition_names", tuple(self.condition_names))
+        object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
         object.__setattr__(self, "detection_rules", tuple(self.detection_rules))
         object.__setattr__(self, "correction_rules", tuple(self.correction_rules))
         if isinstance(self.epsilon, dict):
+            if set(self.epsilon) != set(self.classes.names):
+                raise ContractError(f"epsilon mapping names {list(self.epsilon)}, not {self.classes.names}")
             epsilon = {name: check_unit_interval(f"epsilon of {name}", v) for name, v in self.epsilon.items()}
         else:
             epsilon = check_unit_interval("epsilon", self.epsilon)
         object.__setattr__(self, "epsilon", epsilon)
-        if "" in self.condition_names:
-            raise ContractError("empty condition name in the rule set's conditions")
         universe = set(self.condition_names)
         for kind, rules in (("detection", self.detection_rules), ("correction", self.correction_rules)):
             targets = [self.classes.check_id(rule.target) for rule in rules]

@@ -1,21 +1,20 @@
 """Closed-form effects of rules on precision/recall, plus the machinery that
-certifies the learners: submodularity/monotonicity checks of the counting
-functions, exhaustive brute-force optimizers for small instances, and
-constructors for tables that realize target statistics exactly so predicted
-deltas can be replayed empirically.
+certifies them: submodularity/monotonicity checks of the counting
+functions, and a constructor for tables that realize target statistics
+exactly so predicted deltas can be replayed empirically.
 
 All counts stay integers until the final division, so predicted and measured
 quantities agree to rational-arithmetic accuracy (tolerance 1e-9).
 
-The checks and the oracles count through one kernel, ``_cover_counts``.  A
-POS, NEG or BOD count of a condition subset S is the number of rows whose
-packed condition words meet S.  Equal rows meet the same subsets, so the rows
-are compressed once to their distinct patterns and multiplicities, and a
-block of subsets is counted as ``counts @ ((patterns & S) != 0).any(-1)``:
-the same integer sum regrouped, hence exact.  Words are taken one at a time
-and subsets in blocks, so each temporary stays under 512 KB, in cache; at
-m=271, where almost every row is its own pattern, one 32 MB (block,
-patterns, words) temporary was seven times slower.
+The checks count through one kernel, ``_cover_counts``.  A POS, NEG or BOD
+count of a condition subset S is the number of rows whose packed condition
+words meet S.  Equal rows meet the same subsets, so the rows are compressed
+once to their distinct patterns and multiplicities, and a block of subsets
+is counted as ``counts @ ((patterns & S) != 0).any(-1)``: the same integer
+sum regrouped, hence exact.  Words are taken one at a time and subsets in
+blocks, so each temporary stays under 512 KB, in cache; at m=271, where
+almost every row is its own pattern, one 32 MB (block, patterns, words)
+temporary was seven times slower.
 """
 from __future__ import annotations
 
@@ -38,9 +37,8 @@ from .core import (
     compute_class_stats,
     correction_counts,
     detection_counts,
-    rule_body,
 )
-from .learn import Pair, det_rule_learn, recall_budget
+from .learn import det_rule_learn
 from .rules import CorrectionRule, DetectionRule, RuleSet, apply_ruleset
 
 RATIONAL_TOLERANCE = 1e-9
@@ -50,8 +48,7 @@ def precision_delta_exact(class_support: float, confidence: float, precision: fl
     """Exact precision change from one detection rule:
     s_i / (1 - s_i) * (c + P_i - 1).  Negative when the rule flags more
     correct predictions than errors."""
-    if not 0.0 <= class_support <= 1.0:
-        raise ContractError(f"class support must lie in [0, 1], got {class_support}")
+    check_unit_interval("class support", class_support)
     if class_support == 1.0:
         raise DegenerateStatsError(
             "class support 1 removes every prediction of the class; precision is undefined"
@@ -109,7 +106,7 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Subset-indexed counting (shared by the property checks and the oracles)
+# Subset-indexed counting (shared by the property checks)
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 16  # (subset, pattern) cells per block: 512 KB of words
@@ -248,110 +245,6 @@ def check_submodular(
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracles
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DetectionSearchResult:
-    conditions: tuple[str, ...]
-    pos: int
-    neg: int
-    budget: float
-
-
-@dataclass(frozen=True)
-class CorrectionSearchResult:
-    pairs: tuple[Pair, ...]
-    pos: int
-    bod: int
-    confidence: float
-
-
-def brute_force_detection(
-    class_i: int,
-    epsilon: float,
-    table: PredictionTable,
-    conds: ConditionMatrix,
-    max_conditions: int = 16,
-) -> DetectionSearchResult:
-    """Exact optimum of POS over all subsets of the conditions of ``conds``
-    whose NEG stays within the recall budget of the class id ``class_i``; the
-    oracle the greedy learner is measured against.
-
-    Ties prefer lower NEG, then fewer conditions, then lexicographic names.
-    """
-    check_unit_interval("epsilon", epsilon)
-    i = _class_of(table, conds, class_i)
-    names = sorted(conds.condition_names)
-    if len(names) > max_conditions:
-        raise ContractError(
-            f"brute force over {len(names)} conditions exceeds the limit of {max_conditions}"
-        )
-    stats = compute_class_stats(table)
-    if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
-        return DetectionSearchResult((), 0, 0, 0.0)
-    budget = recall_budget(stats, i, epsilon)
-
-    pred_i = table.pred_ids == i
-    head = table.gt_ids != i
-    masks = _pack_rows(conds.values[:, [conds.column_index(name) for name in names]])
-    subsets = _all_subsets(len(names))
-    pos = _cover_counts(masks[pred_i & head], subsets)
-    neg = _cover_counts(masks[pred_i & ~head], subsets)
-    size = np.bitwise_count(subsets[:, 0])
-
-    # the empty subset has NEG 0, so some subset is always within budget
-    feasible = np.flatnonzero(neg <= budget)
-    best = feasible[np.lexsort((size[feasible], neg[feasible], -pos[feasible]))[0]]
-    ties = feasible[
-        (pos[feasible] == pos[best]) & (neg[feasible] == neg[best]) & (size[feasible] == size[best])
-    ]
-    chosen = min(_subset_names(subsets[s], names) for s in ties)
-    return DetectionSearchResult(chosen, int(pos[best]), int(neg[best]), budget)
-
-
-def brute_force_correction(
-    class_i: int,
-    cc_all: Sequence[Pair],
-    table: PredictionTable,
-    conds: ConditionMatrix,
-    max_pairs: int = 16,
-) -> CorrectionSearchResult:
-    """Exact maximum-confidence subset of candidate pairs for the class id
-    ``class_i``, empty unless that confidence strictly beats the class's
-    baseline precision.
-
-    Ties prefer larger POS, then lexicographic pairs.
-    """
-    i = _class_of(table, conds, class_i)
-    pairs = sorted({(cond, table.classes.check_id(cls)) for cond, cls in cc_all})
-    if len(pairs) > max_pairs:
-        raise ContractError(f"brute force over {len(pairs)} pairs exceeds the limit of {max_pairs}")
-    if not pairs:
-        return CorrectionSearchResult((), 0, 0, 0.0)
-    stats = compute_class_stats(table)
-    p_i = float(stats.precision[i])
-
-    pair_cols = np.stack([rule_body(conds, table.pred_ids, [pair]) for pair in pairs], axis=1)
-    masks = _pack_rows(pair_cols)
-    subsets = _all_subsets(len(pairs))[1:]
-    bod = _cover_counts(masks, subsets)
-    pos = _cover_counts(masks[table.gt_ids == i], subsets)
-    # float64 division of int64 counts below 2**53 is Python's int division
-    conf = np.divide(pos, bod, out=np.zeros(len(subsets)), where=bod > 0)
-
-    top = conf == conf.max()
-    ties = np.flatnonzero(top & (pos == pos[top].max()))
-    best = min(ties, key=lambda s: _subset_names(subsets[s], pairs))
-    if conf[best] <= p_i:
-        return CorrectionSearchResult((), 0, 0, 0.0)
-    return CorrectionSearchResult(
-        _subset_names(subsets[best], pairs), int(pos[best]), int(bod[best]), float(conf[best])
-    )
-
-
-# ---------------------------------------------------------------------------
 # Constructed scenarios for empirical replay of the closed forms
 # ---------------------------------------------------------------------------
 
@@ -376,52 +269,6 @@ class Scenario:
     def ruleset(self) -> RuleSet:
         kind = "detection_rules" if isinstance(self.rule, DetectionRule) else "correction_rules"
         return RuleSet(self.table.classes, self.conds.condition_names, 0.0, **{kind: (self.rule,)})
-
-
-def build_detection_scenario(
-    n_predicted: int,
-    class_support: float,
-    confidence: float,
-    precision: float,
-    recall: float = 1.0,
-) -> Scenario:
-    """Construct a two-class table where the target class has exactly the given
-    N_i, s_i, c, P_i, and R_i, and one condition realizes the rule body.
-
-    Combinations whose implied counts are not integers are rejected rather
-    than rounded.
-    """
-    if n_predicted <= 0:
-        raise ContractError("n_predicted must be positive")
-    tp = _as_count(precision * n_predicted, "TP")
-    bod = _as_count(class_support * n_predicted, "BOD")
-    pos = _as_count(confidence * bod, "POS")
-    neg = bod - pos
-    fp = n_predicted - tp
-    if recall <= 0.0:
-        raise ContractError("recall must be positive")
-    actual = _as_count(tp / recall, "TP/R")
-    fn = actual - tp
-    if pos > fp:
-        raise ContractError(f"POS={pos} exceeds FP={fp}; scenario not realizable")
-    if neg > tp:
-        raise ContractError(f"NEG={neg} exceeds TP={tp}; scenario not realizable")
-    if fn < 0:
-        raise ContractError(f"recall {recall} implies negative FN; scenario not realizable")
-
-    classes = ClassSet(("a", "b"))
-    # blocks of rows: predicted a with gt a (the first NEG carry the
-    # condition), predicted a with gt b (the first POS carry it), and the
-    # false negatives of a
-    pred = np.repeat([0, 0, 1], [tp, fp, fn])
-    gt = np.repeat([0, 1, 0], [tp, fp, fn])
-    flag = np.concatenate([np.arange(tp) < neg, np.arange(fp) < pos, np.zeros(fn, dtype=bool)])
-    ids = tuple(f"s{k:05d}" for k in range(len(pred)))
-    table = PredictionTable(classes, ids, pred, gt)
-    conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
-    counts = detection_counts(table, conds, 0, ("flag",))
-    rule = DetectionRule(0, ("flag",), counts.class_support, counts.confidence)
-    return Scenario(table, conds, rule)
 
 
 def build_correction_scenario(

@@ -8,18 +8,22 @@ rebuilds every candidate body, for the packed-bitset learner to agree with,
 that builds one string per cell, for the byte scanner to agree with, and
 ``reference_generate_synthetic`` keeps the synthetic generator that draws
 through ``uniform``/``normal`` and runs the scalar haversine twice per record,
-for the generator to agree with bit for bit.  ``reference_check_submodular``,
-the two ``reference_brute_force_*`` oracles and ``reference_corr_rule_learn``
-keep the versions that count one subset at a time (``_covered``) and call
-``correction_counts`` four times per pair, for the distinct-pattern kernel and
-the packed correction walk to agree with.  ``reference_read_predictions``,
+for the generator to agree with bit for bit.  ``reference_check_submodular``
+and ``reference_corr_rule_learn`` keep the versions that count one subset at
+a time (``_covered``) and call ``correction_counts`` four times per pair, for
+the distinct-pattern kernel and the packed correction walk to agree with.
+The two ``reference_brute_force_*`` oracles, which also count one subset at
+a time, are the exhaustive optima that the greedy learners are measured
+against, and ``build_detection_scenario`` builds a table that realizes given
+detection statistics exactly, for the detection closed forms to be replayed
+on.  ``reference_read_predictions``,
 ``reference_read_trace``, ``reference_scan_conditions`` and
 ``reference_write_csv_rows`` keep the readers and the writer that ran one
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
 that sorted a structured view, for the byte-level readers, the columnar
 writers and the 1-D void ``unique`` to agree with.  ``trajectory_speed``
 keeps the scalar per-record speed profile over a tuple of ``(t, lat, lon)``
-points, for ``max_speeds`` to agree with, and ``reference_track_fault`` the
+points, through the scalar ``haversine_m``, for ``max_speeds`` to agree with, and ``reference_track_fault`` the
 point-by-point record rules, for the vectorised column check to agree with.
 ``point_tuples`` splits flat point columns into those tuples.
 """
@@ -55,7 +59,6 @@ from edcr.conditions import (
     DEFAULT_SPEED_REGIMES,
     EARTH_RADIUS_M,
     binary_condition_name,
-    haversine_m,
     negated_condition_name,
     velocity_condition_name,
 )
@@ -73,14 +76,14 @@ from edcr.core import (
 from edcr.io import (
     _BITS,
     TRACE_HEADER,
-    _check_width,
     _condition_names,
     _csv_file,
     _parse_error,
     atomic_write_text,
 )
 from edcr.learn import Pair, recall_budget
-from edcr.theory import CorrectionSearchResult, DetectionSearchResult, SubmodularityReport
+from edcr.rules import DetectionRule
+from edcr.theory import Scenario, SubmodularityReport, _as_count
 
 
 def make_table(class_names, pred, gt=None, ids=None):
@@ -217,6 +220,11 @@ def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candida
     return tuple(sorted(chosen))
 
 
+def _check_width(path: Path, line_no: int, row: list[str], width: int) -> None:
+    if len(row) != width:
+        raise _parse_error(path, line_no, f"expected {width} fields, got {len(row)}")
+
+
 def reference_read_conditions(path, table: PredictionTable) -> ConditionMatrix:
     """Read a conditions CSV and align rows to the table's sample order.
 
@@ -278,6 +286,20 @@ def reference_track_fault(sample_id: str, points) -> str | None:
         if not -180.0 <= lon <= 180.0:
             return f"trajectory {sample_id!r}: longitude {lon} out of range"
     return None
+
+
+def haversine_m(lat1: float, lon1: float, lat2: float, lon2: float) -> float:
+    """Great-circle distance in meters on a sphere of radius 6,371,000 m.
+
+    With phi = latitude and lam = longitude in radians:
+        a = sin^2((phi2-phi1)/2) + cos(phi1)*cos(phi2)*sin^2((lam2-lam1)/2)
+        d = 2 * R * asin(min(1, sqrt(a)))
+    """
+    phi1, phi2 = math.radians(lat1), math.radians(lat2)
+    dphi = math.radians(lat2 - lat1)
+    dlam = math.radians(lon2 - lon1)
+    a = math.sin(dphi / 2.0) ** 2 + math.cos(phi1) * math.cos(phi2) * math.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_M * math.asin(min(1.0, math.sqrt(a)))
 
 
 def trajectory_speed(points) -> SpeedProfile:
@@ -573,6 +595,22 @@ def reference_check_submodular(
     return SubmodularityReport(quantity, m, False, pairs_checked, None)
 
 
+@dataclass(frozen=True)
+class DetectionSearchResult:
+    conditions: tuple[str, ...]
+    pos: int
+    neg: int
+    budget: float
+
+
+@dataclass(frozen=True)
+class CorrectionSearchResult:
+    pairs: tuple[Pair, ...]
+    pos: int
+    bod: int
+    confidence: float
+
+
 def reference_brute_force_detection(
     class_i,
     epsilon: float,
@@ -668,6 +706,52 @@ def reference_brute_force_correction(
     if best.confidence <= p_i:
         return CorrectionSearchResult((), 0, 0, 0.0)
     return best
+
+
+def build_detection_scenario(
+    n_predicted: int,
+    class_support: float,
+    confidence: float,
+    precision: float,
+    recall: float = 1.0,
+) -> Scenario:
+    """Construct a two-class table where the target class has exactly the given
+    N_i, s_i, c, P_i, and R_i, and one condition realizes the rule body.
+
+    Combinations whose implied counts are not integers are rejected rather
+    than rounded.
+    """
+    if n_predicted <= 0:
+        raise ContractError("n_predicted must be positive")
+    tp = _as_count(precision * n_predicted, "TP")
+    bod = _as_count(class_support * n_predicted, "BOD")
+    pos = _as_count(confidence * bod, "POS")
+    neg = bod - pos
+    fp = n_predicted - tp
+    if recall <= 0.0:
+        raise ContractError("recall must be positive")
+    actual = _as_count(tp / recall, "TP/R")
+    fn = actual - tp
+    if pos > fp:
+        raise ContractError(f"POS={pos} exceeds FP={fp}; scenario not realizable")
+    if neg > tp:
+        raise ContractError(f"NEG={neg} exceeds TP={tp}; scenario not realizable")
+    if fn < 0:
+        raise ContractError(f"recall {recall} implies negative FN; scenario not realizable")
+
+    classes = ClassSet(("a", "b"))
+    # blocks of rows: predicted a with gt a (the first NEG carry the
+    # condition), predicted a with gt b (the first POS carry it), and the
+    # false negatives of a
+    pred = np.repeat([0, 0, 1], [tp, fp, fn])
+    gt = np.repeat([0, 1, 0], [tp, fp, fn])
+    flag = np.concatenate([np.arange(tp) < neg, np.arange(fp) < pos, np.zeros(fn, dtype=bool)])
+    ids = tuple(f"s{k:05d}" for k in range(len(pred)))
+    table = PredictionTable(classes, ids, pred, gt)
+    conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
+    counts = detection_counts(table, conds, 0, ("flag",))
+    rule = DetectionRule(0, ("flag",), counts.class_support, counts.confidence)
+    return Scenario(table, conds, rule)
 
 
 def reference_corr_rule_learn(

@@ -10,8 +10,6 @@ import pytest
 from edcr import (
     RuleSet,
     apply_ruleset,
-    brute_force_correction,
-    brute_force_detection,
     build_correction_scenario,
     check_submodular,
     compute_class_stats,
@@ -35,7 +33,13 @@ from edcr import (
 from edcr import io
 from edcr.cli import main
 from edcr.rules import DetectionRule
-from helpers import make_conds, make_table, random_instance
+from helpers import (
+    make_conds,
+    make_table,
+    random_instance,
+    reference_brute_force_correction,
+    reference_brute_force_detection,
+)
 
 EXACT = 1e-9
 
@@ -139,7 +143,7 @@ def test_criterion_4_greedy_vs_oracle():
         epsilon = float(rng.uniform(0.05, 0.4))
         i = int(rng.integers(0, len(table.classes)))
         dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
-        oracle = brute_force_detection(i, epsilon, table, conds)
+        oracle = reference_brute_force_detection(i, epsilon, table, conds)
         if dc:
             counts = detection_counts(table, conds, i, dc)
             assert counts.neg <= oracle.budget
@@ -154,7 +158,7 @@ def test_criterion_4_greedy_vs_oracle():
             if rng.random() < 0.25
         ][:10]
         cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
-        corr_oracle = brute_force_correction(i, cc_all, table, conds)
+        corr_oracle = reference_brute_force_correction(i, cc_all, table, conds)
         if cc:
             counts = correction_counts(table, conds, i, cc)
             assert counts.confidence > float(stats.precision[i])

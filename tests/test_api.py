@@ -9,8 +9,6 @@ from edcr import (
     DetectionRule,
     RuleSet,
     UnknownClassError,
-    brute_force_correction,
-    brute_force_detection,
     check_submodular,
     corr_rule_learn,
     correction_counts,
@@ -47,10 +45,7 @@ PUBLIC_API = [
     "VerificationError",
     "accuracy",
     "apply_ruleset",
-    "brute_force_correction",
-    "brute_force_detection",
     "build_correction_scenario",
-    "build_detection_scenario",
     "build_velocity_conditions",
     "check_submodular",
     "compute_class_stats",
@@ -66,7 +61,6 @@ PUBLIC_API = [
     "f1_score",
     "fit_velocity_thresholds",
     "generate_synthetic",
-    "haversine_m",
     "max_speeds",
     "metrics_report",
     "precision_delta_bound",
@@ -95,8 +89,6 @@ CLASS_TAKERS = {
     "detection_counts": lambda k, table, conds: detection_counts(table, conds, k, ["c"]),
     "correction_counts": lambda k, table, conds: correction_counts(table, conds, k, [("c", 0)]),
     "check_submodular": lambda k, table, conds: check_submodular("pos", k, table, conds),
-    "brute_force_detection": lambda k, table, conds: brute_force_detection(k, 0.1, table, conds),
-    "brute_force_correction": lambda k, table, conds: brute_force_correction(k, [("c", 0)], table, conds),
     "RuleSet detection target": lambda k, table, conds: RuleSet(
         table.classes, ("c",), 0.1, detection_rules=(DetectionRule(k, ("c",), 0.5, 0.5),)
     ),

@@ -14,13 +14,13 @@ from edcr import (
     build_velocity_conditions,
     fit_velocity_thresholds,
     generate_synthetic,
-    haversine_m,
     io,
     max_speeds,
 )
 from edcr.conditions import DEFAULT_SPEED_REGIMES
 from edcr.io import read_conditions
 from helpers import (
+    haversine_m,
     make_table,
     point_tuples,
     reference_generate_synthetic,
@@ -101,7 +101,9 @@ class TestRecordRules:
     @pytest.mark.parametrize(
         "counts, message",
         [([3], "do not match"), ([3, 0], "do not match"), ([1, 1, 1], "do not match"),
-         ([3, -1], "non-negative"), ([-2, 4], "non-negative")],
+         ([3, -1], "non-negative"), ([-2, 4], "non-negative"),
+         ([2.7], "integers"), ([2.0], "integers"), ([True], "integers"), (["2"], "integers"),
+         ("2", "integers"), ([[2]], "integers"), ([[1], [1]], "integers"), ([2, [0]], "integers")],
     )
     def test_counts_that_do_not_describe_the_columns(self, entry, counts, message):
         _, _, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
@@ -129,6 +131,14 @@ class TestSegmentSpeeds:
         assert speed == pytest.approx(MILLIDEGREE_M / 10.0, rel=1e-9)
         assert speed == pytest.approx(11.12, abs=0.01)
         assert haversine_m(0.0, 0.0, 0.001, 0.0) == pytest.approx(111.19, abs=0.01)
+
+    def test_overflowing_quotient_is_inf(self):
+        # a degree of latitude over a subnormal time step overflows to inf, as
+        # Python's float division does, with no warning
+        points = [(0.0, 0.0, 0.0), (5e-324, 1.0, 0.0)]
+        assert repr(speeds(points)) == repr([trajectory_speed(points).max_speed]) == "[inf]"
+        with pytest.raises(ContractError, match="must be finite"):
+            fit_velocity_thresholds(["a"], np.array(speeds(points)))
 
     def test_three_points_two_segments(self):
         points = [(0.0, 0.0, 0.0), (10.0, 0.001, 0.0), (15.0, 0.002, 0.0)]
@@ -269,7 +279,7 @@ class TestVelocityThresholds:
     def test_infinite_speed_is_over_every_ceiling(self):
         # max_speeds gives inf when a distance over a tiny time step overflows
         matrix = build_velocity_conditions({"a": 1.0}, np.array([0.5, math.inf]))
-        assert matrix.column("vel_over_a").tolist() == [False, True]
+        assert matrix.values[:, matrix.column_index("vel_over_a")].tolist() == [False, True]
 
     def test_monotone_in_training_data(self):
         base = [(2.0, "walk")]
@@ -284,7 +294,7 @@ class TestVelocityThresholds:
 
         def over(ceiling):
             matrix = build_velocity_conditions({"walk": ceiling, "bike": 0.0}, walked)
-            return bool((matrix.column("vel_over_walk") & (table.pred_ids == 0))[0])
+            return bool((matrix.values[:, matrix.column_index("vel_over_walk")] & (table.pred_ids == 0))[0])
 
         assert over(exact) is False  # equality is not over
         assert over(exact / 2) is True
@@ -294,21 +304,21 @@ class TestVelocityThresholds:
         matrix = build_velocity_conditions({"bike": 5.0}, np.array(speeds(self.walk_track(2.0))))
         assert matrix.condition_names == ("vel_over_bike",)
         with pytest.raises(UnknownConditionError):
-            matrix.column("vel_over_walk")
+            matrix.column_index("vel_over_walk")
 
     def test_build_matrix_per_class_and_own_class(self):
         record_speeds = np.array(speeds(self.walk_track(1.0), self.walk_track(9.0)))
         thresholds = {"walk": 2.0, "bike": 6.0}
         per_class = build_velocity_conditions(thresholds, record_speeds)
         assert per_class.condition_names == ("vel_over_bike", "vel_over_walk")
-        assert per_class.column("vel_over_walk").tolist() == [False, True]
-        assert per_class.column("vel_over_bike").tolist() == [False, True]
+        assert per_class.values[:, per_class.column_index("vel_over_walk")].tolist() == [False, True]
+        assert per_class.values[:, per_class.column_index("vel_over_bike")].tolist() == [False, True]
 
         # each row against its own predicted class: vel_over_c AND pred == c
         table = make_table(["walk", "bike"], ["bike", "walk"])
         own = np.zeros(table.n, dtype=bool)
         for i, name in enumerate(table.classes.names):
-            own |= per_class.column(f"vel_over_{name}") & (table.pred_ids == i)
+            own |= per_class.values[:, per_class.column_index(f"vel_over_{name}")] & (table.pred_ids == i)
         assert own.tolist() == [False, True]
 
     def test_no_records(self):
@@ -366,8 +376,8 @@ class TestGenerateSynthetic:
         names = corpus.conditions.condition_names
         for cls in corpus.table.classes.names:
             assert f"g_{cls}" in names and f"not_g_{cls}" in names and f"vel_over_{cls}" in names
-        g = corpus.conditions.column("g_walk")
-        not_g = corpus.conditions.column("not_g_walk")
+        g = corpus.conditions.values[:, corpus.conditions.column_index("g_walk")]
+        not_g = corpus.conditions.values[:, corpus.conditions.column_index("not_g_walk")]
         assert np.array_equal(g, ~not_g)
 
     def test_config_errors(self):
@@ -484,23 +494,31 @@ edge_points = st.tuples(
 )
 
 
+NOT_INTEGERS = ("bool", "float", "string", "nested")  # edits that make counts other than integers
+
+
 @settings(max_examples=300)
 @given(
     st.lists(st.lists(edge_points, max_size=4), max_size=5),
-    st.sampled_from(["as drawn", "zero", "negative", "plus one", "minus one", "moved"]),
+    st.sampled_from(["as drawn", "zero", "negative", "plus one", "minus one", "moved", *NOT_INTEGERS]),
     st.data(),
 )
 def test_column_check_reports_the_first_faulty_record(tracks, edit, data):
-    """Over several records, with counts as drawn or edited: counts that do
-    not split the columns (a negative one, or a sum off by one) are a
-    ``ContractError``; counts that do split them give the point-by-point
-    rules' message for the first record of that split that breaks one, or,
-    when none does, the scalar reference speeds, float for float."""
+    """Over several records, with counts as drawn or edited: counts that are
+    not integers, or that do not split the columns (a negative one, or a sum
+    off by one), are a ``ContractError``; counts that do split them give the
+    point-by-point rules' message for the first record of that split that
+    breaks one, or, when none does, the scalar reference speeds, float for
+    float."""
     ids, counts, t, lat, lon = columns(tracks)
     if counts and edit != "as drawn":
         k = data.draw(st.integers(0, len(counts) - 1))
         if edit == "zero":
             counts[k] = 0
+        elif edit == "bool":
+            counts = [bool(count) for count in counts]
+        elif edit in ("float", "string", "nested"):
+            counts[k] = {"float": float, "string": str, "nested": lambda count: [count]}[edit](counts[k])
         elif edit == "negative":
             counts[k] = -data.draw(st.integers(1, 3))
         elif edit == "moved" and len(counts) > 1:  # the sum stays; the split moves
@@ -509,7 +527,7 @@ def test_column_check_reports_the_first_faulty_record(tracks, edit, data):
             counts[(k + 1) % len(counts)] += shift
         else:
             counts[k] += 1 if edit == "plus one" else -1
-    if min(counts, default=0) < 0 or sum(counts) != len(t):
+    if counts and edit in NOT_INTEGERS or min(counts, default=0) < 0 or sum(counts) != len(t):
         with pytest.raises(ContractError):
             max_speeds(ids, counts, t, lat, lon)
         return

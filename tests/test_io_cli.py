@@ -107,7 +107,7 @@ class TestConditionsFormat:
         path = tmp_path / "c.csv"
         path.write_text("sample_id,c\ns2,1\ns1,0\n")
         back = io.read_conditions(path, table)
-        assert back.column("c").tolist() == [False, True]
+        assert back.values[:, back.column_index("c")].tolist() == [False, True]
 
     @pytest.mark.parametrize("cell", ["{}", '"{}"'])
     @pytest.mark.parametrize(
@@ -1479,7 +1479,33 @@ def invalid_invocations(tmp_path):
     empty_condition = tmp_path / "empty_condition.yaml"
     text = ruleset.read_text().replace("\nconditions:\n", "\nconditions:\n- ''\n", 1)
     empty_condition.write_text(text.replace("  conditions:\n", "  conditions:\n  - ''\n", 1))
+    # rule-set documents with a value of the wrong type, each once read without
+    # a word: a bare string as its characters, a bool as a number
+    ab_p, ab_c = tmp_path / "ab_predictions.csv", tmp_path / "ab_conditions.csv"
+    ab_p.write_text("sample_id,pred,gt\nx,a,a\ny,b,a\n")
+    ab_c.write_text("sample_id,s,p,e,d\nx,1,0,0,0\ny,0,0,0,1\n")
+    typed = ("format_version: 1\nclasses: [a, b]\nconditions: [d, e, p, s]\nepsilon: 0.1\n"
+             "detection_rules: [{class: a, conditions: [d, e, p, s], class_support: 0.5, confidence: 1.0}]\n")
+    loose_texts = [
+        "format_version: 1\nclasses: ab\nconditions: speed\nepsilon: {a: 0.1, b: 0.2}\n"
+        "detection_rules: [{class: a, conditions: speed, class_support: '0.5', confidence: true}]\n",
+        *(typed.replace(old, new, 1) for old, new in [
+            ("epsilon: 0.1", "epsilon: {zeppelin: 0.1}"), ("epsilon: 0.1", "epsilon: {a: 0.1}"),
+            ("epsilon: 0.1", "epsilon: '0.1'"), ("epsilon: 0.1", "epsilon: true"),
+            ("[d, e, p, s]\n", "[d, e, p, s, 1]\n"), ("[d, e, p, s]\n", "[d, e, p, s, s]\n"),
+            ("format_version: 1", "format_version: true"), ("[a, b]", "ab"),
+            ("conditions: [d, e, p, s],", "conditions: speed,"), ("0.5", "'0.5'"), ("1.0}", "true}"),
+        ]),
+        typed + "correction_rules: [{class: b, pairs: [da], support: 0.5, confidence: 0.5}]\n",
+    ]
+    loose = [tmp_path / f"loose{k}.yaml" for k in range(len(loose_texts))]
+    for path, text in zip([tmp_path / "typed.yaml", *loose], [typed, *loose_texts]):
+        path.write_text(text)
+    assert run(["apply", "--ruleset", tmp_path / "typed.yaml", "--predictions", ab_p, "--conditions", ab_c,
+                "--out", tmp_path / "typed"]) == 0
     return [
+        *((["apply", "--ruleset", path, "--predictions", ab_p, "--conditions", ab_c,
+            "--out", tmp_path / f"o_{path.stem}"], 3) for path in loose),
         (["learn", "--predictions", tmp_path / "absent.csv", "--conditions", c, "--out", tmp_path / "o1"], 3),
         (["learn", "--predictions", p, "--conditions", c, "--out", regular], 3),
         (["learn", "--predictions", tmp_path, "--conditions", c, "--out", tmp_path / "o2"], 3),

@@ -10,8 +10,6 @@ from edcr import (
     ConditionMatrix,
     ContractError,
     apply_ruleset,
-    brute_force_correction,
-    brute_force_detection,
     compute_class_stats,
     corr_rule_learn,
     correction_counts,
@@ -26,6 +24,8 @@ from helpers import (
     make_conds,
     make_table,
     random_instance,
+    reference_brute_force_correction,
+    reference_brute_force_detection,
     reference_corr_rule_learn,
     reference_det_rule_learn,
 )
@@ -117,7 +117,7 @@ class TestDetRuleLearn:
         stats = compute_class_stats(table)
         budget = recall_budget(stats, 0, 0.2)
         assert counts.neg <= budget
-        oracle = brute_force_detection(0, 0.2, table, conds)
+        oracle = reference_brute_force_detection(0, 0.2, table, conds)
         assert counts.pos <= oracle.pos
         assert oracle.pos == 3  # frozen from exhaustive enumeration of 2^4 subsets
 
@@ -214,7 +214,7 @@ class TestCorrRuleLearn:
             if result:
                 counts = correction_counts(table, conds, i, result)
                 assert counts.confidence > stats.precision[i]
-                oracle = brute_force_correction(i, cc_all, table, conds)
+                oracle = reference_brute_force_correction(i, cc_all, table, conds)
                 assert counts.confidence <= oracle.confidence + 1e-12
 
 

@@ -77,8 +77,39 @@ class TestRuleTypes:
         with pytest.raises(ContractError, match="empty condition name"):
             RuleSet(classes, ("", "c"), 0.1, detection_rules=(DetectionRule(0, ("",), 0.1, 0.5),))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ClassSet("ab"),
+            lambda: ClassSet(("a", 1)),
+            lambda: RuleSet(ClassSet(("a",)), "c", 0.1),
+            lambda: RuleSet(ClassSet(("a",)), ("c", 1), 0.1),
+            lambda: DetectionRule(0, "speed", 0.5, 0.5),
+            lambda: DetectionRule(0, ("c", 1), 0.5, 0.5),
+            lambda: CorrectionRule(0, "c1", 0.5, 0.5),
+            lambda: CorrectionRule(0, ((1, 0),), 0.5, 0.5),
+        ],
+        ids=["class_string", "class_int", "declared_string", "declared_int", "detection_string",
+             "detection_int", "pairs_string", "pair_condition_int"],
+    )
+    def test_names_are_sequences_of_strings(self, build):
+        # a bare string would be read as its characters
+        with pytest.raises(ContractError, match="must be"):
+            build()
 
-@pytest.mark.parametrize("bad", [-3, 7.0, float("nan"), float("inf"), -0.01, 1.01])
+    def test_declared_conditions_are_unique(self):
+        with pytest.raises(ContractError, match="duplicate"):
+            RuleSet(ClassSet(("a",)), ("c", "d", "c"), 0.1)
+
+    @pytest.mark.parametrize("epsilon", [{"a": 0.1}, {"zeppelin": 0.1}, {"a": 0.1, "b": 0.1, "c": 0.1}, {}])
+    def test_epsilon_mapping_names_exactly_the_classes(self, epsilon):
+        classes = ClassSet(("a", "b"))
+        assert RuleSet(classes, ("c",), {"b": 0.2, "a": 0.1}).epsilon == {"b": 0.2, "a": 0.1}
+        with pytest.raises(ContractError, match="epsilon mapping"):
+            RuleSet(classes, ("c",), epsilon)
+
+
+@pytest.mark.parametrize("bad", [-3, 7.0, float("nan"), float("inf"), -0.01, 1.01, True, False, "0.5", None])
 class TestUnitIntervalValues:
     def test_detection_rule_stats(self, bad):
         a = 0

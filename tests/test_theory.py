@@ -8,15 +8,16 @@ from edcr import (
     ContractError,
     DegenerateStatsError,
     apply_ruleset,
-    brute_force_correction,
-    brute_force_detection,
     build_correction_scenario,
-    build_detection_scenario,
     check_submodular,
     compute_class_stats,
+    corr_rule_learn,
+    correction_counts,
     correction_precision_delta,
     correction_recall_post,
     det_corr_rule_learn,
+    det_rule_learn,
+    detection_counts,
     epsilon_sweep,
     generate_synthetic,
     precision_delta_bound,
@@ -29,6 +30,7 @@ from edcr.cli import main
 from edcr.evaluate import Split
 import helpers
 from helpers import (
+    build_detection_scenario,
     make_conds,
     make_table,
     random_instance,
@@ -284,8 +286,8 @@ def counting_instances(draw, max_conditions=140):
 
 
 class TestKernelMatchesReference:
-    """The distinct-pattern kernel against the checks and oracles that count
-    one subset at a time."""
+    """The distinct-pattern kernel against the checks that count one subset
+    at a time."""
 
     @given(counting_instances(), st.integers(0, 10), st.integers(0, 2**32 - 1), st.sampled_from([1, 500, None]))
     def test_check_submodular(self, instance, exhaustive_limit, seed, block_elements):
@@ -342,35 +344,44 @@ class TestKernelMatchesReference:
             assert report == reference_check_submodular(*args)
         return report
 
+
+class TestBruteForce:
+    """The exhaustive optima of the reference oracles, and the greedy
+    learners measured against them."""
+
     @given(
         counting_instances(max_conditions=8),
         st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0),
         st.integers(0, 2**32 - 1),
     )
-    def test_brute_force(self, instance, epsilon, seed):
+    def test_greedy_against_brute_force(self, instance, epsilon, seed):
         table, conds = instance
         rng = np.random.default_rng(seed)
         names = list(conds.condition_names)
-        det_conds = conds
-        if rng.random() >= 0.5:  # a candidate pool: the matrix of just those columns
-            pool = list(dict.fromkeys(rng.choice(names, size=int(rng.integers(0, 10))).tolist()))
-            det_conds = ConditionMatrix(tuple(pool), conds.values[:, [names.index(c) for c in pool]])
         cc_all = [
             (names[int(rng.integers(len(names)))], int(rng.integers(len(table.classes))))
             for _ in range(int(rng.integers(0, 9)))
         ]
+        stats = compute_class_stats(table)
         for i in range(len(table.classes)):
-            args = (i, epsilon, table, det_conds)
-            assert brute_force_detection(*args) == reference_brute_force_detection(*args)
-            args = (i, cc_all, table, conds)
-            assert brute_force_correction(*args) == reference_brute_force_correction(*args)
+            oracle = reference_brute_force_detection(i, epsilon, table, conds)
+            dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+            if dc:
+                counts = detection_counts(table, conds, i, dc)
+                assert counts.neg <= oracle.budget
+                assert counts.pos <= oracle.pos
+            corr_oracle = reference_brute_force_correction(i, cc_all, table, conds)
+            cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+            if cc:
+                counts = correction_counts(table, conds, i, cc)
+                assert float(stats.precision[i]) < counts.confidence <= corr_oracle.confidence
+            if not corr_oracle.pairs:
+                assert cc == ()
 
-
-class TestBruteForce:
     def test_single_feasible_condition(self):
         table = make_table(["a", "b"], ["a", "a", "a"], ["a", "b", "b"])
         conds = make_conds(["good", "costly"], [[0, 1, 1], [1, 1, 0]])
-        result = brute_force_detection(0, 0.0, table, conds)
+        result = reference_brute_force_detection(0, 0.0, table, conds)
         assert result.conditions == ("good",) and result.pos == 2 and result.neg == 0
 
     def test_fewer_conditions_win_ties(self):
@@ -378,13 +389,12 @@ class TestBruteForce:
         # wins although its bitmask is larger
         table = make_table(["a", "b"], ["a", "a", "a"], ["a", "b", "b"])
         conds = make_conds(["c0", "c1", "c2"], [[0, 1, 0], [0, 0, 1], [0, 1, 1]])
-        assert brute_force_detection(0, 0.0, table, conds).conditions == ("c2",)
         assert reference_brute_force_detection(0, 0.0, table, conds).conditions == ("c2",)
 
     def test_budget_excludes_everything(self):
         table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
         conds = make_conds(["c"], [[1, 0]])  # NEG 1 at zero budget
-        result = brute_force_detection(0, 0.0, table, conds)
+        result = reference_brute_force_detection(0, 0.0, table, conds)
         assert result.conditions == () and result.pos == 0
 
     def test_size_limit(self):
@@ -392,23 +402,23 @@ class TestBruteForce:
         table = make_table(["a"], ["a"] * n, ["a"] * n)
         conds = make_conds([f"c{j}" for j in range(17)], [[0] * n for _ in range(17)])
         with pytest.raises(ContractError):
-            brute_force_detection(0, 0.1, table, conds)
+            reference_brute_force_detection(0, 0.1, table, conds)
 
     def test_correction_single_pair_threshold(self):
         # pair ratio 1.0 beats P_a = 0.5: selected
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "a", "a"])
         conds = make_conds(["c"], [[0, 0, 1, 1]])
-        result = brute_force_correction(0, [("c", 1)], table, conds)
+        result = reference_brute_force_correction(0, [("c", 1)], table, conds)
         assert result.pairs == (("c", 1),)
         # a perfect baseline cannot be strictly beaten even by a pure pair
         perfect = make_table(["a", "b"], ["a", "b", "b"], ["a", "a", "a"])
         pconds = make_conds(["c"], [[0, 1, 1]])
-        assert brute_force_correction(0, [("c", 1)], perfect, pconds).pairs == ()
+        assert reference_brute_force_correction(0, [("c", 1)], perfect, pconds).pairs == ()
 
     def test_correction_zero_pos_pairs(self):
         table = make_table(["a", "b"], ["a", "b", "b"], ["a", "b", "b"])
         conds = make_conds(["c"], [[0, 1, 1]])
-        result = brute_force_correction(0, [("c", 1)], table, conds)
+        result = reference_brute_force_correction(0, [("c", 1)], table, conds)
         assert result.pairs == () and result.pos == 0
 
     def test_correction_size_limit(self):
@@ -417,7 +427,7 @@ class TestBruteForce:
         pairs = [(f"c", 1)] * 1  # duplicates collapse; build distinct conds instead
         big = make_conds([f"c{j}" for j in range(17)], [[1, 1] for _ in range(17)])
         with pytest.raises(ContractError):
-            brute_force_correction(0, [(f"c{j}", 1) for j in range(17)], table, big)
+            reference_brute_force_correction(0, [(f"c{j}", 1) for j in range(17)], table, big)
 
 
 class TestTheoremReport:
