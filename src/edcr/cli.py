@@ -88,33 +88,38 @@ def cmd_gen(args) -> int:
         holdout_classes=_parse_classes("--holdout", args.holdout) if args.holdout else None,
         condition_noise=args.condition_noise,
     )
-    out = _out_dir(args)
-    trajectories = out / "trajectories.csv"
-    predictions = out / "predictions.csv"
-    conditions = out / "conditions.csv"
-    columns = (corpus.counts, corpus.t, corpus.lat, corpus.lon)
-    io.write_trajectories(trajectories, corpus.table.sample_ids, *columns)
-    io.write_predictions(predictions, corpus.table)
-    io.write_conditions(conditions, corpus.table, corpus.conditions)
-    io.write_manifest(
-        out,
-        command="gen",
-        config={
-            "samples": args.samples,
-            "noise": args.noise,
-            "holdout": args.holdout or "",
-            "condition_noise": args.condition_noise,
-        },
-        output_paths=[trajectories, predictions, conditions],
+    config = {"samples": args.samples, "noise": args.noise, "holdout": args.holdout or "",
+              "condition_noise": args.condition_noise}
+    table, columns = corpus.table, (corpus.counts, corpus.t, corpus.lat, corpus.lon)
+    out = _save(
+        args,
+        config,
+        ("trajectories.csv", io.write_trajectories, table.sample_ids, *columns),
+        ("predictions.csv", io.write_predictions, table),
+        ("conditions.csv", io.write_conditions, table, corpus.conditions),
         seed=args.seed,
     )
-    print(f"wrote {corpus.table.n} samples, {corpus.conditions.n_conditions} conditions to {out}")
+    print(f"wrote {table.n} samples, {corpus.conditions.n_conditions} conditions to {out}")
     return EXIT_OK
 
 
-def _out_dir(args) -> Path:
+def _save(args, config, *outputs, seed=None) -> Path:
+    """Write each ``(file name, writer, *data)`` output into ``--out`` in the
+    order given, then the manifest, which digests them and the files named by
+    whichever input flags the command has and was given. Return the directory."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name, writer, *data in outputs:
+        writer(out / name, *data)
+    flags = ("ruleset", "predictions", "conditions", "trace")
+    io.write_manifest(
+        out,
+        command=args.command,
+        config=config,
+        input_paths=[path for flag in flags if (path := getattr(args, flag, ""))],
+        output_paths=[out / name for name, *_ in outputs],
+        seed=seed,
+    )
     return out
 
 
@@ -125,22 +130,17 @@ def _labeled_table(args):
     return table
 
 
-def cmd_learn(args) -> int:
+def _corpus(args):
+    """The labeled predictions table and its conditions."""
     table = _labeled_table(args)
-    conds = io.read_conditions(args.conditions, table)
+    return table, io.read_conditions(args.conditions, table)
+
+
+def cmd_learn(args) -> int:
+    table, conds = _corpus(args)
     rule_set = det_corr_rule_learn(_parse_epsilon(args, table.classes), table, conds)
     stats = compute_class_stats(table)
-
-    out = _out_dir(args)
-    ruleset_path = out / "ruleset.yaml"
-    io.save_ruleset(ruleset_path, rule_set)
-    io.write_manifest(
-        out,
-        command="learn",
-        config={"epsilon": rule_set.epsilon},
-        input_paths=[args.predictions, args.conditions],
-        output_paths=[ruleset_path],
-    )
+    out = _save(args, {"epsilon": rule_set.epsilon}, ("ruleset.yaml", io.save_ruleset, rule_set))
 
     names = table.classes.names
     for i, name in enumerate(names):
@@ -158,7 +158,7 @@ def cmd_learn(args) -> int:
         if corr is not None:
             pairs = [(cond, names[cls]) for cond, cls in corr.pairs]
             print(f"{name}: correct via {pairs} s={corr.support:.4f} c={corr.confidence:.4f}")
-    print(f"wrote {ruleset_path}")
+    print(f"wrote {out / 'ruleset.yaml'}")
     return EXIT_OK
 
 
@@ -167,18 +167,8 @@ def cmd_apply(args) -> int:
     table = io.read_predictions(args.predictions, classes=rule_set.classes)
     conds = io.read_conditions(args.conditions, table)
     revised, trace = apply_ruleset(rule_set, table, conds)
-
-    out = _out_dir(args)
-    revised_path = out / "revised.csv"
-    trace_path = out / "trace.csv"
-    io.write_predictions(revised_path, revised)
-    io.write_trace(trace_path, trace)
-    io.write_manifest(
-        out,
-        command="apply",
-        config={},
-        input_paths=[args.ruleset, args.predictions, args.conditions],
-        output_paths=[revised_path, trace_path],
+    out = _save(
+        args, {}, ("revised.csv", io.write_predictions, revised), ("trace.csv", io.write_trace, trace)
     )
     n_unknown = int(np.count_nonzero(revised.pred_ids == -1))
     n_changed = int(np.count_nonzero(revised.pred_ids != table.pred_ids))
@@ -205,17 +195,7 @@ def cmd_eval(args) -> int:
         detection = error_detection_metrics(trace.flagged[rows], original_table)
         report = dataclasses.replace(report, error_detection=detection)
 
-    out = _out_dir(args)
-    metrics_path = out / "metrics.csv"
-    io.write_metrics(metrics_path, report)
-    inputs = [args.predictions] + ([args.trace] if args.trace else [])
-    io.write_manifest(
-        out,
-        command="eval",
-        config={"mode": mode.value},
-        input_paths=inputs,
-        output_paths=[metrics_path],
-    )
+    out = _save(args, {"mode": mode.value}, ("metrics.csv", io.write_metrics, report))
     print(f"accuracy ({mode.value}): {report.accuracy:.4f}")
     for entry in report.per_class:
         print(
@@ -224,34 +204,23 @@ def cmd_eval(args) -> int:
     if report.error_detection is not None:
         d = report.error_detection
         print(f"error detection: P={d.precision:.4f} R={d.recall:.4f} F1={d.f1:.4f}")
-    print(f"wrote {metrics_path}")
+    print(f"wrote {out / 'metrics.csv'}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    table = _labeled_table(args)
-    conds = io.read_conditions(args.conditions, table)
+    table, conds = _corpus(args)
     epsilons = _parse_floats(args.epsilons)
     split = sequential_split(table, conds, args.learn_fraction)
     rows = epsilon_sweep(epsilons, split)
-
-    out = _out_dir(args)
-    sweep_path = out / "sweep.csv"
-    io.write_sweep(sweep_path, rows)
-    io.write_manifest(
-        out,
-        command="sweep",
-        config={"epsilons": epsilons, "learn_fraction": args.learn_fraction},
-        input_paths=[args.predictions, args.conditions],
-        output_paths=[sweep_path],
-    )
-    print(f"wrote {len(rows)} sweep rows to {sweep_path}")
+    config = {"epsilons": epsilons, "learn_fraction": args.learn_fraction}
+    out = _save(args, config, ("sweep.csv", io.write_sweep, rows))
+    print(f"wrote {len(rows)} sweep rows to {out / 'sweep.csv'}")
     return EXIT_OK
 
 
 def cmd_unseen(args) -> int:
-    table = _labeled_table(args)
-    conds = io.read_conditions(args.conditions, table)
+    table, conds = _corpus(args)
     fractions = _parse_floats(args.fractions)
     rows = unseen_class_experiment(
         table,
@@ -261,28 +230,15 @@ def cmd_unseen(args) -> int:
         epsilon=args.epsilon,
         learn_fraction=args.learn_fraction,
     )
-
-    out = _out_dir(args)
-    unseen_path = out / "unseen.csv"
-    io.write_unseen(unseen_path, rows)
-    io.write_manifest(
-        out,
-        command="unseen",
-        config={
-            "holdout": args.holdout,
-            "fractions": fractions,
-            "epsilon": args.epsilon,
-            "learn_fraction": args.learn_fraction,
-        },
-        input_paths=[args.predictions, args.conditions],
-        output_paths=[unseen_path],
-    )
+    config = {"holdout": args.holdout, "fractions": fractions, "epsilon": args.epsilon,
+              "learn_fraction": args.learn_fraction}
+    out = _save(args, config, ("unseen.csv", io.write_unseen, rows))
     for row in rows:
         print(
             f"fraction={row.fraction:.2f}: baseline={row.baseline_accuracy:.4f} "
             f"edcr={row.edcr_accuracy:.4f} delta={row.delta:+.4f}"
         )
-    print(f"wrote {unseen_path}")
+    print(f"wrote {out / 'unseen.csv'}")
     return EXIT_OK
 
 
@@ -290,9 +246,7 @@ def cmd_verify(args) -> int:
     # the correction theorems replay constructed scenarios seeded from this
     # run; they read no input, so a bad count or seed fails before any read
     correction_fail = not check_correction_scenarios(args.correction_scenarios, args.seed)
-    table = _labeled_table(args)
-    conds = io.read_conditions(args.conditions, table)
-
+    table, conds = _corpus(args)
     reports = theorem_report(table, conds, epsilon=args.epsilon)
     failures = [r for r in reports if not r.passed]
     for r in reports:
@@ -316,20 +270,10 @@ def cmd_verify(args) -> int:
 
     print(f"correction theorems: {'FAIL' if correction_fail else 'ok'} "
           f"({args.correction_scenarios} constructed scenarios)")
-
-    out = _out_dir(args)
-    report_path = out / "theorem_report.csv"
-    io.write_theorem_reports(report_path, reports)
-    io.write_manifest(
-        out,
-        command="verify",
-        config={"epsilon": args.epsilon, "trials": args.trials,
-                "correction_scenarios": args.correction_scenarios},
-        input_paths=[args.predictions, args.conditions],
-        output_paths=[report_path],
-        seed=args.seed,
-    )
-    print(f"wrote {report_path}")
+    config = {"epsilon": args.epsilon, "trials": args.trials,
+              "correction_scenarios": args.correction_scenarios}
+    out = _save(args, config, ("theorem_report.csv", io.write_theorem_reports, reports), seed=args.seed)
+    print(f"wrote {out / 'theorem_report.csv'}")
     if failures or submodular_fail or correction_fail:
         raise VerificationError("one or more theorem checks failed")
     return EXIT_OK

@@ -62,7 +62,7 @@ from .core import (
     DataError,
     PredictionTable,
     UnknownClassError,
-    check_seed,
+    check_count,
     check_unit_interval,
 )
 
@@ -78,15 +78,18 @@ def _check_tracks(sample_ids: Sequence[str], counts, t, lat, lon):
     order, is a :class:`DataError` naming its record.  Returns the counts as
     ``intp`` and the point columns as ``float64`` arrays.  Counts whose
     ``np.asarray`` is not 1-D of an integer dtype (bool, float, string or
-    nested values; an empty sequence is no records) are a ContractError."""
+    nested values; an empty sequence is no records), or that hold a bool
+    among integers, are a ContractError."""
     try:
-        counts = np.asarray(counts)
-        integral = counts.ndim == 1 and (counts.dtype.kind in "iu" or not len(counts))
+        array = np.asarray(counts)
+        integral = array.ndim == 1 and (array.dtype.kind in "iu" or not len(array))
     except ValueError:  # a ragged nesting
         integral = False
+    if integral and not isinstance(counts, np.ndarray):  # numpy reads a bool among ints as 1
+        integral = not any(isinstance(count, (bool, np.bool_)) for count in counts)
     if not integral:
         raise ContractError("point counts must be a 1-D sequence of integers")
-    counts = counts.astype(np.intp)
+    counts = array.astype(np.intp)
     t, lat, lon = (np.asarray(column, dtype=np.float64) for column in (t, lat, lon))
     if not (len(sample_ids) == len(counts) and int(counts.sum()) == len(t) == len(lat) == len(lon)):
         raise ContractError("point columns do not match the per-record counts")
@@ -326,9 +329,9 @@ def generate_synthetic(
     not_g_<class> are emitted alongside, and velocity thresholds are fitted on
     the non-holdout records.
     """
-    seed = check_seed(seed)
+    seed = check_count("seed", seed)
     names = tuple(DEFAULT_SPEED_REGIMES)
-    if n_samples < len(names):
+    if check_count("n_samples", n_samples) < len(names):
         raise ContractError(f"n_samples={n_samples} cannot cover all {len(names)} classes")
     check_unit_interval("noise", noise)
     check_unit_interval("condition_noise", condition_noise)

@@ -81,13 +81,36 @@ def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
     return names
 
 
-def check_seed(seed) -> int:
-    """``seed`` as an int, or :class:`ContractError` unless it is a
-    non-negative integer: numpy raises ``ValueError`` for a negative seed and
-    ``TypeError`` for a float, and draws fresh entropy for ``None``."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
-        raise ContractError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+def check_count(name: str, value) -> int:
+    """``value`` as an int, or :class:`ContractError` naming ``name`` unless
+    it is a non-negative integer; a ``bool`` is not one.  Seeds are counts
+    too: numpy raises ``ValueError`` for a negative seed and ``TypeError``
+    for a float, and draws fresh entropy for ``None``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < 0:
+        raise ContractError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def check_pairs(pairs) -> tuple[tuple[str, int], ...]:
+    """``pairs`` as a tuple of ``(condition name, class id)`` tuples, or
+    :class:`ContractError` unless each is a 2-item pair of a non-empty ``str``
+    and an integer; a bare string is not a sequence of pairs.  A class id
+    that is not an integer is an :class:`UnknownClassError`, as in
+    :meth:`ClassSet.check_id`, which range-checks ids where the class set is
+    known."""
+    items = () if isinstance(pairs, str) else tuple(pairs)
+    shaped = all(
+        isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], str) and pair[0] != ""
+        for pair in items
+    )
+    if isinstance(pairs, str) or not shaped:
+        raise ContractError(f"correction pairs must be (condition, class id) tuples, got {pairs!r}")
+    for _, class_id in items:
+        if not isinstance(class_id, numbers.Integral):
+            raise UnknownClassError(
+                f"correction pairs must be (condition, class id) tuples; {class_id!r} is not a class id"
+            )
+    return tuple((name, int(class_id)) for name, class_id in items)
 
 
 @dataclass(frozen=True)
@@ -443,7 +466,7 @@ def detection_counts(
     several conditions counts once.
     """
     i = _class_of(table, conds, class_i)
-    names = sorted(set(dc))
+    names = sorted(set(check_names("condition name", dc, distinct=False)))
     n_i = int(np.count_nonzero(table.pred_ids == i))
     if not names:
         return DetectionCounts(0, 0, 0, 0.0, 0.0)
@@ -470,7 +493,7 @@ def correction_counts(
     zeros, matching the empty-body convention.
     """
     i = _class_of(table, conds, class_i)
-    pairs = [(cond, table.classes.check_id(cls)) for cond, cls in cc]
+    pairs = [(cond, table.classes.check_id(cls)) for cond, cls in check_pairs(cc)]
     if not pairs:
         return CorrectionCounts(0, 0, 0.0, 0.0)
     body = rule_body(conds, table.pred_ids, pairs)

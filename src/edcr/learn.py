@@ -39,17 +39,17 @@ import numpy as np
 from .core import (
     ClassStats,
     ConditionMatrix,
-    ContractError,
     PredictionTable,
     _class_of,
     _pack_rows,
     _require_aligned,
+    check_pairs,
     check_unit_interval,
     compute_class_stats,
     correction_counts,
     detection_counts,
 )
-from .rules import CorrectionRule, DetectionRule, RuleSet
+from .rules import CorrectionRule, DetectionRule, RuleSet, check_epsilon
 
 Pair = tuple[str, int]
 
@@ -137,7 +137,7 @@ def corr_rule_learn(
     p_i = float(stats.precision[i])
 
     columns: dict[Pair, int] = {}  # each distinct pair, with its condition's column
-    for cond_name, pair_class in cc_all:
+    for cond_name, pair_class in check_pairs(cc_all):
         pair = (cond_name, table.classes.check_id(pair_class))
         columns.setdefault(pair, conds.column_index(cond_name))
     if not columns:
@@ -187,20 +187,20 @@ def det_corr_rule_learn(
     pairs (condition, class) contributed by the selected detection conditions.
 
     ``epsilon`` is the per-class cap on recall reduction: one value for every
-    class, or a mapping from class name to value that names every class of
-    the table.  Emits at most one rule of each kind per class; recorded stats
+    class, or a mapping from class name to value that names exactly the
+    classes of the table, checked by :func:`rules.check_epsilon` before any
+    class is learned.  Emits at most one rule of each kind per class; recorded stats
     are measured on the learning table so downstream application needs no
     ground truth.
     """
     stats = compute_class_stats(table)  # which requires ground truth
     _require_aligned(table, conds)
-    per_class = epsilon if isinstance(epsilon, Mapping) else dict.fromkeys(table.classes.names, epsilon)
+    epsilon = check_epsilon(epsilon, table.classes)
+    per_class = epsilon if isinstance(epsilon, dict) else dict.fromkeys(table.classes.names, epsilon)
 
     detection: list[DetectionRule] = []
     cc_all: list[Pair] = []
     for i, name in enumerate(table.classes.names):
-        if name not in per_class:
-            raise ContractError(f"no epsilon configured for class {name!r}")
         dc = det_rule_learn(i, per_class[name], table, conds, stats=stats)
         if dc:
             counts = detection_counts(table, conds, i, dc)
@@ -217,7 +217,7 @@ def det_corr_rule_learn(
     return RuleSet(
         classes=table.classes,
         condition_names=conds.condition_names,
-        epsilon=dict(epsilon) if isinstance(epsilon, Mapping) else epsilon,
+        epsilon=epsilon,
         detection_rules=tuple(detection),
         correction_rules=tuple(correction),
     )

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
+from typing import Mapping
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .core import (
     PredictionTable,
     _require_aligned,
     check_names,
+    check_pairs,
     check_unit_interval,
     rule_body,
 )
@@ -61,14 +63,22 @@ class CorrectionRule:
     confidence: float
 
     def __post_init__(self) -> None:
-        pairs = () if isinstance(self.pairs, str) else tuple(self.pairs)
-        if isinstance(self.pairs, str) or not all(isinstance(cond, str) for cond, _ in pairs):
-            raise ContractError(f"correction pairs must be (condition, class id) tuples, got {self.pairs!r}")
-        object.__setattr__(self, "pairs", tuple(sorted(set(pairs))))
+        object.__setattr__(self, "pairs", tuple(sorted(set(check_pairs(self.pairs)))))
         object.__setattr__(self, "support", check_unit_interval("support", self.support))
         object.__setattr__(self, "confidence", check_unit_interval("confidence", self.confidence))
         if not self.pairs:
             raise ContractError("a correction rule needs at least one (condition, class) pair")
+
+
+def check_epsilon(epsilon, classes: ClassSet) -> float | dict[str, float]:
+    """The recall budget ``epsilon`` as a float or a dict, or
+    :class:`ContractError` unless it is one value in [0, 1] for every class
+    or a mapping that names exactly the classes, each value in [0, 1]."""
+    if not isinstance(epsilon, Mapping):
+        return check_unit_interval("epsilon", epsilon)
+    if set(epsilon) != set(classes.names):
+        raise ContractError(f"epsilon mapping names {list(epsilon)}, not {classes.names}")
+    return {name: check_unit_interval(f"epsilon of {name}", value) for name, value in epsilon.items()}
 
 
 @dataclass(frozen=True)
@@ -91,13 +101,7 @@ class RuleSet:
         object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
         object.__setattr__(self, "detection_rules", tuple(self.detection_rules))
         object.__setattr__(self, "correction_rules", tuple(self.correction_rules))
-        if isinstance(self.epsilon, dict):
-            if set(self.epsilon) != set(self.classes.names):
-                raise ContractError(f"epsilon mapping names {list(self.epsilon)}, not {self.classes.names}")
-            epsilon = {name: check_unit_interval(f"epsilon of {name}", v) for name, v in self.epsilon.items()}
-        else:
-            epsilon = check_unit_interval("epsilon", self.epsilon)
-        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "epsilon", check_epsilon(self.epsilon, self.classes))
         universe = set(self.condition_names)
         for kind, rules in (("detection", self.detection_rules), ("correction", self.correction_rules)):
             targets = [self.classes.check_id(rule.target) for rule in rules]

@@ -32,7 +32,7 @@ from .core import (
     PredictionTable,
     _class_of,
     _pack_rows,
-    check_seed,
+    check_count,
     check_unit_interval,
     compute_class_stats,
     correction_counts,
@@ -185,9 +185,8 @@ def check_submodular(
     """
     if quantity not in ("pos", "neg", "bod"):
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
-    if trials < 0:
-        raise ContractError(f"trials must be non-negative, got {trials}")
-    seed = check_seed(seed)
+    trials = check_count("trials", trials)
+    seed = check_count("seed", seed)
     i = _class_of(table, conds, class_i)
     names = list(conds.condition_names)
     m = len(names)
@@ -284,7 +283,7 @@ def build_correction_scenario(
     baseline with the given prior and precision.  The rule body covers rows
     predicted as the other class, disjoint from the target's predictions, as
     the closed forms assume."""
-    if n_total <= 0:
+    if check_count("n_total", n_total) == 0:
         raise ContractError("n_total must be positive")
     n_i = _as_count(prior * n_total, "N_i")
     tp = _as_count(precision * n_i, "TP")
@@ -389,9 +388,8 @@ def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
     precision change matches :func:`correction_precision_delta` and every
     measured recall of the target class after the rule matches
     :func:`correction_recall_post`."""
-    if n_scenarios < 0:
-        raise ContractError(f"correction scenario count must be non-negative, got {n_scenarios}")
-    rng = np.random.default_rng(check_seed(seed))
+    n_scenarios = check_count("correction scenario count", n_scenarios)
+    rng = np.random.default_rng(check_count("seed", seed))
     for _ in range(n_scenarios):
         n_i = int(rng.integers(10, 60))
         tp = int(rng.integers(1, n_i + 1))

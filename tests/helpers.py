@@ -68,7 +68,7 @@ from edcr.core import (
     UnknownClassError,
     _pack_rows,
     _require_aligned,
-    check_seed,
+    check_count,
     check_unit_interval,
     id_column,
     rule_body,
@@ -516,7 +516,7 @@ def reference_check_submodular(
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
     if trials < 0:
         raise ContractError(f"trials must be non-negative, got {trials}")
-    seed = check_seed(seed)
+    seed = check_count("seed", seed)
     table.require_ground_truth()
     _require_aligned(table, conds)
     i = table.classes.check_id(class_i)

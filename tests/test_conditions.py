@@ -103,7 +103,8 @@ class TestRecordRules:
         [([3], "do not match"), ([3, 0], "do not match"), ([1, 1, 1], "do not match"),
          ([3, -1], "non-negative"), ([-2, 4], "non-negative"),
          ([2.7], "integers"), ([2.0], "integers"), ([True], "integers"), (["2"], "integers"),
-         ("2", "integers"), ([[2]], "integers"), ([[1], [1]], "integers"), ([2, [0]], "integers")],
+         ("2", "integers"), ([[2]], "integers"), ([[1], [1]], "integers"), ([2, [0]], "integers"),
+         ([2, False], "integers"), ([True, True], "integers"), ([np.True_, 1], "integers")],
     )
     def test_counts_that_do_not_describe_the_columns(self, entry, counts, message):
         _, _, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
@@ -392,10 +393,15 @@ class TestGenerateSynthetic:
                 seed=0, n_samples=10, holdout_classes=["walk", "bike", "bus", "drive"]
             )
 
-    @pytest.mark.parametrize("seed", [-1, 1.5, None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ContractError, match="seed"):
             generate_synthetic(seed=seed, n_samples=10)
+
+    @pytest.mark.parametrize("n_samples", [7.0, "10", True, -1])
+    def test_sample_count_must_be_non_negative_integer(self, n_samples):
+        with pytest.raises(ContractError, match="n_samples must be a non-negative integer"):
+            generate_synthetic(0, n_samples)
 
 
 def tracks_of(corpus):

@@ -11,6 +11,7 @@ from edcr import (
     UnknownClassError,
     UnknownConditionError,
     compute_class_stats,
+    corr_rule_learn,
     correction_counts,
     detection_counts,
 )
@@ -294,6 +295,28 @@ class TestCorrectionCounts:
         assert (counts.pos, counts.bod, counts.support, counts.confidence) == (
             oracle_correction_counts(table, conds, target, pairs)
         )
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda t, c: correction_counts(t, c, 0, "c1"),
+        lambda t, c: correction_counts(t, c, 0, [("c1",)]),
+        lambda t, c: correction_counts(t, c, 0, [("c1", "b")]),
+        lambda t, c: correction_counts(t, c, 0, [("", 1)]),
+        lambda t, c: corr_rule_learn(0, [("c1",)], t, c),
+        lambda t, c: corr_rule_learn(0, "c1", t, c),
+        lambda t, c: detection_counts(t, c, 0, "c1"),
+        lambda t, c: detection_counts(t, c, 0, ["c1", 2]),
+    ],
+    ids=["pairs_string", "pair_one_item", "pair_class_string", "pair_empty_condition", "learn_one_item",
+         "learn_string", "detection_string", "detection_int"],
+)
+def test_bodies_are_checked_by_type(call):
+    """A correction pair is a (non-empty str, integer class id) 2-item pair and
+    a body is never a bare string, which would be read as its characters."""
+    with pytest.raises(ContractError, match="correction pairs must be|condition names must be"):
+        call(*eight_sample())
 
 
 class TestCountingLattice:

@@ -1150,6 +1150,65 @@ class TestCli:
         assert {name: io.sha256_file(out / name) for name in GEN_SEED7_SHA256} == GEN_SEED7_SHA256
 
 
+@pytest.fixture(scope="module")
+def manifest_runs(tmp_path_factory):
+    """Every command run once on one small corpus, each into its own
+    directory named after its ``MANIFEST_CASES`` key."""
+    root = tmp_path_factory.mktemp("manifests")
+    p, c = root / "gen" / "predictions.csv", root / "gen" / "conditions.csv"
+    read = ["--predictions", p, "--conditions", c]
+    revised, trace = root / "apply" / "revised.csv", root / "apply" / "trace.csv"
+    argvs = {
+        "gen": ["gen", "--seed", 9, "--samples", 400, "--holdout", "walk,drive"],
+        "learn": ["learn", *read, "--epsilon", 0.2],
+        "apply": ["apply", "--ruleset", root / "learn" / "ruleset.yaml", *read],
+        "eval": ["eval", "--predictions", revised, "--trace", trace],
+        "eval_no_trace": ["eval", "--predictions", revised, "--mode", "novel-aware"],
+        "sweep": ["sweep", *read, "--epsilons", "0,0.1", "--learn-fraction", 0.4],
+        "unseen": ["unseen", *read, "--holdout", "walk,drive", "--fractions", "0,0.2"],
+        "verify": ["verify", *read, "--trials", 200, "--correction-scenarios", 20, "--seed", 5],
+    }
+    for key, argv in argvs.items():
+        assert run([*argv, "--out", root / key]) == 0, key
+    return root
+
+
+# command, seed, config, inputs (as paths under the runs' root) and outputs
+MANIFEST_CASES = {
+    "gen": ("gen", 9, {"samples": 400, "noise": 0.25, "holdout": "walk,drive", "condition_noise": 0.05},
+            [], ["trajectories.csv", "predictions.csv", "conditions.csv"]),
+    "learn": ("learn", None, {"epsilon": 0.2},
+              ["gen/predictions.csv", "gen/conditions.csv"], ["ruleset.yaml"]),
+    "apply": ("apply", None, {},
+              ["learn/ruleset.yaml", "gen/predictions.csv", "gen/conditions.csv"], ["revised.csv", "trace.csv"]),
+    "eval": ("eval", None, {"mode": "strict"}, ["apply/revised.csv", "apply/trace.csv"], ["metrics.csv"]),
+    "eval_no_trace": ("eval", None, {"mode": "novel-aware"}, ["apply/revised.csv"], ["metrics.csv"]),
+    "sweep": ("sweep", None, {"epsilons": [0.0, 0.1], "learn_fraction": 0.4},
+              ["gen/predictions.csv", "gen/conditions.csv"], ["sweep.csv"]),
+    "unseen": ("unseen", None,
+               {"holdout": "walk,drive", "fractions": [0.0, 0.2], "epsilon": 0.1, "learn_fraction": 0.5},
+               ["gen/predictions.csv", "gen/conditions.csv"], ["unseen.csv"]),
+    "verify": ("verify", 5, {"epsilon": 0.1, "trials": 200, "correction_scenarios": 20},
+               ["gen/predictions.csv", "gen/conditions.csv"], ["theorem_report.csv"]),
+}
+
+
+@pytest.mark.parametrize("key", MANIFEST_CASES)
+def test_manifest_of_every_command(manifest_runs, key):
+    """Each command's manifest names its command, seed and config, digests
+    exactly the files its flags read, and digests every other file it wrote."""
+    command, seed, config, inputs, outputs = MANIFEST_CASES[key]
+    out = manifest_runs / key
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert (manifest["command"], manifest["seed"], manifest["config"]) == (command, seed, config)
+    assert manifest["inputs"] == {
+        Path(name).name: io.sha256_file(manifest_runs / name) for name in inputs
+    }
+    written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
+    assert sorted(outputs) == written
+    assert manifest["outputs"] == {name: io.sha256_file(out / name) for name in written}
+
+
 #: SHA-256 of ``edcr gen --seed 7 --samples 2000`` with the default noise.
 GEN_SEED7_SHA256 = {
     "trajectories.csv": "5e4f45e88456d7229933bb4bf12e9acaf8a1a806c0fdcc2298760936c450ba49",

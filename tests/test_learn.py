@@ -49,9 +49,13 @@ class TestLearningEpsilon:
         with pytest.raises(ContractError, match="epsilon"):
             det_corr_rule_learn({"a": 0.1, "b": 0.1, "x": 2.0}, *self.instance())
 
-    def test_mapping_missing_class(self):
-        with pytest.raises(ContractError, match="no epsilon configured for class 'b'"):
-            det_corr_rule_learn({"a": 0.1}, *self.instance())
+    @pytest.mark.parametrize("epsilon", [{"a": 0.1}, {"a": 0.1, "b": 0.1, "x": 0.2}])
+    def test_mapping_names_exactly_the_classes(self, epsilon):
+        # the mapping is checked once, by the rule set's rule, before any class is learned
+        with mock.patch.object(edcr.learn, "det_rule_learn", wraps=edcr.learn.det_rule_learn) as learned:
+            with pytest.raises(ContractError, match=r"epsilon mapping names .*, not \('a', 'b'\)"):
+                det_corr_rule_learn(epsilon, *self.instance())
+        assert learned.call_count == 0
 
     def test_scalar_broadcast(self):
         scalar = det_corr_rule_learn(0.2, *self.instance())

@@ -88,9 +88,13 @@ class TestRuleTypes:
             lambda: DetectionRule(0, ("c", 1), 0.5, 0.5),
             lambda: CorrectionRule(0, "c1", 0.5, 0.5),
             lambda: CorrectionRule(0, ((1, 0),), 0.5, 0.5),
+            lambda: CorrectionRule(0, [("c1",)], 0.5, 0.5),
+            lambda: CorrectionRule(0, [("c1", "b")], 0.5, 0.5),
+            lambda: CorrectionRule(0, [("c1", 0, 1)], 0.5, 0.5),
         ],
         ids=["class_string", "class_int", "declared_string", "declared_int", "detection_string",
-             "detection_int", "pairs_string", "pair_condition_int"],
+             "detection_int", "pairs_string", "pair_condition_int", "pair_one_item", "pair_class_string",
+             "pair_three_items"],
     )
     def test_names_are_sequences_of_strings(self, build):
         # a bare string would be read as its characters

@@ -186,10 +186,15 @@ class TestCorrectionScenarios:
         with mock.patch.object(theory, "correction_recall_post", off):
             assert not theory.check_correction_scenarios(3, seed=0)
 
-    @pytest.mark.parametrize("n_scenarios, seed", [(-1, 0), (1, -1)])
+    @pytest.mark.parametrize("n_scenarios, seed", [(-1, 0), (1, -1), (2.5, 0), (True, 0), ("2", 0), (1, 1.5)])
     def test_bad_count_or_seed(self, n_scenarios, seed):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="must be a non-negative integer"):
             theory.check_correction_scenarios(n_scenarios, seed)
+
+    @pytest.mark.parametrize("n_total", [10.0, True, "10", 0, -10])
+    def test_bad_scenario_size(self, n_total):
+        with pytest.raises(ContractError, match="n_total must be"):
+            build_correction_scenario(n_total, 0.2, 0.5, 0.2, 0.5)
 
 
 class TestSubmodularity:
@@ -254,6 +259,14 @@ class TestSubmodularity:
         conds = make_conds(["c"], [[1, 0]])
         with pytest.raises(ContractError, match="seed"):
             check_submodular("pos", 0, table, conds, seed=-1)
+
+    @pytest.mark.parametrize("trials", [2.5, "5", True, -1])
+    def test_trials_must_be_a_count(self, trials):
+        # 14 conditions: past the exhaustive limit, so the pairs are sampled
+        table = make_table(["a", "b"], ["a", "a"], ["a", "b"])
+        conds = make_conds([f"c{j}" for j in range(14)], [[1, 0]] * 14)
+        with pytest.raises(ContractError, match="trials must be a non-negative integer"):
+            check_submodular("pos", 0, table, conds, trials=trials)
 
     @given(st.integers(0, 2**32 - 1))
     def test_packed_words_count_like_any(self, seed):
