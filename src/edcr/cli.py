@@ -21,7 +21,6 @@ from .core import (
     EdcrError,
     PredictionTable,
     VerificationError,
-    compute_class_stats,
     name_column,
 )
 from .evaluate import (
@@ -139,7 +138,6 @@ def _corpus(args):
 def cmd_learn(args) -> int:
     table, conds = _corpus(args)
     rule_set = det_corr_rule_learn(_parse_epsilon(args, table.classes), table, conds)
-    stats = compute_class_stats(table)
     out = _save(args, {"epsilon": rule_set.epsilon}, ("ruleset.yaml", io.save_ruleset, rule_set))
 
     names = table.classes.names
@@ -147,7 +145,7 @@ def cmd_learn(args) -> int:
         det = rule_set.detection_by_class.get(i)
         corr = rule_set.correction_by_class.get(i)
         if det is not None:
-            dp, dr = detection_effect(det, stats)
+            dp, dr = detection_effect(det, table.stats)
             effect = " (degenerate stats)" if dp is None else f" predicted dP={dp:+.4f} dR={-dr:+.4f}"
             print(
                 f"{name}: detect via {list(det.conditions)} "
@@ -197,10 +195,9 @@ def cmd_eval(args) -> int:
 
     out = _save(args, {"mode": mode.value}, ("metrics.csv", io.write_metrics, report))
     print(f"accuracy ({mode.value}): {report.accuracy:.4f}")
-    for entry in report.per_class:
-        print(
-            f"{entry.class_name}: P={entry.precision:.4f} R={entry.recall:.4f} F1={entry.f1:.4f}"
-        )
+    stats = report.stats
+    for i, name in enumerate(stats.classes.names):
+        print(f"{name}: P={stats.precision[i]:.4f} R={stats.recall[i]:.4f} F1={stats.f1[i]:.4f}")
     if report.error_detection is not None:
         d = report.error_detection
         print(f"error detection: P={d.precision:.4f} R={d.recall:.4f} F1={d.f1:.4f}")

@@ -5,7 +5,8 @@ ground truth), a :class:`ConditionMatrix` holds boolean per-sample signals, and
 the counting helpers below are the primitives every rule learner and theorem
 check consumes.  All types are frozen after construction and the counting
 operations are pure functions, so everything here is safe to share across
-threads.
+threads.  A table's per-class statistics, :attr:`PredictionTable.stats`, are
+computed on first use and kept with the table.
 """
 from __future__ import annotations
 
@@ -95,9 +96,9 @@ def check_pairs(pairs) -> tuple[tuple[str, int], ...]:
     """``pairs`` as a tuple of ``(condition name, class id)`` tuples, or
     :class:`ContractError` unless each is a 2-item pair of a non-empty ``str``
     and an integer; a bare string is not a sequence of pairs.  A class id
-    that is not an integer is an :class:`UnknownClassError`, as in
-    :meth:`ClassSet.check_id`, which range-checks ids where the class set is
-    known."""
+    that is not an integer (a ``bool`` is not one) is an
+    :class:`UnknownClassError`, as in :meth:`ClassSet.check_id`, which
+    range-checks ids where the class set is known."""
     items = () if isinstance(pairs, str) else tuple(pairs)
     shaped = all(
         isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], str) and pair[0] != ""
@@ -106,7 +107,7 @@ def check_pairs(pairs) -> tuple[tuple[str, int], ...]:
     if isinstance(pairs, str) or not shaped:
         raise ContractError(f"correction pairs must be (condition, class id) tuples, got {pairs!r}")
     for _, class_id in items:
-        if not isinstance(class_id, numbers.Integral):
+        if not isinstance(class_id, numbers.Integral) or isinstance(class_id, bool):
             raise UnknownClassError(
                 f"correction pairs must be (condition, class id) tuples; {class_id!r} is not a class id"
             )
@@ -146,8 +147,9 @@ class ClassSet:
 
     def check_id(self, class_id) -> int:
         """``class_id`` as an int; raises :class:`UnknownClassError` unless it
-        is an integer in ``[0, len(self))``."""
-        if isinstance(class_id, numbers.Integral) and 0 <= class_id < len(self.names):
+        is an integer in ``[0, len(self))``; a ``bool`` is not one."""
+        integer = isinstance(class_id, numbers.Integral) and not isinstance(class_id, bool)
+        if integer and 0 <= class_id < len(self.names):
             return int(class_id)
         raise UnknownClassError(
             f"class id {class_id!r} is not in [0, {len(self.names)}) for classes {self.names}"
@@ -231,6 +233,11 @@ class PredictionTable:
         if self.gt_ids is None:
             raise ContractError("operation requires a table with ground truth")
 
+    @cached_property
+    def stats(self) -> "ClassStats":
+        """:func:`compute_class_stats` of this table, computed on first use."""
+        return compute_class_stats(self)
+
     def names(self, ids: np.ndarray) -> list[str]:
         """Class names for an id column of this table."""
         return name_column(self.classes.names + self.novel_names, ids)
@@ -264,6 +271,7 @@ class PredictionTable:
         column is checked; the sample ids, ground truth and novel names were
         checked when this table was built and are shared, not re-hashed."""
         table = copy.copy(self)
+        vars(table).pop("stats", None)  # this table's stats are not the new one's
         pred = _checked_ids(pred_ids, self.n, "predicted", -1, len(self.classes))
         object.__setattr__(table, "pred_ids", pred)
         return table
@@ -367,7 +375,9 @@ class ClassStats:
     ``precision[i]`` is defined as 0 when the class was never predicted and
     ``recall[i]`` as 0 when the class never occurs in ground truth; learners
     skip such classes rather than divide by zero.  ``prior[i]`` is the
-    fraction of all samples predicted as class i.  Every array is read-only.
+    fraction of all samples predicted as class i, and ``f1[i]`` the harmonic
+    mean of precision and recall, 0 where both are 0.  Every array is
+    read-only.
     """
 
     classes: ClassSet
@@ -381,13 +391,15 @@ class ClassStats:
     precision: np.ndarray = field(init=False)
     recall: np.ndarray = field(init=False)
     prior: np.ndarray = field(init=False)
+    f1: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         tp, fp, tn, fn = (np.array(getattr(self, name), dtype=np.int64) for name in ("tp", "fp", "tn", "fn"))
         n_predicted, n_actual = tp + fp, tp + fn
+        precision, recall = _ratio(tp, n_predicted), _ratio(tp, n_actual)
         arrays = dict(tp=tp, fp=fp, tn=tn, fn=fn, n_predicted=n_predicted, n_actual=n_actual,
-                      precision=_ratio(tp, n_predicted), recall=_ratio(tp, n_actual),
-                      prior=_ratio(n_predicted, self.total))
+                      precision=precision, recall=recall, prior=_ratio(n_predicted, self.total),
+                      f1=_ratio(2.0 * precision * recall, precision + recall))
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)

@@ -11,11 +11,11 @@ from typing import Sequence
 import numpy as np
 
 from .core import (
+    ClassStats,
     ConditionMatrix,
     ContractError,
     PredictionTable,
     check_unit_interval,
-    compute_class_stats,
 )
 from .learn import det_corr_rule_learn
 from .rules import apply_ruleset
@@ -31,11 +31,19 @@ class ScoringMode(enum.Enum):
 
     @classmethod
     def from_string(cls, text: str) -> "ScoringMode":
-        normalized = text.strip().lower().replace("_", "-")
+        normalized = text.strip().lower().replace("_", "-") if isinstance(text, str) else None
         for mode in cls:
             if mode.value == normalized:
                 return mode
         raise ContractError(f"unknown scoring mode {text!r}; use strict or novel-aware")
+
+
+def _check_mode(mode) -> ScoringMode:
+    """``mode``, or :class:`ContractError` unless it is a :class:`ScoringMode`;
+    a name such as ``"strict"`` is not one (``from_string`` parses names)."""
+    if not isinstance(mode, ScoringMode):
+        raise ContractError(f"scoring mode must be a ScoringMode, got {mode!r}")
+    return mode
 
 
 def f1_score(precision: float, recall: float) -> float:
@@ -58,7 +66,7 @@ def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> Er
     table.require_ground_truth()
     flag_arr = np.asarray(flags, dtype=bool)
     if flag_arr.shape != (table.n,):
-        raise ContractError(f"{flag_arr.shape[0] if flag_arr.ndim else 0} flags for {table.n} samples")
+        raise ContractError(f"flags must have shape ({table.n},), got {flag_arr.shape}")
     actual = table.pred_ids != table.gt_ids
     raised = int(np.count_nonzero(flag_arr))
     errors = int(np.count_nonzero(actual))
@@ -70,6 +78,7 @@ def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> Er
 
 def accuracy(table: PredictionTable, mode: ScoringMode = ScoringMode.STRICT) -> float:
     """Fraction of correct predictions under the given scoring mode."""
+    mode = _check_mode(mode)
     table.require_ground_truth()
     correct = np.count_nonzero(table.pred_ids == table.gt_ids)
     if mode is ScoringMode.NOVEL_AWARE:
@@ -78,44 +87,24 @@ def accuracy(table: PredictionTable, mode: ScoringMode = ScoringMode.STRICT) -> 
 
 
 @dataclass(frozen=True)
-class ClassMetrics:
-    class_name: str
-    precision: float
-    recall: float
-    f1: float
-    n_predicted: int
-    n_actual: int
-
-
-@dataclass(frozen=True)
 class MetricsReport:
-    """Full evaluation of one table: per-class scores, accuracy under the
-    chosen mode (plus both modes for reference), and optionally the
-    error-detection scores of an application's flags, which are scored
-    against the original predictions (:func:`error_detection_metrics`)."""
+    """Full evaluation of one table: its per-class :class:`ClassStats`,
+    accuracy under the chosen mode (plus both modes for reference), and
+    optionally the error-detection scores of an application's flags, which
+    are scored against the original predictions
+    (:func:`error_detection_metrics`)."""
 
     n_samples: int
     mode: ScoringMode
     accuracy: float
     accuracy_strict: float
     accuracy_novel_aware: float
-    per_class: tuple[ClassMetrics, ...]
+    stats: ClassStats
     error_detection: ErrorMetrics | None = None
 
 
 def metrics_report(table: PredictionTable, mode: ScoringMode = ScoringMode.STRICT) -> MetricsReport:
-    stats = compute_class_stats(table)
-    per_class = tuple(
-        ClassMetrics(
-            class_name=name,
-            precision=float(stats.precision[i]),
-            recall=float(stats.recall[i]),
-            f1=f1_score(float(stats.precision[i]), float(stats.recall[i])),
-            n_predicted=int(stats.n_predicted[i]),
-            n_actual=int(stats.n_actual[i]),
-        )
-        for i, name in enumerate(table.classes.names)
-    )
+    mode = _check_mode(mode)
     strict = accuracy(table, ScoringMode.STRICT)
     novel = accuracy(table, ScoringMode.NOVEL_AWARE)
     return MetricsReport(
@@ -124,7 +113,7 @@ def metrics_report(table: PredictionTable, mode: ScoringMode = ScoringMode.STRIC
         accuracy=strict if mode is ScoringMode.STRICT else novel,
         accuracy_strict=strict,
         accuracy_novel_aware=novel,
-        per_class=per_class,
+        stats=table.stats,
     )
 
 
@@ -189,15 +178,14 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> tuple[SweepRow, ..
     rows: list[SweepRow] = []
     for epsilon in epsilons:
         rule_set = det_corr_rule_learn(epsilon, split.learn_table, split.learn_conds)
-        learn_stats = compute_class_stats(split.learn_table)
+        learn_stats = split.learn_table.stats
         tr = {rule.target: detection_effect(rule, learn_stats)[1] for rule in rule_set.detection_rules}
         for split_name, tbl, cnd in (
             ("learn", split.learn_table, split.learn_conds),
             ("test", split.test_table, split.test_conds),
         ):
-            before = compute_class_stats(tbl)
-            revised, _ = apply_ruleset(rule_set, tbl, cnd)
-            after = compute_class_stats(revised)
+            before = tbl.stats
+            after = apply_ruleset(rule_set, tbl, cnd)[0].stats
             for i, name in enumerate(tbl.classes.names):
                 rows.append(
                     SweepRow(
@@ -206,10 +194,10 @@ def epsilon_sweep(epsilons: Sequence[float], split: Split) -> tuple[SweepRow, ..
                         split=split_name,
                         precision_before=float(before.precision[i]),
                         recall_before=float(before.recall[i]),
-                        f1_before=f1_score(float(before.precision[i]), float(before.recall[i])),
+                        f1_before=float(before.f1[i]),
                         precision_after=float(after.precision[i]),
                         recall_after=float(after.recall[i]),
-                        f1_after=f1_score(float(after.precision[i]), float(after.recall[i])),
+                        f1_after=float(after.f1[i]),
                         theoretical_recall_reduction=tr.get(i, 0.0),
                     )
                 )

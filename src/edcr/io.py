@@ -623,12 +623,10 @@ def write_metrics(path, report: MetricsReport) -> None:
         ("accuracy_strict", "", report.accuracy_strict),
         ("accuracy_novel_aware", "", report.accuracy_novel_aware),
     ]
-    for entry in report.per_class:
-        rows.append(("precision", entry.class_name, entry.precision))
-        rows.append(("recall", entry.class_name, entry.recall))
-        rows.append(("f1", entry.class_name, entry.f1))
-        rows.append(("n_predicted", entry.class_name, entry.n_predicted))
-        rows.append(("n_actual", entry.class_name, entry.n_actual))
+    stats = report.stats
+    for i, name in enumerate(stats.classes.names):
+        for metric in ("precision", "recall", "f1", "n_predicted", "n_actual"):
+            rows.append((metric, name, getattr(stats, metric)[i].item()))
     if report.error_detection is not None:
         rows.append(("error_precision", "", report.error_detection.precision))
         rows.append(("error_recall", "", report.error_detection.recall))

@@ -45,7 +45,6 @@ from .core import (
     _require_aligned,
     check_pairs,
     check_unit_interval,
-    compute_class_stats,
     correction_counts,
     detection_counts,
 )
@@ -68,7 +67,6 @@ def det_rule_learn(
     epsilon: float,
     table: PredictionTable,
     conds: ConditionMatrix,
-    stats: ClassStats | None = None,
 ) -> tuple[str, ...]:
     """Greedy detection-condition selection for the class id ``class_i``,
     over every condition of ``conds``.
@@ -80,8 +78,7 @@ def det_rule_learn(
     """
     check_unit_interval("epsilon", epsilon)
     i = _class_of(table, conds, class_i)
-    if stats is None:
-        stats = compute_class_stats(table)
+    stats = table.stats
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return ()
     budget = recall_budget(stats, i, epsilon)
@@ -120,7 +117,6 @@ def corr_rule_learn(
     cc_all: Iterable[Pair],
     table: PredictionTable,
     conds: ConditionMatrix,
-    stats: ClassStats | None = None,
 ) -> tuple[Pair, ...]:
     """Double-greedy correction-pair selection for the class id ``class_i``.
 
@@ -132,9 +128,7 @@ def corr_rule_learn(
     exceeds the baseline precision.
     """
     i = _class_of(table, conds, class_i)
-    if stats is None:
-        stats = compute_class_stats(table)
-    p_i = float(stats.precision[i])
+    p_i = float(table.stats.precision[i])
 
     columns: dict[Pair, int] = {}  # each distinct pair, with its condition's column
     for cond_name, pair_class in check_pairs(cc_all):
@@ -193,7 +187,7 @@ def det_corr_rule_learn(
     are measured on the learning table so downstream application needs no
     ground truth.
     """
-    stats = compute_class_stats(table)  # which requires ground truth
+    table.require_ground_truth()
     _require_aligned(table, conds)
     epsilon = check_epsilon(epsilon, table.classes)
     per_class = epsilon if isinstance(epsilon, dict) else dict.fromkeys(table.classes.names, epsilon)
@@ -201,7 +195,7 @@ def det_corr_rule_learn(
     detection: list[DetectionRule] = []
     cc_all: list[Pair] = []
     for i, name in enumerate(table.classes.names):
-        dc = det_rule_learn(i, per_class[name], table, conds, stats=stats)
+        dc = det_rule_learn(i, per_class[name], table, conds)
         if dc:
             counts = detection_counts(table, conds, i, dc)
             detection.append(DetectionRule(i, dc, counts.class_support, counts.confidence))
@@ -209,7 +203,7 @@ def det_corr_rule_learn(
 
     correction: list[CorrectionRule] = []
     for i in range(len(table.classes)):
-        cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+        cc = corr_rule_learn(i, cc_all, table, conds)
         if cc:
             counts = correction_counts(table, conds, i, cc)
             correction.append(CorrectionRule(i, cc, counts.support, counts.confidence))

@@ -34,7 +34,6 @@ from .core import (
     _pack_rows,
     check_count,
     check_unit_interval,
-    compute_class_stats,
     correction_counts,
     detection_counts,
 )
@@ -355,12 +354,12 @@ def theorem_report(
 ) -> tuple[TheoremReport, ...]:
     """Learn one detection rule per class and compare its closed-form effect
     against an empirical replay of that rule alone on the same table."""
-    stats = compute_class_stats(table)  # which requires ground truth
+    stats = table.stats  # which requires ground truth
     reports: list[TheoremReport] = []
     for i, name in enumerate(table.classes.names):
         p_i = float(stats.precision[i])
         r_i = float(stats.recall[i])
-        dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+        dc = det_rule_learn(i, epsilon, table, conds)
         if not dc:
             reports.append(TheoremReport(name, 0.0, 0.0, p_i, r_i, *[0.0] * 5, note="no rule learned"))
             continue
@@ -372,7 +371,7 @@ def theorem_report(
             d_precision, measured = 0.0, (0.0, 0.0)
         else:
             rule_set = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=(rule,))
-            after = compute_class_stats(apply_ruleset(rule_set, table, conds)[0])
+            after = apply_ruleset(rule_set, table, conds)[0].stats
             measured, note = (float(after.precision[i]) - p_i, float(after.recall[i]) - r_i), ""
         bound = precision_delta_bound(rule.class_support, rule.confidence)
         reports.append(
@@ -400,9 +399,9 @@ def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
         scenario = build_correction_scenario(
             n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn=extra_fn
         )
-        before = compute_class_stats(scenario.table)
+        before = scenario.table.stats
         revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
-        after = compute_class_stats(revised)
+        after = revised.stats
         i = scenario.rule.target
         predicted = correction_precision_delta(
             scenario.rule.support, scenario.rule.confidence, float(before.precision[i]),

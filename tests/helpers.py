@@ -187,21 +187,18 @@ def oracle_correction_counts(table, conds, class_id, pairs):
     return pos, bod, s, c
 
 
-def reference_det_rule_learn(class_i, epsilon, table, conds, stats=None, candidates=None):
+def reference_det_rule_learn(class_i, epsilon, table, conds):
     """Greedy detection learner that re-counts ``chosen + [cand]`` from the
     table for every candidate in every round."""
     check_unit_interval("epsilon", epsilon)
     table.require_ground_truth()
     _require_aligned(table, conds)
     i = table.classes.check_id(class_i)
-    if stats is None:
-        stats = compute_class_stats(table)
+    stats = compute_class_stats(table)
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return ()
     budget = recall_budget(stats, i, epsilon)
-    pool = sorted(set(candidates) if candidates is not None else conds.condition_names)
-    for name in pool:
-        conds.column_index(name)
+    pool = sorted(conds.condition_names)
 
     chosen: list[str] = []
     while True:
@@ -759,7 +756,6 @@ def reference_corr_rule_learn(
     cc_all: Iterable[Pair],
     table: PredictionTable,
     conds: ConditionMatrix,
-    stats: ClassStats | None = None,
 ) -> tuple[Pair, ...]:
     """Double-greedy correction-pair selection for one class.
 
@@ -773,9 +769,7 @@ def reference_corr_rule_learn(
     table.require_ground_truth()
     _require_aligned(table, conds)
     i = table.classes.check_id(class_i)
-    if stats is None:
-        stats = compute_class_stats(table)
-    p_i = float(stats.precision[i])
+    p_i = float(compute_class_stats(table).precision[i])
 
     pairs: list[Pair] = []
     seen: set[Pair] = set()

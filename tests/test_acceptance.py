@@ -62,12 +62,12 @@ def test_criterion_2_detection_theorem_exactness():
         rng = np.random.default_rng(seed)
         seed += 1
         table, conds = random_instance(rng, n_max=500, max_conditions=8)
-        stats = compute_class_stats(table)
+        stats = table.stats
         epsilon = float(rng.uniform(0.02, 0.4))
         for i in range(len(table.classes)):
             if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0 or stats.precision[i] == 0.0:
                 continue
-            dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+            dc = det_rule_learn(i, epsilon, table, conds)
             if not dc:
                 continue
             counts = detection_counts(table, conds, i, dc)
@@ -139,10 +139,10 @@ def test_criterion_4_greedy_vs_oracle():
     for seed in range(50):
         rng = np.random.default_rng(1000 + seed)
         table, conds = random_instance(rng, n_max=200, max_conditions=10)
-        stats = compute_class_stats(table)
+        stats = table.stats
         epsilon = float(rng.uniform(0.05, 0.4))
         i = int(rng.integers(0, len(table.classes)))
-        dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+        dc = det_rule_learn(i, epsilon, table, conds)
         oracle = reference_brute_force_detection(i, epsilon, table, conds)
         if dc:
             counts = detection_counts(table, conds, i, dc)
@@ -157,7 +157,7 @@ def test_criterion_4_greedy_vs_oracle():
             for k in range(len(table.classes))
             if rng.random() < 0.25
         ][:10]
-        cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+        cc = corr_rule_learn(i, cc_all, table, conds)
         corr_oracle = reference_brute_force_correction(i, cc_all, table, conds)
         if cc:
             counts = correction_counts(table, conds, i, cc)

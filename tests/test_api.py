@@ -101,7 +101,7 @@ CLASS_TAKERS = {
 }
 
 
-@pytest.mark.parametrize("bad", ["a", -1, 2], ids=["name", "minus_one", "len_classes"])
+@pytest.mark.parametrize("bad", ["a", -1, 2, True], ids=["name", "minus_one", "len_classes", "bool"])
 @pytest.mark.parametrize("call", CLASS_TAKERS.values(), ids=CLASS_TAKERS.keys())
 def test_class_ids_are_range_checked(call, bad):
     table = make_table(["a", "b"], ["a", "b", "a", "b"], ["a", "a", "b", "b"])

@@ -7,13 +7,17 @@ from edcr import (
     ClassSet,
     ConditionMatrix,
     ContractError,
+    DetectionRule,
     PredictionTable,
+    RuleSet,
     UnknownClassError,
     UnknownConditionError,
+    apply_ruleset,
     compute_class_stats,
     corr_rule_learn,
     correction_counts,
     detection_counts,
+    f1_score,
 )
 from edcr.core import rule_body
 from helpers import make_conds, make_table, oracle_correction_counts, oracle_detection_counts
@@ -148,6 +152,8 @@ class TestClassStats:
     def test_requires_ground_truth(self):
         with pytest.raises(ContractError):
             compute_class_stats(make_table(["a"], ["a"]))
+        with pytest.raises(ContractError, match="ground truth"):
+            make_table(["a"], ["a"]).stats
 
     def test_predicted_totals_bounded_by_n(self):
         full = compute_class_stats(make_table(["a", "b"], ["a", "b", "b"], ["a", "a", "b"]))
@@ -171,6 +177,48 @@ class TestClassStats:
         assert before.tp.tolist() == after.tp.tolist()
         assert before.fp.tolist() == after.fp.tolist()
         assert before.fn.tolist() == after.fn.tolist()
+
+    @given(
+        st.lists(
+            st.tuples(st.sampled_from(["a", "b", "c", UNKNOWN_NAME]), st.sampled_from(["a", "b", "c", "novel"])),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_f1_is_f1_score_exactly(self, rows):
+        # "d" is never predicted nor true; the draws also hold classes that
+        # are predicted but never right (precision 0) or true but never
+        # predicted (recall 0)
+        pred, gt = zip(*rows)
+        stats = compute_class_stats(make_table(["a", "b", "c", "d"], pred, gt))
+        assert stats.f1[3] == 0.0 and not stats.f1.flags.writeable
+        for i in range(4):
+            assert stats.f1[i] == f1_score(float(stats.precision[i]), float(stats.recall[i]))
+
+
+def assert_same_stats(stats, expected):
+    for name in ("tp", "fp", "tn", "fn", "n_predicted", "n_actual", "precision", "recall", "prior", "f1"):
+        assert getattr(stats, name).tolist() == getattr(expected, name).tolist(), name
+
+
+class TestTableStats:
+    def test_computed_once_and_kept(self):
+        table = make_table(["a", "b"], ["a", "b", "b"], ["a", "a", "b"])
+        assert table.stats is table.stats
+        assert_same_stats(table.stats, compute_class_stats(table))
+
+    def test_derived_tables_do_not_inherit_the_cache(self):
+        table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b", "a"])
+        conds = make_conds(["c"], [[0, 1, 0, 1]])
+        cached = table.stats
+        rule_set = RuleSet(table.classes, ("c",), 0.5, detection_rules=(DetectionRule(0, ("c",), 0.5, 1.0),))
+        revised = apply_ruleset(rule_set, table, conds)[0]
+        swapped = table.with_predictions([1, 0, 0, 1])
+        for derived in (revised, swapped):
+            assert derived.stats is not cached
+            assert_same_stats(derived.stats, compute_class_stats(derived))
+        assert cached.fp.tolist() == [1, 1]
+        assert revised.stats.fp.tolist() == [0, 1] and swapped.stats.tp.tolist() == [0, 0]
 
 
 # fixed 8-sample, 2-condition instance; expectations derived by a hand row scan

@@ -1,7 +1,11 @@
+import re
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import edcr.core
 from edcr import (
     ContractError,
     ScoringMode,
@@ -61,6 +65,9 @@ class TestErrorDetectionMetrics:
         table = make_table(["a"], ["a"], ["a"])
         with pytest.raises(ContractError):
             error_detection_metrics([True, False], table)
+        three = make_table(["a"], ["a"] * 3, ["a"] * 3)
+        with pytest.raises(ContractError, match=re.escape("flags must have shape (3,), got (3, 1)")):
+            error_detection_metrics([[True], [False], [True]], three)
 
     def test_permutation_invariant(self):
         table = make_table(["a", "b"], ["a", "a", "b", "b"], ["a", "b", "b", "a"])
@@ -109,6 +116,23 @@ class TestAccuracy:
         assert ScoringMode.from_string("NOVEL_AWARE") is ScoringMode.NOVEL_AWARE
         with pytest.raises(ContractError):
             ScoringMode.from_string("lenient")
+
+    @pytest.mark.parametrize(
+        "call, named",
+        [
+            (lambda table: accuracy(table, "novel-aware"), "'novel-aware'"),
+            (lambda table: metrics_report(table, mode="strict"), "'strict'"),
+            (lambda table: metrics_report(table, mode=None), "None"),
+            (lambda table: ScoringMode.from_string(1), "unknown scoring mode 1;"),
+        ],
+        ids=["accuracy_name", "metrics_report_name", "metrics_report_none", "from_string_int"],
+    )
+    def test_mode_must_be_a_scoring_mode(self, call, named):
+        # one UNKNOWN on a novel class: strict 2/3, novel-aware 1
+        table = make_table(["a"], ["a", "a", UNKNOWN_NAME], ["a", "a", "scooter"])
+        assert accuracy(table, ScoringMode.NOVEL_AWARE) == 1.0
+        with pytest.raises(ContractError, match=re.escape(named)):
+            call(table)
 
 
 class TestSplit:
@@ -169,6 +193,15 @@ class TestEpsilonSweep:
         with pytest.raises(ContractError, match="at least one epsilon"):
             epsilon_sweep([], small_split())
 
+    def test_stats_computed_once_per_table(self):
+        # both split tables once, then the two revised tables of each epsilon
+        split = small_split()
+        epsilons = [0.0, 0.1, 0.2]
+        spy = mock.patch.object(edcr.core, "compute_class_stats", wraps=edcr.core.compute_class_stats)
+        with spy as counted:
+            epsilon_sweep(epsilons, split)
+        assert counted.call_count == 2 + 2 * len(epsilons)
+
     def test_singleton_grid_equals_composition(self):
         # one sweep point is exactly learn + apply + eval
         split = small_split(seed=13)
@@ -228,7 +261,7 @@ class TestMetricsReport:
         table = make_table(["a", "b"], ["a", "b", "a"], ["a", "b", "b"])
         report = metrics_report(table, ScoringMode.STRICT)
         assert report.n_samples == 3
-        assert {entry.class_name for entry in report.per_class} == {"a", "b"}
+        assert report.stats is table.stats and report.stats.classes.names == ("a", "b")
         assert report.accuracy == report.accuracy_strict
         assert report.error_detection is None
         assert error_detection_metrics([False, False, True], table).precision == 1.0

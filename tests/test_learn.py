@@ -145,10 +145,10 @@ class TestDetRuleLearn:
     def test_budget_safety_random(self, seed):
         rng = np.random.default_rng(seed)
         table, conds = random_instance(rng, n_max=150, max_conditions=6)
-        stats = compute_class_stats(table)
+        stats = table.stats
         epsilon = float(rng.uniform(0.0, 0.4))
         for i in range(len(table.classes)):
-            chosen = det_rule_learn(i, epsilon, table, conds, stats=stats)
+            chosen = det_rule_learn(i, epsilon, table, conds)
             if not chosen:
                 continue
             counts = detection_counts(table, conds, i, chosen)
@@ -206,7 +206,7 @@ class TestCorrRuleLearn:
     def test_confidence_beats_baseline_random(self, seed):
         rng = np.random.default_rng(100 + seed)
         table, conds = random_instance(rng, n_max=120, max_conditions=5)
-        stats = compute_class_stats(table)
+        stats = table.stats
         cc_all = [
             (c, k)
             for c in conds.condition_names
@@ -214,7 +214,7 @@ class TestCorrRuleLearn:
             if rng.random() < 0.6
         ]
         for i in range(len(table.classes)):
-            result = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+            result = corr_rule_learn(i, cc_all, table, conds)
             if result:
                 counts = correction_counts(table, conds, i, result)
                 assert counts.confidence > stats.precision[i]
@@ -338,11 +338,10 @@ class TestIncrementalGreedyMatchesReference:
     @given(learning_instances())
     def test_det_rule_learn(self, instance):
         table, _, conds, epsilon = instance
-        stats = compute_class_stats(table)
         for i, name in enumerate(table.classes.names):
             eps = epsilon[name] if isinstance(epsilon, dict) else epsilon
-            expected = reference_det_rule_learn(i, eps, table, conds, stats=stats)
-            assert det_rule_learn(i, eps, table, conds, stats=stats) == expected
+            expected = reference_det_rule_learn(i, eps, table, conds)
+            assert det_rule_learn(i, eps, table, conds) == expected
 
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):
@@ -366,10 +365,9 @@ class TestPackedCorrectionMatchesReference:
             for _ in range(int(rng.integers(0, 25)))
         ]
         cc_all += cc_all[: int(rng.integers(0, 3))]  # repeated pairs collapse
-        stats = compute_class_stats(table)
         for i in range(len(table.classes)):
-            expected = reference_corr_rule_learn(i, cc_all, table, conds, stats=stats)
-            assert corr_rule_learn(i, cc_all, table, conds, stats=stats) == expected
+            expected = reference_corr_rule_learn(i, cc_all, table, conds)
+            assert corr_rule_learn(i, cc_all, table, conds) == expected
 
     @given(learning_instances())
     def test_det_corr_rule_learn(self, instance):

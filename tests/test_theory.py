@@ -28,6 +28,7 @@ from edcr import (
 from edcr import ConditionMatrix, io, theory
 from edcr.cli import main
 from edcr.evaluate import Split
+import edcr.core
 import helpers
 from helpers import (
     build_detection_scenario,
@@ -375,16 +376,16 @@ class TestBruteForce:
             (names[int(rng.integers(len(names)))], int(rng.integers(len(table.classes))))
             for _ in range(int(rng.integers(0, 9)))
         ]
-        stats = compute_class_stats(table)
+        stats = table.stats
         for i in range(len(table.classes)):
             oracle = reference_brute_force_detection(i, epsilon, table, conds)
-            dc = det_rule_learn(i, epsilon, table, conds, stats=stats)
+            dc = det_rule_learn(i, epsilon, table, conds)
             if dc:
                 counts = detection_counts(table, conds, i, dc)
                 assert counts.neg <= oracle.budget
                 assert counts.pos <= oracle.pos
             corr_oracle = reference_brute_force_correction(i, cc_all, table, conds)
-            cc = corr_rule_learn(i, cc_all, table, conds, stats=stats)
+            cc = corr_rule_learn(i, cc_all, table, conds)
             if cc:
                 counts = correction_counts(table, conds, i, cc)
                 assert float(stats.precision[i]) < counts.confidence <= corr_oracle.confidence
@@ -450,6 +451,14 @@ class TestTheoremReport:
         assert len(reports) == len(corpus.table.classes)
         assert all(report.passed for report in reports)
         assert any(not report.note for report in reports)  # at least one real rule
+
+    def test_learning_table_stats_computed_once(self):
+        corpus = generate_synthetic(seed=2, n_samples=300, noise=0.25)
+        spy = mock.patch.object(edcr.core, "compute_class_stats", wraps=edcr.core.compute_class_stats)
+        with spy as counted:
+            det_corr_rule_learn(0.1, corpus.table, corpus.conditions)
+            theorem_report(corpus.table, corpus.conditions, epsilon=0.1)
+        assert [call.args[0] for call in counted.call_args_list].count(corpus.table) == 1
 
 
 def degenerate_instance(prefix="s"):
