@@ -105,9 +105,12 @@ def cmd_gen(args) -> int:
 def _save(args, config, *outputs, seed=None) -> Path:
     """Write each ``(file name, writer, *data)`` output into ``--out`` in the
     order given, then the manifest, which digests them and the files named by
-    whichever input flags the command has and was given. Return the directory."""
+    whichever input flags the command has and was given. Return the directory.
+    An earlier run's manifest is deleted first, so a run that fails part way
+    leaves none."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "manifest.json").unlink(missing_ok=True)
     for name, writer, *data in outputs:
         writer(out / name, *data)
     flags = ("ruleset", "predictions", "conditions", "trace")
@@ -179,18 +182,16 @@ def cmd_eval(args) -> int:
     mode = ScoringMode.from_string(args.mode)
     report = metrics_report(table, mode=mode)
     if args.trace:
-        trace = io.read_trace(args.trace, table.classes)
-        rows = trace.rows_for(table.sample_ids, source=str(args.trace))
+        trace = io.read_trace(args.trace, table)
         # detection verdicts are scored against the original predictions
-        original = trace.original[rows]
         if trace.classes == table.classes:
-            original_table = table.with_predictions(original)
+            original_table = table.with_predictions(trace.original)
         else:  # the trace names a class revised.csv no longer predicts: compare names
             gt = table.names(table.gt_ids)
             original_table = PredictionTable.from_names(
-                trace.classes, table.sample_ids, name_column(trace.classes.names, original), gt
+                trace.classes, table.sample_ids, name_column(trace.classes.names, trace.original), gt
             )
-        detection = error_detection_metrics(trace.flagged[rows], original_table)
+        detection = error_detection_metrics(trace.flagged, original_table)
         report = dataclasses.replace(report, error_detection=detection)
 
     out = _save(args, {"mode": mode.value}, ("metrics.csv", io.write_metrics, report))

@@ -377,7 +377,10 @@ class ClassStats:
     skip such classes rather than divide by zero.  ``prior[i]`` is the
     fraction of all samples predicted as class i, and ``f1[i]`` the harmonic
     mean of precision and recall, 0 where both are 0.  Every array is
-    read-only.
+    read-only.  ``total`` is a count, and each of ``tp``, ``fp``, ``tn`` and
+    ``fn`` a 1-D integer array (not bool) of one non-negative count per
+    class; per class, the four sum to ``total``.  Anything else is a
+    :class:`ContractError` naming the field.
     """
 
     classes: ClassSet
@@ -394,15 +397,35 @@ class ClassStats:
     f1: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        tp, fp, tn, fn = (np.array(getattr(self, name), dtype=np.int64) for name in ("tp", "fp", "tn", "fn"))
+        total = check_count("total", self.total)
+        tp, fp, tn, fn = (self._counts(name) for name in ("tp", "fp", "tn", "fn"))
+        sums = tp + fp + tn + fn
+        if (sums != total).any():
+            i = int(np.argmax(sums != total))
+            name = self.classes.names[i]
+            raise ContractError(f"total {total} is not tp + fp + tn + fn of class {name!r}, {sums[i]}")
+        object.__setattr__(self, "total", total)
         n_predicted, n_actual = tp + fp, tp + fn
         precision, recall = _ratio(tp, n_predicted), _ratio(tp, n_actual)
         arrays = dict(tp=tp, fp=fp, tn=tn, fn=fn, n_predicted=n_predicted, n_actual=n_actual,
-                      precision=precision, recall=recall, prior=_ratio(n_predicted, self.total),
+                      precision=precision, recall=recall, prior=_ratio(n_predicted, total),
                       f1=_ratio(2.0 * precision * recall, precision + recall))
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
+
+    def _counts(self, name: str) -> np.ndarray:
+        """The field ``name`` as int64 counts, one per class."""
+        value, k = getattr(self, name), len(self.classes)
+        try:
+            arr = np.asarray(value)
+        except ValueError:  # a ragged nesting
+            arr = np.asarray(None)
+        if arr.dtype.kind not in "iu" or arr.shape != (k,):
+            raise ContractError(f"{name} must be a 1-D integer array of {k} counts, got {value!r}")
+        if (arr < 0).any():
+            raise ContractError(f"{name} counts must be non-negative, got {arr.tolist()}")
+        return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)

@@ -589,24 +589,37 @@ _TRACE = _CellRules(
 )
 
 
-def read_trace(path, classes: ClassSet) -> ApplyTrace:
-    """Read a trace CSV written by :func:`write_trace`.
+def read_trace(path, table: PredictionTable) -> ApplyTrace:
+    """Read a trace CSV written by :func:`write_trace` with its rows in the
+    order of ``table``, whose ``sample_ids`` it shares.
 
-    An original or final class outside ``classes`` extends the trace's class
-    set after ``classes``, in sorted order: a class the batch predicted but
-    the revised file no longer does, or the target of a correction that the
-    batch never predicts."""
+    A file that lists the table's ids in order, as ``edcr apply`` writes it,
+    is read row for row without hashing an id.  Otherwise one id-to-row dict
+    places the rows: ids the table lacks are ignored, and a repeated id or a
+    table id the file lacks is a :class:`DataError` naming ``path``.  An
+    original or final class on any row outside ``table.classes`` extends the
+    trace's class set after them, in sorted order: a class the batch
+    predicted but the revised file no longer does, or the target of a
+    correction that the batch never predicts."""
     path = Path(path)
+    classes = table.classes
     lookup = {name: i for i, name in enumerate(classes.names)}
     lookup[UNKNOWN_NAME] = -1
-    sample_ids, (original, flagged, fired, final) = _read_columns(path, _TRACE)
-    if len(set(sample_ids)) != len(sample_ids):
-        raise DataError(f"{path}: duplicate sample ids")
+    sample_ids, columns = _read_columns(path, _TRACE)
+    if tuple(sample_ids) != table.sample_ids:
+        position = dict(zip(sample_ids, range(len(sample_ids))))
+        if len(position) != len(sample_ids):
+            raise DataError(f"{path}: duplicate sample ids")
+        rows = np.fromiter(map(position.get, table.sample_ids, repeat(-1)), dtype=np.intp, count=table.n)
+        if (rows < 0).any():
+            raise DataError(f"{path} lacks sample id {table.sample_ids[int(np.argmax(rows < 0))]!r}")
+        columns = [(codes[rows], names) for codes, names in columns]
+    original, flagged, fired, final = columns
     extra = tuple(sorted(set(original[1]).union(final[1]).difference(lookup)))
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
     return ApplyTrace(
         ClassSet(classes.names + extra),
-        tuple(sample_ids),
+        table.sample_ids,
         id_column(lookup, original[1], "original")[original[0]],
         np.array([name == "1" for name in flagged[1]], dtype=bool)[flagged[0]],
         fired[0],

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 from typing import Mapping
 
 import numpy as np
@@ -22,7 +21,6 @@ from .core import (
     ClassSet,
     ConditionMatrix,
     ContractError,
-    DataError,
     PredictionTable,
     _require_aligned,
     check_names,
@@ -150,19 +148,6 @@ class ApplyTrace:
 
     def fired_column(self) -> list[str]:
         return np.array(self.fired_names, dtype=object)[self.fired].tolist()
-
-    def rows_for(self, sample_ids: tuple[str, ...], source: str = "trace") -> np.ndarray:
-        """Index array placing this trace's rows in ``sample_ids`` order; a
-        missing id is a :class:`DataError` naming ``source``.  A trace that
-        lists exactly ``sample_ids`` in order, as ``edcr apply`` writes it,
-        maps row to row without hashing any id."""
-        if self.sample_ids == sample_ids:
-            return np.arange(len(sample_ids))
-        position = dict(zip(self.sample_ids, range(len(self.sample_ids))))
-        rows = np.fromiter(map(position.get, sample_ids, repeat(-1)), dtype=np.intp, count=len(sample_ids))
-        if (rows < 0).any():
-            raise DataError(f"{source} lacks sample id {sample_ids[int(np.argmax(rows < 0))]!r}")
-        return rows
 
 
 def _validate_application(rules: RuleSet, table: PredictionTable, conds: ConditionMatrix) -> None:

@@ -109,6 +109,7 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 # ---------------------------------------------------------------------------
 
 _BLOCK_ELEMENTS = 1 << 16  # (subset, pattern) cells per block: 512 KB of words
+_EXHAUSTIVE_LIMIT = 12  # conditions up to which check_submodular checks every subset pair
 
 
 def _cover_counts(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -170,17 +171,16 @@ def check_submodular(
     conds: ConditionMatrix,
     trials: int = 2000,
     seed: int = 0,
-    exhaustive_limit: int = 12,
 ) -> SubmodularityReport:
     """Check that a detection counting function (``"pos"``, ``"neg"`` or
     ``"bod"``) of the class id ``class_i`` is submodular, monotone, and
     normalized over condition subsets.
 
-    Instances with at most ``exhaustive_limit`` conditions are checked over
-    every subset pair; larger ones are sampled ``trials`` times.  Returns a
-    counterexample if any check fails (there must be none): the first pair in
-    scan order, where pair (a, b) is checked for the lattice inequality
-    before monotonicity.
+    Instances with at most 12 conditions (``_EXHAUSTIVE_LIMIT``) are checked
+    over every subset pair; larger ones are sampled ``trials`` times.
+    Returns a counterexample if any check fails (there must be none): the
+    first pair in scan order, where pair (a, b) is checked for the lattice
+    inequality before monotonicity.
     """
     if quantity not in ("pos", "neg", "bod"):
         raise ContractError(f"quantity must be pos, neg, or bod, got {quantity!r}")
@@ -199,7 +199,7 @@ def check_submodular(
     }[quantity]
     rows = _pack_rows(conds.values[row_filter])
 
-    exhaustive = m <= exhaustive_limit
+    exhaustive = m <= _EXHAUSTIVE_LIMIT
 
     def report(checked: int, kind: str | None = None, a=None, b=None, *counts) -> SubmodularityReport:
         example = None if kind is None else (

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from edcr import (
     UNKNOWN_NAME,
     ClassSet,
+    ClassStats,
     ConditionMatrix,
     ContractError,
     DetectionRule,
@@ -194,6 +195,29 @@ class TestClassStats:
         assert stats.f1[3] == 0.0 and not stats.f1.flags.writeable
         for i in range(4):
             assert stats.f1[i] == f1_score(float(stats.precision[i]), float(stats.recall[i]))
+
+    @pytest.mark.parametrize(
+        "classes, total, counts, field",
+        [
+            (("a",), 3, ([1, 2], [0, 0], [0, 0], [5, 0]), "tp"),  # two counts for one class
+            (("a", "b"), 1, ([-4, 1], [0, 0], [0, 0], [0, 0]), "tp"),  # a negative count
+            (("a",), 1, ([1.7], [0], [0], [0]), "tp"),  # not an integer
+            (("a",), 1, ([1], [0], [0], [True]), "fn"),  # a bool is not a count
+            (("a",), 1, ([1], [[0]], [0], [0]), "fp"),  # not 1-D
+            (("a",), 1, ([1], [0], [[0], [0, 1]], [0]), "tn"),  # ragged
+            (("a", "b"), 2, ([1, 1], [0, 0], [2, 0], [0, 1]), "total"),  # class a sums to 3
+            (("a",), 1.0, ([1], [0], [0], [0]), "total"),
+        ],
+    )
+    def test_counts_are_checked(self, classes, total, counts, field):
+        with pytest.raises(ContractError, match=f"^{field} "):
+            ClassStats(ClassSet(classes), total, *counts)
+
+    def test_checked_counts_are_kept(self):
+        fn = np.array([0, 1], dtype=np.uint8)
+        stats = ClassStats(ClassSet(("a", "b")), np.int64(4), [1, 2], [1, 0], [2, 1], fn)
+        assert stats.total == 4 and type(stats.total) is int
+        assert stats.fn.dtype == np.int64 and stats.prior.tolist() == [0.5, 0.5]
 
 
 def assert_same_stats(stats, expected):

@@ -392,10 +392,31 @@ def table_outcome(reader, path, *args):
     return type(result), {**vars(result), **arrays}
 
 
+def id_table(classes, sample_ids):
+    """A table over ``classes`` that holds ``sample_ids`` in order."""
+    return make_table(classes.names, [classes.names[0]] * len(sample_ids), ids=list(sample_ids))
+
+
+def reference_trace_table(expected, classes):
+    """The table to read a trace file against for the reference outcome
+    ``expected`` of that file: the reference trace's ids in file order or,
+    when the reference raised, one id the file lacks."""
+    return id_table(classes, expected[1]["sample_ids"] if isinstance(expected[1], dict) else ["absent id"])
+
+
+def reversed_rows(outcome):
+    """A trace outcome of :func:`table_outcome` with its rows reversed."""
+    kind, trace = outcome
+    columns = {k: (v[0], v[1][::-1]) for k, v in trace.items() if k in ("original", "flagged", "fired", "final")}
+    return kind, {**trace, **columns, "sample_ids": trace["sample_ids"][::-1]}
+
+
 class TestReadersMatchReference:
     """The byte scanner of ``read_predictions`` and ``read_trace`` against the
     ``csv.reader`` readers it replaced (``helpers.reference_read_*``): the
-    same table or trace, or the same exception type and message."""
+    same table or trace, or the same exception type and message.  A trace is
+    read against a table that holds the reference trace's ids in file order
+    (see :func:`reference_trace_table`), and against the reversed ids."""
 
     @settings(max_examples=300)
     @given(case=st.data(), block=st.sampled_from([1, 7, 64, 1 << 20]), gt=st.booleans())
@@ -419,9 +440,14 @@ class TestReadersMatchReference:
         cells = [CLASS_CELLS, FLAG_CELLS, FIRED_CELLS, CLASS_CELLS]
         path = tmp_path_factory.mktemp("t") / "trace.csv"
         path.write_bytes(case.draw(table_bytes(header, cells)))
+        classes = ClassSet(("a", "b"))
+        expected = table_outcome(reference_read_trace, path, classes)
+        table = reference_trace_table(expected, classes)
         with mock.patch.object(io, "_SCAN_BLOCK", block):
-            got = table_outcome(io.read_trace, path, ClassSet(("a", "b")))
-        assert got == table_outcome(reference_read_trace, path, ClassSet(("a", "b")))
+            assert table_outcome(io.read_trace, path, table) == expected
+            if isinstance(expected[1], dict):
+                backwards = id_table(classes, table.sample_ids[::-1])
+                assert table_outcome(io.read_trace, path, backwards) == reversed_rows(expected)
 
     @settings(max_examples=200)
     @given(case=st.data(), block=st.sampled_from([1, 3, 64, 1 << 20]))
@@ -478,8 +504,8 @@ class TestReadersMatchReference:
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("latin-1"))
         classes = ClassSet(("a", "b"))
-        got = table_outcome(io.read_trace, path, classes)
-        assert got == table_outcome(reference_read_trace, path, classes)
+        expected = table_outcome(reference_read_trace, path, classes)
+        assert table_outcome(io.read_trace, path, reference_trace_table(expected, classes)) == expected
 
     @pytest.mark.parametrize(
         "data, sample_id",
@@ -500,11 +526,9 @@ class TestReadersMatchReference:
         path = tmp_path / "t.csv"
         path.write_text("\n".join(["sample_id,original,flagged,fired,final", *rows]) + "\n")
         monkeypatch.setattr(io, "_SCAN_BLOCK", 64)
-        trace = io.read_trace(path, ClassSet(("a", "b")))
-        assert trace.fired_names == ("", "b;a", "a", "b")
-        assert table_outcome(io.read_trace, path, trace.classes) == table_outcome(
-            reference_read_trace, path, trace.classes
-        )
+        table = id_table(ClassSet(("a", "b")), [f"s{i}" for i in range(len(rows))])
+        assert io.read_trace(path, table).fired_names == ("", "b;a", "a", "b")
+        assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table.classes)
 
 
 TRAJECTORY_HEADER = ("sample_id", "idx", "t", "lat", "lon")
@@ -610,32 +634,39 @@ class TestTraceFormat:
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
         path = tmp_path / "trace.csv"
         io.write_trace(path, trace)
-        assert same_trace(io.read_trace(path, trace.classes), trace)
+        assert same_trace(io.read_trace(path, table), trace)
 
     def test_malformed_row_line_number(self, tmp_path):
+        # line-numbered faults come before alignment: the table holds an id the file lacks
+        table = id_table(ClassSet(("a",)), ["w"])
         path = tmp_path / "trace.csv"
         path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\n\ny,a,2,,a\n")
         with pytest.raises(DataError, match=":4:"):
-            io.read_trace(path, ClassSet(("a",)))
+            io.read_trace(path, table)
         for row in ("y,,0,,a", "y,a,0,,", ",a,0,,a"):  # an empty original, final or id
             path.write_text(f"sample_id,original,flagged,fired,final\nx,a,0,,a\n{row}\n")
             with pytest.raises(DataError, match=":3: malformed trace row"):
-                io.read_trace(path, ClassSet(("a",)))
+                io.read_trace(path, table)
+        path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\nx,a,0,,a\ny,a,2,,a\n")
+        with pytest.raises(DataError, match=":4: malformed trace row"):  # before the repeated id
+            io.read_trace(path, table)
 
     def test_original_outside_classes_extends_trace_classes(self, tmp_path):
         # a class every prediction of which apply routed elsewhere is absent
         # from revised.csv, so eval reads the trace with a class set lacking it
         path = tmp_path / "trace.csv"
         path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,zz,1,c,c\n")
-        trace = io.read_trace(path, ClassSet(("a",)))
+        trace = io.read_trace(path, id_table(ClassSet(("a",)), ["x", "y"]))
         assert trace.classes.names == ("a", "c", "zz")
         assert trace.original.tolist() == [0, 2]
         assert trace.final.tolist() == [0, 1]
+        # the class set is taken over every row of the file, also a row the table lacks
+        assert io.read_trace(path, id_table(ClassSet(("a",)), ["x"])).classes.names == ("a", "c", "zz")
 
     def test_final_outside_classes_extends_trace_classes(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("sample_id,original,flagged,fired,final\nx,a,1,c,c\ny,a,0,,a\n")
-        trace = io.read_trace(path, ClassSet(("a",)))
+        trace = io.read_trace(path, id_table(ClassSet(("a",)), ["x", "y"]))
         assert trace.classes.names == ("a", "c")
         assert trace.original.tolist() == [0, 0]
         assert trace.final.tolist() == [1, 0]
@@ -655,18 +686,27 @@ class TestTraceFormat:
                     "--out", tmp_path / "out"]) == 3
         assert "t.csv lacks sample id 'y'" in capsys.readouterr().err
 
-    def test_rows_for_aligns_by_id(self):
+    def test_read_trace_aligns_by_id(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a", "b"], ids=["x", "y", "z"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
-        assert trace.rows_for(table.sample_ids).tolist() == [0, 1, 2]  # as apply writes it
-        assert trace.rows_for(("x", "y", "z")).tolist() == [0, 1, 2]  # equal, not the same tuple
-        assert trace.rows_for(("z", "x", "y")).tolist() == [2, 0, 1]
-        assert trace.rows_for(("x", "z")).tolist() == [0, 2]  # the trace holds an extra id
-        with pytest.raises(DataError, match="trace lacks sample id 'w'"):
-            trace.rows_for(("x", "w"))
-        with pytest.raises(DataError, match="t.csv lacks"):
-            trace.rows_for(("x", "w"), source="t.csv")
+        path = tmp_path / "t.csv"
+        io.write_trace(path, trace)
+        back = io.read_trace(path, table)  # as apply writes it
+        assert back.sample_ids is table.sample_ids and same_trace(back, trace)
+        for ids, rows in [
+            (("x", "y", "z"), [0, 1, 2]),  # equal, not the same tuple
+            (("z", "x", "y"), [2, 0, 1]),
+            (("x", "z"), [0, 2]),  # the trace holds an extra id
+        ]:
+            other = id_table(table.classes, ids)
+            back = io.read_trace(path, other)
+            assert back.sample_ids is other.sample_ids
+            assert back.fired_column() == [trace.fired_column()[row] for row in rows]
+            for column in ("original", "flagged", "final"):
+                assert getattr(back, column).tolist() == getattr(trace, column)[rows].tolist()
+        with pytest.raises(DataError, match="t.csv lacks sample id 'w'"):
+            io.read_trace(path, id_table(table.classes, ["x", "w"]))
 
 
 # arbitrary non-empty unicode sample ids, including commas, quotes and line
@@ -708,7 +748,7 @@ class TestCsvQuotingRoundTrip:
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
         path = tmp_path_factory.mktemp("t") / "trace.csv"
         io.write_trace(path, trace)
-        assert same_trace(io.read_trace(path, trace.classes), trace)
+        assert same_trace(io.read_trace(path, table), trace)
 
     def test_plain_ids_unquoted(self, tmp_path):
         table = make_table(["a"], ["a", "a"], ["a", "x"], ids=["s1", "s,2"])
@@ -1209,6 +1249,23 @@ def test_manifest_of_every_command(manifest_runs, key):
     assert manifest["outputs"] == {name: io.sha256_file(out / name) for name in written}
 
 
+def test_failed_rerun_leaves_no_manifest(tmp_path):
+    """A run into a directory that an earlier run filled deletes the earlier
+    manifest before it writes, so a run that fails part way leaves none."""
+    corpus = gen_corpus(tmp_path, seed=16, samples=100)
+    read = ["--predictions", corpus / "predictions.csv", "--conditions", corpus / "conditions.csv"]
+    assert run(["learn", *read, "--out", tmp_path / "learned"]) == 0
+    out = tmp_path / "applied"
+    argv = ["apply", "--ruleset", tmp_path / "learned" / "ruleset.yaml", *read, "--out", out]
+    assert run(argv) == 0 and (out / "manifest.json").is_file()
+    (out / "revised.csv").write_text("stale\n")
+    (out / "trace.csv").unlink()
+    (out / "trace.csv").mkdir()  # the trace writer cannot replace a directory
+    assert run(argv) == 3
+    assert (out / "revised.csv").read_text() != "stale\n"  # written before the trace failed
+    assert not (out / "manifest.json").exists()
+
+
 #: SHA-256 of ``edcr gen --seed 7 --samples 2000`` with the default noise.
 GEN_SEED7_SHA256 = {
     "trajectories.csv": "5e4f45e88456d7229933bb4bf12e9acaf8a1a806c0fdcc2298760936c450ba49",
@@ -1233,7 +1290,7 @@ def test_tricky_ids_roundtrip(tmp_path):
     back = io.read_predictions(tmp_path / "p.csv", classes=table.classes)
     assert same_table(back, table)
     assert np.array_equal(io.read_conditions(tmp_path / "c.csv", back).values, conds.values)
-    assert same_trace(io.read_trace(tmp_path / "t.csv", table.classes), trace)
+    assert same_trace(io.read_trace(tmp_path / "t.csv", table), trace)
 
 
 def test_nul_id_apply_exits_cleanly(tmp_path, capsys):

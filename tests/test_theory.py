@@ -306,10 +306,11 @@ class TestKernelMatchesReference:
     @given(counting_instances(), st.integers(0, 10), st.integers(0, 2**32 - 1), st.sampled_from([1, 500, None]))
     def test_check_submodular(self, instance, exhaustive_limit, seed, block_elements):
         table, conds = instance
-        with mock.patch.object(theory, "_BLOCK_ELEMENTS", block_elements or theory._BLOCK_ELEMENTS):
+        with mock.patch.object(theory, "_BLOCK_ELEMENTS", block_elements or theory._BLOCK_ELEMENTS), \
+                mock.patch.object(theory, "_EXHAUSTIVE_LIMIT", exhaustive_limit):
             for quantity in ("pos", "neg", "bod"):
-                args = (quantity, 0, table, conds, 300, seed, exhaustive_limit)
-                assert check_submodular(*args) == reference_check_submodular(*args)
+                args = (quantity, 0, table, conds, 300, seed)
+                assert check_submodular(*args) == reference_check_submodular(*args, exhaustive_limit)
 
     @pytest.mark.parametrize(
         "m, weights, terms, seed, kind",
@@ -351,11 +352,12 @@ class TestKernelMatchesReference:
 
         table = make_table(["a"], ["a"] * 3, ["a", "x", "a"])
         conds = ConditionMatrix(tuple(f"c{j}" for j in range(m)), np.zeros((3, m), dtype=bool))
-        args = (quantity, 0, table, conds, 300, seed, exhaustive_limit)
+        args = (quantity, 0, table, conds, 300, seed)
         with mock.patch.object(theory, "_cover_counts", lambda rows, subsets: fake(subsets)), \
+                mock.patch.object(theory, "_EXHAUSTIVE_LIMIT", exhaustive_limit), \
                 mock.patch.object(helpers, "_covered", lambda rows, subset: int(fake(subset[None])[0])):
             report = check_submodular(*args)
-            assert report == reference_check_submodular(*args)
+            assert report == reference_check_submodular(*args, exhaustive_limit)
         return report
 
 
