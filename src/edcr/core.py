@@ -67,14 +67,28 @@ def check_unit_interval(name: str, value) -> float:
     return float(value)
 
 
+def _strings(what: str, values) -> tuple[str, ...]:
+    """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
+    item) unless it is a sequence of ``str``; a bare string, which would be
+    read as its characters, is not one.  No Python loop runs per item, so
+    this also serves the sample ids of large tables."""
+    if isinstance(values, str):
+        raise ContractError(f"{what}s must be a sequence of strings, not the string {values!r}")
+    items = tuple(values)
+    try:
+        "".join(items)  # a TypeError unless every item is a str
+    except TypeError:
+        bad = next(item for item in items if not isinstance(item, str))
+        raise ContractError(f"{what}s must be strings, got {bad!r}") from None
+    return items
+
+
 def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
     """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
     name) unless it is a sequence of non-empty ``str``, each named once when
     ``distinct``; a bare string, which would be read as its characters, is
     not one."""
-    names = () if isinstance(values, str) else tuple(values)
-    if isinstance(values, str) or not all(isinstance(name, str) for name in names):
-        raise ContractError(f"{what}s must be a sequence of strings, got {values!r}")
+    names = _strings(what, values)
     if "" in names:
         raise ContractError(f"empty {what} in {names}")
     if distinct and len(set(names)) != len(names):
@@ -178,14 +192,48 @@ def _coded(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     return np.fromiter(map(codes.__getitem__, values), dtype=np.int32, count=len(values)), names
 
 
+def _array(value) -> np.ndarray:
+    """``value`` as an array; a ragged nesting, which numpy refuses, as one
+    ``None``, which every caller rejects."""
+    try:
+        return np.asarray(value)
+    except ValueError:
+        return np.asarray(None)
+
+
+def _integer_array(name: str, value) -> np.ndarray:
+    """``value`` as an array, or :class:`ContractError` naming ``name`` unless
+    it is a 1-D integer array; a ``bool`` is not an integer.  An empty
+    sequence, which numpy makes float, is taken as integers."""
+    arr = _array(value)
+    if not arr.size:
+        arr = arr.astype(np.intp)
+    if arr.dtype.kind not in "iu" or arr.ndim != 1:
+        raise ContractError(f"{name} must be a 1-D integer array, got {value!r}")
+    return arr
+
+
 def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.int32)
+    """``values`` as a read-only int32 copy, or :class:`ContractError` naming
+    ``role`` unless it is a 1-D integer array of ``n`` ids in ``[low, high)``.
+    The range is checked before the cast, so no id wraps round int32."""
+    arr = _integer_array(role, values)
     if arr.shape != (n,):
         raise ContractError(f"{role} has {arr.size} entries for {n} sample ids")
     if n and (arr.min() < low or arr.max() >= high):
         raise ContractError(f"{role} ids must lie in [{low}, {high})")
+    arr = arr.astype(np.int32)
     arr.setflags(write=False)
     return arr
+
+
+def _row_indices(indices, n: int) -> np.ndarray:
+    """``indices`` as an array, or :class:`ContractError` unless it is a 1-D
+    integer array of rows in ``[0, n)``; a ``bool`` mask is not one."""
+    idx = _integer_array("row indices", indices)
+    if idx.size and (idx.min() < 0 or idx.max() >= n):
+        raise ContractError(f"row indices must lie in [0, {n}), got {indices!r}")
+    return idx
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +254,7 @@ class PredictionTable:
     novel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", tuple(self.sample_ids))
+        object.__setattr__(self, "sample_ids", _strings("sample id", self.sample_ids))
         object.__setattr__(self, "novel_names", tuple(self.novel_names))
         n = len(self.sample_ids)
         k = len(self.classes)
@@ -277,7 +325,7 @@ class PredictionTable:
         return table
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
-        idx = np.asarray(indices, dtype=np.intp)
+        idx = _row_indices(indices, self.n)
         return PredictionTable(
             self.classes,
             tuple(map(self.sample_ids.__getitem__, idx.tolist())),
@@ -292,7 +340,9 @@ class ConditionMatrix:
     """Named boolean condition columns, row-aligned to a prediction table.
 
     ``values`` has shape (rows, conditions) and is stored column-contiguous,
-    so selecting the columns of a rule body reads contiguous memory.
+    so selecting the columns of a rule body reads contiguous memory.  It
+    must be a bool array or integers that are each 0 or 1; anything else is
+    a :class:`ContractError`.
     """
 
     condition_names: tuple[str, ...]
@@ -300,7 +350,10 @@ class ConditionMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
-        vals = np.array(self.values, dtype=bool, order="F")
+        vals = _array(self.values)
+        if vals.dtype != bool and (vals.dtype.kind not in "iu" or ((vals != 0) & (vals != 1)).any()):
+            raise ContractError(f"condition values must be bools or 0/1 integers, got {self.values!r}")
+        vals = np.array(vals, dtype=bool, order="F")
         if vals.ndim != 2:
             raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
         if vals.shape[1] != len(self.condition_names):
@@ -331,7 +384,7 @@ class ConditionMatrix:
             ) from None
 
     def rows(self, indices: Sequence[int]) -> "ConditionMatrix":
-        return ConditionMatrix(self.condition_names, self.values[np.asarray(indices, dtype=np.intp)])
+        return ConditionMatrix(self.condition_names, self.values[_row_indices(indices, self.n_rows)])
 
 
 def _pack_rows(cols: np.ndarray) -> np.ndarray:
@@ -417,11 +470,8 @@ class ClassStats:
     def _counts(self, name: str) -> np.ndarray:
         """The field ``name`` as int64 counts, one per class."""
         value, k = getattr(self, name), len(self.classes)
-        try:
-            arr = np.asarray(value)
-        except ValueError:  # a ragged nesting
-            arr = np.asarray(None)
-        if arr.dtype.kind not in "iu" or arr.shape != (k,):
+        arr = _integer_array(name, value)
+        if arr.shape != (k,):
             raise ContractError(f"{name} must be a 1-D integer array of {k} counts, got {value!r}")
         if (arr < 0).any():
             raise ContractError(f"{name} counts must be non-negative, got {arr.tolist()}")

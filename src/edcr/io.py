@@ -13,7 +13,8 @@ sample-id field whose quotes are all structural (unquoted without ``,``,
 ``"`` or ``\\r``, or quoted with inner quotes doubled), which is what makes
 the split agree with ``csv.reader``; a block's ids are checked by one regex
 and decoded at once.  In conditions, ``,0``/``,1`` cells follow, checked
-with one byte compare per block; in predictions and traces, cells without
+with one byte compare per block, and the ids must be the table's next ids,
+as every writer writes them; in predictions and traces, cells without
 quotes or ``\\r`` follow, and the text after each id is coded as one string,
 so it is split and decoded once per distinct value.  The files the writers
 write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
@@ -21,9 +22,10 @@ write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
 ``_CellRules``: the scanner applies them to the distinct values of each
 column, and the row parser to each row.  Anything else (NUL, a quoted cell, a
 bare ``\\r`` line end, a bad width or bit, an empty id, a cell that breaks
-its format's rules, an unknown or repeated conditions id) sends the whole
-file to the row parser, built on ``csv.reader``: the single fallback, which
-reads every other valid CSV layout and names the line of every fault.
+its format's rules, conditions rows out of the table's order) sends the
+whole file to the row parser, built on ``csv.reader``: the single fallback,
+which reads every other valid CSV layout, names the line of every fault and
+alone matches conditions rows to the table by id.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
@@ -374,9 +376,9 @@ def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
 
 def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
     """The byte scanner: the condition matrix of a file whose every record is
-    in the scanned layout (see the module docstring), or None as soon as one
-    record is outside it or faulty."""
-    unclaimed = {sample_id: row for row, sample_id in enumerate(table.sample_ids)}
+    in the scanned layout (see the module docstring) and whose records list
+    ``table.sample_ids`` in order, or None as soon as one record is not."""
+    rows = slice(0, 0)  # the table rows of the last block read
     try:
         records = _scan_records(path)
         names = _condition_names(path, next(records))
@@ -387,16 +389,16 @@ def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | No
                 continue  # a block of blank lines, maybe shorter than a window
             if (stops - width < starts).any():
                 raise _Unscannable
-            ids = _scan_ids(data, starts, stops - width)
-            rows = np.fromiter(map(unclaimed.pop, ids, repeat(-1)), dtype=np.intp, count=len(ids))
+            ids = tuple(_scan_ids(data, starts, stops - width))
+            rows = slice(rows.stop, rows.stop + len(ids))
             cells = sliding_window_view(data, width)[stops - width]
             bits = cells[:, 1::2]
-            if (rows < 0).any() or (cells[:, ::2] != 0x2C).any() or ((bits | 1) != 0x31).any():
-                raise _Unscannable  # an unknown or repeated id, or a cell that is not ,0 or ,1
+            if ids != table.sample_ids[rows] or (cells[:, ::2] != 0x2C).any() or ((bits | 1) != 0x31).any():
+                raise _Unscannable  # an id out of the table's order, or a cell that is not ,0 or ,1
             values[rows] = bits == 0x31
     except (_Unscannable, UnicodeDecodeError, csv.Error, DataError):
         return None
-    return None if unclaimed else ConditionMatrix(names, values)
+    return ConditionMatrix(names, values) if rows.stop == table.n else None
 
 
 def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:

@@ -92,6 +92,33 @@ class TestPredictionTable:
         with pytest.raises(ContractError):
             PredictionTable(ClassSet(("a", "b")), ["x"], pred_ids, gt_ids, novel)
 
+    @pytest.mark.parametrize(
+        "pred_ids, gt_ids, role",
+        [
+            ([0.7, 1.2], [0, 1], "predicted"),  # floats, which numpy would truncate
+            ([True, False], None, "predicted"),  # a bool is not an id
+            (["0", "1"], None, "predicted"),  # nor is a digit string
+            ([2**33, 0], None, "predicted"),  # past int32, which numpy would refuse bare
+            ([0, 1], [0, 2**33], "ground_truth"),
+        ],
+    )
+    def test_id_columns_are_integers(self, pred_ids, gt_ids, role):
+        with pytest.raises(ContractError, match=f"^{role} "):
+            PredictionTable(ClassSet(("a", "b")), ("x", "y"), pred_ids, gt_ids)
+
+    @pytest.mark.parametrize("sample_ids", [("x", 1), "xy", (b"x", b"y")])
+    def test_sample_ids_are_strings(self, sample_ids):
+        # a bare string would be read as its characters, and write_predictions
+        # would fail on a number
+        with pytest.raises(ContractError, match="^sample ids must be"):
+            PredictionTable(ClassSet(("a", "b")), sample_ids, [0, 1])
+
+    @pytest.mark.parametrize("indices", [[True, False], [1.9], [-1], [2], [[0]]])
+    def test_subset_checks_its_indices(self, indices):
+        table = make_table(["a", "b"], ["a", "b"], ids=["x", "y"])
+        with pytest.raises(ContractError, match="^row indices "):
+            table.subset(indices)
+
     def test_id_columns_read_only(self):
         table = make_table(["a"], ["a"], ["a"])
         with pytest.raises(ValueError):
@@ -425,6 +452,17 @@ class TestConditionMatrix:
     def test_duplicate_names(self):
         with pytest.raises(ContractError):
             ConditionMatrix(("a", "a"), np.zeros((3, 2), dtype=bool))
+
+    @pytest.mark.parametrize("values", [[[0.5], [2]], [["0"], ["1"]], [[None], [1]], [[1], [2]], [[0], [1, 0]]])
+    def test_values_are_bits(self, values):
+        with pytest.raises(ContractError, match="values"):
+            ConditionMatrix(("c",), values)
+
+    @pytest.mark.parametrize("indices", [[5], [-1], np.array([False, True, True]), [0.0]])
+    def test_rows_checks_its_indices(self, indices):
+        conds = make_conds(["c"], [[1, 0, 1]])
+        with pytest.raises(ContractError, match="^row indices "):
+            conds.rows(indices)
 
     def test_rule_body_empty_is_false(self):
         conds = make_conds(["a"], [[1, 1]])
