@@ -262,8 +262,11 @@ class PredictionTable:
         if self.gt_ids is not None:
             gt = _checked_ids(self.gt_ids, n, "ground_truth", 0, k + len(self.novel_names))
             object.__setattr__(self, "gt_ids", gt)
-        if len(set(self.sample_ids)) != n:
+        distinct = set(self.sample_ids)
+        if len(distinct) != n:
             raise ContractError("sample ids must be unique")
+        if "" in distinct:
+            raise ContractError("sample ids must not be empty")
         if UNKNOWN_NAME in self.novel_names:
             raise ContractError("ground truth may never be UNKNOWN")
         if len(set(self.novel_names) | set(self.classes.names)) != k + len(self.novel_names):

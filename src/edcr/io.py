@@ -6,34 +6,30 @@ failed run never leaves a partial artifact, and all output is deterministic
 given the same inputs.
 
 Predictions, conditions and trace files are read by one byte scanner first.
-It reads blocks of 256 KiB and splits records at the ``\\n`` bytes outside
-quotes, from the parity of the block's quote positions, carrying the
-unfinished last record into the next block.  A record starts with one
-sample-id field whose quotes are all structural (unquoted without ``,``,
-``"`` or ``\\r``, or quoted with inner quotes doubled), which is what makes
-the split agree with ``csv.reader``; a block's ids are checked by one regex
-and decoded at once.  In conditions, ``,0``/``,1`` cells follow, checked
-with one byte compare per block, and the ids must be the table's next ids,
-as every writer writes them; in predictions and traces, cells without
-quotes or ``\\r`` follow, and the text after each id is coded as one string,
-so it is split and decoded once per distinct value.  The files the writers
-write take this path with ``\\n`` or ``\\r\\n`` line ends, unless an id holds
-``\\r``.  Predictions and traces state their cell rules once, each in a
-``_CellRules``: the scanner applies them to the distinct values of each
-column, and the row parser to each row.  Anything else (NUL, a quoted cell, a
-bare ``\\r`` line end, a bad width or bit, an empty id, a cell that breaks
-its format's rules, conditions rows out of the table's order) sends the
-whole file to the row parser, built on ``csv.reader``: the single fallback,
-which reads every other valid CSV layout, names the line of every fault and
-alone matches conditions rows to the table by id.
+It takes the plain layout the writers write for ordinary ids and names: a
+file with no ``"``, ``\\r`` or NUL byte, in which ``csv.reader`` ends records
+at ``\\n`` and fields at ``,``.  It reads blocks of 256 KiB, splits them at
+``\\n``, carries the unfinished last record into the next block, and decodes
+a block's ids at once.  In conditions, ``,0``/``,1`` cells follow each id,
+checked with one byte compare per block, and the ids must be the table's
+next ids, as every writer writes them; in predictions and traces, the text
+after each id is coded as one string, so it is split and decoded once per
+distinct value.  Predictions and traces state their cell rules once, each in
+a ``_CellRules``: the scanner applies them to the distinct values of each
+column, and the row parser to each row.  Anything else (a quote, ``\\r`` or
+NUL anywhere, a bad width or bit, an empty id, a cell that breaks its
+format's rules, conditions rows out of the table's order) sends the whole
+file to the row parser, built on ``csv.reader``: the single fallback, which
+reads every other valid CSV layout, names the line of every fault and alone
+matches conditions rows to the table by id.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
 holds a separator, quote, ``\\r`` or NUL; otherwise they run ``csv.writer``,
 quoting a row that holds ``\\r`` whole, as every other writer does.
-``write_conditions`` builds its bit cells as one byte array and quotes only
-the id column, so every file is byte-identical to what ``csv.writer`` writes
-(or fails as it does: Python 3.10's rejects NUL).
+``write_conditions`` builds its bit cells as one byte array when no id needs
+quoting and otherwise runs ``csv.writer``, so every file is byte-identical to
+what ``csv.writer`` writes (or fails as it does: Python 3.10's rejects NUL).
 """
 from __future__ import annotations
 
@@ -41,7 +37,6 @@ import csv
 import hashlib
 import json
 import os
-import re
 import tempfile
 from collections import Counter
 from contextlib import contextmanager
@@ -77,10 +72,6 @@ TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
 _BIT_TEXT = np.array(["0", "1"], dtype=object)
 _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
-# the NUL-terminated sample ids of a block: each unquoted without a comma,
-# quote or carriage return, or one quoted field whose quotes are all structural
-_ID_FIELDS = re.compile(rb'(?:(?:[^",\r\n\x00]*|"(?:[^"\x00]|"")*")\x00)*')
-_NEEDS_QUOTES = re.compile('[,"\n]')
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -166,15 +157,14 @@ def _csv_file(path: Path):
 
 
 class _Unscannable(Exception):
-    """A record outside the scanned layout; the reader falls back to its row parser."""
+    """A file outside the plain layout; the reader falls back to its row parser."""
 
 
 def _scan_records(path: Path):
-    """Split a file into records at the ``\\n`` bytes outside quotes, one block
-    at a time.  Yields the header's fields, then per block ``(data, starts,
-    stops)``: its bytes and the bounds of its non-blank records, less the line
-    break and a ``\\r`` before it.  NUL, and a file that ends inside quotes,
-    raise :class:`_Unscannable`."""
+    """Split a file in the plain layout into records at its ``\\n`` bytes, one
+    block at a time.  Yields the header's fields, then per block ``(data,
+    starts, stops)``: its bytes and the bounds of its non-blank records, less
+    the line break.  A quote, ``\\r`` or NUL raises :class:`_Unscannable`."""
     tail, at_end, header = b"", False, True
     with open(path, "rb") as handle:
         while not at_end:
@@ -182,25 +172,20 @@ def _scan_records(path: Path):
             chunk = handle.read(max(_SCAN_BLOCK, len(tail)))
             at_end = not chunk
             buf = tail + (chunk or b"\n")  # end of file ends a last record without a line break
-            if b"\0" in buf:  # left to the row parser, because Python 3.10's csv.reader rejects it
+            if b'"' in buf or b"\r" in buf or b"\0" in buf:  # the bytes that steer csv.reader
                 raise _Unscannable
             data = np.frombuffer(buf, dtype=np.uint8)
-            newlines = np.flatnonzero(data == 0x0A)
-            quotes = np.flatnonzero(data == 0x22)
-            ends = newlines[np.searchsorted(quotes, newlines) % 2 == 0]
-            if not len(ends):
+            stops = np.flatnonzero(data == 0x0A)
+            if not len(stops):
                 tail = buf
                 continue
-            tail = buf[ends[-1] + 1 :]
-            starts = np.concatenate(([0], ends[:-1] + 1))
-            stops = np.maximum(ends - (data[ends - 1] == 0x0D), starts)
+            tail = buf[stops[-1] + 1 :]
+            starts = np.concatenate(([0], stops[:-1] + 1))
             if header:
                 yield next(csv.reader([buf[: stops[0]].decode()]), [])
                 header, starts, stops = False, starts[1:], stops[1:]
             filled = stops > starts  # blank lines are skipped, as csv.reader yields them empty
             yield data, starts[filled], stops[filled]
-    if tail or header:
-        raise _Unscannable
 
 
 def _joined(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
@@ -213,24 +198,21 @@ def _joined(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
 
 
 def _scan_ids(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
-    """The sample ids ``data[starts[j]:stops[j]]`` of a block, checked with one
-    regex and decoded at once: the byte after each id becomes NUL and the
-    ranges are joined."""
+    """The sample ids ``data[starts[j]:stops[j]]`` of a block, decoded at once:
+    the byte after each id becomes NUL and the ranges are joined.  An id
+    holding a comma is a row of the wrong width."""
     joined = _joined(data, starts, stops)
-    if (stops - starts > csv.field_size_limit()).any() or not _ID_FIELDS.fullmatch(joined):
+    if (stops - starts > csv.field_size_limit()).any() or b"," in joined:
         raise _Unscannable
-    ids = joined.decode().split("\0")[:-1]
-    if b'"' in joined:
-        ids = [s[1:-1].replace('""', '"') if s[:1] == '"' else s for s in ids]
-    return ids
+    return joined.decode().split("\0")[:-1]
 
 
 def _scan_columns(path: Path, headers: Sequence[list[str]]):
-    """The sample ids and :func:`_coded` cell columns of a file whose
-    header is one of ``headers`` and whose every record is a scanned id (see
-    the module docstring) and cells without quotes or ``\\r``; None as soon
-    as one is not.  The text after each id is coded as one string, so cells
-    are split and decoded once per distinct string, not once per row."""
+    """The sample ids and :func:`_coded` cell columns of a file in the plain
+    layout (see the module docstring) whose header is one of ``headers``;
+    None as soon as a record is not in it.  The text after each id is coded
+    as one string, so cells are split and decoded once per distinct string,
+    not once per row."""
     try:
         records = _scan_records(path)
         header = next(records)
@@ -241,15 +223,13 @@ def _scan_columns(path: Path, headers: Sequence[list[str]]):
         for data, starts, stops in records:
             commas = np.flatnonzero(data == 0x2C)
             first = np.searchsorted(commas, stops) - (len(header) - 1)  # the comma after each id
-            if (first < 0).any() or (commas[first] < starts).any():
-                raise _Unscannable
-            if (commas[first] - starts == 2 * (data[starts] == 0x22)).any():  # an empty id, bare or quoted
-                raise _Unscannable  # which no format takes; the row parser names its line
+            if (first < 0).any() or (commas[first] <= starts).any():  # too few fields, or an empty id
+                raise _Unscannable  # which the row parser names by its line
             ids += _scan_ids(data, starts, commas[first])
             tails += _joined(data, commas[first] + 1, stops).split(b"\0")[:-1]
         tail_codes, distinct = _coded(tails)
         rows = [tail.decode().split(",") for tail in distinct]
-        if any('"' in cell or "\r" in cell or len(cell) > csv.field_size_limit() for cell in chain(*rows)):
+        if any(len(cell) > csv.field_size_limit() for cell in chain(*rows)):
             raise _Unscannable
     except (_Unscannable, UnicodeDecodeError, csv.Error):
         return None
@@ -375,9 +355,9 @@ def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
 
 
 def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
-    """The byte scanner: the condition matrix of a file whose every record is
-    in the scanned layout (see the module docstring) and whose records list
-    ``table.sample_ids`` in order, or None as soon as one record is not."""
+    """The byte scanner: the condition matrix of a file in the plain layout
+    (see the module docstring) whose records list ``table.sample_ids`` in
+    order, or None as soon as one record is not."""
     rows = slice(0, 0)  # the table rows of the last block read
     try:
         records = _scan_records(path)
@@ -434,15 +414,19 @@ def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
 
 def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> None:
     """The bit cells are built as one ``(n, 2m+1)`` byte array of ``,0``/``,1``
-    pairs and a line break; only the id column goes through the quoting rule."""
+    pairs and a line break, and each id is put before its row; ids that
+    ``csv.writer`` would quote (or reject) send the file to
+    :func:`write_csv_rows`.  A matrix with no conditions is a
+    :class:`ContractError`, since its file would be a bare ``sample_id``
+    header, which :func:`read_conditions` rejects."""
     if conds.n_rows != table.n:
         raise ContractError("condition matrix and table row counts differ")
+    if not conds.n_conditions:
+        raise ContractError("a condition matrix with no conditions cannot be written")
     header = ("sample_id", *conds.condition_names)
     ids, m, joined = table.sample_ids, conds.n_conditions, "".join(table.sample_ids)
-    if not m or "\r" in joined or "\0" in joined:  # csv.writer's rules for a lone field, \r and NUL
+    if any(c in joined for c in ',"\n\r\0'):
         return write_csv_rows(path, header, zip(ids, *conds.values.view(np.uint8).T.tolist()))
-    if _NEEDS_QUOTES.search(joined):
-        ids = ['"' + s.replace('"', '""') + '"' if _NEEDS_QUOTES.search(s) else s for s in ids]
     encoded = list(map(str.encode, ids))
     cells = np.empty((table.n, 2 * m + 1), dtype=np.uint8)
     cells[:, :-1:2] = ord(",")

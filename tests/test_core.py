@@ -113,6 +113,21 @@ class TestPredictionTable:
         with pytest.raises(ContractError, match="^sample ids must be"):
             PredictionTable(ClassSet(("a", "b")), sample_ids, [0, 1])
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda classes: PredictionTable(classes, ("", "y"), [0, 1]),
+            lambda classes: PredictionTable.from_names(classes, ["x", ""], ["a", "b"], ["a", "a"]),
+            lambda classes: PredictionTable(classes, ("y", ""), [0, 1]).subset([1]),
+        ],
+        ids=["constructor", "from_names", "subset"],
+    )
+    def test_sample_ids_are_not_empty(self, build):
+        # no reader takes an empty id, so a table holding one could be
+        # written but not read back
+        with pytest.raises(ContractError, match="^sample ids must not be empty"):
+            build(ClassSet(("a", "b")))
+
     @pytest.mark.parametrize("indices", [[True, False], [1.9], [-1], [2], [[0]]])
     def test_subset_checks_its_indices(self, indices):
         table = make_table(["a", "b"], ["a", "b"], ids=["x", "y"])

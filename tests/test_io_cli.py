@@ -138,27 +138,48 @@ def conditions_file(tmp_path, ids, bits, newline="\n"):
     return path, table
 
 
+def edited_conditions_file(tmp_path, ids, newline, edit):
+    """:func:`conditions_file` of random bits with ``newline`` line ends and
+    one ``edit``: none, blank lines, or no final line break.  Returns the
+    path, the table and the bits."""
+    bits = np.random.default_rng(0).random((len(ids), 3)) < 0.5
+    path, table = conditions_file(tmp_path, ids, bits, newline)
+    data, end = path.read_bytes(), newline.encode()
+    if edit == "blank lines":
+        header, rows = data.split(end, 1)
+        data = header + end * 2 + rows + end
+    elif edit == "no final line break":
+        data = data.removesuffix(end)
+    path.write_bytes(data)
+    return path, table, bits
+
+
+PLAIN_IDS = ["s1", " pad ", "é", "a;b", "x\ty"]
+QUOTED_IDS = ["s1", "x,y", 'q"uote', "line\nbreak", " pad ", "é"]
+EDITS = ["none", "blank lines", "no final line break"]
+
+
 class TestConditionsScanner:
     """The byte scanner of ``io.read_conditions`` against the ``csv.reader``
     reader it replaced (``helpers.reference_read_conditions``)."""
 
-    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    @pytest.mark.parametrize("edit", ["none", "blank lines", "no final line break"])
-    def test_writer_layout_is_scanned(self, tmp_path, newline, edit):
-        ids = ["s1", "x,y", 'q"uote', "line\nbreak", " pad ", "é", ""]
-        bits = np.random.default_rng(0).random((len(ids), 3)) < 0.5
-        path, table = conditions_file(tmp_path, ids, bits, newline)
-        data, end = path.read_bytes(), newline.encode()
-        if edit == "blank lines":
-            header, rows = data.split(end, 1)
-            data = header + end * 2 + rows + end
-        elif edit == "no final line break":
-            data = data.removesuffix(end)
-        path.write_bytes(data)
+    @pytest.mark.parametrize("edit", EDITS)
+    def test_writer_layout_is_scanned(self, tmp_path, edit):
+        path, table, bits = edited_conditions_file(tmp_path, PLAIN_IDS, "\n", edit)
         scanned = io._scan_conditions(path, table)
         assert scanned is not None
         assert np.array_equal(scanned.values, bits)
         assert scanned.condition_names == ("c0", "c1", "c2")
+
+    @pytest.mark.parametrize("edit", EDITS)
+    @pytest.mark.parametrize(
+        "ids, newline", [(QUOTED_IDS, "\n"), (PLAIN_IDS, "\r\n"), (QUOTED_IDS, "\r\n")]
+    )
+    def test_quoted_ids_and_crlf_go_to_the_row_parser(self, tmp_path, ids, newline, edit):
+        path, table, bits = edited_conditions_file(tmp_path, ids, newline, edit)
+        assert io._scan_conditions(path, table) is None
+        assert same_outcome(path, table)
+        assert np.array_equal(io.read_conditions(path, table).values, bits)
 
     @pytest.mark.parametrize(
         "text, sample_id",
@@ -189,30 +210,38 @@ class TestConditionsScanner:
         with pytest.raises(DataError, match="field limit"):
             io.read_conditions(path, table)
 
-    def test_file_of_several_blocks(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize(
+        "long_id, newline, scanned", [("s" * 300 + "{}", "\n", True), ("s,{}\n", "\r\n", False)]
+    )
+    def test_file_of_several_blocks(self, tmp_path, monkeypatch, long_id, newline, scanned):
+        """Every seventh id is longer than a block in the plain layout, or
+        quoted in a CR-LF file, which the row parser reads."""
         rng = np.random.default_rng(1)
-        ids = [f"s{i}" if i % 7 else f"s,{i}\n" for i in range(300)]
+        ids = [f"s{i}" if i % 7 else long_id.format(i) for i in range(300)]
         bits = rng.random((300, 9)) < 0.3
-        path, table = conditions_file(tmp_path, ids, bits, "\r\n")
+        path, table = conditions_file(tmp_path, ids, bits, newline)
         monkeypatch.setattr(io, "_SCAN_BLOCK", 256)
         assert path.stat().st_size > 20 * 256
-        scanned = io._scan_conditions(path, table)
-        assert scanned is not None and np.array_equal(scanned.values, bits)
+        assert (io._scan_conditions(path, table) is not None) == scanned
+        assert np.array_equal(io.read_conditions(path, table).values, bits)
 
-    def test_record_straddling_a_block_edge(self, tmp_path, monkeypatch):
-        ids = ["s0", 'a "quoted",\r\nid', "s2"]
+    @pytest.mark.parametrize(
+        "middle, newline, scanned", [("a long plain id", "\n", True), ('a "quoted",\r\nid', "\r\n", False)]
+    )
+    def test_record_straddling_a_block_edge(self, tmp_path, monkeypatch, middle, newline, scanned):
+        ids = ["s0", middle, "s2"]
         bits = [[1, 0, 1], [0, 1, 1], [1, 1, 0]]
-        path, table = conditions_file(tmp_path, ids, bits, "\r\n")
+        path, table = conditions_file(tmp_path, ids, bits, newline)
         data = path.read_bytes()
-        record = data.index(b'"a')
-        # every block edge inside the second record, its CR-LF included
+        record = data.index(newline.encode(), data.index(b"s0")) + len(newline)
+        # every block edge inside the second record, its line break included
         for edge in range(record + 1, data.index(b"s2")):
             monkeypatch.setattr(io, "_SCAN_BLOCK", edge)
-            scanned = io._scan_conditions(path, table)
-            assert scanned is not None and np.array_equal(scanned.values, bits), edge
+            assert (io._scan_conditions(path, table) is not None) == scanned, edge
+            assert np.array_equal(io.read_conditions(path, table).values, bits), edge
 
     def test_permuted_rows_go_to_the_row_parser(self, tmp_path):
-        ids = ["s0", "x,y", 'q"uote', "s3", "é"]
+        ids = ["s0", "x;y", " pad ", "s3", "é"]
         bits = np.random.default_rng(2).random((len(ids), 4)) < 0.5
         order = [3, 0, 4, 1, 2]
         path, _ = conditions_file(tmp_path, [ids[k] for k in order], bits[order])
@@ -472,9 +501,9 @@ class TestReadersMatchReference:
     @settings(max_examples=200)
     @given(case=st.data(), block=st.sampled_from([1, 3, 64, 1 << 20]))
     def test_conditions_scanner_takes_what_it_took(self, tmp_path_factory, case, block):
-        """Every file the old scanner read with its ids in the table's order,
-        the shared one reads to the same matrix; NUL is now left to the row
-        parser anywhere in the file, and so is a file in any other order.
+        """Every file in the plain layout (no quote, CR or NUL byte) that the
+        old scanner read with its ids in the table's order, the shared one
+        reads to the same matrix; any other file is left to the row parser.
         Whatever the shared scanner reads, it reads as the row parser does."""
         data, ids = case.draw(conditions_bytes())
         table = make_table(["a"], ["a"] * len(ids), ids=ids)
@@ -482,7 +511,8 @@ class TestReadersMatchReference:
         path.write_bytes(data)
         with mock.patch.object(io, "_SCAN_BLOCK", block):
             old, new = reference_scan_conditions(path, table), io._scan_conditions(path, table)
-        if old is not None and b"\x00" not in data and csv_ids(path) == table.sample_ids:
+        plain = not any(byte in data for byte in (b'"', b"\r", b"\x00"))
+        if old is not None and plain and csv_ids(path) == table.sample_ids:
             assert new is not None and np.array_equal(new.values, old.values)
         if new is not None:
             assert same_outcome(path, table)
@@ -779,6 +809,44 @@ class TestCsvQuotingRoundTrip:
         assert path.read_text() == 'sample_id,pred,gt\ns1,a,a\n"s,2",a,x\n'
 
 
+# ids and class names that no writer quotes: no separator, quote, line break or NUL
+PLAIN_TEXT = st.text(st.sampled_from("sab1é _.-"), min_size=1, max_size=5)
+
+
+class TestPlainLayoutIsScanned:
+    @settings(max_examples=100)
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1), block=st.sampled_from([1, 7, 1 << 18]))
+    def test_written_files_are_scanned(self, tmp_path_factory, data, seed, block):
+        """The predictions, trace and conditions files written for plain ids
+        and class names are in the plain layout, which the byte scanner
+        takes, and read back equal."""
+        ids = data.draw(st.lists(PLAIN_TEXT, min_size=1, max_size=8, unique=True))
+        names = data.draw(st.lists(PLAIN_TEXT, min_size=2, max_size=3, unique=True))
+        rng = np.random.default_rng(seed)
+        pred = rng.choice([*names, UNKNOWN_NAME], size=len(ids)).tolist()
+        table = make_table(names, pred, rng.choice([*names, "novel"], size=len(ids)).tolist(), ids=ids)
+        conds = make_conds(["c1", "c2"], rng.random((2, len(ids))) < 0.5)
+        rule_set = RuleSet(
+            ClassSet(tuple(names)),
+            ("c1", "c2"),
+            0.1,
+            (DetectionRule(0, ("c1", "c2"), 0.25, 0.75),),
+            (CorrectionRule(1, (("c1", 0),), 0.125, 0.9),),
+        )
+        revised, trace = apply_ruleset(rule_set, table, conds)
+        work = tmp_path_factory.mktemp("plain")
+        io.write_predictions(work / "p.csv", revised)
+        io.write_trace(work / "t.csv", trace)
+        io.write_conditions(work / "c.csv", table, conds)
+        with mock.patch.object(io, "_SCAN_BLOCK", block):
+            assert io._scan_columns(work / "p.csv", io._PREDICTIONS.headers) is not None
+            assert io._scan_columns(work / "t.csv", io._TRACE.headers) is not None
+            assert io._scan_conditions(work / "c.csv", table) is not None
+            assert same_table(io.read_predictions(work / "p.csv", classes=table.classes), revised)
+            assert same_trace(io.read_trace(work / "t.csv", table), trace)
+            assert np.array_equal(io.read_conditions(work / "c.csv", table).values, conds.values)
+
+
 # fields csv.writer writes as they are (text, ints, bools and floats with
 # nan, infinities and -0.0) and, once in 16 draws, one it quotes or writes
 # empty: separators, quotes, line breaks, NUL or None
@@ -794,8 +862,8 @@ SPECIAL_FIELDS = st.one_of(
 )
 FIELDS = once_in(16).flatmap(lambda special: SPECIAL_FIELDS if special else PLAIN_FIELDS)
 TEXT_FIELDS = FIELDS.filter(lambda field: isinstance(field, str))
-WRITER_IDS = st.lists(
-    st.text(st.sampled_from([",", '"', "\n", "\r", "s", "1", "é", " ", "\x00"]), max_size=4),
+WRITER_IDS = st.lists(  # never empty, which PredictionTable rejects
+    st.text(st.sampled_from([",", '"', "\n", "\r", "s", "1", "é", " ", "\x00"]), min_size=1, max_size=4),
     max_size=6,
     unique=True,
 )
@@ -853,12 +921,19 @@ class TestWritersMatchReference:
     @settings(max_examples=100)
     @given(ids=WRITER_IDS, m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_write_conditions(self, tmp_path_factory, ids, m, seed, data):
+        """With no conditions the file would be a bare header, which
+        read_conditions rejects, so nothing is written."""
         names = st.sampled_from(["c1", "c,2", 'c"3', "c\r4", "é"])
         names = data.draw(st.lists(names, min_size=m, max_size=m, unique=True))
         table = make_table(["a"], ["a"] * len(ids), ids=ids)
         bits = np.random.default_rng(seed).random((len(ids), m)) < 0.5
         conds = ConditionMatrix(tuple(names), bits)
         work = tmp_path_factory.mktemp("w")
+        if not m:
+            with pytest.raises(ContractError, match="no conditions"):
+                io.write_conditions(work / "new.csv", table, conds)
+            assert not list(work.iterdir())
+            return
         rows = [[sample_id, *("1" if bit else "0" for bit in row)] for sample_id, row in zip(ids, bits)]
         got = write_outcome(io.write_conditions, work / "new.csv", table, conds)
         assert got == write_outcome(reference_write_csv_rows, work / "old.csv", ("sample_id", *names), rows)
@@ -967,6 +1042,39 @@ class TestRowOrder:
         assert shuffled_rules == rules
         for before, after in ((revised, shuffled_revised), (trace, shuffled_trace)):
             assert after == before[:1] + [before[1 + k] for k in order]
+
+
+def crlf_copy(sources, out):
+    """Copies of ``sources`` in directory ``out`` with every ``\\n`` made ``\\r\\n``."""
+    out.mkdir()
+    for source in sources:
+        (out / source.name).write_bytes(source.read_bytes().replace(b"\n", b"\r\n"))
+    return [out / source.name for source in sources]
+
+
+def test_crlf_corpus_gives_the_same_outputs(tmp_path):
+    """learn, apply and eval --trace write the same bytes from a gen corpus,
+    which the byte scanner reads, and from a CR-LF copy of it and of apply's
+    outputs, which the row parser reads; only manifest.json may differ."""
+    corpus = gen_corpus(tmp_path)
+    plain = [corpus / "predictions.csv", corpus / "conditions.csv"]
+    crlf = crlf_copy(plain, tmp_path / "crlf")
+    table = io.read_predictions(plain[0])
+    assert io._scan_conditions(plain[1], table) is not None
+    assert io._scan_conditions(crlf[1], table) is None
+    outputs = []
+    for name, (p, c) in (("plain", plain), ("crlf", crlf)):
+        out = tmp_path / f"out_{name}"
+        assert run(["learn", "--predictions", p, "--conditions", c, "--out", out / "learn"]) == 0
+        assert run(["apply", "--ruleset", out / "learn" / "ruleset.yaml", "--predictions", p,
+                    "--conditions", c, "--out", out / "apply"]) == 0
+        revised, trace = out / "apply" / "revised.csv", out / "apply" / "trace.csv"
+        if name == "crlf":
+            revised, trace = crlf_copy([revised, trace], tmp_path / "crlf_apply")
+        assert run(["eval", "--predictions", revised, "--trace", trace, "--out", out / "eval"]) == 0
+        files = sorted(path for path in out.rglob("*") if path.is_file() and path.name != "manifest.json")
+        outputs.append({path.relative_to(out): path.read_bytes() for path in files})
+    assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
 
 
 class TestCli:
