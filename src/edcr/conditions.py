@@ -62,7 +62,9 @@ from .core import (
     DataError,
     PredictionTable,
     UnknownClassError,
+    _integer_array,
     check_count,
+    check_names,
     check_unit_interval,
 )
 
@@ -76,20 +78,10 @@ def _check_tracks(sample_ids: Sequence[str], counts, t, lat, lon):
     increasing timestamps, latitude in [-90, 90] and longitude in
     [-180, 180].  The first fault, by record, then point, then rule in that
     order, is a :class:`DataError` naming its record.  Returns the counts as
-    ``intp`` and the point columns as ``float64`` arrays.  Counts whose
-    ``np.asarray`` is not 1-D of an integer dtype (bool, float, string or
-    nested values; an empty sequence is no records), or that hold a bool
-    among integers, are a ContractError."""
-    try:
-        array = np.asarray(counts)
-        integral = array.ndim == 1 and (array.dtype.kind in "iu" or not len(array))
-    except ValueError:  # a ragged nesting
-        integral = False
-    if integral and not isinstance(counts, np.ndarray):  # numpy reads a bool among ints as 1
-        integral = not any(isinstance(count, (bool, np.bool_)) for count in counts)
-    if not integral:
-        raise ContractError("point counts must be a 1-D sequence of integers")
-    counts = array.astype(np.intp)
+    ``intp`` and the point columns as ``float64`` arrays.  Counts that are
+    not a 1-D array of integers (:func:`edcr.core._integer_array`; an empty
+    sequence is no records) are a ContractError."""
+    counts = _integer_array("point counts", counts).astype(np.intp)
     t, lat, lon = (np.asarray(column, dtype=np.float64) for column in (t, lat, lon))
     if not (len(sample_ids) == len(counts) and int(counts.sum()) == len(t) == len(lat) == len(lon)):
         raise ContractError("point columns do not match the per-record counts")
@@ -335,7 +327,7 @@ def generate_synthetic(
         raise ContractError(f"n_samples={n_samples} cannot cover all {len(names)} classes")
     check_unit_interval("noise", noise)
     check_unit_interval("condition_noise", condition_noise)
-    holdout = tuple(holdout_classes or ())
+    holdout = check_names("holdout class name", () if holdout_classes is None else holdout_classes)
     for name in holdout:
         if name not in names:
             raise ContractError(f"holdout class {name!r} is not in the class set")

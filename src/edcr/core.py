@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import copy
 import numbers
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -203,14 +204,28 @@ def _array(value) -> np.ndarray:
 
 def _integer_array(name: str, value) -> np.ndarray:
     """``value`` as an array, or :class:`ContractError` naming ``name`` unless
-    it is a 1-D integer array; a ``bool`` is not an integer.  An empty
-    sequence, which numpy makes float, is taken as integers."""
+    it is a 1-D array of integers; a ``bool`` is not an integer, also among
+    the integers of a list, which numpy reads as 0 or 1.  An empty sequence,
+    which numpy makes float, is taken as integers."""
     arr = _array(value)
     if not arr.size:
         arr = arr.astype(np.intp)
-    if arr.dtype.kind not in "iu" or arr.ndim != 1:
-        raise ContractError(f"{name} must be a 1-D integer array, got {value!r}")
+    if arr.dtype.kind not in "iu" or arr.ndim != 1 or (
+        not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, value))
+    ):
+        raise ContractError(f"{name} must be a 1-D array of integers, got {value!r}")
     return arr
+
+
+def _bit_array(name: str, value) -> np.ndarray:
+    """``value`` as a bool array, or :class:`ContractError` naming ``name``
+    unless it holds bools or integers that are each 0 or 1.  An empty
+    sequence, which numpy makes float, is taken as bools, and a bool array is
+    returned as it is, not copied."""
+    arr = _array(value)
+    if arr.dtype != bool and arr.size and (arr.dtype.kind not in "iu" or ((arr != 0) & (arr != 1)).any()):
+        raise ContractError(f"{name} must be bools or 0/1 integers, got {value!r}")
+    return arr.astype(bool, copy=False)
 
 
 def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
@@ -264,7 +279,8 @@ class PredictionTable:
             object.__setattr__(self, "gt_ids", gt)
         distinct = set(self.sample_ids)
         if len(distinct) != n:
-            raise ContractError("sample ids must be unique")
+            dupes = sorted(s for s, count in Counter(self.sample_ids).items() if count > 1)
+            raise ContractError(f"duplicate sample ids: {dupes[:5]}")
         if "" in distinct:
             raise ContractError("sample ids must not be empty")
         if UNKNOWN_NAME in self.novel_names:
@@ -308,12 +324,12 @@ class PredictionTable:
     def _from_coded(cls, classes, sample_ids, predicted, ground_truth=None) -> "PredictionTable":
         """:meth:`from_names` for columns given as :func:`_coded` pairs; names
         are looked up once each, not once per sample."""
-        lookup = {name: i for i, name in enumerate(classes.names)}
+        lookup = classes._ids
         pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted[1], "predicted")[predicted[0]]
         gt, novel = None, ()
         if ground_truth is not None:
             novel = tuple(sorted(set(ground_truth[1]).difference(lookup)))
-            lookup.update((name, len(classes) + j) for j, name in enumerate(novel))
+            lookup = {**lookup, **{name: len(classes) + j for j, name in enumerate(novel)}}
             gt = id_column(lookup, ground_truth[1], "ground-truth")[ground_truth[0]]
         return cls(classes, tuple(sample_ids), pred, gt, novel)
 
@@ -344,8 +360,8 @@ class ConditionMatrix:
 
     ``values`` has shape (rows, conditions) and is stored column-contiguous,
     so selecting the columns of a rule body reads contiguous memory.  It
-    must be a bool array or integers that are each 0 or 1; anything else is
-    a :class:`ContractError`.
+    must hold bools or integers that are each 0 or 1 (:func:`_bit_array`);
+    anything else is a :class:`ContractError`.
     """
 
     condition_names: tuple[str, ...]
@@ -353,10 +369,7 @@ class ConditionMatrix:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
-        vals = _array(self.values)
-        if vals.dtype != bool and (vals.dtype.kind not in "iu" or ((vals != 0) & (vals != 1)).any()):
-            raise ContractError(f"condition values must be bools or 0/1 integers, got {self.values!r}")
-        vals = np.array(vals, dtype=bool, order="F")
+        vals = np.array(_bit_array("condition values", self.values), order="F")
         if vals.ndim != 2:
             raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
         if vals.shape[1] != len(self.condition_names):

@@ -15,6 +15,9 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
+    _bit_array,
+    _require_aligned,
+    check_names,
     check_unit_interval,
 )
 from .learn import det_corr_rule_learn
@@ -62,9 +65,10 @@ class ErrorMetrics:
 
 
 def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> ErrorMetrics:
-    """Score detection verdicts with actual errors as the positive class."""
+    """Score detection verdicts, one per row of ``table``, each a bool or a
+    0/1 integer, with actual errors as the positive class."""
     table.require_ground_truth()
-    flag_arr = np.asarray(flags, dtype=bool)
+    flag_arr = _bit_array("flags", flags)
     if flag_arr.shape != (table.n,):
         raise ContractError(f"flags must have shape ({table.n},), got {flag_arr.shape}")
     actual = table.pred_ids != table.gt_ids
@@ -136,6 +140,7 @@ def sequential_split(
     table: PredictionTable, conds: ConditionMatrix, learn_fraction: float = 0.5
 ) -> Split:
     """Prefix/suffix split in sample order: no shuffling, no id overlap."""
+    _require_aligned(table, conds)
     if not 0.0 < learn_fraction < 1.0:
         raise ContractError(f"learn_fraction must lie strictly in (0, 1), got {learn_fraction}")
     cut = int(round(table.n * learn_fraction))
@@ -233,7 +238,7 @@ def unseen_class_experiment(
     correct.
     """
     table.require_ground_truth()
-    holdout = tuple(holdout)
+    holdout = check_names("holdout class name", holdout)
     if not holdout:
         raise ContractError("need at least one holdout class")
     for fraction in fractions:

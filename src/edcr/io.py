@@ -298,12 +298,11 @@ _PREDICTIONS = _CellRules(
 def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     """Read a predictions CSV (header ``sample_id,pred`` or
     ``sample_id,pred,gt``).  Without an explicit class set, the classes are
-    the sorted distinct predicted names (UNKNOWN excluded)."""
+    the sorted distinct predicted names (UNKNOWN excluded).  The table checks
+    that no id repeats, after the faults of the pred column; a repeated id
+    is a :class:`DataError` naming ``path``."""
     path = Path(path)
     ids, (pred, *gt) = _read_columns(path, _PREDICTIONS)
-    if len(set(ids)) != len(ids):
-        dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
-        raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
     predicted = set(pred[1])
     predicted.discard(UNKNOWN_NAME)
     if classes is None:
@@ -316,7 +315,10 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
             raise ContractError(
                 f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
             )
-    return PredictionTable._from_coded(classes, ids, pred, gt[0] if gt else None)
+    try:  # the table owns the rules on its ids, such as no repeat
+        return PredictionTable._from_coded(classes, ids, pred, gt[0] if gt else None)
+    except ContractError as err:
+        raise DataError(f"{path}: {err}") from None
 
 
 def write_predictions(path, table: PredictionTable) -> None:
@@ -589,8 +591,7 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     correction that the batch never predicts."""
     path = Path(path)
     classes = table.classes
-    lookup = {name: i for i, name in enumerate(classes.names)}
-    lookup[UNKNOWN_NAME] = -1
+    lookup = {**classes._ids, UNKNOWN_NAME: -1}
     sample_ids, columns = _read_columns(path, _TRACE)
     if tuple(sample_ids) != table.sample_ids:
         position = dict(zip(sample_ids, range(len(sample_ids))))

@@ -22,6 +22,8 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
+    _bit_array,
+    _checked_ids,
     _require_aligned,
     check_names,
     check_pairs,
@@ -132,6 +134,9 @@ class ApplyTrace:
     ``flagged`` is the detection verdict, and ``fired`` codes into
     ``fired_names``: the ``;``-joined targets of the correction rules whose
     body matched, in priority order with the winner first ("" for none).
+    Each column must have one entry per sample id, class ids and codes in
+    range and flags bools or 0/1 integers; anything else is a
+    :class:`ContractError`.  The sample ids are the table's, checked there.
     """
 
     classes: ClassSet
@@ -143,8 +148,15 @@ class ApplyTrace:
     final: np.ndarray
 
     def __post_init__(self) -> None:
-        for name in ("original", "flagged", "fired", "final"):
-            getattr(self, name).setflags(write=False)
+        n, k = len(self.sample_ids), len(self.classes)
+        object.__setattr__(self, "fired_names", tuple(self.fired_names))
+        for name, low, high in (("original", -1, k), ("final", -1, k), ("fired", 0, len(self.fired_names))):
+            object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
+        flagged = _bit_array("flagged", self.flagged)
+        if flagged.shape != (n,):
+            raise ContractError(f"flagged has {flagged.size} entries for {n} sample ids")
+        flagged.setflags(write=False)
+        object.__setattr__(self, "flagged", flagged)
 
     def fired_column(self) -> list[str]:
         return np.array(self.fired_names, dtype=object)[self.fired].tolist()

@@ -43,11 +43,18 @@ from .rules import CorrectionRule, DetectionRule, RuleSet, apply_ruleset
 RATIONAL_TOLERANCE = 1e-9
 
 
+def _check_ratios(**ratios) -> None:
+    """:class:`ContractError` unless every ratio, named by its keyword, is a
+    real number in [0, 1]; checked before any degenerate case is."""
+    for name, value in ratios.items():
+        check_unit_interval(name.replace("_", " "), value)
+
+
 def precision_delta_exact(class_support: float, confidence: float, precision: float) -> float:
     """Exact precision change from one detection rule:
     s_i / (1 - s_i) * (c + P_i - 1).  Negative when the rule flags more
     correct predictions than errors."""
-    check_unit_interval("class support", class_support)
+    _check_ratios(class_support=class_support, confidence=confidence, precision=precision)
     if class_support == 1.0:
         raise DegenerateStatsError(
             "class support 1 removes every prediction of the class; precision is undefined"
@@ -58,6 +65,7 @@ def precision_delta_exact(class_support: float, confidence: float, precision: fl
 def precision_delta_bound(class_support: float, confidence: float) -> float:
     """Upper bound c * s_i on the precision gain of a detection rule; valid
     whenever s_i <= 1 - P_i (the caller checks that side condition)."""
+    _check_ratios(class_support=class_support, confidence=confidence)
     return confidence * class_support
 
 
@@ -66,6 +74,7 @@ def recall_delta_exact(
 ) -> float:
     """Exact magnitude of the recall decrease from one detection rule:
     (1 - c) * s_i * R_i / P_i."""
+    _check_ratios(class_support=class_support, confidence=confidence, recall=recall, precision=precision)
     if precision <= 0.0:
         raise DegenerateStatsError("recall delta is undefined for a class with zero precision")
     return (1.0 - confidence) * class_support * recall / precision
@@ -89,6 +98,7 @@ def correction_precision_delta(
 ) -> float:
     """Exact precision change from one correction rule:
     (c*s - P_i*s) / (prior_i + s); its sign is the sign of c - P_i."""
+    _check_ratios(support=support, confidence=confidence, precision=precision, prior=prior)
     if prior + support <= 0.0:
         raise DegenerateStatsError(
             "correction precision delta is undefined when prior + support is zero"
@@ -99,6 +109,7 @@ def correction_precision_delta(
 def correction_recall_post(tp: int, fn: int, pos: int) -> float:
     """Recall after a correction rule adds ``pos`` true positives:
     (TP_i + POS) / (TP_i + FN_i)."""
+    tp, fn, pos = check_count("tp", tp), check_count("fn", fn), check_count("pos", pos)
     if tp + fn <= 0:
         raise DegenerateStatsError("post-correction recall is undefined when TP + FN is zero")
     return (tp + pos) / (tp + fn)

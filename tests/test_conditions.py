@@ -393,6 +393,15 @@ class TestGenerateSynthetic:
                 seed=0, n_samples=10, holdout_classes=["walk", "bike", "bus", "drive"]
             )
 
+    @pytest.mark.parametrize("holdout, message", [
+        (["walk", "walk"], "^duplicate holdout class names"),
+        (["walk", ""], "^empty holdout class name"),
+        ("walk", "^holdout class names must be a sequence of strings, not the string 'walk'"),
+    ])
+    def test_holdout_names_are_checked(self, holdout, message):
+        with pytest.raises(ContractError, match=message):
+            generate_synthetic(seed=0, n_samples=10, holdout_classes=holdout)
+
     @pytest.mark.parametrize("seed", [-1, 1.5, None, True])
     def test_seed_must_be_non_negative_integer(self, seed):
         with pytest.raises(ContractError, match="seed"):

@@ -60,6 +60,13 @@ class TestPredictionTable:
         with pytest.raises(ContractError):
             make_table(["a"], ["a", "a"], ids=["x", "x"])
 
+    def test_repeated_ids_are_named(self):
+        """The first five repeated ids, sorted, as the predictions reader
+        reports them."""
+        ids = [*"gfedcba", *"gfedcba", "z"]
+        with pytest.raises(ContractError, match=r"^duplicate sample ids: \['a', 'b', 'c', 'd', 'e'\]$"):
+            PredictionTable.from_names(ClassSet(("a",)), ids, ["a"] * len(ids))
+
     def test_novel_ground_truth_allowed(self):
         table = make_table(["a", "b"], ["a", "b"], ["a", "scooter"])
         assert table.gt_ids.tolist() == [0, 2]
@@ -97,6 +104,8 @@ class TestPredictionTable:
         [
             ([0.7, 1.2], [0, 1], "predicted"),  # floats, which numpy would truncate
             ([True, False], None, "predicted"),  # a bool is not an id
+            ([0, True], None, "predicted"),  # nor among ints, which numpy reads as 1
+            ([0, 1], [0, np.True_], "ground_truth"),
             (["0", "1"], None, "predicted"),  # nor is a digit string
             ([2**33, 0], None, "predicted"),  # past int32, which numpy would refuse bare
             ([0, 1], [0, 2**33], "ground_truth"),
@@ -128,7 +137,7 @@ class TestPredictionTable:
         with pytest.raises(ContractError, match="^sample ids must not be empty"):
             build(ClassSet(("a", "b")))
 
-    @pytest.mark.parametrize("indices", [[True, False], [1.9], [-1], [2], [[0]]])
+    @pytest.mark.parametrize("indices", [[True, False], [0, True], [1.9], [-1], [2], [[0]]])
     def test_subset_checks_its_indices(self, indices):
         table = make_table(["a", "b"], ["a", "b"], ids=["x", "y"])
         with pytest.raises(ContractError, match="^row indices "):
@@ -245,6 +254,7 @@ class TestClassStats:
             (("a", "b"), 1, ([-4, 1], [0, 0], [0, 0], [0, 0]), "tp"),  # a negative count
             (("a",), 1, ([1.7], [0], [0], [0]), "tp"),  # not an integer
             (("a",), 1, ([1], [0], [0], [True]), "fn"),  # a bool is not a count
+            (("a", "b"), 2, ([1, True], [0, 0], [1, 1], [0, 0]), "tp"),  # nor among ints
             (("a",), 1, ([1], [[0]], [0], [0]), "fp"),  # not 1-D
             (("a",), 1, ([1], [0], [[0], [0, 1]], [0]), "tn"),  # ragged
             (("a", "b"), 2, ([1, 1], [0, 0], [2, 0], [0, 1]), "total"),  # class a sums to 3
@@ -473,7 +483,7 @@ class TestConditionMatrix:
         with pytest.raises(ContractError, match="values"):
             ConditionMatrix(("c",), values)
 
-    @pytest.mark.parametrize("indices", [[5], [-1], np.array([False, True, True]), [0.0]])
+    @pytest.mark.parametrize("indices", [[5], [-1], np.array([False, True, True]), [True, 0], [0.0]])
     def test_rows_checks_its_indices(self, indices):
         conds = make_conds(["c"], [[1, 0, 1]])
         with pytest.raises(ContractError, match="^row indices "):
@@ -491,6 +501,16 @@ class TestConditionMatrix:
             for row in range(table.n)
         ]
         assert rule_body(conds, table.pred_ids, pairs).tolist() == expected
+
+    def test_bool_values_are_checked_without_a_copy(self):
+        """The bit rule returns a bool array as it is, so the matrix makes
+        its one column-contiguous copy and no other."""
+        from edcr.core import _bit_array
+
+        values = np.zeros((3, 2), dtype=bool)
+        assert _bit_array("values", values) is values
+        assert _bit_array("values", []).dtype == bool
+        assert ConditionMatrix(("a",), np.zeros((0, 1))).n_rows == 0
 
     def test_values_column_contiguous(self):
         conds = make_conds(["a", "b"], [[1, 0, 1], [0, 0, 1]])

@@ -7,7 +7,9 @@ from hypothesis import given, strategies as st
 
 import edcr.core
 from edcr import (
+    ConditionMatrix,
     ContractError,
+    ErrorMetrics,
     ScoringMode,
     UNKNOWN_NAME,
     accuracy,
@@ -76,6 +78,17 @@ class TestErrorDetectionMetrics:
         order = [2, 0, 3, 1]
         shuffled = error_detection_metrics([flags[i] for i in order], table.subset(order))
         assert shuffled == base
+
+
+    def test_flags_are_bits(self):
+        """A flag is a bool or a 0/1 integer; a string, a fraction, another
+        integer or None is not one, where a bool cast would raise it."""
+        table = make_table(["a", "b"], ["a", "b"], ["a", "a"])
+        assert error_detection_metrics([0, 1], table) == error_detection_metrics([False, True], table)
+        assert error_detection_metrics([], make_table(["a"], [], [])) == ErrorMetrics(0.0, 0.0, 0.0)
+        for flags in (["0", "0"], [0.5, 0.0], [2, 0], [None, 1]):
+            with pytest.raises(ContractError, match="^flags must be bools or 0/1 integers"):
+                error_detection_metrics(flags, table)
 
 
 class TestAccuracy:
@@ -150,6 +163,14 @@ class TestSplit:
             with pytest.raises(ContractError):
                 sequential_split(corpus.table, corpus.conditions, fraction)
 
+    def test_conditions_must_align(self):
+        """A matrix longer than the table is not cut to the table's rows."""
+        corpus = generate_synthetic(seed=0, n_samples=10, noise=0.2)
+        values = np.vstack([corpus.conditions.values, corpus.conditions.values[:2]])
+        longer = ConditionMatrix(corpus.conditions.condition_names, values)
+        with pytest.raises(ContractError, match="12 rows for a table of 10 samples"):
+            sequential_split(corpus.table, longer, 0.5)
+
     def test_overlap_rejected(self):
         corpus = generate_synthetic(seed=0, n_samples=20, noise=0.2)
         with pytest.raises(ContractError):
@@ -216,6 +237,15 @@ class TestEpsilonSweep:
             assert row.recall_after == pytest.approx(float(after.recall[i]), abs=1e-12)
 
 
+# holdout names that are not a sequence of distinct non-empty names; a bare
+# string would be read as its characters
+HOLDOUT_NAME_FAULTS = [
+    (["walk", "walk"], "^duplicate holdout class names"),
+    (["walk", ""], "^empty holdout class name"),
+    ("walk", "^holdout class names must be a sequence of strings, not the string 'walk'"),
+]
+
+
 class TestUnseenClassExperiment:
     def corpus(self):
         return generate_synthetic(
@@ -254,6 +284,19 @@ class TestUnseenClassExperiment:
         corpus = self.corpus()
         with pytest.raises(ContractError):
             unseen_class_experiment(corpus.table, corpus.conditions, holdout=["walk", "scooter"])
+
+    @pytest.mark.parametrize("holdout, message", HOLDOUT_NAME_FAULTS)
+    def test_holdout_names_are_checked(self, holdout, message):
+        corpus = self.corpus()
+        with pytest.raises(ContractError, match=message):
+            unseen_class_experiment(corpus.table, corpus.conditions, holdout=holdout)
+
+    def test_conditions_must_align(self):
+        corpus = self.corpus()
+        values = np.vstack([corpus.conditions.values, corpus.conditions.values[:2]])
+        longer = ConditionMatrix(corpus.conditions.condition_names, values)
+        with pytest.raises(ContractError, match="602 rows for a table of 600 samples"):
+            unseen_class_experiment(corpus.table, longer, holdout=["walk"])
 
 
 class TestMetricsReport:

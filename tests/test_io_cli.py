@@ -73,6 +73,25 @@ class TestPredictionsFormat:
         with pytest.raises(DataError, match="duplicate"):
             io.read_predictions(path)
 
+    def test_pred_faults_come_before_repeated_ids(self, tmp_path):
+        """The table alone checks that ids do not repeat, so the reader's
+        faults of the pred column come first; repeated ids alone are still a
+        data error naming the first five, sorted."""
+        path = tmp_path / "p.csv"
+        path.write_text("sample_id,pred\n" + "".join(f"{s},a\n" for s in "gfedcbagfedcba"))
+        with pytest.raises(DataError) as err:
+            io.read_predictions(path)
+        assert str(err.value) == f"{path}: duplicate sample ids: ['a', 'b', 'c', 'd', 'e']"
+        path.write_text("sample_id,pred\n1,a\n1,zz\n")
+        with pytest.raises(ContractError) as err:
+            io.read_predictions(path, ClassSet(("a", "b")))
+        expected = f"{path}: predicted classes ['zz'] are not in the declared class set ('a', 'b')"
+        assert str(err.value) == expected
+        path.write_text(f"sample_id,pred\n1,{UNKNOWN_NAME}\n1,{UNKNOWN_NAME}\n")
+        with pytest.raises(DataError) as err:
+            io.read_predictions(path)
+        assert str(err.value) == f"{path}: no predictable classes found in pred column"
+
     def test_field_count_line_number(self, tmp_path):
         path = tmp_path / "p.csv"
         path.write_text("sample_id,pred,gt\nx,a,a\ny,a\n")
@@ -453,6 +472,20 @@ def reference_trace_table(expected, classes):
     return id_table(classes, expected[1]["sample_ids"] if isinstance(expected[1], dict) else ["absent id"])
 
 
+def pred_column_fault(path, classes):
+    """The outcome of ``read_predictions`` for a fault of the pred column of
+    a valid CSV file, which it meets before a repeated id: no predictable
+    class when ``classes`` is None, else a class outside ``classes``; None
+    when the column has neither."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        predicted = {row[1] for row in list(csv.reader(handle))[1:] if row} - {UNKNOWN_NAME}
+    if classes is None:
+        return None if predicted else (DataError, f"{path}: no predictable classes found in pred column")
+    bad = sorted(predicted.difference(classes.names))
+    message = f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
+    return (ContractError, message) if bad else None
+
+
 def reversed_rows(outcome):
     """A trace outcome of :func:`table_outcome` with its rows reversed."""
     kind, trace = outcome
@@ -465,7 +498,10 @@ class TestReadersMatchReference:
     ``csv.reader`` readers it replaced (``helpers.reference_read_*``): the
     same table or trace, or the same exception type and message.  A trace is
     read against a table that holds the reference trace's ids in file order
-    (see :func:`reference_trace_table`), and against the reversed ids."""
+    (see :func:`reference_trace_table`), and against the reversed ids.  A
+    predictions file with repeated ids whose pred column also has a fault
+    gives that fault (:func:`pred_column_fault`), since the table, built
+    last, is what rejects repeated ids."""
 
     @settings(max_examples=300)
     @given(case=st.data(), block=st.sampled_from([1, 7, 64, 1 << 20]), gt=st.booleans())
@@ -477,8 +513,10 @@ class TestReadersMatchReference:
         path.write_bytes(case.draw(table_bytes(header, [CLASS_CELLS] * (1 + gt))))
         with mock.patch.object(io, "_SCAN_BLOCK", block):
             for classes in (None, ClassSet(("a", "b"))):
-                got = table_outcome(io.read_predictions, path, classes)
-                assert got == table_outcome(reference_read_predictions, path, classes)
+                expected = table_outcome(reference_read_predictions, path, classes)
+                if expected[0] is DataError and expected[1].startswith(f"{path}: duplicate sample ids"):
+                    expected = pred_column_fault(path, classes) or expected
+                assert table_outcome(io.read_predictions, path, classes) == expected
 
     @settings(max_examples=300)
     @given(case=st.data(), block=st.sampled_from([1, 7, 64, 1 << 20]))
@@ -1797,6 +1835,27 @@ def invalid_invocations(tmp_path):
         (["unseen", "--predictions", held / "predictions.csv", "--conditions", held / "conditions.csv",
           "--holdout", "walk,walk", "--out", tmp_path / "o33"], 2),
     ]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--holdout", "walk,walk"], "duplicate holdout class names in ('walk', 'walk')"),
+    (["gen", "--holdout", "walk,"], "empty holdout class name in ('walk', '')"),
+    (["unseen", "--holdout", "walk,walk"], "duplicate holdout class names in ('walk', 'walk')"),
+    (["learn", "--epsilon-per-class", "zeppelin=0.1"],
+     "epsilon mapping names ['bike', 'bus', 'drive', 'train', 'walk', 'zeppelin'], not ("),
+    (["sweep", "--epsilons", "0.1,,0.2"], "expected comma-separated numbers, got '0.1,,0.2'"),
+])
+def test_list_flag_values_are_checked_by_the_library(tmp_path, capsys, argv, message):
+    """The CLI splits list flags at commas and leaves their rules to the
+    library: holdout names to ``check_names``, epsilon names to
+    ``check_epsilon`` and numbers to ``float``."""
+    corpus = gen_corpus(tmp_path, seed=22, samples=60)
+    reads = [] if argv[0] == "gen" else ["--predictions", corpus / "predictions.csv",
+                                         "--conditions", corpus / "conditions.csv"]
+    capsys.readouterr()
+    assert run([*argv, *reads, "--out", tmp_path / "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
 
 
 def test_invalid_invocations_exit_codes(tmp_path, capsys):

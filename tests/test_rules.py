@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from edcr import (
     UNKNOWN_NAME,
+    ApplyTrace,
     ClassSet,
     ContractError,
     CorrectionRule,
@@ -12,6 +13,7 @@ from edcr import (
     det_corr_rule_learn,
     apply_ruleset,
     det_rule_learn,
+    io,
 )
 from edcr.rules import _fired_codes
 from helpers import make_conds, make_table, reference_fired_codes
@@ -145,6 +147,39 @@ class TestUnitIntervalValues:
             det_corr_rule_learn({"a": bad, "b": 0.1}, table, conds)
         with pytest.raises(ContractError, match="epsilon"):
             det_rule_learn(0, bad, table, conds)
+
+
+def trace_columns(**changes):
+    """The columns of a two-sample trace over classes a and b, as lists,
+    with ``changes`` applied."""
+    columns = dict(original=[0, 1], flagged=[True, False], fired=[0, 1], fired_names=("", "b"), final=[-1, 1])
+    return {**columns, **changes}
+
+
+class TestApplyTrace:
+    def test_columns_may_be_lists(self, tmp_path):
+        trace = ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(flagged=[1, 0]))
+        assert trace.flagged.dtype == bool and not trace.final.flags.writeable
+        io.write_trace(tmp_path / "t.csv", trace)
+        assert (tmp_path / "t.csv").read_text() == (
+            "sample_id,original,flagged,fired,final\nx,a,1,,__unknown__\ny,b,0,b,b\n"
+        )
+
+    @pytest.mark.parametrize("column, value, message", [
+        ("original", [0], r"^original has 1 entries for 2 sample ids"),
+        ("flagged", [True], r"^flagged has 1 entries for 2 sample ids"),
+        ("fired", [0, 0, 0], r"^fired has 3 entries for 2 sample ids"),
+        ("final", [1], r"^final has 1 entries for 2 sample ids"),
+        ("original", [5, 0], r"^original ids must lie in \[-1, 2\)"),
+        ("final", [-2, 0], r"^final ids must lie in \[-1, 2\)"),
+        ("original", [0, True], r"^original must be a 1-D array of integers"),
+        ("fired", [0, 2], r"^fired ids must lie in \[0, 2\)"),
+        ("flagged", ["0", "1"], r"^flagged must be bools or 0/1 integers"),
+        ("flagged", [2, 0], r"^flagged must be bools or 0/1 integers"),
+    ])
+    def test_columns_are_checked(self, column, value, message):
+        with pytest.raises(ContractError, match=message):
+            ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(**{column: value}))
 
 
 class TestApplyRuleset:

@@ -96,6 +96,27 @@ class TestClosedForms:
             correction_recall_post(0, 0, 1)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: recall_delta_exact(0.5, 1.5, 2.0, 0.5), "confidence must be a finite number in"),
+    (lambda: recall_delta_exact(0.25, 0.6, 0.8, -1.0), "precision must be a finite number in"),
+    (lambda: precision_delta_bound(3.0, -1.0), "class support must be a finite number in"),
+    (lambda: precision_delta_exact(0.5, 0.5, 1.5), "precision must be a finite number in"),
+    (lambda: correction_precision_delta(0.0, 0.9, 0.7, -0.5), "prior must be a finite number in"),
+    (lambda: correction_precision_delta(True, 0.9, 0.7, 0.3), "support must be a finite number in"),
+    (lambda: correction_recall_post(1, 1, -5), "pos must be a non-negative integer"),
+    (lambda: correction_recall_post(-1, 1, 0), "tp must be a non-negative integer"),
+    (lambda: correction_recall_post(0, 0, 0.5), "pos must be a non-negative integer"),
+], ids=["recall_delta_exact confidence", "recall_delta_exact precision", "precision_delta_bound",
+        "precision_delta_exact", "correction_precision_delta prior", "correction_precision_delta support",
+        "correction_recall_post pos", "correction_recall_post tp", "correction_recall_post float pos"])
+def test_closed_forms_check_their_arguments_first(call, message):
+    """Ratios lie in [0, 1] and counts are non-negative integers; both are
+    checked before the degenerate cases, so a bad value is never one."""
+    with pytest.raises(ContractError, match=f"^{message}") as err:
+        call()
+    assert type(err.value) is ContractError
+
+
 class TestDetectionReplay:
     def test_precision_delta_replayed(self):
         # 50 predictions of a with s=0.2, c=0.9, P=0.8: measured delta is 0.175
