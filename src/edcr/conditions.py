@@ -156,9 +156,15 @@ def fit_velocity_thresholds(
     """Per-class speed ceilings: the maxima of the training records'
     :func:`max_speeds`, keyed by class name, given one class label per record.
 
-    When ``classes`` is given, every listed class must have at least one
-    record; otherwise the fitted classes are whatever appears in the data.
+    When ``classes`` is given, a sequence of distinct class names, every
+    listed class must have at least one record; otherwise the fitted classes
+    are whatever appears in the data.  Neither ``labels`` nor ``classes`` may
+    be a bare string, which would be read as its characters.
     """
+    if isinstance(labels, str):
+        raise ContractError(f"labels must be a sequence of class labels, not the string {labels!r}")
+    if classes is not None:
+        classes = check_names("class name", classes)
     if len(labels) != len(speeds):
         raise ContractError(f"{len(labels)} labels for {len(speeds)} speeds")
     speeds = _require_speeds(speeds, lambda k: f"speed at index {k}")

@@ -13,7 +13,7 @@ from __future__ import annotations
 import copy
 import numbers
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -439,25 +439,28 @@ def _ratio(numerator, denominator) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class ClassStats:
-    """Per-class confusion counts over a table, with derived ratios.
+    """Per-class confusion counts of a labeled table, with derived ratios;
+    the table is the constructor's only argument.
 
-    ``precision[i]`` is defined as 0 when the class was never predicted and
-    ``recall[i]`` as 0 when the class never occurs in ground truth; learners
-    skip such classes rather than divide by zero.  ``prior[i]`` is the
-    fraction of all samples predicted as class i, and ``f1[i]`` the harmonic
-    mean of precision and recall, 0 where both are 0.  Every array is
-    read-only.  ``total`` is a count, and each of ``tp``, ``fp``, ``tn`` and
-    ``fn`` a 1-D integer array (not bool) of one non-negative count per
-    class; per class, the four sum to ``total``.  Anything else is a
-    :class:`ContractError` naming the field.
+    UNKNOWN predictions count as not-class-i for every class (they land in
+    TN or FN), and ground-truth classes outside the class set count as
+    gt != i for every i, so post-rule and novel-class tables score with the
+    same code path.  ``precision[i]`` is defined as 0 when the class was
+    never predicted and ``recall[i]`` as 0 when the class never occurs in
+    ground truth; learners skip such classes rather than divide by zero.
+    ``prior[i]`` is the fraction of all samples predicted as class i, and
+    ``f1[i]`` the harmonic mean of precision and recall, 0 where both are 0.
+    ``total`` is the table's sample count; ``tp``, ``fp``, ``tn`` and ``fn``
+    hold one int64 count per class.  Every array is read-only.
     """
 
-    classes: ClassSet
-    total: int
-    tp: np.ndarray
-    fp: np.ndarray
-    tn: np.ndarray
-    fn: np.ndarray
+    table: InitVar[PredictionTable]
+    classes: ClassSet = field(init=False)
+    total: int = field(init=False)
+    tp: np.ndarray = field(init=False)
+    fp: np.ndarray = field(init=False)
+    tn: np.ndarray = field(init=False)
+    fn: np.ndarray = field(init=False)
     n_predicted: np.ndarray = field(init=False)
     n_actual: np.ndarray = field(init=False)
     precision: np.ndarray = field(init=False)
@@ -465,33 +468,23 @@ class ClassStats:
     prior: np.ndarray = field(init=False)
     f1: np.ndarray = field(init=False)
 
-    def __post_init__(self) -> None:
-        total = check_count("total", self.total)
-        tp, fp, tn, fn = (self._counts(name) for name in ("tp", "fp", "tn", "fn"))
-        sums = tp + fp + tn + fn
-        if (sums != total).any():
-            i = int(np.argmax(sums != total))
-            name = self.classes.names[i]
-            raise ContractError(f"total {total} is not tp + fp + tn + fn of class {name!r}, {sums[i]}")
-        object.__setattr__(self, "total", total)
-        n_predicted, n_actual = tp + fp, tp + fn
+    def __post_init__(self, table: PredictionTable) -> None:
+        table.require_ground_truth()
+        pred, gt, k = table.pred_ids, table.gt_ids, len(table.classes)
+        tp = np.bincount(pred[pred == gt], minlength=k)
+        n_predicted = np.bincount(pred[pred >= 0], minlength=k)
+        n_actual = np.bincount(gt[gt < k], minlength=k)
+        fp, fn = n_predicted - tp, n_actual - tp
+        tn = table.n - tp - fp - fn
         precision, recall = _ratio(tp, n_predicted), _ratio(tp, n_actual)
         arrays = dict(tp=tp, fp=fp, tn=tn, fn=fn, n_predicted=n_predicted, n_actual=n_actual,
-                      precision=precision, recall=recall, prior=_ratio(n_predicted, total),
+                      precision=precision, recall=recall, prior=_ratio(n_predicted, table.n),
                       f1=_ratio(2.0 * precision * recall, precision + recall))
+        object.__setattr__(self, "classes", table.classes)
+        object.__setattr__(self, "total", table.n)
         for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-
-    def _counts(self, name: str) -> np.ndarray:
-        """The field ``name`` as int64 counts, one per class."""
-        value, k = getattr(self, name), len(self.classes)
-        arr = _integer_array(name, value)
-        if arr.shape != (k,):
-            raise ContractError(f"{name} must be a 1-D integer array of {k} counts, got {value!r}")
-        if (arr < 0).any():
-            raise ContractError(f"{name} counts must be non-negative, got {arr.tolist()}")
-        return arr.astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -534,23 +527,8 @@ def _class_of(table: PredictionTable, conds: ConditionMatrix, class_i) -> int:
 
 
 def compute_class_stats(table: PredictionTable) -> ClassStats:
-    """Confusion counts per declared class.
-
-    UNKNOWN predictions count as not-class-i for every class (they land in
-    TN or FN), and ground-truth classes outside the class set count as
-    gt != i for every i, so post-rule and novel-class tables score with the
-    same code path.
-    """
-    table.require_ground_truth()
-    pred = table.pred_ids
-    gt = table.gt_ids
-    k = len(table.classes)
-    tp = np.bincount(pred[pred == gt], minlength=k)
-    n_predicted = np.bincount(pred[pred >= 0], minlength=k)
-    n_actual = np.bincount(gt[gt < k], minlength=k)
-    fp = n_predicted - tp
-    fn = n_actual - tp
-    return ClassStats(table.classes, table.n, tp, fp, table.n - tp - fp - fn, fn)
+    """The :class:`ClassStats` of ``table``, which must have ground truth."""
+    return ClassStats(table)
 
 
 def detection_counts(

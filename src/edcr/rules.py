@@ -136,7 +136,9 @@ class ApplyTrace:
     body matched, in priority order with the winner first ("" for none).
     Each column must have one entry per sample id, class ids and codes in
     range and flags bools or 0/1 integers; anything else is a
-    :class:`ContractError`.  The sample ids are the table's, checked there.
+    :class:`ContractError`.  Each column is stored as a read-only copy, so
+    the caller's arrays stay its own.  The sample ids are the table's,
+    checked there.
     """
 
     classes: ClassSet
@@ -152,7 +154,7 @@ class ApplyTrace:
         object.__setattr__(self, "fired_names", tuple(self.fired_names))
         for name, low, high in (("original", -1, k), ("final", -1, k), ("fired", 0, len(self.fired_names))):
             object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
-        flagged = _bit_array("flagged", self.flagged)
+        flagged = _bit_array("flagged", self.flagged).copy()
         if flagged.shape != (n,):
             raise ContractError(f"flagged has {flagged.size} entries for {n} sample ids")
         flagged.setflags(write=False)

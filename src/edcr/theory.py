@@ -85,8 +85,10 @@ def detection_effect(rule: DetectionRule, stats: ClassStats) -> tuple[float | No
     on the table ``stats`` counts, from its recorded s_i and c.  The precision
     change is None when s_i = 1, where it is undefined.  A learned rule's
     class has recall > 0, so its precision is > 0 and the recall decrease is
-    always defined."""
-    p_i, r_i = float(stats.precision[rule.target]), float(stats.recall[rule.target])
+    always defined.  A target that is not a class id of ``stats`` is an
+    :class:`UnknownClassError`."""
+    i = stats.classes.check_id(rule.target)
+    p_i, r_i = float(stats.precision[i]), float(stats.recall[i])
     d_recall = recall_delta_exact(rule.class_support, rule.confidence, r_i, p_i)
     if rule.class_support == 1.0:
         return None, d_recall

@@ -246,8 +246,18 @@ class TestVelocityThresholds:
             self.fit([(2.0, "walk")], classes=["walk", "bike"])
 
     def test_unlabeled_record_rejected(self):
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match="^every training record needs a class label$"):
             self.fit([(2.0, None)])
+
+    def test_classes_are_class_names(self):
+        with pytest.raises(ContractError, match="^class names must be a sequence of strings, not the string 'ab'$"):
+            fit_velocity_thresholds(["a", "b"], [1.0, 2.0], classes="ab")
+        with pytest.raises(ContractError, match="^duplicate class names"):
+            fit_velocity_thresholds(["a", "b"], [1.0, 2.0], classes=["a", "a"])
+
+    def test_labels_are_not_a_string(self):
+        with pytest.raises(ContractError, match="^labels must be a sequence of class labels, not the string 'ab'$"):
+            fit_velocity_thresholds("ab", [1.0, 2.0])
 
     def test_one_label_per_speed(self):
         with pytest.raises(ContractError, match="labels"):

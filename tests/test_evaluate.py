@@ -163,6 +163,12 @@ class TestSplit:
             with pytest.raises(ContractError):
                 sequential_split(corpus.table, corpus.conditions, fraction)
 
+    @pytest.mark.parametrize("fraction", ["0.5", None, True])
+    def test_fraction_must_be_a_number(self, fraction):
+        corpus = generate_synthetic(seed=0, n_samples=20, noise=0.2)
+        with pytest.raises(ContractError, match=f"^learn_fraction must be a real number, got {fraction!r}$"):
+            sequential_split(corpus.table, corpus.conditions, fraction)
+
     def test_conditions_must_align(self):
         """A matrix longer than the table is not cut to the table's rows."""
         corpus = generate_synthetic(seed=0, n_samples=10, noise=0.2)
@@ -290,6 +296,11 @@ class TestUnseenClassExperiment:
         corpus = self.corpus()
         with pytest.raises(ContractError, match=message):
             unseen_class_experiment(corpus.table, corpus.conditions, holdout=holdout)
+
+    def test_learn_fraction_must_be_a_number(self):
+        corpus = self.corpus()
+        with pytest.raises(ContractError, match="^learn_fraction must be a real number, got '0.5'$"):
+            unseen_class_experiment(corpus.table, corpus.conditions, holdout=["walk"], learn_fraction="0.5")
 
     def test_conditions_must_align(self):
         corpus = self.corpus()

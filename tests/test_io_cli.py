@@ -1,5 +1,6 @@
 import csv
 import json
+import shlex
 from io import StringIO
 from pathlib import Path
 from unittest import mock
@@ -1440,6 +1441,41 @@ GEN_SEED7_SHA256 = {
     "predictions.csv": "ca868347f1050bafcf297165d52806f53502468b5b8ba2841286d4b07934d85c",
     "conditions.csv": "c231402e78989c4b235328ec80fc74e6adea1eff923ce876361926e0835dcd90",
 }
+
+#: SHA-256 of every file but ``manifest.json`` that the README CLI block writes.
+README_BLOCK_SHA256 = {
+    "runs/corpus/trajectories.csv": GEN_SEED7_SHA256["trajectories.csv"],
+    "runs/corpus/predictions.csv": GEN_SEED7_SHA256["predictions.csv"],
+    "runs/corpus/conditions.csv": GEN_SEED7_SHA256["conditions.csv"],
+    "runs/learned/ruleset.yaml": "437e25148f461b73b20d94700e26fe323c86c75aedef2a9dd06a9016e0001cdf",
+    "runs/applied/revised.csv": "cf94858fd5be1a416c0c2e68c8dc2a3fc23310a9d1d1580b3a47869a720b79e7",
+    "runs/applied/trace.csv": "05430c957a896adb7801c6131a530ad14504f65f92799669f657be7d53029c56",
+    "runs/evaled/metrics.csv": "5503e62d3b8662797396877f3666b402227b8a875c043fb9ab796e8abb575b08",
+    "runs/sweep/sweep.csv": "21ea0ee8892cca48dd4ec0686b9c3902d31e00866fb438a2ef94d373247111e3",
+    "runs/held/trajectories.csv": GEN_SEED7_SHA256["trajectories.csv"],
+    "runs/held/predictions.csv": "ebd0d72a9481ff0d09051e2527f9cb931d687dbc857d164514fae76e78e808f0",
+    "runs/held/conditions.csv": "2f6933cfdd979c1a52ae39dd55b04279a133b70c0f8a48311e96eceef9657b0e",
+    "runs/unseen/unseen.csv": "4e04bbab0f07163edc42c29dd35187e3cb0d2ceb7a9559f127d5fa07e43fc34e",
+    "runs/verify/theorem_report.csv": "bf1989b4fb8dd30cad9ee23feed98441f19de5984e6eb595a5430a3ca9d019c1",
+}
+
+
+def test_readme_block_bytes_pinned(tmp_path, monkeypatch):
+    """The README's CLI block, run in order through ``cli.main``, writes the
+    same bytes on every version; only the manifests may differ."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines() if line.strip()]
+    assert [argv[:2] for argv in commands] == [["edcr", name] for name in (
+        "gen", "learn", "apply", "eval", "sweep", "gen", "unseen", "verify")]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv[1:]) == 0, argv
+    written = {
+        path.relative_to(tmp_path).as_posix(): io.sha256_file(path)
+        for path in tmp_path.rglob("*") if path.is_file() and path.name != "manifest.json"
+    }
+    assert written == README_BLOCK_SHA256
 
 
 # NUL is left out, as from SAMPLE_IDS: round-trips are promised only for ids

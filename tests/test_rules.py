@@ -165,6 +165,13 @@ class TestApplyTrace:
             "sample_id,original,flagged,fired,final\nx,a,1,,__unknown__\ny,b,0,b,b\n"
         )
 
+    def test_flagged_is_a_private_copy(self):
+        flagged = np.array([True, False])
+        trace = ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(flagged=flagged))
+        assert trace.flagged is not flagged and not trace.flagged.flags.writeable
+        flagged[0] = False  # the caller's array stays writable
+        assert trace.flagged.tolist() == [True, False]
+
     @pytest.mark.parametrize("column, value, message", [
         ("original", [0], r"^original has 1 entries for 2 sample ids"),
         ("flagged", [True], r"^flagged has 1 entries for 2 sample ids"),

@@ -7,6 +7,8 @@ from hypothesis import given, strategies as st
 from edcr import (
     ContractError,
     DegenerateStatsError,
+    DetectionRule,
+    UnknownClassError,
     apply_ruleset,
     build_correction_scenario,
     check_submodular,
@@ -504,6 +506,14 @@ class TestDegenerateDetectionRule:
         rule = det_corr_rule_learn(0.5, table, conds).detection_by_class[0]
         assert (rule.conditions, rule.class_support, rule.confidence) == (("all_a",), 1.0, 0.75)
         assert theory.detection_effect(rule, compute_class_stats(table)) == (None, 0.5)
+
+    @pytest.mark.parametrize("target", [-1, 7, True])
+    def test_detection_effect_checks_its_target(self, target):
+        """-1 would read the last class's stats, 7 is past the five classes,
+        and a bool is not a class id."""
+        stats = generate_synthetic(seed=7, n_samples=40).table.stats
+        with pytest.raises(UnknownClassError, match=f"class id {target!r} is not in"):
+            theory.detection_effect(DetectionRule(target, ("c",), 0.5, 0.5), stats)
 
     def test_theorem_report(self):
         report = theorem_report(*degenerate_instance(), epsilon=0.5)[0]
