@@ -91,21 +91,27 @@ def cmd_gen(args) -> int:
 
 def _save(args, config, *outputs, seed=None) -> Path:
     """Write each ``(file name, writer, *data)`` output into ``--out`` in the
-    order given, then the manifest, which digests them and the files named by
-    whichever input flags the command has and was given. Return the directory.
-    An earlier run's manifest is deleted first, so a run that fails part way
+    order given, then the manifest, which records the files named by
+    whichever input flags the command has and was given, each under its flag,
+    and digests the outputs. Return the directory. Inputs are digested first,
+    so an output that replaces its own input does not lend it its digest, and
+    an earlier run's manifest is deleted first, so a run that fails part way
     leaves none."""
+    flags = ("ruleset", "predictions", "conditions", "trace")
+    inputs = {
+        flag: {"path": str(path), "sha256": io.sha256_file(path)}
+        for flag in flags if (path := getattr(args, flag, ""))
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     (out / "manifest.json").unlink(missing_ok=True)
     for name, writer, *data in outputs:
         writer(out / name, *data)
-    flags = ("ruleset", "predictions", "conditions", "trace")
     io.write_manifest(
         out,
         command=args.command,
         config=config,
-        input_paths=[path for flag in flags if (path := getattr(args, flag, ""))],
+        inputs=inputs,
         output_paths=[out / name for name, *_ in outputs],
         seed=seed,
     )

@@ -1,8 +1,9 @@
 """Immutable tabular model for predictions, boolean conditions, and confusion stats.
 
 A :class:`PredictionTable` holds one predicted class per sample (plus optional
-ground truth), a :class:`ConditionMatrix` holds boolean per-sample signals, and
-the counting helpers below are the primitives every rule learner and theorem
+ground truth), a :class:`ConditionMatrix` holds boolean per-sample signals as
+packed words, :func:`_pair_words` is the one kernel of rule bodies, and the
+counting helpers below are the primitives every rule learner and theorem
 check consumes.  All types are frozen after construction and the counting
 operations are pure functions, so everything here is safe to share across
 threads.  A table's per-class statistics, :attr:`PredictionTable.stats`, are
@@ -354,38 +355,46 @@ class PredictionTable:
         )
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ConditionMatrix:
     """Named boolean condition columns, row-aligned to a prediction table.
 
-    ``values`` has shape (rows, conditions) and is stored column-contiguous,
-    so selecting the columns of a rule body reads contiguous memory.  It
-    must hold bools or integers that are each 0 or 1 (:func:`_bit_array`);
-    anything else is a :class:`ContractError`.
+    ``values``, (rows, conditions) bools or integers that are each 0 or 1
+    (:func:`_bit_array`; anything else is a :class:`ContractError`), is
+    packed once along the samples into ``words``, one row of ceil(rows/64)
+    uint64 words per condition, and only the words are kept.  ``values``
+    unpacks them on first use, read-only, for the callers that need bools.
     """
 
     condition_names: tuple[str, ...]
-    values: np.ndarray
+    n_rows: int
+    words: np.ndarray
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "condition_names", check_names("condition name", self.condition_names))
-        vals = np.array(_bit_array("condition values", self.values), order="F")
+    def __init__(self, condition_names: Sequence[str], values) -> None:
+        object.__setattr__(self, "condition_names", check_names("condition name", condition_names))
+        vals = _bit_array("condition values", values)
         if vals.ndim != 2:
             raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
         if vals.shape[1] != len(self.condition_names):
             raise ContractError(
                 f"{len(self.condition_names)} condition names for {vals.shape[1]} columns"
             )
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
+        words = _pack_rows(vals.T)
+        words.setflags(write=False)
+        object.__setattr__(self, "n_rows", vals.shape[0])
+        object.__setattr__(self, "words", words)
 
     @property
     def n_conditions(self) -> int:
-        return self.values.shape[1]
+        return len(self.condition_names)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The (rows, conditions) bools that ``words`` packs, read-only."""
+        bits = np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n_rows, bitorder="little")
+        values = bits.view(bool).T
+        values.setflags(write=False)
+        return values
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -404,31 +413,33 @@ class ConditionMatrix:
 
 
 def _pack_rows(cols: np.ndarray) -> np.ndarray:
-    """(rows, m) booleans as (rows, ceil(m/64)) uint64 words: column j is
-    bit j % 64 of word j // 64, and the padding bits are zero.  Packing the
-    transpose packs each condition column along the sample axis instead."""
+    """(rows, m) booleans as (rows, ceil(m/64)) uint64 words, at least one:
+    column j is bit j % 64 of word j // 64, and the padding bits are zero.
+    Packing the transpose packs each column along the sample axis instead."""
     n_words = max(1, -(-cols.shape[1] // 64))
     padded = np.zeros((cols.shape[0], 64 * n_words), dtype=bool)
     padded[:, : cols.shape[1]] = cols
     return np.packbits(padded, axis=1, bitorder="little").view("<u8")
 
 
+def _pair_words(conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
+    """Each (condition, class id) pair's body, ``condition AND pred ==
+    class``, as a row of words laid out as ``conds.words``: the one kernel of
+    rule bodies.  Each class's predicted rows are packed once."""
+    cols = [conds.column_index(name) for name, _ in pairs]
+    classes = list(dict.fromkeys(class_id for _, class_id in pairs))
+    masks = _pack_rows(pred_ids == np.array(classes, dtype=np.int64)[:, None])
+    return conds.words[cols] & masks[[classes.index(class_id) for _, class_id in pairs]]
+
+
 def rule_body(
     conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Iterable[tuple[str, int]]
 ) -> np.ndarray:
     """Rows satisfying ``OR over (condition, class id) of condition AND
-    pred == class``: the body of every detection and correction rule.
-
-    Pairs are grouped by class, so a detection body (one class, several
-    conditions) costs one ``any`` over its columns.  No pairs match no rows.
-    """
-    by_class: dict[int, list[int]] = {}
-    for name, class_id in pairs:
-        by_class.setdefault(class_id, []).append(conds.column_index(name))
-    body = np.zeros(len(pred_ids), dtype=bool)
-    for class_id, cols in by_class.items():
-        body |= conds.values[:, cols].any(axis=1) & (pred_ids == class_id)
-    return body
+    pred == class``: the body of every detection and correction rule, the OR
+    of its pairs' :func:`_pair_words`, unpacked.  No pairs match no rows."""
+    body = np.bitwise_or.reduce(_pair_words(conds, pred_ids, tuple(pairs)), axis=0)
+    return np.unpackbits(body.view(np.uint8), count=len(pred_ids), bitorder="little").view(bool)
 
 
 def _ratio(numerator, denominator) -> np.ndarray:

@@ -664,10 +664,13 @@ def write_manifest(
     out_dir,
     command: str,
     config: Mapping,
-    input_paths: Sequence[Path | str] = (),
+    inputs: Mapping[str, dict] | None = None,
     output_paths: Sequence[Path | str] = (),
     seed: int | None = None,
 ) -> Path:
+    """Write ``manifest.json`` into ``out_dir``.  ``inputs`` is recorded as
+    given, each input flag mapped to the path and digest of what was read;
+    each of ``output_paths`` is digested here, under its file name."""
     from . import __version__
 
     manifest = {
@@ -676,7 +679,7 @@ def write_manifest(
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "seed": seed,
         "config": dict(config),
-        "inputs": {Path(p).name: sha256_file(p) for p in input_paths},
+        "inputs": dict(inputs or {}),
         "outputs": {Path(p).name: sha256_file(p) for p in output_paths},
     }
     path = Path(out_dir) / "manifest.json"

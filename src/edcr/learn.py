@@ -6,26 +6,25 @@ into the table's :class:`ClassSet`, and a candidate correction pair is a
 Detection learning for class i repeatedly adds the condition with the largest
 body&head count POS among candidates whose body&not-head count NEG stays
 within the budget eps * N_i * P_i / R_i; keeping NEG within that budget caps
-the empirical recall reduction at eps exactly.  The greedy is incremental:
-the rows predicted as i are packed once into uint64 words, split into error
-rows (gt != i) and correct rows (gt == i), and every candidate column is
-packed along the same rows.  Each round keeps the rows the chosen conditions
+the empirical recall reduction at eps exactly.  The greedy is incremental.
+Each candidate's row of ``conds.words`` is scored, over all n rows, against
+two masks: the error rows (predicted as i, gt != i) and the correct rows
+(predicted as i, gt == i).  Each round keeps the rows the chosen conditions
 already cover and scores every open candidate in one vectorised pass, its
-marginal POS and NEG being the popcounts of its column over the uncovered
+marginal POS and NEG being the popcounts of its words over the uncovered
 error and correct rows.  A candidate whose NEG would exceed the budget is
 closed for good: NEG is monotone, so it only grows as conditions are added.
 The first maximum of marginal POS in sorted-name order wins, so ties go to
 the smallest name, and a feasible candidate is added even with zero gain.
-A round costs O(m * N_i / 64) word operations, so a class costs
-O(rounds * m * N_i / 64).
+A round costs O(m * n / 64) word operations; a class, O(rounds * m * n / 64).
 
 Correction learning walks candidate (condition, class) pairs sorted by their
 singleton confidence, keeping a pair when adding it to the growing set raises
 confidence at least as much as dropping it from the shrinking set would, and
 returns nothing unless the final confidence strictly beats the class's
 baseline precision.  It is packed too: each pair's body (condition AND
-predicted as the pair's class) is packed once along the sample axis, a set
-of pairs is scored by OR-ing their words, and BOD and POS are the popcounts
+predicted as the pair's class) is one row of ``core._pair_words``, a set of
+pairs is scored by OR-ing their words, and BOD and POS are the popcounts
 of that union and of its AND with the rows whose ground truth is the class.
 Each confidence is the ``pos / bod`` of Python ints that
 ``correction_counts`` gives, so every comparison of the walk is the same.
@@ -42,6 +41,7 @@ from .core import (
     PredictionTable,
     _class_of,
     _pack_rows,
+    _pair_words,
     _require_aligned,
     check_pairs,
     check_unit_interval,
@@ -58,8 +58,10 @@ def recall_budget(stats: ClassStats, class_id: int, epsilon: float) -> float:
 
     Equals eps * N_i * P_i / R_i; evaluated as eps * (TP_i + FN_i), the exact
     integer form of the same quantity, to avoid float drift at the boundary.
+    A ``class_id`` outside the class set is an :class:`UnknownClassError`.
     """
-    return epsilon * (int(stats.tp[class_id]) + int(stats.fn[class_id]))
+    i = stats.classes.check_id(class_id)
+    return epsilon * (int(stats.tp[i]) + int(stats.fn[i]))
 
 
 def det_rule_learn(
@@ -83,13 +85,9 @@ def det_rule_learn(
         return ()
     budget = recall_budget(stats, i, epsilon)
     pool = sorted(conds.condition_names)
-    cols = [conds.column_index(name) for name in pool]
-
-    rows = np.flatnonzero(table.pred_ids == i)
-    words = _pack_rows(conds.values.T[:, rows][cols])  # one row of words per candidate
-    is_error = table.gt_ids[rows] != i
-    err_left = _pack_rows(is_error[None, :])[0]  # uncovered error rows
-    ok_left = _pack_rows(~is_error[None, :])[0]  # uncovered correct rows
+    words = conds.words[[conds.column_index(name) for name in pool]]  # one row per candidate
+    predicted, correct = table.pred_ids == i, table.gt_ids == i
+    err_left, ok_left = _pack_rows(np.stack([predicted & ~correct, predicted & correct]))  # uncovered rows
     is_open = np.ones(len(pool), dtype=bool)
     neg = 0
     chosen: list[str] = []
@@ -130,15 +128,8 @@ def corr_rule_learn(
     i = _class_of(table, conds, class_i)
     p_i = float(table.stats.precision[i])
 
-    columns: dict[Pair, int] = {}  # each distinct pair, with its condition's column
-    for cond_name, pair_class in check_pairs(cc_all):
-        pair = (cond_name, table.classes.check_id(pair_class))
-        columns.setdefault(pair, conds.column_index(cond_name))
-    if not columns:
-        return ()
-    pairs = list(columns)
-    pair_ids = np.array([class_id for _, class_id in pairs])
-    words = _pack_rows(conds.values.T[list(columns.values())] & (table.pred_ids == pair_ids[:, None]))
+    pairs = list(dict.fromkeys((cond, table.classes.check_id(cls)) for cond, cls in check_pairs(cc_all)))
+    words = _pair_words(conds, table.pred_ids, pairs)
     head = _pack_rows((table.gt_ids == i)[None, :])[0]
 
     def confidence(body: np.ndarray) -> float:

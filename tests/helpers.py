@@ -71,7 +71,6 @@ from edcr.core import (
     check_count,
     check_unit_interval,
     id_column,
-    rule_body,
 )
 from edcr.io import (
     _BITS,
@@ -683,8 +682,8 @@ def reference_brute_force_correction(
     stats = compute_class_stats(table)
     p_i = float(stats.precision[i])
 
-    pair_cols = np.stack(
-        [rule_body(conds, table.pred_ids, [(cond, cls)]) for cond, cls in pairs], axis=1
+    pair_cols = np.stack(  # from the bools, not from the kernel this oracle checks
+        [conds.values[:, conds.column_index(cond)] & (table.pred_ids == cls) for cond, cls in pairs], axis=1
     )
     masks = _pack_rows(pair_cols)
     pos_rows = masks[table.gt_ids == i]

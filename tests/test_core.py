@@ -491,14 +491,34 @@ class TestConditionMatrix:
         assert rule_body(conds, table.pred_ids, pairs).tolist() == expected
 
     def test_bool_values_are_checked_without_a_copy(self):
-        """The bit rule returns a bool array as it is, so the matrix makes
-        its one column-contiguous copy and no other."""
+        """The bit rule returns a bool array as it is, so the matrix's one
+        copy is its packed words."""
         from edcr.core import _bit_array
 
         values = np.zeros((3, 2), dtype=bool)
         assert _bit_array("values", values) is values
         assert _bit_array("values", []).dtype == bool
         assert ConditionMatrix(("a",), np.zeros((0, 1))).n_rows == 0
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    def test_words_at_word_boundaries(self, n):
+        """The words hold each column along the samples with zero padding
+        bits, ``values`` unpacks them back, and ``rule_body`` matches a
+        row-by-row evaluation, also where the last word is partly filled."""
+        rng = np.random.default_rng(n)
+        bits = rng.random((n, 3)) < 0.5
+        bits[:, 2] = True  # a full column leaves only its padding bits zero
+        conds = ConditionMatrix(("a", "b", "c"), bits)
+        assert conds.words.shape == (3, max(1, -(-n // 64))) and conds.words.dtype == np.uint64
+        assert not conds.words.flags.writeable
+        assert conds.values.dtype == bool and np.array_equal(conds.values, bits)
+        assert np.array_equal(ConditionMatrix(conds.condition_names, conds.values).words, conds.words)
+        unpacked = np.unpackbits(conds.words.view(np.uint8), axis=1, bitorder="little")
+        assert unpacked[:, :n].T.tolist() == bits.tolist() and not unpacked[:, n:].any()
+        pred = rng.integers(-1, 3, size=n)
+        pairs = [("a", 0), ("b", 0), ("b", 1), ("c", 2)]
+        expected = [any(bits[row, "abc".index(c)] and pred[row] == k for c, k in pairs) for row in range(n)]
+        assert rule_body(conds, pred, pairs).tolist() == expected
 
     def test_values_column_contiguous(self):
         conds = make_conds(["a", "b"], [[1, 0, 1], [0, 0, 1]])

@@ -1341,9 +1341,42 @@ class TestCli:
         run(["learn", "--predictions", corpus / "predictions.csv", "--conditions",
              corpus / "conditions.csv", "--out", learn_dir])
         manifest = json.loads((learn_dir / "manifest.json").read_text())
-        assert manifest["inputs"]["predictions.csv"] == io.sha256_file(corpus / "predictions.csv")
-        assert manifest["inputs"]["conditions.csv"] == io.sha256_file(corpus / "conditions.csv")
+        assert manifest["inputs"]["predictions"]["sha256"] == io.sha256_file(corpus / "predictions.csv")
+        assert manifest["inputs"]["conditions"]["sha256"] == io.sha256_file(corpus / "conditions.csv")
         assert manifest["command"] == "learn"
+
+    def test_manifest_inputs_sharing_a_file_name(self, tmp_path):
+        """Inputs are keyed by flag, so two inputs that share a file name
+        each keep their own path and digest."""
+        corpus = gen_corpus(tmp_path, seed=3, samples=300)
+        assert run(["learn", "--predictions", corpus / "predictions.csv", "--conditions",
+                    corpus / "conditions.csv", "--out", tmp_path / "learned"]) == 0
+        inputs = {"predictions": tmp_path / "p" / "data.csv", "conditions": tmp_path / "c" / "data.csv"}
+        for flag, path in inputs.items():
+            path.parent.mkdir()
+            path.write_bytes((corpus / f"{flag}.csv").read_bytes())
+        assert run(["apply", "--ruleset", tmp_path / "learned" / "ruleset.yaml",
+                    "--predictions", inputs["predictions"], "--conditions", inputs["conditions"],
+                    "--out", tmp_path / "applied"]) == 0
+        manifest = json.loads((tmp_path / "applied" / "manifest.json").read_text())
+        assert {flag: manifest["inputs"][flag] for flag in inputs} == {
+            flag: {"path": str(path), "sha256": io.sha256_file(path)} for flag, path in inputs.items()
+        }
+
+    def test_manifest_digests_an_input_before_an_output_replaces_it(self, tmp_path):
+        """``apply --predictions self/revised.csv --out self`` replaces the
+        file it read; the manifest holds the digest of the bytes read."""
+        corpus = gen_corpus(tmp_path, seed=3, samples=300)
+        read = ["--predictions", corpus / "predictions.csv", "--conditions", corpus / "conditions.csv"]
+        ruleset, own = tmp_path / "learned" / "ruleset.yaml", tmp_path / "self"
+        assert run(["learn", *read, "--out", ruleset.parent]) == 0
+        assert run(["apply", "--ruleset", ruleset, *read, "--out", own]) == 0
+        read_digest = io.sha256_file(own / "revised.csv")
+        assert run(["apply", "--ruleset", ruleset, "--predictions", own / "revised.csv",
+                    "--conditions", corpus / "conditions.csv", "--out", own]) == 0
+        manifest = json.loads((own / "manifest.json").read_text())
+        assert manifest["inputs"]["predictions"] == {"path": str(own / "revised.csv"), "sha256": read_digest}
+        assert manifest["outputs"]["revised.csv"] == io.sha256_file(own / "revised.csv") != read_digest
 
     def test_gen_deterministic_digests(self, tmp_path):
         a = gen_corpus(tmp_path, seed=12, samples=80)
@@ -1382,36 +1415,39 @@ def manifest_runs(tmp_path_factory):
     return root
 
 
-# command, seed, config, inputs (as paths under the runs' root) and outputs
+# the corpus inputs, by flag, as paths under the runs' root
+CORPUS = {"predictions": "gen/predictions.csv", "conditions": "gen/conditions.csv"}
+
+# command, seed, config, inputs (by flag, as paths under the runs' root) and outputs
 MANIFEST_CASES = {
     "gen": ("gen", 9, {"samples": 400, "noise": 0.25, "holdout": "walk,drive", "condition_noise": 0.05},
-            [], ["trajectories.csv", "predictions.csv", "conditions.csv"]),
-    "learn": ("learn", None, {"epsilon": 0.2},
-              ["gen/predictions.csv", "gen/conditions.csv"], ["ruleset.yaml"]),
-    "apply": ("apply", None, {},
-              ["learn/ruleset.yaml", "gen/predictions.csv", "gen/conditions.csv"], ["revised.csv", "trace.csv"]),
-    "eval": ("eval", None, {"mode": "strict"}, ["apply/revised.csv", "apply/trace.csv"], ["metrics.csv"]),
-    "eval_no_trace": ("eval", None, {"mode": "novel-aware"}, ["apply/revised.csv"], ["metrics.csv"]),
-    "sweep": ("sweep", None, {"epsilons": [0.0, 0.1], "learn_fraction": 0.4},
-              ["gen/predictions.csv", "gen/conditions.csv"], ["sweep.csv"]),
+            {}, ["trajectories.csv", "predictions.csv", "conditions.csv"]),
+    "learn": ("learn", None, {"epsilon": 0.2}, CORPUS, ["ruleset.yaml"]),
+    "apply": ("apply", None, {}, {"ruleset": "learn/ruleset.yaml", **CORPUS}, ["revised.csv", "trace.csv"]),
+    "eval": ("eval", None, {"mode": "strict"},
+             {"predictions": "apply/revised.csv", "trace": "apply/trace.csv"}, ["metrics.csv"]),
+    "eval_no_trace": ("eval", None, {"mode": "novel-aware"}, {"predictions": "apply/revised.csv"}, ["metrics.csv"]),
+    "sweep": ("sweep", None, {"epsilons": [0.0, 0.1], "learn_fraction": 0.4}, CORPUS, ["sweep.csv"]),
     "unseen": ("unseen", None,
                {"holdout": "walk,drive", "fractions": [0.0, 0.2], "epsilon": 0.1, "learn_fraction": 0.5},
-               ["gen/predictions.csv", "gen/conditions.csv"], ["unseen.csv"]),
+               CORPUS, ["unseen.csv"]),
     "verify": ("verify", 5, {"epsilon": 0.1, "trials": 200, "correction_scenarios": 20},
-               ["gen/predictions.csv", "gen/conditions.csv"], ["theorem_report.csv"]),
+               CORPUS, ["theorem_report.csv"]),
 }
 
 
 @pytest.mark.parametrize("key", MANIFEST_CASES)
 def test_manifest_of_every_command(manifest_runs, key):
-    """Each command's manifest names its command, seed and config, digests
-    exactly the files its flags read, and digests every other file it wrote."""
+    """Each command's manifest names its command, seed and config, records
+    exactly the files its flags read, each under its flag with the path as
+    given and its digest, and digests every other file it wrote."""
     command, seed, config, inputs, outputs = MANIFEST_CASES[key]
     out = manifest_runs / key
     manifest = json.loads((out / "manifest.json").read_text())
     assert (manifest["command"], manifest["seed"], manifest["config"]) == (command, seed, config)
     assert manifest["inputs"] == {
-        Path(name).name: io.sha256_file(manifest_runs / name) for name in inputs
+        flag: {"path": str(manifest_runs / name), "sha256": io.sha256_file(manifest_runs / name)}
+        for flag, name in inputs.items()
     }
     written = sorted(path.name for path in out.iterdir() if path.name != "manifest.json")
     assert sorted(outputs) == written

@@ -9,6 +9,7 @@ import edcr.learn
 from edcr import (
     ConditionMatrix,
     ContractError,
+    UnknownClassError,
     apply_ruleset,
     compute_class_stats,
     corr_rule_learn,
@@ -153,6 +154,14 @@ class TestDetRuleLearn:
                 continue
             counts = detection_counts(table, conds, i, chosen)
             assert counts.neg <= recall_budget(stats, i, epsilon) + 1e-12
+
+    @pytest.mark.parametrize("class_id", [-1, 7, True])
+    def test_recall_budget_checks_its_class(self, class_id):
+        """-1 would read the last class's counts, 7 is past the five classes,
+        and a bool is not a class id."""
+        stats = generate_synthetic(seed=7, n_samples=40).table.stats
+        with pytest.raises(UnknownClassError, match=f"class id {class_id!r} is not in"):
+            recall_budget(stats, class_id, 0.1)
 
 
 class TestCorrRuleLearn:
