@@ -76,11 +76,10 @@ def cmd_gen(args) -> int:
     )
     config = {"samples": args.samples, "noise": args.noise, "holdout": args.holdout or "",
               "condition_noise": args.condition_noise}
-    table, columns = corpus.table, (corpus.counts, corpus.t, corpus.lat, corpus.lon)
+    table = corpus.table
     out = _save(
         args,
         config,
-        ("trajectories.csv", io.write_trajectories, table.sample_ids, *columns),
         ("predictions.csv", io.write_predictions, table),
         ("conditions.csv", io.write_conditions, table, corpus.conditions),
         seed=args.seed,

@@ -18,9 +18,11 @@ R = ``EARTH_RADIUS_M``: with latitudes phi and longitudes lam in radians,
 ``a = sin^2((phi2-phi1)/2) + cos(phi1)*cos(phi2)*sin^2((lam2-lam1)/2)``.
 
 The synthetic corpus is a fixed function of its arguments: for a given seed
-the trajectories, predictions and conditions are the same floats, and so the
-same file bytes, on every run.  That holds because the generator makes its random
-draws from one ``numpy.random.Generator`` in a fixed order:
+the trajectories, predictions and conditions are the same values on every
+run, and so are the bytes of the predictions and conditions files that
+``edcr gen`` writes; the trajectories stay in memory.  That holds because the
+generator makes its random draws from one ``numpy.random.Generator`` in a
+fixed order:
 
 1. ``integers(0, len(classes), size=n - len(classes))``: the true classes
    after the first ``len(classes)`` samples, which cover each class once;
@@ -158,11 +160,15 @@ def fit_velocity_thresholds(
 
     When ``classes`` is given, a sequence of distinct class names, every
     listed class must have at least one record; otherwise the fitted classes
-    are whatever appears in the data.  Neither ``labels`` nor ``classes`` may
-    be a bare string, which would be read as its characters.
+    are whatever appears in the data.  Labels are class names, non-empty
+    ``str`` (:func:`~edcr.core.check_names`), and neither ``labels`` nor
+    ``classes`` may be a bare string, which would be read as its characters.
     """
     if isinstance(labels, str):
         raise ContractError(f"labels must be a sequence of class labels, not the string {labels!r}")
+    if any(label is None for label in labels):
+        raise ContractError("every training record needs a class label")
+    labels = check_names("class label", labels, distinct=False)
     if classes is not None:
         classes = check_names("class name", classes)
     if len(labels) != len(speeds):
@@ -170,8 +176,6 @@ def fit_velocity_thresholds(
     speeds = _require_speeds(speeds, lambda k: f"speed at index {k}")
     maxima: dict[str, float] = {}
     for label, speed in zip(labels, speeds.tolist()):
-        if label is None:
-            raise ContractError("every training record needs a class label")
         if label not in maxima or speed > maxima[label]:
             maxima[label] = speed
     if classes is not None:
@@ -199,12 +203,13 @@ def velocity_condition_name(class_name: str) -> str:
 
 def build_velocity_conditions(thresholds: Mapping[str, float], speeds: np.ndarray) -> ConditionMatrix:
     """Velocity-outlier condition columns over the records' :func:`max_speeds`,
-    one ``vel_over_<c>`` column per fitted class in sorted name order.
+    one ``vel_over_<c>`` column per fitted class in sorted name order; the
+    classes are non-empty ``str`` names (:func:`~edcr.core.check_names`).
 
     A record is an outlier for a class when it moves strictly faster than the
     fastest training record of that class.
     """
-    names = sorted(thresholds)
+    names = sorted(check_names("class name", thresholds))
     ceilings = _require_speeds([thresholds[c] for c in names], lambda j: f"ceiling of class {names[j]!r}")
     over = np.asarray(speeds, dtype=float)[:, None] > ceilings
     return ConditionMatrix(tuple(map(velocity_condition_name, names)), over)

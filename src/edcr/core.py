@@ -412,14 +412,25 @@ class ConditionMatrix:
         return ConditionMatrix(self.condition_names, self.values[_row_indices(indices, self.n_rows)])
 
 
+_PACK_SLICE = 1 << 20  # about this many bools are packed at a time
+
+
 def _pack_rows(cols: np.ndarray) -> np.ndarray:
     """(rows, m) booleans as (rows, ceil(m/64)) uint64 words, at least one:
     column j is bit j % 64 of word j // 64, and the padding bits are zero.
-    Packing the transpose packs each column along the sample axis instead."""
-    n_words = max(1, -(-cols.shape[1] // 64))
-    padded = np.zeros((cols.shape[0], 64 * n_words), dtype=bool)
-    padded[:, : cols.shape[1]] = cols
-    return np.packbits(padded, axis=1, bitorder="little").view("<u8")
+    Packing the transpose packs each column along the sample axis instead.
+    The rows go a slice at a time through one zero-padded bool buffer, so no
+    padded copy of the whole input is made."""
+    rows, m = cols.shape
+    n_words = max(1, -(-m // 64))
+    step = max(1, _PACK_SLICE // (64 * n_words))
+    padded = np.zeros((min(step, rows), 64 * n_words), dtype=bool)
+    words = np.empty((rows, n_words), dtype="<u8")
+    for start in range(0, rows, step):
+        block = padded[: min(step, rows - start)]
+        block[:, :m] = cols[start : start + step]
+        words[start : start + len(block)] = np.packbits(block, axis=1, bitorder="little").view("<u8")
+    return words
 
 
 def _pair_words(conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Sequence[tuple[str, int]]) -> np.ndarray:

@@ -1,5 +1,5 @@
-"""File formats and persistence: predictions/conditions/trajectories CSV,
-YAML rule sets, result tables, and run manifests.
+"""File formats and persistence: predictions/conditions CSV, YAML rule sets,
+result tables, and run manifests.
 
 All writers are atomic (temp file + rename in the target directory) so a
 failed run never leaves a partial artifact, and all output is deterministic
@@ -62,7 +62,6 @@ from .core import (
     id_column,
     name_column,
 )
-from .conditions import _check_tracks
 from .evaluate import MetricsReport, SweepRow, UnseenRow
 from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
 from .theory import TheoremReport
@@ -437,24 +436,6 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
     at = np.repeat(np.arange(table.n) * (2 * m + 1), list(map(len, encoded)))  # each id before its row
     body = np.insert(cells.ravel(), at, np.frombuffer(b"".join(encoded), dtype=np.uint8))
     atomic_write_text(path, _csv_text([header]) + body.tobytes().decode())
-
-
-# ---------------------------------------------------------------------------
-# Trajectories: sample_id,idx,t,lat,lon
-# ---------------------------------------------------------------------------
-
-
-def write_trajectories(path, sample_ids: Sequence[str], counts, t, lat, lon) -> None:
-    """One row per point of flat point columns with ``counts[k]`` points for
-    ``sample_ids[k]``: the id, ``idx`` from 0, and the floats by ``repr``.
-    Columns that break the record rules are a :class:`DataError`."""
-    counts, t, lat, lon = _check_tracks(sample_ids, counts, t, lat, lon)
-    columns = (
-        list(chain.from_iterable(map(repeat, sample_ids, counts.tolist()))),
-        list(map(str, chain.from_iterable(map(range, counts.tolist())))),
-        *(list(map(repr, column.tolist())) for column in (t, lat, lon)),
-    )
-    _write_columns(path, ("sample_id", "idx", "t", "lat", "lon"), columns)
 
 
 # ---------------------------------------------------------------------------

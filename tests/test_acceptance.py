@@ -266,7 +266,6 @@ def test_criterion_7_correction_theorem_properties():
 
 
 RESULT_FILES = (
-    ("corpus", "trajectories.csv"),
     ("corpus", "predictions.csv"),
     ("corpus", "conditions.csv"),
     ("learned", "ruleset.yaml"),

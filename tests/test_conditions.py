@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from edcr import (
     ContractError,
     DataError,
-    EdcrError,
     UnknownClassError,
     UnknownConditionError,
     accuracy,
     build_velocity_conditions,
     fit_velocity_thresholds,
     generate_synthetic,
-    io,
     max_speeds,
 )
 from edcr.conditions import DEFAULT_SPEED_REGIMES
@@ -46,43 +44,26 @@ def speeds(*tracks):
     return max_speeds(*columns(tracks)).tolist()
 
 
-@pytest.fixture(params=["max_speeds", "write_trajectories"])
-def entry(request, tmp_path):
-    """One of the two entries that take point columns from outside; the
-    writer must leave no file when it rejects them."""
-    def run(*column_args):
-        if request.param == "max_speeds":
-            return max_speeds(*column_args)
-        path = tmp_path / "trajectories.csv"
-        try:
-            return io.write_trajectories(path, *column_args)
-        except EdcrError:
-            assert not path.exists() and not list(tmp_path.iterdir())
-            raise
-
-    return run
-
-
 class TestRecordRules:
-    def test_needs_two_points(self, entry):
+    def test_needs_two_points(self):
         with pytest.raises(DataError, match="'r0' needs at least 2 points"):
-            entry(*columns([[(0.0, 0.0, 0.0)]]))
+            max_speeds(*columns([[(0.0, 0.0, 0.0)]]))
         with pytest.raises(DataError, match="'r1' needs at least 2 points"):
-            entry(*columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], []]))
+            max_speeds(*columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], []]))
 
-    def test_zero_time_delta_rejected(self, entry):
+    def test_zero_time_delta_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
-            entry(*columns([[(0.0, 0.0, 0.0), (0.0, 0.001, 0.0)]]))
+            max_speeds(*columns([[(0.0, 0.0, 0.0), (0.0, 0.001, 0.0)]]))
 
-    def test_decreasing_time_rejected(self, entry):
+    def test_decreasing_time_rejected(self):
         with pytest.raises(DataError, match="strictly increasing"):
-            entry(*columns([[(10.0, 0.0, 0.0), (5.0, 0.001, 0.0)]]))
+            max_speeds(*columns([[(10.0, 0.0, 0.0), (5.0, 0.001, 0.0)]]))
 
-    def test_coordinate_ranges(self, entry):
+    def test_coordinate_ranges(self):
         with pytest.raises(DataError, match="latitude 91.0 out of range"):
-            entry(*columns([[(0.0, 91.0, 0.0), (1.0, 0.0, 0.0)]]))
+            max_speeds(*columns([[(0.0, 91.0, 0.0), (1.0, 0.0, 0.0)]]))
         with pytest.raises(DataError, match="longitude 181.0 out of range"):
-            entry(*columns([[(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)]]))
+            max_speeds(*columns([[(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)]]))
 
     @pytest.mark.parametrize(
         "times",
@@ -93,10 +74,10 @@ class TestRecordRules:
             (-math.inf, 1.0),
         ],
     )
-    def test_non_finite_time_rejected(self, entry, times):
+    def test_non_finite_time_rejected(self, times):
         # every comparison with NaN is false, so an order check alone passes it
         with pytest.raises(DataError, match="not finite"):
-            entry(*columns([[(t, 0.0, 0.0) for t in times]]))
+            max_speeds(*columns([[(t, 0.0, 0.0) for t in times]]))
 
     @pytest.mark.parametrize(
         "counts, message",
@@ -106,16 +87,16 @@ class TestRecordRules:
          ("2", "integers"), ([[2]], "integers"), ([[1], [1]], "integers"), ([2, [0]], "integers"),
          ([2, False], "integers"), ([True, True], "integers"), ([np.True_, 1], "integers")],
     )
-    def test_counts_that_do_not_describe_the_columns(self, entry, counts, message):
+    def test_counts_that_do_not_describe_the_columns(self, counts, message):
         _, _, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
         ids = [f"r{k}" for k in range(len(counts))]
         with pytest.raises(ContractError, match=message):
-            entry(ids, counts, t, lat, lon)
+            max_speeds(ids, counts, t, lat, lon)
 
-    def test_one_id_per_count(self, entry):
+    def test_one_id_per_count(self):
         ids, counts, t, lat, lon = columns([[(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)]])
         with pytest.raises(ContractError, match="do not match"):
-            entry(["r0", "r1"], counts, t, lat, lon)
+            max_speeds(["r0", "r1"], counts, t, lat, lon)
 
 
 def segment_speeds(points):
@@ -258,6 +239,24 @@ class TestVelocityThresholds:
     def test_labels_are_not_a_string(self):
         with pytest.raises(ContractError, match="^labels must be a sequence of class labels, not the string 'ab'$"):
             fit_velocity_thresholds("ab", [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [([1, "a"], "^class labels must be strings, got 1$"), (["", "a"], r"^empty class label in \('', 'a'\)$")],
+    )
+    def test_labels_are_class_names(self, labels, message):
+        # an empty label would make a condition named vel_over_
+        with pytest.raises(ContractError, match=message):
+            fit_velocity_thresholds(labels, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "thresholds, message",
+        [({1: 1.0, "a": 2.0}, "got 1$"), ({"a": 1.0, 2: 3.0}, "got 2$"), ({"": 1.0}, r"^empty class name in \(''")],
+    )
+    def test_ceilings_are_keyed_by_class_name(self, thresholds, message):
+        # keys of mixed types cannot be sorted into column order
+        with pytest.raises(ContractError, match=message):
+            build_velocity_conditions(thresholds, np.array([1.0]))
 
     def test_one_label_per_speed(self):
         with pytest.raises(ContractError, match="labels"):
@@ -569,15 +568,16 @@ def test_column_check_reports_the_first_faulty_record(tracks, edit, data):
 
 
 @pytest.mark.parametrize("fault", ["one point", "nan t", "inf t", "repeated t", "lat 90.5", "lon -181"])
-def test_column_fault_has_the_record_message(entry, fault):
-    """A corpus whose columns break a record rule is rejected by both entries
-    with the message that the point-by-point rules give for the same points."""
+def test_column_fault_has_the_record_message(fault):
+    """A corpus whose columns break a record rule is rejected by
+    ``max_speeds`` with the message that the point-by-point rules give for
+    the same points."""
     corpus = generate_synthetic(seed=1, n_samples=8)
     counts, t, lat, lon = broken_columns(corpus, fault)
     expected = reference_track_fault("s00002", point_tuples(counts, t, lat, lon)[2])
     assert expected is not None and "'s00002'" in expected
     with pytest.raises(DataError) as error:
-        entry(corpus.table.sample_ids, counts, t, lat, lon)
+        max_speeds(corpus.table.sample_ids, counts, t, lat, lon)
     assert str(error.value) == expected
 
 

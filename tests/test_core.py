@@ -20,6 +20,7 @@ from edcr import (
     detection_counts,
     f1_score,
 )
+from edcr import core
 from edcr.core import rule_body
 from helpers import make_conds, make_table, oracle_correction_counts, oracle_detection_counts
 
@@ -519,6 +520,23 @@ class TestConditionMatrix:
         pairs = [("a", 0), ("b", 0), ("b", 1), ("c", 2)]
         expected = [any(bits[row, "abc".index(c)] and pred[row] == k for c, k in pairs) for row in range(n)]
         assert rule_body(conds, pred, pairs).tolist() == expected
+
+    @pytest.mark.parametrize("slice_bools", [128, None])
+    @pytest.mark.parametrize("rows, m", [(0, 65), (3, 0), (7, 65), (40_000, 15), (300, 20_000)])
+    def test_pack_rows_in_slices(self, monkeypatch, slice_bools, rows, m):
+        """``_pack_rows`` packs a slice of rows at a time, and its words are
+        those of one ``np.packbits`` over a zero-padded copy of the whole
+        input, across slice boundaries and for a transposed input too; the
+        two larger shapes span several slices of the default size."""
+        if slice_bools is not None:
+            monkeypatch.setattr(core, "_PACK_SLICE", slice_bools)
+        bits = np.random.default_rng(rows + m).random((rows, m)) < 0.5
+        padded = np.zeros((rows, 64 * max(1, -(-m // 64))), dtype=bool)
+        padded[:, :m] = bits
+        expected = np.packbits(padded, axis=1, bitorder="little").view("<u8")
+        for cols in (bits, np.ascontiguousarray(bits.T).T):  # the second as ConditionMatrix packs
+            words = core._pack_rows(cols)
+            assert words.dtype == np.dtype("<u8") and np.array_equal(words, expected)
 
     def test_values_column_contiguous(self):
         conds = make_conds(["a", "b"], [[1, 0, 1], [0, 0, 1]])

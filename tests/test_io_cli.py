@@ -31,7 +31,6 @@ from edcr.cli import main
 from helpers import (
     make_conds,
     make_table,
-    point_tuples,
     reference_read_conditions,
     reference_read_predictions,
     reference_read_trace,
@@ -622,35 +621,6 @@ class TestReadersMatchReference:
         assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table.classes)
 
 
-TRAJECTORY_HEADER = ("sample_id", "idx", "t", "lat", "lon")
-
-
-def trajectory_rows(sample_ids, tracks):
-    """The rows of a trajectories file: one per point, with its idx from 0."""
-    return [
-        (sample_id, idx, t, lat, lon)
-        for sample_id, points in zip(sample_ids, tracks)
-        for idx, (t, lat, lon) in enumerate(points)
-    ]
-
-
-class TestTrajectoriesFormat:
-    def test_same_bytes_as_the_row_writer(self, tmp_path):
-        corpus = generate_synthetic(seed=1, n_samples=5, noise=0.2)
-        columns = (corpus.counts, corpus.t, corpus.lat, corpus.lon)
-        io.write_trajectories(tmp_path / "new.csv", corpus.table.sample_ids, *columns)
-        rows = trajectory_rows(corpus.table.sample_ids, point_tuples(*columns))
-        reference_write_csv_rows(tmp_path / "old.csv", TRAJECTORY_HEADER, rows)
-        text = (tmp_path / "new.csv").read_text()
-        assert text == (tmp_path / "old.csv").read_text()
-        assert text.count("\n") == 1 + int(corpus.counts.sum())
-        assert text.split("\n")[1] == "s00000,0," + ",".join(repr(float(c[0])) for c in columns[1:])
-
-    def test_no_records(self, tmp_path):
-        io.write_trajectories(tmp_path / "t.csv", [], [], [], [], [])
-        assert (tmp_path / "t.csv").read_text() == "sample_id,idx,t,lat,lon\n"
-
-
 def sample_ruleset():
     return RuleSet(
         classes=ClassSet(("a", "b")),
@@ -978,22 +948,6 @@ class TestWritersMatchReference:
         assert got == write_outcome(reference_write_csv_rows, work / "old.csv", ("sample_id", *names), rows)
 
 
-FINITE = {"allow_nan": False, "allow_infinity": False}
-
-
-@st.composite
-def trajectory_tracks(draw):
-    """Unique unicode ids with 2-5 points each, strictly increasing finite
-    timestamps and in-range coordinates."""
-    ids = draw(SAMPLE_IDS)
-    tracks = []
-    for _ in ids:
-        times = draw(st.lists(st.floats(**FINITE), min_size=2, max_size=5, unique=True))
-        coordinates = st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0))
-        tracks.append([(t, *draw(coordinates)) for t in sorted(times)])
-    return ids, tracks
-
-
 # unicode names plus strings YAML would otherwise read as null, booleans,
 # numbers or comments
 NAMES = st.one_of(
@@ -1024,17 +978,6 @@ def rulesets(draw):
 
 
 class TestFileFormatRoundTrip:
-    @given(drawn=trajectory_tracks())
-    def test_trajectories(self, tmp_path_factory, drawn):
-        """The column writer writes what the csv row writer writes for the
-        same points, quoting and all."""
-        ids, tracks = drawn
-        work = tmp_path_factory.mktemp("tr")
-        columns = np.array([p for points in tracks for p in points], dtype=float).reshape(-1, 3).T
-        io.write_trajectories(work / "new.csv", ids, [len(points) for points in tracks], *columns)
-        reference_write_csv_rows(work / "old.csv", TRAJECTORY_HEADER, trajectory_rows(ids, tracks))
-        assert (work / "new.csv").read_bytes() == (work / "old.csv").read_bytes()
-
     @given(rule_set=rulesets())
     def test_ruleset(self, tmp_path_factory, rule_set):
         path = tmp_path_factory.mktemp("rs") / "ruleset.yaml"
@@ -1383,12 +1326,15 @@ class TestCli:
         b_dir = tmp_path / "again"
         assert run(["gen", "--seed", 12, "--samples", 80, "--noise", 0.25,
                     "--out", b_dir]) == 0
-        for name in ("trajectories.csv", "predictions.csv", "conditions.csv"):
+        for out in (a, b_dir):
+            assert sorted(path.name for path in out.iterdir()) == GEN_FILES
+        for name in ("predictions.csv", "conditions.csv"):
             assert (a / name).read_bytes() == (b_dir / name).read_bytes()
 
     def test_gen_bytes_pinned(self, tmp_path):
         # the seed-7 corpus bytes are fixed across versions, not only across runs
         out = gen_corpus(tmp_path, seed=7, samples=2000)
+        assert sorted(path.name for path in out.iterdir()) == GEN_FILES
         assert {name: io.sha256_file(out / name) for name in GEN_SEED7_SHA256} == GEN_SEED7_SHA256
 
 
@@ -1421,7 +1367,7 @@ CORPUS = {"predictions": "gen/predictions.csv", "conditions": "gen/conditions.cs
 # command, seed, config, inputs (by flag, as paths under the runs' root) and outputs
 MANIFEST_CASES = {
     "gen": ("gen", 9, {"samples": 400, "noise": 0.25, "holdout": "walk,drive", "condition_noise": 0.05},
-            {}, ["trajectories.csv", "predictions.csv", "conditions.csv"]),
+            {}, ["predictions.csv", "conditions.csv"]),
     "learn": ("learn", None, {"epsilon": 0.2}, CORPUS, ["ruleset.yaml"]),
     "apply": ("apply", None, {}, {"ruleset": "learn/ruleset.yaml", **CORPUS}, ["revised.csv", "trace.csv"]),
     "eval": ("eval", None, {"mode": "strict"},
@@ -1471,16 +1417,17 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert not (out / "manifest.json").exists()
 
 
+#: Every file ``edcr gen`` writes, in name order.
+GEN_FILES = ["conditions.csv", "manifest.json", "predictions.csv"]
+
 #: SHA-256 of ``edcr gen --seed 7 --samples 2000`` with the default noise.
 GEN_SEED7_SHA256 = {
-    "trajectories.csv": "5e4f45e88456d7229933bb4bf12e9acaf8a1a806c0fdcc2298760936c450ba49",
     "predictions.csv": "ca868347f1050bafcf297165d52806f53502468b5b8ba2841286d4b07934d85c",
     "conditions.csv": "c231402e78989c4b235328ec80fc74e6adea1eff923ce876361926e0835dcd90",
 }
 
 #: SHA-256 of every file but ``manifest.json`` that the README CLI block writes.
 README_BLOCK_SHA256 = {
-    "runs/corpus/trajectories.csv": GEN_SEED7_SHA256["trajectories.csv"],
     "runs/corpus/predictions.csv": GEN_SEED7_SHA256["predictions.csv"],
     "runs/corpus/conditions.csv": GEN_SEED7_SHA256["conditions.csv"],
     "runs/learned/ruleset.yaml": "437e25148f461b73b20d94700e26fe323c86c75aedef2a9dd06a9016e0001cdf",
@@ -1488,7 +1435,6 @@ README_BLOCK_SHA256 = {
     "runs/applied/trace.csv": "05430c957a896adb7801c6131a530ad14504f65f92799669f657be7d53029c56",
     "runs/evaled/metrics.csv": "5503e62d3b8662797396877f3666b402227b8a875c043fb9ab796e8abb575b08",
     "runs/sweep/sweep.csv": "21ea0ee8892cca48dd4ec0686b9c3902d31e00866fb438a2ef94d373247111e3",
-    "runs/held/trajectories.csv": GEN_SEED7_SHA256["trajectories.csv"],
     "runs/held/predictions.csv": "ebd0d72a9481ff0d09051e2527f9cb931d687dbc857d164514fae76e78e808f0",
     "runs/held/conditions.csv": "2f6933cfdd979c1a52ae39dd55b04279a133b70c0f8a48311e96eceef9657b0e",
     "runs/unseen/unseen.csv": "4e04bbab0f07163edc42c29dd35187e3cb0d2ceb7a9559f127d5fa07e43fc34e",
