@@ -66,6 +66,30 @@ class TestRecordRules:
             max_speeds(*columns([[(0.0, 0.0, 181.0), (1.0, 0.0, 0.0)]]))
 
     @pytest.mark.parametrize(
+        "point, message",
+        [
+            ((0.0, math.nan, 0.0), "latitude nan out of range"),
+            ((0.0, -math.inf, 0.0), "latitude -inf out of range"),
+            ((0.0, -90.5, 0.0), "latitude -90.5 out of range"),
+            ((0.0, 0.0, math.nan), "longitude nan out of range"),
+            ((0.0, 0.0, math.inf), "longitude inf out of range"),
+            ((0.0, 0.0, -180.5), "longitude -180.5 out of range"),
+        ],
+    )
+    def test_coordinate_outside_its_range(self, point, message):
+        # every comparison with NaN is false, so a NaN coordinate is out of range
+        track = [point, (1.0, 0.0, 0.0)]
+        with pytest.raises(DataError, match=f"^trajectory 'r0': {message}$") as error:
+            max_speeds(*columns([track]))
+        assert reference_track_fault("r0", track) == str(error.value)
+
+    @pytest.mark.parametrize("lat, lon", [(90.0, 180.0), (-90.0, -180.0), (90.0, -180.0), (-90.0, 180.0)])
+    def test_range_ends_accepted(self, lat, lon):
+        track = [(0.0, lat, lon), (1.0, 0.0, 0.0)]
+        assert reference_track_fault("r0", track) is None
+        assert same_floats(speeds(track), [trajectory_speed(track).max_speed])
+
+    @pytest.mark.parametrize(
         "times",
         [
             (math.nan, 1.0),
@@ -230,6 +254,10 @@ class TestVelocityThresholds:
         with pytest.raises(ContractError, match="^every training record needs a class label$"):
             self.fit([(2.0, None)])
 
+    def test_unlabeled_record_rejected_before_label_types(self):
+        with pytest.raises(ContractError, match="^every training record needs a class label$"):
+            fit_velocity_thresholds([1, None, "a"], [1.0, 2.0, 3.0])
+
     def test_classes_are_class_names(self):
         with pytest.raises(ContractError, match="^class names must be a sequence of strings, not the string 'ab'$"):
             fit_velocity_thresholds(["a", "b"], [1.0, 2.0], classes="ab")
@@ -242,7 +270,12 @@ class TestVelocityThresholds:
 
     @pytest.mark.parametrize(
         "labels, message",
-        [([1, "a"], "^class labels must be strings, got 1$"), (["", "a"], r"^empty class label in \('', 'a'\)$")],
+        [
+            ([1, "a"], "^class labels must be strings, got 1$"),
+            (["a", 2.5], "^class labels must be strings, got 2.5$"),
+            ([b"a"], "^class labels must be strings, got b'a'$"),
+            (["", "a"], r"^empty class label in \('', 'a'\)$"),
+        ],
     )
     def test_labels_are_class_names(self, labels, message):
         # an empty label would make a condition named vel_over_
@@ -251,7 +284,13 @@ class TestVelocityThresholds:
 
     @pytest.mark.parametrize(
         "thresholds, message",
-        [({1: 1.0, "a": 2.0}, "got 1$"), ({"a": 1.0, 2: 3.0}, "got 2$"), ({"": 1.0}, r"^empty class name in \(''")],
+        [
+            ({1: 1.0, "a": 2.0}, "got 1$"),
+            ({"a": 1.0, 2: 3.0}, "got 2$"),
+            ({None: 1.0}, "got None$"),
+            ({b"a": 1.0}, "got b'a'$"),
+            ({"": 1.0}, r"^empty class name in \(''"),
+        ],
     )
     def test_ceilings_are_keyed_by_class_name(self, thresholds, message):
         # keys of mixed types cannot be sorted into column order
@@ -502,12 +541,14 @@ def broken_columns(corpus, fault):
         t, lat, lon = t[keep], lat[keep], lon[keep]
     elif fault == "repeated t":
         t[point] = t[point - 1]
-    elif fault in ("nan t", "inf t"):
-        t[point] = math.nan if fault == "nan t" else math.inf
-    elif fault == "lat 90.5":
-        lat[point] = 90.5
+    elif fault == "decreasing t":
+        t[point] = t[point - 1] - 1.0
+    elif fault.endswith(" t"):
+        t[point] = {"nan t": math.nan, "inf t": math.inf, "-inf t": -math.inf}[fault]
+    elif fault.startswith("lat "):
+        lat[point] = float(fault[4:])
     else:
-        lon[point] = -181.0
+        lon[point] = float(fault[4:])
     return counts, t, lat, lon
 
 
@@ -567,7 +608,11 @@ def test_column_check_reports_the_first_faulty_record(tracks, edit, data):
     assert same_floats(got, [trajectory_speed(points).max_speed for points in split])
 
 
-@pytest.mark.parametrize("fault", ["one point", "nan t", "inf t", "repeated t", "lat 90.5", "lon -181"])
+@pytest.mark.parametrize(
+    "fault",
+    ["one point", "nan t", "inf t", "-inf t", "repeated t", "decreasing t",
+     "lat 90.5", "lat nan", "lon -181", "lon 180.5"],
+)
 def test_column_fault_has_the_record_message(fault):
     """A corpus whose columns break a record rule is rejected by
     ``max_speeds`` with the message that the point-by-point rules give for

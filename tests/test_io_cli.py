@@ -921,6 +921,11 @@ class TestWritersMatchReference:
             (["a", "b"], [("", "é"), ("", "1")]),  # empty and non-ASCII fields stay bare
             (["a", "b"], [("x\x00",), ("y",)]),  # NUL goes to csv.writer
             (["a"], [("", "x")]),  # a lone empty field is quoted
+            (["sample_id", "idx", "t"], [(), (), ()]),  # no records: the header alone
+            (["a", "b"], [("x,y", "z"), ("1", "2")]),  # a separator goes to csv.writer
+            (["a", "b"], [('say "hi"',), ("2",)]),  # so does a quote
+            (["a", "b"], [("two\nlines",), ("3",)]),  # and a line break
+            (["a", "b"], [("x\ry", "z"), ("4", "5")]),  # a row with a CR is quoted whole
         ],
     )
     def test_listed_columns(self, tmp_path, header, columns):
