@@ -89,12 +89,14 @@ def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
     """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
     name) unless it is a sequence of non-empty ``str``, each named once when
     ``distinct``; a bare string, which would be read as its characters, is
-    not one."""
+    not one.  The message names the index of the first empty name, or the
+    first name that repeats, never the whole sequence."""
     names = _strings(what, values)
     if "" in names:
-        raise ContractError(f"empty {what} in {names}")
+        raise ContractError(f"empty {what} in the sequence at index {names.index('')}")
     if distinct and len(set(names)) != len(names):
-        raise ContractError(f"duplicate {what}s in {names}")
+        dupe = next(name for name, count in Counter(names).items() if count > 1)
+        raise ContractError(f"duplicate {what} {dupe!r}")
     return names
 
 

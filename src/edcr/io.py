@@ -9,19 +9,23 @@ Predictions, conditions and trace files are read by one byte scanner first.
 It takes the plain layout the writers write for ordinary ids and names: a
 file with no ``"``, ``\\r`` or NUL byte, in which ``csv.reader`` ends records
 at ``\\n`` and fields at ``,``.  It reads blocks of 256 KiB, splits them at
-``\\n``, carries the unfinished last record into the next block, and decodes
-a block's ids at once.  In conditions, ``,0``/``,1`` cells follow each id,
-checked with one byte compare per block, and the ids must be the table's
-next ids, as every writer writes them; in predictions and traces, the text
-after each id is coded as one string, so it is split and decoded once per
-distinct value.  Predictions and traces state their cell rules once, each in
-a ``_CellRules``: the scanner applies them to the distinct values of each
+``\\n`` and carries the unfinished last record into the next block.  In
+conditions, the ids must be the table's next ids, as every writer writes
+them: the table's ids are encoded to UTF-8 once, and each block's id bytes
+must be the next bytes of them, so no id is decoded.  The ``,0``/``,1``
+cells after each id are read as little-endian 16-bit values, 0x302C and
+0x312C, and checked with one compare per block.  In predictions and traces,
+a block's ids are decoded at once, and the text after each id is coded as
+one string, so it is split and decoded once per distinct value.
+Predictions and traces state their cell rules once, each in a
+``_CellRules``: the scanner applies them to the distinct values of each
 column, and the row parser to each row.  Anything else (a quote, ``\\r`` or
 NUL anywhere, a bad width or bit, an empty id, a cell that breaks its
-format's rules, conditions rows out of the table's order) sends the whole
-file to the row parser, built on ``csv.reader``: the single fallback, which
-reads every other valid CSV layout, names the line of every fault and alone
-matches conditions rows to the table by id.
+format's rules, conditions rows out of the table's order, a table id that
+holds a separator, quote, line break or NUL) sends the whole file to the
+row parser, built on ``csv.reader``: the single fallback, which reads every
+other valid CSV layout, names the line of every fault and alone matches
+conditions rows to the table by id.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
@@ -30,6 +34,12 @@ quoting a row that holds ``\\r`` whole, as every other writer does.
 ``write_conditions`` builds its bit cells as one byte array when no id needs
 quoting and otherwise runs ``csv.writer``, so every file is byte-identical to
 what ``csv.writer`` writes (or fails as it does: Python 3.10's rejects NUL).
+
+Rule sets load and dump through PyYAML's pure-Python ``safe_load`` and
+``safe_dump``, even where PyYAML has libyaml: its loader reads documents the
+pure one rejects (a tab after a plain scalar) and crashes the process on a
+document nested some 25,000 deep, and its dumper writes a key holding
+``\\r`` as a complex ``?`` key, so ``ruleset.yaml`` would change bytes.
 """
 from __future__ import annotations
 
@@ -358,28 +368,35 @@ def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
 def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
     """The byte scanner: the condition matrix of a file in the plain layout
     (see the module docstring) whose records list ``table.sample_ids`` in
-    order, or None as soon as one record is not."""
-    rows = slice(0, 0)  # the table rows of the last block read
+    order, or None as soon as one record is not.  The table's ids are encoded
+    once, each ended by a NUL, and each block's ids, each ended by a NUL too,
+    must be the next bytes of them, so every id has the table id's bytes and
+    length.  Cells are read as ``<u2``, in which ``,0`` is 0x302C and ``,1``
+    is 0x312C, and their bits fill the next columns of an (m, n) buffer."""
+    rows, at = 0, 0  # the table rows, and the bytes of their ids, read so far
     try:
+        ids = "\0".join([*table.sample_ids, ""]).encode()
+        if ids.count(0) != table.n or any(c in ids for c in b',"\r\n'):
+            return None  # an id holding a separator, quote, line break or NUL: no plain field
         records = _scan_records(path)
         names = _condition_names(path, next(records))
-        values = np.zeros((table.n, len(names)), dtype=bool)
+        values = np.zeros((len(names), table.n), dtype=bool)
         width = 2 * len(names)  # the ,0 and ,1 cells after an id
         for data, starts, stops in records:
             if not len(starts):
                 continue  # a block of blank lines, maybe shorter than a window
-            if (stops - width < starts).any():
-                raise _Unscannable
-            ids = tuple(_scan_ids(data, starts, stops - width))
-            rows = slice(rows.stop, rows.stop + len(ids))
-            cells = sliding_window_view(data, width)[stops - width]
-            bits = cells[:, 1::2]
-            if ids != table.sample_ids[rows] or (cells[:, ::2] != 0x2C).any() or ((bits | 1) != 0x31).any():
+            lengths = stops - width - starts
+            if lengths.min() < 0 or lengths.max() > csv.field_size_limit():
+                raise _Unscannable  # too few fields, or an id csv.reader rejects
+            joined = _joined(data, starts, stops - width)
+            cells = sliding_window_view(data, width)[stops - width].view("<u2")
+            if ids[at : at + len(joined)] != joined or ((cells | 0x0100) != 0x312C).any():
                 raise _Unscannable  # an id out of the table's order, or a cell that is not ,0 or ,1
-            values[rows] = bits == 0x31
-    except (_Unscannable, UnicodeDecodeError, csv.Error, DataError):
+            np.equal(cells.T, 0x312C, out=values[:, rows : rows + len(starts)])
+            rows, at = rows + len(starts), at + len(joined)
+    except (_Unscannable, UnicodeError, csv.Error, DataError):
         return None
-    return ConditionMatrix(names, values) if rows.stop == table.n else None
+    return ConditionMatrix(names, values.T) if rows == table.n else None
 
 
 def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
@@ -524,7 +541,9 @@ def load_ruleset(path) -> RuleSet:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = yaml.safe_load(handle)
-    except (yaml.YAMLError, UnicodeDecodeError) as err:
+    except (yaml.YAMLError, ValueError, RecursionError) as err:
+        # bytes that are not UTF-8, and an escape or a date out of range, are
+        # ValueErrors; nesting too deep for the composer is a RecursionError
         raise DataError(f"{path}: invalid YAML: {err}") from None
     if not isinstance(data, dict):
         raise DataError(f"{path}: ruleset document must be a mapping")

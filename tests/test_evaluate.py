@@ -246,8 +246,8 @@ class TestEpsilonSweep:
 # holdout names that are not a sequence of distinct non-empty names; a bare
 # string would be read as its characters
 HOLDOUT_NAME_FAULTS = [
-    (["walk", "walk"], "^duplicate holdout class names"),
-    (["walk", ""], "^empty holdout class name"),
+    (["walk", "walk"], "^duplicate holdout class name 'walk'$"),
+    (["walk", ""], "^empty holdout class name in the sequence at index 1$"),
     ("walk", "^holdout class names must be a sequence of strings, not the string 'walk'"),
 ]
 

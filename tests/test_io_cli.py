@@ -7,6 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import event, given, settings, strategies as st
 
 from edcr import (
@@ -173,7 +174,7 @@ def edited_conditions_file(tmp_path, ids, newline, edit):
     return path, table, bits
 
 
-PLAIN_IDS = ["s1", " pad ", "é", "a;b", "x\ty"]
+PLAIN_IDS = ["s1", " pad ", "é", "a;b", "x\ty", "日本", "𝄞"]  # ids of 1- to 4-byte UTF-8
 QUOTED_IDS = ["s1", "x,y", 'q"uote', "line\nbreak", " pad ", "é"]
 EDITS = ["none", "blank lines", "no final line break"]
 
@@ -189,6 +190,7 @@ class TestConditionsScanner:
         assert scanned is not None
         assert np.array_equal(scanned.values, bits)
         assert scanned.condition_names == ("c0", "c1", "c2")
+        assert same_outcome(path, table)
 
     @pytest.mark.parametrize("edit", EDITS)
     @pytest.mark.parametrize(
@@ -211,12 +213,35 @@ class TestConditionsScanner:
             ("sample_id,c\na\rb,1\n", "a\rb"),  # a bare CR inside an unquoted id
             ("sample_id,c\ns1,2\n", "s1"),  # not a bit
             ('sample_id,c\ns1,1\n"x', "s1"),  # a last line left inside quotes
+            ("sample_id,c\nx,y,1\n", "x,y"),  # a table id holding a comma, unquoted in the file
+            ("sample_id,c\na\nb,1\n", "a\nb"),  # a table id holding a line break, unquoted in the file
+            ("sample_id,c\na\0b,1\n", "a\0b"),  # a table id holding NUL, which the file holds too
+            ("sample_id,c\ns1,1\n", "s10"),  # a file id that is a prefix of the table's
+            ("sample_id,c\ns10,1\n", "s1"),  # a file id that extends the table's
+            ("sample_id,c\ns2,1\n", "s1"),  # a file id of the table id's length, other bytes
+            ("sample_id,c\nab,1\n", "é"),  # the same, against a 2-byte UTF-8 id
         ],
     )
     def test_other_layouts_go_to_the_row_parser(self, tmp_path, text, sample_id):
         table = make_table(["a"], ["a"], ids=[sample_id])
         path = tmp_path / "c.csv"
         path.write_text(text, newline="")
+        assert io._scan_conditions(path, table) is None
+        assert same_outcome(path, table)
+
+    @pytest.mark.parametrize(
+        "table_ids, file_ids",
+        [
+            (["a\0b", "c"], ["a", "b"]),  # a NUL in a table id may not end an id
+            (["s1", "0s2"], ["s10", "s2"]),  # the same bytes, with the first id extended
+            (["s10", "s2"], ["s1", "0s2"]),  # and with the first id cut short
+            (["s1", "s2", "s3"], ["s1", "s3", "s2"]),  # ids of the table's lengths, out of order
+        ],
+    )
+    def test_ids_are_compared_as_bytes(self, tmp_path, table_ids, file_ids):
+        table = make_table(["a"], ["a"] * len(table_ids), ids=table_ids)
+        path = tmp_path / "c.csv"
+        path.write_text("sample_id,c\n" + "".join(f"{sample_id},1\n" for sample_id in file_ids))
         assert io._scan_conditions(path, table) is None
         assert same_outcome(path, table)
 
@@ -228,6 +253,7 @@ class TestConditionsScanner:
         assert io._scan_conditions(path, table) is None
         with pytest.raises(DataError, match="field limit"):
             io.read_conditions(path, table)
+        assert same_outcome(path, table)
 
     @pytest.mark.parametrize(
         "long_id, newline, scanned", [("s" * 300 + "{}", "\n", True), ("s,{}\n", "\r\n", False)]
@@ -309,7 +335,7 @@ def outcome(reader, path, table):
         conds = reader(path, table)
     except Exception as err:  # the exception type and message are the outcome
         return type(err), str(err)
-    return conds.condition_names, conds.values.tolist()
+    return conds.condition_names, conds.values.tolist(), conds.words.tolist()
 
 
 def same_outcome(path, table):
@@ -664,6 +690,40 @@ class TestRulesetFormat:
         path.write_bytes(b"classes: [caf\xe9]\n")
         with pytest.raises(DataError, match="rules.yaml.*utf-8"):
             io.load_ruleset(path)
+
+    def test_dumper_is_the_pure_one(self, tmp_path):
+        # libyaml's dumper writes the key "L\r" as the complex key ? "L\r" / : 0.0
+        rule_set = RuleSet(ClassSet(("L\r", "a")), ("c",), {"L\r": 0.0, "a": 0.5}, (), ())
+        path = tmp_path / "rules.yaml"
+        io.save_ruleset(path, rule_set)
+        document, style = io.ruleset_to_dict(rule_set), {"sort_keys": False, "default_flow_style": False}
+        expected = yaml.safe_dump(document, **style)
+        assert path.read_bytes() == expected.encode()
+        assert 'epsilon:\n  "L\\r": 0.0\n  a: 0.5\n' in expected
+        if hasattr(yaml, "CSafeDumper"):
+            assert yaml.dump(document, Dumper=yaml.CSafeDumper, **style) != expected
+
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            ("0.1\t", "cannot start any token"),  # a tab after a plain scalar
+            ('"\\U1010B57D"', "arg not in range"),  # an escape past the last code point
+            ("2001-13-45", "month must be in 1..12"),  # a date that is none
+            ("[" * 100_000 + "]" * 100_000, "maximum recursion depth exceeded"),
+        ],
+        ids=["tab", "escape", "date", "nesting"],
+    )
+    def test_documents_the_pure_loader_rejects(self, tmp_path, value, message):
+        """A rule set with one more key whose value the pure loader rejects
+        is a data error, never an uncaught exception.  libyaml's loader reads
+        the first as a valid rule set and crashes the process on the last,
+        which is why rule sets load through the pure one."""
+        text = RULESET_TEXT.format(epsilon="0.1", class_support="0.5", confidence="0.9")
+        path = tmp_path / "rules.yaml"
+        path.write_text(f"{text}junk: {value}\n")
+        with pytest.raises(DataError) as error:
+            io.load_ruleset(path)
+        assert str(error.value).startswith(f"{path}: invalid YAML: ") and message in str(error.value)
 
     def test_apply_identical_after_roundtrip(self, tmp_path):
         rule_set = sample_ruleset()
@@ -1861,9 +1921,9 @@ def invalid_invocations(tmp_path):
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["gen", "--holdout", "walk,walk"], "duplicate holdout class names in ('walk', 'walk')"),
-    (["gen", "--holdout", "walk,"], "empty holdout class name in ('walk', '')"),
-    (["unseen", "--holdout", "walk,walk"], "duplicate holdout class names in ('walk', 'walk')"),
+    (["gen", "--holdout", "walk,walk"], "duplicate holdout class name 'walk'\n"),
+    (["gen", "--holdout", "walk,"], "empty holdout class name in the sequence at index 1\n"),
+    (["unseen", "--holdout", "walk,walk"], "duplicate holdout class name 'walk'\n"),
     (["learn", "--epsilon-per-class", "zeppelin=0.1"],
      "epsilon mapping names ['bike', 'bus', 'drive', 'train', 'walk', 'zeppelin'], not ("),
     (["sweep", "--epsilons", "0.1,,0.2"], "expected comma-separated numbers, got '0.1,,0.2'"),
