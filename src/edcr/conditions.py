@@ -389,7 +389,7 @@ def generate_synthetic(
     thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
     velocity = build_velocity_conditions(thresholds, speeds)
     cond_names.extend(velocity.condition_names)
-    columns.extend(velocity.values[:, j] for j in range(velocity.n_conditions))
+    columns.extend(velocity.values.T)
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
     return SyntheticCorpus(table, conditions, thresholds, counts, t, lat, lon)

@@ -92,9 +92,10 @@ def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
     not one.  The message names the index of the first empty name, or the
     first name that repeats, never the whole sequence."""
     names = _strings(what, values)
-    if "" in names:
+    unique = set(names)
+    if "" in unique:
         raise ContractError(f"empty {what} in the sequence at index {names.index('')}")
-    if distinct and len(set(names)) != len(names):
+    if distinct and len(unique) != len(names):
         dupe = next(name for name, count in Counter(names).items() if count > 1)
         raise ContractError(f"duplicate {what} {dupe!r}")
     return names
@@ -272,24 +273,18 @@ class PredictionTable:
     novel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", _strings("sample id", self.sample_ids))
-        object.__setattr__(self, "novel_names", tuple(self.novel_names))
+        object.__setattr__(self, "sample_ids", check_names("sample id", self.sample_ids))
+        object.__setattr__(self, "novel_names", check_names("novel class name", self.novel_names))
         n = len(self.sample_ids)
         k = len(self.classes)
         object.__setattr__(self, "pred_ids", _checked_ids(self.pred_ids, n, "predicted", -1, k))
         if self.gt_ids is not None:
             gt = _checked_ids(self.gt_ids, n, "ground_truth", 0, k + len(self.novel_names))
             object.__setattr__(self, "gt_ids", gt)
-        distinct = set(self.sample_ids)
-        if len(distinct) != n:
-            dupes = sorted(s for s, count in Counter(self.sample_ids).items() if count > 1)
-            raise ContractError(f"duplicate sample ids: {dupes[:5]}")
-        if "" in distinct:
-            raise ContractError("sample ids must not be empty")
         if UNKNOWN_NAME in self.novel_names:
             raise ContractError("ground truth may never be UNKNOWN")
-        if len(set(self.novel_names) | set(self.classes.names)) != k + len(self.novel_names):
-            raise ContractError(f"novel class names {self.novel_names} repeat or overlap the class set")
+        if not set(self.classes.names).isdisjoint(self.novel_names):
+            raise ContractError(f"novel class names {self.novel_names} overlap the class set")
 
     @property
     def n(self) -> int:
@@ -365,7 +360,8 @@ class ConditionMatrix:
     (:func:`_bit_array`; anything else is a :class:`ContractError`), is
     packed once along the samples into ``words``, one row of ceil(rows/64)
     uint64 words per condition, and only the words are kept.  ``values``
-    unpacks them on first use, read-only, for the callers that need bools.
+    unpacks them on each use, read-only, for the callers that need bools;
+    the 8× larger bools are not kept.
     """
 
     condition_names: tuple[str, ...]
@@ -390,9 +386,10 @@ class ConditionMatrix:
     def n_conditions(self) -> int:
         return len(self.condition_names)
 
-    @cached_property
+    @property
     def values(self) -> np.ndarray:
-        """The (rows, conditions) bools that ``words`` packs, read-only."""
+        """The (rows, conditions) bools that ``words`` packs, read-only;
+        unpacked on each use and not kept."""
         bits = np.unpackbits(self.words.view(np.uint8), axis=1, count=self.n_rows, bitorder="little")
         values = bits.view(bool).T
         values.setflags(write=False)
@@ -571,8 +568,6 @@ def detection_counts(
     i = _class_of(table, conds, class_i)
     names = sorted(set(check_names("condition name", dc, distinct=False)))
     n_i = int(np.count_nonzero(table.pred_ids == i))
-    if not names:
-        return DetectionCounts(0, 0, 0, 0.0, 0.0)
     body = rule_body(conds, table.pred_ids, [(name, i) for name in names])
     bod = int(np.count_nonzero(body))
     pos = int(np.count_nonzero(body & (table.gt_ids != i)))
@@ -597,8 +592,6 @@ def correction_counts(
     """
     i = _class_of(table, conds, class_i)
     pairs = [(cond, table.classes.check_id(cls)) for cond, cls in check_pairs(cc)]
-    if not pairs:
-        return CorrectionCounts(0, 0, 0.0, 0.0)
     body = rule_body(conds, table.pred_ids, pairs)
     bod = int(np.count_nonzero(body))
     pos = int(np.count_nonzero(body & (table.gt_ids == i)))

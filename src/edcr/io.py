@@ -48,7 +48,6 @@ import hashlib
 import json
 import os
 import tempfile
-from collections import Counter
 from contextlib import contextmanager
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
@@ -69,6 +68,8 @@ from .core import (
     DataError,
     PredictionTable,
     _coded,
+    _require_aligned,
+    check_names,
     id_column,
     name_column,
 )
@@ -356,13 +357,10 @@ def read_conditions(path, table: PredictionTable) -> ConditionMatrix:
 def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
     if not header or header[0] != "sample_id" or len(header) < 2:
         raise _parse_error(path, 1, "expected header sample_id,<condition>,...")
-    names = tuple(header[1:])
-    if "" in names:
-        raise _parse_error(path, 1, f"empty condition name in column {names.index('') + 2}")
-    if len(set(names)) != len(names):
-        dupe = next(name for name, count in Counter(names).items() if count > 1)
-        raise _parse_error(path, 1, f"duplicate condition name {dupe!r}")
-    return names
+    try:
+        return check_names("condition name", header[1:])
+    except ContractError as err:
+        raise _parse_error(path, 1, str(err)) from None
 
 
 def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
@@ -437,18 +435,18 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
     :func:`write_csv_rows`.  A matrix with no conditions is a
     :class:`ContractError`, since its file would be a bare ``sample_id``
     header, which :func:`read_conditions` rejects."""
-    if conds.n_rows != table.n:
-        raise ContractError("condition matrix and table row counts differ")
+    _require_aligned(table, conds)
     if not conds.n_conditions:
         raise ContractError("a condition matrix with no conditions cannot be written")
     header = ("sample_id", *conds.condition_names)
     ids, m, joined = table.sample_ids, conds.n_conditions, "".join(table.sample_ids)
+    bits = conds.values.view(np.uint8)
     if any(c in joined for c in ',"\n\r\0'):
-        return write_csv_rows(path, header, zip(ids, *conds.values.view(np.uint8).T.tolist()))
+        return write_csv_rows(path, header, zip(ids, *bits.T.tolist()))
     encoded = list(map(str.encode, ids))
     cells = np.empty((table.n, 2 * m + 1), dtype=np.uint8)
     cells[:, :-1:2] = ord(",")
-    cells[:, 1::2] = conds.values.view(np.uint8) + ord("0")
+    cells[:, 1::2] = bits + ord("0")
     cells[:, -1] = ord("\n")
     at = np.repeat(np.arange(table.n) * (2 * m + 1), list(map(len, encoded)))  # each id before its row
     body = np.insert(cells.ravel(), at, np.frombuffer(b"".join(encoded), dtype=np.uint8))

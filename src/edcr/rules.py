@@ -25,6 +25,7 @@ from .core import (
     _bit_array,
     _checked_ids,
     _require_aligned,
+    _strings,
     check_names,
     check_pairs,
     check_unit_interval,
@@ -137,8 +138,9 @@ class ApplyTrace:
     Each column must have one entry per sample id, class ids and codes in
     range and flags bools or 0/1 integers; anything else is a
     :class:`ContractError`.  Each column is stored as a read-only copy, so
-    the caller's arrays stay its own.  The sample ids are the table's,
-    checked there.
+    the caller's arrays stay its own.  The sample ids and ``fired_names`` are
+    sequences of ``str``, never a bare string; the ids are the table's, whose
+    constructor checks that they are distinct, and are not hashed again.
     """
 
     classes: ClassSet
@@ -150,8 +152,9 @@ class ApplyTrace:
     final: np.ndarray
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "sample_ids", _strings("sample id", self.sample_ids))
+        object.__setattr__(self, "fired_names", _strings("fired name", self.fired_names))
         n, k = len(self.sample_ids), len(self.classes)
-        object.__setattr__(self, "fired_names", tuple(self.fired_names))
         for name, low, high in (("original", -1, k), ("final", -1, k), ("fired", 0, len(self.fired_names))):
             object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
         flagged = _bit_array("flagged", self.flagged).copy()
@@ -214,14 +217,10 @@ def apply_ruleset(
 
     ordered = sorted(rules.correction_rules, key=lambda r: (-r.confidence, r.target))
     fired = np.zeros((table.n, len(ordered)), dtype=bool)
-    for j, rule in enumerate(ordered):
-        fired[:, j] = rule_body(conds, pred, rule.pairs)
-
     final = np.where(flags, -1, pred)
-    corrected = fired.any(axis=1)
-    targets = np.array([rule.target for rule in ordered], dtype=np.int32)
-    if ordered:
-        final[corrected] = targets[fired[corrected].argmax(axis=1)]
+    for j in reversed(range(len(ordered))):  # the first rule that fires is written last, so it wins
+        fired[:, j] = body = rule_body(conds, pred, ordered[j].pairs)
+        final[body] = ordered[j].target
     revised = table.with_predictions(final)
     codes, fired_names = _fired_codes(fired, [table.classes.names[rule.target] for rule in ordered])
     trace = ApplyTrace(table.classes, table.sample_ids, pred, flags, codes, fired_names, revised.pred_ids)

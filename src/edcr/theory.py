@@ -297,14 +297,15 @@ def build_correction_scenario(
     the closed forms assume."""
     if check_count("n_total", n_total) == 0:
         raise ContractError("n_total must be positive")
+    extra_fn = check_count("extra_fn", extra_fn)
     n_i = _as_count(prior * n_total, "N_i")
     tp = _as_count(precision * n_i, "TP")
     bod = _as_count(support * n_total, "BOD")
     pos = _as_count(confidence * bod, "POS")
     if n_i + bod + extra_fn > n_total:
         raise ContractError("N_i + BOD + extra_fn exceeds the table size; not realizable")
-    if min(extra_fn, n_i, bod) < 0:
-        raise ContractError("N_i, BOD and extra_fn must be non-negative")
+    if min(n_i, bod) < 0:
+        raise ContractError("N_i and BOD must be non-negative")
 
     classes = ClassSet(("a", "b"))
     # blocks of rows: existing predictions of the target class, the body

@@ -855,8 +855,8 @@ def reference_read_predictions(path, classes: ClassSet | None = None) -> Predict
                     raise _parse_error(path, line_no, f"ground truth may never be {UNKNOWN_NAME}")
                 gts.append(row[2])
     if len(set(ids)) != len(ids):
-        dupes = sorted(s for s, count in Counter(ids).items() if count > 1)
-        raise DataError(f"{path}: duplicate sample ids: {dupes[:5]}")
+        dupe = next(s for s, count in Counter(ids).items() if count > 1)
+        raise DataError(f"{path}: duplicate sample id {dupe!r}")
     predicted = set(preds)
     predicted.discard(UNKNOWN_NAME)
     if classes is None:

@@ -62,10 +62,10 @@ class TestPredictionTable:
             make_table(["a"], ["a", "a"], ids=["x", "x"])
 
     def test_repeated_ids_are_named(self):
-        """The first five repeated ids, sorted, as the predictions reader
-        reports them."""
+        """The first id that repeats, in order of first appearance, as the
+        predictions reader reports it."""
         ids = [*"gfedcba", *"gfedcba", "z"]
-        with pytest.raises(ContractError, match=r"^duplicate sample ids: \['a', 'b', 'c', 'd', 'e'\]$"):
+        with pytest.raises(ContractError, match=r"^duplicate sample id 'g'$"):
             PredictionTable.from_names(ClassSet(("a",)), ids, ["a"] * len(ids))
 
     def test_novel_ground_truth_allowed(self):
@@ -94,6 +94,9 @@ class TestPredictionTable:
             ([0], [-1], ()),  # ground truth UNKNOWN
             ([0], [0], ("a",)),  # novel name repeats a class
             ([0], [2], (UNKNOWN_NAME,)),  # novel name is the reserved label
+            ([0], [2], ("",)),  # an empty novel name, which would be written as an empty cell
+            ([0], [2], (1,)),  # a novel name that is not a str
+            ([0], [2], "xy"),  # a bare string, which would be read as the names x and y
         ],
     )
     def test_id_columns_validated(self, pred_ids, gt_ids, novel):
@@ -124,18 +127,18 @@ class TestPredictionTable:
             PredictionTable(ClassSet(("a", "b")), sample_ids, [0, 1])
 
     @pytest.mark.parametrize(
-        "build",
+        "build, index",
         [
-            lambda classes: PredictionTable(classes, ("", "y"), [0, 1]),
-            lambda classes: PredictionTable.from_names(classes, ["x", ""], ["a", "b"], ["a", "a"]),
-            lambda classes: PredictionTable(classes, ("y", ""), [0, 1]).subset([1]),
+            (lambda classes: PredictionTable(classes, ("", "y"), [0, 1]), 0),
+            (lambda classes: PredictionTable.from_names(classes, ["x", ""], ["a", "b"], ["a", "a"]), 1),
+            (lambda classes: PredictionTable(classes, ("y", ""), [0, 1]).subset([1]), 1),
         ],
         ids=["constructor", "from_names", "subset"],
     )
-    def test_sample_ids_are_not_empty(self, build):
+    def test_sample_ids_are_not_empty(self, build, index):
         # no reader takes an empty id, so a table holding one could be
         # written but not read back
-        with pytest.raises(ContractError, match="^sample ids must not be empty"):
+        with pytest.raises(ContractError, match=f"^empty sample id in the sequence at index {index}$"):
             build(ClassSet(("a", "b")))
 
     @pytest.mark.parametrize("indices", [[True, False], [0, True], [1.9], [-1], [2], [[0]]])
@@ -307,6 +310,15 @@ class TestDetectionCounts:
         counts = detection_counts(table, conds, 0, ())
         assert (counts.pos, counts.neg, counts.bod) == (0, 0, 0)
         assert counts.class_support == 0.0 and counts.confidence == 0.0
+        # an empty body, a zero-row table and a class that is never predicted
+        # all take the zero branches of the ratios
+        no_rows = make_table(["a", "b"], [], []), make_conds(["c1", "c2"], [[], []])
+        unpredicted = make_table(["a", "b", "c"], EIGHT["pred"], EIGHT["gt"]), conds
+        for (table, conds), class_i, dc in [
+            (no_rows, 0, ()), (no_rows, 1, ("c1", "c2")), (unpredicted, 2, ()), (unpredicted, 2, ("c1", "c2")),
+        ]:
+            counts = detection_counts(table, conds, class_i, dc)
+            assert (counts.pos, counts.neg, counts.bod, counts.class_support, counts.confidence) == (0, 0, 0, 0, 0)
 
     def test_perfect_error_detector(self):
         # condition true exactly on the false positives of class a
@@ -375,6 +387,14 @@ class TestCorrectionCounts:
         table, conds = self.ten_sample()
         counts = correction_counts(table, conds, 0, ())
         assert (counts.pos, counts.bod, counts.support, counts.confidence) == (0, 0, 0.0, 0.0)
+        # a zero-row table, and pairs of a class that is never predicted
+        no_rows = make_table(["a", "b"], [], []), make_conds(["c1", "c2"], [[], []])
+        unpredicted = make_table(["a", "b", "c", "d"], TEN["pred"], TEN["gt"]), conds
+        for (table, conds), cc in [
+            (no_rows, ()), (no_rows, [("c1", 1), ("c2", 0)]), (unpredicted, [("c1", 3), ("c2", 3)]),
+        ]:
+            counts = correction_counts(table, conds, 0, cc)
+            assert (counts.pos, counts.bod, counts.support, counts.confidence) == (0, 0, 0.0, 0.0)
 
     def test_perfect_corrector(self):
         table = make_table(["a", "b"], ["b", "b", "b"], ["a", "a", "b"])
@@ -546,3 +566,11 @@ class TestConditionMatrix:
         conds = make_conds(["a"], [[1, 0]])
         with pytest.raises(ValueError):
             conds.values[0, 0] = False
+
+    def test_values_are_not_kept(self):
+        """Only the words stay on the matrix: reading ``values`` leaves no
+        8x larger copy of the bools behind."""
+        conds = make_conds(["a", "b"], [[1, 0, 1], [0, 0, 1]])
+        assert conds.values.tolist() == [[True, False], [False, False], [True, True]]
+        conds.rows([0, 2])
+        assert "values" not in vars(conds)

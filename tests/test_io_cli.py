@@ -77,12 +77,13 @@ class TestPredictionsFormat:
     def test_pred_faults_come_before_repeated_ids(self, tmp_path):
         """The table alone checks that ids do not repeat, so the reader's
         faults of the pred column come first; repeated ids alone are still a
-        data error naming the first five, sorted."""
+        data error naming the first id that repeats, in order of first
+        appearance."""
         path = tmp_path / "p.csv"
         path.write_text("sample_id,pred\n" + "".join(f"{s},a\n" for s in "gfedcbagfedcba"))
         with pytest.raises(DataError) as err:
             io.read_predictions(path)
-        assert str(err.value) == f"{path}: duplicate sample ids: ['a', 'b', 'c', 'd', 'e']"
+        assert str(err.value) == f"{path}: duplicate sample id 'g'"
         path.write_text("sample_id,pred\n1,a\n1,zz\n")
         with pytest.raises(ContractError) as err:
             io.read_predictions(path, ClassSet(("a", "b")))
@@ -132,7 +133,7 @@ class TestConditionsFormat:
     @pytest.mark.parametrize("cell", ["{}", '"{}"'])
     @pytest.mark.parametrize(
         "names, message",
-        [("c1,c1", "duplicate condition name 'c1'"), ("c1,,c2", "empty condition name in column 3")],
+        [("c1,c1", "duplicate condition name 'c1'"), ("c1,,c2", "empty condition name in the sequence at index 1")],
     )
     def test_bad_condition_names(self, tmp_path, cell, names, message):
         # the plain layout and one with quoted bit cells, which the scanner declines
@@ -540,7 +541,7 @@ class TestReadersMatchReference:
         with mock.patch.object(io, "_SCAN_BLOCK", block):
             for classes in (None, ClassSet(("a", "b"))):
                 expected = table_outcome(reference_read_predictions, path, classes)
-                if expected[0] is DataError and expected[1].startswith(f"{path}: duplicate sample ids"):
+                if expected[0] is DataError and expected[1].startswith(f"{path}: duplicate sample id "):
                     expected = pred_column_fault(path, classes) or expected
                 assert table_outcome(io.read_predictions, path, classes) == expected
 

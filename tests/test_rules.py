@@ -183,10 +183,14 @@ class TestApplyTrace:
         ("fired", [0, 2], r"^fired ids must lie in \[0, 2\)"),
         ("flagged", ["0", "1"], r"^flagged must be bools or 0/1 integers"),
         ("flagged", [2, 0], r"^flagged must be bools or 0/1 integers"),
+        ("sample_ids", "ab", r"^sample ids must be a sequence of strings, not the string 'ab'$"),
+        ("sample_ids", (1, 2), r"^sample ids must be strings, got 1$"),
+        ("fired_names", "ab", r"^fired names must be a sequence of strings, not the string 'ab'$"),
     ])
     def test_columns_are_checked(self, column, value, message):
+        columns = {"sample_ids": ("x", "y"), **trace_columns(**{column: value})}
         with pytest.raises(ContractError, match=message):
-            ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(**{column: value}))
+            ApplyTrace(ClassSet(("a", "b")), **columns)
 
 
 class TestApplyRuleset:

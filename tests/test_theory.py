@@ -220,6 +220,11 @@ class TestCorrectionScenarios:
         with pytest.raises(ContractError, match="n_total must be"):
             build_correction_scenario(n_total, 0.2, 0.5, 0.2, 0.5)
 
+    @pytest.mark.parametrize("extra_fn", [1.5, True, "1", None, -1])
+    def test_bad_extra_fn(self, extra_fn):
+        with pytest.raises(ContractError, match="^extra_fn must be a non-negative integer"):
+            build_correction_scenario(10, 0.2, 0.5, 0.2, 0.5, extra_fn=extra_fn)
+
 
 class TestSubmodularity:
     def test_single_condition_vacuous(self):
