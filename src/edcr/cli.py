@@ -15,14 +15,7 @@ import numpy as np
 
 from . import io
 from .conditions import generate_synthetic
-from .core import (
-    ContractError,
-    DataError,
-    EdcrError,
-    PredictionTable,
-    VerificationError,
-    name_column,
-)
+from .core import ContractError, DataError, EdcrError, VerificationError
 from .evaluate import (
     ScoringMode,
     error_detection_metrics,
@@ -176,14 +169,7 @@ def cmd_eval(args) -> int:
     if args.trace:
         trace = io.read_trace(args.trace, table)
         # detection verdicts are scored against the original predictions
-        if trace.classes == table.classes:
-            original_table = table.with_predictions(trace.original)
-        else:  # the trace names a class revised.csv no longer predicts: compare names
-            gt = table.names(table.gt_ids)
-            original_table = PredictionTable.from_names(
-                trace.classes, table.sample_ids, name_column(trace.classes.names, trace.original), gt
-            )
-        detection = error_detection_metrics(trace.flagged, original_table)
+        detection = error_detection_metrics(trace.flagged, trace.table)
         report = dataclasses.replace(report, error_detection=detection)
 
     out = _save(args, {"mode": mode.value}, ("metrics.csv", io.write_metrics, report))

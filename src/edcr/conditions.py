@@ -50,7 +50,9 @@ which adds left to right as the recurrence does.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
+import reprlib
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Mapping, Sequence
@@ -64,6 +66,7 @@ from .core import (
     DataError,
     PredictionTable,
     UnknownClassError,
+    _array,
     _integer_array,
     check_count,
     check_names,
@@ -163,6 +166,7 @@ def fit_velocity_thresholds(
     are whatever appears in the data.  Labels are class names, non-empty
     ``str`` (:func:`~edcr.core.check_names`), and neither ``labels`` nor
     ``classes`` may be a bare string, which would be read as its characters.
+    ``speeds`` is a 1-D sequence of finite numbers >= 0, one per label.
     """
     if isinstance(labels, str):
         raise ContractError(f"labels must be a sequence of class labels, not the string {labels!r}")
@@ -171,9 +175,9 @@ def fit_velocity_thresholds(
     labels = check_names("class label", labels, distinct=False)
     if classes is not None:
         classes = check_names("class name", classes)
+    speeds = _require_speeds(speeds)
     if len(labels) != len(speeds):
         raise ContractError(f"{len(labels)} labels for {len(speeds)} speeds")
-    speeds = _require_speeds(speeds, lambda k: f"speed at index {k}")
     maxima: dict[str, float] = {}
     for label, speed in zip(labels, speeds.tolist()):
         if label not in maxima or speed > maxima[label]:
@@ -187,14 +191,30 @@ def fit_velocity_thresholds(
     return maxima
 
 
-def _require_speeds(values, describe) -> np.ndarray:
-    """``values`` as float64 when each is finite and >= 0; otherwise a
-    :class:`ContractError` naming the first other one, by ``describe(k)``."""
-    values = np.asarray(values, dtype=np.float64)
-    bad = np.flatnonzero(~((0.0 <= values) & (values < np.inf)))  # also true for NaN
+def _require_speeds(values, classes: Sequence[str] = (), finite: bool = True) -> np.ndarray:
+    """``values`` as float64, or a :class:`ContractError` unless it is a 1-D
+    sequence of real numbers, each >= 0 and not NaN, and finite when
+    ``finite``.  They are speeds, or the ceilings of ``classes`` when given,
+    and the message names the first bad one by its index or class, its
+    value shortened by :func:`reprlib.repr`."""
+    def describe(k: int) -> str:
+        return f"ceiling of class {classes[k]!r}" if classes else f"speed at index {k}"
+
+    arr = _array(values)
+    if arr.ndim != 1:
+        what = "ceilings" if classes else "speeds"
+        raise ContractError(f"{what} must be a 1-D sequence of numbers, got {reprlib.repr(values)}")
+    if arr.dtype.kind not in "biuf":
+        items = arr.tolist() if isinstance(values, np.ndarray) else list(values)
+        k = next((k for k, item in enumerate(items) if not isinstance(item, numbers.Real)), None)
+        if k is not None:
+            raise ContractError(f"{describe(k)} must be a number, got {reprlib.repr(items[k])}")
+    arr = arr.astype(np.float64)
+    bad = np.flatnonzero(~((0.0 <= arr) & ((arr < np.inf) if finite else True)))  # also true for NaN
     if len(bad):
-        raise ContractError(f"{describe(int(bad[0]))} must be finite and >= 0, got {float(values[bad[0]])}")
-    return values
+        rule = "finite and >= 0" if finite else ">= 0 and not NaN"
+        raise ContractError(f"{describe(int(bad[0]))} must be {rule}, got {float(arr[bad[0]])}")
+    return arr
 
 
 def velocity_condition_name(class_name: str) -> str:
@@ -205,13 +225,15 @@ def build_velocity_conditions(thresholds: Mapping[str, float], speeds: np.ndarra
     """Velocity-outlier condition columns over the records' :func:`max_speeds`,
     one ``vel_over_<c>`` column per fitted class in sorted name order; the
     classes are non-empty ``str`` names (:func:`~edcr.core.check_names`).
+    ``speeds`` is a 1-D sequence of numbers, each >= 0 and not NaN; ``inf``,
+    which :func:`max_speeds` gives on overflow, is over every ceiling.
 
     A record is an outlier for a class when it moves strictly faster than the
     fastest training record of that class.
     """
     names = sorted(check_names("class name", thresholds))
-    ceilings = _require_speeds([thresholds[c] for c in names], lambda j: f"ceiling of class {names[j]!r}")
-    over = np.asarray(speeds, dtype=float)[:, None] > ceilings
+    ceilings = _require_speeds([thresholds[c] for c in names], classes=names)
+    over = _require_speeds(speeds, finite=False)[:, None] > ceilings
     return ConditionMatrix(tuple(map(velocity_condition_name, names)), over)
 
 

@@ -315,8 +315,13 @@ class PredictionTable:
         predicted: Iterable[str],
         ground_truth: Iterable[str] | None = None,
     ) -> "PredictionTable":
-        gt = None if ground_truth is None else _coded(list(ground_truth))
-        return cls._from_coded(classes, sample_ids, _coded(list(predicted)), gt)
+        """A table from one class name per sample: ``predicted`` names a class
+        or UNKNOWN, ``ground_truth`` (if given) any class, and each is an
+        iterable of ``str``, never a bare string, which would be read as its
+        characters."""
+        pred = _coded(_strings("predicted label", predicted))
+        gt = None if ground_truth is None else _coded(_strings("ground-truth label", ground_truth))
+        return cls._from_coded(classes, sample_ids, pred, gt)
 
     @classmethod
     def _from_coded(cls, classes, sample_ids, predicted, ground_truth=None) -> "PredictionTable":

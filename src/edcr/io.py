@@ -71,7 +71,6 @@ from .core import (
     _require_aligned,
     check_names,
     id_column,
-    name_column,
 )
 from .evaluate import MetricsReport, SweepRow, UnseenRow
 from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
@@ -554,15 +553,13 @@ def load_ruleset(path) -> RuleSet:
 
 
 def write_trace(path, trace: ApplyTrace) -> None:
+    """Write ``trace`` with one row per row of its table: the sample id, the
+    original class (the table's prediction), the flag, the fired targets and
+    the final class."""
+    table = trace.table
     flagged = _BIT_TEXT[trace.flagged.view(np.uint8)].tolist()
-    columns = (
-        trace.sample_ids,
-        name_column(trace.classes.names, trace.original),
-        flagged,
-        trace.fired_column(),
-        name_column(trace.classes.names, trace.final),
-    )
-    _write_columns(path, TRACE_HEADER, columns)
+    original, final = table.names(table.pred_ids), table.names(trace.final)
+    _write_columns(path, TRACE_HEADER, (table.sample_ids, original, flagged, trace.fired_column(), final))
 
 
 def _trace_fault(column: int, cell: str) -> str:
@@ -577,16 +574,18 @@ _TRACE = _CellRules(
 
 def read_trace(path, table: PredictionTable) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace` with its rows in the
-    order of ``table``, whose ``sample_ids`` it shares.
+    order of ``table``, whose ``sample_ids`` its table shares.
 
     A file that lists the table's ids in order, as ``edcr apply`` writes it,
     is read row for row without hashing an id.  Otherwise one id-to-row dict
     places the rows: ids the table lacks are ignored, and a repeated id or a
-    table id the file lacks is a :class:`DataError` naming ``path``.  An
-    original or final class on any row outside ``table.classes`` extends the
-    trace's class set after them, in sorted order: a class the batch
-    predicted but the revised file no longer does, or the target of a
-    correction that the batch never predicts."""
+    table id the file lacks is a :class:`DataError` naming ``path``.  The
+    trace's table holds the original column as its predictions and the
+    ground truth of ``table``, if any, matched by name.  An original or final
+    class on any row outside ``table.classes`` extends its class set after
+    them, in sorted order: a class the batch predicted but the revised file
+    no longer does, or the target of a correction that the batch never
+    predicts."""
     path = Path(path)
     classes = table.classes
     lookup = {**classes._ids, UNKNOWN_NAME: -1}
@@ -602,10 +601,9 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     original, flagged, fired, final = columns
     extra = tuple(sorted(set(original[1]).union(final[1]).difference(lookup)))
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
+    gt = None if table.gt_ids is None else (table.gt_ids, classes.names + table.novel_names)
     return ApplyTrace(
-        ClassSet(classes.names + extra),
-        table.sample_ids,
-        id_column(lookup, original[1], "original")[original[0]],
+        PredictionTable._from_coded(ClassSet(classes.names + extra), table.sample_ids, original, gt),
         np.array([name == "1" for name in flagged[1]], dtype=bool)[flagged[0]],
         fired[0],
         fired[1],

@@ -7,7 +7,9 @@ rule's target class and that satisfies at least one of its conditions.  Phase 2
 (correction) re-labels every sample matching a correction body, where bodies
 are evaluated against the ORIGINAL predictions so that application order
 cannot matter.  A sample that is flagged and never corrected is routed to the
-reserved UNKNOWN label; anything matching no body is left untouched.
+reserved UNKNOWN label; anything matching no body is left untouched.  The
+:class:`ApplyTrace` of an application holds the table it was applied to, whose
+predictions are the original column that detection verdicts are scored against.
 """
 from __future__ import annotations
 
@@ -129,33 +131,33 @@ class RuleSet:
 
 @dataclass(frozen=True, eq=False)
 class ApplyTrace:
-    """Columnar record of one application, one entry per sample.
+    """Columnar record of one application, one entry per row of ``table``.
 
-    ``original`` and ``final`` are class-id columns (-1 for UNKNOWN),
-    ``flagged`` is the detection verdict, and ``fired`` codes into
+    ``table`` is the table the rules were applied to: its class set, sample
+    ids and ``pred_ids`` are the trace's classes, ids and original column,
+    checked once, by its constructor.  ``final`` is a class-id column (-1 for
+    UNKNOWN), ``flagged`` is the detection verdict, and ``fired`` codes into
     ``fired_names``: the ``;``-joined targets of the correction rules whose
     body matched, in priority order with the winner first ("" for none).
-    Each column must have one entry per sample id, class ids and codes in
-    range and flags bools or 0/1 integers; anything else is a
-    :class:`ContractError`.  Each column is stored as a read-only copy, so
-    the caller's arrays stay its own.  The sample ids and ``fired_names`` are
-    sequences of ``str``, never a bare string; the ids are the table's, whose
-    constructor checks that they are distinct, and are not hashed again.
+    ``table`` must be a :class:`PredictionTable`, each column must have one
+    entry per row, class ids and codes in range and flags bools or 0/1
+    integers, and ``fired_names`` a sequence of ``str``, never a bare string;
+    anything else is a :class:`ContractError`.  Each column is stored as a
+    read-only copy, so the caller's arrays stay its own.
     """
 
-    classes: ClassSet
-    sample_ids: tuple[str, ...]
-    original: np.ndarray
+    table: PredictionTable
     flagged: np.ndarray
     fired: np.ndarray
     fired_names: tuple[str, ...]
     final: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", _strings("sample id", self.sample_ids))
+        if not isinstance(self.table, PredictionTable):
+            raise ContractError(f"a trace's table must be a PredictionTable, got {type(self.table).__name__}")
         object.__setattr__(self, "fired_names", _strings("fired name", self.fired_names))
-        n, k = len(self.sample_ids), len(self.classes)
-        for name, low, high in (("original", -1, k), ("final", -1, k), ("fired", 0, len(self.fired_names))):
+        n, k = self.table.n, len(self.table.classes)
+        for name, low, high in (("final", -1, k), ("fired", 0, len(self.fired_names))):
             object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
         flagged = _bit_array("flagged", self.flagged).copy()
         if flagged.shape != (n,):
@@ -202,7 +204,8 @@ def apply_ruleset(
     table: PredictionTable,
     conds: ConditionMatrix,
 ) -> tuple[PredictionTable, ApplyTrace]:
-    """Apply a rule set and return the revised table plus its columnar trace.
+    """Apply a rule set and return the revised table plus its columnar trace,
+    which holds ``table`` itself as its original predictions.
 
     Ground truth is not required: application is pure inference, and
     ``conds`` needs only the conditions some rule uses.  When several
@@ -223,5 +226,4 @@ def apply_ruleset(
         final[body] = ordered[j].target
     revised = table.with_predictions(final)
     codes, fired_names = _fired_codes(fired, [table.classes.names[rule.target] for rule in ordered])
-    trace = ApplyTrace(table.classes, table.sample_ids, pred, flags, codes, fired_names, revised.pred_ids)
-    return revised, trace
+    return revised, ApplyTrace(table, flags, codes, fired_names, revised.pred_ids)

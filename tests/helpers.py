@@ -893,9 +893,7 @@ def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
     fired_names = tuple(dict.fromkeys(fired))
     return ApplyTrace(
-        ClassSet(classes.names + extra),
-        sample_ids,
-        id_column(lookup, original, "original"),
+        PredictionTable(ClassSet(classes.names + extra), sample_ids, id_column(lookup, original, "original")),
         np.array(flagged, dtype="U1") == "1",
         id_column(dict(zip(fired_names, range(len(fired_names)))), fired, "fired"),
         fired_names,

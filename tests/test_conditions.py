@@ -332,6 +332,39 @@ class TestVelocityThresholds:
         with pytest.raises(ContractError, match=message):
             build_velocity_conditions({"b": 1.0, "a": ceiling}, np.array([1.0]))
 
+    @pytest.mark.parametrize(
+        "speeds, message",
+        [
+            ([math.nan, -3.0], r"^speed at index 0 must be >= 0 and not NaN, got nan$"),
+            ([1.0, -3.0], r"^speed at index 1 must be >= 0 and not NaN, got -3.0$"),
+            ([0.0, -math.inf], r"^speed at index 1 must be >= 0 and not NaN, got -inf$"),
+            (5.0, r"^speeds must be a 1-D sequence of numbers, got 5.0$"),
+            ("x", r"^speeds must be a 1-D sequence of numbers, got 'x'$"),
+            ([[1.0, 2.0]], r"^speeds must be a 1-D sequence of numbers, got \[\[1.0, 2.0\]\]$"),
+            ([1.0, "x"], r"^speed at index 1 must be a number, got 'x'$"),
+            (np.array(["1", "2"]), r"^speed at index 0 must be a number, got '1'$"),
+        ],
+    )
+    def test_build_checks_its_speeds(self, speeds, message):
+        with pytest.raises(ContractError, match=message):
+            build_velocity_conditions({"a": 1.0}, speeds)
+
+    @pytest.mark.parametrize(
+        "speeds, message",
+        [
+            (5.0, r"^speeds must be a 1-D sequence of numbers, got 5.0$"),
+            ([1.0, "x"], r"^speed at index 1 must be a number, got 'x'$"),
+            (np.ones((2, 1)), r"^speeds must be a 1-D sequence of numbers, got array"),
+        ],
+    )
+    def test_fit_checks_its_speeds(self, speeds, message):
+        with pytest.raises(ContractError, match=message):
+            fit_velocity_thresholds(["a", "b"], speeds)
+
+    def test_ceiling_must_be_a_number(self):
+        with pytest.raises(ContractError, match=r"^ceiling of class 'b' must be a number, got 'x'$"):
+            build_velocity_conditions({"a": 1.0, "b": "x"}, [1.0])
+
     def test_infinite_speed_is_over_every_ceiling(self):
         # max_speeds gives inf when a distance over a tiny time step overflows
         matrix = build_velocity_conditions({"a": 1.0}, np.array([0.5, math.inf]))

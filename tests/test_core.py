@@ -53,6 +53,24 @@ class TestPredictionTable:
         assert table.names(table.gt_ids) == ["scooter", "a"]
         assert table.names(table.pred_ids) == [UNKNOWN_NAME, "b"]
 
+    @pytest.mark.parametrize(
+        "predicted, ground_truth, message",
+        [
+            ("ab", ["b", "a"], r"^predicted labels must be a sequence of strings, not the string 'ab'$"),
+            (["a", "b"], "ba", r"^ground-truth labels must be a sequence of strings, not the string 'ba'$"),
+            ([["a"], "b"], None, r"^predicted labels must be strings, got \['a'\]$"),
+            (["a", "b"], ["a", 1], r"^ground-truth labels must be strings, got 1$"),
+        ],
+    )
+    def test_from_names_takes_sequences_of_labels(self, predicted, ground_truth, message):
+        with pytest.raises(ContractError, match=message):
+            PredictionTable.from_names(ClassSet(("a", "b")), ["x", "y"], predicted, ground_truth)
+
+    def test_from_names_takes_other_iterables(self):
+        classes = ClassSet(("a", "b"))
+        table = PredictionTable.from_names(classes, ["x", "y"], iter(["a", "b"]), (c for c in "ba"))
+        assert table.names(table.pred_ids) == ["a", "b"] and table.names(table.gt_ids) == ["b", "a"]
+
     def test_unknown_never_ground_truth(self):
         with pytest.raises(ContractError):
             make_table(["a"], ["a"], [UNKNOWN_NAME])
@@ -97,6 +115,7 @@ class TestPredictionTable:
             ([0], [2], ("",)),  # an empty novel name, which would be written as an empty cell
             ([0], [2], (1,)),  # a novel name that is not a str
             ([0], [2], "xy"),  # a bare string, which would be read as the names x and y
+            ([0, 1], None, ()),  # one predicted id per sample id
         ],
     )
     def test_id_columns_validated(self, pred_ids, gt_ids, novel):
@@ -131,9 +150,8 @@ class TestPredictionTable:
         [
             (lambda classes: PredictionTable(classes, ("", "y"), [0, 1]), 0),
             (lambda classes: PredictionTable.from_names(classes, ["x", ""], ["a", "b"], ["a", "a"]), 1),
-            (lambda classes: PredictionTable(classes, ("y", ""), [0, 1]).subset([1]), 1),
         ],
-        ids=["constructor", "from_names", "subset"],
+        ids=["constructor", "from_names"],
     )
     def test_sample_ids_are_not_empty(self, build, index):
         # no reader takes an empty id, so a table holding one could be

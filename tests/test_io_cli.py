@@ -19,6 +19,7 @@ from edcr import (
     DegenerateStatsError,
     DetectionRule,
     EdcrError,
+    PredictionTable,
     RuleSet,
     UNKNOWN_NAME,
     UnknownClassError,
@@ -483,8 +484,17 @@ def table_outcome(reader, path, *args):
         result = reader(path, *args)
     except Exception as err:  # the exception type and message are the outcome
         return type(err), str(err)
-    arrays = {k: (v.dtype.str, v.tolist()) for k, v in vars(result).items() if isinstance(v, np.ndarray)}
-    return type(result), {**vars(result), **arrays}
+    return type(result), plain_fields(result)
+
+
+def plain_fields(result):
+    """The fields of a table or trace, each array as its dtype and list and
+    a trace's table as its own fields."""
+    def plain(value):
+        if isinstance(value, np.ndarray):
+            return value.dtype.str, value.tolist()
+        return plain_fields(value) if isinstance(value, PredictionTable) else value
+    return {k: plain(v) for k, v in vars(result).items()}
 
 
 def id_table(classes, sample_ids):
@@ -496,7 +506,8 @@ def reference_trace_table(expected, classes):
     """The table to read a trace file against for the reference outcome
     ``expected`` of that file: the reference trace's ids in file order or,
     when the reference raised, one id the file lacks."""
-    return id_table(classes, expected[1]["sample_ids"] if isinstance(expected[1], dict) else ["absent id"])
+    ids = expected[1]["table"]["sample_ids"] if isinstance(expected[1], dict) else ["absent id"]
+    return id_table(classes, ids)
 
 
 def pred_column_fault(path, classes):
@@ -516,8 +527,11 @@ def pred_column_fault(path, classes):
 def reversed_rows(outcome):
     """A trace outcome of :func:`table_outcome` with its rows reversed."""
     kind, trace = outcome
-    columns = {k: (v[0], v[1][::-1]) for k, v in trace.items() if k in ("original", "flagged", "fired", "final")}
-    return kind, {**trace, **columns, "sample_ids": trace["sample_ids"][::-1]}
+    table = trace["table"]
+    columns = {k: (v[0], v[1][::-1]) for k, v in trace.items() if k in ("flagged", "fired", "final")}
+    dtype, original = table["pred_ids"]
+    table = {**table, "pred_ids": (dtype, original[::-1]), "sample_ids": table["sample_ids"][::-1]}
+    return kind, {**trace, **columns, "table": table}
 
 
 class TestReadersMatchReference:
@@ -740,9 +754,7 @@ class TestRulesetFormat:
 
 def same_trace(a, b):
     return (
-        a.classes == b.classes
-        and a.sample_ids == b.sample_ids
-        and a.original.tolist() == b.original.tolist()
+        same_table(a.table, b.table)
         and a.flagged.tolist() == b.flagged.tolist()
         and a.fired_column() == b.fired_column()
         and a.final.tolist() == b.final.tolist()
@@ -779,19 +791,34 @@ class TestTraceFormat:
         path = tmp_path / "trace.csv"
         path.write_text("sample_id,original,flagged,fired,final\nx,a,0,,a\ny,zz,1,c,c\n")
         trace = io.read_trace(path, id_table(ClassSet(("a",)), ["x", "y"]))
-        assert trace.classes.names == ("a", "c", "zz")
-        assert trace.original.tolist() == [0, 2]
+        assert trace.table.classes.names == ("a", "c", "zz")
+        assert trace.table.pred_ids.tolist() == [0, 2]
         assert trace.final.tolist() == [0, 1]
         # the class set is taken over every row of the file, also a row the table lacks
-        assert io.read_trace(path, id_table(ClassSet(("a",)), ["x"])).classes.names == ("a", "c", "zz")
+        assert io.read_trace(path, id_table(ClassSet(("a",)), ["x"])).table.classes.names == ("a", "c", "zz")
 
     def test_final_outside_classes_extends_trace_classes(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("sample_id,original,flagged,fired,final\nx,a,1,c,c\ny,a,0,,a\n")
         trace = io.read_trace(path, id_table(ClassSet(("a",)), ["x", "y"]))
-        assert trace.classes.names == ("a", "c")
-        assert trace.original.tolist() == [0, 0]
+        assert trace.table.classes.names == ("a", "c")
+        assert trace.table.pred_ids.tolist() == [0, 0]
         assert trace.final.tolist() == [1, 0]
+
+    @pytest.mark.parametrize("final", ["b", "c"])
+    def test_ground_truth_is_kept_by_name(self, tmp_path, final):
+        # ground truth c is novel to the table; a trace whose final column
+        # names c takes it into its class set, and gt c becomes that class
+        table = make_table(["a", "b"], ["a", "b", "a"], ["b", "c", "a"], ids=["x", "y", "z"])
+        path = tmp_path / "trace.csv"
+        path.write_text(f"sample_id,original,flagged,fired,final\nx,a,1,{final},{final}\ny,b,0,,b\nz,a,0,,a\n")
+        trace = io.read_trace(path, table)
+        assert trace.table.names(trace.table.gt_ids) == table.names(table.gt_ids) == ["b", "c", "a"]
+        assert trace.table.names(trace.table.pred_ids) == ["a", "b", "a"]
+        extended = final == "c"
+        assert trace.table.classes.names == (("a", "b", "c") if extended else ("a", "b"))
+        assert trace.table.novel_names == (() if extended else ("c",))
+        assert trace.table.sample_ids is table.sample_ids
 
     def test_eval_with_correction_to_unpredicted_class(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"])
@@ -815,7 +842,7 @@ class TestTraceFormat:
         path = tmp_path / "t.csv"
         io.write_trace(path, trace)
         back = io.read_trace(path, table)  # as apply writes it
-        assert back.sample_ids is table.sample_ids and same_trace(back, trace)
+        assert back.table.sample_ids is table.sample_ids and same_trace(back, trace)
         for ids, rows in [
             (("x", "y", "z"), [0, 1, 2]),  # equal, not the same tuple
             (("z", "x", "y"), [2, 0, 1]),
@@ -823,9 +850,10 @@ class TestTraceFormat:
         ]:
             other = id_table(table.classes, ids)
             back = io.read_trace(path, other)
-            assert back.sample_ids is other.sample_ids
+            assert back.table.sample_ids is other.sample_ids
             assert back.fired_column() == [trace.fired_column()[row] for row in rows]
-            for column in ("original", "flagged", "final"):
+            assert back.table.pred_ids.tolist() == trace.table.pred_ids[rows].tolist()
+            for column in ("flagged", "final"):
                 assert getattr(back, column).tolist() == getattr(trace, column)[rows].tolist()
         with pytest.raises(DataError, match="t.csv lacks sample id 'w'"):
             io.read_trace(path, id_table(table.classes, ["x", "w"]))

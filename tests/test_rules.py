@@ -9,6 +9,7 @@ from edcr import (
     ContractError,
     CorrectionRule,
     DetectionRule,
+    PredictionTable,
     RuleSet,
     det_corr_rule_learn,
     apply_ruleset,
@@ -150,15 +151,16 @@ class TestUnitIntervalValues:
 
 
 def trace_columns(**changes):
-    """The columns of a two-sample trace over classes a and b, as lists,
-    with ``changes`` applied."""
-    columns = dict(original=[0, 1], flagged=[True, False], fired=[0, 1], fired_names=("", "b"), final=[-1, 1])
+    """The fields of a trace over a two-sample table, ids x and y predicted
+    a and b, as lists, with ``changes`` applied."""
+    table = PredictionTable(ClassSet(("a", "b")), ("x", "y"), [0, 1])
+    columns = dict(table=table, flagged=[True, False], fired=[0, 1], fired_names=("", "b"), final=[-1, 1])
     return {**columns, **changes}
 
 
 class TestApplyTrace:
     def test_columns_may_be_lists(self, tmp_path):
-        trace = ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(flagged=[1, 0]))
+        trace = ApplyTrace(**trace_columns(flagged=[1, 0]))
         assert trace.flagged.dtype == bool and not trace.final.flags.writeable
         io.write_trace(tmp_path / "t.csv", trace)
         assert (tmp_path / "t.csv").read_text() == (
@@ -167,30 +169,31 @@ class TestApplyTrace:
 
     def test_flagged_is_a_private_copy(self):
         flagged = np.array([True, False])
-        trace = ApplyTrace(ClassSet(("a", "b")), ("x", "y"), **trace_columns(flagged=flagged))
+        trace = ApplyTrace(**trace_columns(flagged=flagged))
         assert trace.flagged is not flagged and not trace.flagged.flags.writeable
         flagged[0] = False  # the caller's array stays writable
         assert trace.flagged.tolist() == [True, False]
 
     @pytest.mark.parametrize("column, value, message", [
-        ("original", [0], r"^original has 1 entries for 2 sample ids"),
+        ("table", "x", r"^a trace's table must be a PredictionTable, got str$"),
         ("flagged", [True], r"^flagged has 1 entries for 2 sample ids"),
         ("fired", [0, 0, 0], r"^fired has 3 entries for 2 sample ids"),
         ("final", [1], r"^final has 1 entries for 2 sample ids"),
-        ("original", [5, 0], r"^original ids must lie in \[-1, 2\)"),
+        ("final", [2, 0], r"^final ids must lie in \[-1, 2\)"),
         ("final", [-2, 0], r"^final ids must lie in \[-1, 2\)"),
-        ("original", [0, True], r"^original must be a 1-D array of integers"),
+        ("final", [0, True], r"^final must be a 1-D array of integers"),
         ("fired", [0, 2], r"^fired ids must lie in \[0, 2\)"),
         ("flagged", ["0", "1"], r"^flagged must be bools or 0/1 integers"),
         ("flagged", [2, 0], r"^flagged must be bools or 0/1 integers"),
-        ("sample_ids", "ab", r"^sample ids must be a sequence of strings, not the string 'ab'$"),
-        ("sample_ids", (1, 2), r"^sample ids must be strings, got 1$"),
+        ("table", ClassSet(("a", "b")), r"^a trace's table must be a PredictionTable, got ClassSet$"),
+        ("fired_names", ("", 1), r"^fired names must be strings, got 1$"),
         ("fired_names", "ab", r"^fired names must be a sequence of strings, not the string 'ab'$"),
     ])
     def test_columns_are_checked(self, column, value, message):
-        columns = {"sample_ids": ("x", "y"), **trace_columns(**{column: value})}
+        # the table's ids, classes and predictions are checked by its own
+        # constructor (tests/test_core.py::TestPredictionTable)
         with pytest.raises(ContractError, match=message):
-            ApplyTrace(ClassSet(("a", "b")), **columns)
+            ApplyTrace(**trace_columns(**{column: value}))
 
 
 class TestApplyRuleset:
@@ -230,7 +233,7 @@ class TestApplyRuleset:
         # row 2 matches the correction body without being flagged: a correction
         # applies wherever its body matches
         assert fired(trace) == ["b", "", "b", "", "", ""]
-        assert trace.original.tolist() == table.pred_ids.tolist()
+        assert trace.table is table
         assert trace.final.tolist() == revised.pred_ids.tolist()
 
     def test_missing_condition_is_config_error(self):
