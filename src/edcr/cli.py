@@ -168,6 +168,10 @@ def cmd_eval(args) -> int:
     report = metrics_report(table, mode=mode)
     if args.trace:
         trace = io.read_trace(args.trace, table)
+        differs = np.flatnonzero(trace.final != table.pred_ids)  # the trace's class set extends the table's
+        if differs.size:
+            raise DataError(f"{args.trace}: final class of sample id {table.sample_ids[differs[0]]!r} "
+                            f"differs from {args.predictions}")
         # detection verdicts are scored against the original predictions
         detection = error_detection_metrics(trace.flagged, trace.table)
         report = dataclasses.replace(report, error_detection=detection)
@@ -262,65 +266,52 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate a synthetic corpus")
-    p.add_argument("--seed", type=int, default=0)
+    def shared(flag, **options) -> argparse.ArgumentParser:  # a flag several commands take, declared once
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(flag, **options)
+        return parent
+
+    predictions, conditions = shared("--predictions", required=True), shared("--conditions", required=True)
+    epsilon = shared("--epsilon", type=float, default=0.1)
+    learn_fraction = shared("--learn-fraction", type=float, default=0.5)
+    seed = shared("--seed", type=int, default=0)
+    out = shared("--out", required=True)
+
+    def command(name, func, help, *parents) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[*parents, out])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", cmd_gen, "generate a synthetic corpus", seed)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--noise", type=float, default=0.25)
     p.add_argument("--holdout", default="", help="comma-separated classes the mock model never predicts")
     p.add_argument("--condition-noise", type=float, default=0.05)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("learn", help="learn a rule set from predictions + conditions")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--conditions", required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p = command("learn", cmd_learn, "learn a rule set from predictions + conditions",
+                predictions, conditions, epsilon)
     p.add_argument("--epsilon-per-class", default="", help="overrides, e.g. walk=0.05,bike=0.2")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_learn)
 
-    p = sub.add_parser("apply", help="apply a saved rule set to predictions")
+    p = command("apply", cmd_apply, "apply a saved rule set to predictions", predictions, conditions)
     p.add_argument("--ruleset", required=True)
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--conditions", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_apply)
 
-    p = sub.add_parser("eval", help="score a (possibly revised) predictions file")
-    p.add_argument("--predictions", required=True)
+    p = command("eval", cmd_eval, "score a (possibly revised) predictions file", predictions)
     p.add_argument("--trace", default="", help="trace.csv from apply, for error-detection metrics")
     p.add_argument("--mode", default="strict", help="strict or novel-aware")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("sweep", help="epsilon sweep with theoretical recall overlay")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--conditions", required=True)
+    p = command("sweep", cmd_sweep, "epsilon sweep with theoretical recall overlay",
+                predictions, conditions, learn_fraction)
     p.add_argument("--epsilons", default="0,0.05,0.1,0.2,0.3")
-    p.add_argument("--learn-fraction", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("unseen", help="zero/few-shot unseen-class experiment")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--conditions", required=True)
+    p = command("unseen", cmd_unseen, "zero/few-shot unseen-class experiment",
+                predictions, conditions, epsilon, learn_fraction)
     p.add_argument("--holdout", required=True, help="comma-separated holdout classes")
     p.add_argument("--fractions", default="0,0.1,0.2")
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--learn-fraction", type=float, default=0.5)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_unseen)
 
-    p = sub.add_parser("verify", help="run theorem and submodularity checks on a corpus")
-    p.add_argument("--predictions", required=True)
-    p.add_argument("--conditions", required=True)
-    p.add_argument("--epsilon", type=float, default=0.1)
+    p = command("verify", cmd_verify, "run theorem and submodularity checks on a corpus",
+                predictions, conditions, epsilon, seed)
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--correction-scenarios", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_verify)
-
     return parser
 
 

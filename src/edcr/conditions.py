@@ -67,6 +67,7 @@ from .core import (
     PredictionTable,
     UnknownClassError,
     _array,
+    _bool_index,
     _integer_array,
     check_count,
     check_names,
@@ -168,8 +169,6 @@ def fit_velocity_thresholds(
     ``classes`` may be a bare string, which would be read as its characters.
     ``speeds`` is a 1-D sequence of finite numbers >= 0, one per label.
     """
-    if isinstance(labels, str):
-        raise ContractError(f"labels must be a sequence of class labels, not the string {labels!r}")
     if any(label is None for label in labels):
         raise ContractError("every training record needs a class label")
     labels = check_names("class label", labels, distinct=False)
@@ -194,9 +193,9 @@ def fit_velocity_thresholds(
 def _require_speeds(values, classes: Sequence[str] = (), finite: bool = True) -> np.ndarray:
     """``values`` as float64, or a :class:`ContractError` unless it is a 1-D
     sequence of real numbers, each >= 0 and not NaN, and finite when
-    ``finite``.  They are speeds, or the ceilings of ``classes`` when given,
-    and the message names the first bad one by its index or class, its
-    value shortened by :func:`reprlib.repr`."""
+    ``finite``; a ``bool`` is not a number.  They are speeds, or the
+    ceilings of ``classes`` when given, and the message names the first bad
+    one by its index or class, its value shortened by :func:`reprlib.repr`."""
     def describe(k: int) -> str:
         return f"ceiling of class {classes[k]!r}" if classes else f"speed at index {k}"
 
@@ -204,11 +203,12 @@ def _require_speeds(values, classes: Sequence[str] = (), finite: bool = True) ->
     if arr.ndim != 1:
         what = "ceilings" if classes else "speeds"
         raise ContractError(f"{what} must be a 1-D sequence of numbers, got {reprlib.repr(values)}")
-    if arr.dtype.kind not in "biuf":
-        items = arr.tolist() if isinstance(values, np.ndarray) else list(values)
-        k = next((k for k, item in enumerate(items) if not isinstance(item, numbers.Real)), None)
-        if k is not None:
-            raise ContractError(f"{describe(k)} must be a number, got {reprlib.repr(items[k])}")
+    k = _bool_index(values)
+    if k is None and arr.dtype.kind not in "iuf":
+        k = next((k for k, item in enumerate(values) if not isinstance(item, numbers.Real)), None)
+    if k is not None:
+        item = (arr.tolist() if isinstance(values, np.ndarray) else values)[k]
+        raise ContractError(f"{describe(k)} must be a number, got {reprlib.repr(item)}")
     arr = arr.astype(np.float64)
     bad = np.flatnonzero(~((0.0 <= arr) & ((arr < np.inf) if finite else True)))  # also true for NaN
     if len(bad):

@@ -116,8 +116,8 @@ def check_pairs(pairs) -> tuple[tuple[str, int], ...]:
     :class:`ContractError` unless each is a 2-item pair of a non-empty ``str``
     and an integer; a bare string is not a sequence of pairs.  A class id
     that is not an integer (a ``bool`` is not one) is an
-    :class:`UnknownClassError`, as in :meth:`ClassSet.check_id`, which
-    range-checks ids where the class set is known."""
+    :class:`UnknownClassError`, as in :meth:`ClassSet.check_pairs`, which
+    also range-checks ids where the class set is known."""
     items = () if isinstance(pairs, str) else tuple(pairs)
     shaped = all(
         isinstance(pair, (tuple, list)) and len(pair) == 2 and isinstance(pair[0], str) and pair[0] != ""
@@ -174,10 +174,9 @@ class ClassSet:
             f"class id {class_id!r} is not in [0, {len(self.names)}) for classes {self.names}"
         )
 
-
-def name_column(names: Sequence[str], ids: np.ndarray) -> list[str]:
-    """Names for an id column: id ``k`` is ``names[k]`` and -1 is UNKNOWN."""
-    return np.array((*names, UNKNOWN_NAME), dtype=object)[ids].tolist()
+    def check_pairs(self, pairs) -> tuple[tuple[str, int], ...]:
+        """:func:`check_pairs` of ``pairs``, each class id by :meth:`check_id`."""
+        return tuple((name, self.check_id(class_id)) for name, class_id in check_pairs(pairs))
 
 
 def id_column(lookup: dict[str, int], names: Iterable[str], role: str) -> np.ndarray:
@@ -206,17 +205,25 @@ def _array(value) -> np.ndarray:
         return np.asarray(None)
 
 
+def _bool_index(value) -> int | None:
+    """The index of the first ``bool`` item of the sequence ``value``, or None:
+    numpy reads a bool among numbers as 0 or 1, but a bool is not a number.
+    An array's dtype tells that, so only an object array's items are read."""
+    items = value if not isinstance(value, np.ndarray) or value.dtype == object else ()
+    if {bool, np.bool_}.isdisjoint(map(type, items)):
+        return None
+    return next(k for k, item in enumerate(items) if isinstance(item, (bool, np.bool_)))
+
+
 def _integer_array(name: str, value) -> np.ndarray:
     """``value`` as an array, or :class:`ContractError` naming ``name`` unless
-    it is a 1-D array of integers; a ``bool`` is not an integer, also among
-    the integers of a list, which numpy reads as 0 or 1.  An empty sequence,
-    which numpy makes float, is taken as integers."""
+    it is a 1-D array of integers; a ``bool`` is not an integer
+    (:func:`_bool_index`).  An empty sequence, which numpy makes float, is
+    taken as integers."""
     arr = _array(value)
     if not arr.size:
         arr = arr.astype(np.intp)
-    if arr.dtype.kind not in "iu" or arr.ndim != 1 or (
-        not isinstance(value, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, value))
-    ):
+    if arr.dtype.kind not in "iu" or arr.ndim != 1 or _bool_index(value) is not None:
         raise ContractError(f"{name} must be a 1-D array of integers, got {value!r}")
     return arr
 
@@ -242,6 +249,16 @@ def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
     if n and (arr.min() < low or arr.max() >= high):
         raise ContractError(f"{role} ids must lie in [{low}, {high})")
     arr = arr.astype(np.int32)
+    arr.setflags(write=False)
+    return arr
+
+
+def _checked_flags(values, n: int, role: str) -> np.ndarray:
+    """``values`` as a read-only bool copy, or :class:`ContractError` naming
+    ``role`` unless it is bools or 0/1 integers (:func:`_bit_array`) of shape ``(n,)``."""
+    arr = _bit_array(role, values).copy()
+    if arr.shape != (n,):
+        raise ContractError(f"{role} must have shape ({n},), got {arr.shape}")
     arr.setflags(write=False)
     return arr
 
@@ -304,8 +321,8 @@ class PredictionTable:
         return compute_class_stats(self)
 
     def names(self, ids: np.ndarray) -> list[str]:
-        """Class names for an id column of this table."""
-        return name_column(self.classes.names + self.novel_names, ids)
+        """Class names for an id column of this table, novel ones included; -1 is UNKNOWN."""
+        return np.array((*self.classes.names, *self.novel_names, UNKNOWN_NAME), dtype=object)[ids].tolist()
 
     @classmethod
     def from_names(
@@ -596,8 +613,7 @@ def correction_counts(
     zeros, matching the empty-body convention.
     """
     i = _class_of(table, conds, class_i)
-    pairs = [(cond, table.classes.check_id(cls)) for cond, cls in check_pairs(cc)]
-    body = rule_body(conds, table.pred_ids, pairs)
+    body = rule_body(conds, table.pred_ids, table.classes.check_pairs(cc))
     bod = int(np.count_nonzero(body))
     pos = int(np.count_nonzero(body & (table.gt_ids == i)))
     support = bod / table.n if table.n > 0 else 0.0

@@ -16,7 +16,7 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
-    _bit_array,
+    _checked_flags,
     _require_aligned,
     check_names,
     check_unit_interval,
@@ -69,9 +69,7 @@ def error_detection_metrics(flags: Sequence[bool], table: PredictionTable) -> Er
     """Score detection verdicts, one per row of ``table``, each a bool or a
     0/1 integer, with actual errors as the positive class."""
     table.require_ground_truth()
-    flag_arr = _bit_array("flags", flags)
-    if flag_arr.shape != (table.n,):
-        raise ContractError(f"flags must have shape ({table.n},), got {flag_arr.shape}")
+    flag_arr = _checked_flags(flags, table.n, "flags")
     actual = table.pred_ids != table.gt_ids
     raised = int(np.count_nonzero(flag_arr))
     errors = int(np.count_nonzero(actual))

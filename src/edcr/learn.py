@@ -43,7 +43,6 @@ from .core import (
     _pack_rows,
     _pair_words,
     _require_aligned,
-    check_pairs,
     check_unit_interval,
     correction_counts,
     detection_counts,
@@ -58,8 +57,10 @@ def recall_budget(stats: ClassStats, class_id: int, epsilon: float) -> float:
 
     Equals eps * N_i * P_i / R_i; evaluated as eps * (TP_i + FN_i), the exact
     integer form of the same quantity, to avoid float drift at the boundary.
-    A ``class_id`` outside the class set is an :class:`UnknownClassError`.
+    ``epsilon`` is a number in [0, 1] (:func:`~edcr.core.check_unit_interval`),
+    and a ``class_id`` outside the class set is an :class:`UnknownClassError`.
     """
+    epsilon = check_unit_interval("epsilon", epsilon)
     i = stats.classes.check_id(class_id)
     return epsilon * (int(stats.tp[i]) + int(stats.fn[i]))
 
@@ -78,12 +79,11 @@ def det_rule_learn(
     Argmax ties go to the lexicographically smallest condition name; see the
     module docstring for the incremental scoring.
     """
-    check_unit_interval("epsilon", epsilon)
     i = _class_of(table, conds, class_i)
     stats = table.stats
+    budget = recall_budget(stats, i, epsilon)  # checks epsilon, also for a class that is skipped
     if stats.n_predicted[i] == 0 or stats.recall[i] == 0.0:
         return ()
-    budget = recall_budget(stats, i, epsilon)
     pool = sorted(conds.condition_names)
     words = conds.words[[conds.column_index(name) for name in pool]]  # one row per candidate
     predicted, correct = table.pred_ids == i, table.gt_ids == i
@@ -128,7 +128,7 @@ def corr_rule_learn(
     i = _class_of(table, conds, class_i)
     p_i = float(table.stats.precision[i])
 
-    pairs = list(dict.fromkeys((cond, table.classes.check_id(cls)) for cond, cls in check_pairs(cc_all)))
+    pairs = list(dict.fromkeys(table.classes.check_pairs(cc_all)))
     words = _pair_words(conds, table.pred_ids, pairs)
     head = _pack_rows((table.gt_ids == i)[None, :])[0]
 

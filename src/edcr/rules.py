@@ -24,7 +24,7 @@ from .core import (
     ConditionMatrix,
     ContractError,
     PredictionTable,
-    _bit_array,
+    _checked_flags,
     _checked_ids,
     _require_aligned,
     _strings,
@@ -115,10 +115,9 @@ class RuleSet:
             if missing:
                 raise ContractError(f"detection rule uses undeclared conditions {sorted(missing)}")
         for rule in self.correction_rules:
-            for cond, pair_class in rule.pairs:
+            for cond, _ in self.classes.check_pairs(rule.pairs):
                 if cond not in universe:
                     raise ContractError(f"correction rule uses undeclared condition {cond!r}")
-                self.classes.check_id(pair_class)
 
     @cached_property
     def detection_by_class(self) -> dict[int, DetectionRule]:
@@ -159,11 +158,7 @@ class ApplyTrace:
         n, k = self.table.n, len(self.table.classes)
         for name, low, high in (("final", -1, k), ("fired", 0, len(self.fired_names))):
             object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
-        flagged = _bit_array("flagged", self.flagged).copy()
-        if flagged.shape != (n,):
-            raise ContractError(f"flagged has {flagged.size} entries for {n} sample ids")
-        flagged.setflags(write=False)
-        object.__setattr__(self, "flagged", flagged)
+        object.__setattr__(self, "flagged", _checked_flags(self.flagged, n, "flagged"))
 
     def fired_column(self) -> list[str]:
         return np.array(self.fired_names, dtype=object)[self.fired].tolist()

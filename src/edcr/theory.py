@@ -294,18 +294,17 @@ def build_correction_scenario(
     target class has exactly the given support and confidence, against a
     baseline with the given prior and precision.  The rule body covers rows
     predicted as the other class, disjoint from the target's predictions, as
-    the closed forms assume."""
+    the closed forms assume; its four ratios are checked, as theirs are, to lie in [0, 1]."""
     if check_count("n_total", n_total) == 0:
         raise ContractError("n_total must be positive")
     extra_fn = check_count("extra_fn", extra_fn)
+    _check_ratios(prior=prior, precision=precision, support=support, confidence=confidence)
     n_i = _as_count(prior * n_total, "N_i")
     tp = _as_count(precision * n_i, "TP")
     bod = _as_count(support * n_total, "BOD")
     pos = _as_count(confidence * bod, "POS")
     if n_i + bod + extra_fn > n_total:
         raise ContractError("N_i + BOD + extra_fn exceeds the table size; not realizable")
-    if min(n_i, bod) < 0:
-        raise ContractError("N_i and BOD must be non-negative")
 
     classes = ClassSet(("a", "b"))
     # blocks of rows: existing predictions of the target class, the body

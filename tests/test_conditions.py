@@ -265,7 +265,7 @@ class TestVelocityThresholds:
             fit_velocity_thresholds(["a", "b"], [1.0, 2.0], classes=["a", "a"])
 
     def test_labels_are_not_a_string(self):
-        with pytest.raises(ContractError, match="^labels must be a sequence of class labels, not the string 'ab'$"):
+        with pytest.raises(ContractError, match="^class labels must be a sequence of strings, not the string 'ab'$"):
             fit_velocity_thresholds("ab", [1.0, 2.0])
 
     @pytest.mark.parametrize(
@@ -343,6 +343,12 @@ class TestVelocityThresholds:
             ([[1.0, 2.0]], r"^speeds must be a 1-D sequence of numbers, got \[\[1.0, 2.0\]\]$"),
             ([1.0, "x"], r"^speed at index 1 must be a number, got 'x'$"),
             (np.array(["1", "2"]), r"^speed at index 0 must be a number, got '1'$"),
+            # a bool is not a number: numpy would read it as 0 or 1
+            ([True, False], r"^speed at index 0 must be a number, got True$"),
+            ([2.0, True], r"^speed at index 1 must be a number, got True$"),
+            (np.array([False, True]), r"^speed at index 0 must be a number, got False$"),
+            ([1.0, np.True_], r"^speed at index 1 must be a number, got np.True_$"),
+            (np.array([1.0, True], dtype=object), r"^speed at index 1 must be a number, got True$"),
         ],
     )
     def test_build_checks_its_speeds(self, speeds, message):
@@ -355,6 +361,7 @@ class TestVelocityThresholds:
             (5.0, r"^speeds must be a 1-D sequence of numbers, got 5.0$"),
             ([1.0, "x"], r"^speed at index 1 must be a number, got 'x'$"),
             (np.ones((2, 1)), r"^speeds must be a 1-D sequence of numbers, got array"),
+            ([True, 3.0], r"^speed at index 0 must be a number, got True$"),
         ],
     )
     def test_fit_checks_its_speeds(self, speeds, message):
@@ -364,6 +371,8 @@ class TestVelocityThresholds:
     def test_ceiling_must_be_a_number(self):
         with pytest.raises(ContractError, match=r"^ceiling of class 'b' must be a number, got 'x'$"):
             build_velocity_conditions({"a": 1.0, "b": "x"}, [1.0])
+        with pytest.raises(ContractError, match=r"^ceiling of class 'a' must be a number, got True$"):
+            build_velocity_conditions({"a": True}, [1.0])
 
     def test_infinite_speed_is_over_every_ceiling(self):
         # max_speeds gives inf when a distance over a tiny time step overflows

@@ -8,6 +8,7 @@ from edcr import (
     ClassStats,
     ConditionMatrix,
     ContractError,
+    CorrectionRule,
     DetectionRule,
     PredictionTable,
     RuleSet,
@@ -429,9 +430,16 @@ class TestCorrectionCounts:
         assert counts.confidence == pytest.approx(0.75)
 
     def test_unknown_class_in_pair(self):
+        # each caller checks pair class ids with ClassSet.check_pairs
         table, conds = self.ten_sample()
-        with pytest.raises(UnknownClassError):
-            correction_counts(table, conds, 0, [("c1", 3)])
+        rule = CorrectionRule(0, (("c1", 3),), 0.5, 0.5)
+        for call in (
+            lambda: correction_counts(table, conds, 0, [("c1", 3)]),
+            lambda: corr_rule_learn(0, [("c1", 3)], table, conds),
+            lambda: RuleSet(table.classes, conds.condition_names, 0.1, correction_rules=(rule,)),
+        ):
+            with pytest.raises(UnknownClassError, match=r"^class id 3 is not in \[0, 3\)"):
+                call()
 
     @given(st.integers(0, 2**32 - 1))
     def test_matches_row_oracle(self, seed):

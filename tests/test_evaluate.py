@@ -65,7 +65,7 @@ class TestErrorDetectionMetrics:
 
     def test_length_mismatch(self):
         table = make_table(["a"], ["a"], ["a"])
-        with pytest.raises(ContractError):
+        with pytest.raises(ContractError, match=re.escape("flags must have shape (1,), got (2,)")):
             error_detection_metrics([True, False], table)
         three = make_table(["a"], ["a"] * 3, ["a"] * 3)
         with pytest.raises(ContractError, match=re.escape("flags must have shape (3,), got (3, 1)")):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shlex
@@ -821,11 +822,36 @@ class TestTraceFormat:
         assert trace.table.sample_ids is table.sample_ids
 
     def test_eval_with_correction_to_unpredicted_class(self, tmp_path):
-        table = make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"])
+        # the batch predicted only a; the revised table p.csv predicts b for x, as the trace's final column does
+        table = make_table(["a", "b"], ["b", "a"], ["b", "a"], ids=["x", "y"])
         io.write_predictions(tmp_path / "p.csv", table)
         (tmp_path / "t.csv").write_text("sample_id,original,flagged,fired,final\nx,a,1,b,b\ny,a,0,,a\n")
         assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
                     "--out", tmp_path / "out"]) == 0
+
+    def test_eval_rejects_the_trace_of_another_table(self, tmp_path, capsys):
+        """A trace whose final column is not the scored table's predictions
+        belongs to another run: a data error naming the trace file and the
+        first sample id where they differ.  Both pairs exited 0 before."""
+        corpus = gen_corpus(tmp_path)
+        p, c = corpus / "predictions.csv", corpus / "conditions.csv"
+        for k, epsilon in enumerate((0.1, 0.3)):
+            assert run(["learn", "--predictions", p, "--conditions", c, "--epsilon", epsilon,
+                        "--out", tmp_path / f"learn{k}"]) == 0
+            assert run(["apply", "--ruleset", tmp_path / f"learn{k}" / "ruleset.yaml", "--predictions", p,
+                        "--conditions", c, "--out", tmp_path / f"apply{k}"]) == 0
+        a0, a1 = tmp_path / "apply0", tmp_path / "apply1"
+        for predictions, trace in ((a0 / "revised.csv", a1 / "trace.csv"), (p, a0 / "trace.csv")):
+            with predictions.open(newline="") as pred_file, trace.open(newline="") as trace_file:
+                rows = zip(csv.DictReader(pred_file), csv.DictReader(trace_file))
+                first = next(pred["sample_id"] for pred, traced in rows if pred["pred"] != traced["final"])
+            capsys.readouterr()
+            assert run(["eval", "--predictions", predictions, "--trace", trace, "--out", tmp_path / "e"]) == 3
+            err = capsys.readouterr().err
+            assert err == f"error: {trace}: final class of sample id {first!r} differs from {predictions}\n"
+        assert not (tmp_path / "e").exists()
+        assert run(["eval", "--predictions", a1 / "revised.csv", "--trace", a1 / "trace.csv",
+                    "--out", tmp_path / "e"]) == 0
 
     def test_eval_trace_missing_sample_id_names_file(self, tmp_path, capsys):
         table = make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"])
@@ -1151,6 +1177,81 @@ def test_crlf_corpus_gives_the_same_outputs(tmp_path):
         files = sorted(path for path in out.rglob("*") if path.is_file() and path.name != "manifest.json")
         outputs.append({path.relative_to(out): path.read_bytes() for path in files})
     assert len(outputs[0]) == 4 and outputs[0] == outputs[1]
+
+
+# every subcommand's options, as option string: (dest, default, required,
+# type, help), and the command function it runs
+CLI_SURFACE = {
+    "gen": ("cmd_gen", {
+        "--seed": ("seed", 0, False, int, None),
+        "--samples": ("samples", 2000, False, int, None),
+        "--noise": ("noise", 0.25, False, float, None),
+        "--holdout": ("holdout", "", False, None, "comma-separated classes the mock model never predicts"),
+        "--condition-noise": ("condition_noise", 0.05, False, float, None),
+        "--out": ("out", None, True, None, None),
+    }),
+    "learn": ("cmd_learn", {
+        "--predictions": ("predictions", None, True, None, None),
+        "--conditions": ("conditions", None, True, None, None),
+        "--epsilon": ("epsilon", 0.1, False, float, None),
+        "--epsilon-per-class": ("epsilon_per_class", "", False, None, "overrides, e.g. walk=0.05,bike=0.2"),
+        "--out": ("out", None, True, None, None),
+    }),
+    "apply": ("cmd_apply", {
+        "--ruleset": ("ruleset", None, True, None, None),
+        "--predictions": ("predictions", None, True, None, None),
+        "--conditions": ("conditions", None, True, None, None),
+        "--out": ("out", None, True, None, None),
+    }),
+    "eval": ("cmd_eval", {
+        "--predictions": ("predictions", None, True, None, None),
+        "--trace": ("trace", "", False, None, "trace.csv from apply, for error-detection metrics"),
+        "--mode": ("mode", "strict", False, None, "strict or novel-aware"),
+        "--out": ("out", None, True, None, None),
+    }),
+    "sweep": ("cmd_sweep", {
+        "--predictions": ("predictions", None, True, None, None),
+        "--conditions": ("conditions", None, True, None, None),
+        "--epsilons": ("epsilons", "0,0.05,0.1,0.2,0.3", False, None, None),
+        "--learn-fraction": ("learn_fraction", 0.5, False, float, None),
+        "--out": ("out", None, True, None, None),
+    }),
+    "unseen": ("cmd_unseen", {
+        "--predictions": ("predictions", None, True, None, None),
+        "--conditions": ("conditions", None, True, None, None),
+        "--holdout": ("holdout", None, True, None, "comma-separated holdout classes"),
+        "--fractions": ("fractions", "0,0.1,0.2", False, None, None),
+        "--epsilon": ("epsilon", 0.1, False, float, None),
+        "--learn-fraction": ("learn_fraction", 0.5, False, float, None),
+        "--out": ("out", None, True, None, None),
+    }),
+    "verify": ("cmd_verify", {
+        "--predictions": ("predictions", None, True, None, None),
+        "--conditions": ("conditions", None, True, None, None),
+        "--epsilon": ("epsilon", 0.1, False, float, None),
+        "--trials": ("trials", 2000, False, int, None),
+        "--correction-scenarios": ("correction_scenarios", 100, False, int, None),
+        "--seed": ("seed", 0, False, int, None),
+        "--out": ("out", None, True, None, None),
+    }),
+}
+
+
+def test_cli_surface():
+    """Each subcommand takes exactly these options, each a plain store of
+    one value, however the parser declares them; only their order is free."""
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    surface = {}
+    for name, command in commands.choices.items():
+        options = [action for action in command._actions if not isinstance(action, argparse._HelpAction)]
+        assert all(type(action) is argparse._StoreAction and action.nargs is None for action in options)
+        assert all(len(action.option_strings) == 1 for action in options)
+        surface[name] = (command.get_default("func"), {
+            action.option_strings[0]: (action.dest, action.default, action.required, action.type, action.help)
+            for action in options
+        })
+    assert surface == {name: (getattr(cli, func), options) for name, (func, options) in CLI_SURFACE.items()}
 
 
 class TestCli:

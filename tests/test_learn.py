@@ -1,3 +1,5 @@
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -155,13 +157,21 @@ class TestDetRuleLearn:
             counts = detection_counts(table, conds, i, chosen)
             assert counts.neg <= recall_budget(stats, i, epsilon) + 1e-12
 
-    @pytest.mark.parametrize("class_id", [-1, 7, True])
-    def test_recall_budget_checks_its_class(self, class_id):
+    @pytest.mark.parametrize("class_id, epsilon, error, message", [
+        *(pytest.param(c, 0.1, UnknownClassError, f"^class id {c!r} is not in", id=repr(c)) for c in (-1, 7, True)),
+        *(
+            pytest.param(0, e, ContractError, re.escape(f"epsilon must be a finite number in [0, 1], got {e!r}"),
+                         id=f"epsilon={e!r}")
+            for e in ("x", True, 5.0, -1.0, math.nan)
+        ),
+    ])
+    def test_recall_budget_checks_its_class(self, class_id, epsilon, error, message):
         """-1 would read the last class's counts, 7 is past the five classes,
-        and a bool is not a class id."""
+        and a bool is not a class id; epsilon is a number in [0, 1], as for
+        det_rule_learn (a string was repeated, 5.0 gave five times the cap)."""
         stats = generate_synthetic(seed=7, n_samples=40).table.stats
-        with pytest.raises(UnknownClassError, match=f"class id {class_id!r} is not in"):
-            recall_budget(stats, class_id, 0.1)
+        with pytest.raises(error, match=message):
+            recall_budget(stats, class_id, epsilon)
 
 
 class TestCorrRuleLearn:

@@ -176,7 +176,7 @@ class TestApplyTrace:
 
     @pytest.mark.parametrize("column, value, message", [
         ("table", "x", r"^a trace's table must be a PredictionTable, got str$"),
-        ("flagged", [True], r"^flagged has 1 entries for 2 sample ids"),
+        ("flagged", [True], r"^flagged must have shape \(2,\), got \(1,\)$"),
         ("fired", [0, 0, 0], r"^fired has 3 entries for 2 sample ids"),
         ("final", [1], r"^final has 1 entries for 2 sample ids"),
         ("final", [2, 0], r"^final ids must lie in \[-1, 2\)"),
@@ -188,6 +188,7 @@ class TestApplyTrace:
         ("table", ClassSet(("a", "b")), r"^a trace's table must be a PredictionTable, got ClassSet$"),
         ("fired_names", ("", 1), r"^fired names must be strings, got 1$"),
         ("fired_names", "ab", r"^fired names must be a sequence of strings, not the string 'ab'$"),
+        ("flagged", [[True], [False]], r"^flagged must have shape \(2,\), got \(2, 1\)$"),
     ])
     def test_columns_are_checked(self, column, value, message):
         # the table's ids, classes and predictions are checked by its own

@@ -1,3 +1,5 @@
+import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -224,6 +226,20 @@ class TestCorrectionScenarios:
     def test_bad_extra_fn(self, extra_fn):
         with pytest.raises(ContractError, match="^extra_fn must be a non-negative integer"):
             build_correction_scenario(10, 0.2, 0.5, 0.2, 0.5, extra_fn=extra_fn)
+
+    @pytest.mark.parametrize("name, value", [
+        ("confidence", 1.5),  # was built as a rule with c = 1.0
+        ("confidence", -0.5),  # c = 0.0
+        ("precision", math.nan),  # a bare ValueError
+        ("prior", True),
+        ("support", "0.2"),
+        ("support", -0.2),
+    ])
+    def test_bad_scenario_ratio(self, name, value):
+        ratios = {"prior": 0.2, "precision": 0.5, "support": 0.2, "confidence": 0.5, name: value}
+        message = re.escape(f"{name} must be a finite number in [0, 1], got {value!r}")
+        with pytest.raises(ContractError, match=f"^{message}$"):
+            build_correction_scenario(10, **ratios)
 
 
 class TestSubmodularity:
