@@ -70,25 +70,31 @@ def check_unit_interval(name: str, value) -> float:
 
 
 def _strings(what: str, values) -> tuple[str, ...]:
-    """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
-    item) unless it is a sequence of ``str``; a bare string, which would be
-    read as its characters, is not one.  No Python loop runs per item, so
-    this also serves the sample ids of large tables."""
+    """``values`` as a tuple, or :class:`ContractError` naming ``what`` and
+    the first bad item unless it is a sequence of ``str`` that UTF-8 can
+    encode (no lone surrogate, which no file can hold); a bare string, which
+    would be read as its characters, is not one.  No Python loop runs per
+    item, so this also serves the sample ids of large tables."""
     if isinstance(values, str):
         raise ContractError(f"{what}s must be a sequence of strings, not the string {values!r}")
     items = tuple(values)
     try:
-        "".join(items)  # a TypeError unless every item is a str
+        joined = "".join(items)  # a TypeError unless every item is a str
+        if not joined.isascii():
+            joined.encode()  # a UnicodeEncodeError at a lone surrogate
     except TypeError:
         bad = next(item for item in items if not isinstance(item, str))
         raise ContractError(f"{what}s must be strings, got {bad!r}") from None
+    except UnicodeEncodeError:
+        bad = next(item for item in items if item.encode(errors="replace").decode() != item)
+        raise ContractError(f"{what}s must be encodable as UTF-8, got {bad!r}") from None
     return items
 
 
 def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
     """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
-    name) unless it is a sequence of non-empty ``str``, each named once when
-    ``distinct``; a bare string, which would be read as its characters, is
+    name) unless it is a sequence of non-empty ``str`` that UTF-8 can encode
+    (:func:`_strings`), each named once when ``distinct``; a bare string is
     not one.  The message names the index of the first empty name, or the
     first name that repeats, never the whole sequence."""
     names = _strings(what, values)

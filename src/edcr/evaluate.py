@@ -5,7 +5,6 @@ overlay, and the unseen-class zero/few-shot protocol.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -139,12 +138,10 @@ def sequential_split(
     table: PredictionTable, conds: ConditionMatrix, learn_fraction: float = 0.5
 ) -> Split:
     """Prefix/suffix split in sample order: no shuffling, no id overlap.
-    ``learn_fraction`` is a real number (a ``bool`` is not one) strictly
-    between 0 and 1."""
+    ``learn_fraction`` is checked by :func:`check_unit_interval`, and may not
+    be 0 or 1."""
     _require_aligned(table, conds)
-    if not isinstance(learn_fraction, numbers.Real) or isinstance(learn_fraction, bool):
-        raise ContractError(f"learn_fraction must be a real number, got {learn_fraction!r}")
-    if not 0.0 < learn_fraction < 1.0:
+    if check_unit_interval("learn_fraction", learn_fraction) in (0.0, 1.0):
         raise ContractError(f"learn_fraction must lie strictly in (0, 1), got {learn_fraction}")
     cut = int(round(table.n * learn_fraction))
     if cut < 1 or cut >= table.n:

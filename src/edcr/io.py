@@ -9,23 +9,22 @@ Predictions, conditions and trace files are read by one byte scanner first.
 It takes the plain layout the writers write for ordinary ids and names: a
 file with no ``"``, ``\\r`` or NUL byte, in which ``csv.reader`` ends records
 at ``\\n`` and fields at ``,``.  It reads blocks of 256 KiB, splits them at
-``\\n`` and carries the unfinished last record into the next block.  In
-conditions, the ids must be the table's next ids, as every writer writes
-them: the table's ids are encoded to UTF-8 once, and each block's id bytes
-must be the next bytes of them, so no id is decoded.  The ``,0``/``,1``
-cells after each id are read as little-endian 16-bit values, 0x302C and
-0x312C, and checked with one compare per block.  In predictions and traces,
-a block's ids are decoded at once, and the text after each id is coded as
+``\\n`` and carries the unfinished last record into the next block.  A file
+read against a table (conditions, traces) is scanned only when its ids are
+the table's ids in order, as every writer writes them, compared as UTF-8
+bytes (:func:`_id_bytes`); only the predictions reader, which has no table,
+decodes ids.  The ``,0``/``,1`` cells of conditions are read as
+little-endian 16-bit values, 0x302C and 0x312C, and checked with one compare
+per block.  In predictions and traces, the text after each id is coded as
 one string, so it is split and decoded once per distinct value.
 Predictions and traces state their cell rules once, each in a
 ``_CellRules``: the scanner applies them to the distinct values of each
 column, and the row parser to each row.  Anything else (a quote, ``\\r`` or
 NUL anywhere, a bad width or bit, an empty id, a cell that breaks its
-format's rules, conditions rows out of the table's order, a table id that
-holds a separator, quote, line break or NUL) sends the whole file to the
-row parser, built on ``csv.reader``: the single fallback, which reads every
-other valid CSV layout, names the line of every fault and alone matches
-conditions rows to the table by id.
+format's rules, ids that are not the table's in order, or a table id that
+is no plain field) sends the whole file to the row parser, built on
+``csv.reader``: the single fallback, which reads every other valid CSV
+layout, names the line of every fault and alone matches rows by id.
 
 The predictions and trace writers join their text columns as they are, which
 is what ``csv.writer`` writes when counts on the text prove that no field
@@ -206,36 +205,39 @@ def _joined(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> bytes:
     return joined.tobytes()
 
 
-def _scan_ids(data: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> list[str]:
-    """The sample ids ``data[starts[j]:stops[j]]`` of a block, decoded at once:
-    the byte after each id becomes NUL and the ranges are joined.  An id
-    holding a comma is a row of the wrong width."""
-    joined = _joined(data, starts, stops)
-    if (stops - starts > csv.field_size_limit()).any() or b"," in joined:
-        raise _Unscannable
-    return joined.decode().split("\0")[:-1]
+def _id_bytes(table: PredictionTable) -> bytes | None:
+    """The table's sample ids as UTF-8, each ended by a NUL, or None when one
+    is not a plain field: it holds a separator, quote, line break or NUL."""
+    ids = "\0".join([*table.sample_ids, ""]).encode()
+    return None if ids.count(0) != table.n or any(c in ids for c in b',"\r\n') else ids
 
 
-def _scan_columns(path: Path, headers: Sequence[list[str]]):
+def _scan_columns(path: Path, headers: Sequence[list[str]], table: PredictionTable | None):
     """The sample ids and :func:`_coded` cell columns of a file in the plain
     layout (see the module docstring) whose header is one of ``headers``;
-    None as soon as a record is not in it.  The text after each id is coded
-    as one string, so cells are split and decoded once per distinct string,
-    not once per row."""
+    None as soon as a record is not in it.  Read against ``table``, the ids
+    must be :func:`_id_bytes` of it and are its ``sample_ids``; with no table
+    they are decoded once.  The text after each id is coded as one string,
+    so cells are split and decoded once per distinct string."""
     try:
         records = _scan_records(path)
         header = next(records)
         if header not in headers:
             return None
-        ids: list[str] = []
-        tails: list[bytes] = []
+        ids, tails = [], []  # per block its joined ids, and per record the text after its id
         for data, starts, stops in records:
             commas = np.flatnonzero(data == 0x2C)
             first = np.searchsorted(commas, stops) - (len(header) - 1)  # the comma after each id
             if (first < 0).any() or (commas[first] <= starts).any():  # too few fields, or an empty id
                 raise _Unscannable  # which the row parser names by its line
-            ids += _scan_ids(data, starts, commas[first])
+            if (commas[first] - starts > csv.field_size_limit()).any():  # an id csv.reader rejects
+                raise _Unscannable
+            ids.append(_joined(data, starts, commas[first]))
             tails += _joined(data, commas[first] + 1, stops).split(b"\0")[:-1]
+        joined = b"".join(ids)
+        if b"," in joined or (table is not None and joined != _id_bytes(table)):
+            return None  # an id holding a comma is a row of the wrong width
+        sample_ids = joined.decode().split("\0")[:-1] if table is None else table.sample_ids
         tail_codes, distinct = _coded(tails)
         rows = [tail.decode().split(",") for tail in distinct]
         if any(len(cell) > csv.field_size_limit() for cell in chain(*rows)):
@@ -243,7 +245,7 @@ def _scan_columns(path: Path, headers: Sequence[list[str]]):
     except (_Unscannable, UnicodeDecodeError, csv.Error):
         return None
     columns = [_coded(values) for values in zip(*rows)] or [_coded(())] * (len(header) - 1)
-    return ids, [(by_tail[tail_codes], names) for by_tail, names in columns]
+    return sample_ids, [(by_tail[tail_codes], names) for by_tail, names in columns]
 
 
 class _CellRules(NamedTuple):
@@ -257,13 +259,13 @@ class _CellRules(NamedTuple):
     cell_fault: Callable[[int, str], str]
 
 
-def _read_columns(path: Path, rules: _CellRules):
+def _read_columns(path: Path, rules: _CellRules, table: PredictionTable | None):
     """The sample ids and :func:`_coded` cell columns of a file in the format
-    of ``rules``.  The scanner's columns are taken when every distinct value
-    in them passes the cell rules; otherwise the row parser reads the file
-    with ``csv.reader``, applies the rules per row and names the line of the
-    first fault."""
-    scanned = _scan_columns(path, rules.headers)
+    of ``rules``, read against ``table`` if given.  The scanner's columns are
+    taken when every distinct value in them passes the cell rules; otherwise
+    the row parser reads the file with ``csv.reader``, applies the rules per
+    row and names the line of the first fault."""
+    scanned = _scan_columns(path, rules.headers, table)
     if scanned is not None and not any(
         rules.cell_fault(j, cell) for j, (_, cells) in enumerate(scanned[1], 1) for cell in cells
     ):
@@ -311,7 +313,7 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
     that no id repeats, after the faults of the pred column; a repeated id
     is a :class:`DataError` naming ``path``."""
     path = Path(path)
-    ids, (pred, *gt) = _read_columns(path, _PREDICTIONS)
+    ids, (pred, *gt) = _read_columns(path, _PREDICTIONS, None)
     predicted = set(pred[1])
     predicted.discard(UNKNOWN_NAME)
     if classes is None:
@@ -365,16 +367,14 @@ def _condition_names(path: Path, header: list[str]) -> tuple[str, ...]:
 def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | None:
     """The byte scanner: the condition matrix of a file in the plain layout
     (see the module docstring) whose records list ``table.sample_ids`` in
-    order, or None as soon as one record is not.  The table's ids are encoded
-    once, each ended by a NUL, and each block's ids, each ended by a NUL too,
-    must be the next bytes of them, so every id has the table id's bytes and
-    length.  Cells are read as ``<u2``, in which ``,0`` is 0x302C and ``,1``
-    is 0x312C, and their bits fill the next columns of an (m, n) buffer."""
+    order, or None as soon as one record is not.  Each block's ids, each
+    ended by a NUL, must be the next bytes of :func:`_id_bytes`, so every id
+    has the table id's bytes and length.  Cells are read as ``<u2``, in which
+    ``,0`` is 0x302C and ``,1`` is 0x312C, and their bits fill the next
+    columns of an (m, n) buffer."""
     rows, at = 0, 0  # the table rows, and the bytes of their ids, read so far
     try:
-        ids = "\0".join([*table.sample_ids, ""]).encode()
-        if ids.count(0) != table.n or any(c in ids for c in b',"\r\n'):
-            return None  # an id holding a separator, quote, line break or NUL: no plain field
+        ids = _id_bytes(table) or b""  # a table id that is no plain field matches no record
         records = _scan_records(path)
         names = _condition_names(path, next(records))
         values = np.zeros((len(names), table.n), dtype=bool)
@@ -438,17 +438,16 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
     if not conds.n_conditions:
         raise ContractError("a condition matrix with no conditions cannot be written")
     header = ("sample_id", *conds.condition_names)
-    ids, m, joined = table.sample_ids, conds.n_conditions, "".join(table.sample_ids)
-    bits = conds.values.view(np.uint8)
-    if any(c in joined for c in ',"\n\r\0'):
-        return write_csv_rows(path, header, zip(ids, *bits.T.tolist()))
-    encoded = list(map(str.encode, ids))
+    ids, m, bits = _id_bytes(table), conds.n_conditions, conds.values.view(np.uint8)
+    if ids is None:
+        return write_csv_rows(path, header, zip(table.sample_ids, *bits.T.tolist()))
     cells = np.empty((table.n, 2 * m + 1), dtype=np.uint8)
     cells[:, :-1:2] = ord(",")
     cells[:, 1::2] = bits + ord("0")
     cells[:, -1] = ord("\n")
-    at = np.repeat(np.arange(table.n) * (2 * m + 1), list(map(len, encoded)))  # each id before its row
-    body = np.insert(cells.ravel(), at, np.frombuffer(b"".join(encoded), dtype=np.uint8))
+    data = np.frombuffer(ids, dtype=np.uint8)
+    lengths = np.diff(np.flatnonzero(data == 0), prepend=-1) - 1  # each id's bytes, put before its row
+    body = np.insert(cells.ravel(), np.repeat(np.arange(table.n) * (2 * m + 1), lengths), data[data != 0])
     atomic_write_text(path, _csv_text([header]) + body.tobytes().decode())
 
 
@@ -576,21 +575,21 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace` with its rows in the
     order of ``table``, whose ``sample_ids`` its table shares.
 
-    A file that lists the table's ids in order, as ``edcr apply`` writes it,
-    is read row for row without hashing an id.  Otherwise one id-to-row dict
-    places the rows: ids the table lacks are ignored, and a repeated id or a
-    table id the file lacks is a :class:`DataError` naming ``path``.  The
-    trace's table holds the original column as its predictions and the
-    ground truth of ``table``, if any, matched by name.  An original or final
-    class on any row outside ``table.classes`` extends its class set after
-    them, in sorted order: a class the batch predicted but the revised file
-    no longer does, or the target of a correction that the batch never
-    predicts."""
+    A file in the plain layout that lists the table's ids in order, as ``edcr
+    apply`` writes it, is scanned without decoding an id.  The row parser
+    reads any other file, and one id-to-row dict places its rows: ids the
+    table lacks are ignored, and a repeated id or a table id the file lacks is
+    a :class:`DataError` naming ``path``.  The trace's table holds the
+    original column as its predictions and the ground truth of ``table``, if
+    any, matched by name.  An original or final class outside
+    ``table.classes`` extends its class set after them, in sorted order: a
+    class the revised file no longer predicts, or a correction target that
+    the batch never predicts."""
     path = Path(path)
     classes = table.classes
     lookup = {**classes._ids, UNKNOWN_NAME: -1}
-    sample_ids, columns = _read_columns(path, _TRACE)
-    if tuple(sample_ids) != table.sample_ids:
+    sample_ids, columns = _read_columns(path, _TRACE, table)
+    if sample_ids is not table.sample_ids:  # the row parser read the file
         position = dict(zip(sample_ids, range(len(sample_ids))))
         if len(position) != len(sample_ids):
             raise DataError(f"{path}: duplicate sample ids")

@@ -123,6 +123,7 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 
 _BLOCK_ELEMENTS = 1 << 16  # (subset, pattern) cells per block: 512 KB of words
 _EXHAUSTIVE_LIMIT = 12  # conditions up to which check_submodular checks every subset pair
+_PAIR_BLOCK = 1024  # random subset pairs drawn at once when check_submodular samples
 
 
 def _cover_counts(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -169,11 +170,11 @@ class SubmodularityReport:
         return self.counterexample is None
 
 
-def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int, block: int = 1024):
+def _random_subset_pairs(rng: np.random.Generator, m: int, trials: int):
     """``trials`` pairs of uniformly random subsets of m conditions, as one
-    ``(a, b)`` pair of word arrays per block of at most ``block`` pairs."""
-    for start in range(0, trials, block):
-        words = _pack_rows(rng.integers(0, 2, size=(2 * min(block, trials - start), m), dtype=bool))
+    ``(a, b)`` pair of word arrays per block of at most ``_PAIR_BLOCK`` pairs."""
+    for start in range(0, trials, _PAIR_BLOCK):
+        words = _pack_rows(rng.integers(0, 2, size=(2 * min(_PAIR_BLOCK, trials - start), m), dtype=bool))
         yield words[::2], words[1::2]
 
 

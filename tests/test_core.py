@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -184,6 +186,27 @@ class TestPredictionTable:
         assert table.pred_ids.tolist() == [0, 1]
         assert revised.sample_ids is table.sample_ids and revised.gt_ids is table.gt_ids
         assert revised.classes == table.classes and revised.novel_names == ("scooter",)
+
+
+@pytest.mark.parametrize(
+    "build, what, bad",
+    [
+        (lambda: PredictionTable(ClassSet(("a",)), ("s", "x\ud800"), [0, 0]), "sample ids", "x\ud800"),
+        (lambda: ClassSet(("a", "b\udc00c")), "class names", "b\udc00c"),
+        (lambda: ConditionMatrix(("c1", "\ud800"), np.zeros((1, 2), dtype=bool)), "condition names", "\ud800"),
+        (
+            lambda: PredictionTable.from_names(ClassSet(("a",)), ["s"], ["a"], ["x\ud800"]),
+            "ground-truth labels",
+            "x\ud800",
+        ),
+    ],
+    ids=["sample id", "class name", "condition name", "from_names label"],
+)
+def test_names_are_utf8(build, what, bad):
+    """A name with a lone surrogate, which UTF-8 cannot encode, is a contract
+    error naming the first such item, not a UnicodeEncodeError in a writer."""
+    with pytest.raises(ContractError, match=re.escape(f"{what} must be encodable as UTF-8, got {bad!r}")):
+        build()
 
 
 class TestClassStats:

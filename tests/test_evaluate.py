@@ -166,7 +166,8 @@ class TestSplit:
     @pytest.mark.parametrize("fraction", ["0.5", None, True])
     def test_fraction_must_be_a_number(self, fraction):
         corpus = generate_synthetic(seed=0, n_samples=20, noise=0.2)
-        with pytest.raises(ContractError, match=f"^learn_fraction must be a real number, got {fraction!r}$"):
+        message = f"learn_fraction must be a finite number in [0, 1], got {fraction!r}"
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
             sequential_split(corpus.table, corpus.conditions, fraction)
 
     def test_conditions_must_align(self):
@@ -299,7 +300,7 @@ class TestUnseenClassExperiment:
 
     def test_learn_fraction_must_be_a_number(self):
         corpus = self.corpus()
-        with pytest.raises(ContractError, match="^learn_fraction must be a real number, got '0.5'$"):
+        with pytest.raises(ContractError, match=r"^learn_fraction must be a finite number in \[0, 1\], got '0.5'$"):
             unseen_class_experiment(corpus.table, corpus.conditions, holdout=["walk"], learn_fraction="0.5")
 
     def test_conditions_must_align(self):

@@ -525,14 +525,21 @@ def pred_column_fault(path, classes):
     return (ContractError, message) if bad else None
 
 
-def reversed_rows(outcome):
-    """A trace outcome of :func:`table_outcome` with its rows reversed."""
+def rows_at(outcome, rows):
+    """A trace outcome of :func:`table_outcome` with its rows taken at the
+    row indices ``rows``."""
     kind, trace = outcome
     table = trace["table"]
-    columns = {k: (v[0], v[1][::-1]) for k, v in trace.items() if k in ("flagged", "fired", "final")}
+    columns = {k: (trace[k][0], [trace[k][1][row] for row in rows]) for k in ("flagged", "fired", "final")}
     dtype, original = table["pred_ids"]
-    table = {**table, "pred_ids": (dtype, original[::-1]), "sample_ids": table["sample_ids"][::-1]}
+    ids = tuple(table["sample_ids"][row] for row in rows)
+    table = {**table, "pred_ids": (dtype, [original[row] for row in rows]), "sample_ids": ids}
     return kind, {**trace, **columns, "table": table}
+
+
+def reversed_rows(outcome):
+    """A trace outcome of :func:`table_outcome` with its rows reversed."""
+    return rows_at(outcome, range(len(outcome[1]["table"]["sample_ids"]))[::-1])
 
 
 class TestReadersMatchReference:
@@ -762,6 +769,46 @@ def same_trace(a, b):
     )
 
 
+class TestTraceIdBytes:
+    """A trace read against a table is scanned only when its ids are the
+    table's ids as UTF-8 (``io._id_bytes``), byte for byte and in order;
+    every other file goes to the row parser.  Either way it reads to the
+    rows of the reference trace (``helpers.reference_read_trace``) in the
+    table's order, or to the error for the first table id it lacks."""
+
+    @pytest.mark.parametrize(
+        "table_ids, file_ids, scanned",
+        [
+            (("s1", "é2", "s3"), ("s1", "é2", "s3"), True),  # the table's order, with a non-ASCII id
+            (("s1", "é2", "s3"), ("s1", "ê2", "s3"), False),  # the table's byte length, other bytes
+            (("s1", "é2", "s3"), ("s1", "é", "s3"), False),  # a prefix of a table id
+            (("s1", "é2", "s3"), ("s1", "é2", "s3x"), False),  # a table id as a prefix
+            (("s1", "é2", "s3"), ("s3", "s1", "é2"), False),  # the table's ids permuted
+            (("s1", "é2", "s3"), ("s1", "é2", "s3", "s4"), False),  # one extra trailing row
+            (("s1", "s,2"), ("s1", "s,2"), False),  # a table id with a comma, unquoted: too many fields
+            (("s1", 's"2'), ("s1", 's"2'), False),  # a table id with a quote, unquoted
+        ],
+        ids=["in-order", "same-length", "prefix-id", "longer-id", "permuted", "extra-row", "comma", "quote"],
+    )
+    def test_read_against_table(self, tmp_path, table_ids, file_ids, scanned):
+        path = tmp_path / "t.csv"
+        rows = [f"{sample_id},a,{k % 2},{'b' * (k % 2)},{'ab'[k % 2]}" for k, sample_id in enumerate(file_ids)]
+        path.write_text("\n".join([",".join(io.TRACE_HEADER), *rows]) + "\n", encoding="utf-8")
+        table = id_table(ClassSet(("a", "b")), table_ids)
+        expected = table_outcome(reference_read_trace, path, table.classes)
+        if isinstance(expected[1], dict):
+            position = {sample_id: row for row, sample_id in enumerate(expected[1]["table"]["sample_ids"])}
+            missing = [sample_id for sample_id in table_ids if sample_id not in position]
+            if missing:
+                expected = DataError, f"{path} lacks sample id {missing[0]!r}"
+            else:
+                expected = rows_at(expected, [position[sample_id] for sample_id in table_ids])
+        assert table_outcome(io.read_trace, path, table) == expected
+        scan = io._scan_columns(path, io._TRACE.headers, table)
+        assert (scan is not None) == scanned
+        assert not scanned or scan[0] is table.sample_ids
+
+
 class TestTraceFormat:
     def test_roundtrip(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a", "b"])
@@ -963,8 +1010,8 @@ class TestPlainLayoutIsScanned:
         io.write_trace(work / "t.csv", trace)
         io.write_conditions(work / "c.csv", table, conds)
         with mock.patch.object(io, "_SCAN_BLOCK", block):
-            assert io._scan_columns(work / "p.csv", io._PREDICTIONS.headers) is not None
-            assert io._scan_columns(work / "t.csv", io._TRACE.headers) is not None
+            assert io._scan_columns(work / "p.csv", io._PREDICTIONS.headers, None) is not None
+            assert io._scan_columns(work / "t.csv", io._TRACE.headers, table) is not None
             assert io._scan_conditions(work / "c.csv", table) is not None
             assert same_table(io.read_predictions(work / "p.csv", classes=table.classes), revised)
             assert same_trace(io.read_trace(work / "t.csv", table), trace)
@@ -1046,6 +1093,15 @@ class TestWritersMatchReference:
     def test_listed_columns(self, tmp_path, header, columns):
         got = write_outcome(io._write_columns, tmp_path / "new.csv", header, columns)
         assert got == write_outcome(reference_write_csv_rows, tmp_path / "old.csv", header, list(zip(*columns)))
+
+    @pytest.mark.parametrize("ids", [["é", "s1", "ü2"], ["一二", "ß"], ["s1", "é,2"]])
+    def test_write_conditions_non_ascii_ids(self, tmp_path, ids):
+        """Each id's byte length, not its character count, places it before its row."""
+        table = make_table(["a"], ["a"] * len(ids), ids=ids)
+        bits = np.arange(2 * len(ids)).reshape(len(ids), 2) % 3 == 0
+        rows = [[sample_id, *("1" if bit else "0" for bit in row)] for sample_id, row in zip(ids, bits)]
+        got = write_outcome(io.write_conditions, tmp_path / "new.csv", table, ConditionMatrix(("c1", "é"), bits))
+        assert got == write_outcome(reference_write_csv_rows, tmp_path / "old.csv", ("sample_id", "c1", "é"), rows)
 
     @settings(max_examples=100)
     @given(ids=WRITER_IDS, m=st.integers(0, 3), seed=st.integers(0, 2**32 - 1), data=st.data())
