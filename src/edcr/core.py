@@ -11,9 +11,8 @@ computed on first use and kept with the table.
 """
 from __future__ import annotations
 
-import copy
 import numbers
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -196,10 +195,40 @@ def id_column(lookup: dict[str, int], names: Iterable[str], role: str) -> np.nda
 
 def _coded(values: Sequence[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """A column of names as int32 codes into its distinct names, which are
-    listed in order of first appearance."""
-    names = tuple(dict.fromkeys(values))
-    codes = dict(zip(names, range(len(names))))
-    return np.fromiter(map(codes.__getitem__, values), dtype=np.int32, count=len(values)), names
+    listed in order of first appearance; each value is hashed once."""
+    codes = defaultdict()
+    codes.default_factory = codes.__len__  # a new name's code is the count of names before it
+    return np.fromiter(map(codes.__getitem__, values), dtype=np.int32, count=len(values)), tuple(codes)
+
+
+def _rank_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Codes of the rows of integer columns, ``columns[j]`` in ``[0, sizes[j])``,
+    into their distinct rows, ascending with the first column most significant,
+    and a row for each code.  A row is one int64 key in mixed radix, replaced
+    by its rank (order kept, below the row count) before it could pass 2**62."""
+    key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
+    for column, size in zip(columns, sizes):
+        if bound * size > 1 << 62:
+            distinct, key = np.unique(key, return_inverse=True)
+            bound = len(distinct)
+        key, bound = key * size + column, bound * size
+    distinct, codes = np.unique(key, return_inverse=True)
+    rows = np.empty(len(distinct), dtype=np.intp)
+    rows[codes] = np.arange(len(key))  # rows with one code are equal, so any may stand for it
+    return codes, rows
+
+
+def _id_columns(classes: ClassSet, predicted, ground_truth=None):
+    """The predicted and ground-truth id columns and the novel names of a table
+    over ``classes`` from :func:`_coded` pairs, each name looked up once."""
+    lookup = classes._ids
+    pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted[1], "predicted")[predicted[0]]
+    gt, novel = None, ()
+    if ground_truth is not None:
+        novel = tuple(sorted(set(ground_truth[1]).difference(lookup)))
+        lookup = {**lookup, **{name: len(classes) + j for j, name in enumerate(novel)}}
+        gt = id_column(lookup, ground_truth[1], "ground-truth")[ground_truth[0]]
+    return pred, gt, novel
 
 
 def _array(value) -> np.ndarray:
@@ -246,16 +275,18 @@ def _bit_array(name: str, value) -> np.ndarray:
 
 
 def _checked_ids(values, n: int, role: str, low: int, high: int) -> np.ndarray:
-    """``values`` as a read-only int32 copy, or :class:`ContractError` naming
+    """``values`` as a read-only int32 array, or :class:`ContractError` naming
     ``role`` unless it is a 1-D integer array of ``n`` ids in ``[low, high)``.
-    The range is checked before the cast, so no id wraps round int32."""
+    The range is checked before the cast, so no id wraps round int32; only
+    a read-only int32 array that owns its data (a checked column) is kept."""
     arr = _integer_array(role, values)
     if arr.shape != (n,):
         raise ContractError(f"{role} has {arr.size} entries for {n} sample ids")
     if n and (arr.min() < low or arr.max() >= high):
         raise ContractError(f"{role} ids must lie in [{low}, {high})")
-    arr = arr.astype(np.int32)
-    arr.setflags(write=False)
+    if arr.dtype != np.int32 or arr.flags.writeable or not arr.flags.owndata:
+        arr = arr.astype(np.int32)
+        arr.setflags(write=False)
     return arr
 
 
@@ -297,6 +328,10 @@ class PredictionTable:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "sample_ids", check_names("sample id", self.sample_ids))
+        self._check_columns()
+
+    def _check_columns(self) -> None:
+        """The constructor's checks of every field but the sample ids."""
         object.__setattr__(self, "novel_names", check_names("novel class name", self.novel_names))
         n = len(self.sample_ids)
         k = len(self.classes)
@@ -308,6 +343,15 @@ class PredictionTable:
             raise ContractError("ground truth may never be UNKNOWN")
         if not set(self.classes.names).isdisjoint(self.novel_names):
             raise ContractError(f"novel class names {self.novel_names} overlap the class set")
+
+    @classmethod
+    def _on_checked_ids(cls, classes, sample_ids, pred_ids, gt_ids=None, novel_names=()) -> "PredictionTable":
+        """A table over ``sample_ids`` that a constructor already checked (a
+        table's own, or distinct rows of them); every other field is checked."""
+        table, fields = object.__new__(cls), (classes, sample_ids, pred_ids, gt_ids, novel_names)
+        vars(table).update(zip(cls.__dataclass_fields__, fields))
+        table._check_columns()
+        return table
 
     @property
     def n(self) -> int:
@@ -326,9 +370,14 @@ class PredictionTable:
         """:func:`compute_class_stats` of this table, computed on first use."""
         return compute_class_stats(self)
 
+    @property
+    def _labels(self) -> tuple[str, ...]:
+        """The name of each id ``i`` at index ``i + 1``: UNKNOWN, classes, novel names."""
+        return (UNKNOWN_NAME, *self.classes.names, *self.novel_names)
+
     def names(self, ids: np.ndarray) -> list[str]:
         """Class names for an id column of this table, novel ones included; -1 is UNKNOWN."""
-        return np.array((*self.classes.names, *self.novel_names, UNKNOWN_NAME), dtype=object)[ids].tolist()
+        return np.array(self._labels, dtype=object)[np.add(ids, 1)].tolist()
 
     @classmethod
     def from_names(
@@ -344,40 +393,20 @@ class PredictionTable:
         characters."""
         pred = _coded(_strings("predicted label", predicted))
         gt = None if ground_truth is None else _coded(_strings("ground-truth label", ground_truth))
-        return cls._from_coded(classes, sample_ids, pred, gt)
-
-    @classmethod
-    def _from_coded(cls, classes, sample_ids, predicted, ground_truth=None) -> "PredictionTable":
-        """:meth:`from_names` for columns given as :func:`_coded` pairs; names
-        are looked up once each, not once per sample."""
-        lookup = classes._ids
-        pred = id_column({**lookup, UNKNOWN_NAME: -1}, predicted[1], "predicted")[predicted[0]]
-        gt, novel = None, ()
-        if ground_truth is not None:
-            novel = tuple(sorted(set(ground_truth[1]).difference(lookup)))
-            lookup = {**lookup, **{name: len(classes) + j for j, name in enumerate(novel)}}
-            gt = id_column(lookup, ground_truth[1], "ground-truth")[ground_truth[0]]
-        return cls(classes, tuple(sample_ids), pred, gt, novel)
+        return cls(classes, tuple(sample_ids), *_id_columns(classes, pred, gt))
 
     def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":
-        """This table with ``pred_ids`` as its predictions.  Only the new
-        column is checked; the sample ids, ground truth and novel names were
-        checked when this table was built and are shared, not re-hashed."""
-        table = copy.copy(self)
-        vars(table).pop("stats", None)  # this table's stats are not the new one's
-        pred = _checked_ids(pred_ids, self.n, "predicted", -1, len(self.classes))
-        object.__setattr__(table, "pred_ids", pred)
-        return table
+        """This table with ``pred_ids`` as its predictions, on its checked ids."""
+        return self._on_checked_ids(self.classes, self.sample_ids, pred_ids, self.gt_ids, self.novel_names)
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
+        """The rows at ``indices``; only a repeated row has the ids checked."""
         idx = _row_indices(indices, self.n)
-        return PredictionTable(
-            self.classes,
-            tuple(map(self.sample_ids.__getitem__, idx.tolist())),
-            self.pred_ids[idx],
-            None if self.gt_ids is None else self.gt_ids[idx],
-            self.novel_names,
-        )
+        sample_ids = tuple(map(self.sample_ids.__getitem__, idx.tolist()))
+        if not np.diff(np.sort(idx)).all():  # a repeated row
+            check_names("sample id", sample_ids)
+        gt = None if self.gt_ids is None else self.gt_ids[idx]
+        return self._on_checked_ids(self.classes, sample_ids, self.pred_ids[idx], gt, self.novel_names)
 
 
 @dataclass(frozen=True, eq=False, init=False)

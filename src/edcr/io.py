@@ -26,13 +26,15 @@ is no plain field) sends the whole file to the row parser, built on
 ``csv.reader``: the single fallback, which reads every other valid CSV
 layout, names the line of every fault and alone matches rows by id.
 
-The predictions and trace writers join their text columns as they are, which
-is what ``csv.writer`` writes when counts on the text prove that no field
-holds a separator, quote, ``\\r`` or NUL; otherwise they run ``csv.writer``,
+The predictions and trace writers keep each column as int codes into its
+distinct names until the text is built.  When every id is a plain field
+(:func:`_id_bytes`) and no name holds a separator, quote, ``\\r`` or NUL, the
+text after each id is joined once per distinct row of codes and the ids and
+texts are interleaved into one join; otherwise they run ``csv.writer``,
 quoting a row that holds ``\\r`` whole, as every other writer does.
-``write_conditions`` builds its bit cells as one byte array when no id needs
-quoting and otherwise runs ``csv.writer``, so every file is byte-identical to
-what ``csv.writer`` writes (or fails as it does: Python 3.10's rejects NUL).
+``write_conditions`` builds its bit cells as bytes when no id needs quoting,
+so every file is byte-identical to what ``csv.writer`` writes (or fails as
+it does: Python 3.10's rejects NUL).
 
 Rule sets load and dump through PyYAML's pure-Python ``safe_load`` and
 ``safe_dump``, even where PyYAML has libyaml: its loader reads documents the
@@ -67,9 +69,10 @@ from .core import (
     DataError,
     PredictionTable,
     _coded,
+    _id_columns,
+    _rank_rows,
     _require_aligned,
     check_names,
-    id_column,
 )
 from .evaluate import MetricsReport, SweepRow, UnseenRow
 from .rules import ApplyTrace, CorrectionRule, DetectionRule, RuleSet
@@ -78,7 +81,6 @@ from .theory import TheoremReport
 RULESET_FORMAT_VERSION = 1
 TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
-_BIT_TEXT = np.array(["0", "1"], dtype=object)
 _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
 
 
@@ -114,17 +116,18 @@ def write_csv_rows(path, header: Sequence[str], rows: Iterable[Sequence]) -> Non
     atomic_write_text(path, _csv_text([header, *rows]))
 
 
-def _write_columns(path, header: Sequence[str], columns: Sequence[Sequence[str]]) -> None:
-    """:func:`write_csv_rows` for ``str`` columns of one length.  The fields are
-    joined as they are, which is what csv.writer writes when counts on the
-    text prove that none holds a separator, a quote, a carriage return or NUL
-    (which Python 3.10's csv.writer rejects)."""
-    text = "\n".join(map(",".join, chain([header], zip(*columns)))) + "\n"
-    width, lines = len(header), 1 + (len(columns[0]) if columns else 0)
-    counts = (text.count(","), text.count("\n"))
-    if width < 2 or counts != (lines * (width - 1), lines) or any(c in text for c in '"\r\0'):
-        text = _csv_text([header, *zip(*columns)])
-    atomic_write_text(path, text)
+def _write_coded(path, header: Sequence[str], table: PredictionTable, codes, names) -> None:
+    """:func:`write_csv_rows` of ``table.sample_ids`` and a cell per column of
+    ``codes``, ``names[j][codes[j]]``, written as the module docstring says."""
+    row_codes, rows = _rank_rows(codes, list(map(len, names)))
+    cells = list(zip(*(np.array(labels, dtype=object)[column[rows]] for column, labels in zip(codes, names))))
+    if _id_bytes(table) is None or not set(',"\r\n\0').isdisjoint("".join(chain(*names))):
+        records = ((sample_id, *cells[code]) for sample_id, code in zip(table.sample_ids, row_codes.tolist()))
+        return write_csv_rows(path, header, records)
+    tails = np.array([",".join(("", *row)) + "\n" for row in cells], dtype=object)
+    parts = [""] * (2 * table.n)
+    parts[0::2], parts[1::2] = table.sample_ids, tails[row_codes].tolist()
+    atomic_write_text(path, ",".join(header) + "\n" + "".join(parts))
 
 
 def _csv_text(lines: list[Sequence]) -> str:
@@ -327,16 +330,14 @@ def read_predictions(path, classes: ClassSet | None = None) -> PredictionTable:
                 f"{path}: predicted classes {bad} are not in the declared class set {classes.names}"
             )
     try:  # the table owns the rules on its ids, such as no repeat
-        return PredictionTable._from_coded(classes, ids, pred, gt[0] if gt else None)
+        return PredictionTable(classes, ids, *_id_columns(classes, pred, gt[0] if gt else None))
     except ContractError as err:
         raise DataError(f"{path}: {err}") from None
 
 
 def write_predictions(path, table: PredictionTable) -> None:
-    columns = [table.sample_ids, table.names(table.pred_ids)]
-    if table.has_ground_truth:
-        columns.append(table.names(table.gt_ids))
-    _write_columns(path, ["sample_id", "pred", "gt"][: len(columns)], columns)
+    codes = [column + 1 for column in (table.pred_ids, table.gt_ids) if column is not None]
+    _write_coded(path, ["sample_id", "pred", "gt"][: 1 + len(codes)], table, codes, [table._labels] * len(codes))
 
 
 # ---------------------------------------------------------------------------
@@ -555,10 +556,9 @@ def write_trace(path, trace: ApplyTrace) -> None:
     """Write ``trace`` with one row per row of its table: the sample id, the
     original class (the table's prediction), the flag, the fired targets and
     the final class."""
-    table = trace.table
-    flagged = _BIT_TEXT[trace.flagged.view(np.uint8)].tolist()
-    original, final = table.names(table.pred_ids), table.names(trace.final)
-    _write_columns(path, TRACE_HEADER, (table.sample_ids, original, flagged, trace.fired_column(), final))
+    table, labels = trace.table, trace.table._labels
+    codes = [table.pred_ids + 1, trace.flagged.view(np.uint8), trace.fired, trace.final + 1]
+    _write_coded(path, TRACE_HEADER, table, codes, [labels, ("0", "1"), trace.fired_names, labels])
 
 
 def _trace_fault(column: int, cell: str) -> str:
@@ -586,8 +586,6 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     class the revised file no longer predicts, or a correction target that
     the batch never predicts."""
     path = Path(path)
-    classes = table.classes
-    lookup = {**classes._ids, UNKNOWN_NAME: -1}
     sample_ids, columns = _read_columns(path, _TRACE, table)
     if sample_ids is not table.sample_ids:  # the row parser read the file
         position = dict(zip(sample_ids, range(len(sample_ids))))
@@ -598,15 +596,14 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
             raise DataError(f"{path} lacks sample id {table.sample_ids[int(np.argmax(rows < 0))]!r}")
         columns = [(codes[rows], names) for codes, names in columns]
     original, flagged, fired, final = columns
-    extra = tuple(sorted(set(original[1]).union(final[1]).difference(lookup)))
-    lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
-    gt = None if table.gt_ids is None else (table.gt_ids, classes.names + table.novel_names)
+    names = table.classes.names
+    traced = ClassSet((*names, *sorted(set(original[1]).union(final[1]).difference(names, [UNKNOWN_NAME]))))
+    gt = None if table.gt_ids is None else (table.gt_ids, names + table.novel_names)
     return ApplyTrace(
-        PredictionTable._from_coded(ClassSet(classes.names + extra), table.sample_ids, original, gt),
+        PredictionTable._on_checked_ids(traced, table.sample_ids, *_id_columns(traced, original, gt)),
         np.array([name == "1" for name in flagged[1]], dtype=bool)[flagged[0]],
-        fired[0],
-        fired[1],
-        id_column(lookup, final[1], "final")[final[0]],
+        *fired,
+        _id_columns(traced, final)[0],
     )
 
 

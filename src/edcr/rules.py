@@ -26,6 +26,7 @@ from .core import (
     PredictionTable,
     _checked_flags,
     _checked_ids,
+    _rank_rows,
     _require_aligned,
     _strings,
     check_names,
@@ -141,8 +142,8 @@ class ApplyTrace:
     ``table`` must be a :class:`PredictionTable`, each column must have one
     entry per row, class ids and codes in range and flags bools or 0/1
     integers, and ``fired_names`` a sequence of ``str``, never a bare string;
-    anything else is a :class:`ContractError`.  Each column is stored as a
-    read-only copy, so the caller's arrays stay its own.
+    anything else is a :class:`ContractError`.  Each column is stored
+    read-only, copied unless it is already a checked id column.
     """
 
     table: PredictionTable
@@ -159,9 +160,6 @@ class ApplyTrace:
         for name, low, high in (("final", -1, k), ("fired", 0, len(self.fired_names))):
             object.__setattr__(self, name, _checked_ids(getattr(self, name), n, name, low, high))
         object.__setattr__(self, "flagged", _checked_flags(self.flagged, n, "flagged"))
-
-    def fired_column(self) -> list[str]:
-        return np.array(self.fired_names, dtype=object)[self.fired].tolist()
 
 
 def _validate_application(rules: RuleSet, table: PredictionTable, conds: ConditionMatrix) -> None:
@@ -182,16 +180,12 @@ def _validate_application(rules: RuleSet, table: PredictionTable, conds: Conditi
 
 def _fired_codes(fired: np.ndarray, targets: list[str]) -> tuple[np.ndarray, tuple[str, ...]]:
     """One code per row of the (rows, rules) match matrix, into the distinct
-    ``;``-joined target lists.  Each packed row is one void scalar, so a 1-D
-    ``unique`` sorts them by ``memcmp``: the order of a row-wise ``unique``."""
+    ``;``-joined target lists, ranked with the first rule as the highest bit
+    (:func:`_rank_rows`): the ``memcmp`` order of the rows ``np.packbits`` packs."""
     if not targets:
         return np.zeros(len(fired), dtype=np.int32), ("",)
-    packed = np.packbits(fired, axis=1)
-    patterns, codes = np.unique(packed.view(f"V{packed.shape[1]}").ravel(), return_inverse=True)
-    patterns = patterns.view(np.uint8).reshape(len(patterns), packed.shape[1])
-    matched = np.unpackbits(patterns, axis=1, count=len(targets)).astype(bool)
-    names = tuple(";".join(t for t, hit in zip(targets, row) if hit) for row in matched)
-    return codes.reshape(-1), names
+    codes, rows = _rank_rows(fired.T, [2] * len(targets))
+    return codes, tuple(";".join(t for t, hit in zip(targets, row) if hit) for row in fired[rows])
 
 
 def apply_ruleset(

@@ -20,8 +20,8 @@ on.  ``reference_read_predictions``,
 ``reference_read_trace``, ``reference_scan_conditions`` and
 ``reference_write_csv_rows`` keep the readers and the writer that ran one
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
-that sorted a structured view, for the byte-level readers, the columnar
-writers and the 1-D void ``unique`` to agree with.  ``trajectory_speed``
+that sorted a structured view, for the byte-level readers, the coded-row
+writers and the integer-key ranking to agree with.  ``trajectory_speed``
 keeps the scalar per-record speed profile over a tuple of ``(t, lat, lon)``
 points, through the scalar ``haversine_m``, for ``max_speeds`` to agree with, and ``reference_track_fault`` the
 point-by-point record rules, for the vectorised column check to agree with.
@@ -133,6 +133,11 @@ def same_table(a, b):
         and a.has_ground_truth == b.has_ground_truth
         and (not a.has_ground_truth or a.names(a.gt_ids) == b.names(b.gt_ids))
     )
+
+
+def fired_column(trace) -> list[str]:
+    """The trace's fired column as names, one per row."""
+    return [trace.fired_names[code] for code in trace.fired.tolist()]
 
 
 def oracle_detection_counts(table, conds, class_id, dc):

@@ -1,4 +1,5 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -161,6 +162,23 @@ class TestPredictionTable:
         # written but not read back
         with pytest.raises(ContractError, match=f"^empty sample id in the sequence at index {index}$"):
             build(ClassSet(("a", "b")))
+
+    def test_subset_does_not_recheck_ids(self):
+        """Distinct rows of a checked table have distinct ids, so ``subset``
+        builds its table without a sample-id check (``core.check_names``)."""
+        table = make_table(["a", "b"], ["a", "b", "a"], ["b", "scooter", "a"], ids=["x", "y", "z"])
+        with mock.patch.object(core, "check_names", wraps=core.check_names) as spy:
+            part = table.subset([2, 0])
+        assert "sample id" not in [call.args[0] for call in spy.call_args_list]
+        assert part.sample_ids == ("z", "x") and part.names(part.pred_ids) == ["a", "a"]
+        assert part.names(part.gt_ids) == ["a", "b"] and part.novel_names == ("scooter",)
+        assert not part.pred_ids.flags.writeable and not part.gt_ids.flags.writeable
+
+    @pytest.mark.parametrize("indices, repeated", [([0, 0], "x"), ([1, 0, 2, 0, 1], "y"), ([2, 1, 1], "y")])
+    def test_subset_repeated_row(self, indices, repeated):
+        table = make_table(["a", "b"], ["a", "b", "a"], ids=["x", "y", "z"])
+        with pytest.raises(ContractError, match=f"^duplicate sample id '{repeated}'$"):
+            table.subset(indices)
 
     @pytest.mark.parametrize("indices", [[True, False], [0, True], [1.9], [-1], [2], [[0]]])
     def test_subset_checks_its_indices(self, indices):

@@ -12,6 +12,7 @@ import yaml
 from hypothesis import event, given, settings, strategies as st
 
 from edcr import (
+    ApplyTrace,
     ClassSet,
     ConditionMatrix,
     ContractError,
@@ -29,9 +30,10 @@ from edcr import (
     apply_ruleset,
     generate_synthetic,
 )
-from edcr import cli, io
+from edcr import cli, core, io
 from edcr.cli import main
 from helpers import (
+    fired_column,
     make_conds,
     make_table,
     reference_read_conditions,
@@ -764,7 +766,7 @@ def same_trace(a, b):
     return (
         same_table(a.table, b.table)
         and a.flagged.tolist() == b.flagged.tolist()
-        and a.fired_column() == b.fired_column()
+        and fired_column(a) == fired_column(b)
         and a.final.tolist() == b.final.tolist()
     )
 
@@ -810,6 +812,25 @@ class TestTraceIdBytes:
 
 
 class TestTraceFormat:
+    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["scanned", "row-parser"])
+    def test_trace_table_shares_the_checked_ids(self, tmp_path, order):
+        """The trace's table is built on the ids of the table it is read
+        against, with no sample-id check (``core.check_names``), whether the
+        scanner or, for a trace in another order, the row parser reads it."""
+        table = make_table(["a", "b"], ["a", "a", "b"], ["b", "a", "scooter"], ids=["x", "y", "z"])
+        conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
+        _, trace = apply_ruleset(sample_ruleset(), table, conds)
+        path = tmp_path / "trace.csv"
+        io.write_trace(path, trace)
+        other = table.subset(order)
+        assert (io._scan_columns(path, io._TRACE.headers, other) is not None) == (order == [0, 1, 2])
+        with mock.patch.object(core, "check_names", wraps=core.check_names) as spy:
+            back = io.read_trace(path, other)
+        assert "sample id" not in [call.args[0] for call in spy.call_args_list]
+        assert back.table.sample_ids is other.sample_ids
+        assert back.table.names(back.table.gt_ids) == other.names(other.gt_ids)
+        assert fired_column(back) == [fired_column(trace)[row] for row in order]
+
     def test_roundtrip(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a", "b"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
@@ -924,7 +945,7 @@ class TestTraceFormat:
             other = id_table(table.classes, ids)
             back = io.read_trace(path, other)
             assert back.table.sample_ids is other.sample_ids
-            assert back.fired_column() == [trace.fired_column()[row] for row in rows]
+            assert fired_column(back) == [fired_column(trace)[row] for row in rows]
             assert back.table.pred_ids.tolist() == trace.table.pred_ids[rows].tolist()
             for column in ("flagged", "final"):
                 assert getattr(back, column).tolist() == getattr(trace, column)[rows].tolist()
@@ -1040,6 +1061,88 @@ WRITER_IDS = st.lists(  # never empty, which PredictionTable rejects
 )
 
 
+# names for the writers: mostly plain, else holding the characters that
+# csv.writer quotes (or, on Python 3.10, rejects)
+WRITER_TEXT = once_in(8).flatmap(
+    lambda special: st.text(st.sampled_from([",", '"', "\n", "\r", "\x00", "a"]), min_size=1, max_size=3)
+    if special
+    else st.text(st.sampled_from(["a", "é", " ", "1", ";"]), min_size=1, max_size=4)
+)
+
+
+@st.composite
+def writer_tables(draw):
+    """A table of up to 6 rows whose ids, class names and novel names are
+    :data:`WRITER_TEXT`, with ground truth or none."""
+    ids = draw(st.lists(WRITER_TEXT, max_size=6, unique=True))
+    class_names = WRITER_TEXT.filter(lambda name: name != UNKNOWN_NAME)
+    classes = draw(st.lists(class_names, min_size=1, max_size=3, unique=True))
+    novel = draw(st.lists(WRITER_TEXT.filter(lambda name: name not in classes), max_size=2, unique=True))
+    pred = draw(st.lists(st.integers(-1, len(classes) - 1), min_size=len(ids), max_size=len(ids)))
+    gt = st.lists(st.integers(0, len(classes) + len(novel) - 1), min_size=len(ids), max_size=len(ids))
+    return PredictionTable(ClassSet(tuple(classes)), tuple(ids), pred, draw(st.none() | gt), tuple(novel))
+
+
+def writer_traces(table):
+    """Traces over ``table`` whose fired names may be empty or :data:`WRITER_TEXT`."""
+    n, k = table.n, len(table.classes)
+    fired_names = st.lists(st.just("") | WRITER_TEXT, min_size=1, max_size=3)
+    return fired_names.flatmap(
+        lambda names: st.builds(
+            ApplyTrace,
+            st.just(table),
+            st.lists(st.booleans(), min_size=n, max_size=n),
+            st.lists(st.integers(0, len(names) - 1), min_size=n, max_size=n),
+            st.just(tuple(names)),
+            st.lists(st.integers(-1, k - 1), min_size=n, max_size=n),
+        )
+    )
+
+
+PRED, PRED_GT, TRACE = ["sample_id", "pred"], ["sample_id", "pred", "gt"], io.TRACE_HEADER
+
+
+def writer_input(header, columns):
+    """The writer of ``header`` and the table or trace whose file holds
+    ``columns``; its classes are the sorted names of the predicted (original)
+    and final columns, plus ``a``, so that no class set is empty."""
+    ids, predicted, *rest = columns
+    final = rest[-1] if header == TRACE else ()
+    classes = ClassSet(tuple(sorted({"a", *predicted, *final} - {UNKNOWN_NAME})))
+    table = PredictionTable.from_names(classes, ids, predicted, rest[0] if header == PRED_GT else None)
+    if header != TRACE:
+        return io.write_predictions, table
+    fired = dict.fromkeys(rest[1])
+    codes = [list(fired).index(name) for name in rest[1]]
+    final_ids = [classes.index(name) if name != UNKNOWN_NAME else -1 for name in final]
+    return io.write_trace, ApplyTrace(table, [flag == "1" for flag in rest[0]], codes, tuple(fired), final_ids)
+
+
+def label(table, class_id: int) -> str:
+    """The name of a class id of ``table``: its classes, then its novel
+    names, then UNKNOWN for -1."""
+    return (*table.classes.names, *table.novel_names, UNKNOWN_NAME)[class_id]
+
+
+def prediction_rows(table):
+    """The header and rows that ``write_predictions`` writes for ``table``."""
+    gt = [] if table.gt_ids is None else [[label(table, i) for i in table.gt_ids.tolist()]]
+    rows = zip(table.sample_ids, [label(table, i) for i in table.pred_ids.tolist()], *gt)
+    return ["sample_id", "pred", "gt"][: 2 + len(gt)], [list(row) for row in rows]
+
+
+def trace_rows(trace):
+    """The header and rows that ``write_trace`` writes for ``trace``."""
+    table = trace.table
+    columns = (
+        [label(table, i) for i in table.pred_ids.tolist()],
+        ["1" if flag else "0" for flag in trace.flagged.tolist()],
+        fired_column(trace),
+        [label(table, i) for i in trace.final.tolist()],
+    )
+    return io.TRACE_HEADER, [list(row) for row in zip(table.sample_ids, *columns)]
+
+
 def write_outcome(writer, path, *args):
     """The bytes a writer writes, or the type and message of what it raises
     (Python 3.10's csv.writer rejects NUL, 3.11's writes it)."""
@@ -1055,15 +1158,18 @@ class TestWritersMatchReference:
     (``helpers.reference_write_csv_rows``): the same bytes, or the same error."""
 
     @settings(max_examples=300)
-    @given(width=st.integers(1, 4), data=st.data())
-    def test_text_columns(self, tmp_path_factory, width, data):
-        """The joined columns of the predictions and trace writers; a lone
-        field always goes to csv.writer, which quotes it when empty."""
-        header = data.draw(st.lists(TEXT_FIELDS, min_size=width, max_size=width))
-        rows = data.draw(st.lists(st.lists(TEXT_FIELDS, min_size=width, max_size=width), max_size=5))
+    @given(data=st.data())
+    def test_text_columns(self, tmp_path_factory, data):
+        """The predictions and trace writers, on a table whose ids, class names
+        and novel names, and a trace whose fired names, are drawn mostly plain,
+        else holding a separator, quote, line break or NUL; a fired name may be
+        empty, and a table may have no rows or no ground truth."""
+        table = data.draw(writer_tables())
+        trace = data.draw(writer_traces(table))
         work = tmp_path_factory.mktemp("w")
-        got = write_outcome(io._write_columns, work / "new.csv", header, list(zip(*rows)) or [()] * width)
-        assert got == write_outcome(reference_write_csv_rows, work / "old.csv", header, rows)
+        for writer, arg, rows in [(io.write_predictions, table, prediction_rows), (io.write_trace, trace, trace_rows)]:
+            got = write_outcome(writer, work / "new.csv", arg)
+            assert got == write_outcome(reference_write_csv_rows, work / "old.csv", *rows(arg))
 
     @settings(max_examples=100)
     @given(width=st.integers(0, 4), data=st.data())
@@ -1080,18 +1186,26 @@ class TestWritersMatchReference:
     @pytest.mark.parametrize(
         "header, columns",
         [
-            (["a", "b"], [("", "é"), ("", "1")]),  # empty and non-ASCII fields stay bare
-            (["a", "b"], [("x\x00",), ("y",)]),  # NUL goes to csv.writer
-            (["a"], [("", "x")]),  # a lone empty field is quoted
-            (["sample_id", "idx", "t"], [(), (), ()]),  # no records: the header alone
-            (["a", "b"], [("x,y", "z"), ("1", "2")]),  # a separator goes to csv.writer
-            (["a", "b"], [('say "hi"',), ("2",)]),  # so does a quote
-            (["a", "b"], [("two\nlines",), ("3",)]),  # and a line break
-            (["a", "b"], [("x\ry", "z"), ("4", "5")]),  # a row with a CR is quoted whole
+            (PRED_GT, [("s1", "s2"), ("a", "é"), ("é", "n")]),  # non-ASCII names and a novel one stay bare
+            (TRACE, [("s1", "s2"), ("a", "é"), ("0", "1"), ("", "é"), ("a", UNKNOWN_NAME)]),  # so does no fired rule
+            (PRED, [(), ()]),  # no records: the header alone
+            (TRACE, [(), (), (), (), ()]),  # as apply traces an empty table, with no fired names at all
+            (PRED, [("s1", "x\x00"), ("a", "b")]),  # an id with NUL goes to csv.writer
+            (PRED_GT, [("s1", "s2"), ("a", "b\x00"), ("b\x00", "a")]),  # so does a class name with NUL
+            (PRED, [("x,y", "z"), ("a", "b")]),  # an id with a separator
+            (PRED_GT, [("s1", "s2"), ("a,b", "c"), ("c", "n,m")]),  # a class and a novel name with one
+            (TRACE, [("s1", "s2"), ("a", "b"), ("0", "1"), ("", "a;b,x"), ("a", "b")]),  # a fired name with one
+            (PRED, [('say "hi"', "s2"), ("a", '"b')]),  # an id and a class name with a quote
+            (TRACE, [("two\nlines", "s2"), ("a", "b"), ("1", "0"), ("a\nb", ""), ("a", "b")]),  # line breaks
+            (PRED, [("x\ry", "s2"), ("a", "b")]),  # a row with a CR is quoted whole
+            (TRACE, [("s1", "s2"), ("a", "b\r"), ("0", "0"), ("", "b\r"), ("a", "b\r")]),  # as is each CR row
         ],
     )
     def test_listed_columns(self, tmp_path, header, columns):
-        got = write_outcome(io._write_columns, tmp_path / "new.csv", header, columns)
+        """Text columns given as a file holds them, written through the writer
+        of their header from the table or trace that holds them."""
+        writer, arg = writer_input(header, columns)
+        got = write_outcome(writer, tmp_path / "new.csv", arg)
         assert got == write_outcome(reference_write_csv_rows, tmp_path / "old.csv", header, list(zip(*columns)))
 
     @pytest.mark.parametrize("ids", [["é", "s1", "ü2"], ["一二", "ß"], ["s1", "é,2"]])

@@ -17,15 +17,11 @@ from edcr import (
     io,
 )
 from edcr.rules import _fired_codes
-from helpers import make_conds, make_table, reference_fired_codes
+from helpers import fired_column, make_conds, make_table, reference_fired_codes
 
 
 def names(table):
     return table.names(table.pred_ids)
-
-
-def fired(trace):
-    return trace.fired_column()
 
 
 def error_flags(rules, table, conds):
@@ -203,7 +199,7 @@ class TestApplyRuleset:
         empty = RuleSet(table.classes, conds.condition_names, 0.0)
         revised, trace = apply_ruleset(empty, table, conds)
         assert names(revised) == names(table)
-        assert not trace.flagged.any() and fired(trace) == [""] * table.n
+        assert not trace.flagged.any() and fired_column(trace) == [""] * table.n
 
     def test_detect_only_routes_to_unknown(self):
         table, conds = six_sample()
@@ -233,7 +229,7 @@ class TestApplyRuleset:
         assert trace.flagged.tolist() == [True, True, False, False, False, False]
         # row 2 matches the correction body without being flagged: a correction
         # applies wherever its body matches
-        assert fired(trace) == ["b", "", "b", "", "", ""]
+        assert fired_column(trace) == ["b", "", "b", "", "", ""]
         assert trace.table is table
         assert trace.final.tolist() == revised.pred_ids.tolist()
 
@@ -255,7 +251,7 @@ class TestApplyRuleset:
         table, conds = six_sample()
         _, rules = two_class_rules()
         revised, trace = apply_ruleset(rules, table, conds)
-        for k, entry in enumerate(fired(trace)):
+        for k, entry in enumerate(fired_column(trace)):
             if not trace.flagged[k] and not entry:
                 assert revised.pred_ids[k] == table.pred_ids[k]
 
@@ -266,7 +262,7 @@ class TestApplyRuleset:
         second = apply_ruleset(rules, table, conds)
         assert names(first[0]) == names(second[0])
         assert first[1].flagged.tolist() == second[1].flagged.tolist()
-        assert fired(first[1]) == fired(second[1])
+        assert fired_column(first[1]) == fired_column(second[1])
 
     def test_confidence_then_class_id_tie_break(self):
         classes = ClassSet(("a", "b", "c"))
@@ -278,7 +274,7 @@ class TestApplyRuleset:
         rules = RuleSet(classes, ("c1",), 0.1, correction_rules=(low, high))
         revised, trace = apply_ruleset(rules, table, conds)
         assert names(revised)[0] == "b"  # higher confidence wins
-        assert fired(trace) == ["b;c"]
+        assert fired_column(trace) == ["b;c"]
 
         tied_b = CorrectionRule(b, (("c1", a),), 0.1, 0.4)
         rules = RuleSet(classes, ("c1",), 0.1, correction_rules=(low, tied_b))
@@ -348,11 +344,26 @@ class TestErrorPredictions:
 class TestFiredCodes:
     """``_fired_codes`` against the row-wise ``unique`` it replaced
     (``helpers.reference_fired_codes``); past 8 and 16 rules a packed row
-    spans two and three bytes."""
+    spans two and three bytes, and past 62 the int64 key is re-ranked."""
 
     @settings(max_examples=200)
     @given(n=st.integers(0, 60), k=st.integers(0, 20), density=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
     def test_same_as_reference(self, n, k, density, seed):
+        matches = np.random.default_rng(seed).random((n, k)) < density
+        targets = [f"t{j}" for j in range(k)]
+        codes, names = _fired_codes(matches, targets)
+        expected_codes, expected_names = reference_fired_codes(matches, targets)
+        assert codes.tolist() == expected_codes.tolist()
+        assert names == expected_names
+
+    @pytest.mark.parametrize("k", [61, 62, 63, 64, 100, 124, 125, 130])
+    @pytest.mark.parametrize(
+        "n, density, seed",
+        [(1, 0.5, 0), (60, 0.5, 1), (60, 0.02, 2), (60, 0.98, 3), (1024, 0.5, 4), (1024, 0.01, 5), (1024, 0.2, 6)],
+    )
+    def test_past_the_int64_key(self, k, n, density, seed):
+        """More rules than an int64 key has bits: the key is re-ranked before
+        it could overflow, and the codes and names keep the reference order."""
         matches = np.random.default_rng(seed).random((n, k)) < density
         targets = [f"t{j}" for j in range(k)]
         codes, names = _fired_codes(matches, targets)
