@@ -309,6 +309,13 @@ def _row_indices(indices, n: int) -> np.ndarray:
     return idx
 
 
+class _SampleIds(tuple):
+    """Sample ids that :func:`check_names` checked; a :class:`PredictionTable`
+    built on them, or on distinct rows of them, takes them as they are."""
+
+    __slots__ = ()
+
+
 @dataclass(frozen=True, eq=False)
 class PredictionTable:
     """Per-sample predicted class, and optionally ground truth, over a sample set.
@@ -317,7 +324,8 @@ class PredictionTable:
     -1 for UNKNOWN (which only appears in post-rule tables).  Ground truth is
     never UNKNOWN but may lie outside the class set, which models evaluation
     corpora containing classes the base model cannot predict: id
-    ``len(classes) + j`` stands for ``novel_names[j]``.
+    ``len(classes) + j`` stands for ``novel_names[j]``.  ``sample_ids`` are
+    checked once and kept as a :class:`_SampleIds`, which no table re-checks.
     """
 
     classes: ClassSet
@@ -327,11 +335,8 @@ class PredictionTable:
     novel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "sample_ids", check_names("sample id", self.sample_ids))
-        self._check_columns()
-
-    def _check_columns(self) -> None:
-        """The constructor's checks of every field but the sample ids."""
+        if not isinstance(self.sample_ids, _SampleIds):
+            object.__setattr__(self, "sample_ids", _SampleIds(check_names("sample id", self.sample_ids)))
         object.__setattr__(self, "novel_names", check_names("novel class name", self.novel_names))
         n = len(self.sample_ids)
         k = len(self.classes)
@@ -343,15 +348,6 @@ class PredictionTable:
             raise ContractError("ground truth may never be UNKNOWN")
         if not set(self.classes.names).isdisjoint(self.novel_names):
             raise ContractError(f"novel class names {self.novel_names} overlap the class set")
-
-    @classmethod
-    def _on_checked_ids(cls, classes, sample_ids, pred_ids, gt_ids=None, novel_names=()) -> "PredictionTable":
-        """A table over ``sample_ids`` that a constructor already checked (a
-        table's own, or distinct rows of them); every other field is checked."""
-        table, fields = object.__new__(cls), (classes, sample_ids, pred_ids, gt_ids, novel_names)
-        vars(table).update(zip(cls.__dataclass_fields__, fields))
-        table._check_columns()
-        return table
 
     @property
     def n(self) -> int:
@@ -397,16 +393,15 @@ class PredictionTable:
 
     def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":
         """This table with ``pred_ids`` as its predictions, on its checked ids."""
-        return self._on_checked_ids(self.classes, self.sample_ids, pred_ids, self.gt_ids, self.novel_names)
+        return PredictionTable(self.classes, self.sample_ids, pred_ids, self.gt_ids, self.novel_names)
 
     def subset(self, indices: Sequence[int]) -> "PredictionTable":
         """The rows at ``indices``; only a repeated row has the ids checked."""
         idx = _row_indices(indices, self.n)
-        sample_ids = tuple(map(self.sample_ids.__getitem__, idx.tolist()))
-        if not np.diff(np.sort(idx)).all():  # a repeated row
-            check_names("sample id", sample_ids)
+        distinct = np.diff(np.sort(idx)).all()
+        sample_ids = (_SampleIds if distinct else tuple)(map(self.sample_ids.__getitem__, idx.tolist()))
         gt = None if self.gt_ids is None else self.gt_ids[idx]
-        return self._on_checked_ids(self.classes, sample_ids, self.pred_ids[idx], gt, self.novel_names)
+        return PredictionTable(self.classes, sample_ids, self.pred_ids[idx], gt, self.novel_names)
 
 
 @dataclass(frozen=True, eq=False, init=False)

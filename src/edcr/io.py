@@ -573,7 +573,7 @@ _TRACE = _CellRules(
 
 def read_trace(path, table: PredictionTable) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace` with its rows in the
-    order of ``table``, whose ``sample_ids`` its table shares.
+    order of ``table``, whose checked ``sample_ids`` (``core._SampleIds``) its table shares.
 
     A file in the plain layout that lists the table's ids in order, as ``edcr
     apply`` writes it, is scanned without decoding an id.  The row parser
@@ -600,7 +600,7 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     traced = ClassSet((*names, *sorted(set(original[1]).union(final[1]).difference(names, [UNKNOWN_NAME]))))
     gt = None if table.gt_ids is None else (table.gt_ids, names + table.novel_names)
     return ApplyTrace(
-        PredictionTable._on_checked_ids(traced, table.sample_ids, *_id_columns(traced, original, gt)),
+        PredictionTable(traced, table.sample_ids, *_id_columns(traced, original, gt)),
         np.array([name == "1" for name in flagged[1]], dtype=bool)[flagged[0]],
         *fired,
         _id_columns(traced, final)[0],

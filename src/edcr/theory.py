@@ -157,7 +157,8 @@ def _subset_names(words: np.ndarray, names: Sequence) -> tuple:
 @dataclass(frozen=True)
 class SubmodularityReport:
     """Outcome of checking one counting function on one instance: lattice
-    inequality f(A)+f(B) >= f(A|B)+f(A&B), monotonicity, and f(empty)=0."""
+    inequality f(A)+f(B) >= f(A|B)+f(A&B), monotonicity, and, on the
+    exhaustive scan only, f(empty)=0."""
 
     quantity: str
     n_conditions: int
@@ -187,11 +188,12 @@ def check_submodular(
     seed: int = 0,
 ) -> SubmodularityReport:
     """Check that a detection counting function (``"pos"``, ``"neg"`` or
-    ``"bod"``) of the class id ``class_i`` is submodular, monotone, and
-    normalized over condition subsets.
+    ``"bod"``) of the class id ``class_i`` is submodular and monotone over
+    condition subsets, and normalized where the scan is exhaustive.
 
     Instances with at most 12 conditions (``_EXHAUSTIVE_LIMIT``) are checked
-    over every subset pair; larger ones are sampled ``trials`` times.
+    over every subset pair, after f(empty)=0; larger ones are sampled
+    ``trials`` times, and the sampled scan never checks f(empty).
     Returns a counterexample if any check fails (there must be none): the
     first pair in scan order, where pair (a, b) is checked for the lattice
     inequality before monotonicity.

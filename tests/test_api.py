@@ -1,9 +1,22 @@
 """The public API, pinned: any name added to or removed from ``edcr.__all__``
 shows up as a diff of this list.  Also the boundary of its class ids: every
-function that takes a class takes its int id, range-checked by ``ClassSet``."""
+function that takes a class takes its int id, range-checked by ``ClassSet``.
+Also what the benchmark's tracer, ``bench/tracer.py``, patches in the package."""
+import ast
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
 import pytest
 
 import edcr
+import edcr.cli
+import edcr.core
+import edcr.evaluate
+import edcr.learn
+import edcr.rules
+import edcr.theory
 from edcr import (
     CorrectionRule,
     DetectionRule,
@@ -80,6 +93,36 @@ def test_public_api_pinned():
 def test_public_names_resolve():
     for name in edcr.__all__:
         assert getattr(edcr, name) is not None, name
+
+
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_bench_tracer_targets_resolve(monkeypatch):
+    """Each function the benchmark's tracer wraps, ``PredictionTable``'s
+    ``__post_init__`` (which it wraps as ``core.table_build``), and the import
+    sites the harness tests require all exist, so a refactor of the package
+    cannot break the harness unseen: tier-1 does not run ``bench/tests``."""
+    imported = set()
+    for node in ast.walk(ast.parse(TRACER.read_text())):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module.split(".")[0])
+    assert imported <= sys.stdlib_module_names  # so loading it runs no third-party code
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, tracer)  # its dataclasses look their module up
+    spec.loader.exec_module(tracer)
+
+    for module_name, attr, _, _ in tracer.TARGETS:
+        assert module_name.startswith("edcr.")
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), f"{module_name}.{attr}"
+    assert "__post_init__" in edcr.core.PredictionTable.__dict__
+    for module in (edcr.core, edcr.learn, edcr.theory):
+        assert module.detection_counts is edcr.core.detection_counts, module.__name__
+    for module in (edcr.cli, edcr.evaluate, edcr.theory):
+        assert module.apply_ruleset is edcr.rules.apply_ruleset, module.__name__
 
 
 # each takes a class id k on a two-class table ("a" = 0, "b" = 1) with one condition "c"

@@ -1,4 +1,7 @@
+import os
 import re
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -309,6 +312,24 @@ class TestUnseenClassExperiment:
         longer = ConditionMatrix(corpus.conditions.condition_names, values)
         with pytest.raises(ContractError, match="602 rows for a table of 600 samples"):
             unseen_class_experiment(corpus.table, longer, holdout=["walk"])
+
+    def test_does_not_import_numpy_ma(self):
+        """The ground-truth ids are found without ``np.unique``, which (numpy
+        2.4, no index output) imports ``numpy.ma``, about 1 MB that stays
+        resident; checked in a fresh interpreter, where the corpus alone does
+        not import it."""
+        code = (
+            "import sys\n"
+            "from edcr import generate_synthetic, unseen_class_experiment\n"
+            "corpus = generate_synthetic(seed=3, n_samples=300, holdout_classes=['walk'])\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "unseen_class_experiment(corpus.table, corpus.conditions, holdout=['walk'])\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(edcr.core.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert out.stdout == "False False\n"
 
 
 class TestMetricsReport:

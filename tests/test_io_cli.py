@@ -953,6 +953,56 @@ class TestTraceFormat:
             io.read_trace(path, id_table(table.classes, ["x", "w"]))
 
 
+class TestEveryTableIsConstructed:
+    """Every table is built by the constructor, so a counting wrapper on
+    ``PredictionTable.__post_init__``, patched as the benchmark's tracer
+    patches it, runs once for each table built, on every path that builds one."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """A table, a permutation of it, and its predictions and trace files;
+        the trace is scanned against the table and row-parsed against the other."""
+        table = make_table(["a", "b"], ["a", "a", "b"], ["b", "a", "scooter"], ids=["x", "y", "z"])
+        _, trace = apply_ruleset(sample_ruleset(), table, make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]]))
+        io.write_predictions(tmp_path / "p.csv", table)
+        io.write_trace(tmp_path / "t.csv", trace)
+        other = table.subset([2, 0, 1])
+        assert io._scan_columns(tmp_path / "t.csv", io._TRACE.headers, table) is not None
+        assert io._scan_columns(tmp_path / "t.csv", io._TRACE.headers, other) is None
+        return table, other, tmp_path
+
+    @staticmethod
+    def counted(monkeypatch) -> list:
+        """The tables built from here on, in order."""
+        builds, post_init = [], PredictionTable.__dict__["__post_init__"]
+        monkeypatch.setattr(PredictionTable, "__post_init__", lambda self: (builds.append(self), post_init(self)))
+        return builds
+
+    BUILDS = {
+        "read_predictions": lambda table, other, tmp: io.read_predictions(tmp / "p.csv", table.classes),
+        "from_names": lambda table, other, tmp: PredictionTable.from_names(table.classes, ["x"], ["a"], ["b"]),
+        "with_predictions": lambda table, other, tmp: table.with_predictions([-1, 0, 1]),
+        "subset": lambda table, other, tmp: table.subset([2, 0]),
+        "read_trace_scanned": lambda table, other, tmp: io.read_trace(tmp / "t.csv", table).table,
+        "read_trace_row_parser": lambda table, other, tmp: io.read_trace(tmp / "t.csv", other).table,
+    }
+
+    @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
+    def test_one_post_init_per_table(self, files, build, monkeypatch):
+        builds = self.counted(monkeypatch)
+        assert builds == [build(*files)]
+
+    def test_a_repeated_row_is_built_and_raises(self, files, monkeypatch):
+        table, _, _ = files
+        builds = self.counted(monkeypatch)
+        with pytest.raises(ContractError, match="^duplicate sample id 'z'$"):
+            table.subset([2, 0, 2])
+        assert len(builds) == 1
+        with pytest.raises(ContractError, match="^duplicate sample id 'x'$"):
+            PredictionTable(table.classes, ("x", "y", "x"), [0, 0, 0])  # a plain tuple is checked
+        assert len(builds) == 2
+
+
 # arbitrary non-empty unicode sample ids, including commas, quotes and line
 # breaks; NUL is excluded because Python 3.10's csv reader rejects it
 SAMPLE_IDS = st.lists(

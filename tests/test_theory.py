@@ -384,6 +384,23 @@ class TestKernelMatchesReference:
         terms = [(0, m - 1, first_last), (0, 1 % m, first_second)]
         self.fed(m, weights, terms, exhaustive_limit, seed, quantity)
 
+    @pytest.mark.parametrize("m", [1, 5, 12])
+    def test_normalization_counterexample(self, m):
+        """f(S) = 1 + |S| is submodular and monotone, and fails only f(empty)
+        = 0, which the exhaustive scan checks before any pair.  The reference
+        cannot reach this outcome: it counts from subset 1 and fixes f(empty)
+        at 0, so the report is asserted directly."""
+        def fake(rows, subsets):
+            words = np.ascontiguousarray(subsets)
+            return 1 + np.unpackbits(words.view(np.uint8), axis=1, bitorder="little", count=m).sum(axis=1)
+
+        table = make_table(["a"], ["a"] * 3, ["a", "x", "a"])
+        conds = ConditionMatrix(tuple(f"c{j}" for j in range(m)), np.zeros((3, m), dtype=bool))
+        with mock.patch.object(theory, "_cover_counts", fake):
+            report = check_submodular("pos", 0, table, conds)
+        assert report.exhaustive and report.pairs_checked == 0
+        assert report.counterexample == ("normalization", (), (), 1)
+
     @staticmethod
     def fed(m, weights, terms, exhaustive_limit, seed, quantity):
         """Both scans fed f(S) = the sum of ``weights`` over S, plus ``coef``
