@@ -165,16 +165,18 @@ def cmd_apply(args) -> int:
 def cmd_eval(args) -> int:
     table = _labeled_table(args)
     mode = ScoringMode.from_string(args.mode)
-    report = metrics_report(table, mode=mode)
+    detection = None
     if args.trace:
         trace = io.read_trace(args.trace, table)
         differs = np.flatnonzero(trace.final != table.pred_ids)  # the trace's class set extends the table's
         if differs.size:
             raise DataError(f"{args.trace}: final class of sample id {table.sample_ids[differs[0]]!r} "
                             f"differs from {args.predictions}")
+        # scored over the trace's class set, which keeps a class apply routed every prediction away from
+        table = trace.table.with_predictions(trace.final)
         # detection verdicts are scored against the original predictions
         detection = error_detection_metrics(trace.flagged, trace.table)
-        report = dataclasses.replace(report, error_detection=detection)
+    report = dataclasses.replace(metrics_report(table, mode=mode), error_detection=detection)
 
     out = _save(args, {"mode": mode.value}, ("metrics.csv", io.write_metrics, report))
     print(f"accuracy ({mode.value}): {report.accuracy:.4f}")

@@ -69,14 +69,14 @@ def check_unit_interval(name: str, value) -> float:
 
 
 def _strings(what: str, values) -> tuple[str, ...]:
-    """``values`` as a tuple, or :class:`ContractError` naming ``what`` and
-    the first bad item unless it is a sequence of ``str`` that UTF-8 can
-    encode (no lone surrogate, which no file can hold); a bare string, which
-    would be read as its characters, is not one.  No Python loop runs per
-    item, so this also serves the sample ids of large tables."""
+    """``values`` as a tuple (a tuple as it is), or :class:`ContractError`
+    naming ``what`` and the first bad item unless it is a sequence of ``str``
+    that UTF-8 can encode (no lone surrogate, which no file can hold); a bare
+    string, which would be read as its characters, is not one.  No Python
+    loop runs per item, so this also serves the sample ids of large tables."""
     if isinstance(values, str):
         raise ContractError(f"{what}s must be a sequence of strings, not the string {values!r}")
-    items = tuple(values)
+    items = values if isinstance(values, tuple) else tuple(values)
     try:
         joined = "".join(items)  # a TypeError unless every item is a str
         if not joined.isascii():
@@ -91,11 +91,11 @@ def _strings(what: str, values) -> tuple[str, ...]:
 
 
 def check_names(what: str, values, distinct: bool = True) -> tuple[str, ...]:
-    """``values`` as a tuple, or :class:`ContractError` naming ``what`` (one
-    name) unless it is a sequence of non-empty ``str`` that UTF-8 can encode
-    (:func:`_strings`), each named once when ``distinct``; a bare string is
-    not one.  The message names the index of the first empty name, or the
-    first name that repeats, never the whole sequence."""
+    """``values`` as a tuple (a tuple as it is), or :class:`ContractError`
+    naming ``what`` (one name) unless it is a sequence of non-empty ``str``
+    that UTF-8 can encode (:func:`_strings`), each named once when
+    ``distinct``; a bare string is not one.  The message names the first
+    empty name's index, or the first name that repeats, not the sequence."""
     names = _strings(what, values)
     unique = set(names)
     if "" in unique:
@@ -335,8 +335,10 @@ class PredictionTable:
     novel_names: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.sample_ids, _SampleIds):
-            object.__setattr__(self, "sample_ids", _SampleIds(check_names("sample id", self.sample_ids)))
+        ids = self.sample_ids
+        if not isinstance(ids, _SampleIds):  # copied once; check_names rejects a bare str
+            ids = check_names("sample id", ids if isinstance(ids, str) else _SampleIds(ids))
+            object.__setattr__(self, "sample_ids", ids)
         object.__setattr__(self, "novel_names", check_names("novel class name", self.novel_names))
         n = len(self.sample_ids)
         k = len(self.classes)
@@ -389,7 +391,7 @@ class PredictionTable:
         characters."""
         pred = _coded(_strings("predicted label", predicted))
         gt = None if ground_truth is None else _coded(_strings("ground-truth label", ground_truth))
-        return cls(classes, tuple(sample_ids), *_id_columns(classes, pred, gt))
+        return cls(classes, sample_ids, *_id_columns(classes, pred, gt))
 
     def with_predictions(self, pred_ids: np.ndarray) -> "PredictionTable":
         """This table with ``pred_ids`` as its predictions, on its checked ids."""

@@ -24,7 +24,8 @@ NUL anywhere, a bad width or bit, an empty id, a cell that breaks its
 format's rules, ids that are not the table's in order, or a table id that
 is no plain field) sends the whole file to the row parser, built on
 ``csv.reader``: the single fallback, which reads every other valid CSV
-layout, names the line of every fault and alone matches rows by id.
+layout and names the line of every fault.  Of the row parsers, only the
+conditions one matches rows by id; a trace lists its table's ids in order.
 
 The predictions and trace writers keep each column as int codes into its
 distinct names until the text is built.  When every id is a plain field
@@ -53,7 +54,7 @@ from contextlib import contextmanager
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
 from io import StringIO
-from itertools import chain, repeat
+from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -264,10 +265,12 @@ class _CellRules(NamedTuple):
 
 def _read_columns(path: Path, rules: _CellRules, table: PredictionTable | None):
     """The sample ids and :func:`_coded` cell columns of a file in the format
-    of ``rules``, read against ``table`` if given.  The scanner's columns are
-    taken when every distinct value in them passes the cell rules; otherwise
-    the row parser reads the file with ``csv.reader``, applies the rules per
-    row and names the line of the first fault."""
+    of ``rules``, read against ``table`` if given, whose ``sample_ids`` it
+    then lists in order.  The scanner's columns are taken when every
+    distinct value in them passes the cell rules; otherwise the row parser
+    reads the file with ``csv.reader``, applies the rules per row and names
+    the line of the first fault, then the first row whose id is not the
+    table's or the first table id the file lacks."""
     scanned = _scan_columns(path, rules.headers, table)
     if scanned is not None and not any(
         rules.cell_fault(j, cell) for j, (_, cells) in enumerate(scanned[1], 1) for cell in cells
@@ -287,6 +290,11 @@ def _read_columns(path: Path, rules: _CellRules, table: PredictionTable | None):
                 raise _parse_error(path, line_no, fault)
             rows.append(row)
     ids, *columns = zip(*rows) if rows else [()] * len(header)
+    if table is not None and ids != table.sample_ids:
+        i = next((i for i, (a, b) in enumerate(zip(ids, table.sample_ids)) if a != b), min(len(ids), table.n))
+        if i == len(ids):
+            raise DataError(f"{path} lacks sample id {table.sample_ids[i]!r}")
+        raise DataError(f"{path}: row {i + 1} has sample id {ids[i]!r}, not the table's id on that row")
     return ids, [_coded(column) for column in columns]
 
 
@@ -575,27 +583,17 @@ def read_trace(path, table: PredictionTable) -> ApplyTrace:
     """Read a trace CSV written by :func:`write_trace` with its rows in the
     order of ``table``, whose checked ``sample_ids`` (``core._SampleIds``) its table shares.
 
-    A file in the plain layout that lists the table's ids in order, as ``edcr
-    apply`` writes it, is scanned without decoding an id.  The row parser
-    reads any other file, and one id-to-row dict places its rows: ids the
-    table lacks are ignored, and a repeated id or a table id the file lacks is
-    a :class:`DataError` naming ``path``.  The trace's table holds the
+    The file lists the table's ids in order, as ``edcr apply`` writes it; a
+    file in the plain layout is scanned without decoding an id, and the row
+    parser reads any other.  A row whose id is not the table's on that row,
+    or a table id past the file's last row, is a :class:`DataError` naming
+    ``path`` (:func:`_read_columns`).  The trace's table holds the
     original column as its predictions and the ground truth of ``table``, if
     any, matched by name.  An original or final class outside
     ``table.classes`` extends its class set after them, in sorted order: a
     class the revised file no longer predicts, or a correction target that
     the batch never predicts."""
-    path = Path(path)
-    sample_ids, columns = _read_columns(path, _TRACE, table)
-    if sample_ids is not table.sample_ids:  # the row parser read the file
-        position = dict(zip(sample_ids, range(len(sample_ids))))
-        if len(position) != len(sample_ids):
-            raise DataError(f"{path}: duplicate sample ids")
-        rows = np.fromiter(map(position.get, table.sample_ids, repeat(-1)), dtype=np.intp, count=table.n)
-        if (rows < 0).any():
-            raise DataError(f"{path} lacks sample id {table.sample_ids[int(np.argmax(rows < 0))]!r}")
-        columns = [(codes[rows], names) for codes, names in columns]
-    original, flagged, fired, final = columns
+    _, (original, flagged, fired, final) = _read_columns(Path(path), _TRACE, table)
     names = table.classes.names
     traced = ClassSet((*names, *sorted(set(original[1]).union(final[1]).difference(names, [UNKNOWN_NAME]))))
     gt = None if table.gt_ids is None else (table.gt_ids, names + table.novel_names)

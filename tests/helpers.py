@@ -35,7 +35,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from io import StringIO
-from itertools import islice
+from itertools import islice, zip_longest
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -877,8 +877,13 @@ def reference_read_predictions(path, classes: ClassSet | None = None) -> Predict
     return PredictionTable.from_names(classes, ids, preds, gts if has_gt else None)
 
 
-def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
+def reference_read_trace(path, table: PredictionTable) -> ApplyTrace:
+    """The trace file at ``path`` read against ``table``, whose ids its rows
+    list in order: after the line-numbered faults, the first row whose id is
+    not the table's, or the first table id past the last row, is a data
+    error.  The trace's table holds the file's ids and no ground truth."""
     path = Path(path)
+    classes = table.classes
     lookup = {name: i for i, name in enumerate(classes.names)}
     lookup[UNKNOWN_NAME] = -1
     rows: list[list[str]] = []
@@ -892,8 +897,11 @@ def reference_read_trace(path, classes: ClassSet) -> ApplyTrace:
                 raise _parse_error(path, line_no, "malformed trace row")
             rows.append(row)
     sample_ids, original, flagged, fired, final = map(tuple, zip(*rows)) if rows else [()] * 5
-    if len(set(sample_ids)) != len(sample_ids):
-        raise DataError(f"{path}: duplicate sample ids")
+    for row, (found, wanted) in enumerate(zip_longest(sample_ids, table.sample_ids)):
+        if found is None:
+            raise DataError(f"{path} lacks sample id {wanted!r}")
+        if found != wanted:
+            raise DataError(f"{path}: row {row + 1} has sample id {found!r}, not the table's id on that row")
     extra = tuple(sorted(set(original).union(final).difference(lookup)))
     lookup.update(zip(extra, range(len(classes), len(classes) + len(extra))))
     fired_names = tuple(dict.fromkeys(fired))

@@ -150,6 +150,30 @@ class TestPredictionTable:
             PredictionTable(ClassSet(("a", "b")), sample_ids, [0, 1])
 
     @pytest.mark.parametrize(
+        "build",
+        [
+            lambda ids: PredictionTable(ClassSet(("a", "b")), ids, [0, 1]),
+            lambda ids: PredictionTable.from_names(ClassSet(("a", "b")), ids, ["a", "b"]),  # read as x, y before
+        ],
+        ids=["constructor", "from_names"],
+    )
+    def test_a_bare_string_of_ids_is_rejected(self, build):
+        with pytest.raises(ContractError, match=r"^sample ids must be a sequence of strings, not the string 'xy'$"):
+            build("xy")
+
+    @pytest.mark.parametrize("given", [("x", "y"), ["x", "y"], iter(("x", "y"))], ids=["tuple", "list", "iterator"])
+    def test_fresh_ids_are_copied_once(self, given):
+        """``check_names`` returns a tuple it is given as it is, so the one
+        copy of fresh ids is the table's ``core._SampleIds``, which
+        ``check_names`` checks and the table keeps."""
+        ids = ("x", "y")
+        assert core.check_names("sample id", ids) is ids
+        with mock.patch.object(core, "check_names", wraps=core.check_names) as spy:
+            table = PredictionTable(ClassSet(("a",)), given, [0, 0])
+        checked = next(call.args[1] for call in spy.call_args_list if call.args[0] == "sample id")
+        assert table.sample_ids is checked and type(checked) is core._SampleIds and checked == ids
+
+    @pytest.mark.parametrize(
         "build, index",
         [
             (lambda classes: PredictionTable(classes, ("", "y"), [0, 1]), 0),

@@ -505,12 +505,11 @@ def id_table(classes, sample_ids):
     return make_table(classes.names, [classes.names[0]] * len(sample_ids), ids=list(sample_ids))
 
 
-def reference_trace_table(expected, classes):
-    """The table to read a trace file against for the reference outcome
-    ``expected`` of that file: the reference trace's ids in file order or,
-    when the reference raised, one id the file lacks."""
-    ids = expected[1]["table"]["sample_ids"] if isinstance(expected[1], dict) else ["absent id"]
-    return id_table(classes, ids)
+def trace_table(path, classes):
+    """The table to read a trace file against: the file's distinct ids, as
+    csv.reader reads them, in order of first appearance (none when it is
+    unreadable), so only a file that repeats an id is out of its order."""
+    return id_table(classes, dict.fromkeys(filter(None, csv_ids(path))))  # an empty id is a faulty row
 
 
 def pred_column_fault(path, classes):
@@ -527,29 +526,13 @@ def pred_column_fault(path, classes):
     return (ContractError, message) if bad else None
 
 
-def rows_at(outcome, rows):
-    """A trace outcome of :func:`table_outcome` with its rows taken at the
-    row indices ``rows``."""
-    kind, trace = outcome
-    table = trace["table"]
-    columns = {k: (trace[k][0], [trace[k][1][row] for row in rows]) for k in ("flagged", "fired", "final")}
-    dtype, original = table["pred_ids"]
-    ids = tuple(table["sample_ids"][row] for row in rows)
-    table = {**table, "pred_ids": (dtype, [original[row] for row in rows]), "sample_ids": ids}
-    return kind, {**trace, **columns, "table": table}
-
-
-def reversed_rows(outcome):
-    """A trace outcome of :func:`table_outcome` with its rows reversed."""
-    return rows_at(outcome, range(len(outcome[1]["table"]["sample_ids"]))[::-1])
-
-
 class TestReadersMatchReference:
     """The byte scanner of ``read_predictions`` and ``read_trace`` against the
     ``csv.reader`` readers it replaced (``helpers.reference_read_*``): the
     same table or trace, or the same exception type and message.  A trace is
-    read against a table that holds the reference trace's ids in file order
-    (see :func:`reference_trace_table`), and against the reversed ids.  A
+    read against a table that holds its distinct ids in file order (see
+    :func:`trace_table`), and against the reversed ids, which only a trace
+    of at most one row lists in order.  A
     predictions file with repeated ids whose pred column also has a fault
     gives that fault (:func:`pred_column_fault`), since the table, built
     last, is what rejects repeated ids."""
@@ -578,14 +561,11 @@ class TestReadersMatchReference:
         cells = [CLASS_CELLS, FLAG_CELLS, FIRED_CELLS, CLASS_CELLS]
         path = tmp_path_factory.mktemp("t") / "trace.csv"
         path.write_bytes(case.draw(table_bytes(header, cells)))
-        classes = ClassSet(("a", "b"))
-        expected = table_outcome(reference_read_trace, path, classes)
-        table = reference_trace_table(expected, classes)
+        table = trace_table(path, ClassSet(("a", "b")))
+        backwards = id_table(table.classes, table.sample_ids[::-1])
         with mock.patch.object(io, "_SCAN_BLOCK", block):
-            assert table_outcome(io.read_trace, path, table) == expected
-            if isinstance(expected[1], dict):
-                backwards = id_table(classes, table.sample_ids[::-1])
-                assert table_outcome(io.read_trace, path, backwards) == reversed_rows(expected)
+            for other in (table, backwards):
+                assert table_outcome(io.read_trace, path, other) == table_outcome(reference_read_trace, path, other)
 
     @settings(max_examples=200)
     @given(case=st.data(), block=st.sampled_from([1, 3, 64, 1 << 20]))
@@ -644,9 +624,8 @@ class TestReadersMatchReference:
     def test_listed_traces(self, tmp_path, text):
         path = tmp_path / "t.csv"
         path.write_bytes(text.encode("latin-1"))
-        classes = ClassSet(("a", "b"))
-        expected = table_outcome(reference_read_trace, path, classes)
-        assert table_outcome(io.read_trace, path, reference_trace_table(expected, classes)) == expected
+        table = trace_table(path, ClassSet(("a", "b")))
+        assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table)
 
     @pytest.mark.parametrize(
         "data, sample_id",
@@ -669,7 +648,7 @@ class TestReadersMatchReference:
         monkeypatch.setattr(io, "_SCAN_BLOCK", 64)
         table = id_table(ClassSet(("a", "b")), [f"s{i}" for i in range(len(rows))])
         assert io.read_trace(path, table).fired_names == ("", "b;a", "a", "b")
-        assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table.classes)
+        assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table)
 
 
 def sample_ruleset():
@@ -774,9 +753,10 @@ def same_trace(a, b):
 class TestTraceIdBytes:
     """A trace read against a table is scanned only when its ids are the
     table's ids as UTF-8 (``io._id_bytes``), byte for byte and in order;
-    every other file goes to the row parser.  Either way it reads to the
-    rows of the reference trace (``helpers.reference_read_trace``) in the
-    table's order, or to the error for the first table id it lacks."""
+    every other file goes to the row parser.  Either way it reads as the
+    reference trace (``helpers.reference_read_trace``) does: to the file's
+    rows when it lists the table's ids in order, else to the error for the
+    first row whose id is not the table's, or the first table id it lacks."""
 
     @pytest.mark.parametrize(
         "table_ids, file_ids, scanned",
@@ -797,39 +777,31 @@ class TestTraceIdBytes:
         rows = [f"{sample_id},a,{k % 2},{'b' * (k % 2)},{'ab'[k % 2]}" for k, sample_id in enumerate(file_ids)]
         path.write_text("\n".join([",".join(io.TRACE_HEADER), *rows]) + "\n", encoding="utf-8")
         table = id_table(ClassSet(("a", "b")), table_ids)
-        expected = table_outcome(reference_read_trace, path, table.classes)
-        if isinstance(expected[1], dict):
-            position = {sample_id: row for row, sample_id in enumerate(expected[1]["table"]["sample_ids"])}
-            missing = [sample_id for sample_id in table_ids if sample_id not in position]
-            if missing:
-                expected = DataError, f"{path} lacks sample id {missing[0]!r}"
-            else:
-                expected = rows_at(expected, [position[sample_id] for sample_id in table_ids])
-        assert table_outcome(io.read_trace, path, table) == expected
+        assert table_outcome(io.read_trace, path, table) == table_outcome(reference_read_trace, path, table)
         scan = io._scan_columns(path, io._TRACE.headers, table)
         assert (scan is not None) == scanned
         assert not scanned or scan[0] is table.sample_ids
 
 
 class TestTraceFormat:
-    @pytest.mark.parametrize("order", [[0, 1, 2], [2, 0, 1]], ids=["scanned", "row-parser"])
-    def test_trace_table_shares_the_checked_ids(self, tmp_path, order):
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n"], ids=["scanned", "row-parser"])
+    def test_trace_table_shares_the_checked_ids(self, tmp_path, newline):
         """The trace's table is built on the ids of the table it is read
         against, with no sample-id check (``core.check_names``), whether the
-        scanner or, for a trace in another order, the row parser reads it."""
+        scanner or, for a trace with CR-LF line ends, the row parser reads it."""
         table = make_table(["a", "b"], ["a", "a", "b"], ["b", "a", "scooter"], ids=["x", "y", "z"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
         path = tmp_path / "trace.csv"
         io.write_trace(path, trace)
-        other = table.subset(order)
-        assert (io._scan_columns(path, io._TRACE.headers, other) is not None) == (order == [0, 1, 2])
+        path.write_bytes(path.read_bytes().replace(b"\n", newline))
+        assert (io._scan_columns(path, io._TRACE.headers, table) is not None) == (newline == b"\n")
         with mock.patch.object(core, "check_names", wraps=core.check_names) as spy:
-            back = io.read_trace(path, other)
+            back = io.read_trace(path, table)
         assert "sample id" not in [call.args[0] for call in spy.call_args_list]
-        assert back.table.sample_ids is other.sample_ids
-        assert back.table.names(back.table.gt_ids) == other.names(other.gt_ids)
-        assert fired_column(back) == [fired_column(trace)[row] for row in order]
+        assert back.table.sample_ids is table.sample_ids
+        assert back.table.names(back.table.gt_ids) == table.names(table.gt_ids)
+        assert same_trace(back, trace)
 
     def test_roundtrip(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a", "b"])
@@ -863,8 +835,9 @@ class TestTraceFormat:
         assert trace.table.classes.names == ("a", "c", "zz")
         assert trace.table.pred_ids.tolist() == [0, 2]
         assert trace.final.tolist() == [0, 1]
-        # the class set is taken over every row of the file, also a row the table lacks
-        assert io.read_trace(path, id_table(ClassSet(("a",)), ["x"])).table.classes.names == ("a", "c", "zz")
+        # a row the table lacks is a data error, not a source of classes
+        with pytest.raises(DataError, match=r"trace.csv: row 2 has sample id 'y', not the table's id on that row$"):
+            io.read_trace(path, id_table(ClassSet(("a",)), ["x"]))
 
     def test_final_outside_classes_extends_trace_classes(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -896,6 +869,31 @@ class TestTraceFormat:
         (tmp_path / "t.csv").write_text("sample_id,original,flagged,fired,final\nx,a,1,b,b\ny,a,0,,a\n")
         assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
                     "--out", tmp_path / "out"]) == 0
+
+    def test_eval_scores_over_the_trace_class_set(self, tmp_path, capsys):
+        """apply routes every prediction of class a to UNKNOWN, so a is absent
+        from revised.csv.  Without --trace eval's classes are the revised
+        file's predicted ones and a's ground truth counts as novel; with it,
+        eval scores over the trace's class set, which keeps a, so the
+        novel-aware accuracy is 0.25, not 0.5, and metrics.csv has a's rows."""
+        (tmp_path / "p.csv").write_text("sample_id,pred,gt\nx1,a,a\nx2,a,b\nx3,b,b\nx4,b,a\n")
+        (tmp_path / "c.csv").write_text("sample_id,c1\nx1,1\nx2,1\nx3,0\nx4,0\n")
+        rule_set = RuleSet(ClassSet(("a", "b")), ("c1",), 0.5, (DetectionRule(0, ("c1",), 0.5, 0.5),), ())
+        io.save_ruleset(tmp_path / "r.yaml", rule_set)
+        assert run(["apply", "--ruleset", tmp_path / "r.yaml", "--predictions", tmp_path / "p.csv",
+                    "--conditions", tmp_path / "c.csv", "--out", tmp_path / "apply"]) == 0
+        revised, trace = tmp_path / "apply" / "revised.csv", tmp_path / "apply" / "trace.csv"
+        for extra, accuracy, classes in (([], "0.5000", {"b"}), (["--trace", trace], "0.2500", {"a", "b"})):
+            capsys.readouterr()
+            assert run(["eval", "--predictions", revised, *extra, "--mode", "novel-aware",
+                        "--out", tmp_path / "eval"]) == 0
+            assert f"accuracy (novel-aware): {accuracy}\n" in capsys.readouterr().out
+            with (tmp_path / "eval" / "metrics.csv").open(newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert {row["class"] for row in rows} - {""} == classes
+        assert {(row["metric"], row["value"]) for row in rows if row["class"] == "a"} >= {
+            ("n_predicted", "0"), ("n_actual", "2"), ("recall", "0.0")
+        }
 
     def test_eval_rejects_the_trace_of_another_table(self, tmp_path, capsys):
         """A trace whose final column is not the scored table's predictions
@@ -929,7 +927,28 @@ class TestTraceFormat:
                     "--out", tmp_path / "out"]) == 3
         assert "t.csv lacks sample id 'y'" in capsys.readouterr().err
 
-    def test_read_trace_aligns_by_id(self, tmp_path):
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (["y,a,0,,a", "x,a,0,,a"], "row 1 has sample id 'y', not the table's id on that row"),  # permuted
+            (["x,a,0,,a", "y,a,0,,a", "z,a,0,,a"], "row 3 has sample id 'z', not the table's id on that row"),
+            (["x,a,0,,a", "w,a,0,,a"], "row 2 has sample id 'w', not the table's id on that row"),  # another id
+            (["x,a,0,,a", "", "w,a,0,,a"], "row 2 has sample id 'w', not the table's id on that row"),
+        ],
+        ids=["permuted", "extra-row", "other-id", "other-id-after-blank-line"],
+    )
+    def test_eval_rejects_a_trace_out_of_the_table_order(self, tmp_path, capsys, rows, message):
+        """A trace lists the scored table's ids in order, as apply writes it;
+        any other is a data error naming the trace file and its first row
+        (blank lines skipped) whose id is not the table's, and eval writes nothing."""
+        io.write_predictions(tmp_path / "p.csv", make_table(["a", "b"], ["a", "a"], ["b", "a"], ids=["x", "y"]))
+        (tmp_path / "t.csv").write_text("\n".join(["sample_id,original,flagged,fired,final", *rows]) + "\n")
+        assert run(["eval", "--predictions", tmp_path / "p.csv", "--trace", tmp_path / "t.csv",
+                    "--out", tmp_path / "out"]) == 3
+        assert capsys.readouterr().err == f"error: {tmp_path / 't.csv'}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_read_trace_takes_only_the_table_order(self, tmp_path):
         table = make_table(["a", "b"], ["a", "a", "b"], ids=["x", "y", "z"])
         conds = make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]])
         _, trace = apply_ruleset(sample_ruleset(), table, conds)
@@ -937,20 +956,18 @@ class TestTraceFormat:
         io.write_trace(path, trace)
         back = io.read_trace(path, table)  # as apply writes it
         assert back.table.sample_ids is table.sample_ids and same_trace(back, trace)
-        for ids, rows in [
-            (("x", "y", "z"), [0, 1, 2]),  # equal, not the same tuple
-            (("z", "x", "y"), [2, 0, 1]),
-            (("x", "z"), [0, 2]),  # the trace holds an extra id
+        other = id_table(table.classes, ("x", "y", "z"))  # equal ids, not the same tuple
+        back = io.read_trace(path, other)
+        assert back.table.sample_ids is other.sample_ids
+        assert fired_column(back) == fired_column(trace)
+        for ids, message in [
+            (("z", "x", "y"), "t.csv: row 1 has sample id 'x', not the table's id on that row"),
+            (("x", "z"), "t.csv: row 2 has sample id 'y', not the table's id on that row"),  # an extra id
+            (("x", "w"), "t.csv: row 2 has sample id 'y', not the table's id on that row"),
+            (("x", "y", "z", "w"), "t.csv lacks sample id 'w'"),
         ]:
-            other = id_table(table.classes, ids)
-            back = io.read_trace(path, other)
-            assert back.table.sample_ids is other.sample_ids
-            assert fired_column(back) == [fired_column(trace)[row] for row in rows]
-            assert back.table.pred_ids.tolist() == trace.table.pred_ids[rows].tolist()
-            for column in ("flagged", "final"):
-                assert getattr(back, column).tolist() == getattr(trace, column)[rows].tolist()
-        with pytest.raises(DataError, match="t.csv lacks sample id 'w'"):
-            io.read_trace(path, id_table(table.classes, ["x", "w"]))
+            with pytest.raises(DataError, match=f"{message}$"):
+                io.read_trace(path, id_table(table.classes, ids))
 
 
 class TestEveryTableIsConstructed:
@@ -960,16 +977,16 @@ class TestEveryTableIsConstructed:
 
     @pytest.fixture
     def files(self, tmp_path):
-        """A table, a permutation of it, and its predictions and trace files;
-        the trace is scanned against the table and row-parsed against the other."""
+        """A table and its predictions and trace files, the trace also with
+        CR-LF line ends: the first is scanned, the second row-parsed."""
         table = make_table(["a", "b"], ["a", "a", "b"], ["b", "a", "scooter"], ids=["x", "y", "z"])
         _, trace = apply_ruleset(sample_ruleset(), table, make_conds(["c1", "c2"], [[1, 0, 1], [1, 1, 0]]))
         io.write_predictions(tmp_path / "p.csv", table)
         io.write_trace(tmp_path / "t.csv", trace)
-        other = table.subset([2, 0, 1])
+        (tmp_path / "crlf.csv").write_bytes((tmp_path / "t.csv").read_bytes().replace(b"\n", b"\r\n"))
         assert io._scan_columns(tmp_path / "t.csv", io._TRACE.headers, table) is not None
-        assert io._scan_columns(tmp_path / "t.csv", io._TRACE.headers, other) is None
-        return table, other, tmp_path
+        assert io._scan_columns(tmp_path / "crlf.csv", io._TRACE.headers, table) is None
+        return table, tmp_path
 
     @staticmethod
     def counted(monkeypatch) -> list:
@@ -979,12 +996,12 @@ class TestEveryTableIsConstructed:
         return builds
 
     BUILDS = {
-        "read_predictions": lambda table, other, tmp: io.read_predictions(tmp / "p.csv", table.classes),
-        "from_names": lambda table, other, tmp: PredictionTable.from_names(table.classes, ["x"], ["a"], ["b"]),
-        "with_predictions": lambda table, other, tmp: table.with_predictions([-1, 0, 1]),
-        "subset": lambda table, other, tmp: table.subset([2, 0]),
-        "read_trace_scanned": lambda table, other, tmp: io.read_trace(tmp / "t.csv", table).table,
-        "read_trace_row_parser": lambda table, other, tmp: io.read_trace(tmp / "t.csv", other).table,
+        "read_predictions": lambda table, tmp: io.read_predictions(tmp / "p.csv", table.classes),
+        "from_names": lambda table, tmp: PredictionTable.from_names(table.classes, ["x"], ["a"], ["b"]),
+        "with_predictions": lambda table, tmp: table.with_predictions([-1, 0, 1]),
+        "subset": lambda table, tmp: table.subset([2, 0]),
+        "read_trace_scanned": lambda table, tmp: io.read_trace(tmp / "t.csv", table).table,
+        "read_trace_row_parser": lambda table, tmp: io.read_trace(tmp / "crlf.csv", table).table,
     }
 
     @pytest.mark.parametrize("build", BUILDS.values(), ids=BUILDS.keys())
@@ -993,7 +1010,7 @@ class TestEveryTableIsConstructed:
         assert builds == [build(*files)]
 
     def test_a_repeated_row_is_built_and_raises(self, files, monkeypatch):
-        table, _, _ = files
+        table, _ = files
         builds = self.counted(monkeypatch)
         with pytest.raises(ContractError, match="^duplicate sample id 'z'$"):
             table.subset([2, 0, 2])
