@@ -85,13 +85,13 @@ def _save(args, config, *outputs, seed=None) -> Path:
     """Write each ``(file name, writer, *data)`` output into ``--out`` in the
     order given, then the manifest, which records the files named by
     whichever input flags the command has and was given, each under its flag,
-    and digests the outputs. Return the directory. Inputs are digested first,
-    so an output that replaces its own input does not lend it its digest, and
-    an earlier run's manifest is deleted first, so a run that fails part way
-    leaves none."""
+    and digests the outputs. Return the directory. An input's digest is that
+    of the bytes its reader parsed (``io._digesting``), so an output that
+    replaces its own input does not lend it its digest, and an earlier run's
+    manifest is deleted first, so a run that fails part way leaves none."""
     flags = ("ruleset", "predictions", "conditions", "trace")
     inputs = {
-        flag: {"path": str(path), "sha256": io.sha256_file(path)}
+        flag: {"path": str(path), "sha256": args.digests[str(Path(path))]}
         for flag in flags if (path := getattr(args, flag, ""))
     }
     out = Path(args.out)
@@ -243,15 +243,16 @@ def cmd_verify(args) -> int:
     submodular_fail = False
     for quantity in ("pos", "neg", "bod"):
         result = check_submodular(quantity, 0, table, conds, trials=args.trials, seed=args.seed)
-        status = "ok" if result.passed else "FAIL"
+        skipped = not result.exhaustive and not result.pairs_checked  # --trials 0 on a sampled scan
+        status = "FAIL" if not result.passed else "skipped" if skipped else "ok"
         scope = "exhaustive" if result.exhaustive else f"{result.pairs_checked} sampled pairs"
         print(f"submodularity {quantity}: {status} ({scope})")
         if not result.passed:
             submodular_fail = True
             print(f"  counterexample: {result.counterexample}")
 
-    print(f"correction theorems: {'FAIL' if correction_fail else 'ok'} "
-          f"({args.correction_scenarios} constructed scenarios)")
+    status = "FAIL" if correction_fail else "ok" if args.correction_scenarios else "skipped"
+    print(f"correction theorems: {status} ({args.correction_scenarios} constructed scenarios)")
     config = {"epsilon": args.epsilon, "trials": args.trials,
               "correction_scenarios": args.correction_scenarios}
     out = _save(args, config, ("theorem_report.csv", io.write_theorem_reports, reports), seed=args.seed)
@@ -321,7 +322,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with io._digesting() as args.digests:
+            return args.func(args)
     except EdcrError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -27,6 +27,11 @@ is no plain field) sends the whole file to the row parser, built on
 layout and names the line of every fault.  Of the row parsers, only the
 conditions one matches rows by id; a trace lists its table's ids in order.
 
+While a command runs (:func:`_digesting`), a worker thread digests each
+chunk the readers read (:func:`_open`) while they parse it, and a file's
+last complete read gives the digest its manifest records, so no input is
+read twice.  Outside a command the readers digest nothing.
+
 The predictions and trace writers keep each column as int codes into its
 distinct names until the text is built.  When every id is a plain field
 (:func:`_id_bytes`) and no name holds a separator, quote, ``\\r`` or NUL, the
@@ -50,12 +55,15 @@ import hashlib
 import json
 import os
 import tempfile
+import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import astuple, fields
 from datetime import datetime, timezone
-from io import StringIO
+from io import FileIO, StringIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -83,6 +91,7 @@ RULESET_FORMAT_VERSION = 1
 TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
 _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
+_OPEN: ContextVar[Callable[[str], FileIO]] = ContextVar("_OPEN", default=FileIO)  # _Digested in a command
 
 
 def atomic_write_text(path: Path | str, text: str) -> None:
@@ -105,6 +114,51 @@ def sha256_file(path: Path | str) -> str:
         for chunk in iter(lambda: handle.read(65536), b""):
             digest.update(chunk)
     return digest.hexdigest()
+
+
+@contextmanager
+def _digesting():
+    """Digest each input as it is read while the block runs (see the module
+    docstring); yields the SHA-256 of each input by ``str(Path(path))``."""
+    jobs, digests = SimpleQueue(), {}
+
+    def run_updates():
+        for digest, chunk, idle in iter(jobs.get, None):
+            digest.update(chunk)  # hashlib releases the GIL on chunks over 2 KiB
+            del chunk  # so the reading thread frees it
+            idle.release()
+
+    worker = threading.Thread(target=run_updates)
+    worker.start()
+    token = _OPEN.set(lambda path: _Digested(path, jobs, digests))
+    try:
+        yield digests
+    finally:
+        _OPEN.reset(token)
+        jobs.put(None)
+        worker.join()
+
+
+class _Digested(FileIO):
+    """A file whose chunks the worker of :func:`_digesting` digests as they
+    are read; each read first waits for the update of the chunk before, so
+    one chunk at most is in flight, and at end of file keeps the digest."""
+
+    def __init__(self, path: str, jobs: SimpleQueue, digests: dict[str, str]) -> None:
+        super().__init__(path)
+        self._jobs, self._digests, self._digest, self._idle = jobs, digests, hashlib.sha256(), threading.Lock()
+
+    def read(self, size: int = -1) -> bytes:
+        self._idle.acquire()  # the update of the chunk before has run and let it go
+        self._chunk = super().read(size)  # so this thread frees that chunk here
+        if not self._chunk:  # end of file
+            self._digests[self.name] = self._digest.hexdigest()
+        self._jobs.put((self._digest, self._chunk, self._idle))
+        return self._chunk
+
+
+def _open(path: Path) -> FileIO:
+    return _OPEN.get()(str(path))
 
 
 def _parse_error(path, line_no: int, message: str) -> DataError:
@@ -153,7 +207,8 @@ def _csv_file(path: Path):
     """The header and a reader over the remaining rows of a CSV file; bytes
     that are not UTF-8 and malformed CSV are data errors."""
     try:
-        with open(path, "r", encoding="utf-8", newline="") as handle:
+        with TextIOWrapper(_open(path), encoding="utf-8", newline="") as handle:
+            handle._CHUNK_SIZE = _SCAN_BLOCK  # not 8 KiB: each read waits for the digest of the one before
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
@@ -178,7 +233,7 @@ def _scan_records(path: Path):
     starts, stops)``: its bytes and the bounds of its non-blank records, less
     the line break.  A quote, ``\\r`` or NUL raises :class:`_Unscannable`."""
     tail, at_end, header = b"", False, True
-    with open(path, "rb") as handle:
+    with _open(path) as handle:
         while not at_end:
             # a record longer than a block doubles the next read, so the scan stays linear
             chunk = handle.read(max(_SCAN_BLOCK, len(tail)))
@@ -544,7 +599,7 @@ def save_ruleset(path, rule_set: RuleSet) -> None:
 def load_ruleset(path) -> RuleSet:
     path = Path(path)
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with TextIOWrapper(_open(path), encoding="utf-8") as handle:  # named by path in YAML's marks
             data = yaml.safe_load(handle)
     except (yaml.YAMLError, ValueError, RecursionError) as err:
         # bytes that are not UTF-8, and an escape or a date out of range, are

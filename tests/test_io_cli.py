@@ -1,7 +1,14 @@
 import argparse
+import contextvars
 import csv
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
+import threading
+from collections import Counter
 from io import StringIO
 from pathlib import Path
 from unittest import mock
@@ -1775,22 +1782,27 @@ def manifest_runs(tmp_path_factory):
     """Every command run once on one small corpus, each into its own
     directory named after its ``MANIFEST_CASES`` key."""
     root = tmp_path_factory.mktemp("manifests")
-    p, c = root / "gen" / "predictions.csv", root / "gen" / "conditions.csv"
+    for key, argv in manifest_argvs(root).items():
+        assert run([*argv, "--out", root / key]) == 0, key
+    return root
+
+
+def manifest_argvs(root, p=None, c=None, ruleset=None, revised=None, trace=None):
+    """Each ``MANIFEST_CASES`` command without its ``--out``, reading the
+    files that the commands before it wrote under ``root``, or the files given."""
+    p, c = p or root / "gen" / "predictions.csv", c or root / "gen" / "conditions.csv"
     read = ["--predictions", p, "--conditions", c]
-    revised, trace = root / "apply" / "revised.csv", root / "apply" / "trace.csv"
-    argvs = {
+    revised, trace = revised or root / "apply" / "revised.csv", trace or root / "apply" / "trace.csv"
+    return {
         "gen": ["gen", "--seed", 9, "--samples", 400, "--holdout", "walk,drive"],
         "learn": ["learn", *read, "--epsilon", 0.2],
-        "apply": ["apply", "--ruleset", root / "learn" / "ruleset.yaml", *read],
+        "apply": ["apply", "--ruleset", ruleset or root / "learn" / "ruleset.yaml", *read],
         "eval": ["eval", "--predictions", revised, "--trace", trace],
         "eval_no_trace": ["eval", "--predictions", revised, "--mode", "novel-aware"],
         "sweep": ["sweep", *read, "--epsilons", "0,0.1", "--learn-fraction", 0.4],
         "unseen": ["unseen", *read, "--holdout", "walk,drive", "--fractions", "0,0.2"],
         "verify": ["verify", *read, "--trials", 200, "--correction-scenarios", 20, "--seed", 5],
     }
-    for key, argv in argvs.items():
-        assert run([*argv, "--out", root / key]) == 0, key
-    return root
 
 
 # the corpus inputs, by flag, as paths under the runs' root
@@ -1847,6 +1859,185 @@ def test_failed_rerun_leaves_no_manifest(tmp_path):
     assert run(argv) == 3
     assert (out / "revised.csv").read_text() != "stale\n"  # written before the trace failed
     assert not (out / "manifest.json").exists()
+
+
+def quoted_copy(sources, out):
+    """Copies of ``sources`` in directory ``out`` with the id of the first
+    record quoted, which ``csv.reader`` reads as the same id."""
+    out.mkdir()
+    for source in sources:
+        header, first, rest = source.read_bytes().split(b"\n", 2)
+        sample_id, cells = first.split(b",", 1)
+        (out / source.name).write_bytes(b"\n".join([header, b'"%s",%s' % (sample_id, cells), rest]))
+    return [out / source.name for source in sources]
+
+
+@pytest.fixture(scope="module", params=["plain", "crlf", "quoted"])
+def layout_runs(request, tmp_path_factory):
+    """Every command of ``MANIFEST_CASES`` run, each into its own directory
+    under the returned root, on inputs in one layout: as written, which the
+    byte scanner reads, or CR-LF or with a quoted id, which send every CSV
+    input to the row parser.  The CR-LF layout has a CR-LF rule set too."""
+    layout, root = request.param, tmp_path_factory.mktemp(request.param)
+    copy = {"plain": lambda sources, out: sources, "crlf": crlf_copy, "quoted": quoted_copy}[layout]
+    argvs = manifest_argvs(root)
+    assert run([*argvs["gen"], "--out", root / "gen"]) == 0
+    p, c = copy([root / "gen" / "predictions.csv", root / "gen" / "conditions.csv"], root / "read")
+    assert run([*manifest_argvs(root, p, c)["learn"], "--out", root / "learn"]) == 0
+    ruleset = root / "learn" / "ruleset.yaml"
+    ruleset = crlf_copy([ruleset], root / "rules")[0] if layout == "crlf" else ruleset
+    assert run([*manifest_argvs(root, p, c, ruleset)["apply"], "--out", root / "apply"]) == 0
+    revised, trace = copy([root / "apply" / "revised.csv", root / "apply" / "trace.csv"], root / "applied")
+    table, revised_table = io.read_predictions(p), io.read_predictions(revised)
+    scans = [
+        io._scan_columns(p, io._PREDICTIONS.headers, None),
+        io._scan_conditions(c, table),
+        io._scan_columns(revised, io._PREDICTIONS.headers, None),
+        io._scan_columns(trace, io._TRACE.headers, revised_table),
+    ]
+    assert [scan is not None for scan in scans] == [layout == "plain"] * 4
+    for key, argv in manifest_argvs(root, p, c, ruleset, revised, trace).items():
+        if key not in ("gen", "learn", "apply"):
+            assert run([*argv, "--out", root / key]) == 0, key
+    return root
+
+
+@pytest.mark.parametrize("key", [key for key in MANIFEST_CASES if key != "gen"])
+def test_manifest_input_digests_are_the_files_digests(layout_runs, key):
+    """In every layout, each input the manifest records under its flag has
+    the SHA-256 of the file at its recorded path."""
+    inputs = json.loads((layout_runs / key / "manifest.json").read_text())["inputs"]
+    assert sorted(inputs) == sorted(MANIFEST_CASES[key][3])
+    for flag, entry in inputs.items():
+        assert entry["sha256"] == hashlib.sha256(Path(entry["path"]).read_bytes()).hexdigest(), flag
+
+
+_OPENS: list[Counter] = []  # the counter of the test that holds the open spy, if one runs
+
+
+def _count_open(event, args):
+    if event == "open" and _OPENS:
+        _OPENS[0][str(args[0])] += 1
+
+
+@pytest.fixture
+def opens():
+    """A Counter of the files opened while the test runs, by path.  An audit
+    hook sees every open, however it is made; hooks cannot be removed, so
+    one is added on first use and counts only while a test holds the spy."""
+    if not getattr(_count_open, "added", False):
+        sys.addaudithook(_count_open)
+        _count_open.added = True
+    _OPENS.append(Counter())
+    yield _OPENS[0]
+    _OPENS.clear()
+
+
+@pytest.mark.parametrize("key", [key for key in MANIFEST_CASES if key != "gen"])
+def test_each_scanned_input_is_opened_once(manifest_runs, tmp_path, opens, key):
+    """A command reads each input in the plain layout once, digesting it as
+    it is scanned, and joins its digest worker before it returns."""
+    threads = threading.active_count()
+    assert run([*manifest_argvs(manifest_runs)[key], "--out", tmp_path / key]) == 0
+    inputs = MANIFEST_CASES[key][3]
+    assert {flag: opens[str(manifest_runs / name)] for flag, name in inputs.items()} == dict.fromkeys(inputs, 1)
+    assert threading.active_count() == threads
+
+
+def test_a_library_read_starts_no_thread_and_digests_nothing(manifest_runs, tmp_path, monkeypatch):
+    """Outside a command, the readers, scanner and row parser alike, read
+    plain files: no thread starts and nothing is digested."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a library read started a thread or a digest")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(hashlib, "sha256", refuse)
+    corpus, applied = manifest_runs / "gen", manifest_runs / "apply"
+    crlf = crlf_copy([corpus / "predictions.csv", corpus / "conditions.csv"], tmp_path / "crlf")
+    rule_set = io.load_ruleset(manifest_runs / "learn" / "ruleset.yaml")
+    for p, c in ((corpus / "predictions.csv", corpus / "conditions.csv"), crlf):
+        io.read_conditions(c, io.read_predictions(p, classes=rule_set.classes))
+    io.read_trace(applied / "trace.csv", io.read_predictions(applied / "revised.csv"))
+
+
+def test_digests_hold_under_fast_thread_switching(tmp_path):
+    """Readers on six threads, in small chunks, while the interpreter
+    switches threads as often as it can: each file's digest is still the
+    SHA-256 of its bytes, so no update is lost or run out of order."""
+    rng = np.random.default_rng(0)
+    paths = [tmp_path / f"{k}.bin" for k in range(6)]
+    for k, path in enumerate(paths):
+        path.write_bytes(rng.bytes(200_000 + k))
+
+    def read(path):
+        with io._open(path) as handle:
+            while handle.read(3000):  # over the 2 KiB from which hashlib releases the GIL
+                pass
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with io._digesting() as digests:
+            # a thread starts in an empty context, so each runs in a copy of this one
+            threads = [threading.Thread(target=contextvars.copy_context().run, args=(read, path)) for path in paths]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in paths}
+
+
+def cli_process(argv, **options) -> subprocess.Popen:
+    """``edcr`` run in a child process on this tree's package."""
+    src = str(Path(io.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys; from edcr.cli import main; sys.exit(main())"
+    return subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, **options)
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_eval_digests_piped_predictions(manifest_runs, tmp_path):
+    """A piped input is read once, so its digest is that of the bytes piped,
+    not of the empty rest of the pipe."""
+    data = (manifest_runs / "apply" / "revised.csv").read_bytes()
+    child = cli_process(["eval", "--predictions", "/dev/stdin", "--out", tmp_path / "e"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        _, err = child.communicate(data, timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 0, err
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert manifest["inputs"] == {"predictions": {"path": "/dev/stdin", "sha256": hashlib.sha256(data).hexdigest()}}
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_eval_reads_a_fifo_once(manifest_runs, tmp_path):
+    """eval on a FIFO finishes: nothing opens the FIFO a second time, which
+    would wait for a writer that never comes."""
+    data = (manifest_runs / "apply" / "revised.csv").read_bytes()
+    fifo = tmp_path / "revised.fifo"
+    os.mkfifo(fifo)
+    child = cli_process(["eval", "--predictions", fifo, "--out", tmp_path / "e"],
+                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))  # opening waits for the reader
+    writer.start()
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        writer.join(timeout=5)
+        if writer.is_alive():  # the child never opened the FIFO; the data fits the pipe's buffer
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=60)
+            os.close(reader)
+    assert not writer.is_alive()
+    assert child.returncode == 0, err
+    manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
+    assert manifest["inputs"]["predictions"]["sha256"] == hashlib.sha256(data).hexdigest()
 
 
 #: Every file ``edcr gen`` writes, in name order.
@@ -1934,6 +2125,36 @@ def wide_corpus(tmp_path, extra=55):
     values = np.hstack([conds.values, rng.random((table.n, extra)) < 0.05])
     io.write_conditions(corpus / "wide.csv", table, ConditionMatrix(names, values))
     return corpus
+
+
+def test_verify_names_a_check_with_nothing_to_check_skipped(tmp_path, capsys):
+    """With 15 conditions the submodularity scan is sampled, so --trials 0
+    checks no pair, and --correction-scenarios 0 builds no scenario: each is
+    named skipped, not ok, and the exit code is still 0."""
+    corpus = gen_corpus(tmp_path, seed=21, samples=300)
+    read = ["--predictions", corpus / "predictions.csv", "--conditions", corpus / "conditions.csv"]
+    assert run(["verify", *read, "--trials", 0, "--out", tmp_path / "t"]) == 0
+    out = capsys.readouterr().out
+    for quantity in ("pos", "neg", "bod"):
+        assert f"submodularity {quantity}: skipped (0 sampled pairs)\n" in out
+    assert "correction theorems: ok (100 constructed scenarios)\n" in out
+    assert run(["verify", *read, "--trials", 5, "--correction-scenarios", 0, "--out", tmp_path / "c"]) == 0
+    out = capsys.readouterr().out
+    assert "submodularity pos: ok (5 sampled pairs)\n" in out
+    assert "correction theorems: skipped (0 constructed scenarios)\n" in out
+
+
+def test_verify_trials_zero_on_an_exhaustive_scan_is_ok(tmp_path, capsys):
+    """Up to 12 conditions the scan is exhaustive and ignores --trials."""
+    corpus = gen_corpus(tmp_path, seed=21, samples=300)
+    table = io.read_predictions(corpus / "predictions.csv")
+    conds = io.read_conditions(corpus / "conditions.csv", table)
+    io.write_conditions(corpus / "narrow.csv", table, ConditionMatrix(conds.condition_names[:12], conds.values[:, :12]))
+    assert run(["verify", "--predictions", corpus / "predictions.csv", "--conditions", corpus / "narrow.csv",
+                "--trials", 0, "--correction-scenarios", 5, "--out", tmp_path / "v"]) == 0
+    out = capsys.readouterr().out
+    for quantity in ("pos", "neg", "bod"):
+        assert f"submodularity {quantity}: ok (exhaustive)\n" in out
 
 
 def test_verify_beyond_64_conditions(tmp_path, capsys):
