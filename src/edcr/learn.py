@@ -22,16 +22,20 @@ Correction learning walks candidate (condition, class) pairs sorted by their
 singleton confidence, keeping a pair when adding it to the growing set raises
 confidence at least as much as dropping it from the shrinking set would, and
 returns nothing unless the final confidence strictly beats the class's
-baseline precision.  It is packed too: each pair's body (condition AND
-predicted as the pair's class) is one row of ``core._pair_words``, a set of
-pairs is scored by OR-ing their words, and BOD and POS are the popcounts
-of that union and of its AND with the rows whose ground truth is the class.
-Each confidence is the ``pos / bod`` of Python ints that
-``correction_counts`` gives, so every comparison of the walk is the same.
+baseline precision.  Each pair's body (condition AND predicted as the pair's
+class) is one row of ``core._pair_words``; BOD and POS of a set of pairs are
+the popcounts of the OR of their rows and of its AND with the class's ground
+truth.  The singletons take one vectorised pass, and before step t the
+shrinking set is the kept pairs OR ``tails[t]``, the suffix OR of the walk
+order, so a step costs O(n / 64) word operations.  Confidences are the
+``pos / bod`` doubles ``correction_counts`` gives (int64 counts below 2**53
+divide as Python ints do).  Class i is given only the pairs (q, r) with a row
+of ground truth i predicted r: any other pair has POS 0, so it cannot beat
+the baseline, and the filter is exact.
 """
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -42,6 +46,7 @@ from .core import (
     _class_of,
     _pack_rows,
     _pair_words,
+    _ratio,
     _require_aligned,
     check_unit_interval,
     correction_counts,
@@ -88,21 +93,19 @@ def det_rule_learn(
     words = conds.words[[conds.column_index(name) for name in pool]]  # one row per candidate
     predicted, correct = table.pred_ids == i, table.gt_ids == i
     err_left, ok_left = _pack_rows(np.stack([predicted & ~correct, predicted & correct]))  # uncovered rows
-    is_open = np.ones(len(pool), dtype=bool)
+    cand = np.arange(len(pool))  # the open candidates, ascending, so ties go to the smallest name
     neg = 0
     chosen: list[str] = []
     while True:
-        cand = np.flatnonzero(is_open)
         gain_neg = np.bitwise_count(words[cand] & ok_left).sum(axis=1, dtype=np.int64)
-        feasible = neg + gain_neg <= budget
-        is_open[cand[~feasible]] = False  # NEG only grows: closed for good
+        feasible = neg + gain_neg <= budget  # NEG only grows: an infeasible candidate is closed for good
         cand, gain_neg = cand[feasible], gain_neg[feasible]
         if not cand.size:
             break
         gain_pos = np.bitwise_count(words[cand] & err_left).sum(axis=1, dtype=np.int64)
         best = int(np.argmax(gain_pos))
         j = int(cand[best])
-        is_open[j] = False
+        cand = np.delete(cand, best)
         neg += int(gain_neg[best])
         err_left &= ~words[j]
         ok_left &= ~words[j]
@@ -136,27 +139,21 @@ def corr_rule_learn(
         bod = int(np.bitwise_count(body).sum())
         return int(np.bitwise_count(body & head).sum()) / bod if bod else 0.0
 
-    def union(members: Sequence[int]) -> np.ndarray:
-        return np.bitwise_or.reduce(words[members], axis=0)
-
-    singleton = [confidence(body) for body in words]
-    order = sorted(
-        (j for j in range(len(pairs)) if singleton[j] > p_i),
-        key=lambda j: (-singleton[j], pairs[j]),
-    )
+    bod = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    pos = np.bitwise_count(words & head).sum(axis=1, dtype=np.int64)
+    singleton = _ratio(pos, bod).tolist()
+    beat = [j for j in range(len(pairs)) if singleton[j] > p_i]
+    order = sorted(beat, key=lambda j: (-singleton[j], pairs[j]))
+    tails = np.bitwise_or.accumulate(np.vstack([np.zeros_like(head)[None], words[order[::-1]]]), axis=0)[::-1]
 
     kept: list[int] = []
     kept_body = np.zeros_like(head)  # union of the kept pairs' bodies
-    remaining = list(order)
-    for j in order:
+    for t, j in enumerate(order):
         gain_add = confidence(kept_body | words[j]) - confidence(kept_body)
-        without = [r for r in remaining if r != j]
-        gain_drop = confidence(union(without)) - confidence(union(remaining))
+        gain_drop = confidence(kept_body | tails[t + 1]) - confidence(kept_body | tails[t])
         if gain_add >= gain_drop:
             kept.append(j)
             kept_body |= words[j]
-        else:
-            remaining = without
 
     if confidence(kept_body) <= p_i:
         return ()
@@ -184,17 +181,19 @@ def det_corr_rule_learn(
     per_class = epsilon if isinstance(epsilon, dict) else dict.fromkeys(table.classes.names, epsilon)
 
     detection: list[DetectionRule] = []
-    cc_all: list[Pair] = []
     for i, name in enumerate(table.classes.names):
         dc = det_rule_learn(i, per_class[name], table, conds)
         if dc:
             counts = detection_counts(table, conds, i, dc)
             detection.append(DetectionRule(i, dc, counts.class_support, counts.confidence))
-            cc_all.extend((cond, i) for cond in dc)
 
+    k, pred, gt = len(table.classes), table.pred_ids, table.gt_ids
+    rows = (pred >= 0) & (gt < k)
+    meets = np.bincount(gt[rows] * np.int64(k) + pred[rows], minlength=k * k).reshape(k, k)  # [i, r]: gt i, pred r
     correction: list[CorrectionRule] = []
-    for i in range(len(table.classes)):
-        cc = corr_rule_learn(i, cc_all, table, conds)
+    for i, met in enumerate(meets.tolist()):
+        cc_i = [(cond, rule.target) for rule in detection if met[rule.target] for cond in rule.conditions]
+        cc = corr_rule_learn(i, cc_i, table, conds)
         if cc:
             counts = correction_counts(table, conds, i, cc)
             correction.append(CorrectionRule(i, cc, counts.support, counts.confidence))

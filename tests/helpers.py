@@ -124,6 +124,28 @@ def random_instance(rng, n_max=500, max_classes=4, max_conditions=8, noise_range
     return table, conds
 
 
+def many_class_instance(rng, k=24, n=3000, n_novel=2, unknown=0.01, moves=(-1, 1)):
+    """A table with many classes and its verdict conditions: ground truth
+    uniform over the ``k`` classes and ``n_novel`` novel ones; the prediction
+    the true class (a random one for a novel class), moved by one of
+    ``moves`` mod ``k`` in 25% of rows, and UNKNOWN in a fraction
+    ``unknown`` of rows; and per class ``g_<class>``, a verdict of "is this
+    class" with 5% flips, and its complement ``not_g_<class>``, so m = 2k."""
+    names = [f"k{j:03d}" for j in range(k)]
+    gt = rng.integers(0, k + n_novel, size=n)
+    pred = np.where(gt < k, gt, rng.integers(0, k, size=n))
+    moved = rng.random(n) < 0.25
+    pred[moved] = (pred[moved] + rng.choice(moves, size=int(moved.sum()))) % k
+    verdicts = (gt[:, None] == np.arange(k)) ^ (rng.random((n, k)) < 0.05)
+    table = make_table(
+        names,
+        np.where(rng.random(n) < unknown, UNKNOWN_NAME, np.array(names)[pred]).tolist(),
+        [(names + [f"novel{j}" for j in range(n_novel)])[i] for i in gt],
+    )
+    cond_names = [*map(binary_condition_name, names), *map(negated_condition_name, names)]
+    return table, ConditionMatrix(tuple(cond_names), np.concatenate([verdicts, ~verdicts], axis=1))
+
+
 def same_table(a, b):
     """Tables agree on classes, sample ids and every predicted and true class name."""
     return (

@@ -1998,6 +1998,27 @@ def cli_process(argv, **options) -> subprocess.Popen:
     return subprocess.Popen([sys.executable, "-c", code, *map(str, argv)], env=env, **options)
 
 
+def eval_on_fifo(fifo: Path, data: bytes, out: Path) -> tuple[int, bytes]:
+    """The exit code and stderr of ``edcr eval`` in a child process on a new
+    FIFO that a thread writes ``data`` to and closes."""
+    assert len(data) < 1 << 16  # fits the pipe's buffer, so the writer never waits for the reader to read
+    os.mkfifo(fifo)
+    child = cli_process(["eval", "--predictions", fifo, "--out", out], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,))  # opening waits for the reader
+    writer.start()
+    try:
+        _, err = child.communicate(timeout=60)
+    finally:
+        child.kill()
+        writer.join(timeout=5)
+        if writer.is_alive():  # the child never opened the FIFO; the data fits the pipe's buffer
+            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+            writer.join(timeout=60)
+            os.close(reader)
+    assert not writer.is_alive()
+    return child.returncode, err
+
+
 @pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
 def test_eval_digests_piped_predictions(manifest_runs, tmp_path):
     """A piped input is read once, so its digest is that of the bytes piped,
@@ -2019,25 +2040,40 @@ def test_eval_reads_a_fifo_once(manifest_runs, tmp_path):
     """eval on a FIFO finishes: nothing opens the FIFO a second time, which
     would wait for a writer that never comes."""
     data = (manifest_runs / "apply" / "revised.csv").read_bytes()
-    fifo = tmp_path / "revised.fifo"
-    os.mkfifo(fifo)
-    child = cli_process(["eval", "--predictions", fifo, "--out", tmp_path / "e"],
-                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
-    writer = threading.Thread(target=fifo.write_bytes, args=(data,))  # opening waits for the reader
-    writer.start()
-    try:
-        _, err = child.communicate(timeout=60)
-    finally:
-        child.kill()
-        writer.join(timeout=5)
-        if writer.is_alive():  # the child never opened the FIFO; the data fits the pipe's buffer
-            reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
-            writer.join(timeout=60)
-            os.close(reader)
-    assert not writer.is_alive()
-    assert child.returncode == 0, err
+    returncode, err = eval_on_fifo(tmp_path / "revised.fifo", data, tmp_path / "e")
+    assert returncode == 0, err
     manifest = json.loads((tmp_path / "e" / "manifest.json").read_text())
     assert manifest["inputs"]["predictions"]["sha256"] == hashlib.sha256(data).hexdigest()
+
+
+PIPE_REFUSED = "a pipe the byte scanner refuses cannot be read a second time; use a file"
+
+
+@pytest.mark.skipif(not Path("/dev/stdin").exists(), reason="no /dev/stdin")
+def test_eval_refuses_piped_predictions_outside_the_plain_layout(manifest_runs, tmp_path):
+    """CR-LF predictions piped in are refused by the scanner, and the row
+    parser cannot read the pipe again: a data error that says so, not an
+    empty file."""
+    data = (manifest_runs / "apply" / "revised.csv").read_bytes().replace(b"\n", b"\r\n")
+    child = cli_process(["eval", "--predictions", "/dev/stdin", "--out", tmp_path / "e"],
+                        stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        _, err = child.communicate(data, timeout=60)
+    finally:
+        child.kill()
+    assert child.returncode == 3, err
+    assert f"/dev/stdin: {PIPE_REFUSED}" in err.decode()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_eval_refuses_a_fifo_outside_the_plain_layout(manifest_runs, tmp_path):
+    """CR-LF predictions in a FIFO whose writer has gone are a data error,
+    not a wait for a second writer."""
+    data = (manifest_runs / "apply" / "revised.csv").read_bytes().replace(b"\n", b"\r\n")
+    fifo = tmp_path / "revised.fifo"
+    returncode, err = eval_on_fifo(fifo, data, tmp_path / "e")
+    assert returncode == 3, err
+    assert f"{fifo}: {PIPE_REFUSED}" in err.decode()
 
 
 #: Every file ``edcr gen`` writes, in name order.

@@ -26,6 +26,7 @@ from edcr.learn import recall_budget
 from helpers import (
     make_conds,
     make_table,
+    many_class_instance,
     random_instance,
     reference_brute_force_correction,
     reference_brute_force_detection,
@@ -394,6 +395,25 @@ class TestPackedCorrectionMatchesReference:
         with mock.patch.object(edcr.learn, "corr_rule_learn", reference_corr_rule_learn):
             expected = det_corr_rule_learn(epsilon, table, conds)
         assert ruleset_to_dict(det_corr_rule_learn(epsilon, table, conds)) == ruleset_to_dict(expected)
+
+
+class TestCorrectionPoolAtManyClasses:
+    """``det_corr_rule_learn`` hands each class only the detection pairs whose
+    predicted class has a row of that ground truth; the reference walk over
+    every detection pair must select the same pairs for every class.  Moves
+    of +1 only make "ground truth i, predicted r" one-sided, so a filter that
+    swapped the two would be seen."""
+
+    @pytest.mark.parametrize("moves", [(-1, 1), (1,)])
+    @pytest.mark.parametrize("epsilon", [0.1, 0.3])
+    def test_each_class_over_every_detection_pair(self, epsilon, moves):
+        table, conds = many_class_instance(np.random.default_rng(32), moves=moves)
+        rule_set = det_corr_rule_learn(epsilon, table, conds)
+        every_pair = [(cond, rule.target) for rule in rule_set.detection_rules for cond in rule.conditions]
+        learned = {rule.target: rule.pairs for rule in rule_set.correction_rules}
+        assert learned
+        for i in range(len(table.classes)):
+            assert learned.get(i, ()) == reference_corr_rule_learn(i, every_pair, table, conds)
 
 
 class TestMetamorphic:
