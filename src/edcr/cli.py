@@ -15,7 +15,7 @@ import numpy as np
 
 from . import io
 from .conditions import generate_synthetic
-from .core import ContractError, DataError, EdcrError, VerificationError
+from .core import ContractError, DataError, EdcrError, VerificationError, check_count
 from .evaluate import (
     ScoringMode,
     error_detection_metrics,
@@ -225,8 +225,9 @@ def cmd_unseen(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the correction theorems replay constructed scenarios seeded from this
-    # run; they read no input, so a bad count or seed fails before any read
+    # a bad trial count, scenario count or seed fails before any read: the
+    # correction theorems replay scenarios seeded from this run and read no input
+    check_count("trials", args.trials)
     correction_fail = not check_correction_scenarios(args.correction_scenarios, args.seed)
     table, conds = _corpus(args)
     reports = theorem_report(table, conds, epsilon=args.epsilon)

@@ -20,7 +20,7 @@ R = ``EARTH_RADIUS_M``: with latitudes phi and longitudes lam in radians,
 The synthetic corpus is a fixed function of its arguments: for a given seed
 the trajectories, predictions and conditions are the same values on every
 run, and so are the bytes of the predictions and conditions files that
-``edcr gen`` writes; the trajectories stay in memory.  That holds because the
+``edcr gen`` writes; the trajectories are not returned.  That holds because the
 generator makes its random draws from one ``numpy.random.Generator`` in a
 fixed order:
 
@@ -268,18 +268,11 @@ _SECOND_NEIGHBOR_PROB = 0.25  # confusions go to the nearest regime, else the se
 class SyntheticCorpus:
     """A generated corpus: the mock model's predictions with ground truth,
     the full condition matrix (binary-classifier verdicts, their complements,
-    and velocity outliers), the fitted velocity ceilings, and the raw
-    trajectories as flat point columns ``t``, ``lat`` and ``lon`` with
-    ``counts[k]`` points for the table's k-th sample, checked against the
-    record rules once, by :func:`max_speeds` in the generator."""
+    and velocity outliers) and the fitted velocity ceilings."""
 
     table: PredictionTable
     conditions: ConditionMatrix
     thresholds: dict[str, float]
-    counts: np.ndarray
-    t: np.ndarray
-    lat: np.ndarray
-    lon: np.ndarray
 
 
 def _confusion_order(true_class: str, visible: Sequence[str]) -> list[str]:
@@ -373,9 +366,9 @@ def generate_synthetic(
     truth = list(names) + [
         names[int(k)] for k in rng.integers(0, len(names), size=n_samples - len(names))
     ]
-    counts, t, lat, lon = _make_trajectories(
-        rng, np.array([DEFAULT_SPEED_REGIMES[gt] for gt in truth])
-    )
+    tracks = _make_trajectories(rng, np.array([DEFAULT_SPEED_REGIMES[gt] for gt in truth]))
+    sample_ids = [f"s{k:05d}" for k in range(n_samples)]
+    speeds = max_speeds(sample_ids, *tracks)
 
     random = rng.random
     confusion_order = {name: _confusion_order(name, visible) for name in names}
@@ -392,7 +385,6 @@ def generate_synthetic(
             predicted.append(order[0])
 
     classes = ClassSet(visible)
-    sample_ids = [f"s{k:05d}" for k in range(n_samples)]
     table = PredictionTable.from_names(classes, sample_ids, predicted, truth)
 
     cond_names: list[str] = []
@@ -406,7 +398,6 @@ def generate_synthetic(
         cond_names.append(negated_condition_name(name))
         columns.append(~verdict)
 
-    speeds = max_speeds(sample_ids, counts, t, lat, lon)
     fitted = [k for k, gt in enumerate(truth) if gt not in holdout]
     thresholds = fit_velocity_thresholds([truth[k] for k in fitted], speeds[fitted], classes=visible)
     velocity = build_velocity_conditions(thresholds, speeds)
@@ -414,4 +405,4 @@ def generate_synthetic(
     columns.extend(velocity.values.T)
 
     conditions = ConditionMatrix(tuple(cond_names), np.stack(columns, axis=1))
-    return SyntheticCorpus(table, conditions, thresholds, counts, t, lat, lon)
+    return SyntheticCorpus(table, conditions, thresholds)

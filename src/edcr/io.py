@@ -499,7 +499,7 @@ def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:
 
 def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> None:
     """The bit cells are built as one ``(n, 2m+1)`` byte array of ``,0``/``,1``
-    pairs and a line break, and each id is put before its row; ids that
+    pairs and a line break, and the ids and rows are joined in turn; ids that
     ``csv.writer`` would quote (or reject) send the file to
     :func:`write_csv_rows`.  A matrix with no conditions is a
     :class:`ContractError`, since its file would be a bare ``sample_id``
@@ -515,10 +515,9 @@ def write_conditions(path, table: PredictionTable, conds: ConditionMatrix) -> No
     cells[:, :-1:2] = ord(",")
     cells[:, 1::2] = bits + ord("0")
     cells[:, -1] = ord("\n")
-    data = np.frombuffer(ids, dtype=np.uint8)
-    lengths = np.diff(np.flatnonzero(data == 0), prepend=-1) - 1  # each id's bytes, put before its row
-    body = np.insert(cells.ravel(), np.repeat(np.arange(table.n) * (2 * m + 1), lengths), data[data != 0])
-    atomic_write_text(path, _csv_text([header]) + body.tobytes().decode())
+    parts = [b""] * (2 * table.n)
+    parts[0::2], parts[1::2] = ids.split(b"\0")[:-1], cells.view(f"S{2 * m + 1}").ravel().tolist()
+    atomic_write_text(path, _csv_text([header]) + b"".join(parts).decode())
 
 
 # ---------------------------------------------------------------------------

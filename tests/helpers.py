@@ -399,8 +399,8 @@ def _reference_make_trajectory(rng, sample_id, mean_speed) -> tuple[tuple[float,
 @dataclass(frozen=True)
 class ReferenceCorpus:
     """What :func:`reference_generate_synthetic` builds: the fields of
-    ``SyntheticCorpus`` that ``same_corpus`` compares, with the trajectories
-    as one tuple of ``(t, lat, lon)`` points per sample."""
+    ``SyntheticCorpus`` and the tracks, one tuple of ``(t, lat, lon)`` points
+    per sample."""
 
     tracks: tuple[tuple[tuple[float, float, float], ...], ...]
     table: PredictionTable

@@ -1,9 +1,11 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import edcr.conditions
 from edcr import (
     ContractError,
     DataError,
@@ -426,10 +428,10 @@ class TestVelocityThresholds:
 
 class TestGenerateSynthetic:
     def test_same_seed_identical(self):
-        a = generate_synthetic(seed=9, n_samples=120, noise=0.2)
-        b = generate_synthetic(seed=9, n_samples=120, noise=0.2)
-        for name in ("counts", "t", "lat", "lon"):
-            assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+        a, a_columns = generated(seed=9, n_samples=120, noise=0.2)
+        b, b_columns = generated(seed=9, n_samples=120, noise=0.2)
+        for a_column, b_column in zip(a_columns, b_columns, strict=True):
+            assert a_column.tobytes() == b_column.tobytes()
         assert same_table(a.table, b.table)
         assert a.conditions.condition_names == b.conditions.condition_names
         assert np.array_equal(a.conditions.values, b.conditions.values)
@@ -510,17 +512,29 @@ class TestGenerateSynthetic:
             generate_synthetic(0, n_samples)
 
 
-def tracks_of(corpus):
-    """A generated corpus's point columns as one tuple of points per sample."""
-    return point_tuples(corpus.counts, corpus.t, corpus.lat, corpus.lon)
+def generated(**args):
+    """``generate_synthetic(**args)`` and the ``(counts, t, lat, lon)`` point
+    columns that its ``_make_trajectories`` call returned, recorded on the
+    way: the tracks the corpus's velocity conditions were computed from."""
+    make, recorded = edcr.conditions._make_trajectories, []
+
+    def record(*call):
+        recorded.append(make(*call))
+        return recorded[-1]
+
+    with mock.patch.object(edcr.conditions, "_make_trajectories", record):
+        corpus = generate_synthetic(**args)
+    (columns,) = recorded
+    return corpus, columns
 
 
-def same_corpus(a, b) -> bool:
-    """A generated corpus ``a`` against the reference generator's ``b``, field
-    by field; floats by ``repr``, which is what the CSV writers emit, so
-    ``0.0`` and ``-0.0`` differ."""
+def same_corpus(generated_corpus, b) -> bool:
+    """A :func:`generated` corpus and its point columns against the reference
+    generator's ``b``, field by field; floats by ``repr``, which is what the
+    CSV writers emit, so ``0.0`` and ``-0.0`` differ."""
+    a, columns = generated_corpus
     return (
-        repr(tracks_of(a)) == repr(list(b.tracks))
+        repr(point_tuples(*columns)) == repr(list(b.tracks))
         and same_table(a.table, b.table)
         and a.table.gt_ids.tolist() == b.table.gt_ids.tolist()
         and a.table.novel_names == b.table.novel_names
@@ -565,22 +579,22 @@ class TestGeneratorMatchesReference:
         ],
     )
     def test_listed_configurations(self, args):
-        assert same_corpus(generate_synthetic(**args), reference_generate_synthetic(**args))
+        assert same_corpus(generated(**args), reference_generate_synthetic(**args))
 
     @settings(max_examples=40)
     @given(generator_args())
     def test_any_configuration(self, args):
-        corpus = generate_synthetic(**args)
-        assert same_corpus(corpus, reference_generate_synthetic(**args))
+        corpus, columns = generated(**args)
+        assert same_corpus((corpus, columns), reference_generate_synthetic(**args))
         # the speeds of the generated columns are those of its point tuples
-        used = max_speeds(corpus.table.sample_ids, corpus.counts, corpus.t, corpus.lat, corpus.lon)
-        assert same_floats(used.tolist(), [trajectory_speed(p).max_speed for p in tracks_of(corpus)])
+        used = max_speeds(corpus.table.sample_ids, *columns)
+        assert same_floats(used.tolist(), [trajectory_speed(p).max_speed for p in point_tuples(*columns)])
 
 
-def broken_columns(corpus, fault):
-    """The corpus's point columns with one fault in record 2, at its point 3
-    (or, for ``one point``, with only its first point left)."""
-    counts, t, lat, lon = (column.copy() for column in (corpus.counts, corpus.t, corpus.lat, corpus.lon))
+def broken_columns(columns, fault):
+    """A :func:`generated` corpus's point columns with one fault in record 2,
+    at its point 3 (or, for ``one point``, with only its first point left)."""
+    counts, t, lat, lon = (column.copy() for column in columns)
     start = int(counts[:2].sum())
     point = start + 3
     if fault == "one point":
@@ -666,8 +680,8 @@ def test_column_fault_has_the_record_message(fault):
     """A corpus whose columns break a record rule is rejected by
     ``max_speeds`` with the message that the point-by-point rules give for
     the same points."""
-    corpus = generate_synthetic(seed=1, n_samples=8)
-    counts, t, lat, lon = broken_columns(corpus, fault)
+    corpus, columns = generated(seed=1, n_samples=8)
+    counts, t, lat, lon = broken_columns(columns, fault)
     expected = reference_track_fault("s00002", point_tuples(counts, t, lat, lon)[2])
     assert expected is not None and "'s00002'" in expected
     with pytest.raises(DataError) as error:

@@ -2569,5 +2569,6 @@ def test_invalid_invocations_exit_codes(tmp_path, capsys):
     for argv, expected in invalid_invocations(tmp_path):
         capsys.readouterr()
         assert run(argv) == expected, argv
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and "Traceback" not in err, argv
+        assert out == "", argv
