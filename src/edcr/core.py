@@ -15,7 +15,7 @@ import numbers
 from collections import Counter, defaultdict
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -205,15 +205,17 @@ def _rank_rows(columns: Sequence[np.ndarray], sizes: Sequence[int]) -> tuple[np.
     """Codes of the rows of integer columns, ``columns[j]`` in ``[0, sizes[j])``,
     into their distinct rows, ascending with the first column most significant,
     and a row for each code.  A row is one int64 key in mixed radix, replaced
-    by its rank (order kept, below the row count) before it could pass 2**62."""
+    by its rank (order kept) whenever its range passes the row count, so the
+    keys are ranked at the end by counting, with no sort, over that range."""
     key, bound = np.zeros(len(columns[0]), dtype=np.int64), 1
     for column, size in zip(columns, sizes):
-        if bound * size > 1 << 62:
+        key, bound = key * size + column, bound * size
+        if bound > len(key):
             distinct, key = np.unique(key, return_inverse=True)
             bound = len(distinct)
-        key, bound = key * size + column, bound * size
-    distinct, codes = np.unique(key, return_inverse=True)
-    rows = np.empty(len(distinct), dtype=np.intp)
+    present = np.bincount(key, minlength=bound) > 0
+    codes = (np.cumsum(present) - 1)[key]
+    rows = np.empty(np.count_nonzero(present), dtype=np.intp)
     rows[codes] = np.arange(len(key))  # rows with one code are equal, so any may stand for it
     return codes, rows
 
@@ -406,6 +408,14 @@ class PredictionTable:
         return PredictionTable(self.classes, sample_ids, self.pred_ids[idx], gt, self.novel_names)
 
 
+class _Packed(NamedTuple):
+    """Words packed as :attr:`ConditionMatrix.words` are, and their row
+    count, which a :class:`ConditionMatrix` checks and keeps as they are."""
+
+    words: np.ndarray
+    n_rows: int
+
+
 @dataclass(frozen=True, eq=False, init=False)
 class ConditionMatrix:
     """Named boolean condition columns, row-aligned to a prediction table.
@@ -415,7 +425,9 @@ class ConditionMatrix:
     packed once along the samples into ``words``, one row of ceil(rows/64)
     uint64 words per condition, and only the words are kept.  ``values``
     unpacks them on each use, read-only, for the callers that need bools;
-    the 8× larger bools are not kept.
+    the 8× larger bools are not kept.  The conditions scanner packs each
+    block of a file into the words as it reads it and passes them as a
+    :class:`_Packed`, whose dtype, shape and zero padding bits are checked.
     """
 
     condition_names: tuple[str, ...]
@@ -424,16 +436,23 @@ class ConditionMatrix:
 
     def __init__(self, condition_names: Sequence[str], values) -> None:
         object.__setattr__(self, "condition_names", check_names("condition name", condition_names))
-        vals = _bit_array("condition values", values)
-        if vals.ndim != 2:
-            raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
-        if vals.shape[1] != len(self.condition_names):
-            raise ContractError(
-                f"{len(self.condition_names)} condition names for {vals.shape[1]} columns"
-            )
-        words = _pack_rows(vals.T)
+        if isinstance(values, _Packed):
+            words, n_rows = values
+            shape = (len(self.condition_names), max(1, -(-n_rows // 64)))
+            used = n_rows - 64 * (shape[1] - 1)  # the bits of each last word that hold rows; numpy shifts 64 to 0
+            if words.dtype != "<u8" or words.shape != shape or (words[:, -1] >> used).any():
+                raise ContractError(f"packed condition words must be {shape} <u8 with zero padding bits")
+        else:
+            vals = _bit_array("condition values", values)
+            if vals.ndim != 2:
+                raise ContractError(f"condition values must be 2-D, got shape {vals.shape}")
+            if vals.shape[1] != len(self.condition_names):
+                raise ContractError(
+                    f"{len(self.condition_names)} condition names for {vals.shape[1]} columns"
+                )
+            words, n_rows = _pack_rows(vals.T), vals.shape[0]
         words.setflags(write=False)
-        object.__setattr__(self, "n_rows", vals.shape[0])
+        object.__setattr__(self, "n_rows", n_rows)
         object.__setattr__(self, "words", words)
 
     @property

@@ -15,8 +15,9 @@ the table's ids in order, as every writer writes them, compared as UTF-8
 bytes (:func:`_id_bytes`); only the predictions reader, which has no table,
 decodes ids.  The ``,0``/``,1`` cells of conditions are read as
 little-endian 16-bit values, 0x302C and 0x312C, and checked with one compare
-per block.  In predictions and traces, the text after each id is coded as
-one string, so it is split and decoded once per distinct value.
+per block; their bits go block by block into the matrix's words.  In
+predictions and traces, the text after each id is coded as one string, so
+it is split and decoded once per distinct value.
 Predictions and traces state their cell rules once, each in a
 ``_CellRules``: the scanner applies them to the distinct values of each
 column, and the row parser to each row.  Anything else (a quote, ``\\r`` or
@@ -80,6 +81,7 @@ from .core import (
     PredictionTable,
     _coded,
     _id_columns,
+    _Packed,
     _rank_rows,
     _require_aligned,
     check_names,
@@ -440,14 +442,17 @@ def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | No
     order, or None as soon as one record is not.  Each block's ids, each
     ended by a NUL, must be the next bytes of :func:`_id_bytes`, so every id
     has the table id's bytes and length.  Cells are read as ``<u2``, in which
-    ``,0`` is 0x302C and ``,1`` is 0x312C, and their bits fill the next
-    columns of an (m, n) buffer."""
+    ``,0`` is 0x302C and ``,1`` is 0x312C.  Each block's bits go through one
+    reused (m, rows) bool buffer into the next bytes of the ``<u8`` words;
+    the rows of a byte left unfilled stay at the buffer's front and are
+    packed again with the next block, the last byte zero-padded."""
     rows, at = 0, 0  # the table rows, and the bytes of their ids, read so far
     try:
         ids = _id_bytes(table) or b""  # a table id that is no plain field matches no record
         records = _scan_records(path)
         names = _condition_names(path, next(records))
-        values = np.zeros((len(names), table.n), dtype=bool)
+        words = np.zeros((len(names), max(1, -(-table.n // 64))), dtype="<u8")
+        bits = np.empty((len(names), 0), dtype=bool)
         width = 2 * len(names)  # the ,0 and ,1 cells after an id
         for data, starts, stops in records:
             if not len(starts):
@@ -459,11 +464,17 @@ def _scan_conditions(path: Path, table: PredictionTable) -> ConditionMatrix | No
             cells = sliding_window_view(data, width)[stops - width].view("<u2")
             if ids[at : at + len(joined)] != joined or ((cells | 0x0100) != 0x312C).any():
                 raise _Unscannable  # an id out of the table's order, or a cell that is not ,0 or ,1
-            np.equal(cells.T, 0x312C, out=values[:, rows : rows + len(starts)])
+            carry, end = rows % 8, rows % 8 + len(starts)  # ids in order, so rows never pass table.n
+            if bits.shape[1] < end:
+                bits = np.concatenate((bits[:, :carry], np.empty((len(names), len(starts) + 8), dtype=bool)), axis=1)
+            np.equal(cells.T, 0x312C, out=bits[:, carry:end])
+            packed = np.packbits(bits[:, :end], axis=1, bitorder="little")
+            words.view(np.uint8)[:, rows // 8 : rows // 8 + packed.shape[1]] = packed
+            bits[:, : end % 8] = bits[:, end - end % 8 : end]
             rows, at = rows + len(starts), at + len(joined)
     except (_Unscannable, UnicodeError, csv.Error, DataError):
         return None
-    return ConditionMatrix(names, values.T) if rows == table.n else None
+    return ConditionMatrix(names, _Packed(words, rows)) if rows == table.n else None
 
 
 def _parse_conditions(path: Path, table: PredictionTable) -> ConditionMatrix:

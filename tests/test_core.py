@@ -613,6 +613,24 @@ class TestConditionMatrix:
         assert ConditionMatrix(("a",), np.zeros((0, 1))).n_rows == 0
 
     @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
+    def test_packed_words_are_checked_and_kept(self, n):
+        """Words packed as the conditions scanner packs them are kept as they
+        are; a wrong dtype, a shape that is not the names' and rows', or a
+        set padding bit is a contract error."""
+        words = ConditionMatrix(("a", "b"), np.ones((n, 2), dtype=bool)).words.copy()
+        bad = [(words.view(np.int64), n), (words, n + 65), (words[:1], n)]
+        if n % 64 or not n:
+            padded = words.copy()
+            padded[1, n // 64] |= np.uint64(1) << np.uint64(n % 64)
+            bad.append((padded, n))
+        for value, rows in bad:
+            with pytest.raises(ContractError, match="^packed condition words "):
+                ConditionMatrix(("a", "b"), core._Packed(value, rows))
+        conds = ConditionMatrix(("a", "b"), core._Packed(words, n))
+        assert conds.words is words and not words.flags.writeable and conds.n_rows == n
+        assert np.array_equal(conds.values, np.ones((n, 2), dtype=bool))
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65])
     def test_words_at_word_boundaries(self, n):
         """The words hold each column along the samples with zero padding
         bits, ``values`` unpacks them back, and ``rule_body`` matches a

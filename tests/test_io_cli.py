@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 from io import StringIO
 from pathlib import Path
@@ -296,6 +297,38 @@ class TestConditionsScanner:
             monkeypatch.setattr(io, "_SCAN_BLOCK", edge)
             assert (io._scan_conditions(path, table) is not None) == scanned, edge
             assert np.array_equal(io.read_conditions(path, table).values, bits), edge
+
+    @pytest.mark.parametrize("block", [1, 64, 333])
+    @pytest.mark.parametrize("m", [1, 8, 65])
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 63, 64, 65, 130])
+    def test_packing_across_bytes_and_words(self, tmp_path, monkeypatch, n, m, block):
+        """Rows packed past the first byte and word, with the rows of a byte
+        a block leaves unfilled carried into the next; one record is longer
+        than a block."""
+        ids = [f"s{i}" for i in range(n)]
+        ids[n // 2] = "x" * (block + 1)
+        bits = np.random.default_rng([n, m, block]).random((n, m)) < 0.5
+        path, table = conditions_file(tmp_path, ids, bits)
+        monkeypatch.setattr(io, "_SCAN_BLOCK", block)
+        scanned, reference = io._scan_conditions(path, table), reference_read_conditions(path, table)
+        assert scanned is not None and scanned.n_rows == reference.n_rows == n
+        assert np.array_equal(scanned.words, reference.words)
+        assert same_outcome(path, table)
+
+    def test_scan_holds_no_bool_matrix(self, tmp_path, monkeypatch):
+        """The scanner's traced peak is the words it returns, the table's id
+        bytes and a few blocks: no (m, n) bool buffer."""
+        bits = np.random.default_rng(3).random((4000, 200)) < 0.3
+        path, table = conditions_file(tmp_path, [f"s{i}" for i in range(4000)], bits)
+        monkeypatch.setattr(io, "_SCAN_BLOCK", 4096)
+        tracemalloc.start()
+        try:
+            scanned = io._scan_conditions(path, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scanned is not None and np.array_equal(scanned.values, bits)
+        assert peak < scanned.words.nbytes + len(io._id_bytes(table)) + 32 * io._SCAN_BLOCK
 
     def test_permuted_rows_go_to_the_row_parser(self, tmp_path):
         ids = ["s0", "x;y", " pad ", "s3", "é"]
