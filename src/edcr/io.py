@@ -28,10 +28,10 @@ is no plain field) sends the whole file to the row parser, built on
 layout and names the line of every fault.  Of the row parsers, only the
 conditions one matches rows by id; a trace lists its table's ids in order.
 
-While a command runs (:func:`_digesting`), a worker thread digests each
-chunk the readers read (:func:`_open`) while they parse it, and a file's
-last complete read gives the digest its manifest records, so no input is
-read twice.  Outside a command the readers digest nothing.
+While a command runs (:func:`_digesting`), the readers hash each chunk
+they read (:func:`_open`) and keep a file's digest at end of file for the
+manifest, so no input is read twice.  Outside a command the readers digest
+nothing.
 
 The predictions and trace writers keep each column as int codes into its
 distinct names until the text is built.  When every id is a plain field
@@ -57,7 +57,6 @@ import json
 import os
 import stat
 import tempfile
-import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import astuple, fields
@@ -65,7 +64,6 @@ from datetime import datetime, timezone
 from io import FileIO, StringIO, TextIOWrapper
 from itertools import chain
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -94,7 +92,6 @@ RULESET_FORMAT_VERSION = 1
 TRACE_HEADER = ["sample_id", "original", "flagged", "fired", "final"]
 _BITS = frozenset(("0", "1"))
 _SCAN_BLOCK = 1 << 18  # 256 KiB; larger blocks raised peak RSS on 15-column files
-_TEXT_CHUNK = 1 << 18  # the row parser's reads; not 8 KiB, as each waits for the digest of the one before
 _OPEN: ContextVar[Callable[[str], FileIO]] = ContextVar("_OPEN", default=FileIO)  # _Digested in a command
 
 
@@ -124,42 +121,28 @@ def sha256_file(path: Path | str) -> str:
 def _digesting():
     """Digest each input as it is read while the block runs (see the module
     docstring); yields the SHA-256 of each input by ``str(Path(path))``."""
-    jobs, digests = SimpleQueue(), {}
-
-    def run_updates():
-        for digest, chunk, idle in iter(jobs.get, None):
-            digest.update(chunk)  # hashlib releases the GIL on chunks over 2 KiB
-            del chunk  # so the reading thread frees it
-            idle.release()
-
-    # not inline hashing (learn_m271 0.140 vs 0.129 s) nor ThreadPoolExecutor(1) (apply_n100k +2.4 MB RSS)
-    worker = threading.Thread(target=run_updates)
-    worker.start()
-    token = _OPEN.set(lambda path: _Digested(path, jobs, digests))
+    digests = {}
+    token = _OPEN.set(lambda path: _Digested(path, digests))
     try:
         yield digests
     finally:
         _OPEN.reset(token)
-        jobs.put(None)
-        worker.join()
 
 
 class _Digested(FileIO):
-    """A file whose chunks the worker of :func:`_digesting` digests as they
-    are read; each read first waits for the update of the chunk before, so
-    one chunk at most is in flight, and at end of file keeps the digest."""
+    """A file that hashes each chunk it reads and, at end of file, keeps
+    the digest in ``digests``."""
 
-    def __init__(self, path: str, jobs: SimpleQueue, digests: dict[str, str]) -> None:
+    def __init__(self, path: str, digests: dict[str, str]) -> None:
         super().__init__(path)
-        self._jobs, self._digests, self._digest, self._idle = jobs, digests, hashlib.sha256(), threading.Lock()
+        self._digests, self._digest = digests, hashlib.sha256()
 
     def read(self, size: int = -1) -> bytes:
-        self._idle.acquire()  # the update of the chunk before has run and let it go
-        self._chunk = super().read(size)  # so this thread frees that chunk here
-        if not self._chunk:  # end of file
+        chunk = super().read(size)
+        self._digest.update(chunk)
+        if not chunk:
             self._digests[self.name] = self._digest.hexdigest()
-        self._jobs.put((self._digest, self._chunk, self._idle))
-        return self._chunk
+        return chunk
 
 
 def _open(path: Path) -> FileIO:
@@ -216,7 +199,6 @@ def _csv_file(path: Path):
         raise DataError(f"{path}: a pipe the byte scanner refuses cannot be read a second time; use a file")
     try:
         with TextIOWrapper(_open(path), encoding="utf-8", newline="") as handle:
-            handle._CHUNK_SIZE = _TEXT_CHUNK  # fixed, so which fault a file reports first is not the scanner's block
             reader = csv.reader(handle)
             header = next(reader, None)
             if header is None:
