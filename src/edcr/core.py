@@ -508,11 +508,12 @@ def _pack_rows(cols: np.ndarray) -> np.ndarray:
 def _pair_words(conds: ConditionMatrix, pred_ids: np.ndarray, pairs: Sequence[tuple[str, int]]) -> np.ndarray:
     """Each (condition, class id) pair's body, ``condition AND pred ==
     class``, as a row of words laid out as ``conds.words``: the one kernel of
-    rule bodies.  Each class's predicted rows are packed once."""
+    rule bodies.  Each class's predicted rows are packed once, and each pair
+    finds its class's mask through a dict."""
     cols = [conds.column_index(name) for name, _ in pairs]
-    classes = list(dict.fromkeys(class_id for _, class_id in pairs))
-    masks = _pack_rows(pred_ids == np.array(classes, dtype=np.int64)[:, None])
-    return conds.words[cols] & masks[[classes.index(class_id) for _, class_id in pairs]]
+    mask_of = {class_id: j for j, class_id in enumerate(dict.fromkeys(class_id for _, class_id in pairs))}
+    masks = _pack_rows(pred_ids == np.array(list(mask_of), dtype=np.int64)[:, None])
+    return conds.words[cols] & masks[[mask_of[class_id] for _, class_id in pairs]]
 
 
 def rule_body(

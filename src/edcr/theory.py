@@ -1,7 +1,10 @@
 """Closed-form effects of rules on precision/recall, plus the machinery that
 certifies them: submodularity/monotonicity checks of the counting
 functions, and a constructor for tables that realize target statistics
-exactly so predicted deltas can be replayed empirically.
+exactly so predicted deltas can be replayed empirically.  A replay takes
+few applications: ``theorem_report`` applies every class's rule at once,
+exact as a detection rule flags only rows predicted its class, and the
+correction scenarios go 32 to a stacked table, which bounds its memory.
 
 All counts stay integers until the final division, so predicted and measured
 quantities agree to rational-arithmetic accuracy (tolerance 1e-9).
@@ -124,6 +127,7 @@ def correction_recall_post(tp: int, fn: int, pos: int) -> float:
 _BLOCK_ELEMENTS = 1 << 16  # (subset, pattern) cells per block: 512 KB of words
 _EXHAUSTIVE_LIMIT = 12  # conditions up to which check_submodular checks every subset pair
 _PAIR_BLOCK = 1024  # random subset pairs drawn at once when check_submodular samples
+_SCENARIO_BLOCK = 32  # correction scenarios stacked in one replay by check_correction_scenarios
 
 
 def _cover_counts(rows: np.ndarray, subsets: np.ndarray) -> np.ndarray:
@@ -285,6 +289,25 @@ class Scenario:
         return RuleSet(self.table.classes, self.conds.condition_names, 0.0, **{kind: (self.rule,)})
 
 
+def _scenario_block(counts: np.ndarray, classes: ClassSet) -> tuple[PredictionTable, ConditionMatrix]:
+    """Correction scenarios stacked in one table over one ``flag`` condition.
+    Row j of the (S, 6) ``counts`` holds scenario j's N_i, TP, BOD, POS,
+    extra FN and size; its target is class id 2j and its other class 2j + 1.
+    Each scenario's rows come in four runs: the target's predictions (the
+    first TP of them right), the body (predicted 2j + 1, ``flag`` set, the
+    first POS of them of class 2j), target rows no rule reaches, and padding."""
+    n_i, tp, bod, pos, extra_fn, n_total = counts.T
+    sizes = np.stack([n_i, bod, extra_fn, n_total - n_i - bod - extra_fn], axis=1).ravel()
+    within = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    other = within >= np.repeat(np.stack([tp, pos, extra_fn, np.zeros_like(tp)], axis=1).ravel(), sizes)
+    target = np.repeat(np.arange(0, 2 * len(counts), 2), 4)  # of each run
+    pred = np.repeat(target + np.tile([0, 1, 1, 1], len(counts)), sizes)
+    flag = np.repeat(np.tile([False, True, False, False], len(counts)), sizes)
+    ids = tuple(f"s{k:05d}" for k in range(len(pred)))
+    table = PredictionTable(classes, ids, pred, np.repeat(target, sizes) + other)
+    return table, ConditionMatrix(("flag",), flag.reshape(-1, 1))
+
+
 def build_correction_scenario(
     n_total: int,
     prior: float,
@@ -309,19 +332,7 @@ def build_correction_scenario(
     if n_i + bod + extra_fn > n_total:
         raise ContractError("N_i + BOD + extra_fn exceeds the table size; not realizable")
 
-    classes = ClassSet(("a", "b"))
-    # blocks of rows: existing predictions of the target class, the body
-    # (predicted b, condition true), target-class rows the rule never
-    # reaches, and padding
-    sizes = [n_i, bod, extra_fn, n_total - n_i - bod - extra_fn]
-    pred = np.repeat([0, 1, 1, 1], sizes)
-    gt = np.concatenate(
-        [np.arange(n_i) >= tp, np.arange(bod) >= pos, np.zeros(extra_fn), np.ones(sizes[3])]
-    ).astype(np.int32)
-    flag = np.repeat([False, True, False, False], sizes)
-    ids = tuple(f"s{k:05d}" for k in range(n_total))
-    table = PredictionTable(classes, ids, pred, gt)
-    conds = ConditionMatrix(("flag",), flag.reshape(-1, 1))
+    table, conds = _scenario_block(np.array([[n_i, tp, bod, pos, extra_fn, n_total]]), ClassSet(("a", "b")))
     counts = correction_counts(table, conds, 0, (("flag", 1),))
     rule = CorrectionRule(0, (("flag", 1),), counts.support, counts.confidence)
     return Scenario(table, conds, rule)
@@ -369,25 +380,30 @@ def theorem_report(
     table: PredictionTable, conds: ConditionMatrix, epsilon: float
 ) -> tuple[TheoremReport, ...]:
     """Learn one detection rule per class and compare its closed-form effect
-    against an empirical replay of that rule alone on the same table."""
+    against an empirical replay on the same table.  Every rule with s_i < 1
+    is replayed in one application, which is exact: a rule for class j flags
+    only rows predicted j, so it leaves class i's TP, FP and FN as they are."""
     stats = table.stats  # which requires ground truth
-    reports: list[TheoremReport] = []
-    for i, name in enumerate(table.classes.names):
-        p_i = float(stats.precision[i])
-        r_i = float(stats.recall[i])
+    rules: list[DetectionRule | None] = [None] * len(table.classes)
+    for i in range(len(table.classes)):
         dc = det_rule_learn(i, epsilon, table, conds)
-        if not dc:
+        if dc:
+            counts = detection_counts(table, conds, i, dc)
+            rules[i] = DetectionRule(i, dc, counts.class_support, counts.confidence)
+    replayed = [rule for rule in rules if rule and rule.class_support != 1.0]
+    rule_set = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=replayed)
+    after = apply_ruleset(rule_set, table, conds)[0].stats
+    reports: list[TheoremReport] = []
+    for i, (name, rule) in enumerate(zip(table.classes.names, rules)):
+        p_i, r_i = float(stats.precision[i]), float(stats.recall[i])
+        if rule is None:
             reports.append(TheoremReport(name, 0.0, 0.0, p_i, r_i, *[0.0] * 5, note="no rule learned"))
             continue
-        counts = detection_counts(table, conds, i, dc)
-        rule = DetectionRule(i, dc, counts.class_support, counts.confidence)
         d_precision, d_recall = detection_effect(rule, stats)
-        if d_precision is None:  # nothing to replay: precision after the rule is undefined
+        if d_precision is None:  # not replayed: precision after the rule is undefined
             note = "degenerate: rule covers every prediction of the class"
             d_precision, measured = 0.0, (0.0, 0.0)
         else:
-            rule_set = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=(rule,))
-            after = apply_ruleset(rule_set, table, conds)[0].stats
             measured, note = (float(after.precision[i]) - p_i, float(after.recall[i]) - r_i), ""
         bound = precision_delta_bound(rule.class_support, rule.confidence)
         reports.append(
@@ -402,29 +418,33 @@ def check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
     drawn from ``default_rng(seed)``, and return whether every measured
     precision change matches :func:`correction_precision_delta` and every
     measured recall of the target class after the rule matches
-    :func:`correction_recall_post`."""
+    :func:`correction_recall_post`.  Up to ``_SCENARIO_BLOCK`` scenarios,
+    each with its own two classes and one rule whose body holds only its own
+    rows, are stacked in one table (:func:`_scenario_block`) and replayed in
+    one application; the blocks bound its (rows, rules) match matrix."""
     n_scenarios = check_count("correction scenario count", n_scenarios)
     rng = np.random.default_rng(check_count("seed", seed))
-    for _ in range(n_scenarios):
-        n_i = int(rng.integers(10, 60))
-        tp = int(rng.integers(1, n_i + 1))
-        bod = int(rng.integers(1, 40))
-        pos = int(rng.integers(0, bod + 1))
-        extra_fn = int(rng.integers(0, 10))
-        n_total = n_i + bod + extra_fn + int(rng.integers(0, 40))
-        scenario = build_correction_scenario(
-            n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn=extra_fn
-        )
-        before = scenario.table.stats
-        revised, _ = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)
-        after = revised.stats
-        i = scenario.rule.target
-        predicted = correction_precision_delta(
-            scenario.rule.support, scenario.rule.confidence, float(before.precision[i]),
-            float(before.prior[i]),
-        )
-        measured = float(after.precision[i]) - float(before.precision[i])
-        recall = correction_recall_post(int(before.tp[i]), int(before.fn[i]), pos)
-        if max(abs(predicted - measured), abs(recall - float(after.recall[i]))) > RATIONAL_TOLERANCE:
-            return False
+    for start in range(0, n_scenarios, _SCENARIO_BLOCK):
+        counts = np.empty((min(_SCENARIO_BLOCK, n_scenarios - start), 6), dtype=np.int64)
+        for row in counts:
+            n_i = int(rng.integers(10, 60))
+            tp = int(rng.integers(1, n_i + 1))
+            bod = int(rng.integers(1, 40))
+            pos = int(rng.integers(0, bod + 1))
+            extra_fn = int(rng.integers(0, 10))
+            row[:] = n_i, tp, bod, pos, extra_fn, n_i + bod + extra_fn + int(rng.integers(0, 40))
+        classes = ClassSet(tuple(f"{c}{j}" for j in range(len(counts)) for c in "ab"))
+        table, conds = _scenario_block(counts, classes)
+        rules = [CorrectionRule(2 * j, (("flag", 2 * j + 1),), bod / n_total, pos / bod)
+                 for j, (_, _, bod, pos, _, n_total) in enumerate(counts.tolist())]
+        before = table.stats
+        after = apply_ruleset(RuleSet(classes, ("flag",), 0.0, correction_rules=rules), table, conds)[0].stats
+        for rule, (n_i, _, _, pos, _, n_total) in zip(rules, counts.tolist()):
+            i = rule.target
+            precision = float(before.precision[i])
+            predicted = correction_precision_delta(rule.support, rule.confidence, precision, n_i / n_total)
+            measured = float(after.precision[i]) - precision
+            recall = correction_recall_post(int(before.tp[i]), int(before.fn[i]), pos)
+            if max(abs(predicted - measured), abs(recall - float(after.recall[i]))) > RATIONAL_TOLERANCE:
+                return False
     return True

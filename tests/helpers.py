@@ -16,7 +16,10 @@ The two ``reference_brute_force_*`` oracles, which also count one subset at
 a time, are the exhaustive optima that the greedy learners are measured
 against, and ``build_detection_scenario`` builds a table that realizes given
 detection statistics exactly, for the detection closed forms to be replayed
-on.  ``reference_read_predictions``,
+on.  ``reference_theorem_report`` and ``reference_check_correction_scenarios``
+keep the replays that applied one rule or one scenario at a time, for the
+replays that apply them all at once, or 32 scenarios to a block, to agree
+with.  ``reference_read_predictions``,
 ``reference_read_trace``, ``reference_scan_conditions`` and
 ``reference_write_csv_rows`` keep the readers and the writer that ran one
 ``csv`` step per row, and ``reference_fired_codes`` the fired-pattern coder
@@ -80,8 +83,9 @@ from edcr.io import (
     _parse_error,
     atomic_write_text,
 )
-from edcr.learn import Pair, recall_budget
-from edcr.rules import DetectionRule
+from edcr import theory
+from edcr.learn import Pair, det_rule_learn, recall_budget
+from edcr.rules import DetectionRule, RuleSet, apply_ruleset
 from edcr.theory import Scenario, SubmodularityReport, _as_count
 
 
@@ -775,6 +779,64 @@ def build_detection_scenario(
     counts = detection_counts(table, conds, 0, ("flag",))
     rule = DetectionRule(0, ("flag",), counts.class_support, counts.confidence)
     return Scenario(table, conds, rule)
+
+
+def reference_theorem_report(table, conds, epsilon) -> tuple[theory.TheoremReport, ...]:
+    """``theorem_report`` replaying each class's detection rule alone, in one
+    application per rule."""
+    stats = table.stats
+    reports = []
+    for i, name in enumerate(table.classes.names):
+        p_i = float(stats.precision[i])
+        r_i = float(stats.recall[i])
+        dc = det_rule_learn(i, epsilon, table, conds)
+        if not dc:
+            reports.append(theory.TheoremReport(name, 0.0, 0.0, p_i, r_i, *[0.0] * 5, note="no rule learned"))
+            continue
+        counts = detection_counts(table, conds, i, dc)
+        rule = DetectionRule(i, dc, counts.class_support, counts.confidence)
+        d_precision, d_recall = theory.detection_effect(rule, stats)
+        if d_precision is None:
+            note = "degenerate: rule covers every prediction of the class"
+            d_precision, measured = 0.0, (0.0, 0.0)
+        else:
+            rule_set = RuleSet(table.classes, conds.condition_names, epsilon, detection_rules=(rule,))
+            after = apply_ruleset(rule_set, table, conds)[0].stats
+            measured, note = (float(after.precision[i]) - p_i, float(after.recall[i]) - r_i), ""
+        bound = theory.precision_delta_bound(rule.class_support, rule.confidence)
+        reports.append(theory.TheoremReport(name, rule.class_support, rule.confidence, p_i, r_i, d_precision,
+                                            bound, d_recall, *measured, note=note))
+    return tuple(reports)
+
+
+def reference_check_correction_scenarios(n_scenarios: int, seed: int) -> bool:
+    """``check_correction_scenarios`` building each scenario alone through
+    ``build_correction_scenario`` and replaying it in its own application.
+    The closed forms are read from ``edcr.theory`` at call time, so a test
+    that patches one there patches it here too."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n_scenarios):
+        n_i = int(rng.integers(10, 60))
+        tp = int(rng.integers(1, n_i + 1))
+        bod = int(rng.integers(1, 40))
+        pos = int(rng.integers(0, bod + 1))
+        extra_fn = int(rng.integers(0, 10))
+        n_total = n_i + bod + extra_fn + int(rng.integers(0, 40))
+        scenario = theory.build_correction_scenario(
+            n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn=extra_fn
+        )
+        before = scenario.table.stats
+        after = apply_ruleset(scenario.ruleset(), scenario.table, scenario.conds)[0].stats
+        i = scenario.rule.target
+        predicted = theory.correction_precision_delta(
+            scenario.rule.support, scenario.rule.confidence, float(before.precision[i]),
+            float(before.prior[i]),
+        )
+        measured = float(after.precision[i]) - float(before.precision[i])
+        recall = theory.correction_recall_post(int(before.tp[i]), int(before.fn[i]), pos)
+        if max(abs(predicted - measured), abs(recall - float(after.recall[i]))) > theory.RATIONAL_TOLERANCE:
+            return False
+    return True
 
 
 def reference_corr_rule_learn(

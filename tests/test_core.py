@@ -26,7 +26,7 @@ from edcr import (
 )
 from edcr import core
 from edcr.core import rule_body
-from helpers import make_conds, make_table, oracle_correction_counts, oracle_detection_counts
+from helpers import many_class_instance, make_conds, make_table, oracle_correction_counts, oracle_detection_counts
 
 
 class TestClassSet:
@@ -601,6 +601,20 @@ class TestConditionMatrix:
             for row in range(table.n)
         ]
         assert rule_body(conds, table.pred_ids, pairs).tolist() == expected
+
+    def test_pair_words_match_a_per_pair_reference(self):
+        """At k=400 classes, in pairs that name their classes in any order and
+        repeat them, each pair's words are its condition's words AND the
+        packed rows predicted its class."""
+        rng = np.random.default_rng(400)
+        table, conds = many_class_instance(rng, k=400, n=3000)
+        pairs = [(str(conds.condition_names[col]), int(class_id)) for col, class_id in
+                 zip(rng.integers(0, 800, size=4000), rng.integers(0, 400, size=4000))]
+        expected = [
+            conds.words[conds.column_index(name)] & core._pack_rows((table.pred_ids == class_id)[None])[0]
+            for name, class_id in pairs
+        ]
+        assert np.array_equal(core._pair_words(conds, table.pred_ids, pairs), np.array(expected))
 
     def test_bool_values_are_checked_without_a_copy(self):
         """The bit rule returns a bool array as it is, so the matrix's one

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from edcr import (
+    ClassSet,
     ContractError,
     DegenerateStatsError,
     DetectionRule,
@@ -183,6 +184,27 @@ class TestCorrectionReplay:
         pos = 9  # confidence 0.9 of a 10-row body
         assert float(after.recall[i]) == pytest.approx(correction_recall_post(tp, fn, pos), abs=1e-9)
 
+    def test_scenario_rows_realize_their_counts(self):
+        """A scenario built alone has n_total rows: N_i predictions of the
+        target (TP of them right), a BOD-row ``flag`` body predicted the
+        other class (POS of it the target's), and extra_fn more target rows.
+        In a stacked block, scenario j holds the same rows, its classes
+        shifted to 2j and 2j + 1."""
+        rows = [(10, 10, 1, 0, 0, 11), (30, 21, 10, 9, 5, 100), (12, 1, 39, 39, 9, 60)]
+        classes = ClassSet(("a0", "b0", "a1", "b1", "a2", "b2"))
+        block, block_conds = theory._scenario_block(np.array(rows), classes)
+        for j, (n_i, tp, bod, pos, extra_fn, n_total) in enumerate(rows):
+            alone = build_correction_scenario(n_total, n_i / n_total, tp / n_i, bod / n_total, pos / bod, extra_fn)
+            stats, flag = alone.table.stats, alone.conds.values[:, 0]
+            assert (alone.table.n, stats.n_predicted[0], stats.tp[0]) == (n_total, n_i, tp)
+            assert stats.fn[0] == pos + extra_fn
+            pred, gt = alone.table.pred_ids, alone.table.gt_ids
+            assert (flag.sum(), (flag & (pred == 1)).sum(), (flag & (gt == 0)).sum()) == (bod, bod, pos)
+            mine = block.pred_ids // 2 == j
+            assert np.array_equal(block.pred_ids[mine] - 2 * j, alone.table.pred_ids)
+            assert np.array_equal(block.gt_ids[mine] - 2 * j, alone.table.gt_ids)
+            assert np.array_equal(block_conds.values[mine, 0], flag)
+
     def test_sign_iff_confidence_beats_precision(self):
         for confidence, precision in [(0.9, 0.7), (0.5, 0.7), (0.7, 0.7)]:
             delta = correction_precision_delta(0.1, confidence, precision, 0.3)
@@ -211,6 +233,44 @@ class TestCorrectionScenarios:
 
         with mock.patch.object(theory, "correction_recall_post", off):
             assert not theory.check_correction_scenarios(3, seed=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_scenarios", [0, 1, 31, 32, 33, 100])
+    def test_blocks_match_one_scenario_at_a_time(self, n_scenarios, seed):
+        """The stacked replay gives each closed form the arguments, in the
+        order, and the verdict of the replay that builds and applies one
+        scenario at a time, also when a closed form is off on some scenarios
+        only; it applies one block of at most 32 correction rules at a time."""
+        def recorded(name, off):
+            closed_form = getattr(theory, name)
+
+            def record(*args):
+                calls.append((name, args))
+                return closed_form(*args) + (1e-6 if off(*args) else 0.0)
+            return mock.patch.object(theory, name, record)
+
+        def never(*args):
+            return False
+
+        verdicts = set()
+        for off_precision, off_recall in [
+            (never, never), (lambda s, c, p, prior: c > 0.97, never), (never, lambda tp, fn, pos: pos > 33)
+        ]:
+            runs = []
+            for check in (helpers.reference_check_correction_scenarios, theory.check_correction_scenarios):
+                calls = []
+                with recorded("correction_precision_delta", off_precision), \
+                        recorded("correction_recall_post", off_recall):
+                    runs.append((check(n_scenarios, seed), calls))
+            assert runs[0] == runs[1]
+            verdicts.add(runs[1][0])
+        assert n_scenarios < 100 or verdicts == {True, False}
+        with mock.patch.object(theory, "apply_ruleset", wraps=theory.apply_ruleset) as applied:
+            assert theory.check_correction_scenarios(n_scenarios, seed)
+        assert applied.call_count == math.ceil(n_scenarios / 32)
+        for call in applied.call_args_list:
+            rules = call.args[0]
+            assert 1 <= len(rules.correction_rules) <= 32 and not rules.detection_rules
 
     @pytest.mark.parametrize("n_scenarios, seed", [(-1, 0), (1, -1), (2.5, 0), (True, 0), ("2", 0), (1, 1.5)])
     def test_bad_count_or_seed(self, n_scenarios, seed):
@@ -514,6 +574,37 @@ class TestTheoremReport:
         assert len(reports) == len(corpus.table.classes)
         assert all(report.passed for report in reports)
         assert any(not report.note for report in reports)  # at least one real rule
+
+    @staticmethod
+    def replayed_once(table, conds, epsilon):
+        """``theorem_report`` equals the report that replays each rule alone,
+        field by field, and applies one rule set; returns both."""
+        with mock.patch.object(theory, "apply_ruleset", wraps=theory.apply_ruleset) as applied:
+            reports = theorem_report(table, conds, epsilon)
+        assert applied.call_count == 1
+        assert reports == helpers.reference_theorem_report(table, conds, epsilon)
+        return reports, applied.call_args.args[0]
+
+    @pytest.mark.parametrize("epsilon", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_one_replay_equals_one_per_rule(self, seed, epsilon):
+        """24 classes, two novel classes in ground truth and 1% UNKNOWN predictions."""
+        table, conds = helpers.many_class_instance(np.random.default_rng(seed), k=24)
+        reports, rule_set = self.replayed_once(table, conds, epsilon)
+        assert len(rule_set.detection_rules) == sum(not report.note for report in reports) > 1
+
+    def test_one_replay_leaves_a_degenerate_rule_out(self):
+        reports, rule_set = self.replayed_once(*degenerate_instance(), epsilon=0.5)
+        assert reports[0].note.startswith("degenerate") and not reports[1].note
+        assert [rule.target for rule in rule_set.detection_rules] == [1]
+
+    def test_one_replay_of_no_rules(self):
+        """Condition c holds on every row, so at epsilon 0 it flags a correct
+        prediction of each class and neither class learns a rule."""
+        table = make_table(["a", "b"], ["a", "b", "a", "b"], ["a", "b", "b", "a"])
+        reports, rule_set = self.replayed_once(table, make_conds(["c"], [[1, 1, 1, 1]]), epsilon=0.0)
+        assert [report.note for report in reports] == ["no rule learned"] * 2
+        assert rule_set.detection_rules == ()
 
     def test_learning_table_stats_computed_once(self):
         corpus = generate_synthetic(seed=2, n_samples=300, noise=0.25)
